@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 from .component import BufferComponent
 from .holes import LXPProtocolError, OpenHole
+from ..runtime.counters import Counters
 
 __all__ = ["BatchingBuffer", "BatchStats"]
 
 
 @dataclass
-class BatchStats:
+class BatchStats(Counters):
     """Accounting for one batching buffer.
 
     ``batches`` counts batched exchanges (round trips when the server

@@ -31,6 +31,7 @@ from .holes import (
     validate_fill_reply,
 )
 from .lxp import LXPServer
+from ..runtime.counters import Counters
 from ..runtime.locks import make_rlock
 
 __all__ = ["BufferComponent", "BufferStats"]
@@ -53,27 +54,19 @@ class _PrefilledServer(LXPServer):
 
 
 @dataclass
-class BufferStats:
-    """Hit/miss accounting for one buffer."""
+class BufferStats(Counters):
+    """Hit/miss accounting for one buffer (guarded by the buffer's
+    ``buffer.component`` lock)."""
 
     navigations: int = 0
     hits: int = 0
     fills: int = 0
 
     @property
-    def misses(self) -> int:
-        return self.fills
-
-    @property
     def hit_rate(self) -> float:
         if self.navigations == 0:
             return 1.0
         return self.hits / self.navigations
-
-    def reset(self) -> None:
-        self.navigations = 0
-        self.hits = 0
-        self.fills = 0
 
 
 class BufferComponent(NavigableDocument):
@@ -224,10 +217,6 @@ class BufferComponent(NavigableDocument):
         return pointer.label
 
     # -- inspection -------------------------------------------------------
-    def open_root(self) -> Optional[OpenElem]:
-        """The current open tree (None before the first navigation)."""
-        return self._root
-
     def leftmost_holes(self, limit: int) -> List[OpenHole]:
         """Up to ``limit`` outstanding holes in document order -- the
         direction a forward-browsing client needs next.  Both

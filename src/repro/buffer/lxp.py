@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..runtime.config import validate_granularity
 from ..xtree.tree import Tree
 from .holes import FragElem, FragHole, Fragment, LXPProtocolError
-from ..runtime.locks import make_lock
+from ..runtime.counters import Counters
 
 __all__ = ["LXPServer", "LXPStats", "TreeLXPServer",
            "AdaptiveTreeLXPServer", "RandomizedLXPServer",
@@ -37,10 +37,10 @@ __all__ = ["LXPServer", "LXPStats", "TreeLXPServer",
 
 
 @dataclass
-class LXPStats:
+class LXPStats(Counters, shared=True):
     """Traffic accounting for one LXP connection.
 
-    Carries its own lock: with batched pipelining and thread-backed
+    Self-locked: with batched pipelining and thread-backed
     prefetching, fills reach one server from the client thread and
     from prefetch workers at once."""
 
@@ -49,30 +49,13 @@ class LXPStats:
     holes_shipped: int = 0
 
     def __post_init__(self) -> None:
-        # Not a dataclass field: equality/repr stay value-based.
-        self.lock = make_lock("lxp.stats")
-        # Optional observability hookup (not dataclass fields for the
-        # same reason): when a MetricsRegistry is attached, every
-        # measured reply also feeds the lxp_* metric series, labelled
-        # with this connection's source name.
+        super().__post_init__()
+        # Optional observability hookup (not dataclass fields, so
+        # equality/repr stay value-based): when a MetricsRegistry is
+        # attached, every measured reply also feeds the lxp_* metric
+        # series, labelled with this connection's source name.
         self.metrics = None
         self.source = ""
-
-    def snapshot(self) -> dict:
-        """A consistent copy of the counters, taken under the lock
-        (safe while fills are still arriving from other threads)."""
-        with self.lock:
-            return {
-                "fills": self.fills,
-                "elements_shipped": self.elements_shipped,
-                "holes_shipped": self.holes_shipped,
-            }
-
-    def reset(self) -> None:
-        with self.lock:
-            self.fills = 0
-            self.elements_shipped = 0
-            self.holes_shipped = 0
 
 
 def reply_holes(fragments: Sequence[Fragment]) -> List[object]:
@@ -185,10 +168,6 @@ def measure_fragment(stats: LXPStats,
         metrics.histogram("lxp_fragment_bytes").observe(
             sum(fragment_wire_size(f) for f in fragments),
             source=source)
-
-
-#: deprecated private alias, kept for one release for old importers
-_measure = measure_fragment
 
 
 class TreeLXPServer(LXPServer):

@@ -36,13 +36,14 @@ from typing import Dict, List, Optional
 
 from .component import BufferComponent
 from .holes import OpenElem, OpenHole
+from ..runtime.counters import Counters
 
 __all__ = ["PrefetchingBuffer", "AsyncPrefetchingBuffer",
            "PrefetchStats"]
 
 
 @dataclass
-class PrefetchStats:
+class PrefetchStats(Counters):
     """Demand/prefetch fill split, plus stall accounting.
 
     ``stalls`` counts navigations that reached a hole whose prefetch
@@ -55,10 +56,6 @@ class PrefetchStats:
     demand_fills: int = 0
     prefetch_fills: int = 0
     stalls: int = 0
-
-    @property
-    def total_fills(self) -> int:
-        return self.demand_fills + self.prefetch_fills
 
 
 class PrefetchingBuffer(BufferComponent):

@@ -37,9 +37,9 @@ from ..buffer.lxp import LXPServer, LXPStats, measure_fragment
 from ..navigation.interface import NavigableDocument
 from ..runtime.config import validate_granularity
 from ..runtime.context import ExecutionContext
-from ..runtime.resilience import Clock, resilient_server
+from ..runtime.counters import Counters
+from ..runtime.resilience import Clock
 from .element import XMLElement
-from ..runtime.locks import make_lock
 
 __all__ = ["NavigableLXPServer", "MessageChannel", "MeteredTransport",
            "ChannelStats", "RPCDocument", "connect_remote",
@@ -118,7 +118,7 @@ class NavigableLXPServer(LXPServer):
 
 
 @dataclass
-class ChannelStats:
+class ChannelStats(Counters, shared=True):
     """Traffic accounting for one client connection.
 
     ``messages`` counts request/reply round trips; ``commands`` counts
@@ -127,11 +127,10 @@ class ChannelStats:
     commands per message, so ``messages <= commands`` always and the
     gap is exactly what batching saved.
 
-    Carries its own :attr:`lock` (like
-    :class:`~repro.buffer.lxp.LXPStats`): one channel is charged from
-    the client thread, prefetch workers, and -- under the session
-    server -- a per-connection handler thread, while reporters read
-    concurrently through :meth:`snapshot`.
+    Self-locked (like :class:`~repro.buffer.lxp.LXPStats`): one
+    channel is charged from the client thread, prefetch workers, and
+    -- under the session server -- a per-connection handler thread,
+    while reporters read concurrently through :meth:`snapshot`.
     """
 
     messages: int = 0          # request/reply round trips
@@ -139,34 +138,11 @@ class ChannelStats:
     bytes_transferred: int = 0
     virtual_ms: float = 0.0
 
-    def __post_init__(self) -> None:
-        # Not a dataclass field: equality/repr stay value-based.
-        self.lock = make_lock("channel.stats")
-
-    def snapshot(self) -> dict:
-        """A consistent point-in-time copy of the counters, taken
-        under the lock -- what reporters (the execution context, the
-        session server) read instead of racing live mutation."""
-        with self.lock:
-            return {
-                "messages": self.messages,
-                "commands": self.commands,
-                "bytes_transferred": self.bytes_transferred,
-                "virtual_ms": self.virtual_ms,
-            }
-
-    def reset(self) -> None:
-        with self.lock:
-            self.messages = 0
-            self.commands = 0
-            self.bytes_transferred = 0
-            self.virtual_ms = 0.0
-
 
 class MeteredTransport:
     """Shared cost-charging core of every simulated remote transport
     (:class:`MessageChannel`, :class:`RPCDocument`): one
-    :class:`ChannelStats` object, one charging rule, one reset path.
+    :class:`ChannelStats` object, one charging rule.
 
     Charging is lock-guarded (through the stats object's own lock,
     so external reporters and the charger serialize on one lock):
@@ -206,10 +182,6 @@ class MeteredTransport:
                 commands, channel=channel)
             metrics.histogram("channel_message_bytes").observe(
                 size, channel=channel)
-
-    def reset_stats(self) -> None:
-        """Zero the traffic counters (shared by every transport)."""
-        self.stats.reset()
 
 
 class MessageChannel(MeteredTransport, LXPServer):
@@ -294,30 +266,21 @@ def connect_remote(document: NavigableDocument,
     """Open a remote client session onto ``document``.
 
     Granularity and channel costs default to the execution context's
-    engine config (or the config defaults when no context is given);
-    the channel's stats register with the context so the query's
-    aggregated ``stats()`` covers the wire traffic.
-
-    When the config's resilience is active (retries, a retry deadline,
-    or degrade mode) the channel is wrapped in a
-    :class:`~repro.runtime.resilience.ResilientLXPServer`: transient
-    round-trip failures are retried with deterministic backoff, a
-    per-channel circuit breaker fails fast once the channel is dead,
-    and in degrade mode a broken round trip splices a ``<mix:error>``
-    placeholder into the client's view instead of aborting.  ``clock``
-    injects a time source for the backoff/breaker (tests use a fake).
-
-    The client-side buffer honours the config's concurrency knobs:
-    ``batch_navigations`` demands fills through pipelined
-    ``fill_batch`` round trips (with ``prefetch`` as the speculation
-    budget), ``prefetch_workers`` backs the lookahead with a thread
-    pool, and plain ``prefetch`` keeps the deterministic prefetcher.
-    All off (the defaults) yields the plain buffer, byte-for-byte.
+    engine config (or the config defaults when no context is given).
+    The client side of the channel is the standard
+    :func:`~repro.wrappers.base.source_stack`: the channel's stats
+    register with the context so the query's aggregated ``stats()``
+    covers the wire traffic, active resilience (retries, a retry
+    deadline, or degrade mode) hardens the round trips -- in degrade
+    mode a broken one splices a ``<mix:error>`` placeholder into the
+    client's view instead of aborting -- and the config's concurrency
+    knobs pick the buffer.  ``clock`` injects a time source for the
+    backoff/breaker (tests use a fake).
 
     Returns the client-side root XMLElement (backed by a client-local
     buffer over the fragment channel) and the channel's stats object.
     """
-    from ..wrappers.base import buffered
+    from ..wrappers.base import source_stack
 
     if context is None:
         context = ExecutionContext.create()
@@ -331,16 +294,8 @@ def connect_remote(document: NavigableDocument,
         latency_ms=config.latency_ms if latency_ms is None else latency_ms,
         ms_per_kb=config.ms_per_kb if ms_per_kb is None else ms_per_kb,
         tracer=context.tracer, metrics=context.metrics)
-    name = context.register_channel_auto(channel.stats)
-    channel.name = name
+    buffer, _ = source_stack(channel, "remote#", context, clock=clock,
+                             channel=True)
     server.stats.metrics = context.metrics
-    server.stats.source = name
-    transport = resilient_server(channel, config, name=name,
-                                 clock=clock, tracer=context.tracer,
-                                 context=context)
-    buffer = buffered(transport, prefetch=config.prefetch,
-                      workers=config.prefetch_workers,
-                      batch=config.batch_navigations,
-                      tracer=context.tracer, name=name)
-    context.register_buffer_auto(buffer.stats)
+    server.stats.source = channel.name
     return XMLElement(buffer, buffer.root()), channel.stats

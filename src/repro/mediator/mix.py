@@ -32,6 +32,7 @@ request each instead of navigation-by-navigation.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -46,8 +47,8 @@ from ..navigation.interface import NavigableDocument, materialize
 from ..rewriter.optimizer import OptimizationTrace, optimize
 from ..runtime.config import EngineConfig
 from ..runtime.context import ExecutionContext, Tracer
-from ..runtime.resilience import Clock, resilient_server
-from ..wrappers.base import buffered
+from ..runtime.resilience import Clock
+from ..wrappers.base import source_stack
 from ..xmas.ast import XMASQuery
 from ..xmas.compose import inline_views
 from ..xmas.parser import parse_xmas
@@ -189,7 +190,7 @@ class QueryResult:
         config = self.mediator.config.replace(observe_operators=True)
         context = ExecutionContext(config, tracer=tracer,
                                    metrics=self.mediator.runtime.metrics)
-        context.adopt_registries(self.mediator.runtime)
+        context.adopt(self.mediator.runtime)
         document = build_virtual_document(
             self.plan, self.mediator._resolver(), context)
         with tracer.subscribed(events.append):
@@ -353,35 +354,13 @@ class MIXMediator:
         #: check must be atomic with the insert
         self._catalog_lock = make_lock("mediator.catalog")
 
-    # -- config compatibility views ----------------------------------------
-    @property
-    def optimize_plans(self) -> bool:
-        """Whether the rewriting phase runs (from config)."""
-        return self.config.optimize_plans
-
-    @property
-    def cache_enabled(self) -> bool:
-        """Whether operator caches are on (from config)."""
-        return self.config.cache_enabled
-
-    @property
-    def use_sigma(self) -> bool:
-        """Whether select(sigma) pushdown is on (from config)."""
-        return self.config.use_sigma
-
-    @property
-    def hybrid(self) -> bool:
-        """Whether the optimizer may insert eager steps (from
-        config)."""
-        return self.config.hybrid
-
     def _new_context(self) -> ExecutionContext:
         """A fresh per-query execution context (shared tracer), seeded
         with the session-level wrapper registrations so per-query
         ``stats()`` reports cover buffer and resilience counters."""
         context = ExecutionContext(self.config, tracer=self.tracer,
                                    metrics=self.runtime.metrics)
-        context.adopt_registries(self.runtime)
+        context.adopt(self.runtime)
         return context
 
     # -- catalog -----------------------------------------------------------
@@ -423,73 +402,36 @@ class MIXMediator:
     def register_wrapper(self, name: str, server: LXPServer,
                          prefetch: Optional[int] = None,
                          meter: bool = True) -> None:
-        """Register an LXP wrapper, stacked under the generic buffer.
+        """Register an LXP wrapper under the standard seam stack
+        (:func:`~repro.wrappers.base.source_stack`): the fragment
+        cache for admissible wrappers when ``config.fragment_cache``
+        is on, retry/breaker/degradation when the config's resilience
+        is active, and the generic buffer on top -- each layer's
+        counters surfacing through ``QueryResult.stats()``.
 
         ``prefetch`` defaults to the engine config's buffer lookahead.
-
-        When the engine config's resilience is active (retries, a
-        retry deadline, or degrade mode), the wrapper is hardened
-        behind a :class:`~repro.runtime.resilience.ResilientLXPServer`
-        before the buffer stacks on top: every ``fill`` the buffer
-        issues gets the retry/breaker/degradation treatment, and the
-        per-source counters surface through ``QueryResult.stats()``.
 
         A wrapper advertising the push capability (``push_compile``,
         see :mod:`repro.wrappers.base`) is additionally recorded for
         the pushdown compiler pass; with ``config.pushdown`` off the
         record is never consulted.
-
-        With ``config.fragment_cache`` on, an *admissible* wrapper
-        (versioned snapshots, no side effects, browsable export --
-        see :func:`repro.runtime.fragcache.admissible`) is routed
-        through the process-wide fragment store: fills consult the
-        store before touching the source, and when the store already
-        holds the complete view at the wrapper's current snapshot
-        version the source is adopted as a pre-filled buffer without
-        a single source navigation.  The caching seam sits *below*
-        the resilience layer, so degraded ``<mix:error>``
-        placeholders are never cached.
         """
-        if prefetch is None:
-            prefetch = self.config.prefetch
-        raw_server = server
         stats = getattr(server, "stats", None)
         if stats is not None and hasattr(stats, "metrics"):
             # Wire the LXP fragment meter into the session metrics so
             # fills/bytes shipped by this wrapper land in the registry.
             stats.metrics = self.runtime.metrics
             stats.source = name
-        prefill_tree = None
-        if self.config.fragment_cache:
-            # Deferred import: with the default off, the fragment
-            # cache module is never even loaded.
-            from ..runtime.fragcache import fragment_cached, \
-                shared_store
-            store = shared_store()
-            server, prefill_tree, decision = fragment_cached(
-                name, server, store=store, tracer=self.tracer)
-            self.runtime.register_fragcache(store.stats)
+        buffer, decision = source_stack(server, name, self.runtime,
+                                        clock=self.clock,
+                                        prefetch=prefetch)
+        if decision is not None:
             with self._catalog_lock:
                 self._fragcache_decisions.append(decision)
-        server = resilient_server(server, self.config, name=name,
-                                  clock=self.clock,
-                                  tracer=self.tracer,
-                                  context=self.runtime)
-        if prefill_tree is not None:
-            from ..buffer.component import BufferComponent
-            buffer = BufferComponent.prefilled(
-                prefill_tree, tracer=self.tracer, name=name)
-        else:
-            buffer = buffered(server, prefetch,
-                              workers=self.config.prefetch_workers,
-                              batch=self.config.batch_navigations,
-                              tracer=self.tracer, name=name)
-        if hasattr(buffer, "stats"):
-            self.runtime.register_buffer(name, buffer.stats)
         self.register_source(name, buffer, meter)
-        if hasattr(raw_server, "push_compile"):
+        if hasattr(server, "push_compile"):
             with self._catalog_lock:
-                self._pushables[name] = raw_server
+                self._pushables[name] = server
 
     def register_view(self, name: str,
                       query: Union[str, XMASQuery, TupleDestroy],
@@ -617,7 +559,7 @@ class MIXMediator:
                     plan, dict(self._pushables), context)
         document = build_virtual_document(
             executed, self._resolver(), context)
-        baseline = {name: meter.counters.snapshot()
+        baseline = {name: dataclasses.replace(meter.counters)
                     for name, meter in self._meters.items()}
         context.trace("mediator", "prepare.end")
         result = QueryResult(self, plan, initial, trace, document,

@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 
 from .commands import LabelPredicate
 from .interface import NavigableDocument
+from ..runtime.counters import Counters
 from ..runtime.locks import make_rlock
 
 if False:  # pragma: no cover - import cycle guard, typing only
@@ -23,45 +24,20 @@ __all__ = ["NavCounters", "CountingDocument"]
 
 
 @dataclass
-class NavCounters:
-    """Per-command navigation counts."""
+class NavCounters(Counters):
+    """Per-command navigation counts (guarded by the meter's
+    ``source.meter`` lock)."""
 
     down: int = 0
     right: int = 0
     fetch: int = 0
     select: int = 0
 
+    derived = ("total",)
+
     @property
     def total(self) -> int:
         return self.down + self.right + self.fetch + self.select
-
-    def reset(self) -> None:
-        self.down = self.right = self.fetch = self.select = 0
-
-    def snapshot(self) -> "NavCounters":
-        return NavCounters(self.down, self.right, self.fetch, self.select)
-
-    def __sub__(self, other: "NavCounters") -> "NavCounters":
-        return NavCounters(
-            self.down - other.down,
-            self.right - other.right,
-            self.fetch - other.fetch,
-            self.select - other.select,
-        )
-
-    def __add__(self, other: "NavCounters") -> "NavCounters":
-        return NavCounters(
-            self.down + other.down,
-            self.right + other.right,
-            self.fetch + other.fetch,
-            self.select + other.select,
-        )
-
-    def as_dict(self) -> dict:
-        """Per-command counts as a plain dict (for stats reports)."""
-        return {"down": self.down, "right": self.right,
-                "fetch": self.fetch, "select": self.select,
-                "total": self.total}
 
     def __str__(self) -> str:
         return ("d=%d r=%d f=%d sel=%d total=%d"

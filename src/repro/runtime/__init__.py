@@ -7,6 +7,9 @@ Everything cross-cutting in the evaluation tower lives here:
 * :class:`CacheManager`/:class:`ManagedCache` -- the paper's operator
   caches under one memory-budgeted, LRU-evicting registry with
   per-cache hit/miss/eviction counters;
+* :class:`Counters` -- the one base under every ``*Stats`` class
+  (declared fields; generic snapshot/reset/as_dict/+/-), registered
+  by ``(kind, name)`` with the context for aggregated reporting;
 * :class:`ExecutionContext`/:class:`Tracer` -- the per-query carrier
   of config, caches, and span/event hooks, created per ``prepare()``
   and threaded client -> mediator -> lazy operators -> buffer;
@@ -20,9 +23,15 @@ Everything cross-cutting in the evaluation tower lives here:
   Chrome-trace / Prometheus exporters.
 """
 
+# First: with REPRO_LOCK_SANITIZER=1, importing .locks arms the
+# sanitizer, which imports repro.testing and (through its fault
+# harness) re-enters this package's modules -- they must find
+# make_lock already defined.
+from . import locks  # noqa: F401
 from .cache import MISS, CacheManager, CacheStats, ManagedCache
 from .config import ConfigError, EngineConfig, validate_granularity
 from .context import ExecutionContext, TraceEvent, Tracer
+from .counters import Counters
 from .observability import (
     EVENT_NAMES,
     Counter,
@@ -52,26 +61,23 @@ from .resilience import (
     MonotonicClock,
     ResilienceStats,
     ResilientCaller,
-    ResilientDocument,
     ResilientLXPServer,
     RetryPolicy,
     error_placeholder,
     is_error_label,
-    resilient_document,
     resilient_server,
 )
 
 __all__ = [
     "EngineConfig", "ConfigError", "validate_granularity",
     "MISS", "CacheStats", "ManagedCache", "CacheManager",
-    "ExecutionContext", "Tracer", "TraceEvent",
+    "ExecutionContext", "Tracer", "TraceEvent", "Counters",
     "FanoutDispatcher",
     "Clock", "MonotonicClock", "SYSTEM_CLOCK",
     "RetryPolicy", "BreakerOpenError", "CircuitBreaker",
     "ResilienceStats", "ResilientCaller",
     "ERROR_LABEL", "error_placeholder", "is_error_label",
-    "ResilientLXPServer", "ResilientDocument",
-    "resilient_server", "resilient_document",
+    "ResilientLXPServer", "resilient_server",
     "MetricsRegistry", "Counter", "Gauge", "Histogram",
     "SpanNode", "SpanForest", "build_span_tree",
     "export_jsonl", "export_chrome_trace", "export_prometheus",

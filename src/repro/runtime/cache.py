@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional
+from .counters import Counters
 from .locks import make_rlock
 
 __all__ = ["MISS", "CacheStats", "ManagedCache", "CacheManager"]
@@ -50,8 +51,9 @@ MISS = _Miss()
 
 
 @dataclass
-class CacheStats:
-    """Counters for one registered cache (or one aggregated label)."""
+class CacheStats(Counters):
+    """Counters for one registered cache (or one aggregated label);
+    guarded by the manager's ``cache.manager`` lock."""
 
     hits: int = 0
     misses: int = 0
@@ -67,17 +69,6 @@ class CacheStats:
         if self.lookups == 0:
             return 0.0
         return self.hits / self.lookups
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Sum two counter sets (aggregation by label)."""
-        return CacheStats(self.hits + other.hits,
-                          self.misses + other.misses,
-                          self.evictions + other.evictions,
-                          self.entries + other.entries)
-
-    def as_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "entries": self.entries}
 
 
 class ManagedCache:
@@ -227,11 +218,8 @@ class CacheManager:
         with self._lock:
             merged: Dict[str, CacheStats] = {}
             for cache in self._caches:
-                if cache.name in merged:
-                    merged[cache.name] = merged[cache.name].merge(
-                        cache.stats)
-                else:
-                    merged[cache.name] = cache.stats.merge(CacheStats())
+                merged[cache.name] = merged.get(
+                    cache.name, CacheStats()) + cache.stats
             return merged
 
     def totals(self) -> CacheStats:
@@ -239,7 +227,7 @@ class CacheManager:
         with self._lock:
             total = CacheStats()
             for cache in self._caches:
-                total = total.merge(cache.stats)
+                total = total + cache.stats
             return total
 
     def as_dict(self) -> dict:

@@ -14,10 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple, TYPE_CHECKING
-
-if TYPE_CHECKING:  # import cycle: resilience imports this module
-    from .resilience import RetryPolicy
+from typing import Optional, Tuple
 
 __all__ = ["EngineConfig", "ConfigError", "validate_granularity"]
 
@@ -109,14 +106,14 @@ class EngineConfig:
 
     Fault tolerance
         ``retry_max_attempts`` is the total number of tries per I/O
-        operation (1 = no retries); ``retry_base_delay_ms`` /
-        ``retry_backoff`` / ``retry_max_delay_ms`` shape the
-        exponential backoff (with deterministic jitter), and
-        ``retry_deadline_ms`` bounds the *cumulative* time one
-        operation may spend retrying.  ``breaker_threshold``
-        consecutive failures open a per-source circuit breaker that
-        fails fast until ``breaker_reset_ms`` has elapsed (then one
-        half-open probe decides).  ``on_source_failure`` picks what an
+        operation (1 = no retries), spaced by
+        :class:`~repro.runtime.resilience.RetryPolicy`'s exponential
+        backoff with deterministic jitter; ``retry_deadline_ms``
+        bounds the *cumulative* time one operation may spend
+        retrying.  ``breaker_threshold`` consecutive failures open a
+        per-source circuit breaker that fails fast until
+        ``breaker_reset_ms`` has elapsed (then one half-open probe
+        decides).  ``on_source_failure`` picks what an
         exhausted failure does: ``"fail"`` aborts the query;
         ``"degrade"`` splices a marked ``<mix:error source=...>``
         placeholder into the virtual answer and lets sibling sources
@@ -176,10 +173,8 @@ class EngineConfig:
         bind address (port 0 = ephemeral); ``serve_max_sessions`` is
         the admission-control ceiling on concurrently open sessions
         (excess connections receive a typed ``mix:busy`` reply and are
-        closed); ``serve_accept_backlog`` bounds the kernel accept
-        queue behind the admission gate.  ``serve_idle_timeout_ms``
-        kills sessions whose client stops talking mid-dialogue (the
-        slow-loris defense); ``serve_send_timeout_ms`` kills sessions
+        closed).  ``serve_idle_timeout_ms`` kills sessions whose
+        client stops talking mid-dialogue (the slow-loris defense); ``serve_send_timeout_ms`` kills sessions
         whose client stops *reading* (backpressure on stalled
         readers); ``serve_request_deadline_ms`` bounds the server-side
         navigation work of one request (overruns answer
@@ -230,9 +225,6 @@ class EngineConfig:
     latency_ms: float = 20.0
     ms_per_kb: float = 2.0
     retry_max_attempts: int = 1
-    retry_base_delay_ms: float = 10.0
-    retry_backoff: float = 2.0
-    retry_max_delay_ms: float = 1000.0
     retry_deadline_ms: Optional[float] = None
     breaker_threshold: int = 5
     breaker_reset_ms: float = 30000.0
@@ -245,7 +237,6 @@ class EngineConfig:
     serve_host: str = "127.0.0.1"
     serve_port: int = 0
     serve_max_sessions: int = 64
-    serve_accept_backlog: int = 16
     serve_idle_timeout_ms: float = 30000.0
     serve_send_timeout_ms: float = 5000.0
     serve_request_deadline_ms: Optional[float] = None
@@ -273,10 +264,6 @@ class EngineConfig:
             raise ConfigError("channel costs must be >= 0")
         if self.retry_max_attempts < 1:
             raise ConfigError("retry_max_attempts must be >= 1")
-        if self.retry_base_delay_ms < 0 or self.retry_max_delay_ms < 0:
-            raise ConfigError("retry delays must be >= 0")
-        if self.retry_backoff < 1.0:
-            raise ConfigError("retry_backoff must be >= 1.0")
         if self.retry_deadline_ms is not None \
                 and self.retry_deadline_ms <= 0:
             raise ConfigError("retry_deadline_ms must be positive "
@@ -299,8 +286,6 @@ class EngineConfig:
             raise ConfigError("serve_port must be in [0, 65535]")
         if self.serve_max_sessions < 1:
             raise ConfigError("serve_max_sessions must be >= 1")
-        if self.serve_accept_backlog < 1:
-            raise ConfigError("serve_accept_backlog must be >= 1")
         if self.serve_idle_timeout_ms <= 0:
             raise ConfigError("serve_idle_timeout_ms must be positive")
         if self.serve_send_timeout_ms <= 0:
@@ -352,18 +337,6 @@ class EngineConfig:
         return (self.retry_max_attempts > 1
                 or self.retry_deadline_ms is not None
                 or self.on_source_failure != "fail")
-
-    def retry_policy(self) -> "RetryPolicy":
-        """The :class:`~repro.runtime.resilience.RetryPolicy` these
-        fields describe."""
-        from .resilience import RetryPolicy
-        return RetryPolicy(
-            max_attempts=self.retry_max_attempts,
-            base_delay_ms=self.retry_base_delay_ms,
-            backoff=self.retry_backoff,
-            max_delay_ms=self.retry_max_delay_ms,
-            deadline_ms=self.retry_deadline_ms,
-        )
 
     def replace(self, **overrides: object) -> "EngineConfig":
         """A copy with the given fields replaced (validated anew)."""

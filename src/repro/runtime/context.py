@@ -27,13 +27,14 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (Any, Callable, ContextManager, Dict, Iterator,
-                    List, Optional, TYPE_CHECKING)
+                    List, Optional, Tuple, TYPE_CHECKING)
 
 if TYPE_CHECKING:  # import cycle: resilience imports this module
     from .resilience import Clock
 
 from .cache import CacheManager
 from .config import EngineConfig
+from .counters import Counters
 from .observability import MetricsRegistry
 from .parallel import FanoutDispatcher
 from .locks import make_lock
@@ -350,17 +351,12 @@ class ExecutionContext:
         #: instruments themselves, so instrumentation costs one
         #: attribute read when metrics are off.
         self.metrics = metrics
-        #: buffer stats registered by name (generic buffer components)
-        self.buffers: Dict[str, Any] = {}
-        #: channel stats registered by name (remote sessions)
-        self.channels: Dict[str, Any] = {}
-        #: resilience stats registered by name (retry/breaker seams)
-        self.resilience: Dict[str, Any] = {}
-        #: the shared fragment store's stats, when fragment caching is
-        #: on (None otherwise -- the stats report then has no
-        #: "fragcache" section, keeping the default shape unchanged)
-        self.fragcache: Optional[Any] = None
-        #: guards the registries: buffers and channels register from
+        #: the one stats registry: ``(kind, name) -> Counters`` for
+        #: every buffer, channel, resilience seam and fragment store
+        #: that reports through this context (kinds and their report
+        #: shapes are the rows of ``_SECTIONS``)
+        self.stats: Dict[Tuple[str, str], Counters] = {}
+        #: guards the registry: buffers and channels register from
         #: whichever thread opens them (fan-out tasks, prefetch
         #: workers), and names are minted from registry sizes
         self._registry_lock = make_lock("context.registry")
@@ -423,110 +419,70 @@ class ExecutionContext:
         if dispatcher is not None:
             dispatcher.close()
 
-    # -- registries --------------------------------------------------------
-    def register_buffer(self, name: str, stats: Any) -> None:
-        """Attach a buffer's stats object for aggregated reporting."""
-        with self._registry_lock:
-            self.buffers[name] = stats
+    # -- the stats registry ------------------------------------------------
+    def register(self, kind: str, name: str,
+                 counters: Counters) -> str:
+        """Attach ``counters`` for aggregated reporting under
+        ``(kind, name)`` and return the name.
 
-    def register_buffer_auto(self, stats: Any) -> str:
-        """Register a client-side buffer under a freshly minted
-        ``client-buffer#N`` name and return the name (see
-        :meth:`register_channel_auto`)."""
+        A ``name`` ending in ``#`` is a serial prefix: the entry is
+        stored as ``name + N``, N being one more than the kind's
+        current population (``remote#1``, ``client-buffer#3``).  Mint
+        and insert happen under one lock, so concurrent sessions
+        opening channels never collide.
+        """
         with self._registry_lock:
-            name = "client-buffer#%d" % (len(self.buffers) + 1)
-            self.buffers[name] = stats
+            if name.endswith("#"):
+                name += str(1 + sum(1 for k, _ in self.stats
+                                    if k == kind))
+            self.stats[(kind, name)] = counters
             return name
 
-    def register_channel(self, name: str, stats: Any) -> None:
-        """Attach a remote channel's stats for aggregated reporting."""
-        with self._registry_lock:
-            self.channels[name] = stats
-
-    def register_channel_auto(self, stats: Any) -> str:
-        """Register a channel under a freshly minted ``remote#N`` name
-        and return the name.  Mint and insert happen under one lock,
-        so concurrent sessions opening channels never collide."""
-        with self._registry_lock:
-            name = "remote#%d" % (len(self.channels) + 1)
-            self.channels[name] = stats
-            return name
-
-    def register_resilience(self, name: str, stats: Any) -> None:
-        """Attach a resilient seam's retry/breaker/degradation stats
-        for aggregated reporting."""
-        with self._registry_lock:
-            self.resilience[name] = stats
-
-    def register_fragcache(self, stats: Any) -> None:
-        """Attach the fragment store's hit/miss/invalidation counters
-        for aggregated reporting (one store per context: sessions
-        share the process-wide store, so later registrations of the
-        same object are idempotent)."""
-        with self._registry_lock:
-            self.fragcache = stats
-
-    def adopt_registries(self, other: "ExecutionContext") -> None:
-        """Share another context's registered stats objects (the
-        mediator seeds each per-query context with the session-level
-        wrapper registrations)."""
+    def adopt(self, other: "ExecutionContext") -> None:
+        """Share another context's registered counters (the mediator
+        seeds each per-query context with the session-level wrapper
+        registrations)."""
         with other._registry_lock:
-            buffers = dict(other.buffers)
-            channels = dict(other.channels)
-            resilience = dict(other.resilience)
-            fragcache = other.fragcache
+            entries = dict(other.stats)
         with self._registry_lock:
-            self.buffers.update(buffers)
-            self.channels.update(channels)
-            self.resilience.update(resilience)
-            if fragcache is not None:
-                self.fragcache = fragcache
+            self.stats.update(entries)
+
+    def _snapshots(self) -> Dict[str, Dict[str, Dict[str, Any]]]:
+        """``kind -> name -> snapshot`` over the whole registry, names
+        sorted.  The registry is copied under its lock (concurrent
+        sessions may be registering while a report is taken) and the
+        counters are read outside it, through ``snapshot()`` -- seams
+        may still be live."""
+        with self._registry_lock:
+            entries = sorted(self.stats.items())
+        by_kind: Dict[str, Dict[str, Dict[str, Any]]] = {}
+        for (kind, name), counters in entries:
+            by_kind.setdefault(kind, {})[name] = counters.snapshot()
+        return by_kind
 
     # -- metrics -----------------------------------------------------------
     def _collect_metrics(self) -> None:
-        """Fold the registered stats objects into gauges.
+        """Fold the registered counters into gauges.
 
         Pull-based: instead of every cache/buffer/channel pushing on
-        each operation, the snapshot reads the registries it already
+        each operation, the snapshot reads the registry it already
         has.  Keeps the hot paths free of double accounting and the
         gauges consistent with ``stats_report()``.
         """
         metrics = self.metrics
         if not metrics.enabled:
             return
-        cache_dict = self.caches.as_dict()
-        hits = metrics.gauge("cache_hits")
-        misses = metrics.gauge("cache_misses")
-        evictions = metrics.gauge("cache_evictions")
-        for name, counts in cache_dict.get("caches", {}).items():
-            hits.set(counts["hits"], cache=name)
-            misses.set(counts["misses"], cache=name)
-            evictions.set(counts["evictions"], cache=name)
-        with self._registry_lock:
-            buffers = dict(self.buffers)
-            channels = dict(self.channels)
-            resilience = dict(self.resilience)
-        buf_nav = metrics.gauge("buffer_navigations")
-        buf_hits = metrics.gauge("buffer_hits")
-        buf_fills = metrics.gauge("buffer_hole_fills")
-        for name, stats in buffers.items():
-            buf_nav.set(stats.navigations, buffer=name)
-            buf_hits.set(stats.hits, buffer=name)
-            buf_fills.set(stats.fills, buffer=name)
-        chan_msgs = metrics.gauge("channel_messages")
-        chan_bytes = metrics.gauge("channel_bytes")
-        for name, stats in channels.items():
-            snap = stats.snapshot()
-            chan_msgs.set(snap["messages"], channel=name)
-            chan_bytes.set(snap["bytes_transferred"], channel=name)
-        res_retries = metrics.gauge("resilience_retries")
-        res_giveups = metrics.gauge("resilience_giveups")
-        res_degraded = metrics.gauge("resilience_degraded")
-        for name, stats in resilience.items():
-            counts = stats.snapshot()
-            res_retries.set(counts["retries"], source=name)
-            res_giveups.set(counts["giveups"], source=name)
-            res_degraded.set(counts["degraded"], source=name)
+        caches = self.caches.as_dict()["caches"]
+        for field_name in ("hits", "misses", "evictions"):
+            gauge = metrics.gauge("cache_" + field_name)
+            for name, counts in caches.items():
+                gauge.set(counts[field_name], cache=name)
+        by_kind = self._snapshots()
+        for kind, _, _, _, _, label, gauges in _SECTIONS:
+            for gauge_name, field_name in gauges:
+                gauge = metrics.gauge(gauge_name)
+                for name, snap in by_kind.get(kind, {}).items():
+                    gauge.set(snap[field_name], **{label: name})
 
     def metrics_snapshot(self) -> dict:
         """The full metric state as plain dicts (see
@@ -545,49 +501,54 @@ class ExecutionContext:
         """Caches, buffers, and channels in one plain-dict view."""
         report = {"config": self.config.as_dict(),
                   "caches": self.caches.as_dict()}
-        # Copy the registries under their lock: concurrent sessions
-        # (fan-out tasks, server handler threads) may be registering
-        # new entries while this report is taken.
-        with self._registry_lock:
-            buffers = dict(self.buffers)
-            channels = dict(self.channels)
-            resilience = dict(self.resilience)
-            fragcache = self.fragcache
-        if fragcache is not None:
-            report["fragcache"] = fragcache.snapshot()
-        if buffers:
-            report["buffers"] = {
-                name: {"navigations": stats.navigations,
-                       "hits": stats.hits, "fills": stats.fills}
-                for name, stats in sorted(buffers.items())}
-        if resilience:
-            # snapshot(), not as_dict(): seams may still be live when
-            # a report is taken (server sessions report concurrently).
-            per_seam = {name: stats.snapshot()
-                        for name, stats in sorted(resilience.items())}
-            report["resilience"] = {
-                "retries": sum(s["retries"] for s in per_seam.values()),
-                "giveups": sum(s["giveups"] for s in per_seam.values()),
-                "degraded": sum(s["degraded"]
-                                for s in per_seam.values()),
-                "breaker_opens": sum(s["breaker_opens"]
-                                     for s in per_seam.values()),
-                "per_source": per_seam,
-            }
-        if channels:
-            per_channel = {name: stats.snapshot()
-                           for name, stats in sorted(channels.items())}
-            report["channels"] = {
-                "messages": sum(s["messages"]
-                                for s in per_channel.values()),
-                "bytes_transferred": sum(s["bytes_transferred"]
-                                         for s in per_channel.values()),
-                "per_channel": {
-                    name: {"messages": snap["messages"],
-                           "bytes_transferred": snap["bytes_transferred"],
-                           "virtual_ms": snap["virtual_ms"]}
-                    for name, snap in per_channel.items()},
-            }
+        by_kind = self._snapshots()
+        for kind, title, totals, rows_key, row_fields, _, _ \
+                in _SECTIONS:
+            snaps = by_kind.get(kind)
+            if not snaps:
+                continue
+            if totals is None:
+                totals = tuple(next(iter(snaps.values())))
+            body: Dict[str, Any] = {
+                total: sum(snap[total] for snap in snaps.values())
+                for total in totals}
+            if rows_key is not None:
+                rows = {name: (snap if row_fields is None
+                               else {f: snap[f] for f in row_fields})
+                        for name, snap in snaps.items()}
+                if rows_key:
+                    body[rows_key] = rows
+                else:
+                    body.update(rows)
+            report[title] = body
         if self.metrics.enabled:
             report["metrics"] = self.metrics_snapshot()
         return report
+
+
+#: The report/gauge table, one row per registry kind, in report order:
+#: ``(kind, report key, summed fields, rows key, row fields, gauge
+#: label, (gauge, field) pairs)``.  The summed fields head the
+#: section (None = every declared field); the per-entry rows sit
+#: under the rows key ("" = directly in the section, None = no rows)
+#: and show the row fields (None = the whole snapshot).
+_SECTIONS: Tuple[Tuple[str, str, Optional[Tuple[str, ...]],
+                       Optional[str], Optional[Tuple[str, ...]], str,
+                       Tuple[Tuple[str, str], ...]], ...] = (
+    ("fragcache", "fragcache", None, None, None, "store", ()),
+    ("buffer", "buffers", (), "", None, "buffer",
+     (("buffer_navigations", "navigations"),
+      ("buffer_hits", "hits"),
+      ("buffer_hole_fills", "fills"))),
+    ("resilience", "resilience",
+     ("retries", "giveups", "degraded", "breaker_opens"),
+     "per_source", None, "source",
+     (("resilience_retries", "retries"),
+      ("resilience_giveups", "giveups"),
+      ("resilience_degraded", "degraded"))),
+    ("channel", "channels", ("messages", "bytes_transferred"),
+     "per_channel", ("messages", "bytes_transferred", "virtual_ms"),
+     "channel",
+     (("channel_messages", "messages"),
+      ("channel_bytes", "bytes_transferred"))),
+)

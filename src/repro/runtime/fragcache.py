@@ -61,6 +61,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
 from ..buffer.holes import FragHole, Fragment
 from ..buffer.lxp import LXPServer, reply_holes
 from ..xtree.tree import Tree
+from .counters import Counters
 from .locks import make_lock
 
 __all__ = [
@@ -75,57 +76,23 @@ __all__ = [
 FragmentKey = Tuple[str, object]
 
 
-class FragcacheStats:
-    """Counters for one :class:`FragmentStore` (own lock: sessions in
-    many threads hit one store).
+@dataclass
+class FragcacheStats(Counters, shared=True):
+    """Counters for one :class:`FragmentStore` (self-locked: sessions
+    in many threads hit one store).
 
     The structural invariant tests pin down: every ``fill`` demand
     reaching the caching seam counts exactly one hit or one miss, so
     ``hits + misses == demands`` always.
     """
 
-    def __init__(self) -> None:
-        self._lock = make_lock("fragcache.stats")
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.invalidations = 0
-        self.single_flight_waits = 0
-        self.view_stores = 0
-        self.view_adoptions = 0
-
-    def count(self, outcome: str) -> None:
-        """Bump the counter named by ``outcome`` (store-internal)."""
-        with self._lock:
-            if outcome == "hit":
-                self.hits += 1
-            elif outcome == "miss":
-                self.misses += 1
-            elif outcome == "store":
-                self.stores += 1
-            elif outcome == "invalidate":
-                self.invalidations += 1
-            elif outcome == "wait":
-                self.single_flight_waits += 1
-            elif outcome == "view_store":
-                self.view_stores += 1
-            elif outcome == "view_adopt":
-                self.view_adoptions += 1
-            else:
-                raise ValueError("unknown outcome %r" % (outcome,))
-
-    def snapshot(self) -> Dict[str, int]:
-        """A consistent copy of the counters."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "invalidations": self.invalidations,
-                "single_flight_waits": self.single_flight_waits,
-                "view_stores": self.view_stores,
-                "view_adoptions": self.view_adoptions,
-            }
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+    invalidations: int = 0
+    single_flight_waits: int = 0
+    view_stores: int = 0
+    view_adoptions: int = 0
 
 
 @dataclass(frozen=True)
@@ -224,7 +191,7 @@ class FragmentStore:
                 entry = shard.entries.get(key)
                 if entry is not None:
                     if entry.version == version:
-                        self.stats.count("hit")
+                        self.stats.bump("hits")
                         outcomes.append("hit")
                         hit = list(entry.fragments)
                     else:
@@ -232,7 +199,7 @@ class FragmentStore:
                         # entry: drop it and fall through to a
                         # producing miss.
                         del shard.entries[key]
-                        self.stats.count("invalidate")
+                        self.stats.bump("invalidations")
                         outcomes.append("invalidate")
                 if hit is None:
                     waiter = shard.inflight.get(key)
@@ -248,7 +215,7 @@ class FragmentStore:
                 break
             # Another session is filling this key: wait outside the
             # lock, then re-check the entry table from the top.
-            self.stats.count("wait")
+            self.stats.bump("single_flight_waits")
             if observer is not None:
                 observer("wait")
             waiter.wait()
@@ -259,13 +226,13 @@ class FragmentStore:
                 del shard.inflight[key]
             event.set()
             raise
-        self.stats.count("miss")
+        self.stats.bump("misses")
         if observer is not None:
             observer("miss")
         with shard.lock:
             shard.entries[key] = _Entry(fragments, version)
             del shard.inflight[key]
-        self.stats.count("store")
+        self.stats.bump("stores")
         if observer is not None:
             observer("store")
         event.set()
@@ -278,7 +245,7 @@ class FragmentStore:
         shard = self._shard_of((view_id, None))
         with shard.lock:
             shard.views[view_id] = _ViewEntry(tree, version)
-        self.stats.count("view_store")
+        self.stats.bump("view_stores")
 
     def view(self, view_id: str, version: object) -> Optional[Tree]:
         """The complete view at exactly ``version``, if stored.
@@ -299,9 +266,9 @@ class FragmentStore:
                     del shard.views[view_id]
                     stale = True
         if stale:
-            self.stats.count("invalidate")
+            self.stats.bump("invalidations")
         if found is not None:
-            self.stats.count("view_adopt")
+            self.stats.bump("view_adoptions")
         return found
 
     # -- epoch invalidation ------------------------------------------------
@@ -324,8 +291,7 @@ class FragmentStore:
                         and view.version != current_version:
                     del shard.views[view_id]
                     dropped += 1
-        for _ in range(dropped):
-            self.stats.count("invalidate")
+        self.stats.bump("invalidations", dropped)
         return dropped
 
     def clear(self) -> None:

@@ -707,13 +707,6 @@ class FlightRecorder:
             self._ring.append(entry)
             self._recorded += 1
 
-    def record_trace_event(self, event: Any) -> None:
-        """Mirror a :class:`TraceEvent`-shaped record into the ring
-        (the subscriber form, for daemons that also trace)."""
-        with self._lock:
-            self._ring.append(event.to_dict())
-            self._recorded += 1
-
     def snapshot(self) -> List[Dict[str, Any]]:
         """The ring's entries, oldest first (shallow copies)."""
         with self._lock:

@@ -19,9 +19,6 @@ states, not exceptions; this module gives the tower the same posture:
   proxy class covers both.  In ``"degrade"`` mode an exhausted or
   broken source yields a marked ``<mix:error source=...>`` placeholder
   element in the virtual answer instead of aborting the query.
-* :class:`ResilientDocument` -- the same retry/breaker engine for
-  per-navigation round trips (:class:`~repro.client.remote.
-  RPCDocument` and other NavigableDocuments).
 
 Time is abstracted behind :class:`Clock` so tests drive the whole
 machinery -- backoff sleeps, breaker reset windows, deadlines -- from
@@ -33,8 +30,8 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional
 
 from ..errors import (
     FAILURE_TYPES,
@@ -43,15 +40,15 @@ from ..errors import (
     is_transient,
 )
 from .config import ConfigError
-from .locks import make_lock, make_rlock
+from .counters import Counters
+from .locks import make_rlock
 
 __all__ = [
     "Clock", "MonotonicClock", "SYSTEM_CLOCK",
     "RetryPolicy", "BreakerOpenError", "CircuitBreaker",
     "ResilienceStats", "ResilientCaller",
     "ERROR_LABEL", "error_placeholder", "is_error_label",
-    "ResilientLXPServer", "ResilientDocument",
-    "resilient_server", "resilient_document",
+    "ResilientLXPServer", "resilient_server",
 ]
 
 
@@ -246,13 +243,12 @@ class CircuitBreaker:
 # ----------------------------------------------------------------------
 
 @dataclass
-class ResilienceStats:
+class ResilienceStats(Counters, shared=True):
     """Retry/breaker/degradation accounting for one wrapped peer.
 
-    A single peer may be exercised by many threads at once (prefetch
-    workers, fan-out tasks, concurrent sessions over a shared
-    source), so counter updates go through :attr:`lock` -- not a
-    dataclass field, so equality and repr stay value-based.
+    Self-locked: a single peer may be exercised by many threads at
+    once (prefetch workers, fan-out tasks, concurrent sessions over a
+    shared source).
     """
 
     calls: int = 0
@@ -264,41 +260,6 @@ class ResilienceStats:
     breaker_short_circuits: int = 0
     retry_wait_ms: float = 0.0     # cumulative backoff waited
 
-    def __post_init__(self) -> None:
-        self.lock = make_lock("resilience.stats")
-
-    def snapshot(self) -> dict:
-        """A consistent copy of the counters, taken under the lock.
-
-        Reporters that run while the seam is live (the execution
-        context's ``stats_report``, the session server's per-session
-        stats) use this; :meth:`as_dict` reads unsynchronized and is
-        only safe once the traffic has stopped."""
-        with self.lock:
-            return self.as_dict()
-
-    def as_dict(self) -> dict:
-        return {
-            "calls": self.calls,
-            "failures": self.failures,
-            "retries": self.retries,
-            "giveups": self.giveups,
-            "degraded": self.degraded,
-            "breaker_opens": self.breaker_opens,
-            "breaker_short_circuits": self.breaker_short_circuits,
-            "retry_wait_ms": self.retry_wait_ms,
-        }
-
-    def reset(self) -> None:
-        self.calls = 0
-        self.failures = 0
-        self.retries = 0
-        self.giveups = 0
-        self.degraded = 0
-        self.breaker_opens = 0
-        self.breaker_short_circuits = 0
-        self.retry_wait_ms = 0.0
-
 
 # ----------------------------------------------------------------------
 # The retry/breaker engine
@@ -307,11 +268,11 @@ class ResilienceStats:
 class ResilientCaller:
     """Retry + breaker + deadline around calls to one named peer.
 
-    This is the shared engine under :class:`ResilientLXPServer` and
-    :class:`ResilientDocument`: classify each failure via the error
-    taxonomy, retry transient ones per the policy, feed the breaker,
-    and keep the counters.  Raises the *last* underlying error when it
-    gives up (callers decide whether to degrade).
+    The engine under :class:`ResilientLXPServer`: classify each
+    failure via the error taxonomy, retry transient ones per the
+    policy, feed the breaker, and keep the counters.  Raises the
+    *last* underlying error when it gives up (callers decide whether
+    to degrade).
     """
 
     def __init__(self, name: str,
@@ -319,14 +280,13 @@ class ResilientCaller:
                  breaker: Optional[CircuitBreaker] = None,
                  clock: Clock = SYSTEM_CLOCK,
                  tracer: Optional[Any] = None,
-                 stats: Optional[ResilienceStats] = None,
                  metrics: Optional[Any] = None) -> None:
         self.name = name
         self.policy = policy if policy is not None else RetryPolicy()
         self.breaker = breaker
         self.clock = clock
         self.tracer = tracer
-        self.stats = stats if stats is not None else ResilienceStats()
+        self.stats = ResilienceStats()
         #: optional MetricsRegistry: every traced transition also
         #: increments ``resilience_events_total{source=,event=}``
         self.metrics = metrics
@@ -346,16 +306,14 @@ class ResilientCaller:
         """Run ``fn(*args)`` under the policy; return its result or
         raise the final failure."""
         stats = self.stats
-        with stats.lock:
-            stats.calls += 1
+        stats.bump("calls")
         policy = self.policy
         started = self.clock.now_ms()
         attempt = 0
         while True:
             attempt += 1
             if self.breaker is not None and not self.breaker.allow():
-                with stats.lock:
-                    stats.breaker_short_circuits += 1
+                stats.bump("breaker_short_circuits")
                 self._trace("short_circuit",
                             state=self.breaker.state)
                 raise BreakerOpenError(
@@ -379,15 +337,13 @@ class ResilientCaller:
                             transient=transient,
                             error=type(err).__name__)
                 if not transient or attempt >= policy.max_attempts:
-                    with stats.lock:
-                        stats.giveups += 1
+                    stats.bump("giveups")
                     raise
                 delay = policy.delay_ms(attempt, key=(self.name, key))
                 if policy.deadline_ms is not None:
                     elapsed = self.clock.now_ms() - started
                     if elapsed + delay > policy.deadline_ms:
-                        with stats.lock:
-                            stats.giveups += 1
+                        stats.bump("giveups")
                         self._trace("deadline_exceeded",
                                     elapsed_ms=elapsed)
                         raise
@@ -473,8 +429,7 @@ class ResilientLXPServer:
         return self.caller.breaker
 
     def _degrade(self, err: BaseException) -> List[Any]:
-        with self.resilience.lock:
-            self.resilience.degraded += 1
+        self.resilience.bump("degraded")
         self.caller._trace("degraded", error=type(err).__name__)
         return [error_placeholder(self.name, str(err))]
 
@@ -488,8 +443,7 @@ class ResilientLXPServer:
                 raise
             # Degrade via a synthetic hole: get_root must return a
             # hole, so the placeholder ships on its first fill.
-            with self.resilience.lock:
-                self.resilience.degraded += 1
+            self.resilience.bump("degraded")
             return FragHole((_ERROR_HOLE, str(err)))
 
     def fill(self, hole_id: Any) -> Any:
@@ -529,8 +483,7 @@ class ResilientLXPServer:
         except FAILURE_TYPES as err:
             if self.on_failure != "degrade":
                 raise
-            with self.resilience.lock:
-                self.resilience.degraded += len(hole_ids)
+            self.resilience.bump("degraded", len(hole_ids))
             self.caller._trace("degraded", error=type(err).__name__,
                                batch=len(hole_ids))
             return [(hid, [error_placeholder(self.name, str(err))])
@@ -541,114 +494,33 @@ class ResilientLXPServer:
         return getattr(self.server, attr)
 
 
-class ResilientDocument:
-    """Retry/breaker proxy around a NavigableDocument's round trips.
-
-    Covers the naive per-command remote design
-    (:class:`~repro.client.remote.RPCDocument`): each ``down`` /
-    ``right`` / ``fetch`` / ``select`` is one retriable operation.
-    Navigation has no fragment stream to degrade into, so exhaustion
-    always raises; degradation is a property of the fragment seams.
-    """
-
-    def __init__(self, document: Any, name: str = "channel",
-                 policy: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 clock: Clock = SYSTEM_CLOCK,
-                 tracer: Optional[Any] = None,
-                 metrics: Optional[Any] = None) -> None:
-        self.document = document
-        self.name = name
-        self.caller = ResilientCaller(name, policy=policy,
-                                      breaker=breaker, clock=clock,
-                                      tracer=tracer, metrics=metrics)
-        self.resilience = self.caller.stats
-
-    def root(self) -> Any:
-        return self.caller.call(self.document.root, key="root")
-
-    def down(self, pointer: Any) -> Any:
-        return self.caller.call(self.document.down, pointer,
-                                key="down")
-
-    def right(self, pointer: Any) -> Any:
-        return self.caller.call(self.document.right, pointer,
-                                key="right")
-
-    def fetch(self, pointer: Any) -> Any:
-        return self.caller.call(self.document.fetch, pointer,
-                                key="fetch")
-
-    def select(self, pointer: Any, predicate: Any) -> Any:
-        return self.caller.call(
-            lambda: self.document.select(pointer, predicate),
-            key="select")
-
-    def apply(self, command: str, pointer: Any) -> Any:
-        from ..navigation.interface import NavigableDocument
-        return NavigableDocument.apply(self, command, pointer)
-
-    def __getattr__(self, attr: str) -> Any:
-        return getattr(self.document, attr)
-
-
 # ----------------------------------------------------------------------
-# Config-driven factories
+# The config-driven factory
 # ----------------------------------------------------------------------
-
-def _build(config: Any, name: str, clock: Clock, tracer: Any
-           ) -> Tuple[RetryPolicy, CircuitBreaker]:
-    policy = config.retry_policy()
-    breaker = CircuitBreaker(
-        failure_threshold=config.breaker_threshold,
-        reset_timeout_ms=config.breaker_reset_ms,
-        clock=clock, name=name)
-    return policy, breaker
-
 
 def resilient_server(server: Any, config: Any,
                      name: str = "source",
                      clock: Optional[Clock] = None,
                      tracer: Optional[Any] = None,
-                     context: Optional[Any] = None) -> Any:
+                     metrics: Optional[Any] = None) -> Any:
     """Wrap an LXP server per ``config``; pass-through when inactive.
 
     When ``config.resilience_active`` is false the server is returned
-    *unchanged* -- the healthy default path pays nothing.  Otherwise
-    the wrapped server's :class:`ResilienceStats` are registered with
-    ``context`` (when given) under ``name``, so they surface through
-    ``QueryResult.stats()``.
+    *unchanged* -- the healthy default path pays nothing.  The one
+    production caller is :func:`~repro.wrappers.base.source_stack`,
+    which registers the wrapped server's :class:`ResilienceStats`
+    with its context so they surface through ``QueryResult.stats()``.
     """
     if not config.resilience_active:
         return server
     clock = clock if clock is not None else SYSTEM_CLOCK
-    policy, breaker = _build(config, name, clock, tracer)
-    wrapped = ResilientLXPServer(
-        server, name=name, policy=policy, breaker=breaker,
-        clock=clock, on_failure=config.on_source_failure,
-        tracer=tracer,
-        metrics=getattr(context, "metrics", None))
-    if context is not None:
-        context.register_resilience(name, wrapped.resilience)
-    return wrapped
-
-
-def resilient_document(document: Any, config: Any,
-                       name: str = "channel",
-                       clock: Optional[Clock] = None,
-                       tracer: Optional[Any] = None,
-                       context: Optional[Any] = None) -> Any:
-    """Wrap a NavigableDocument per ``config``; pass-through when
-    inactive (see :func:`resilient_server`)."""
-    if not config.resilience_active:
-        return document
-    clock = clock if clock is not None else SYSTEM_CLOCK
-    policy, breaker = _build(config, name, clock, tracer)
-    wrapped = ResilientDocument(document, name=name, policy=policy,
-                                breaker=breaker, clock=clock,
-                                tracer=tracer,
-                                metrics=getattr(context, "metrics",
-                                                None))
-    if context is not None:
-        context.register_resilience(name, wrapped.resilience)
-    return wrapped
+    breaker = CircuitBreaker(
+        failure_threshold=config.breaker_threshold,
+        reset_timeout_ms=config.breaker_reset_ms,
+        clock=clock, name=name)
+    policy = RetryPolicy(max_attempts=config.retry_max_attempts,
+                         deadline_ms=config.retry_deadline_ms)
+    return ResilientLXPServer(
+        server, name=name, policy=policy, breaker=breaker, clock=clock,
+        on_failure=config.on_source_failure,
+        tracer=tracer, metrics=metrics)

@@ -38,7 +38,7 @@ from ..errors import PermanentSourceError, TransientSourceError
 from ..buffer.lxp import LXPServer
 from ..runtime.config import EngineConfig
 from ..runtime.context import ExecutionContext, Tracer
-from ..runtime.resilience import Clock, resilient_server
+from ..runtime.resilience import Clock
 from ..runtime.locks import make_lock
 from .wire import (
     MAX_FRAME_BYTES,
@@ -318,7 +318,7 @@ def connect(host: str, port: int, query: str,
     when admission is refused, :class:`ServerReplyError` when the
     query itself is rejected.
     """
-    from ..wrappers.base import buffered
+    from ..wrappers.base import source_stack
 
     if context is None:
         context = ExecutionContext(
@@ -372,16 +372,8 @@ def connect(host: str, port: int, query: str,
                                 engine_config.serve_max_frame_bytes),
                             tracer=tracer, trace_id=trace_id,
                             sampled=sampled)
-    name = context.register_channel_auto(channel.stats)
-    channel.name = name
-    transport = resilient_server(channel, engine_config, name=name,
-                                 clock=clock, tracer=context.tracer,
-                                 context=context)
-    buffer = buffered(transport, prefetch=engine_config.prefetch,
-                      workers=engine_config.prefetch_workers,
-                      batch=engine_config.batch_navigations,
-                      tracer=context.tracer, name=name)
-    context.register_buffer_auto(buffer.stats)
+    buffer, _ = source_stack(channel, "remote#", context, clock=clock,
+                             channel=True)
     root = XMLElement(buffer, buffer.root())
     return RemoteSession(session_id, root, channel, context)
 

@@ -20,8 +20,7 @@ Hardening (all knobs on :class:`~repro.runtime.config.EngineConfig`,
 
 * **admission control** -- at ``serve_max_sessions`` open sessions a
   new connection is answered with a typed ``mix:busy`` frame and
-  closed; the kernel accept queue behind the gate is bounded by
-  ``serve_accept_backlog``.
+  closed.
 * **idle timeout** -- a client that stops talking (including a
   slow-loris dribbling half a frame) is killed after
   ``serve_idle_timeout_ms`` with a best-effort ``mix:idle`` reply.
@@ -52,6 +51,7 @@ import io
 import socket
 import threading
 import time
+from dataclasses import dataclass
 from typing import (Any, ContextManager, Dict, List, Optional,
                     Tuple)
 
@@ -78,6 +78,7 @@ from .wire import (
     send_frame,
 )
 from ..client.remote import NavigableLXPServer
+from ..runtime.counters import Counters
 from ..runtime.locks import make_lock
 
 __all__ = ["ServerStats", "MediatorServer"]
@@ -86,55 +87,44 @@ __all__ = ["ServerStats", "MediatorServer"]
 #: a drain request (the listener socket's timeout, in seconds)
 _ACCEPT_POLL_S = 0.05
 
+#: kernel accept queue behind the admission gate
+_ACCEPT_BACKLOG = 16
+
 #: latency buckets of the always-on per-request histogram (ms)
 _REQUEST_MS_BUCKETS = (1.0, 5.0, 25.0, 100.0, 500.0, 2500.0, 10000.0)
 
 
-class ServerStats:
-    """Lifetime counters of one daemon, lock-guarded.
+@dataclass
+class ServerStats(Counters, shared=True):
+    """Lifetime counters of one daemon, self-locked.
 
     Mutated by the accept loop and every handler thread; read through
     :meth:`snapshot` by reporters (the ``stats`` wire op, the load
-    generator, tests) while traffic is live.
+    generator, tests) while traffic is live.  Declared in name order:
+    that is the order ``mix:status`` ships them in.
     """
 
-    def __init__(self) -> None:
-        self.accepted = 0
-        self.rejected_busy = 0
-        self.rejected_draining = 0
-        self.sessions_opened = 0
-        self.sessions_closed = 0
-        #: requests answered successfully (any session-protocol op;
-        #: admin ``status`` probes are counted separately)
-        self.requests = 0
-        #: fill commands answered (``fill`` = 1, ``fill_batch`` = its
-        #: hole count) -- what client-side fill accounting reconciles
-        #: against
-        self.fills = 0
-        self.protocol_kills = 0
-        self.idle_kills = 0
-        self.stalled_kills = 0
-        self.deadline_kills = 0
-        self.budget_kills = 0
-        self.disconnect_kills = 0
-        self.internal_kills = 0
-        self.query_rejects = 0
-        self.drained = 0
-        self.lock = make_lock("server.stats")
-
-    def bump(self, field_name: str, amount: int = 1) -> None:
-        with self.lock:
-            setattr(self, field_name,
-                    getattr(self, field_name) + amount)
-
-    def snapshot(self) -> Dict[str, int]:
-        """A consistent copy of every counter."""
-        with self.lock:
-            return {
-                name: value
-                for name, value in sorted(vars(self).items())
-                if isinstance(value, int)
-            }
+    accepted: int = 0
+    budget_kills: int = 0
+    deadline_kills: int = 0
+    disconnect_kills: int = 0
+    drained: int = 0
+    #: fill commands answered (``fill`` = 1, ``fill_batch`` = its
+    #: hole count) -- what client-side fill accounting reconciles
+    #: against
+    fills: int = 0
+    idle_kills: int = 0
+    internal_kills: int = 0
+    protocol_kills: int = 0
+    query_rejects: int = 0
+    rejected_busy: int = 0
+    rejected_draining: int = 0
+    #: requests answered successfully (any session-protocol op;
+    #: admin ``status`` probes are counted separately)
+    requests: int = 0
+    sessions_closed: int = 0
+    sessions_opened: int = 0
+    stalled_kills: int = 0
 
 
 class _Handler:
@@ -209,7 +199,7 @@ class MediatorServer:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((config.serve_host, config.serve_port))
-        listener.listen(config.serve_accept_backlog)
+        listener.listen(_ACCEPT_BACKLOG)
         # The timeout doubles as the drain poll: the accept loop wakes
         # at this cadence to notice a drain request.
         listener.settimeout(_ACCEPT_POLL_S)
@@ -312,10 +302,11 @@ class MediatorServer:
             pass
 
     def _kill(self, handler: _Handler, reason: str,
-              counter: str, detail: str = "") -> None:
-        """Terminate one session (never the server), leaving a full
-        incident dump of the flight-recorder ring behind."""
-        self.stats.bump(counter)
+              detail: str = "") -> None:
+        """Terminate one session (never the server), counted under
+        ``<reason>_kills`` and leaving a full incident dump of the
+        flight-recorder ring behind."""
+        self.stats.bump(reason + "_kills")
         session_id = (handler.session.session_id
                       if handler.session is not None else None)
         self.tracer.emit("server", "kill", session=session_id,
@@ -326,9 +317,6 @@ class MediatorServer:
             "server_kills_total",
             help_text="Sessions killed by the daemon, by reason."
         ).inc(reason=reason)
-        if self.metrics.enabled:
-            self.metrics.counter("server_kills_total").inc(
-                reason=reason)
         self.recorder.incident(reason, session=session_id,
                                detail=detail)
 
@@ -373,10 +361,6 @@ class MediatorServer:
             "server_sessions_total",
             help_text="Sessions opened over the daemon's lifetime."
         ).inc()
-        if self.metrics.enabled:
-            self.metrics.counter("server_sessions_total").inc()
-            self.metrics.gauge("server_active_sessions").set(
-                self.active_sessions)
         return {"ok": True, "session": session.session_id,
                 "root": root_wire}
 
@@ -472,9 +456,6 @@ class MediatorServer:
             if not admitted:
                 self.stats.bump("rejected_busy")
                 self.tracer.emit("server", "reject", reason="busy")
-                if self.metrics.enabled:
-                    self.metrics.counter(
-                        "server_rejected_total").inc(reason="busy")
                 self._error_reply(
                     handler, "mix:busy",
                     "server at its %d-session capacity"
@@ -497,9 +478,6 @@ class MediatorServer:
                 session_id = (handler.session.session_id
                               if handler.session is not None else None)
                 self.tracer.emit("server", "close", session=session_id)
-                if self.metrics.enabled:
-                    self.metrics.gauge("server_active_sessions").set(
-                        self.active_sessions)
 
     def _session_loop(self, handler: _Handler) -> None:
         config = self.config
@@ -518,7 +496,7 @@ class MediatorServer:
                 if self.draining:
                     self.stats.bump("drained")
                     return
-                self._kill(handler, "idle", "idle_kills")
+                self._kill(handler, "idle")
                 self._error_reply(handler, "mix:idle",
                                   "no complete frame within %.0fms"
                                   % config.serve_idle_timeout_ms)
@@ -527,15 +505,14 @@ class MediatorServer:
                 if self.draining:
                     self.stats.bump("drained")
                     return
-                self._kill(handler, "protocol", "protocol_kills",
-                           detail=type(err).__name__)
+                self._kill(handler, "protocol", detail=type(err).__name__)
                 self._error_reply(handler, "mix:protocol", str(err))
                 return
             except (ConnectionError, OSError):
                 if self.draining:
                     self.stats.bump("drained")
                     return
-                self._kill(handler, "disconnect", "disconnect_kills")
+                self._kill(handler, "disconnect")
                 return
             if frame is None:
                 # Clean close at a frame boundary: a polite client.
@@ -566,16 +543,15 @@ class MediatorServer:
                 with self._request_span(trace_context, op):
                     reply, keep_going = self._dispatch(handler, frame)
             except RequestDeadlineError as err:
-                self._kill(handler, "deadline", "deadline_kills")
+                self._kill(handler, "deadline")
                 self._error_reply(handler, "mix:deadline", str(err))
                 return
             except SessionBudgetError as err:
-                self._kill(handler, "budget", "budget_kills")
+                self._kill(handler, "budget")
                 self._error_reply(handler, "mix:budget", str(err))
                 return
             except WireError as err:
-                self._kill(handler, "protocol", "protocol_kills",
-                           detail=type(err).__name__)
+                self._kill(handler, "protocol", detail=type(err).__name__)
                 self._error_reply(handler, "mix:protocol", str(err))
                 return
             except ReproError as err:
@@ -586,8 +562,7 @@ class MediatorServer:
                                   "%s: %s" % (type(err).__name__, err))
                 return
             except Exception as err:  # never take the server down
-                self._kill(handler, "internal", "internal_kills",
-                           detail=type(err).__name__)
+                self._kill(handler, "internal", detail=type(err).__name__)
                 self._error_reply(handler, "mix:error",
                                   "%s: %s" % (type(err).__name__, err))
                 return
@@ -604,17 +579,16 @@ class MediatorServer:
             try:
                 self._reply(handler, reply)
             except socket.timeout:
-                self._kill(handler, "stalled", "stalled_kills")
+                self._kill(handler, "stalled")
                 return
             except WireError as err:
                 # The server produced an unsendable (oversized) reply:
                 # its own bug, charged to this session, not the peer's.
-                self._kill(handler, "internal", "internal_kills",
-                           detail=type(err).__name__)
+                self._kill(handler, "internal", detail=type(err).__name__)
                 self._error_reply(handler, "mix:error", str(err))
                 return
             except (ConnectionError, OSError):
-                self._kill(handler, "disconnect", "disconnect_kills")
+                self._kill(handler, "disconnect")
                 return
             # Delivered: these are the counters client-side accounting
             # reconciles against, so they only move once the reply is
@@ -829,17 +803,6 @@ class MediatorServer:
         for handler in handlers:
             if handler.thread.is_alive():
                 handler.thread.join(1.0)
-        # Flush: fold the final counter state into the metric gauges
-        # so an exporter run after drain sees the complete picture.
-        if self.metrics.enabled:
-            snapshot = self.stats.snapshot()
-            self.metrics.gauge("server_active_sessions").set(
-                self.active_sessions)
-            self.metrics.gauge("server_drained_sessions").set(
-                snapshot["drained"])
-            self.metrics.gauge("server_rejected_sessions").set(
-                snapshot["rejected_busy"]
-                + snapshot["rejected_draining"])
         self.tracer.emit("server", "drain", phase="end",
                          clean=clean,
                          drained=self.stats.snapshot()["drained"])

@@ -12,13 +12,12 @@ from .faults import (
     FailureSchedule,
     FakeClock,
     FlakyChannel,
-    FlakyDocument,
     FlakyLXPServer,
     VersionedLXPServer,
 )
 
 __all__ = [
     "FakeClock", "FailureSchedule",
-    "FlakyLXPServer", "FlakyChannel", "FlakyDocument",
+    "FlakyLXPServer", "FlakyChannel",
     "DeadLXPServer", "VersionedLXPServer",
 ]

@@ -9,8 +9,6 @@ be reproduced exactly, with zero real sleeps:
   exception ("fail the first two fills, then succeed");
 * :class:`FlakyLXPServer` / :class:`FlakyChannel` inject those
   failures at the wrapper seam and the remote-channel seam;
-* :class:`FlakyDocument` does the same for per-navigation round trips
-  (the RPC baseline);
 * :class:`FakeClock` is a manual-advance time source -- ``sleep_ms``
   just moves the hands, so backoff schedules and breaker reset
   windows run instantaneously in tests.
@@ -26,7 +24,7 @@ from ..runtime.locks import make_lock
 
 __all__ = [
     "FakeClock", "FailureSchedule",
-    "FlakyLXPServer", "FlakyChannel", "FlakyDocument",
+    "FlakyLXPServer", "FlakyChannel",
     "DeadLXPServer", "VersionedLXPServer",
 ]
 
@@ -249,48 +247,3 @@ class VersionedLXPServer:
 
     def fill_batch(self, hole_ids, speculate: int = 0):
         return self._current().fill_batch(hole_ids, speculate)
-
-
-class FlakyDocument:
-    """A NavigableDocument whose navigations fail on schedule.
-
-    Models a lossy per-command RPC transport: each ``down`` /
-    ``right`` / ``fetch`` / ``select`` consumes one schedule step
-    (``root()`` is free, as in :class:`~repro.client.remote.
-    RPCDocument`).
-    """
-
-    def __init__(self, document, schedule: FailureSchedule):
-        self.document = document
-        self.schedule = schedule
-
-    def _maybe_fail(self):
-        err = self.schedule.next_failure()
-        if err is not None:
-            raise err
-
-    def root(self):
-        return self.document.root()
-
-    def down(self, pointer):
-        self._maybe_fail()
-        return self.document.down(pointer)
-
-    def right(self, pointer):
-        self._maybe_fail()
-        return self.document.right(pointer)
-
-    def fetch(self, pointer):
-        self._maybe_fail()
-        return self.document.fetch(pointer)
-
-    def select(self, pointer, predicate):
-        self._maybe_fail()
-        return self.document.select(pointer, predicate)
-
-    def apply(self, command, pointer):
-        from ..navigation.interface import NavigableDocument
-        return NavigableDocument.apply(self, command, pointer)
-
-    def __getattr__(self, attr):
-        return getattr(self.document, attr)

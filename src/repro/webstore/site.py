@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from ..runtime.counters import Counters
 from ..xtree.serialize import to_xml
 from ..xtree.tree import Tree, elem
 
@@ -62,17 +63,12 @@ class WebSite:
 
 
 @dataclass
-class FetchStats:
+class FetchStats(Counters):
     """Accumulated cost of HTTP traffic, in virtual units."""
 
     requests: int = 0
     bytes_transferred: int = 0
     virtual_ms: float = 0.0
-
-    def reset(self) -> None:
-        self.requests = 0
-        self.bytes_transferred = 0
-        self.virtual_ms = 0.0
 
 
 class HttpSimulator:

@@ -1,6 +1,7 @@
 """Shared wrapper helpers: wiring a wrapper + buffer into a navigable
-source in one call, plus the source-native pushdown capability
-contract.
+source in one call (:func:`buffered`), the one builder of the full
+seam stack under every source and channel (:func:`source_stack`),
+plus the source-native pushdown capability contract.
 
 The pushdown contract
 ---------------------
@@ -32,7 +33,7 @@ lazy chain, byte-identical to a pushdown-off run.
 
 from __future__ import annotations
 
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, Optional, Tuple, TYPE_CHECKING
 
 from ..buffer.batch import BatchingBuffer
 from ..buffer.component import BufferComponent
@@ -40,11 +41,15 @@ from ..buffer.lxp import LXPServer
 from ..buffer.prefetch import AsyncPrefetchingBuffer, PrefetchingBuffer
 from ..navigation.counting import CountingDocument
 from ..navigation.interface import NavigableDocument
+from ..runtime.resilience import Clock, resilient_server
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..pushdown.compiled import CompiledSubplan
+    from ..runtime.context import ExecutionContext
+    from ..runtime.fragcache import FragcacheDecision
 
-__all__ = ["buffered", "buffered_counting", "negotiate_push"]
+__all__ = ["buffered", "buffered_counting", "source_stack",
+           "negotiate_push"]
 
 
 def negotiate_push(server: Any,
@@ -91,6 +96,73 @@ def buffered(server: LXPServer, prefetch: int = 0,
         return PrefetchingBuffer(server, lookahead=prefetch,
                                  tracer=tracer, name=name)
     return BufferComponent(server, tracer=tracer, name=name)
+
+
+def source_stack(server: Any, name: str,
+                 context: "ExecutionContext",
+                 clock: Optional[Clock] = None,
+                 prefetch: Optional[int] = None,
+                 channel: bool = False,
+                 ) -> Tuple[BufferComponent,
+                            Optional["FragcacheDecision"]]:
+    """Assemble the seam stack over one LXP server, bottom up::
+
+        server -> [fragment cache] -> [resilience] -> buffer
+
+    and register every layer's counters with ``context`` -- the one
+    place the order is decided, for ``register_wrapper``,
+    ``connect_remote`` and ``server.client.connect`` alike.  Each
+    bracketed seam is a pass-through unless ``context.config`` arms
+    it, so the default stack is the plain buffer, byte-for-byte.
+
+    ``channel=False``: ``server`` is a source wrapper registered as
+    ``name``.  With ``config.fragment_cache`` on (else the module is
+    never imported) its fills route through the process-wide fragment
+    store when admissible -- below resilience, so degraded
+    ``<mix:error>`` placeholders are never cached -- and a whole view
+    already stored at the wrapper's snapshot version is adopted
+    pre-filled.  The admissibility decision is the second result.
+
+    ``channel=True``: ``server`` is a client's remote channel (its
+    ``stats`` are ``ChannelStats``) and ``name`` a serial prefix
+    (``"remote#"``): the channel registers under the minted name,
+    also assigned to ``server.name``, the buffer as the next
+    ``client-buffer#N``.  A channel has no version authority, so the
+    fragment cache never applies.
+
+    ``prefetch`` overrides the config's buffer lookahead.
+    """
+    config = context.config
+    tracer = context.tracer
+    decision = None
+    prefill = None
+    if channel:
+        name = server.name = context.register("channel", name,
+                                              server.stats)
+    elif config.fragment_cache:
+        from ..runtime.fragcache import fragment_cached, shared_store
+        store = shared_store()
+        server, prefill, decision = fragment_cached(
+            name, server, store=store, tracer=tracer)
+        context.register("fragcache", "shared", store.stats)
+    transport = resilient_server(server, config, name=name,
+                                 clock=clock, tracer=tracer,
+                                 metrics=context.metrics)
+    if transport is not server:
+        context.register("resilience", name, transport.resilience)
+    if prefill is not None:
+        buffer = BufferComponent.prefilled(prefill, tracer=tracer,
+                                           name=name)
+    else:
+        buffer = buffered(
+            transport,
+            config.prefetch if prefetch is None else prefetch,
+            workers=config.prefetch_workers,
+            batch=config.batch_navigations,
+            tracer=tracer, name=name)
+    context.register("buffer", "client-buffer#" if channel else name,
+                     buffer.stats)
+    return buffer, decision
 
 
 def buffered_counting(server: LXPServer, name: str = "",

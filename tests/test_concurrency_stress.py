@@ -422,18 +422,15 @@ class TestFragmentStoreStress:
     def test_fragcache_module_passes_repo_lint(self):
         """Lock discipline (L001) and the event-name contract hold
         for the fragment cache module."""
-        import importlib.util
+        import sys
         from pathlib import Path
 
         repo = Path(__file__).resolve().parent.parent
-        spec = importlib.util.spec_from_file_location(
-            "lint_repro_fragcache", repo / "tools" / "lint_repro.py")
-        lint_repro = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(lint_repro)
-        event_names = lint_repro._load_event_names(repo)
-        findings = lint_repro.lint_file(
+        sys.path.insert(0, str(repo))
+        from tools.lint import lint_file, load_event_names
+        findings = lint_file(
             repo / "src" / "repro" / "runtime" / "fragcache.py",
-            event_names)
+            load_event_names(repo))
         assert findings == [], findings
 
 

@@ -236,6 +236,12 @@ class TestRepoGraph:
     def test_src_tree_is_cycle_free(self, graph):
         assert graph.cycles() == []
 
+    def test_graph_size_ratchet(self, graph):
+        """The graph may shrink, never grow past its current size
+        without someone editing this bound on purpose."""
+        assert len(graph.locks) <= 23, sorted(graph.locks)
+        assert len(graph.edges) <= 21, sorted(graph.edges)
+
     def test_every_lock_bearing_module_is_covered(self, graph):
         expected = set()
         for path in SRC_ROOT.rglob("*.py"):

@@ -1,5 +1,7 @@
 """Unit + property tests for the DOM-VXD navigation model."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,7 +140,7 @@ class TestCounting:
     def test_reset_and_snapshot(self, doc):
         counted = CountingDocument(doc)
         run_navigation(counted, Navigation.parse("d;f"))
-        before = counted.counters.snapshot()
+        before = dataclasses.replace(counted.counters)
         run_navigation(counted, Navigation.parse("d;f;f"))
         delta = counted.counters - before
         assert delta.total == 3

@@ -129,13 +129,6 @@ class TestRemoteSession:
 
         assert messages(10, 4) < messages(1, 1)
 
-    def test_channel_stats_reset(self):
-        med = _mediator()
-        root, stats = connect_remote(med.prepare(QUERY).document)
-        root.to_tree()
-        stats.reset()
-        assert stats.messages == 0 and stats.virtual_ms == 0.0
-
 
 _trees = st.recursive(
     st.sampled_from(list("xyz123")).map(leaf),

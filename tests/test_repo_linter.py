@@ -1,23 +1,21 @@
-"""The repo linter (``tools/lint_repro.py``).
+"""The repo linter (``python -m tools.lint``).
 
 Three properties: the tree it gates is clean under it, each check
 fires on a minimal synthetic violation, and the inline
-``# lint: allow=`` suppressions work.  The linter is loaded from its
-file path -- it is a tool, not part of the ``repro`` package.
+``# lint: allow=`` suppressions work.  The linter is a tool, not part
+of the ``repro`` package: it is imported from the repo root.
 """
 
-import importlib.util
+import sys
 from pathlib import Path
 
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO))
 
-_spec = importlib.util.spec_from_file_location(
-    "lint_repro", REPO / "tools" / "lint_repro.py")
-lint_repro = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(lint_repro)
+from tools import lint as lint_repro  # noqa: E402
 
-EVENT_NAMES = lint_repro._load_event_names(REPO)
+EVENT_NAMES = lint_repro.load_event_names(REPO)
 
 
 def _lint_source(tmp_path, source, name="probe.py"):

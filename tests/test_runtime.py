@@ -2,19 +2,36 @@
 ExecutionContext, and the mediator-facing surfaces built on them
 (constructor contract, optimizer safety net, aggregated stats)."""
 
+import dataclasses
+import sys
+import threading
+
 import pytest
 
 from repro.algebra import GetDescendants, Source
+from repro.buffer import (
+    BatchStats,
+    BufferStats,
+    LXPStats,
+    PrefetchStats,
+)
+from repro.client import ChannelStats
 from repro.mediator import MediatorWarning, MIXMediator
+from repro.navigation import NavCounters
 from repro.runtime import (
     MISS,
     CacheManager,
     CacheStats,
     ConfigError,
+    Counters,
     EngineConfig,
     ExecutionContext,
+    ResilienceStats,
     Tracer,
 )
+from repro.runtime.fragcache import FragcacheStats
+from repro.server import ServerStats
+from repro.webstore import FetchStats
 from repro.wrappers import XMLFileWrapper
 from repro.xtree import to_xml
 
@@ -162,10 +179,158 @@ class TestCacheManager:
         assert set(caches.as_dict()) >= {"enabled", "budget", "caches",
                                          "memo_entries", "evictions"}
 
-    def test_stats_merge(self):
-        merged = CacheStats(hits=1, misses=2).merge(
-            CacheStats(hits=3, evictions=4))
-        assert (merged.hits, merged.misses, merged.evictions) == (4, 2, 4)
+
+
+# ----------------------------------------------------------------------
+# Counters: the substrate under every *Stats class
+# ----------------------------------------------------------------------
+
+COUNTER_CLASSES = [
+    BufferStats, PrefetchStats, BatchStats, LXPStats, ChannelStats,
+    ResilienceStats, FragcacheStats, CacheStats, ServerStats,
+    FetchStats, NavCounters,
+]
+SELF_LOCKED = {LXPStats, ChannelStats, ResilienceStats,
+               FragcacheStats, ServerStats}
+
+
+def _field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def _populated(cls, scale=1):
+    """An instance whose i-th field holds ``scale * (i + 1)`` (in the
+    field's own numeric type)."""
+    return cls(**{f.name: type(f.default)(scale * (i + 1))
+                  for i, f in enumerate(dataclasses.fields(cls))})
+
+
+def _live_channel_stats():
+    """A channel's counters after a whole remote traversal."""
+    from repro.client import connect_remote
+    root, stats = connect_remote(
+        example2_mediator().prepare(FIG4_QUERY).document)
+    root.to_tree()
+    assert stats.messages > 0 and stats.virtual_ms > 0.0
+    return stats
+
+
+def _live_fetch_stats():
+    """An HTTP simulator's counters after one page fetch."""
+    from repro.webstore import HttpSimulator, make_catalog_site
+    from repro.xtree import elem
+    http = HttpSimulator(
+        make_catalog_site("shop", [elem("i", "1")], page_size=5))
+    http.fetch("/page/0")
+    assert http.stats.requests == 1 and http.stats.virtual_ms > 0.0
+    return http.stats
+
+
+COUNTER_INPUTS = [pytest.param(lambda cls=cls: _populated(cls),
+                               id=cls.__name__)
+                  for cls in COUNTER_CLASSES] + [
+    pytest.param(_live_channel_stats, id="ChannelStats-live"),
+    pytest.param(_live_fetch_stats, id="FetchStats-live"),
+]
+
+
+class TestCounters:
+    def test_every_subclass_is_under_contract(self):
+        assert set(Counters.__subclasses__()) == set(COUNTER_CLASSES)
+
+    @pytest.mark.parametrize("cls", COUNTER_CLASSES)
+    def test_generic_operations_live_only_in_the_base(self, cls):
+        for name in ("snapshot", "reset", "as_dict", "bump",
+                     "__add__", "__sub__"):
+            assert name not in vars(cls), (cls, name)
+        assert cls.shared == (cls in SELF_LOCKED)
+
+    @pytest.mark.parametrize("make", COUNTER_INPUTS)
+    def test_snapshot_keys_are_the_declared_fields(self, make):
+        counters = make()
+        names = _field_names(type(counters))
+        snapshot = counters.snapshot()
+        assert list(snapshot) == names
+        assert snapshot == {n: getattr(counters, n) for n in names}
+        report = counters.as_dict()
+        assert list(report) == names + list(counters.derived)
+        assert all(report[n] == getattr(counters, n) for n in report)
+
+    @pytest.mark.parametrize("make", COUNTER_INPUTS)
+    def test_reset_restores_defaults(self, make):
+        counters = make()
+        assert counters != type(counters)()
+        counters.reset()
+        assert counters == type(counters)()
+
+    @pytest.mark.parametrize("cls", COUNTER_CLASSES)
+    def test_value_equality_and_repr(self, cls):
+        assert cls() == cls() and _populated(cls) == _populated(cls)
+        assert _populated(cls) != cls()
+        assert repr(cls()) == "%s(%s)" % (cls.__name__, ", ".join(
+            "%s=%r" % (f.name, f.default)
+            for f in dataclasses.fields(cls)))
+
+    @pytest.mark.parametrize("make", COUNTER_INPUTS)
+    def test_add_then_subtract_round_trips(self, make):
+        a = make()
+        b = _populated(type(a), scale=3)
+        total = a + b
+        assert type(total) is type(a)
+        assert all(getattr(total, n) == getattr(a, n) + getattr(b, n)
+                   for n in _field_names(type(a)))
+        assert total - b == a
+
+    def test_derived_properties_report_after_the_fields(self):
+        assert NavCounters(1, 2, 3, 4).as_dict() == {
+            "down": 1, "right": 2, "fetch": 3, "select": 4,
+            "total": 10}
+
+    def test_concurrent_increments_on_a_locked_instance_lose_none(self):
+        """N threads x M increments, half through ``bump`` and half
+        through the ``with stats.lock:`` batch idiom the seams use."""
+        threads_n, rounds = 16, 2000
+        stats = ServerStats()
+
+        def bumper():
+            for _ in range(rounds):
+                stats.bump("requests")
+
+        def batcher():
+            for _ in range(rounds):
+                with stats.lock:
+                    stats.requests += 1
+                    stats.fills += 2
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=bumper if i % 2 else batcher)
+                for i in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert stats.snapshot()["requests"] == threads_n * rounds
+        assert stats.fills == threads_n * rounds
+
+    def test_registry_names_and_adoption(self):
+        session, query = ExecutionContext(), ExecutionContext()
+        first, second = BufferStats(), BufferStats(navigations=2)
+        assert session.register("buffer", "src", first) == "src"
+        assert session.register("buffer", "client-buffer#",
+                                second) == "client-buffer#2"
+        assert session.register("channel", "remote#",
+                                ChannelStats()) == "remote#1"
+        query.adopt(session)
+        assert query.stats[("buffer", "src")] is first
+        assert query.stats_report()["buffers"] == {
+            "client-buffer#2": second.snapshot(),
+            "src": first.snapshot()}
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +463,6 @@ class TestConstructorContract:
         med = MIXMediator(
             EngineConfig(cache_enabled=False, use_sigma=True))
         assert not med.config.cache_enabled and med.config.use_sigma
-        assert not med.cache_enabled and med.use_sigma  # read views
 
     def test_legacy_positional_bool_rejected(self):
         # The pre-runtime MIXMediator(optimize_plans) signature (and

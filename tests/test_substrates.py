@@ -126,14 +126,6 @@ class TestWebStore:
         http.fetch("/page/1")
         assert http.stats.requests == 2
 
-    def test_stats_reset(self):
-        site = make_catalog_site("shop", [elem("i", "1")], page_size=5)
-        http = HttpSimulator(site)
-        http.fetch("/page/0")
-        http.stats.reset()
-        assert http.stats.requests == 0
-        assert http.stats.virtual_ms == 0.0
-
     def test_uri_registry(self):
         site = WebSite("mysite")
         uri = register_site(site)

@@ -1,4 +1,4 @@
-"""The repo linter, grown from ``tools/lint_repro.py``.
+"""The repo linter (``python -m tools.lint``).
 
 Modules:
 
@@ -12,9 +12,6 @@ Modules:
 * :mod:`tools.lint.lockgraph` -- the interprocedural lock-order
   analysis (L002, L010, L011, L012) and the lock-graph dump.
 * :mod:`tools.lint.cli` -- the driver (``python -m tools.lint``).
-
-``tools/lint_repro.py`` remains as a thin shim so existing callers
-(CI, tests that load it by path) keep working.
 """
 
 from .cli import main
@@ -23,12 +20,9 @@ from .lockgraph import Analyzer, LockGraph, analyze, assert_contains
 from .rules import lint_file, lint_file_hygiene, load_event_names
 from .symbols import Program
 
-#: historical name, kept for the lint_repro.py shim
-_load_event_names = load_event_names
-
 __all__ = [
     "CODES", "Finding", "Program", "Analyzer", "LockGraph",
     "analyze", "assert_contains", "apply_suppressions",
     "suppressions", "lint_file", "lint_file_hygiene",
-    "load_event_names", "_load_event_names", "main",
+    "load_event_names", "main",
 ]
