@@ -7,9 +7,10 @@ sessions/sec, per-navigation round-trip latency (p50/p95/p99),
 admission outcomes, and fairness (how much one saturating client can
 hurt everyone else's tail).
 
-Clients speak raw wire frames rather than the full buffered client
-stack: the generator measures the *server*, so the client side stays
-as thin and predictable as possible.
+Clients speak raw wire frames (one :func:`~repro.server.wire.exchange`
+per request) rather than the full buffered client stack: the generator
+measures the *server*, so the client side stays as thin and
+predictable as possible.
 
 Patterns (assigned round-robin over the session index, so runs are
 deterministic in composition):
@@ -26,18 +27,24 @@ deterministic in composition):
 
 from __future__ import annotations
 
-import json
 import socket
-import struct
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from ..errors import SourceError
 from ..runtime.locks import make_lock
+from ..server.client import fetch_status
+from ..server.wire import (
+    ReplyError,
+    WireError,
+    checked,
+    exchange,
+    wire_holes,
+)
 
 __all__ = ["SessionOutcome", "LoadReport", "run_session", "run_load",
            "percentile", "PATTERNS"]
-
-_HEADER = struct.Struct(">I")
 
 PATTERNS = ("drill", "scan", "burst", "greedy")
 
@@ -60,7 +67,9 @@ class SessionOutcome:
         self.index = index
         self.pattern = pattern
         self.ok = False
-        self.error = ""           # "" | "busy" | "draining" | code
+        #: "" | a ``mix:*`` code | "connect" | "closed" | "protocol" |
+        #: a socket exception's class name
+        self.error = ""
         self.opened = False       # the open request was answered ok
         self.fills = 0
         self.requests = 0         # ok replies received (any op)
@@ -101,12 +110,12 @@ class LoadReport:
 
     @property
     def rejected_busy(self) -> int:
-        return sum(1 for o in self.outcomes if o.error == "busy")
+        return sum(1 for o in self.outcomes if o.error == "mix:busy")
 
     @property
     def failed(self) -> int:
         return sum(1 for o in self.outcomes
-                   if not o.ok and o.error != "busy")
+                   if not o.ok and o.error != "mix:busy")
 
     @property
     def sessions_per_sec(self) -> float:
@@ -156,45 +165,6 @@ class LoadReport:
 # one session
 # ----------------------------------------------------------------------
 
-def _send(sock: socket.socket, payload: Dict[str, Any]) -> None:
-    body = json.dumps(payload, separators=(",", ":")).encode("ascii")
-    sock.sendall(_HEADER.pack(len(body)) + body)
-
-
-def _recv(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    header = b""
-    while len(header) < _HEADER.size:
-        chunk = sock.recv(_HEADER.size - len(header))
-        if not chunk:
-            return None
-        header += chunk
-    (length,) = _HEADER.unpack(header)
-    body = b""
-    while len(body) < length:
-        chunk = sock.recv(length - len(body))
-        if not chunk:
-            return None
-        body += chunk
-    payload = json.loads(body.decode("utf-8"))
-    return payload if isinstance(payload, dict) else None
-
-
-def _holes_of(fragments: Any) -> List[int]:
-    holes: List[int] = []
-    stack: List[Any] = list(reversed(fragments
-                                     if isinstance(fragments, list)
-                                     else []))
-    while stack:
-        item = stack.pop()
-        if not isinstance(item, list) or not item:
-            continue
-        if item[0] == "h" and len(item) == 2:
-            holes.append(item[1])
-        elif item[0] == "e" and len(item) == 3:
-            stack.extend(reversed(item[2]))
-    return holes
-
-
 def run_session(host: str, port: int, query: str, outcome:
                 SessionOutcome, rounds: int,
                 timeout_ms: float) -> SessionOutcome:
@@ -209,21 +179,17 @@ def run_session(host: str, port: int, query: str, outcome:
     except OSError:
         outcome.error = "connect"
         return outcome
-    try:
-        _send(sock, {"op": "open", "query": query})
-        reply = _recv(sock)
-        if reply is None:
-            outcome.error = "closed"
-            return outcome
-        if not reply.get("ok"):
-            error = str(reply.get("error", "error"))
-            outcome.error = ("busy" if error == "mix:busy" else
-                             "draining" if error == "mix:draining"
-                             else error)
-            return outcome
-        outcome.opened = True
+
+    def ask(request: Dict[str, Any]) -> Dict[str, Any]:
+        reply = checked(exchange(sock, request, timeout_ms)[0],
+                        request["op"])
         outcome.requests += 1
-        frontier: List[int] = [reply["root"]]
+        return reply
+
+    try:
+        frontier: List[int] = [ask({"op": "open",
+                                    "query": query})["root"]]
+        outcome.opened = True
         for _ in range(rounds):
             if not frontier:
                 break
@@ -239,60 +205,49 @@ def run_session(host: str, port: int, query: str, outcome:
                 request = {"op": "fill", "hole": hole}
                 asked = 1
             started = time.perf_counter()
-            _send(sock, request)
-            reply = _recv(sock)
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            if reply is None:
-                outcome.error = "closed"
-                return outcome
-            if not reply.get("ok"):
-                outcome.error = str(reply.get("error", "error"))
-                return outcome
-            outcome.latencies_ms.append(elapsed_ms)
+            reply = ask(request)
+            outcome.latencies_ms.append(
+                (time.perf_counter() - started) * 1000.0)
             outcome.fills += asked
-            outcome.requests += 1
             if "replies" in reply:
                 for pair in reply["replies"]:
-                    frontier.extend(_holes_of(pair[1]))
+                    frontier.extend(wire_holes(pair[1]))
             else:
-                frontier.extend(_holes_of(reply.get("fragments", [])))
-        _send(sock, {"op": "close"})
-        reply = _recv(sock)
-        if reply is not None and reply.get("ok"):
-            outcome.requests += 1
+                frontier.extend(wire_holes(reply.get("fragments")))
+        try:
+            ask({"op": "close"})
+        except SourceError:
+            # The navigation is done; a refused goodbye (a server
+            # that started draining) does not fail the session.
+            pass
         outcome.ok = True
-        return outcome
-    except (socket.timeout, OSError) as err:
+    except ReplyError as err:
+        outcome.error = err.code
+    except (WireError, LookupError, TypeError):
+        # Not a frame, or a frame of the wrong shape.
+        outcome.error = "protocol"
+    except SourceError:
+        # checked()'s only other verdict: EOF where a reply was due.
+        outcome.error = "closed"
+    except OSError as err:
         outcome.error = type(err).__name__
-        return outcome
     finally:
         sock.close()
+    return outcome
 
 
 # ----------------------------------------------------------------------
 # the fleet
 # ----------------------------------------------------------------------
 
-def _fetch_status(host: str, port: int,
-                  timeout_ms: float) -> Optional[Dict[str, Any]]:
-    """One raw ``mix:status`` probe; None when the daemon cannot be
-    reached or replies with anything but a status object."""
+def _probe(host: str, port: int,
+           timeout_ms: float) -> Optional[Dict[str, Any]]:
+    """The daemon's ``mix:status``; None when it cannot be reached
+    or answers with anything but a status object."""
     try:
-        sock = socket.create_connection((host, port),
-                                        timeout=timeout_ms / 1000.0)
-    except OSError:
+        return fetch_status(host, port, timeout_ms)
+    except (OSError, SourceError):
         return None
-    try:
-        _send(sock, {"op": "status"})
-        reply = _recv(sock)
-    except (socket.timeout, OSError):
-        return None
-    finally:
-        sock.close()
-    if reply is None or not reply.get("ok"):
-        return None
-    status = reply.get("status")
-    return status if isinstance(status, dict) else None
 
 
 _CORRELATED = ("sessions_opened", "requests", "fills")
@@ -307,7 +262,7 @@ def _settled_status(host: str, port: int, timeout_ms: float,
     hits the wire, so a probe fired the instant the last client
     socket closes can catch a handler mid-bump.  Re-probe until two
     consecutive snapshots agree (bounded by ``settle_s``)."""
-    status = _fetch_status(host, port, timeout_ms)
+    status = _probe(host, port, timeout_ms)
     if status is None:
         return None
     deadline = time.monotonic() + settle_s
@@ -315,7 +270,7 @@ def _settled_status(host: str, port: int, timeout_ms: float,
         # The generator measures a live daemon on the wall clock; a
         # real (bounded) sleep between probes is the point here.
         time.sleep(0.05)  # lint: allow=X101
-        again = _fetch_status(host, port, timeout_ms)
+        again = _probe(host, port, timeout_ms)
         if again is None:
             return status
         if again.get("server") == status.get("server"):
@@ -386,7 +341,7 @@ def run_load(host: str, port: int, query: str,
             run_session(host, port, query, outcomes[index],
                         rounds, timeout_ms)
 
-    before = (_fetch_status(host, port, timeout_ms)
+    before = (_probe(host, port, timeout_ms)
               if correlate else None)
     started = time.perf_counter()
     threads = [threading.Thread(target=worker, name="loadgen-%d" % i,

@@ -24,19 +24,14 @@ in the middle::
         -> NavigableLXPServer -> VirtualDocument -> lazy operators -> sources
 """
 
-from .client import (
-    RemoteSession,
-    ServerBusyError,
-    ServerDrainingError,
-    ServerReplyError,
-    SocketChannel,
-    connect,
-    fetch_status,
-)
+from .client import RemoteSession, SocketChannel, connect, fetch_status
 from .daemon import MediatorServer, ServerStats
 from .wire import (
     FrameTooLargeError,
     MalformedFrameError,
+    ServerBusyError,
+    ServerDrainingError,
+    ServerReplyError,
     TruncatedFrameError,
     WireError,
 )

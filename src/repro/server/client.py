@@ -18,11 +18,13 @@ buffers, retries, circuit breakers, degrade mode -- composes over the
 socket unchanged.  Channel accounting charges *real* wire bytes (no
 virtual cost model: the network is charging for itself now).
 
-Typed rejections from the server surface as exceptions:
-``mix:busy`` -> :class:`ServerBusyError` and ``mix:draining`` ->
-:class:`ServerDrainingError` (both transient -- another connection or
-another moment may succeed; the retry layer may spin on them), every
-other error frame -> :class:`ServerReplyError` (permanent: replaying
+Typed rejections from the server surface as the exceptions
+:data:`~repro.server.wire.ERRORS` names: ``mix:busy`` ->
+:class:`~repro.server.wire.ServerBusyError` and ``mix:draining`` ->
+:class:`~repro.server.wire.ServerDrainingError` (both transient --
+another connection or another moment may succeed; the retry layer may
+spin on them), every other error frame ->
+:class:`~repro.server.wire.ServerReplyError` (permanent: replaying
 the same request at the same session cannot help).
 """
 
@@ -33,8 +35,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..buffer.holes import FragHole, Fragment
 from ..client.element import XMLElement
-from ..client.remote import ChannelStats
-from ..errors import PermanentSourceError, TransientSourceError
+from ..client.remote import ChannelStats, MeteredTransport
+from ..errors import TransientSourceError
 from ..buffer.lxp import LXPServer
 from ..runtime.config import EngineConfig
 from ..runtime.context import ExecutionContext, Tracer
@@ -43,53 +45,20 @@ from ..runtime.locks import make_lock
 from .wire import (
     MAX_FRAME_BYTES,
     TRACE_KEY,
+    ServerReplyError,
     WireError,
+    checked,
+    close_quietly,
     decode_fragments,
     encode_trace_context,
-    recv_frame_sized,
-    send_frame,
+    error_spec,
+    exchange,
 )
 
-__all__ = ["ServerBusyError", "ServerDrainingError", "ServerReplyError",
-           "SocketChannel", "RemoteSession", "connect",
-           "fetch_status"]
+__all__ = ["SocketChannel", "RemoteSession", "connect", "fetch_status"]
 
 
-class ServerBusyError(TransientSourceError):
-    """The daemon refused admission (``mix:busy``): it is at its
-    session capacity.  Transient -- capacity frees up as sessions
-    close."""
-
-
-class ServerDrainingError(TransientSourceError):
-    """The daemon is draining (``mix:draining``).  Transient from the
-    fleet's point of view: a replacement server may be accepting."""
-
-
-class ServerReplyError(PermanentSourceError):
-    """The daemon answered with a typed error frame (``mix:protocol``,
-    ``mix:deadline``, ``mix:budget``, ``mix:idle``, ``mix:query``,
-    ``mix:error``).  Permanent for *this* session: the server killed
-    it, so replaying the request cannot succeed."""
-
-    def __init__(self, code: str, detail: str) -> None:
-        super().__init__("%s: %s" % (code, detail))
-        self.code = code
-        self.detail = detail
-
-
-def _raise_error_reply(reply: Dict[str, Any]) -> None:
-    """Map an ``{"ok": false}`` frame to its typed exception."""
-    code = reply.get("error", "mix:error")
-    detail = str(reply.get("detail", ""))
-    if code == "mix:busy":
-        raise ServerBusyError(detail or "server busy")
-    if code == "mix:draining":
-        raise ServerDrainingError(detail or "server draining")
-    raise ServerReplyError(str(code), detail)
-
-
-class SocketChannel(LXPServer):
+class SocketChannel(MeteredTransport, LXPServer):
     """An LXP server whose fills are socket round trips.
 
     One request/reply per :meth:`fill`; one per :meth:`fill_batch`
@@ -98,9 +67,10 @@ class SocketChannel(LXPServer):
     several client-side workers share this one connection, and frames
     must not interleave.
 
-    ``stats`` is a plain :class:`~repro.client.remote.ChannelStats`
-    charged with real bytes on the wire (header included), so every
-    existing report/metric over channel traffic works unchanged.
+    ``stats`` is the :class:`~repro.client.remote.MeteredTransport`
+    accounting under a zero cost model: real bytes on the wire
+    (header included) and no virtual time, so every existing
+    report/metric over channel traffic works unchanged.
 
     When the session carries a trace (``trace_id`` set), every
     request frame gains the wire trace envelope: the trace id, the
@@ -117,17 +87,22 @@ class SocketChannel(LXPServer):
                  tracer: Optional[Tracer] = None,
                  trace_id: Optional[str] = None,
                  sampled: bool = True) -> None:
+        super().__init__(latency_ms=0.0, ms_per_kb=0.0, tracer=tracer,
+                         name=name)
         self.sock = sock
         self.root_wire_id = root_wire_id
         self.timeout_ms = timeout_ms
         self.max_frame_bytes = max_frame_bytes
-        self.name = name
-        self.tracer = tracer
         self.trace_id = trace_id
         self.sampled = sampled
-        self.stats = ChannelStats()
         self._lock = make_lock("client.channel")
         self.closed = False
+
+    def _abandon_locked(self) -> None:
+        """The stream is desynced, dead or done: drop the socket so
+        nothing can resend onto a broken framing."""
+        self.closed = True
+        close_quietly(self.sock)
 
     # -- the round trip ----------------------------------------------------
     def call(self, request: Dict[str, Any],
@@ -143,26 +118,16 @@ class SocketChannel(LXPServer):
             if self.closed:
                 raise ServerReplyError("mix:closed",
                                        "session already closed")
-            self.sock.settimeout(self.timeout_ms / 1000.0)
             try:
                 # the channel mutex serializes whole round trips;
-                # every wire op is bounded by the settimeout above
+                # every wire op is bounded by exchange's settimeout
                 # (see BLOCKING_HOLD_ALLOWED)
                 # lint: allow=L011
-                sent = send_frame(self.sock, request,
-                                  self.max_frame_bytes)
-                # lint: allow=L011 -- same deadline-bounded round trip
-                reply, received = recv_frame_sized(self.sock,
-                                                   self.max_frame_bytes)
-            except (socket.timeout, ConnectionError, OSError,
-                    WireError) as err:
-                # The stream is desynced or gone: abandon the channel
-                # so a retry cannot resend onto a broken framing.
-                self.closed = True
-                try:
-                    self.sock.close()
-                except OSError:
-                    pass
+                reply, sent, received = exchange(
+                    self.sock, request, self.timeout_ms,
+                    self.max_frame_bytes)
+            except (OSError, WireError) as err:
+                self._abandon_locked()
                 if isinstance(err, socket.timeout):
                     raise TransientSourceError(
                         "no reply within %.0fms" % self.timeout_ms
@@ -170,25 +135,13 @@ class SocketChannel(LXPServer):
                 raise TransientSourceError(
                     "connection lost mid-exchange: %s" % err
                     ) from err
-            with self.stats.lock:
-                self.stats.messages += 1
-                self.stats.commands += commands
-                self.stats.bytes_transferred += sent + received
-        if self.tracer is not None and self.tracer.active:
-            self.tracer.emit("channel", "round_trip",
-                             bytes=sent + received, commands=commands)
-        if reply is None:
-            with self._lock:
-                self.closed = True
-                try:
-                    self.sock.close()
-                except OSError:
-                    pass
-            raise TransientSourceError(
-                "server closed the connection mid-session")
-        if not reply.get("ok"):
-            _raise_error_reply(reply)
-        return reply
+            # EOF, or an error frame behind which the server killed
+            # the session: the socket has no next round trip in it.
+            spec = None if reply is None else error_spec(reply)
+            if reply is None or (spec and spec.killed):
+                self._abandon_locked()
+        self._charge(sent + received, commands)
+        return checked(reply, request["op"])
 
     # -- LXPServer surface -------------------------------------------------
     def get_root(self) -> FragHole:
@@ -196,11 +149,7 @@ class SocketChannel(LXPServer):
 
     def fill(self, hole_id: object) -> List[Fragment]:
         reply = self.call({"op": "fill", "hole": hole_id})
-        fragments = reply.get("fragments")
-        if fragments is None:
-            raise ServerReplyError("mix:protocol",
-                                   "fill reply carries no fragments")
-        return decode_fragments(fragments)
+        return decode_fragments(reply.get("fragments"))
 
     def fill_batch(self, hole_ids: Sequence[object], speculate: int = 0
                    ) -> List[Tuple[object, List[Fragment]]]:
@@ -208,20 +157,14 @@ class SocketChannel(LXPServer):
                            "holes": list(hole_ids),
                            "speculate": speculate},
                           commands=len(hole_ids))
-        pairs = reply.get("replies")
-        if not isinstance(pairs, list):
-            raise ServerReplyError("mix:protocol",
-                                   "fill_batch reply carries no "
-                                   "replies array")
-        decoded: List[Tuple[object, List[Fragment]]] = []
-        for pair in pairs:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ServerReplyError(
-                    "mix:protocol",
-                    "fill_batch reply pair must be "
-                    "[hole, fragments], got %r" % (pair,))
-            decoded.append((pair[0], decode_fragments(pair[1])))
-        return decoded
+        try:
+            return [(hole, decode_fragments(fragments))
+                    for hole, fragments in reply.get("replies")]
+        except (TypeError, ValueError):
+            raise ServerReplyError(
+                "mix:protocol",
+                "fill_batch reply must carry [hole, fragments] "
+                "pairs, got %r" % (reply.get("replies"),)) from None
 
     # -- session control ---------------------------------------------------
     def ping(self) -> bool:
@@ -238,22 +181,15 @@ class SocketChannel(LXPServer):
         with self._lock:
             if self.closed:
                 return
-            self.closed = True
             try:
-                self.sock.settimeout(self.timeout_ms / 1000.0)
                 # close handshake under the channel mutex, bounded
-                # by the settimeout above
+                # by exchange's settimeout
                 # lint: allow=L011
-                send_frame(self.sock, {"op": "close"},
-                           self.max_frame_bytes)
-                # lint: allow=L011 -- same deadline-bounded handshake
-                recv_frame_sized(self.sock, self.max_frame_bytes)
-            except (socket.timeout, OSError, WireError):
+                exchange(self.sock, {"op": "close"}, self.timeout_ms,
+                         self.max_frame_bytes)
+            except (OSError, WireError):
                 pass
-            try:
-                self.sock.close()
-            except OSError:
-                pass
+            self._abandon_locked()
 
 
 class RemoteSession:
@@ -324,58 +260,50 @@ def connect(host: str, port: int, query: str,
         context = ExecutionContext(
             config if config is not None else EngineConfig())
     engine_config = context.config
+    open_frame: Dict[str, Any] = {"op": "open", "query": query}
+    if chunk_size is not None:
+        open_frame["chunk_size"] = chunk_size
+    if depth is not None:
+        open_frame["depth"] = depth
     sock = socket.create_connection(
         (host, port), timeout=connect_timeout_ms / 1000.0)
     try:
-        sock.settimeout(timeout_ms / 1000.0)
-        open_frame: Dict[str, Any] = {"op": "open", "query": query}
-        if chunk_size is not None:
-            open_frame["chunk_size"] = chunk_size
-        if depth is not None:
-            open_frame["depth"] = depth
-        send_frame(sock, open_frame,
-                   engine_config.serve_max_frame_bytes)
-        reply, _ = recv_frame_sized(sock,
-                                    engine_config.serve_max_frame_bytes)
+        reply = checked(exchange(
+            sock, open_frame, timeout_ms,
+            engine_config.serve_max_frame_bytes)[0], "open")
+        root_wire = reply.get("root")
+        if not isinstance(root_wire, int) or isinstance(root_wire, bool):
+            raise ServerReplyError(
+                "mix:protocol",
+                "open reply carries no root hole id: %r" % (reply,))
+        # Trace context only exists when someone asked for tracing:
+        # an idle tracer mints no id and ships no envelope, so the
+        # default wire dialogue is byte-identical to a traceless
+        # build.
+        tracer = context.tracer
+        trace_id: Optional[str] = None
+        sampled = True
+        if tracer.configured:
+            trace_id = tracer.ensure_trace_id()
+            sampled = tracer.sample(engine_config.trace_sample_rate)
+            if tracer.active:
+                tracer.emit("trace", "sample", trace_id=trace_id,
+                            sampled=sampled,
+                            rate=engine_config.trace_sample_rate)
+        channel = SocketChannel(
+            sock, root_wire, timeout_ms=timeout_ms,
+            max_frame_bytes=engine_config.serve_max_frame_bytes,
+            tracer=tracer, trace_id=trace_id, sampled=sampled)
+        buffer, _ = source_stack(channel, "remote#", context,
+                                 clock=clock, channel=True)
+        root = XMLElement(buffer, buffer.root())
     except BaseException:
-        sock.close()
+        # No session reaches the caller, so nobody else can close
+        # the socket.
+        close_quietly(sock)
         raise
-    if reply is None:
-        sock.close()
-        raise TransientSourceError(
-            "server closed the connection before answering 'open'")
-    if not reply.get("ok"):
-        sock.close()
-        _raise_error_reply(reply)
-    root_wire = reply.get("root")
-    session_id = str(reply.get("session"))
-    if not isinstance(root_wire, int) or isinstance(root_wire, bool):
-        sock.close()
-        raise ServerReplyError(
-            "mix:protocol",
-            "open reply carries no root hole id: %r" % (reply,))
-    # Trace context only exists when someone asked for tracing: an
-    # idle tracer mints no id and ships no envelope, so the default
-    # wire dialogue is byte-identical to a traceless build.
-    tracer = context.tracer
-    trace_id: Optional[str] = None
-    sampled = True
-    if tracer.configured:
-        trace_id = tracer.ensure_trace_id()
-        sampled = tracer.sample(engine_config.trace_sample_rate)
-        if tracer.active:
-            tracer.emit("trace", "sample", trace_id=trace_id,
-                        sampled=sampled,
-                        rate=engine_config.trace_sample_rate)
-    channel = SocketChannel(sock, root_wire, timeout_ms=timeout_ms,
-                            max_frame_bytes=(
-                                engine_config.serve_max_frame_bytes),
-                            tracer=tracer, trace_id=trace_id,
-                            sampled=sampled)
-    buffer, _ = source_stack(channel, "remote#", context, clock=clock,
-                             channel=True)
-    root = XMLElement(buffer, buffer.root())
-    return RemoteSession(session_id, root, channel, context)
+    return RemoteSession(str(reply.get("session")), root, channel,
+                         context)
 
 
 def fetch_status(host: str, port: int,
@@ -394,26 +322,17 @@ def fetch_status(host: str, port: int,
     Raises ``OSError``/``ConnectionError`` when the daemon is
     unreachable and the usual typed errors on an error reply.
     """
+    request: Dict[str, Any] = {"op": "status"}
+    if prometheus:
+        request["prometheus"] = True
     sock = socket.create_connection(
         (host, port), timeout=timeout_ms / 1000.0)
     try:
-        sock.settimeout(timeout_ms / 1000.0)
-        request: Dict[str, Any] = {"op": "status"}
-        if prometheus:
-            request["prometheus"] = True
-        send_frame(sock, request, max_frame_bytes)
-        reply, _ = recv_frame_sized(sock, max_frame_bytes)
+        reply, _, _ = exchange(sock, request, timeout_ms,
+                               max_frame_bytes)
     finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
-    if reply is None:
-        raise TransientSourceError(
-            "server closed the connection before answering 'status'")
-    if not reply.get("ok"):
-        _raise_error_reply(reply)
-    status = reply.get("status")
+        close_quietly(sock)
+    status = checked(reply, "status").get("status")
     if not isinstance(status, dict):
         raise ServerReplyError(
             "mix:protocol",

@@ -64,24 +64,58 @@ from ..runtime.observability import (
     export_prometheus,
 )
 from ..runtime.resilience import SYSTEM_CLOCK, Clock
-from .session import (
-    DeadlineDocument,
-    RequestDeadlineError,
-    Session,
-    SessionBudgetError,
-)
+from .session import RequestDeadlineError, Session, SessionBudgetError
 from .wire import (
     WireError,
+    close_quietly,
     decode_trace_context,
-    encode_fragments,
     recv_frame,
     send_frame,
 )
-from ..client.remote import NavigableLXPServer
 from ..runtime.counters import Counters
 from ..runtime.locks import make_lock
 
-__all__ = ["ServerStats", "MediatorServer"]
+__all__ = ["ServerStats", "MediatorServer", "OPS", "FAULTS"]
+
+#: The ops of the wire protocol (the PROTOCOLS.md op table is
+#: generated from this): ``open`` and ``status`` are answered by the
+#: daemon -- they are legal before a session exists -- the rest by
+#: the connection's :class:`~repro.server.session.Session`.
+OPS: Tuple[str, ...] = ("open", "status") + tuple(Session.OPS)
+
+#: Every way a request can fail, declared once (the PROTOCOLS.md
+#: fault table is generated from this).  One row is ``(phase,
+#: exception, kill reason, wire code, detail)``: ``phase`` is where in
+#: the request cycle the exception surfaced (``recv`` a frame,
+#: ``dispatch`` it, ``send`` the reply); within a phase the first row
+#: whose exception matches wins.  The session dies either way; a kill
+#: reason counts it under ``ServerStats.<reason>_kills`` with an
+#: incident dump (``None``: a rejected query, the client's own
+#: mistake, counted under ``query_rejects``); the wire code and its
+#: ``detail`` template go out as a best-effort last frame (``None``:
+#: the peer is not reading).
+FAULTS: Tuple[Tuple[str, type, Optional[str], Optional[str], str],
+              ...] = (
+    ("recv", socket.timeout, "idle", "mix:idle",
+     "no complete frame within %(idle_ms).0fms"),
+    ("recv", WireError, "protocol", "mix:protocol", "%(error)s"),
+    ("recv", OSError, "disconnect", None, ""),
+    ("dispatch", RequestDeadlineError, "deadline", "mix:deadline",
+     "%(error)s"),
+    ("dispatch", SessionBudgetError, "budget", "mix:budget",
+     "%(error)s"),
+    ("dispatch", WireError, "protocol", "mix:protocol", "%(error)s"),
+    # A bad query or a source-side failure: this session's problem,
+    # reported and closed; the server lives on.
+    ("dispatch", ReproError, None, "mix:query", "%(type)s: %(error)s"),
+    ("dispatch", Exception, "internal", "mix:error",
+     "%(type)s: %(error)s"),
+    ("send", socket.timeout, "stalled", None, ""),
+    # The server produced an unsendable (oversized) reply: its own
+    # bug, charged to this session, not the peer's.
+    ("send", WireError, "internal", "mix:error", "%(error)s"),
+    ("send", OSError, "disconnect", None, ""),
+)
 
 #: accept-loop poll granularity: how often the loop wakes to notice
 #: a drain request (the listener socket's timeout, in seconds)
@@ -89,6 +123,9 @@ _ACCEPT_POLL_S = 0.05
 
 #: kernel accept queue behind the admission gate
 _ACCEPT_BACKLOG = 16
+
+#: the one thing the daemon says to a session it is draining
+_DRAINING = ("mix:draining", "server is draining")
 
 #: latency buckets of the always-on per-request histogram (ms)
 _REQUEST_MS_BUCKETS = (1.0, 5.0, 25.0, 100.0, 500.0, 2500.0, 10000.0)
@@ -139,6 +176,11 @@ class _Handler:
         #: and drain may inject a ``mix:draining`` notice
         self.write_lock = make_lock("server.session.write")
         self.session: Optional[Session] = None
+
+    @property
+    def session_id(self) -> Optional[str]:
+        """The session's id; None before ``open`` succeeds."""
+        return self.session.session_id if self.session else None
 
 
 class MediatorServer:
@@ -205,11 +247,9 @@ class MediatorServer:
         listener.settimeout(_ACCEPT_POLL_S)
         self._listener = listener
         self.address = listener.getsockname()[:2]
-        self.tracer.emit("server", "listen", host=self.address[0],
-                         port=self.address[1],
-                         max_sessions=config.serve_max_sessions)
-        self.recorder.record("server", "listen", host=self.address[0],
-                             port=self.address[1])
+        self._note("listen", host=self.address[0],
+                   port=self.address[1],
+                   max_sessions=config.serve_max_sessions)
         thread = threading.Thread(target=self._accept_loop,
                                   name="mix-accept", daemon=True)
         self._accept_thread = thread
@@ -276,12 +316,15 @@ class MediatorServer:
             thread.start()
 
     # -- the session protocol ----------------------------------------------
-    def _reply(self, handler: _Handler,
-               payload: Dict[str, Any]) -> None:
+    def _reply(self, handler: _Handler, payload: Dict[str, Any],
+               wait: bool = True) -> None:
         """Send one frame under the connection's write lock and the
-        send timeout (a stalled reader raises ``socket.timeout``)."""
+        send timeout (a stalled reader raises ``socket.timeout``).
+        ``wait=False`` gives up when another writer holds the lock."""
         config = self.config
-        with handler.write_lock:
+        if not handler.write_lock.acquire(blocking=wait):
+            return
+        try:
             handler.conn.settimeout(
                 config.serve_send_timeout_ms / 1000.0)
             # the write lock serializes replies to one connection;
@@ -290,16 +333,25 @@ class MediatorServer:
             # lint: allow=L011
             send_frame(handler.conn, payload,
                        config.serve_max_frame_bytes)
+        finally:
+            handler.write_lock.release()
 
-    def _error_reply(self, handler: _Handler, code: str,
-                     detail: str) -> None:
+    def _error_reply(self, handler: _Handler, code: str, detail: str,
+                     wait: bool = True) -> None:
         """Best-effort typed error frame: the peer may already be
         gone, in which case the error is only in the stats/trace."""
         try:
             self._reply(handler, {"ok": False, "error": code,
-                                  "detail": detail})
-        except (socket.timeout, OSError, WireError):
+                                  "detail": detail}, wait)
+        except (OSError, WireError):
             pass
+
+    def _note(self, event: str, **data: Any) -> None:
+        """One server-level event, to the tracer and the flight
+        recorder alike."""
+        # lint: allow=E002 -- forwarding seam; callers pass literals
+        self.tracer.emit("server", event, **data)
+        self.recorder.record("server", event, **data)
 
     def _kill(self, handler: _Handler, reason: str,
               detail: str = "") -> None:
@@ -307,12 +359,9 @@ class MediatorServer:
         ``<reason>_kills`` and leaving a full incident dump of the
         flight-recorder ring behind."""
         self.stats.bump(reason + "_kills")
-        session_id = (handler.session.session_id
-                      if handler.session is not None else None)
-        self.tracer.emit("server", "kill", session=session_id,
-                         reason=reason, detail=detail)
-        self.recorder.record("server", "kill", session=session_id,
-                             reason=reason, detail=detail)
+        session_id = handler.session_id
+        self._note("kill", session=session_id, reason=reason,
+                   detail=detail)
         self.telemetry.counter(
             "server_kills_total",
             help_text="Sessions killed by the daemon, by reason."
@@ -320,10 +369,25 @@ class MediatorServer:
         self.recorder.incident(reason, session=session_id,
                                detail=detail)
 
-    def _next_session_id(self) -> str:
-        with self._lock:
-            self._session_serial += 1
-            return "s#%d" % self._session_serial
+    def _fail(self, handler: _Handler, phase: str,
+              error: BaseException) -> None:
+        """End one session on ``error``, as its :data:`FAULTS` row
+        says: count it, dump the incident, tell the peer."""
+        if phase == "recv" and self.draining:
+            # The drain woke this recv; the session is not at fault.
+            self.stats.bump("drained")
+            return
+        for row_phase, exception, reason, code, detail in FAULTS:
+            if row_phase == phase and isinstance(error, exception):
+                break
+        if reason is not None:
+            self._kill(handler, reason, detail=type(error).__name__)
+        else:
+            self.stats.bump("query_rejects")
+        if code is not None:
+            self._error_reply(handler, code, detail % {
+                "error": error, "type": type(error).__name__,
+                "idle_ms": self.config.serve_idle_timeout_ms})
 
     def _open_session(self, handler: _Handler,
                       frame: Dict[str, Any]) -> Dict[str, Any]:
@@ -333,44 +397,28 @@ class MediatorServer:
             raise WireError("open frame must carry a non-empty "
                             "'query' string")
         config = self.config
-        chunk_size = frame.get("chunk_size", config.chunk_size)
-        depth = frame.get("depth", config.depth)
         result = self.mediator.prepare(query)
-        deadline_document = DeadlineDocument(result.document,
-                                             clock=self.clock)
-        exporter = NavigableLXPServer(deadline_document,
-                                      chunk_size=chunk_size,
-                                      depth=depth)
-        exporter.stats.metrics = self.metrics
-        session = Session(
-            self._next_session_id(), result, exporter,
-            deadline_document,
-            max_fills=config.serve_session_max_fills,
-            max_bytes=config.serve_session_max_bytes,
-            opened_at_ms=self.clock.now_ms())
-        exporter.stats.source = session.session_id
-        handler.session = session
-        root_wire = session.holes.intern(exporter.get_root().hole_id)
+        with self._lock:
+            self._session_serial += 1
+            session_id = "s#%d" % self._session_serial
+        session = handler.session = Session(
+            session_id, result, config, self.clock, self.stats,
+            chunk_size=frame.get("chunk_size", config.chunk_size),
+            depth=frame.get("depth", config.depth),
+            metrics=self.metrics)
         self.stats.bump("sessions_opened")
-        self.tracer.emit("server", "open", session=session.session_id,
-                         peer=handler.address[0])
-        self.recorder.record("server", "open",
-                             session=session.session_id,
-                             peer=handler.address[0])
+        self._note("open", session=session_id, peer=handler.address[0])
         self.telemetry.counter(
             "server_sessions_total",
             help_text="Sessions opened over the daemon's lifetime."
         ).inc()
-        return {"ok": True, "session": session.session_id,
-                "root": root_wire}
+        return {"ok": True, "session": session_id,
+                "root": session.root_wire}
 
-    def _dispatch(self, handler: _Handler,
-                  frame: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
-        """Answer one request frame.
-
-        Returns ``(reply, keep_going)``; raises the typed errors the
-        caller maps to ``mix:*`` replies.
-        """
+    def _dispatch(self, handler: _Handler, frame: Dict[str, Any]
+                  ) -> Tuple[Dict[str, Any], int]:
+        """Answer one request frame: ``(reply, fill commands
+        answered)``.  Raises what :data:`FAULTS` maps to ``mix:*``."""
         op = frame.get("op")
         session = handler.session
         if op == "status":
@@ -382,138 +430,69 @@ class MediatorServer:
                 "server_status_requests_total",
                 help_text="Admin status probes answered."
             ).inc()
-            reply = {"ok": True, "status": self.status(
-                include_prometheus=bool(frame.get("prometheus")))}
-            return reply, session is not None
+            return {"ok": True, "status": self.status(
+                include_prometheus=bool(frame.get("prometheus")))}, 0
         if session is None:
             if op != "open":
                 raise WireError(
                     "first frame must be 'open', got op=%r" % (op,))
-            return self._open_session(handler, frame), True
+            return self._open_session(handler, frame), 0
         if op == "open":
             raise WireError("session already open")
-        if op == "ping":
-            return {"ok": True, "pong": True}, True
-        if op == "close":
-            return {"ok": True, "closed": True}, False
-        if op == "stats":
-            return {"ok": True, "stats": session.stats(),
-                    "server": self.stats.snapshot()}, True
-        if op == "fill":
-            session.check_budget()
-            hole_id = session.holes.resolve(frame.get("hole"))
-            fragments = self._navigate(
-                session, lambda: session.exporter.fill(hole_id))
-            session.charge(1, iter(fragments))
-            return {"ok": True,
-                    "fragments": encode_fragments(
-                        fragments, session.holes.intern)}, True
-        if op == "fill_batch":
-            session.check_budget()
-            holes = frame.get("holes")
-            if not isinstance(holes, list) or not holes:
-                raise WireError("fill_batch frame must carry a "
-                                "non-empty 'holes' array")
-            speculate = frame.get("speculate", 0)
-            if not isinstance(speculate, int) or speculate < 0:
-                raise WireError("speculate must be a non-negative "
-                                "integer")
-            hole_ids = [session.holes.resolve(h) for h in holes]
-            replies = self._navigate(
-                session,
-                lambda: session.exporter.fill_batch(hole_ids,
-                                                    speculate))
-            encoded = []
-            for hole_id, fragments in replies:
-                session.charge(1, iter(fragments))
-                encoded.append(
-                    [session.holes.intern(hole_id),
-                     encode_fragments(fragments,
-                                      session.holes.intern)])
-            return {"ok": True, "replies": encoded}, True
-        raise WireError("unknown op %r" % (op,))
+        answer = Session.OPS.get(op) if isinstance(op, str) else None
+        if answer is None:
+            raise WireError("unknown op %r" % (op,))
+        return answer(session, frame)
 
-    def _navigate(self, session: Session, operation: Any) -> Any:
-        """Run one navigation under the per-request deadline."""
-        session.deadline_document.arm(
-            self.config.serve_request_deadline_ms)
-        try:
-            return operation()
-        finally:
-            session.deadline_document.disarm()
+    def _reject(self, handler: _Handler, code: str, detail: str) -> None:
+        """Refuse a connection at admission (``mix:busy`` /
+        ``mix:draining``)."""
+        why = code[len("mix:"):]
+        self.stats.bump("rejected_" + why)
+        self.tracer.emit("server", "reject", reason=why)
+        self._error_reply(handler, code, detail)
 
     def _handle(self, handler: _Handler,
                 admitted: Optional[bool]) -> None:
         """The per-connection thread body."""
-        config = self.config
         try:
             if admitted is None:
-                self.stats.bump("rejected_draining")
-                self.tracer.emit("server", "reject", reason="draining")
-                self._error_reply(handler, "mix:draining",
-                                  "server is draining")
-                return
-            if not admitted:
-                self.stats.bump("rejected_busy")
-                self.tracer.emit("server", "reject", reason="busy")
-                self._error_reply(
-                    handler, "mix:busy",
-                    "server at its %d-session capacity"
-                    % config.serve_max_sessions)
-                return
-            with self.tracer.span("server", "session",
-                                  peer=handler.address[0]):
-                self._session_loop(handler)
+                self._reject(handler, *_DRAINING)
+            elif not admitted:
+                self._reject(handler, "mix:busy",
+                             "server at its %d-session capacity"
+                             % self.config.serve_max_sessions)
+            else:
+                with self.tracer.span("server", "session",
+                                      peer=handler.address[0]):
+                    self._session_loop(handler)
         finally:
-            try:
-                handler.conn.close()
-            except OSError:
-                pass
+            close_quietly(handler.conn)
             if admitted:
                 with self._lock:
                     self._active -= 1
                     if handler in self._handlers:
                         self._handlers.remove(handler)
                 self.stats.bump("sessions_closed")
-                session_id = (handler.session.session_id
-                              if handler.session is not None else None)
-                self.tracer.emit("server", "close", session=session_id)
+                self.tracer.emit("server", "close",
+                                 session=handler.session_id)
 
     def _session_loop(self, handler: _Handler) -> None:
+        """Serve one admitted connection, a request per turn, until
+        the client closes, the server drains or a fault ends it."""
         config = self.config
         while True:
             if self.draining:
                 self.stats.bump("drained")
-                self._error_reply(handler, "mix:draining",
-                                  "server is draining")
+                self._error_reply(handler, *_DRAINING)
                 return
             handler.conn.settimeout(
                 config.serve_idle_timeout_ms / 1000.0)
             try:
                 frame = recv_frame(handler.conn,
                                    config.serve_max_frame_bytes)
-            except socket.timeout:
-                if self.draining:
-                    self.stats.bump("drained")
-                    return
-                self._kill(handler, "idle")
-                self._error_reply(handler, "mix:idle",
-                                  "no complete frame within %.0fms"
-                                  % config.serve_idle_timeout_ms)
-                return
-            except WireError as err:
-                if self.draining:
-                    self.stats.bump("drained")
-                    return
-                self._kill(handler, "protocol", detail=type(err).__name__)
-                self._error_reply(handler, "mix:protocol", str(err))
-                return
-            except (ConnectionError, OSError):
-                if self.draining:
-                    self.stats.bump("drained")
-                    return
-                self._kill(handler, "disconnect")
-                return
+            except (OSError, WireError) as error:
+                return self._fail(handler, "recv", error)
             if frame is None:
                 # Clean close at a frame boundary: a polite client.
                 if self.draining:
@@ -522,74 +501,27 @@ class MediatorServer:
             trace_context = decode_trace_context(frame)
             op = str(frame.get("op"))
             session = handler.session
-            if session is not None:
-                session.requests += 1
-                session.in_flight = op
-                if trace_context is not None:
-                    # The adopt event (like the server.request spans)
-                    # honors the client's sampling verdict: a
-                    # sampled-out trace leaves no record server-side.
-                    if session.trace_context is None \
-                            and trace_context["sampled"] \
-                            and self.tracer.active:
-                        self.tracer.emit(
-                            "trace", "adopt",
-                            session=session.session_id,
-                            trace_id=trace_context["id"],
-                            sampled=trace_context["sampled"])
-                    session.trace_context = trace_context
+            if session is not None \
+                    and session.begin(op, trace_context) \
+                    and self.tracer.active:
+                self.tracer.emit("trace", "adopt",
+                                 session=session.session_id,
+                                 trace_id=trace_context["id"],
+                                 sampled=True)
             started_ms = self.clock.now_ms()
             try:
                 with self._request_span(trace_context, op):
-                    reply, keep_going = self._dispatch(handler, frame)
-            except RequestDeadlineError as err:
-                self._kill(handler, "deadline")
-                self._error_reply(handler, "mix:deadline", str(err))
-                return
-            except SessionBudgetError as err:
-                self._kill(handler, "budget")
-                self._error_reply(handler, "mix:budget", str(err))
-                return
-            except WireError as err:
-                self._kill(handler, "protocol", detail=type(err).__name__)
-                self._error_reply(handler, "mix:protocol", str(err))
-                return
-            except ReproError as err:
-                # A bad query or a source-side failure: this session's
-                # problem, reported and closed; the server lives on.
-                self.stats.bump("query_rejects")
-                self._error_reply(handler, "mix:query",
-                                  "%s: %s" % (type(err).__name__, err))
-                return
-            except Exception as err:  # never take the server down
-                self._kill(handler, "internal", detail=type(err).__name__)
-                self._error_reply(handler, "mix:error",
-                                  "%s: %s" % (type(err).__name__, err))
-                return
+                    reply, fills = self._dispatch(handler, frame)
+            except Exception as error:  # never take the server down
+                return self._fail(handler, "dispatch", error)
             elapsed_ms = self.clock.now_ms() - started_ms
             if handler.session is not None:
                 handler.session.in_flight = None
-            fills = 0
-            if op == "fill":
-                fills = 1
-            elif op == "fill_batch":
-                holes = frame.get("holes")
-                fills = len(holes) if isinstance(holes, list) else 0
             self._observe_request(handler, op, elapsed_ms, fills)
             try:
                 self._reply(handler, reply)
-            except socket.timeout:
-                self._kill(handler, "stalled")
-                return
-            except WireError as err:
-                # The server produced an unsendable (oversized) reply:
-                # its own bug, charged to this session, not the peer's.
-                self._kill(handler, "internal", detail=type(err).__name__)
-                self._error_reply(handler, "mix:error", str(err))
-                return
-            except (ConnectionError, OSError):
-                self._kill(handler, "disconnect")
-                return
+            except (OSError, WireError) as error:
+                return self._fail(handler, "send", error)
             # Delivered: these are the counters client-side accounting
             # reconciles against, so they only move once the reply is
             # actually on the wire.  Admin status probes stay out of
@@ -600,7 +532,8 @@ class MediatorServer:
                 self.stats.bump("requests")
                 if fills:
                     self.stats.bump("fills", fills)
-            if not keep_going:
+            if op == "close" or handler.session is None:
+                # A goodbye, or a sessionless status probe.
                 return
 
     # -- observability -----------------------------------------------------
@@ -630,9 +563,7 @@ class MediatorServer:
                          elapsed_ms: float, fills: int) -> None:
         """Per-request operational accounting: flight-recorder entry,
         always-on telemetry, and the slow-request log."""
-        session = handler.session
-        session_id = (session.session_id
-                      if session is not None else None)
+        session_id = handler.session_id
         self.recorder.record("server", "request", session=session_id,
                              op=op, elapsed_ms=round(elapsed_ms, 3),
                              fills=fills)
@@ -653,20 +584,14 @@ class MediatorServer:
         ).observe(elapsed_ms, op=op)
         threshold = self.config.slow_request_ms
         if threshold is not None and elapsed_ms >= threshold:
-            self.recorder.record(
-                "server", "slow_request", session=session_id, op=op,
-                elapsed_ms=round(elapsed_ms, 3),
-                threshold_ms=threshold)
+            self._note("slow_request", session=session_id, op=op,
+                       elapsed_ms=round(elapsed_ms, 3),
+                       threshold_ms=threshold)
             self.telemetry.counter(
                 "server_slow_requests_total",
                 help_text="Requests at or over the slow-request "
                           "threshold, by op."
             ).inc(op=op)
-            if self.tracer.active:
-                self.tracer.emit(
-                    "server", "slow_request", session=session_id,
-                    op=op, elapsed_ms=round(elapsed_ms, 3),
-                    threshold_ms=threshold)
 
     def _fragcache_stats(self) -> Optional[Dict[str, Any]]:
         """The shared fragment store's counters, or None when the
@@ -689,14 +614,9 @@ class MediatorServer:
             handlers = list(self._handlers)
             draining = self._draining
         now_ms = self.clock.now_ms()
-        sessions = []
-        for handler in handlers:
-            session = handler.session
-            if session is None:
-                continue
-            row = session.status_row(now_ms)
-            row["peer"] = handler.address[0]
-            sessions.append(row)
+        sessions = [
+            handler.session.status_row(now_ms, handler.address[0])
+            for handler in handlers if handler.session is not None]
         sessions.sort(key=lambda row: str(row["session"]))
         payload: Dict[str, Any] = {
             "draining": draining,
@@ -755,10 +675,7 @@ class MediatorServer:
             self.tracer.emit("server", "drain", phase="begin",
                              in_flight=len(handlers))
             if listener is not None:
-                try:
-                    listener.close()
-                except OSError:
-                    pass
+                close_quietly(listener)
         grace_ms = (timeout_ms if timeout_ms is not None
                     else self.config.serve_drain_timeout_ms)
         deadline = time.monotonic() + grace_ms / 1000.0
@@ -766,26 +683,12 @@ class MediatorServer:
         if accept_thread is not None:
             accept_thread.join(max(0.0, deadline - time.monotonic())
                                + _ACCEPT_POLL_S * 2)
-        # Wake sessions parked in recv: a non-blocking write-lock
-        # probe sends the draining notice only to *idle* sessions
-        # (busy ones will see the flag after their in-flight reply),
-        # then the read side is shut down to interrupt the recv.
+        # Wake sessions parked in recv: the draining notice goes only
+        # to *idle* sessions (a held write lock means a reply is in
+        # flight; its owner will see the flag afterwards), then the
+        # read side is shut down to interrupt the recv.
         for handler in handlers:
-            if handler.write_lock.acquire(blocking=False):
-                try:
-                    handler.conn.settimeout(
-                        self.config.serve_send_timeout_ms / 1000.0)
-                    # drain notice under a non-blocking write-lock
-                    # probe, send bounded by the settimeout above
-                    # lint: allow=L011
-                    send_frame(handler.conn,
-                               {"ok": False, "error": "mix:draining",
-                                "detail": "server is draining"},
-                               self.config.serve_max_frame_bytes)
-                except (socket.timeout, OSError, WireError):
-                    pass
-                finally:
-                    handler.write_lock.release()
+            self._error_reply(handler, *_DRAINING, wait=False)
             try:
                 handler.conn.shutdown(socket.SHUT_RD)
             except OSError:
@@ -796,18 +699,16 @@ class MediatorServer:
                                     deadline - time.monotonic()))
             if handler.thread.is_alive():
                 clean = False
-                try:
-                    handler.conn.close()
-                except OSError:
-                    pass
+                close_quietly(handler.conn)
         for handler in handlers:
             if handler.thread.is_alive():
                 handler.thread.join(1.0)
-        self.tracer.emit("server", "drain", phase="end",
-                         clean=clean,
-                         drained=self.stats.snapshot()["drained"])
-        if not already:
-            self.recorder.record("server", "drain", clean=clean,
-                                 drained=self.stats.snapshot()["drained"])
+        drained = self.stats.snapshot()["drained"]
+        if already:
+            self.tracer.emit("server", "drain", phase="end",
+                             clean=clean, drained=drained)
+        else:
+            self._note("drain", phase="end", clean=clean,
+                       drained=drained)
             self.recorder.incident("drain", detail="clean=%s" % clean)
         return clean

@@ -22,18 +22,24 @@ runaway navigation is cut mid-request -- deterministically under a
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..buffer.holes import fragment_wire_size
+from ..buffer.holes import Fragment, fragment_wire_size
 from ..client.remote import NavigableLXPServer
 from ..errors import TransientSourceError
 from ..navigation.interface import NavigableDocument
+from ..runtime.config import EngineConfig
+from ..runtime.counters import Counters
 from ..runtime.resilience import SYSTEM_CLOCK, Clock
-from .wire import MalformedFrameError
+from .wire import MalformedFrameError, WireError, encode_fragments
 from ..runtime.locks import make_lock
 
 __all__ = ["HoleTable", "SessionBudgetError", "RequestDeadlineError",
            "DeadlineDocument", "Session"]
+
+#: what an op answers: the reply frame and the fill commands it
+#: answered (what the daemon's delivered-``fills`` counter charges)
+Reply = Tuple[Dict[str, Any], int]
 
 
 class SessionBudgetError(TransientSourceError):
@@ -104,32 +110,30 @@ class HoleTable:
 class DeadlineDocument(NavigableDocument):
     """A navigation proxy that enforces a per-request deadline.
 
-    ``arm(deadline_ms)`` is called by the handler when a request
-    starts and ``disarm()`` when it ends; every navigation in between
-    compares the clock against the armed deadline.  The proxy is only
-    ever driven by its session's handler thread, but arm/disarm and
-    the checks keep the state in one slot so a misuse is at worst a
-    late cut, never a crash.
+    The session calls ``arm()`` when a request's navigation starts
+    and ``disarm()`` when it ends; every navigation in between
+    compares the clock against the armed deadline
+    (``deadline_ms=None``: never armed).  The proxy is only ever
+    driven by its session's handler thread, but arm/disarm and the
+    checks keep the state in one slot so a misuse is at worst a late
+    cut, never a crash.
     """
 
     def __init__(self, document: NavigableDocument,
+                 deadline_ms: Optional[float] = None,
                  clock: Optional[Clock] = None) -> None:
         self.document = document
+        self.deadline_ms = deadline_ms
         self.clock: Clock = clock if clock is not None else SYSTEM_CLOCK
         self._deadline_at: Optional[float] = None
-        self._deadline_ms: Optional[float] = None
 
-    def arm(self, deadline_ms: Optional[float]) -> None:
-        """Start the request clock (None = no deadline)."""
-        self._deadline_ms = deadline_ms
-        if deadline_ms is None:
-            self._deadline_at = None
-        else:
-            self._deadline_at = self.clock.now_ms() + deadline_ms
+    def arm(self) -> None:
+        """Start the request clock."""
+        if self.deadline_ms is not None:
+            self._deadline_at = self.clock.now_ms() + self.deadline_ms
 
     def disarm(self) -> None:
         self._deadline_at = None
-        self._deadline_ms = None
 
     def _check(self) -> None:
         deadline_at = self._deadline_at
@@ -137,7 +141,7 @@ class DeadlineDocument(NavigableDocument):
                 and self.clock.now_ms() > deadline_at:
             raise RequestDeadlineError(
                 "request overran its %.0fms navigation deadline"
-                % (self._deadline_ms or 0.0,))
+                % self.deadline_ms)
 
     def root(self) -> object:
         self._check()
@@ -162,49 +166,66 @@ class DeadlineDocument(NavigableDocument):
 class Session:
     """One client's dialogue with the daemon, server side.
 
-    Created by the handler after a successful ``open``; owns the
-    exported view, the hole table, and the budget counters.  The
-    handler thread is the only mutator; the budget check happens
-    after each reply is measured, so a reply that crosses the budget
-    is still delivered and the *next* request is refused.
+    Created by the handler on a successful ``open``; owns the exported
+    view, the hole table, the request deadline and the budget
+    counters, and answers the session-level ops of the protocol
+    (:attr:`OPS`).  The handler thread is the only mutator; the
+    budget check happens before each navigation request, so a reply
+    that crosses the budget is still delivered and the *next* request
+    is refused.
     """
 
     def __init__(self, session_id: str, result: Any,
-                 exporter: NavigableLXPServer,
-                 deadline_document: DeadlineDocument,
-                 max_fills: Optional[int] = None,
-                 max_bytes: Optional[int] = None,
-                 opened_at_ms: Optional[float] = None) -> None:
+                 config: EngineConfig, clock: Clock,
+                 server_stats: Counters,
+                 chunk_size: Optional[int] = None,
+                 depth: Optional[int] = None,
+                 metrics: Any = None) -> None:
         self.session_id = session_id
         self.result = result
-        self.exporter = exporter
-        self.deadline_document = deadline_document
-        self.holes = HoleTable()
-        self.max_fills = max_fills
-        self.max_bytes = max_bytes
+        self.server_stats = server_stats
+        self._deadline = DeadlineDocument(
+            result.document, config.serve_request_deadline_ms, clock)
+        self._exporter = NavigableLXPServer(
+            self._deadline, chunk_size=chunk_size, depth=depth)
+        self._exporter.stats.metrics = metrics
+        self._exporter.stats.source = session_id
+        self._holes = HoleTable()
+        #: the wire id of the answer's root hole (the ``open`` reply)
+        self.root_wire = self._holes.intern(
+            self._exporter.get_root().hole_id)
+        self.max_fills = config.serve_session_max_fills
+        self.max_bytes = config.serve_session_max_bytes
         #: navigation budget consumed (answered fill commands)
         self.fills = 0
         #: byte budget consumed (fragment wire volume shipped)
         self.bytes_shipped = 0
-        #: requests answered (any op)
+        #: requests received (any op)
         self.requests = 0
         #: server-clock reading at ``open`` (for status age reporting)
-        self.opened_at_ms = opened_at_ms
+        self.opened_at_ms = clock.now_ms()
         #: the op currently being dispatched (handler-thread written;
         #: status readers see at worst a stale op name)
         self.in_flight: Optional[str] = None
         #: the wire trace context last adopted for this session
         self.trace_context: Optional[Dict[str, Any]] = None
 
-    def charge(self, fills: int, fragments: Iterator[Any]) -> None:
-        """Account one reply against the session budgets."""
-        self.fills += fills
-        self.bytes_shipped += sum(fragment_wire_size(f)
-                                  for f in fragments)
+    def begin(self, op: str,
+              trace_context: Optional[Dict[str, Any]]) -> bool:
+        """Note one arriving request.  True when it is the first to
+        carry a *sampled* trace context -- the one adoption worth an
+        event; a sampled-out trace leaves no record server-side."""
+        self.requests += 1
+        self.in_flight = op
+        if trace_context is None:
+            return False
+        adopted = self.trace_context is None and trace_context["sampled"]
+        self.trace_context = trace_context
+        return adopted
 
-    def check_budget(self) -> None:
-        """Raise :class:`SessionBudgetError` once a budget is
-        exhausted (checked before each navigation request)."""
+    # -- the ops: frame -> (reply, fill commands answered) -----------------
+    def _check_budget(self) -> None:
+        """Refuse a navigation request once a budget is exhausted."""
         if self.max_fills is not None and self.fills >= self.max_fills:
             raise SessionBudgetError(
                 "session %s exhausted its %d-fill navigation budget"
@@ -215,40 +236,89 @@ class Session:
                 "session %s exhausted its %d-byte ship budget"
                 % (self.session_id, self.max_bytes))
 
-    def budget_remaining(self) -> Dict[str, Optional[int]]:
-        """How much of each budget is left (None = unbudgeted)."""
+    def _navigate(self, operation: Callable[..., Any],
+                  *args: Any) -> Any:
+        """Run one export call under the per-request deadline."""
+        self._deadline.arm()
+        try:
+            return operation(*args)
+        finally:
+            self._deadline.disarm()
+
+    def _ship(self, fragments: List[Fragment]) -> List[Any]:
+        """Charge one answered hole to the budgets and encode it."""
+        self.fills += 1
+        self.bytes_shipped += sum(fragment_wire_size(f)
+                                  for f in fragments)
+        return encode_fragments(fragments, self._holes.intern)
+
+    def fill(self, frame: Dict[str, Any]) -> Reply:
+        self._check_budget()
+        hole_id = self._holes.resolve(frame.get("hole"))
+        fragments = self._navigate(self._exporter.fill, hole_id)
+        return {"ok": True, "fragments": self._ship(fragments)}, 1
+
+    def fill_batch(self, frame: Dict[str, Any]) -> Reply:
+        self._check_budget()
+        holes = frame.get("holes")
+        if not isinstance(holes, list) or not holes:
+            raise WireError("fill_batch frame must carry a "
+                            "non-empty 'holes' array")
+        speculate = frame.get("speculate", 0)
+        if not isinstance(speculate, int) or speculate < 0:
+            raise WireError("speculate must be a non-negative "
+                            "integer")
+        hole_ids = [self._holes.resolve(hole) for hole in holes]
+        replies = self._navigate(self._exporter.fill_batch, hole_ids,
+                                 speculate)
+        # Speculated replies ride along unasked: the command count is
+        # what the client sent, which is what its accounting charges.
+        return {"ok": True, "replies": [
+            [self._holes.intern(hole_id), self._ship(fragments)]
+            for hole_id, fragments in replies]}, len(holes)
+
+    def ping(self, frame: Dict[str, Any]) -> Reply:
+        return {"ok": True, "pong": True}, 0
+
+    def close(self, frame: Dict[str, Any]) -> Reply:
+        return {"ok": True, "closed": True}, 0
+
+    def stats(self, frame: Dict[str, Any]) -> Reply:
+        """The session's consumption, its exporter's live stats and
+        the daemon's lifetime counters (snapshot-based, safe while
+        traffic is live)."""
+        return {"ok": True, "stats": {
+            "session": self.session_id,
+            "requests": self.requests,
+            "fills": self.fills,
+            "bytes_shipped": self.bytes_shipped,
+            "holes_interned": len(self._holes),
+            "exporter": self._exporter.stats.snapshot(),
+        }, "server": self.server_stats.snapshot()}, 0
+
+    #: the session-level ops of the wire protocol, by ``op`` name
+    #: (``open`` and ``status`` are the connection's: see
+    #: :data:`repro.server.daemon.OPS`)
+    OPS: Dict[str, Callable[["Session", Dict[str, Any]], Reply]] = {
+        "fill": fill, "fill_batch": fill_batch, "ping": ping,
+        "stats": stats, "close": close}
+
+    # -- status ------------------------------------------------------------
+    def status_row(self, now_ms: float, peer: str) -> Dict[str, Any]:
+        """One row of the daemon's per-session status table."""
         fills_left = (None if self.max_fills is None
                       else max(0, self.max_fills - self.fills))
         bytes_left = (None if self.max_bytes is None
                       else max(0, self.max_bytes - self.bytes_shipped))
-        return {"fills": fills_left, "bytes": bytes_left}
-
-    def status_row(self, now_ms: Optional[float] = None
-                   ) -> Dict[str, Any]:
-        """One row of the daemon's per-session status table."""
-        age_ms: Optional[float] = None
-        if now_ms is not None and self.opened_at_ms is not None:
-            age_ms = max(0.0, now_ms - self.opened_at_ms)
         return {
             "session": self.session_id,
-            "age_ms": age_ms,
+            "age_ms": max(0.0, now_ms - self.opened_at_ms),
             "requests": self.requests,
             "fills": self.fills,
             "bytes_shipped": self.bytes_shipped,
-            "budget_remaining": self.budget_remaining(),
+            "budget_remaining": {"fills": fills_left,
+                                 "bytes": bytes_left},
             "in_flight": self.in_flight,
             "trace_id": (self.trace_context or {}).get("id"),
-        }
-
-    def stats(self) -> Dict[str, Any]:
-        """The session's consumption and its context's live stats
-        (snapshot-based, safe while the session is still running)."""
-        exporter_stats = self.exporter.stats.snapshot()
-        return {
-            "session": self.session_id,
-            "requests": self.requests,
-            "fills": self.fills,
-            "bytes_shipped": self.bytes_shipped,
-            "holes_interned": len(self.holes),
-            "exporter": exporter_stats,
+            "peer": peer,
         }

@@ -21,6 +21,12 @@ connection loss, :class:`FrameTooLargeError` an oversized length
 prefix, and plain :class:`MalformedFrameError` everything else (bad
 JSON, non-object payloads, bad fragment shapes).  A clean EOF *at a
 frame boundary* is not an error: :func:`recv_frame` returns ``None``.
+
+This is the only module that writes or reads a frame (linter rule
+``X103``).  Every client -- :class:`~repro.server.client.
+SocketChannel`, the status probe, the load generator, the fault kit's
+well-behaved control -- runs the same :func:`exchange` and reads an
+error reply through the same :data:`ERRORS` table.
 """
 
 from __future__ import annotations
@@ -28,17 +34,23 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Tuple, Type)
 
 from ..buffer.holes import FragElem, FragHole, Fragment
-from ..errors import PermanentSourceError
+from ..errors import (PermanentSourceError, SourceError,
+                      TransientSourceError)
 
 __all__ = [
     "WireError", "MalformedFrameError", "TruncatedFrameError",
     "FrameTooLargeError",
-    "MAX_FRAME_BYTES", "send_frame", "recv_frame", "recv_frame_sized",
+    "ReplyError", "ServerBusyError", "ServerDrainingError",
+    "ServerReplyError", "ErrorSpec", "ERRORS", "error_spec", "checked",
+    "MAX_FRAME_BYTES", "frame_bytes", "decode_frame",
+    "send_frame", "recv_frame_bytes", "recv_frame", "recv_frame_sized",
+    "exchange", "close_quietly",
     "encode_fragment", "decode_fragment",
-    "encode_fragments", "decode_fragments",
+    "encode_fragments", "decode_fragments", "wire_holes",
     "TRACE_KEY", "encode_trace_context", "decode_trace_context",
 ]
 
@@ -69,58 +81,172 @@ class TruncatedFrameError(WireError):
     payload)."""
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    """Read exactly ``count`` bytes; raise on EOF partway through.
+class ReplyError(SourceError):
+    """The daemon answered with a typed error frame
+    (``{"ok": false, "error": code, "detail": ...}``)."""
 
-    An empty first read is reported as zero bytes so the caller can
-    distinguish a clean close (EOF at a frame boundary) from a
-    truncation.
-    """
+    def __init__(self, code: str, detail: str) -> None:
+        super().__init__("%s: %s" % (code, detail))
+        self.code = code
+        self.detail = detail
+
+
+class ServerBusyError(ReplyError, TransientSourceError):
+    """The daemon refused admission (``mix:busy``): it is at its
+    session capacity.  Transient -- capacity frees up as sessions
+    close."""
+
+
+class ServerDrainingError(ReplyError, TransientSourceError):
+    """The daemon is draining (``mix:draining``).  Transient from the
+    fleet's point of view: a replacement server may be accepting."""
+
+
+class ServerReplyError(ReplyError, PermanentSourceError):
+    """Any other typed error frame.  Permanent for *this* session:
+    replaying the request cannot succeed."""
+
+
+class ErrorSpec(NamedTuple):
+    """What a client does with one ``mix:*`` code."""
+
+    #: the exception the reply surfaces as
+    exception: Type[ReplyError]
+    #: whether the resilience layer may retry past it (must agree
+    #: with the exception's place in the error taxonomy)
+    transient: bool
+    #: whether the daemon tore a session down behind it: the
+    #: connection is dead and the channel must be abandoned.  False
+    #: only for ``mix:busy``, which refuses a connection before any
+    #: session exists.
+    killed: bool
+
+
+#: The typed error codes of the wire protocol, declared once: the
+#: client's code -> exception mapping, and the source of the
+#: PROTOCOLS.md error-code table.  An unknown code reads as
+#: ``mix:error``.
+ERRORS: Dict[str, ErrorSpec] = {
+    "mix:busy": ErrorSpec(ServerBusyError, True, False),
+    "mix:draining": ErrorSpec(ServerDrainingError, True, True),
+    "mix:protocol": ErrorSpec(ServerReplyError, False, True),
+    "mix:idle": ErrorSpec(ServerReplyError, False, True),
+    "mix:deadline": ErrorSpec(ServerReplyError, False, True),
+    "mix:budget": ErrorSpec(ServerReplyError, False, True),
+    "mix:query": ErrorSpec(ServerReplyError, False, True),
+    "mix:error": ErrorSpec(ServerReplyError, False, True),
+}
+
+
+def error_spec(reply: Dict[str, Any]) -> Optional[ErrorSpec]:
+    """The :data:`ERRORS` row of an error frame (``mix:error``'s for
+    a code this client does not know); ``None`` for an ``ok`` frame."""
+    if reply.get("ok"):
+        return None
+    code = reply.get("error")
+    return ERRORS.get(code if isinstance(code, str) else "",
+                      ERRORS["mix:error"])
+
+
+def checked(reply: Optional[Dict[str, Any]], op: object
+            ) -> Dict[str, Any]:
+    """``reply`` if it is an ``ok`` frame; otherwise raise what it
+    means: a clean EOF where the answer to ``op`` was due is a
+    :class:`~repro.errors.TransientSourceError`, an error frame the
+    :class:`ReplyError` subclass :data:`ERRORS` names."""
+    if reply is None:
+        raise TransientSourceError(
+            "server closed the connection before answering %r" % (op,))
+    spec = error_spec(reply)
+    if spec is not None:
+        raise spec.exception(str(reply.get("error", "mix:error")),
+                             str(reply.get("detail", "")))
+    return reply
+
+
+def _recv_exact(sock: socket.socket, count: int, part: str) -> bytes:
+    """Read exactly ``count`` bytes of a frame's ``part``.  EOF before
+    the first header byte is a clean close at a frame boundary
+    (``b""``); anywhere else it is a truncation."""
     chunks: List[bytes] = []
     remaining = count
     while remaining > 0:
         chunk = sock.recv(remaining)
         if not chunk:
-            if remaining == count:
+            if part == "header" and remaining == count:
                 return b""
             raise TruncatedFrameError(
-                "connection closed mid-frame (%d of %d bytes)"
-                % (count - remaining, count))
+                "connection closed mid-frame (%d of %d %s bytes)"
+                % (count - remaining, count, part))
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
 
 
-def send_frame(sock: socket.socket, payload: Dict[str, Any],
-               max_frame_bytes: int = MAX_FRAME_BYTES) -> int:
-    """Serialize ``payload`` and send it as one frame.
-
-    Returns the total bytes put on the wire (header included), so
-    channel accounting can charge real sizes.  Refuses to *produce*
-    an oversized frame -- the sender's bug, caught before the peer
-    would have to kill the connection.
-    """
+def frame_bytes(payload: Dict[str, Any],
+                max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """``payload`` as one well-formed frame.  Refuses to *produce* an
+    oversized frame -- the sender's bug, caught before the peer would
+    have to kill the connection."""
     body = json.dumps(payload, separators=(",", ":"),
                       ensure_ascii=True).encode("ascii")
     if len(body) > max_frame_bytes:
         raise FrameTooLargeError(
             "refusing to send a %d-byte frame (limit %d)"
             % (len(body), max_frame_bytes))
-    sock.sendall(_HEADER.pack(len(body)) + body)
-    return _HEADER.size + len(body)
+    return _HEADER.pack(len(body)) + body
+
+
+def decode_frame(raw: bytes) -> Dict[str, Any]:
+    """The payload of one whole raw frame (header included)."""
+    try:
+        payload = json.loads(raw[_HEADER.size:].decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as err:
+        raise MalformedFrameError(
+            "frame payload is not valid JSON: %s" % err) from None
+    if not isinstance(payload, dict):
+        raise MalformedFrameError(
+            "frame payload must be a JSON object, got %s"
+            % type(payload).__name__)
+    return payload
+
+
+def send_frame(sock: socket.socket, payload: Dict[str, Any],
+               max_frame_bytes: int = MAX_FRAME_BYTES) -> int:
+    """Send ``payload`` as one frame.  Returns the total bytes put on
+    the wire (header included), so channel accounting can charge real
+    sizes."""
+    frame = frame_bytes(payload, max_frame_bytes)
+    sock.sendall(frame)
+    return len(frame)
+
+
+def recv_frame_bytes(sock: socket.socket,
+                     max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """Read one whole frame, undecoded (header included); ``b""`` on
+    a clean EOF at a frame boundary.
+
+    Socket timeouts propagate as ``socket.timeout`` (the caller's
+    idle/slow-loris policy decides what that means); a bad length or
+    a mid-frame EOF raises a :class:`WireError` subclass.
+    """
+    header = _recv_exact(sock, _HEADER.size, "header")
+    if not header:
+        return b""
+    (length,) = _HEADER.unpack(header)
+    if length > max_frame_bytes:
+        raise FrameTooLargeError(
+            "frame of %d bytes exceeds the %d-byte limit"
+            % (length, max_frame_bytes))
+    return header + _recv_exact(sock, length, "payload")
 
 
 def recv_frame(sock: socket.socket,
                max_frame_bytes: int = MAX_FRAME_BYTES
                ) -> Optional[Dict[str, Any]]:
-    """Read one frame; ``None`` on a clean EOF at a frame boundary.
-
-    Socket timeouts propagate as ``socket.timeout`` (the caller's
-    idle/slow-loris policy decides what that means); everything else
-    that can go wrong raises a :class:`WireError` subclass.
-    """
-    payload, _ = recv_frame_sized(sock, max_frame_bytes)
-    return payload
+    """Read and decode one frame; ``None`` on a clean EOF at a frame
+    boundary."""
+    return recv_frame_sized(sock, max_frame_bytes)[0]
 
 
 def recv_frame_sized(sock: socket.socket,
@@ -129,29 +255,35 @@ def recv_frame_sized(sock: socket.socket,
     """Like :func:`recv_frame`, also reporting the bytes read off the
     wire (header included) so channel accounting can charge real
     transfer sizes."""
-    header = _recv_exact(sock, _HEADER.size)
-    if not header:
+    raw = recv_frame_bytes(sock, max_frame_bytes)
+    if not raw:
         return None, 0
-    (length,) = _HEADER.unpack(header)
-    if length > max_frame_bytes:
-        raise FrameTooLargeError(
-            "frame of %d bytes exceeds the %d-byte limit"
-            % (length, max_frame_bytes))
-    body = _recv_exact(sock, length) if length else b""
-    if length and not body:
-        raise TruncatedFrameError(
-            "connection closed mid-frame (0 of %d payload bytes)"
-            % length)
+    return decode_frame(raw), len(raw)
+
+
+def exchange(sock: socket.socket, request: Dict[str, Any],
+             timeout_ms: float,
+             max_frame_bytes: int = MAX_FRAME_BYTES
+             ) -> "Tuple[Optional[Dict[str, Any]], int, int]":
+    """One request/reply round trip, each socket operation bounded by
+    ``timeout_ms``: ``(reply, bytes sent, bytes received)``.
+
+    The reply is handed back unjudged (``None`` for a clean EOF) so a
+    caller can account the traffic first; :func:`checked` turns it
+    into the ``ok`` frame or the typed exception.
+    """
+    sock.settimeout(timeout_ms / 1000.0)
+    sent = send_frame(sock, request, max_frame_bytes)
+    reply, received = recv_frame_sized(sock, max_frame_bytes)
+    return reply, sent, received
+
+
+def close_quietly(sock: socket.socket) -> None:
+    """Close ``sock``; a peer that is already gone is not news."""
     try:
-        payload = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as err:
-        raise MalformedFrameError(
-            "frame payload is not valid JSON: %s" % err) from None
-    if not isinstance(payload, dict):
-        raise MalformedFrameError(
-            "frame payload must be a JSON object, got %s"
-            % type(payload).__name__)
-    return payload, _HEADER.size + length
+        sock.close()
+    except OSError:
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -257,3 +389,25 @@ def decode_fragments(obj: Any) -> List[Fragment]:
         raise MalformedFrameError(
             "fragment list must be an array, got %r" % (obj,))
     return [decode_fragment(item) for item in obj]
+
+
+def wire_holes(fragments: Any) -> List[int]:
+    """Every hole id in a wire-shape fragment list, in document
+    order, without building fragments -- what a raw-frame client (the
+    load generator, the fault kit's scripted session) follows to its
+    next request.  Shapes :func:`decode_fragments` would reject are
+    skipped, not raised."""
+    holes: List[int] = []
+    stack: List[Any] = list(reversed(fragments
+                                     if isinstance(fragments, list)
+                                     else []))
+    while stack:
+        item = stack.pop()
+        if not isinstance(item, list) or not item:
+            continue
+        if item[0] == "h" and len(item) == 2:
+            holes.append(item[1])
+        elif item[0] == "e" and len(item) == 3 \
+                and isinstance(item[2], list):
+            stack.extend(reversed(item[2]))
+    return holes

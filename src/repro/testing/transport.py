@@ -25,18 +25,26 @@ them tiny).
 
 from __future__ import annotations
 
-import json
 import socket
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
+
+from ..server.wire import (
+    WireError,
+    close_quietly,
+    decode_frame,
+    exchange,
+    frame_bytes,
+    recv_frame_bytes,
+    send_frame,
+    wire_holes,
+)
 
 __all__ = [
     "open_raw", "send_frame_bytes", "frame_bytes", "recv_reply_bytes",
     "send_garbage", "send_truncated_frame", "slow_loris",
     "abrupt_disconnect", "StalledReader", "scripted_session",
 ]
-
-_HEADER = struct.Struct(">I")
 
 
 def open_raw(host: str, port: int,
@@ -47,53 +55,32 @@ def open_raw(host: str, port: int,
                                     timeout=timeout_ms / 1000.0)
 
 
-def frame_bytes(payload: Dict[str, Any]) -> bytes:
-    """A well-formed wire frame for ``payload``."""
-    body = json.dumps(payload, separators=(",", ":")).encode("ascii")
-    return _HEADER.pack(len(body)) + body
-
-
 def send_frame_bytes(sock: socket.socket,
                      payload: Dict[str, Any]) -> None:
-    sock.sendall(frame_bytes(payload))
+    """One well-formed frame, sent with no reply awaited."""
+    send_frame(sock, payload)
 
 
 def recv_reply_bytes(sock: socket.socket) -> bytes:
     """One whole reply frame as raw bytes (b"" on EOF/timeout) --
     the unit of golden-trace comparison."""
     try:
-        header = _recv_exact(sock, _HEADER.size)
-        if len(header) < _HEADER.size:
-            return b""
-        (length,) = _HEADER.unpack(header)
-        body = _recv_exact(sock, length)
-        if len(body) < length:
-            return b""
-        return header + body
-    except (socket.timeout, OSError):
+        return recv_frame_bytes(sock)
+    except (OSError, WireError):
         return b""
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks: List[bytes] = []
-    remaining = count
-    while remaining > 0:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 def _decode(raw: bytes) -> Optional[Dict[str, Any]]:
-    if len(raw) <= _HEADER.size:
-        return None
     try:
-        payload = json.loads(raw[_HEADER.size:].decode("utf-8"))
-    except ValueError:
+        return decode_frame(raw)
+    except WireError:
         return None
-    return payload if isinstance(payload, dict) else None
+
+
+def _send_malformed(sock: socket.socket, data: bytes) -> None:
+    """The fault kit's one write that is not a frame."""
+    # lint: allow=X103 -- garbage and cut-off frames are the point
+    sock.sendall(data)
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +95,7 @@ def send_garbage(host: str, port: int,
     reply (``mix:protocol``), or None if it closed without one."""
     sock = open_raw(host, port, timeout_ms)
     try:
-        sock.sendall(data)
+        _send_malformed(sock, data)
         return _decode(recv_reply_bytes(sock))
     finally:
         sock.close()
@@ -123,7 +110,7 @@ def send_truncated_frame(host: str, port: int,
     truncation and kill only the offending session."""
     sock = open_raw(host, port, timeout_ms)
     try:
-        sock.sendall(_HEADER.pack(declared) + delivered)
+        _send_malformed(sock, declared.to_bytes(4, "big") + delivered)
     finally:
         sock.close()
 
@@ -134,12 +121,7 @@ def slow_loris(host: str, port: int,
     server's verdict.  Returns the typed ``mix:idle`` reply the
     server sends before killing the connection (or None if it just
     closed)."""
-    sock = open_raw(host, port, timeout_ms)
-    try:
-        sock.sendall(b"\x00\x00")  # half a length prefix, then nothing
-        return _decode(recv_reply_bytes(sock))
-    finally:
-        sock.close()
+    return send_garbage(host, port, b"\x00\x00", timeout_ms)
 
 
 def abrupt_disconnect(host: str, port: int, query: str,
@@ -151,11 +133,11 @@ def abrupt_disconnect(host: str, port: int, query: str,
     """
     sock = open_raw(host, port, timeout_ms)
     try:
-        send_frame_bytes(sock, {"op": "open", "query": query})
-        reply = _decode(recv_reply_bytes(sock))
+        reply, _, _ = exchange(sock, {"op": "open", "query": query},
+                               timeout_ms)
         session_id = str(reply.get("session")) if reply else ""
         # Half a fill frame, then a hard close.
-        sock.sendall(_HEADER.pack(64) + b'{"op":"fill"')
+        _send_malformed(sock, frame_bytes({"op": "fill", "hole": 1})[:16])
         # RST instead of FIN: the rudest possible exit.
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                         struct.pack("ii", 1, 0))
@@ -176,6 +158,7 @@ class StalledReader:
 
     def __init__(self, host: str, port: int,
                  timeout_ms: float = 5000.0) -> None:
+        self.timeout_ms = timeout_ms
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
         self.sock.settimeout(timeout_ms / 1000.0)
@@ -186,22 +169,18 @@ class StalledReader:
         frame: Dict[str, Any] = {"op": "open", "query": query}
         if chunk_size is not None:
             frame["chunk_size"] = chunk_size
-        send_frame_bytes(self.sock, frame)
-        return _decode(recv_reply_bytes(self.sock))
+        return exchange(self.sock, frame, self.timeout_ms)[0]
 
     def request_and_stall(self, hole: int) -> None:
         """Fire a fill and stop reading: the reply has nowhere to
         go once the kernel buffers fill."""
-        send_frame_bytes(self.sock, {"op": "fill", "hole": hole})
+        send_frame(self.sock, {"op": "fill", "hole": hole})
 
     def __enter__(self) -> "StalledReader":
         return self
 
     def __exit__(self, *exc: object) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        close_quietly(self.sock)
 
 
 # ----------------------------------------------------------------------
@@ -221,44 +200,27 @@ def scripted_session(host: str, port: int, query: str,
     """
     replies: List[bytes] = []
     sock = open_raw(host, port, timeout_ms)
+
+    def ask(request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """The ``ok`` reply to ``request``, its raw bytes kept."""
+        send_frame(sock, request)
+        replies.append(recv_reply_bytes(sock))
+        reply = _decode(replies[-1])
+        return reply if reply is not None and reply.get("ok") else None
+
     try:
-        send_frame_bytes(sock, {"op": "open", "query": query})
-        raw = recv_reply_bytes(sock)
-        replies.append(raw)
-        reply = _decode(raw)
-        if reply is None or not reply.get("ok"):
+        opened = ask({"op": "open", "query": query})
+        if opened is None:
             return replies
-        frontier: List[int] = [reply["root"]]
+        frontier: List[int] = [opened["root"]]
         for _ in range(fills):
             if not frontier:
                 break
-            hole = frontier.pop(0)
-            send_frame_bytes(sock, {"op": "fill", "hole": hole})
-            raw = recv_reply_bytes(sock)
-            replies.append(raw)
-            fill_reply = _decode(raw)
-            if fill_reply is None or not fill_reply.get("ok"):
+            filled = ask({"op": "fill", "hole": frontier.pop(0)})
+            if filled is None:
                 return replies
-            frontier.extend(_holes_of(fill_reply.get("fragments", [])))
-        send_frame_bytes(sock, {"op": "close"})
-        replies.append(recv_reply_bytes(sock))
+            frontier.extend(wire_holes(filled.get("fragments")))
+        ask({"op": "close"})
         return replies
     finally:
         sock.close()
-
-
-def _holes_of(fragments: Any) -> List[int]:
-    """Every hole id in a wire-shape fragment list, in order."""
-    holes: List[int] = []
-    stack: List[Any] = list(reversed(fragments
-                                     if isinstance(fragments, list)
-                                     else []))
-    while stack:
-        item = stack.pop()
-        if not isinstance(item, list) or not item:
-            continue
-        if item[0] == "h" and len(item) == 2:
-            holes.append(item[1])
-        elif item[0] == "e" and len(item) == 3:
-            stack.extend(reversed(item[2]))
-    return holes

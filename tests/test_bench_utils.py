@@ -123,3 +123,49 @@ class TestMeasureUtilities:
     def test_format_table_floats(self):
         table = format_table(["x"], [[1.23456]])
         assert "1.23" in table
+
+
+class TestLoadgenSurvivesABadPeer:
+    """A server that answers with something other than a frame costs
+    the load generator a session, never a worker thread."""
+
+    @pytest.mark.parametrize("answer", [
+        b"\x00\x00\x00\x04not-json",        # a frame of non-JSON
+        b"\x7f\xff\xff\xff",                # a 2 GiB length prefix
+        b'\x00\x00\x00\x0b{"ok":true}',     # ok, but no root hole
+    ], ids=["garbage", "oversized", "misshapen"])
+    def test_every_session_is_attempted(self, answer):
+        import socket
+        import threading
+
+        from repro.bench.loadgen import run_load
+
+        sessions = 4
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(sessions)
+        listener.settimeout(5.0)
+
+        def serve():
+            for _ in range(sessions):
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(5.0)
+                    conn.recv(4096)   # the open frame
+                    conn.sendall(answer)
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        try:
+            # One worker: if the first bad answer kills it, the other
+            # three sessions are never driven.
+            report = run_load(*listener.getsockname(), "any query",
+                              sessions=sessions, concurrency=1,
+                              timeout_ms=5000.0, correlate=False)
+        finally:
+            server.join(10.0)
+            listener.close()
+        assert not server.is_alive()
+        assert [o.error for o in report.outcomes] \
+            == ["protocol"] * sessions
+        assert report.failed == sessions and report.completed == 0

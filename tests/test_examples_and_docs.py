@@ -73,3 +73,63 @@ class TestDocsConsistency:
         import repro
         pyproject = _read("pyproject.toml")
         assert 'version = "%s"' % repro.__version__ in pyproject
+
+
+class TestWireProtocolTablesSync:
+    """PROTOCOLS.md's op, error-code and fault tables are renderings
+    of ``daemon.OPS``, ``wire.ERRORS`` and ``daemon.FAULTS``: every
+    declared row appears verbatim (up to its free-text last column)
+    and nothing undeclared is documented."""
+
+    @pytest.fixture(scope="class")
+    def section(self):
+        text = _read(os.path.join("docs", "PROTOCOLS.md"))
+        part = text.split("### Session lifecycle", 1)[1]
+        return part.split("\n### ", 1)[0]
+
+    @staticmethod
+    def _rows(section, header):
+        """The body rows of the table whose header line starts with
+        ``header``, each as its list of stripped cells."""
+        lines = section.split("\n")
+        start = next(i for i, line in enumerate(lines)
+                     if line.startswith(header))
+        rows = []
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            rows.append([cell.strip() for cell in line.split("|")[1:-1]])
+        return rows
+
+    def test_op_table_is_the_declared_op_set(self, section):
+        from repro.server.daemon import OPS
+        from repro.server.session import Session
+        documented = [(row[0], row[1])
+                      for row in self._rows(section, "| op |")]
+        assert documented == [
+            ("`%s`" % op, "session" if op in Session.OPS else "daemon")
+            for op in OPS]
+
+    def test_error_table_is_wire_errors(self, section):
+        from repro.server.wire import ERRORS
+        yes_no = {True: "yes", False: "no"}
+        documented = [row[:4] for row in self._rows(section, "| code |")]
+        assert documented == [
+            ["`%s`" % code, "`%s`" % spec.exception.__name__,
+             yes_no[spec.transient], yes_no[spec.killed]]
+            for code, spec in ERRORS.items()]
+
+    def test_fault_table_is_daemon_faults(self, section):
+        import socket
+        from repro.server.daemon import FAULTS
+
+        def cell(value):
+            return "`%s`" % value if value is not None else "—"
+
+        def name(exception):
+            return ("socket.timeout" if exception is socket.timeout
+                    else exception.__name__)
+
+        assert self._rows(section, "| phase |") == [
+            [phase, cell(name(exception)), cell(reason), cell(code)]
+            for phase, exception, reason, code, _ in FAULTS]

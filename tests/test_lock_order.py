@@ -104,6 +104,43 @@ class TestStaticLockOrder:
         assert graph.cycles() == []
         assert "L010" not in _codes(graph)
 
+    def test_fill_fans_out_to_lxp_servers_only(self, tmp_path):
+        """``self.server.fill`` reaches every class that speaks LXP
+        (answers ``get_root`` too), not every method named ``fill``."""
+        path = _toy(tmp_path, "seam.py", """\
+            from repro.runtime.locks import make_lock
+
+            class Wrapper:
+                def __init__(self):
+                    self.guard = make_lock("toy.wrapper")
+
+                def get_root(self):
+                    return None
+
+                def fill(self, hole_id):
+                    with self.guard:
+                        return []
+
+            class OpTable:
+                def __init__(self):
+                    self.guard = make_lock("toy.optable")
+
+                def fill(self, frame):
+                    with self.guard:
+                        return {}
+
+            class Buffer:
+                def __init__(self, server):
+                    self.server = server
+                    self.guard = make_lock("toy.buffer")
+
+                def demand(self, hole_id):
+                    with self.guard:
+                        return self.server.fill(hole_id)
+            """)
+        graph = analyze([path])
+        assert graph.edge_pairs() == {("toy.buffer", "toy.wrapper")}
+
     def test_blocking_call_under_lock_is_an_l011(self, tmp_path):
         path = _toy(tmp_path, "sleepy.py", """\
             import time
@@ -240,7 +277,7 @@ class TestRepoGraph:
         """The graph may shrink, never grow past its current size
         without someone editing this bound on purpose."""
         assert len(graph.locks) <= 23, sorted(graph.locks)
-        assert len(graph.edges) <= 21, sorted(graph.edges)
+        assert len(graph.edges) <= 20, sorted(graph.edges)
 
     def test_every_lock_bearing_module_is_covered(self, graph):
         expected = set()

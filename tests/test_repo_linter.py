@@ -179,12 +179,57 @@ class TestSocketTimeouts:
     def test_merely_using_a_passed_socket_is_fine(self, tmp_path):
         source = ("def recv_exact(sock, n):\n"
                   "    return sock.recv(n)\n")
-        assert _lint_source(tmp_path, source) == []
+        assert _lint_source(tmp_path, source,
+                            name="server/wire.py") == []
 
     def test_x102_honours_suppression(self, tmp_path):
         source = ("import socket\n"
                   "sock = socket.socket()  # lint: allow=X102\n")
         assert _lint_source(tmp_path, source) == []
+
+
+class TestRawFrameIO:
+    def test_sendall_and_recv_outside_wire_are_x103(self, tmp_path):
+        source = ("def ask(sock, data):\n"
+                  "    sock.sendall(data)\n"
+                  "    return sock.recv(4)\n")
+        assert _codes(_lint_source(tmp_path, source)) \
+            == ["X103", "X103"]
+
+    def test_length_prefix_struct_outside_wire_is_x103(self, tmp_path):
+        source = ("import struct\n"
+                  "HEADER = struct.Struct('>I')\n"
+                  "size = struct.pack('!I', 7)\n")
+        assert _codes(_lint_source(tmp_path, source)) \
+            == ["X103", "X103"]
+
+    def test_other_struct_formats_are_fine(self, tmp_path):
+        source = ("import struct\n"
+                  "linger = struct.pack('ii', 1, 0)\n")
+        assert _lint_source(tmp_path, source) == []
+
+    def test_wire_module_is_the_sanctioned_site(self, tmp_path):
+        source = ("import struct\n"
+                  "HEADER = struct.Struct('>I')\n"
+                  "def put(sock, body):\n"
+                  "    sock.sendall(HEADER.pack(len(body)) + body)\n")
+        assert _lint_source(tmp_path, source,
+                            name="server/wire.py") == []
+
+    def test_x103_is_an_error_and_honours_suppression(self, tmp_path):
+        assert lint_repro.CODES["X103"].severity == "error"
+        source = ("def garbage(sock):\n"
+                  "    # lint: allow=X103 -- malformed on purpose\n"
+                  "    sock.sendall(b'junk')\n")
+        assert _lint_source(tmp_path, source) == []
+
+    def test_the_fault_kit_holds_the_only_suppression(self):
+        holders = [path.relative_to(REPO).as_posix()
+                   for root in ("src", "benchmarks", "tools", "examples")
+                   for path in sorted((REPO / root).rglob("*.py"))
+                   if "allow=X103" in path.read_text()
+                   and path.parts[-2:] != ("lint", "rules.py")]
+        assert holders == ["src/repro/testing/transport.py"]
 
 
 class TestSuppression:

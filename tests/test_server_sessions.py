@@ -124,19 +124,6 @@ class TestLifecycle:
         finally:
             server.drain()
 
-    def test_first_frame_must_be_open(self):
-        server, host, port = make_server()
-        try:
-            sock = open_raw(host, port)
-            try:
-                send_frame_bytes(sock, {"op": "ping"})
-                reply = _decode(recv_reply_bytes(sock))
-                assert reply["error"] == "mix:protocol"
-            finally:
-                sock.close()
-        finally:
-            server.drain()
-
     def test_bad_query_is_typed_and_contained(self):
         server, host, port = make_server()
         try:
@@ -264,6 +251,76 @@ class TestTimeoutsAndBudgets:
                 wait_until(lambda: server.stats.snapshot()
                            ["stalled_kills"] == 1,
                            timeout_s=10.0, message="stalled kill")
+        finally:
+            server.drain()
+
+
+class TestClientSocketLifetime:
+    """A typed error reply must not strand the client's socket."""
+
+    @pytest.fixture
+    def client_sockets(self, monkeypatch):
+        created = []
+        real = socket.create_connection
+
+        def recording(*args, **kwargs):
+            created.append(real(*args, **kwargs))
+            return created[-1]
+
+        monkeypatch.setattr(socket, "create_connection", recording)
+        return created
+
+    def test_killed_session_abandons_the_channel(self, client_sockets):
+        server, host, port = make_server(
+            n_homes=8, serve_session_max_fills=1, chunk_size=2)
+        try:
+            # connect() spends the one budgeted fill on the root.
+            session = connect(host, port, QUERY)
+            with pytest.raises(ServerReplyError) as excinfo:
+                session.root.to_tree()
+            assert excinfo.value.code == "mix:budget"
+            assert session.channel.closed
+            assert [sock.fileno() for sock in client_sockets] == [-1]
+            session.close()  # idempotent on an abandoned channel
+        finally:
+            server.drain()
+
+    def test_failed_connect_closes_its_socket(self, client_sockets):
+        """The reproduction from the field: the root fill inside
+        connect() overruns a 1ms deadline, so no session ever
+        reaches the caller -- who therefore cannot close it."""
+        clock = FakeClock()
+
+        class Ticking(NavigableDocument):
+            def __init__(self, inner):
+                self.inner = inner
+
+            def root(self):
+                clock.advance(50.0)
+                return self.inner.root()
+
+            def down(self, pointer):
+                clock.advance(50.0)
+                return self.inner.down(pointer)
+
+            def right(self, pointer):
+                clock.advance(50.0)
+                return self.inner.right(pointer)
+
+            def fetch(self, pointer):
+                return self.inner.fetch(pointer)
+
+        mediator = MIXMediator(EngineConfig(
+            serve_port=0, serve_request_deadline_ms=1.0))
+        mediator.register_source("homesSrc", Ticking(
+            MaterializedDocument(homes_and_schools(6)["homesSrc"])))
+        server = MediatorServer(mediator, clock=clock)
+        host, port = server.start()
+        try:
+            with pytest.raises(ServerReplyError) as excinfo:
+                connect(host, port, QUERY)
+            assert excinfo.value.code == "mix:deadline"
+            assert [sock.fileno() for sock in client_sockets] == [-1]
         finally:
             server.drain()
 

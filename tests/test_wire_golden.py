@@ -83,9 +83,10 @@ def _costly_server(clock=None, boom=False, **overrides):
     return (server,) + tuple(server.start())
 
 
-def _dialogue(host, port, frames, raw_first=None):
+def _dialogue(host, port, frames, raw_first=None, then_eof=False):
     """Send ``frames`` in order on one connection; the raw reply to
-    each.  ``raw_first`` is written verbatim before anything else."""
+    each.  ``raw_first`` is written verbatim before anything else;
+    ``then_eof`` insists the daemon hangs up after the last reply."""
     replies = []
     sock = open_raw(host, port, timeout_ms=5000.0)
     try:
@@ -95,6 +96,11 @@ def _dialogue(host, port, frames, raw_first=None):
         for frame in frames:
             send_frame_bytes(sock, frame)
             replies.append(recv_reply_bytes(sock))
+        if then_eof:
+            try:
+                assert sock.recv(1) == b""
+            except ConnectionError:
+                pass  # hung up with our bytes unread: a reset
     finally:
         sock.close()
     return replies
@@ -132,8 +138,37 @@ def _scripted_session():
         server.drain()
 
 
-def _error_replies():
+#: the rows of the error table: every typed code, ``mix:protocol``
+#: three ways (tests/test_wire_tables.py runs one case per row)
+ERROR_ROWS = (
+    "mix:budget", "mix:busy", "mix:deadline", "mix:draining",
+    "mix:error", "mix:idle", "mix:protocol/first-frame",
+    "mix:protocol/garbage", "mix:protocol/oversized", "mix:query",
+)
+
+
+def _moved(server, before):
+    """The fault counters of ``server`` that moved since ``before``."""
+    after = server.stats.snapshot()
+    return {name: after[name] - before[name] for name in after
+            if after[name] != before[name]
+            and (name.endswith("_kills") or name == "query_rejects"
+                 or name.startswith("rejected_"))}
+
+
+def error_replies():
+    """Drive a daemon into every row of :data:`ERROR_ROWS`:
+    ``{row: (the raw error frame, the fault counters it moved)}``."""
     errors = {}
+
+    def provoke(row, server, *args, **kwargs):
+        before = server.stats.snapshot()
+        # An error frame is always its connection's last: what lets
+        # a client drop the socket on ``ErrorSpec.killed``.
+        replies = _dialogue(*server.address, *args, then_eof=True,
+                            **kwargs)
+        assert replies and replies[-1], row
+        errors[row] = (replies[-1], _moved(server, before))
 
     server, host, port = make_server(serve_max_sessions=1)
     try:
@@ -142,57 +177,52 @@ def _error_replies():
             send_frame_bytes(holder, _open_frame())
             assert _decode(recv_reply_bytes(holder))["ok"]
             # Busy: the refusal arrives unasked, on connect.
-            errors["mix:busy"] = _dialogue(host, port, [],
-                                           raw_first=b"")
-            # Draining: the idle holder is notified on drain().
+            provoke("mix:busy", server, [], raw_first=b"")
+            # Draining: the idle holder is notified on drain().  (Its
+            # handler counts ``drained`` once woken: not a fault.)
             server.drain()
-            errors["mix:draining"] = [recv_reply_bytes(holder)]
+            errors["mix:draining"] = (recv_reply_bytes(holder), {})
         finally:
             holder.close()
     finally:
         server.drain()
 
-    server, host, port = make_server(serve_max_frame_bytes=256,
-                                     serve_idle_timeout_ms=150.0)
+    server, _, _ = make_server(serve_max_frame_bytes=256,
+                               serve_idle_timeout_ms=150.0)
     try:
-        errors["mix:protocol/garbage"] = _dialogue(
-            host, port, [], raw_first=b"\x00\x00\x00\x04not-json")
-        errors["mix:protocol/oversized"] = _dialogue(
-            host, port, [], raw_first=b"\x7f\xff\xff\xff")
-        errors["mix:protocol/first-frame"] = _dialogue(
-            host, port, [{"op": "ping"}])
-        errors["mix:idle"] = _dialogue(
-            host, port, [], raw_first=b"\x00\x00")
-        errors["mix:query"] = _dialogue(
-            host, port, [_open_frame("this is not XMAS")])
+        provoke("mix:protocol/garbage", server, [],
+                raw_first=b"\x00\x00\x00\x04not-json")
+        provoke("mix:protocol/oversized", server, [],
+                raw_first=b"\x7f\xff\xff\xff")
+        provoke("mix:protocol/first-frame", server, [{"op": "ping"}])
+        provoke("mix:idle", server, [], raw_first=b"\x00\x00")
+        provoke("mix:query", server,
+                [_open_frame("this is not XMAS")])
     finally:
         server.drain()
 
-    server, host, port = make_server(n_homes=8, chunk_size=2,
-                                     serve_session_max_fills=1)
+    first_fill = [_open_frame(), {"op": "fill", "hole": 1}]
+    server, _, _ = make_server(n_homes=8, chunk_size=2,
+                               serve_session_max_fills=1)
     try:
-        errors["mix:budget"] = _dialogue(
-            host, port, [_open_frame(), {"op": "fill", "hole": 1},
-                         {"op": "fill", "hole": 1}])[-1:]
+        provoke("mix:budget", server,
+                first_fill + [{"op": "fill", "hole": 1}])
     finally:
         server.drain()
 
-    server, host, port = _costly_server(
-        clock=FakeClock(), serve_request_deadline_ms=120.0)
+    server, _, _ = _costly_server(clock=FakeClock(),
+                                  serve_request_deadline_ms=120.0)
     try:
-        errors["mix:deadline"] = _dialogue(
-            host, port, [_open_frame(),
-                         {"op": "fill", "hole": 1}])[-1:]
+        provoke("mix:deadline", server, first_fill)
     finally:
         server.drain()
 
-    server, host, port = _costly_server(boom=True)
+    server, _, _ = _costly_server(boom=True)
     try:
-        errors["mix:error"] = _dialogue(
-            host, port, [_open_frame(),
-                         {"op": "fill", "hole": 1}])[-1:]
+        provoke("mix:error", server, first_fill)
     finally:
         server.drain()
+    assert sorted(errors) == sorted(ERROR_ROWS)
     return errors
 
 
@@ -218,15 +248,14 @@ def _status_keys():
 
 
 def _observed():
-    errors = _error_replies()
-    for code, replies in errors.items():
-        assert len(replies) == 1 and replies[0], code
-        assert _decode(replies[0])["error"] == code.split("/")[0]
+    errors = error_replies()
+    for row, (raw, _) in errors.items():
+        assert _decode(raw)["error"] == row.split("/")[0]
     return {
         "session": [raw.decode("latin-1")
                     for raw in _scripted_session()],
-        "errors": {code: replies[0].decode("latin-1")
-                   for code, replies in sorted(errors.items())},
+        "errors": {row: raw.decode("latin-1")
+                   for row, (raw, _) in sorted(errors.items())},
         "status_keys": _status_keys(),
     }
 

@@ -5,7 +5,7 @@ Modules:
 * :mod:`tools.lint.findings` -- Finding, the CODES registry, and the
   ``# lint: allow=`` suppression engine (shared by every rule).
 * :mod:`tools.lint.rules` -- the per-file rules (L001, E001/E002,
-  E003, X100/X101/X102).
+  E003, X100-X103).
 * :mod:`tools.lint.symbols` -- the whole-program symbol/type model
   (classes, methods, lock declarations, annotation-driven type
   inference) the interprocedural pass runs on.

@@ -3,7 +3,7 @@
 Scoping: files under a ``src`` tree get the full rule set (L/E/X
 codes plus the interprocedural lock-order analysis); other roots
 (``benchmarks/``, ``tools/``, ``examples/``) get the hygiene rules
-only (X100/X101/X102) -- bench and example code has no lock
+only (X100-X103) -- bench and example code has no lock
 discipline or event-name contract to enforce, but a bare except or
 an untimed socket is just as wrong there.
 

@@ -39,6 +39,7 @@ CODES: Dict[str, CodeInfo] = {
     "X100": CodeInfo("warning", "bare-except"),
     "X101": CodeInfo("warning", "real-sleep"),
     "X102": CodeInfo("warning", "unbounded-socket"),
+    "X103": CodeInfo("error", "raw-frame-io"),
 }
 
 

@@ -565,6 +565,14 @@ class _FunctionScanner(ast.NodeVisitor):
             if seamy:
                 matches = self.analyzer.methods_by_name.get(
                     func.attr, [])
+                if func.attr in _FILL_METHODS:
+                    # an LXP server also answers get_root; a class
+                    # with a same-named fill (the daemon's Session
+                    # op table) is not on this seam
+                    matches = [
+                        m for m in matches
+                        if m.cls and program.resolve_method(
+                            {m.cls}, "get_root")]
                 seen = {t.qname for t in resolved}
                 resolved = list(resolved) + [
                     m for m in matches if m.qname not in seen]

@@ -1,4 +1,4 @@
-"""Per-file linter rules: L001, E001/E002, E003, X100/X101, X102.
+"""Per-file linter rules: L001, E001/E002, E003, X100/X101, X102, X103.
 
 These are the single-file checks (one AST at a time); the
 interprocedural lock rules (L002/L010/L011/L012) live in
@@ -51,6 +51,16 @@ X102  unbounded-socket
     (``socket.socket(...)``) or accepts connections (``.accept()``)
     without ever calling ``.settimeout(...)`` /
     ``socket.setdefaulttimeout(...)``.
+
+X103  raw-frame-io
+    ``repro/server/wire.py`` is the only module that writes or reads
+    an LXP frame.  Flagged anywhere else: a ``struct`` call with the
+    length-prefix format (``">I"`` / ``"!I"``), and ``.sendall(...)``
+    / ``.recv(...)`` / ``.recv_into(...)`` on anything -- speak
+    through ``send_frame`` / ``recv_frame`` / ``exchange`` instead, so
+    the frame cap, the truncation taxonomy and the error table apply.
+    The transport fault kit's deliberately malformed write carries
+    the one suppression.
 """
 
 from __future__ import annotations
@@ -70,6 +80,11 @@ _MUTATOR_METHODS = frozenset({
 
 #: The one file allowed to call ``time.sleep`` (the real clock).
 _SLEEP_ALLOWED = ("runtime", "resilience.py")
+
+#: the one module allowed to touch frame bytes (X103)
+_FRAME_IO_ALLOWED = ("server", "wire.py")
+_LENGTH_PREFIX_FORMATS = frozenset({">I", "!I"})
+_RAW_SOCKET_IO = frozenset({"sendall", "recv", "recv_into"})
 
 #: Named-lock factory functions (``repro.runtime.locks``).
 _LOCK_FACTORIES = frozenset({"make_lock", "make_rlock"})
@@ -431,6 +446,35 @@ def _check_socket_timeouts(path: Path, tree: ast.Module
 
 
 # ----------------------------------------------------------------------
+# X103: frame bytes outside server/wire.py
+# ----------------------------------------------------------------------
+
+def _check_raw_frame_io(path: Path, tree: ast.Module) -> List[Finding]:
+    if path.parts[-2:] == _FRAME_IO_ALLOWED:
+        return []
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if isinstance(func.value, ast.Name) \
+                and func.value.id == "struct" and node.args \
+                and isinstance(node.args[0], ast.Constant) \
+                and node.args[0].value in _LENGTH_PREFIX_FORMATS:
+            findings.append(Finding(
+                path, node.lineno, "X103",
+                "struct length-prefix framing outside server/wire.py "
+                "(use frame_bytes / recv_frame_bytes)"))
+        elif func.attr in _RAW_SOCKET_IO:
+            findings.append(Finding(
+                path, node.lineno, "X103",
+                ".%s() outside server/wire.py (use send_frame / "
+                "recv_frame / exchange)" % func.attr))
+    return findings
+
+
+# ----------------------------------------------------------------------
 # file drivers
 # ----------------------------------------------------------------------
 
@@ -461,16 +505,18 @@ def lint_file(path: Path, event_names: Dict[str, Dict[str, tuple]]
                 + _check_event_names(path, tree, event_names)
                 + _check_metric_labels(path, tree)
                 + _check_hygiene(path, tree)
-                + _check_socket_timeouts(path, tree))
+                + _check_socket_timeouts(path, tree)
+                + _check_raw_frame_io(path, tree))
     return apply_suppressions(findings, source.splitlines())
 
 
 def lint_file_hygiene(path: Path) -> List[Finding]:
-    """Hygiene-only rules (X100/X101/X102) -- the subset applied to
+    """Hygiene-only rules (X100-X103) -- the subset applied to
     ``benchmarks/``, ``tools/`` and ``examples/``, which are not part
     of the traced runtime but still open sockets and sleep."""
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
     findings = (_check_hygiene(path, tree)
-                + _check_socket_timeouts(path, tree))
+                + _check_socket_timeouts(path, tree)
+                + _check_raw_frame_io(path, tree))
     return apply_suppressions(findings, source.splitlines())
