@@ -9,8 +9,9 @@ which is what the zip-code join of the running example does.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, Set, Tuple, Union
 
 from ..xtree.tree import Tree
 from .bindings import Binding, value_text
@@ -18,7 +19,10 @@ from .bindings import Binding, value_text
 __all__ = ["Predicate", "Comparison", "And", "Or", "Not", "TruePredicate",
            "Var", "Const", "compare_values"]
 
-_OPS = ("=", "!=", "<", "<=", ">", ">=")
+#: ``getter(env) -> text`` and ``test(env) -> verdict``: the two
+#: closure shapes of a compiled predicate (see :meth:`Predicate.compile`)
+Getter = Callable[[Any], str]
+Test = Callable[[Any], bool]
 
 
 @dataclass(frozen=True)
@@ -44,30 +48,40 @@ class Const:
 Operand = Union[Var, Const]
 
 
-def _coerce_pair(left: str, right: str) -> Tuple:
-    """Numeric comparison when both sides parse as numbers."""
-    try:
-        return float(left), float(right)
-    except (TypeError, ValueError):
-        return left, right
+def _weakly_typed(test: Callable[[Any, Any], bool]
+                  ) -> Callable[[str, str], bool]:
+    """``test`` over two texts: as numbers when both parse as
+    numbers, else as strings."""
+
+    def compare(left: str, right: str) -> bool:
+        try:
+            left_number, right_number = float(left), float(right)
+        except (TypeError, ValueError):
+            return test(left, right)
+        return test(left_number, right_number)
+
+    return compare
+
+
+#: operator -> its weakly typed comparison of two texts
+_COMPARATORS: Dict[str, Callable[[str, str], bool]] = {
+    "=": _weakly_typed(operator.eq),
+    "!=": _weakly_typed(operator.ne),
+    "<": _weakly_typed(operator.lt),
+    "<=": _weakly_typed(operator.le),
+    ">": _weakly_typed(operator.gt),
+    ">=": _weakly_typed(operator.ge),
+}
 
 
 def compare_values(left: str, op: str, right: str) -> bool:
     """Apply ``op`` to two string values with numeric awareness."""
-    lv, rv = _coerce_pair(left, right)
-    if op == "=":
-        return lv == rv
-    if op == "!=":
-        return lv != rv
-    if op == "<":
-        return lv < rv
-    if op == "<=":
-        return lv <= rv
-    if op == ">":
-        return lv > rv
-    if op == ">=":
-        return lv >= rv
-    raise ValueError("unknown comparison operator %r" % op)
+    try:
+        compare = _COMPARATORS[op]
+    except KeyError:
+        raise ValueError(
+            "unknown comparison operator %r" % op) from None
+    return compare(left, right)
 
 
 class Predicate:
@@ -81,6 +95,23 @@ class Predicate:
         """Evaluate against an eager binding."""
         return self.evaluate(lambda var: value_text(binding.value(var)))
 
+    def compile(self, getter_of: Callable[[str], Getter]) -> Test:
+        """Lower the predicate tree, once, into one closure
+        ``test(env) -> bool`` -- what the lazy ``select`` and ``join``
+        run per candidate binding.
+
+        ``getter_of(var)`` is asked once per *mention* of a variable
+        and returns ``getter(env) -> text``; ``env`` is whatever the
+        caller's getters read (an input binding id, a pair of them).
+        ``test(env)`` calls the getters exactly as :meth:`evaluate`
+        calls ``lookup`` -- same order, same short-circuits, same
+        number of calls per variable, because under a lazy operator
+        every call costs source navigations.  What it no longer does
+        per binding is walk the tree, test operand types, stringify
+        constants or look the comparator up.
+        """
+        raise NotImplementedError
+
     def variables(self) -> Set[str]:
         """All variables mentioned (for analysis and rewriting)."""
         raise NotImplementedError
@@ -93,7 +124,7 @@ class Comparison(Predicate):
     right: Operand
 
     def __post_init__(self):
-        if self.op not in _OPS:
+        if self.op not in _COMPARATORS:
             raise ValueError("unknown comparison operator %r" % self.op)
 
     def evaluate(self, lookup):
@@ -102,6 +133,22 @@ class Comparison(Predicate):
         right = (lookup(self.right.name) if isinstance(self.right, Var)
                  else str(self.right.value))
         return compare_values(left, self.op, right)
+
+    def compile(self, getter_of):
+        compare = _COMPARATORS[self.op]
+        left, right = self.left, self.right
+        if isinstance(left, Var) and isinstance(right, Var):
+            get_left = getter_of(left.name)
+            get_right = getter_of(right.name)
+            return lambda env: compare(get_left(env), get_right(env))
+        if isinstance(left, Var):
+            get_left, right_text = getter_of(left.name), str(right.value)
+            return lambda env: compare(get_left(env), right_text)
+        if isinstance(right, Var):
+            left_text, get_right = str(left.value), getter_of(right.name)
+            return lambda env: compare(left_text, get_right(env))
+        verdict = compare(str(left.value), str(right.value))
+        return lambda env: verdict
 
     def variables(self):
         names = set()
@@ -122,6 +169,17 @@ class And(Predicate):
     def evaluate(self, lookup):
         return all(p.evaluate(lookup) for p in self.parts)
 
+    def compile(self, getter_of):
+        tests = tuple(p.compile(getter_of) for p in self.parts)
+
+        def conjunction(env):
+            for test in tests:
+                if not test(env):
+                    return False
+            return True
+
+        return conjunction
+
     def variables(self):
         names: Set[str] = set()
         for part in self.parts:
@@ -138,6 +196,17 @@ class Or(Predicate):
 
     def evaluate(self, lookup):
         return any(p.evaluate(lookup) for p in self.parts)
+
+    def compile(self, getter_of):
+        tests = tuple(p.compile(getter_of) for p in self.parts)
+
+        def disjunction(env):
+            for test in tests:
+                if test(env):
+                    return True
+            return False
+
+        return disjunction
 
     def variables(self):
         names: Set[str] = set()
@@ -156,6 +225,10 @@ class Not(Predicate):
     def evaluate(self, lookup):
         return not self.inner.evaluate(lookup)
 
+    def compile(self, getter_of):
+        inner = self.inner.compile(getter_of)
+        return lambda env: not inner(env)
+
     def variables(self):
         return self.inner.variables()
 
@@ -169,6 +242,9 @@ class TruePredicate(Predicate):
 
     def evaluate(self, lookup):
         return True
+
+    def compile(self, getter_of):
+        return lambda env: True
 
     def variables(self):
         return set()

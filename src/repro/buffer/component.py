@@ -176,37 +176,68 @@ class BufferComponent(NavigableDocument):
                 self._root = root
             return self._root
 
+    # ``down`` and ``right`` answer from the open tree as it stands
+    # when the adjacent node is an element (or there is none): that is
+    # a hit, settled without entering the chase.  Only a hole in the
+    # way starts the chase -- and the fills it makes.
     def down(self, pointer: OpenElem) -> Optional[OpenElem]:
         with self._lock:
-            self.stats.navigations += 1
-            before = self.stats.fills
+            stats = self.stats
+            stats.navigations += 1
+            children = pointer.children
+            if not children:
+                stats.hits += 1
+                return None
+            node = children[0]
+            if isinstance(node, OpenElem):
+                stats.hits += 1
+                return node
             # demand fills run under the open-tree lock by
             # design; see BLOCKING_HOLD_ALLOWED
             # lint: allow=L011,L012
-            result = self._chase_elem_at(pointer, 0)
-            if self.stats.fills == before:
-                self.stats.hits += 1
-            return result
+            return self._chase_counted(pointer, 0)
 
     def right(self, pointer: OpenElem) -> Optional[OpenElem]:
         with self._lock:
-            self.stats.navigations += 1
-            before = self.stats.fills
+            stats = self.stats
+            stats.navigations += 1
             parent = pointer.parent
             if parent is None or parent is self._top:
                 # The root element has no siblings (the wrapper exports
                 # a single root; trailing holes beside it are not
                 # chased).
-                self.stats.hits += 1
+                stats.hits += 1
                 return None
-            index = pointer.index_in_parent()
-            # demand fills run under the open-tree lock by
-            # design; see BLOCKING_HOLD_ALLOWED
-            # lint: allow=L011,L012
-            result = self._chase_elem_at(parent, index + 1)
-            if self.stats.fills == before:
-                self.stats.hits += 1
-            return result
+            siblings = parent.children
+            index = pointer.index_in_parent() + 1
+            if index >= len(siblings):
+                stats.hits += 1
+                return None
+            node = siblings[index]
+            if isinstance(node, OpenElem):
+                stats.hits += 1
+            else:
+                # demand fills run under the open-tree lock by
+                # design; see BLOCKING_HOLD_ALLOWED
+                # lint: allow=L011,L012
+                node = self._chase_counted(parent, index)
+                if node is None:
+                    return None
+            # The chase refills in place, so the sibling sits at
+            # ``index`` either way: a forward scan keeps every hint it
+            # will use next exact, whatever was spliced meanwhile.
+            node.pos = index
+            return node
+
+    def _chase_counted(self, parent: OpenElem,
+                       index: int) -> Optional[OpenElem]:
+        """:meth:`_chase_elem_at` for a navigation (the caller holds
+        the lock): still a hit when the chase made no fill."""
+        before = self.stats.fills
+        result = self._chase_elem_at(parent, index)
+        if self.stats.fills == before:
+            self.stats.hits += 1
+        return result
 
     def fetch(self, pointer: OpenElem) -> str:
         # Labels always travel with their elements: a fetch never

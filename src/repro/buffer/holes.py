@@ -147,17 +147,29 @@ def fragment_wire_size(fragment: Fragment) -> int:
 class OpenElem:
     """An element of the buffer's open tree.  Identity == pointer."""
 
-    __slots__ = ("label", "children", "parent")
+    __slots__ = ("label", "children", "parent", "pos")
 
     def __init__(self, label: str, parent: Optional["OpenElem"] = None):
         self.label = label
         self.children: List[Union[OpenElem, OpenHole]] = []
         self.parent = parent
+        #: where this node sat in ``parent.children`` when it was last
+        #: located -- a hint, not a fact: a splice to its left moves
+        #: the node without telling it
+        self.pos = 0
 
     def index_in_parent(self) -> int:
-        # Child lists are short relative to fill granularity; a linear
-        # scan keeps splicing simple and correct.
-        return self.parent.children.index(self)
+        """This node's index in its parent's child list.
+
+        Child lists run to thousands of siblings (a table's rows), so
+        the hint is tried first; only a node that a splice has moved
+        pays the linear search, once, and remembers the answer.
+        """
+        siblings = self.parent.children
+        pos = self.pos
+        if pos >= len(siblings) or siblings[pos] is not self:
+            pos = self.pos = siblings.index(self)
+        return pos
 
     def __repr__(self) -> str:
         return "OpenElem(%s, %d children)" % (self.label,
@@ -184,7 +196,9 @@ def graft(fragment: Fragment,
     if isinstance(fragment, FragHole):
         return OpenHole(fragment.hole_id, parent)
     node = OpenElem(fragment.label, parent)
-    node.children = [graft(c, node) for c in fragment.children]
+    children = node.children
+    for child in fragment.children:
+        children.append(graft(child, node))
     return node
 
 

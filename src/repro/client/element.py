@@ -127,7 +127,12 @@ class XMLElement:
     def to_tree(self) -> Tree:
         """Materialize this element into an in-memory Tree (forces the
         whole subtree -- exactly what lazy clients avoid)."""
-        return Tree(self.tag, [c.to_tree() for c in self.children()])
+        subtrees = []
+        child = self.first_child()
+        while child is not None:
+            subtrees.append(child.to_tree())
+            child = child.right()
+        return Tree(self.tag, subtrees)
 
     def __repr__(self) -> str:
         return "<XMLElement %s>" % self.tag

@@ -70,11 +70,9 @@ class LazyOperator:
     def __init__(self, context: Optional[ExecutionContext] = None):
         self.ctx = (context if context is not None
                     else ExecutionContext.create())
-
-    @property
-    def cache_enabled(self) -> bool:
-        """Whether the paper's operator caches are on (from config)."""
-        return self.ctx.config.cache_enabled
+        #: whether the paper's operator caches are on -- read from the
+        #: (frozen) config once, not per navigation
+        self.cache_enabled: bool = self.ctx.config.cache_enabled
 
     # -- binding-level navigation ----------------------------------------
     def first_binding(self) -> Optional[BindingId]:

@@ -64,11 +64,8 @@ class LazyGetDescendants(LazyOperator):
         # both are pure memos over structured ids, hence evictable.
         self._first_cache = self.ctx.caches.cache("getDescendants.first")
         self._next_cache = self.ctx.caches.cache("getDescendants.next")
-
-    @property
-    def use_sigma(self) -> bool:
-        """Whether sibling scans may become select(sigma) pushdowns."""
-        return self.ctx.config.use_sigma
+        #: whether sibling scans may become select(sigma) pushdowns
+        self.use_sigma: bool = self.ctx.config.use_sigma
 
     # -- bindings ----------------------------------------------------------
     def first_binding(self):
@@ -112,30 +109,32 @@ class LazyGetDescendants(LazyOperator):
 
     def _scan_level(self, stack: Stack, vid, states) -> Optional[Stack]:
         """First match at or below the sibling list starting at ``vid``."""
+        nfa, child = self.nfa, self.child
         sigma_labels = None
         if self.use_sigma:
-            sigma_labels = self.nfa.progress_labels(states)
+            sigma_labels = nfa.progress_labels(states)
             if sigma_labels is not None and not sigma_labels:
                 return None  # no label can advance this frontier
+        fetch, step, right = child.v_fetch, nfa.step, child.v_right
         while vid is not None:
-            label = self.child.v_fetch(vid)
-            after = self.nfa.step(states, label)
-            if self.nfa.is_alive(after):
+            after = step(states, fetch(vid))
+            if after:  # nfa.is_alive
                 frame = (vid, states, after)
-                if self.nfa.is_accepting(after):
+                if nfa.is_accepting(after):
                     return stack + (frame,)
-                deeper = self._first_in_subtree(
-                    stack + (frame,), vid, after)
+                deeper = self._scan_level(
+                    stack + (frame,), child.v_down(vid), after)
                 if deeper is not None:
                     return deeper
-            vid = self._advance_sibling(vid, sigma_labels)
+            if sigma_labels is None:
+                vid = right(vid)
+            else:
+                vid = self._select_sibling(vid, sigma_labels)
         return None
 
-    def _advance_sibling(self, vid, sigma_labels):
-        """Next sibling worth looking at: one select(sigma) command
-        when the viable labels are concrete, else a plain right."""
-        if sigma_labels is None:
-            return self.child.v_right(vid)
+    def _select_sibling(self, vid, sigma_labels):
+        """Next sibling worth looking at when the viable labels are
+        concrete: one select(sigma) command."""
         if len(sigma_labels) == 1:
             return self.child.v_select(vid, next(iter(sigma_labels)))
         wanted = sigma_labels
@@ -159,11 +158,10 @@ class LazyGetDescendants(LazyOperator):
 
     # -- attributes -------------------------------------------------------
     def attribute(self, binding, var):
-        self._check_var(var)
-        _, ib, stack = binding
         if var == self.out_var:
-            return ("mroot", stack[-1][0])
-        return ("sub", self.child.attribute(ib, var))
+            return ("mroot", binding[2][-1][0])
+        self._check_var(var)
+        return ("sub", self.child.attribute(binding[1], var))
 
     # -- values -----------------------------------------------------------
     def v_down(self, value):

@@ -70,14 +70,6 @@ class LazyGroupBy(LazyOperator):
             for var in self.group_vars
         )
 
-    def _key_at(self, pos: int) -> Hashable:
-        key = self._keys.get(pos, MISS)
-        if key is not MISS:
-            return key
-        key = self._compute_key(self._scanned[pos])
-        self._keys.put(pos, key)
-        return key
-
     def _scan_one(self) -> bool:
         """Advance the global input scan by one binding; register any
         newly discovered group.  Returns False at exhaustion."""
@@ -144,16 +136,24 @@ class LazyGroupBy(LazyOperator):
                          from_pos: int) -> Optional[int]:
         """First scan position >= from_pos whose key equals the group's
         key (scanning further input on demand)."""
-        if self.group_vars and group_index >= len(self._group_keys):
+        keyed = bool(self.group_vars)
+        if keyed and group_index >= len(self._group_keys):
             return None
         key = (self._group_keys[group_index]
                if group_index < len(self._group_keys) else None)
+        scanned, memo = self._scanned, self._keys
         pos = from_pos
         while True:
-            while pos >= len(self._scanned):
+            while pos >= len(scanned):
                 if not self._scan_one():
                     return None
-            if not self.group_vars or self._key_at(pos) == key:
+            if not keyed:
+                return pos  # groupBy{}: every binding is a member
+            here = memo.get(pos, MISS)
+            if here is MISS:
+                here = self._compute_key(scanned[pos])
+                memo.put(pos, here)
+            if here == key:
                 return pos
             pos += 1
 

@@ -11,7 +11,7 @@ texts, so re-scans stop costing source navigations once warmed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..algebra.predicates import Predicate
 from ..runtime.cache import MISS
@@ -38,7 +38,6 @@ class LazyJoin(LazyOperator):
                             % sorted(overlap))
         self.variables = left.variables + right.variables
         self._left_vars = set(left.variables)
-        self._pred_vars = predicate.variables()
         #: inner cache (paper footnote 9): position -> right binding id,
         #: and (position, var) -> join-attribute text.  Both are memos
         #: over stable scan positions -- evicted entries are re-derived
@@ -50,6 +49,10 @@ class LazyJoin(LazyOperator):
         #: trusted while caching is on -- the cache-off ablation mode
         #: re-pays the full discovery walk, as before)
         self._inner_len: Optional[int] = None
+        #: the predicate, lowered once: ``test((lb, right_index,
+        #: memo))`` over text getters that already know which side
+        #: holds their variable
+        self._test = predicate.compile(self._getter)
 
     # -- inner-side access (cached) ----------------------------------------
     def _inner_binding(self, index: int):
@@ -64,12 +67,16 @@ class LazyJoin(LazyOperator):
         underlying source navigations -- the cost the paper's inner
         cache exists to avoid.
         """
-        if self.cache_enabled and self._inner_len is not None \
-                and index >= self._inner_len:
+        if self._inner_len is not None and index >= self._inner_len:
             return None
         rb = self._inner_bindings.get(index, MISS)
         if rb is not MISS:
             return rb
+        return self._walk_inner_to(index)
+
+    def _walk_inner_to(self, index: int):
+        """:meth:`_inner_binding` past its memo: walk the inner side
+        forward to ``index``, memoizing every position crossed."""
         # Resume from the nearest cached predecessor position.
         position = index - 1
         rb = MISS
@@ -96,37 +103,59 @@ class LazyJoin(LazyOperator):
             self._inner_bindings.put(position, rb)
         return rb
 
-    def _right_text(self, index: int, var: str) -> str:
-        text = self._inner_texts.get((index, var), MISS)
-        if text is not MISS:
+    # -- the join condition ------------------------------------------------
+    # One test's ``env`` is ``(lb, right_index, memo)``; ``memo`` holds
+    # the left texts already read during *this* test, so a left
+    # variable mentioned twice is navigated once per test (and again
+    # for the next inner position: the texts are not kept across
+    # tests).
+    def _getter(self, var: str):
+        if var in self._left_vars:
+            return self._left_getter(var)
+        return self._right_getter(var)
+
+    def _left_getter(self, var: str):
+        left, attribute = self.left, self.left.attribute
+
+        def left_text(env) -> str:
+            memo = env[2]
+            text = memo.get(var)
+            if text is None:
+                text = memo[var] = value_text_of(
+                    left, attribute(env[0], var))
             return text
-        rb = self._inner_binding(index)
-        text = value_text_of(self.right,
-                             self.right.attribute(rb, var))
-        self._inner_texts.put((index, var), text)
-        return text
+
+        return left_text
+
+    def _right_getter(self, var: str):
+        right, attribute = self.right, self.right.attribute
+        texts = self._inner_texts
+
+        def right_text(env) -> str:
+            key = (env[1], var)
+            text = texts.get(key, MISS)
+            if text is MISS:
+                rb = self._inner_binding(env[1])
+                text = value_text_of(right, attribute(rb, var))
+                texts.put(key, text)
+            return text
+
+        return right_text
 
     # -- the nested loop -----------------------------------------------------
-    def _matches(self, lb, right_index: int) -> bool:
-        left_texts: Dict[str, str] = {}
-
-        def lookup(var: str) -> str:
-            if var in self._left_vars:
-                if var not in left_texts:
-                    left_texts[var] = value_text_of(
-                        self.left, self.left.attribute(lb, var))
-                return left_texts[var]
-            return self._right_text(right_index, var)
-
-        return self.predicate.evaluate(lookup)
-
     def _scan(self, lb, right_index: int):
         """First output at/after (lb, right_index), left-major."""
+        probe, test = self._inner_bindings.get, self._test
         while lb is not None:
             while True:
-                if self._inner_binding(right_index) is None:
+                # _inner_binding(right_index), its memo hit inline
+                if self._inner_len is not None \
+                        and right_index >= self._inner_len:
                     break
-                if self._matches(lb, right_index):
+                if probe(right_index, MISS) is MISS \
+                        and self._walk_inner_to(right_index) is None:
+                    break
+                if test((lb, right_index, {})):
                     return ("b", lb, right_index)
                 right_index += 1
             lb = self.left.next_binding(lb)
@@ -160,20 +189,24 @@ class LazyJoin(LazyOperator):
         rb = self._inner_binding(right_index)
         return ("R", self.right.attribute(rb, var))
 
-    def _side(self, value):
-        return self.left if value[0] == "L" else self.right
-
+    # A value id is (side, the side's own value id).
     def v_down(self, value):
-        child = self._side(value).v_down(value[1])
-        return (value[0], child) if child is not None else None
+        side, inner = value
+        child = (self.left if side == "L" else self.right).v_down(inner)
+        return (side, child) if child is not None else None
 
     def v_right(self, value):
-        sibling = self._side(value).v_right(value[1])
-        return (value[0], sibling) if sibling is not None else None
+        side, inner = value
+        sibling = (self.left if side == "L"
+                   else self.right).v_right(inner)
+        return (side, sibling) if sibling is not None else None
 
     def v_fetch(self, value):
-        return self._side(value).v_fetch(value[1])
+        side, inner = value
+        return (self.left if side == "L" else self.right).v_fetch(inner)
 
     def v_select(self, value, predicate):
-        found = self._side(value).v_select(value[1], predicate)
-        return (value[0], found) if found is not None else None
+        side, inner = value
+        found = (self.left if side == "L"
+                 else self.right).v_select(inner, predicate)
+        return (side, found) if found is not None else None

@@ -35,15 +35,18 @@ class LazySelect(LazyOperator):
         self.predicate = predicate
         self.variables = list(child.variables)
         self._verdicts = self.ctx.caches.cache("select.verdicts")
+        #: the predicate, lowered once: ``test(ib)``
+        self._test = predicate.compile(self._getter)
+
+    def _getter(self, var: str):
+        child, attribute = self.child, self.child.attribute
+        return lambda ib: value_text_of(child, attribute(ib, var))
 
     def _holds(self, ib) -> bool:
         verdict = self._verdicts.get(ib, MISS)
         if verdict is not MISS:
             return verdict
-        verdict = self.predicate.evaluate(
-            lambda var: value_text_of(
-                self.child, self.child.attribute(ib, var))
-        )
+        verdict = self._test(ib)
         self._verdicts.put(ib, verdict)
         return verdict
 

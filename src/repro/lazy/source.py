@@ -27,6 +27,11 @@ class LazySource(LazyOperator):
         self.document = document
         self.out_var = out_var
         self.variables = [out_var]
+        # The three per-step commands, bound once: every navigation
+        # of the query ends in one of these calls.
+        self._down = document.down
+        self._right = document.right
+        self._fetch = document.fetch
 
     # -- bindings ----------------------------------------------------------
     def first_binding(self):
@@ -41,19 +46,17 @@ class LazySource(LazyOperator):
 
     # -- values --------------------------------------------------------------
     def v_down(self, value):
-        _, pointer, _is_root = value
-        child = self.document.down(pointer)
+        child = self._down(value[1])
         return ("v", child, False) if child is not None else None
 
     def v_right(self, value):
-        _, pointer, is_root = value
-        if is_root:
+        if value[2]:
             return None
-        sibling = self.document.right(pointer)
+        sibling = self._right(value[1])
         return ("v", sibling, False) if sibling is not None else None
 
     def v_fetch(self, value):
-        return self.document.fetch(value[1])
+        return self._fetch(value[1])
 
     def v_select(self, value, predicate):
         _, pointer, is_root = value

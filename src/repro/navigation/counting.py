@@ -81,11 +81,6 @@ class CountingDocument(NavigableDocument):
         #: Re-entrant because a tracer callback may itself navigate.
         self._lock = make_rlock("source.meter")
 
-    def _note_locked(self, command: str, pointer) -> None:
-        """Record the command in the log; the caller holds the lock."""
-        if self.log:
-            self.trace.append((command, pointer))
-
     def _publish(self, command: str) -> None:
         """Tracer/metrics fan-out -- called *outside* the meter lock.
 
@@ -107,38 +102,68 @@ class CountingDocument(NavigableDocument):
         # returns it without source access.
         return self.inner.root()
 
+    # Each command is one lock section (bump the counter; append to
+    # the log when logging) and then, only when a live tracer or an
+    # enabled metrics registry is listening -- either can be switched
+    # on mid-query, so that is asked per command -- the fan-out.
     def down(self, pointer):
         with self._lock:
             self.counters.down += 1
-            self._note_locked("d", pointer)
-        self._publish("d")
+            if self.log:
+                self.trace.append(("d", pointer))
+        tracer, metrics = self.tracer, self.metrics
+        if (tracer is not None and tracer.active) \
+                or (metrics is not None and metrics.enabled):
+            self._publish("d")
         return self.inner.down(pointer)
 
     def right(self, pointer):
         with self._lock:
             self.counters.right += 1
-            self._note_locked("r", pointer)
-        self._publish("r")
+            if self.log:
+                self.trace.append(("r", pointer))
+        tracer, metrics = self.tracer, self.metrics
+        if (tracer is not None and tracer.active) \
+                or (metrics is not None and metrics.enabled):
+            self._publish("r")
         return self.inner.right(pointer)
 
     def fetch(self, pointer) -> str:
         with self._lock:
             self.counters.fetch += 1
-            self._note_locked("f", pointer)
-        self._publish("f")
+            if self.log:
+                self.trace.append(("f", pointer))
+        tracer, metrics = self.tracer, self.metrics
+        if (tracer is not None and tracer.active) \
+                or (metrics is not None and metrics.enabled):
+            self._publish("f")
         return self.inner.fetch(pointer)
 
     def select(self, pointer, predicate: LabelPredicate):
         with self._lock:
             self.counters.select += 1
-            self._note_locked("select", pointer)
-        self._publish("select")
+            if self.log:
+                self.trace.append(("select", pointer))
+        tracer, metrics = self.tracer, self.metrics
+        if (tracer is not None and tracer.active) \
+                or (metrics is not None and metrics.enabled):
+            self._publish("select")
         return self.inner.select(pointer, predicate)
 
     # -- measurement helpers ----------------------------------------------
     def reset(self) -> None:
-        self.counters.reset()
-        self.trace.clear()
+        # Under the meter, like every other write to the counters and
+        # the log.  Spelled out (fields zeroed by name, the log cut by
+        # slice) because the lock analyzer resolves ``.reset()`` and
+        # ``.clear()`` by name, across every class that has one: the
+        # generic calls would put ``runtime.counters`` and
+        # ``fragcache.shard`` under ``source.meter`` in the order
+        # graph.
+        with self._lock:
+            counters = self.counters
+            counters.down = counters.right = 0
+            counters.fetch = counters.select = 0
+            del self.trace[:]
 
     @property
     def total(self) -> int:

@@ -42,8 +42,13 @@ class MaterializedDocument(NavigableDocument):
     def root(self) -> TreePointer:
         return ()
 
+    # Commands land on pointers this document handed out (hence
+    # resolved) nearly always: each probes the pointer cache inline and
+    # falls back to the walk only on a miss.
     def down(self, pointer: TreePointer) -> Optional[TreePointer]:
-        node = self.node_at(pointer)
+        node = self._nodes.get(pointer)
+        if node is None:
+            node = self.node_at(pointer)
         if node.is_leaf:
             return None
         return pointer + (0,)
@@ -51,11 +56,16 @@ class MaterializedDocument(NavigableDocument):
     def right(self, pointer: TreePointer) -> Optional[TreePointer]:
         if not pointer:
             return None  # the root has no siblings
-        parent = self.node_at(pointer[:-1])
+        parent = self._nodes.get(pointer[:-1])
+        if parent is None:
+            parent = self.node_at(pointer[:-1])
         index = pointer[-1] + 1
         if index >= len(parent.children):
             return None
         return pointer[:-1] + (index,)
 
     def fetch(self, pointer: TreePointer) -> str:
-        return self.node_at(pointer).label
+        node = self._nodes.get(pointer)
+        if node is None:
+            node = self.node_at(pointer)
+        return node.label

@@ -80,9 +80,17 @@ class ManagedCache:
     always returns the default (uncounted) and ``put`` is a no-op --
     exactly the old ``cache_enabled=False`` behaviour.  *State* caches
     ignore the switch.
+
+    What a lookup has to do is settled at registration (the manager's
+    switch and budget are fixed for the query): whether the cache is a
+    bypass, and whether its entries are *ranked* -- a memo under a
+    budget keeps a recency token per entry in the manager's LRU; with
+    no budget nothing is ever evicted, recency is unobservable, and a
+    lookup is one ``dict.get`` under the manager's lock.
     """
 
-    __slots__ = ("manager", "name", "kind", "stats", "_data", "_id")
+    __slots__ = ("manager", "name", "kind", "stats", "_data", "_id",
+                 "_bypass", "_ranked")
 
     def __init__(self, manager: "CacheManager", name: str, kind: str,
                  cache_id: int) -> None:
@@ -94,46 +102,52 @@ class ManagedCache:
         self.stats = CacheStats()
         self._data: Dict[Hashable, object] = {}
         self._id = cache_id
-
-    @property
-    def active(self) -> bool:
-        return self.kind == "state" or self.manager.enabled
+        self._bypass = kind == "memo" and not manager.enabled
+        self._ranked = kind == "memo" and manager.budget is not None
 
     def __len__(self) -> int:
         return len(self._data)
 
     def get(self, key: Hashable, default: object = MISS) -> object:
         """The cached value for ``key``, else ``default`` (counted)."""
-        if not self.active:
+        if self._bypass:
             return default
-        with self.manager._lock:
-            if key in self._data:
-                self.stats.hits += 1
-                self.manager._touch(self, key)
-                return self._data[key]
-            self.stats.misses += 1
-            return default
+        manager = self.manager
+        with manager._lock:
+            value = self._data.get(key, MISS)
+            if value is MISS:
+                self.stats.misses += 1
+                return default
+            self.stats.hits += 1
+            if self._ranked:
+                manager._lru.move_to_end((self._id, key))
+            return value
 
     def peek(self, key: Hashable, default: object = MISS) -> object:
         """Like :meth:`get` but without touching the counters."""
-        if not self.active:
+        if self._bypass:
             return default
-        with self.manager._lock:
-            if key not in self._data:
+        manager = self.manager
+        with manager._lock:
+            value = self._data.get(key, MISS)
+            if value is MISS:
                 return default
-            self.manager._touch(self, key)
-            return self._data[key]
+            if self._ranked:
+                manager._lru.move_to_end((self._id, key))
+            return value
 
     def put(self, key: Hashable, value: object) -> None:
         """Store ``key`` -> ``value`` (may trigger evictions)."""
-        if not self.active:
+        if self._bypass:
             return
-        with self.manager._lock:
-            fresh = key not in self._data
-            self._data[key] = value
-            if fresh:
+        manager = self.manager
+        with manager._lock:
+            data = self._data
+            if key not in data:
                 self.stats.entries += 1
-            self.manager._on_insert(self, key)
+            data[key] = value
+            if self._ranked:
+                manager._rank(self._id, key)
 
     def _evict(self, key: Hashable) -> None:
         del self._data[key]
@@ -148,7 +162,8 @@ class CacheManager:
     registered caches; inserting past the budget evicts the globally
     least-recently-used memo entry.  ``enabled=False`` turns every
     memo cache into a bypass (state caches keep working -- they are
-    semantics, not optimization).
+    semantics, not optimization).  Both are fixed at construction:
+    each registered cache reads them once.
 
     One re-entrant lock serializes all lookups, inserts, LRU motion
     and evictions: prefetch workers and fan-out threads hit the same
@@ -163,7 +178,8 @@ class CacheManager:
         self.budget = budget
         self.enabled = enabled
         self._caches: List[ManagedCache] = []
-        #: global LRU over memo entries: (cache id, key) -> None
+        #: global LRU over memo entries, kept only under a budget:
+        #: (cache id, key) -> None, one token per live entry
         self._lru: "OrderedDict" = OrderedDict()
         self.evictions = 0
         self._lock = make_rlock("cache.manager")
@@ -181,33 +197,27 @@ class CacheManager:
             return managed
 
     # -- LRU bookkeeping ---------------------------------------------------
-    def _touch(self, cache: ManagedCache, key: Hashable) -> None:
-        if cache.kind != "memo":
-            return
-        token = (cache._id, key)
-        if token in self._lru:
-            self._lru.move_to_end(token)
-
-    def _on_insert(self, cache: ManagedCache, key: Hashable) -> None:
-        if cache.kind != "memo":
-            return
-        token = (cache._id, key)
-        if token in self._lru:
-            self._lru.move_to_end(token)
+    def _rank(self, cache_id: int, key: Hashable) -> None:
+        """Make ``key`` of memo cache ``cache_id`` the most recent
+        entry, then evict down to the budget (the caller holds the
+        lock; only called when there is a budget)."""
+        lru = self._lru
+        token = (cache_id, key)
+        if token in lru:
+            lru.move_to_end(token)
         else:
-            self._lru[token] = None
-        if self.budget is None:
-            return
-        while len(self._lru) > self.budget:
-            cache_id, victim = self._lru.popitem(last=False)[0]
-            self._caches[cache_id]._evict(victim)
+            lru[token] = None
+        budget = self.budget
+        while budget is not None and len(lru) > budget:
+            victim_id, victim = lru.popitem(last=False)[0]
+            self._caches[victim_id]._evict(victim)
             self.evictions += 1
 
     # -- reporting ---------------------------------------------------------
     @property
     def memo_entries(self) -> int:
         """Live memo entries (the budgeted quantity)."""
-        return len(self._lru)
+        return sum(len(c) for c in self._caches if c.kind == "memo")
 
     @property
     def state_entries(self) -> int:

@@ -132,25 +132,54 @@ class Tracer:
     :attr:`sampled`; an unsampled tracer reports :attr:`active` False
     even while recording, so sampling bounds the record-mode cost
     without touching any emit site.
+
+    :attr:`active` is a plain attribute -- every instrumented layer
+    reads it once per navigation -- refreshed wherever one of its
+    inputs changes: the :attr:`record` and :attr:`sampled` setters and
+    :meth:`subscribe`/:meth:`unsubscribe`.
     """
 
     def __init__(self, record: bool = False,
                  clock: Optional["Clock"] = None,
                  trace_id: Optional[str] = None) -> None:
         self._callbacks: List[Callable[[TraceEvent], None]] = []
-        self.record = record
+        self._record = record
         self.events: List[TraceEvent] = []
         self.trace_id = trace_id
-        self.sampled = True
+        self._sampled = True
         self._lock = make_lock("trace.tracer")
         self._clock = clock
         self._span_ids = itertools.count(1)
         self._tls = threading.local()
+        #: whether emitting is observable at all:
+        #: ``sampled and (record or subscribers)``
+        self.active = record
+
+    def _refresh_active(self) -> None:
+        """Recompute :attr:`active`; the caller holds the lock."""
+        self.active = self._sampled and self.configured
 
     @property
-    def active(self) -> bool:
-        """Whether emitting is observable at all."""
-        return self.sampled and (self.record or bool(self._callbacks))
+    def record(self) -> bool:
+        """Whether events are kept in :attr:`events`."""
+        return self._record
+
+    @record.setter
+    def record(self, value: bool) -> None:
+        with self._lock:
+            self._record = value
+            self._refresh_active()
+
+    @property
+    def sampled(self) -> bool:
+        """The sampling verdict (True until :meth:`sample` says no)."""
+        return self._sampled
+
+    @sampled.setter
+    def sampled(self, value: bool) -> None:
+        with self._lock:
+            self._sampled = value
+            self._refresh_active()
 
     @property
     def configured(self) -> bool:
@@ -161,7 +190,7 @@ class Tracer:
         only mints and ships trace context on the wire when this is
         true, so the default-off path stays byte-identical.
         """
-        return self.record or bool(self._callbacks)
+        return self._record or bool(self._callbacks)
 
     def ensure_trace_id(self) -> str:
         """The trace id, minted on first use.
@@ -233,6 +262,7 @@ class Tracer:
         """Register a callback invoked on every event."""
         with self._lock:
             self._callbacks.append(callback)
+            self._refresh_active()
 
     @contextmanager
     def subscribed(self, callback: Callable[[TraceEvent], None]
@@ -266,6 +296,7 @@ class Tracer:
                 raise ValueError(
                     "callback %r is not subscribed" % (callback,)
                 ) from None
+            self._refresh_active()
 
     def emit(self, layer: str, event: str, **data: object) -> None:
         """Publish one point event to subscribers (and the record).
@@ -283,7 +314,7 @@ class Tracer:
 
     def _publish(self, record: TraceEvent) -> None:
         with self._lock:
-            if self.record:
+            if self._record:
                 self.events.append(record)
             callbacks = list(self._callbacks)
         for callback in callbacks:

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from .errors import PathSyntaxError
 
@@ -228,6 +229,13 @@ class PathNFA:
     States are small integers.  The matcher works on *frozensets* of
     states so that a frontier can be embedded into a (hashable) node-id
     of the lazy ``getDescendants`` mediator.
+
+    :meth:`step` runs on a DFA built lazily over those frontiers: the
+    first step out of a frontier computes one row -- the next frontier
+    for each label its transitions *name*, plus one for every other
+    label -- and every later step out of it is two dict lookups.  Rows
+    are keyed on the expression's own labels, never on data labels, so
+    the table is bounded by frontiers x named labels.
     """
 
     def __init__(self, expr: PathExpr):
@@ -239,7 +247,11 @@ class PathNFA:
         start = self._new_state()
         self._accept = self._new_state()
         self._build(expr, start, self._accept)
-        self._closure_cache: Dict[int, FrozenSet[int]] = {}
+        #: the lazily built DFA: frontier -> (named label -> next
+        #: frontier, next frontier on any other label)
+        self._rows: Dict[FrozenSet[int],
+                         Tuple[Dict[str, FrozenSet[int]],
+                               FrozenSet[int]]] = {}
         self.start_states: FrozenSet[int] = self._closure({start})
         self._recursive = self._detect_cycle()
 
@@ -321,14 +333,28 @@ class PathNFA:
 
     def step(self, states: FrozenSet[int], label: str) -> FrozenSet[int]:
         """Advance the state frontier by one path label."""
-        nxt = set()
+        row = self._rows.get(states)
+        if row is None:
+            row = self._row(states)
+        return row[0].get(label, row[1])
+
+    def _row(self, states: FrozenSet[int]
+             ) -> Tuple[Dict[str, FrozenSet[int]], FrozenSet[int]]:
+        """Build (and keep) the DFA row of one frontier."""
+        wild: Set[int] = set()
+        named: Dict[str, Set[int]] = {}
         for state in states:
             for guard, target in self._transitions[state]:
-                if guard is None or guard == label:
-                    nxt.add(target)
-        if not nxt:
-            return frozenset()
-        return self._closure(nxt)
+                if guard is None:
+                    wild.add(target)
+                else:
+                    named.setdefault(guard, set()).add(target)
+        row = ({guard: self._closure(targets | wild)
+                for guard, targets in named.items()},
+               self._closure(wild))
+        # Racing builders store equal rows: no lock needed.
+        self._rows[states] = row
+        return row
 
     def is_accepting(self, states: FrozenSet[int]) -> bool:
         """Whether the frontier contains the accept state."""

@@ -1,6 +1,8 @@
 """Unit tests for binding lists and predicates."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra import (
     And,
@@ -155,3 +157,101 @@ class TestPredicates:
         binding = Binding([("V1", leaf("91220")),
                            ("V2", elem("zip", "91220"))])
         assert Comparison(Var("V1"), "=", Var("V2")).holds(binding)
+
+
+# ----------------------------------------------------------------------
+# Differential: the compiled closure against ``Predicate.evaluate``,
+# and ``compare_values`` against the if-chain it replaced (kept here
+# as the reference).
+# ----------------------------------------------------------------------
+
+_OPS = ["=", "!=", "<", "<=", ">", ">="]
+#: numeric look-alikes, strings, and the edges between them
+_TEXTS = ["1e3", "1000", "", " 7 ", "7", "nan", "abc", "abd", "10",
+          "9.5", "-0", "0", "inf", "ten", "7.0"]
+_VARS = ["X", "Y", "Z"]
+
+
+def _reference_compare(left, op, right):
+    try:
+        lv, rv = float(left), float(right)
+    except (TypeError, ValueError):
+        lv, rv = left, right
+    if op == "=":
+        return lv == rv
+    if op == "!=":
+        return lv != rv
+    if op == "<":
+        return lv < rv
+    if op == "<=":
+        return lv <= rv
+    if op == ">":
+        return lv > rv
+    return lv >= rv
+
+
+@pytest.mark.parametrize("op", _OPS)
+def test_compare_values_equals_the_reference(op):
+    for left in _TEXTS:
+        for right in _TEXTS:
+            assert compare_values(left, op, right) \
+                is _reference_compare(left, op, right), (left, op, right)
+
+
+def test_compare_values_rejects_unknown_operator():
+    with pytest.raises(ValueError, match="unknown comparison"):
+        compare_values("1", "~", "2")
+
+
+_operands = st.one_of(
+    st.sampled_from(_VARS).map(Var),
+    st.sampled_from(_TEXTS + [7, 1000, 9.5, 1e3]).map(Const),
+)
+_comparisons = st.builds(Comparison, _operands, st.sampled_from(_OPS),
+                         _operands)
+_predicates = st.recursive(
+    st.one_of(_comparisons, st.just(TruePredicate())),
+    lambda sub: st.one_of(
+        st.lists(sub, min_size=1, max_size=3).map(
+            lambda ps: And(tuple(ps))),
+        st.lists(sub, min_size=1, max_size=3).map(
+            lambda ps: Or(tuple(ps))),
+        sub.map(Not),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    predicate=_predicates,
+    bindings=st.lists(
+        st.fixed_dictionaries(
+            {var: st.sampled_from(_TEXTS) for var in _VARS}),
+        min_size=1, max_size=4),
+)
+def test_compiled_predicate_equals_evaluate(predicate, bindings):
+    """Same verdict, and the same reads of the same variables in the
+    same order -- under a lazy operator each read is a run of source
+    navigations, so the short-circuits must not move."""
+    reads = []
+
+    def getter_of(var):
+        def getter(env):
+            reads.append(var)
+            return env[var]
+        return getter
+
+    test = predicate.compile(getter_of)
+    assert reads == []          # compiling reads nothing
+    for env in bindings:        # compiled once, run per binding
+        expected_reads = []
+
+        def lookup(var):
+            expected_reads.append(var)
+            return env[var]
+
+        expected = predicate.evaluate(lookup)
+        del reads[:]
+        assert test(env) is expected
+        assert reads == expected_reads

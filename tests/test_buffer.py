@@ -12,6 +12,7 @@ from repro.buffer import (
     FragElem,
     FragHole,
     LXPProtocolError,
+    OpenHole,
     PrefetchingBuffer,
     RandomizedLXPServer,
     TreeLXPServer,
@@ -180,6 +181,81 @@ class TestBufferComponent:
         buffer = BufferComponent(EmptyServer(EXAMPLE7_TREE))
         with pytest.raises(LXPProtocolError):
             buffer.root()
+
+
+class _CountingList(list):
+    """A child list that counts the identity comparisons made on it:
+    one per indexed read, and as many as ``index`` had to scan."""
+
+    comparisons = 0
+
+    def __getitem__(self, index):
+        self.comparisons += 1
+        return super().__getitem__(index)
+
+    def index(self, item, *args):
+        found = super().index(item, *args)
+        self.comparisons += found + 1
+        return found
+
+
+class TestPositionHint:
+    """``OpenElem.pos`` is a hint checked on use: a splice to a node's
+    left moves it without telling it."""
+
+    @pytest.mark.parametrize("labels", [
+        ["x", "y", "z"],    # the hole becomes k > 1 fragments
+        ["x"],              # ... exactly one
+        [],                 # ... none: a dead end
+    ])
+    def test_hint_survives_a_splice_to_the_left(self, labels):
+        buffer = BufferComponent.prefilled(
+            Tree("r", [leaf("a"), leaf("b"), leaf("c")]))
+        root = buffer.root()
+        a = buffer.down(root)
+        b = buffer.right(a)
+        c = buffer.right(b)
+        assert (a.pos, b.pos, c.pos) == (0, 1, 2)
+        hole = OpenHole("h", root)
+        root.children.insert(1, hole)
+        buffer._splice(hole, [FragElem(label) for label in labels])
+        # b and c have moved; their hints still say 1 and 2
+        assert (b.pos, c.pos) == (1, 2)
+        assert buffer.right(b) is c and buffer.right(c) is None
+        assert b.index_in_parent() == 1 + len(labels)
+        assert c.index_in_parent() == 2 + len(labels)
+        walked, node = [], a
+        while node is not None:
+            walked.append(buffer.fetch(node))
+            node = buffer.right(node)
+        assert walked == ["a"] + labels + ["b", "c"]
+        assert all(root.children[node.pos] is node
+                   for node in root.children)
+
+    def test_stale_hint_out_of_range(self):
+        buffer = BufferComponent.prefilled(
+            Tree("r", [leaf("a"), leaf("b")]))
+        a = buffer.down(buffer.root())
+        b = buffer.right(a)
+        b.pos = 7
+        assert b.index_in_parent() == 1 and b.pos == 1
+        assert buffer.right(b) is None
+
+    def test_sibling_walk_is_linear(self):
+        """A ``right`` walk over n siblings locates each node in O(1)
+        -- counted in comparisons on the child list, not timed.  (One
+        ``list.index`` per step would be n^2/2 = 200 million.)"""
+        n = 20000
+        buffer = BufferComponent.prefilled(
+            Tree("r", [leaf("x")] * n))
+        root = buffer.root()
+        root.children = _CountingList(root.children)
+        node, steps = buffer.down(root), 0
+        while node is not None:
+            node = buffer.right(node)
+            steps += 1
+        assert steps == n
+        assert root.children.comparisons <= 3 * n
 
 
 class TestExample7Trace:

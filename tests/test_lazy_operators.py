@@ -4,6 +4,7 @@ must agree with the eager reference semantics, binding by binding."""
 import pytest
 
 from repro.algebra import (
+    And,
     Comparison,
     Concatenate,
     Const,
@@ -14,6 +15,8 @@ from repro.algebra import (
     GetDescendants,
     GroupBy,
     Join,
+    Not,
+    Or,
     OrderBy,
     Project,
     Select,
@@ -30,8 +33,12 @@ from repro.lazy import (
     materialize_value,
     value_text_of,
 )
-from repro.navigation import MaterializedDocument, materialize
-from repro.runtime import ExecutionContext
+from repro.navigation import (
+    CountingDocument,
+    MaterializedDocument,
+    materialize,
+)
+from repro.runtime import MISS, ExecutionContext
 from repro.xtree import Tree, elem, leaf
 
 from .fixtures import fig4_sources, homes_source
@@ -199,6 +206,103 @@ class TestLazyJoin:
         plan = Join(HOMES_WITH_ZIPS, right,
                     Comparison(Var("V"), "=", Var("S")))
         assert_lazy_matches_eager(plan, fig4_sources())
+
+
+class TestLoweredPredicates:
+    """``select`` and ``join`` run their predicate as a closure lowered
+    at construction.  The reference swaps in the per-test
+    interpretation they used before (``Predicate.evaluate`` over a
+    lookup): same bindings, the same source commands in the same
+    order, the same cache traffic -- for every predicate shape and
+    cache mode."""
+
+    RIGHT = GetDescendants(
+        GetDescendants(Source("schoolsSrc", "r2"),
+                       "r2", "schools.school", "S"),
+        "S", "zip._", "W")
+    V_IS_W = Comparison(Var("V"), "=", Var("W"))
+    JOIN_PREDICATES = [
+        V_IS_W,
+        Comparison(Var("W"), ">=", Var("V")),
+        # a left variable mentioned twice: navigated once per test
+        And((V_IS_W, Comparison(Var("V"), "!=", Const("91220")))),
+        # both sides twice, short-circuits on either branch
+        Or((V_IS_W, Comparison(Var("W"), "<", Var("V")))),
+        Not(And((Comparison(Var("V"), "<", Const(91223)), V_IS_W))),
+        Comparison(Const(1), "=", Const("1.0")),
+    ]
+    SELECT_PREDICATES = [
+        Comparison(Var("V"), "=", Const("91223")),
+        # one variable read twice: select keeps no memo, so two walks
+        Or((Comparison(Var("V"), "=", Const("91223")),
+            Comparison(Var("V"), "=", Const("91220")))),
+        And((Comparison(Var("H"), "!=", Var("V")),
+             Not(Comparison(Const("91221"), ">", Var("V"))))),
+    ]
+    CONFIGS = [{}, {"cache_enabled": False}, {"cache_budget": 3}]
+
+    @staticmethod
+    def _interpreted_join_test(join):
+        def test(env):
+            lb, right_index, _memo = env
+            left_texts = {}
+
+            def lookup(var):
+                if var in join._left_vars:
+                    if var not in left_texts:
+                        left_texts[var] = value_text_of(
+                            join.left, join.left.attribute(lb, var))
+                    return left_texts[var]
+                text = join._inner_texts.get((right_index, var), MISS)
+                if text is not MISS:
+                    return text
+                rb = join._inner_binding(right_index)
+                text = value_text_of(join.right,
+                                     join.right.attribute(rb, var))
+                join._inner_texts.put((right_index, var), text)
+                return text
+
+            return join.predicate.evaluate(lookup)
+        return test
+
+    @staticmethod
+    def _interpreted_select_test(select):
+        return lambda ib: select.predicate.evaluate(
+            lambda var: value_text_of(
+                select.child, select.child.attribute(ib, var)))
+
+    def _run(self, plan, config, interpret=None):
+        docs = {url: CountingDocument(MaterializedDocument(tree),
+                                      log=True)
+                for url, tree in fig4_sources().items()}
+        context = ExecutionContext.create(**config)
+        op = build_lazy_plan(plan, docs, context)
+        if interpret is not None:
+            op._test = interpret(op)
+        answer = materialize(BindingsDocument(op))
+        caches = context.caches.as_dict()
+        return (answer, {url: doc.trace for url, doc in docs.items()},
+                caches)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("predicate", JOIN_PREDICATES, ids=str)
+    def test_join(self, predicate, config):
+        plan = Join(HOMES_WITH_ZIPS, self.RIGHT, predicate)
+        lowered = self._run(plan, config)
+        assert lowered == self._run(plan, config,
+                                    self._interpreted_join_test)
+        assert lowered[0] == evaluate_bindings(
+            plan, fig4_sources()).to_tree()
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("predicate", SELECT_PREDICATES, ids=str)
+    def test_select(self, predicate, config):
+        plan = Select(HOMES_WITH_ZIPS, predicate)
+        lowered = self._run(plan, config)
+        assert lowered == self._run(plan, config,
+                                    self._interpreted_select_test)
+        assert lowered[0] == evaluate_bindings(
+            plan, fig4_sources()).to_tree()
 
 
 class TestLazyGroupBy:

@@ -370,6 +370,57 @@ class TestTracer:
         assert [e.event for e in seen] == ["one"]
         assert not tracer.active
 
+    def test_active_tracks_every_transition(self):
+        """``active`` is a stored attribute, not a computed one: after
+        each thing that can change its inputs it must again equal
+        ``sampled and (record or subscribers)``; ``configured`` is the
+        same without the sampling verdict."""
+        tracer = Tracer()
+        first, second = (lambda event: None), (lambda event: None)
+
+        def check(expected_active, expected_configured):
+            assert tracer.active is (tracer.sampled and (
+                tracer.record or bool(tracer._callbacks)))
+            assert tracer.active is expected_active
+            assert tracer.configured is expected_configured
+
+        def raising_block():
+            with pytest.raises(RuntimeError):
+                with tracer.subscribed(second):
+                    check(True, True)
+                    raise RuntimeError("block failed")
+
+        def sampled_block():
+            with tracer.subscribed(second):
+                check(True, True)
+
+        steps = [
+            # (transition, active after, configured after)
+            (lambda: None, False, False),
+            (lambda: setattr(tracer, "record", True), True, True),
+            (lambda: setattr(tracer, "sampled", False), False, True),
+            (lambda: tracer.subscribe(first), False, True),
+            (lambda: setattr(tracer, "record", False), False, True),
+            (lambda: setattr(tracer, "sampled", True), True, True),
+            (lambda: tracer.subscribe(second), True, True),
+            (lambda: tracer.unsubscribe(first), True, True),
+            (lambda: tracer.unsubscribe(second), False, False),
+            (sampled_block, False, False),
+            (raising_block, False, False),
+            (lambda: setattr(tracer, "record", True), True, True),
+            (lambda: tracer.sample(0.0), False, True),
+            (lambda: tracer.sample(1.0), True, True),
+            (lambda: setattr(tracer, "record", False), False, False),
+        ]
+        for transition, active, configured in steps:
+            transition()
+            check(active, configured)
+        assert Tracer(record=True).active
+        # a failed unsubscribe changes nothing
+        with pytest.raises(ValueError):
+            tracer.unsubscribe(first)
+        check(False, False)
+
     def test_unsubscribe_unknown_callback_raises(self):
         tracer = Tracer()
         with pytest.raises(ValueError, match="not subscribed"):

@@ -168,3 +168,72 @@ def test_parse_of_str_is_identity_modulo_matching(expr, labels):
     reparsed = parse_path(str(expr))
     assert (compile_path(reparsed).matches(labels)
             == compile_path(expr).matches(labels))
+
+
+# ----------------------------------------------------------------------
+# Differential: the lazily built DFA behind ``step`` against the
+# set-based step it replaced (kept here as the reference).
+# ----------------------------------------------------------------------
+
+def _set_based_step(nfa, states, label):
+    nxt = set()
+    for state in states:
+        for guard, target in nfa._transitions[state]:
+            if guard is None or guard == label:
+                nxt.add(target)
+    if not nxt:
+        return frozenset()
+    return nfa._closure(nxt)
+
+
+#: labels the generated expressions name, plus ones they never do
+_DATA_LABELS = _LABELS + ["z", "", "_", "a.b"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    expr=_exprs(2),
+    labels=st.lists(st.sampled_from(_DATA_LABELS), max_size=8),
+)
+def test_dfa_step_equals_set_based_step(expr, labels):
+    nfa = compile_path(expr)
+    states = nfa.start_states
+    for label in labels:
+        expected = _set_based_step(nfa, states, label)
+        # the first step out of a frontier builds its row, the second
+        # reads it
+        assert nfa.step(states, label) == expected
+        assert nfa.step(states, label) == expected
+        states = expected
+    assert nfa.matches(labels) == naive_match(expr, labels)
+
+
+@pytest.mark.parametrize("path", ["_", "_._", "_*", "(_._)+", "_?._"])
+def test_dfa_on_wildcard_only_frontiers(path):
+    """No transition names a label: every row is its 'any other
+    label' entry alone."""
+    expr = parse_path(path)
+    nfa = compile_path(expr)
+    for labels in (["a"], ["z", ""], ["a", "b", "c"], []):
+        states = nfa.start_states
+        for label in labels:
+            assert nfa.step(states, label) \
+                == _set_based_step(nfa, states, label)
+            states = nfa.step(states, label)
+        assert nfa.matches(labels) == naive_match(expr, labels)
+    assert all(named == {} for named, _other in nfa._rows.values())
+
+
+def test_dfa_is_keyed_on_the_expressions_labels_not_the_datas():
+    """However many distinct labels the data carries, the table holds
+    one row per frontier reached and one entry per label the
+    expression names there."""
+    nfa = compile_path("a.(b|c)*.d")
+    for i in range(500):
+        noise = "item%d" % i
+        for labels in ([noise], ["a", noise], ["a", "b", noise],
+                       ["a", "b", "c", "d"], ["a", "d", noise]):
+            nfa.matches(labels)
+    assert len(nfa._rows) <= 4
+    assert set().union(*(named for named, _ in nfa._rows.values())) \
+        <= {"a", "b", "c", "d"}
