@@ -21,8 +21,7 @@ into overlapped prefetch fills without changing the answer.
 
 from repro.bench import HOMES_SCHOOLS_QUERY, format_table, \
     homes_and_schools
-from repro.buffer import AsyncPrefetchingBuffer, BufferComponent, \
-    TreeLXPServer
+from repro.buffer import BufferComponent, TreeLXPServer
 from repro.mediator import MIXMediator
 from repro.navigation import MaterializedDocument, materialize
 from repro.runtime import EngineConfig
@@ -97,7 +96,7 @@ def test_prefetch_worker_stall_profile(write_result):
                         "prefetch_fills": 0, "stalls": 0}
 
     for lookahead, workers in [(2, 1), (4, 2), (8, 4)]:
-        buffer = AsyncPrefetchingBuffer(
+        buffer = BufferComponent(
             TreeLXPServer(tree, chunk_size=CHUNK, depth=DEPTH),
             lookahead=lookahead, workers=workers)
         try:

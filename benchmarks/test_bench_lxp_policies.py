@@ -20,7 +20,6 @@ from repro.buffer import (
     BufferComponent,
     FragElem,
     FragHole,
-    PrefetchingBuffer,
     RandomizedLXPServer,
     TreeLXPServer,
 )
@@ -86,8 +85,8 @@ def _browse_web(lookahead, n_books=1500, page_size=25, k=20):
     books = book_catalog("amazon", n_books, seed=3)
     site = make_catalog_site("amazon", books, page_size=page_size)
     http = HttpSimulator(site, latency_ms=80.0, ms_per_kb=5.0)
-    buffer = PrefetchingBuffer(WebLXPWrapper(http),
-                               lookahead=lookahead)
+    buffer = BufferComponent(WebLXPWrapper(http),
+                             lookahead=lookahead)
     med = MIXMediator()
     med.register_source("amazon", buffer)
     root = med.query(

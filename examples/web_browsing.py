@@ -11,9 +11,8 @@ an option" for Web sources, and what prefetching buys.
 Run:  python examples/web_browsing.py
 """
 
-from repro import MIXMediator, WebLXPWrapper
+from repro import MIXMediator, WebLXPWrapper, buffered
 from repro.bench import book_catalog, browse_first_k, format_table
-from repro.buffer import PrefetchingBuffer
 from repro.navigation import CountingDocument
 from repro.webstore import HttpSimulator, make_catalog_site
 
@@ -36,8 +35,7 @@ def run_browse(k: int, prefetch: int):
     site = build_site()
     http = HttpSimulator(site, latency_ms=80.0, ms_per_kb=5.0)
     wrapper = WebLXPWrapper(http)
-    buffer = (PrefetchingBuffer(wrapper, lookahead=prefetch)
-              if prefetch else None)
+    buffer = buffered(wrapper, prefetch=prefetch) if prefetch else None
 
     mediator = MIXMediator()
     if buffer is not None:
@@ -90,8 +88,7 @@ def main() -> None:
     for lookahead in (0, 1, 2, 4):
         site = build_site()
         http = HttpSimulator(site)
-        buffer = PrefetchingBuffer(WebLXPWrapper(http),
-                                   lookahead=lookahead)
+        buffer = buffered(WebLXPWrapper(http), prefetch=lookahead)
         mediator = MIXMediator()
         mediator.register_source("amazon", buffer)
         root = mediator.query(QUERY)

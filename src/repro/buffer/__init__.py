@@ -1,9 +1,13 @@
 """Buffer component and the Lean XML Fragment Protocol (paper Sec. 4):
 open trees with holes, fill-request chasing (Figure 8), granularity
-policies, and prefetching."""
+policies, and the one buffer's fill policies (look-ahead, batching)."""
 
-from .batch import BatchingBuffer, BatchStats
-from .component import BufferComponent, BufferStats
+from .component import (
+    BatchStats,
+    BufferComponent,
+    BufferStats,
+    PrefetchStats,
+)
 from .holes import (
     FragElem,
     FragHole,
@@ -24,11 +28,6 @@ from .lxp import (
     TreeLXPServer,
     reply_holes,
 )
-from .prefetch import (
-    AsyncPrefetchingBuffer,
-    PrefetchingBuffer,
-    PrefetchStats,
-)
 
 __all__ = [
     "OpenElem", "OpenHole", "FragElem", "FragHole", "Fragment",
@@ -36,7 +35,5 @@ __all__ = [
     "open_tree_to_tree", "count_holes", "reply_holes",
     "LXPServer", "LXPStats", "TreeLXPServer", "AdaptiveTreeLXPServer",
     "RandomizedLXPServer",
-    "BufferComponent", "BufferStats",
-    "PrefetchingBuffer", "AsyncPrefetchingBuffer", "PrefetchStats",
-    "BatchingBuffer", "BatchStats",
+    "BufferComponent", "BufferStats", "PrefetchStats", "BatchStats",
 ]

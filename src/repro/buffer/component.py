@@ -12,20 +12,60 @@ Figure 8, generalized to the most liberal LXP replies: fills may return
 holes at arbitrary positions, so the chase loops until it reaches an
 element or proves there is none, splicing fragments and dropping empty
 holes as it goes.
+
+Fill policies
+-------------
+
+What the buffer fetches *beyond* the hole a navigation demanded is a
+policy -- the paper's "decouple the client-driven view navigation
+('pull from above') and the production of results by the wrapped
+source ('push from below')" -- fixed at construction and acted on in
+two places: :meth:`BufferComponent._fill_hole` (how a demanded hole is
+resolved) and :meth:`BufferComponent._look_ahead` (what follows once
+that fill has landed).  Only a landed fill changes the set of
+outstanding holes, so nothing is scheduled per navigation and a hit
+costs the same under every policy.  DESIGN.md ("Fill policies")
+compares them.
+
+*demand only* (default): one ``fill`` per demanded hole.
+
+*look-ahead* (``lookahead > 0``): with ``workers == 0`` the
+deterministic model of experiment E5 -- after a demand fill, up to
+``lookahead`` further holes are filled, leftmost first (the direction
+a forward-browsing client needs next), and spliced at once; only the
+next demand fill renews the budget.  With ``workers > 0`` at most
+``lookahead`` fills are in flight on a pool whose workers run *only*
+the source I/O: a reply is spliced on the client thread when its hole
+is demanded (the open tree stays single-writer), a navigation that
+finds its fill still in flight *stalls* (counted) on that one future,
+and a failed fill re-raises when, and only when, its hole is demanded.
+
+*batched* (``batch=True``): the demand fill ships as one
+``fill_batch`` exchange carrying up to ``lookahead`` server-side
+speculative fills.  Replies are addressed by hole id; one whose hole
+is no longer outstanding is dropped.  Takes precedence over
+``workers``.
+
+The open tree and the answer are the same under every policy; only
+the timing and the classification of fills differ.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from functools import partial
+from typing import Dict, Optional
 
 from ..navigation.interface import NavigableDocument
 from ..xtree.tree import Tree
 from .holes import (
     FragHole,
+    HoleIndex,
     LXPProtocolError,
     OpenElem,
     OpenHole,
+    count_holes,
     fragment_of_tree,
     graft,
     validate_fill_reply,
@@ -33,8 +73,10 @@ from .holes import (
 from .lxp import LXPServer
 from ..runtime.counters import Counters
 from ..runtime.locks import make_rlock
+from ..runtime.parallel import FanoutDispatcher
 
-__all__ = ["BufferComponent", "BufferStats"]
+__all__ = ["BufferComponent", "BufferStats", "PrefetchStats",
+           "BatchStats"]
 
 
 class _PrefilledServer(LXPServer):
@@ -69,16 +111,67 @@ class BufferStats(Counters):
         return self.hits / self.navigations
 
 
+@dataclass
+class PrefetchStats(Counters):
+    """Demand/prefetch fill split, plus stall accounting.
+
+    ``stalls`` counts navigations that reached a hole whose look-ahead
+    fill was issued but not yet complete -- the client had to wait.
+    The deterministic model never stalls (its fills are synchronous);
+    the pool reports its overlap quality through the
+    ``stalls : prefetch_fills`` ratio.
+    """
+
+    demand_fills: int = 0
+    prefetch_fills: int = 0
+    stalls: int = 0
+
+
+@dataclass
+class BatchStats(Counters):
+    """Accounting for the batched policy.
+
+    ``batches`` counts batched exchanges (round trips when the server
+    sits across a channel); ``speculative_fills`` counts the extra
+    replies those exchanges carried; ``dropped_replies`` counts
+    speculative replies that arrived for holes no longer outstanding
+    (wasted server work, never a correctness issue).
+    """
+
+    batches: int = 0
+    speculative_fills: int = 0
+    dropped_replies: int = 0
+
+    @property
+    def commands(self) -> int:
+        """Fill commands answered across all batches."""
+        return self.batches + self.speculative_fills
+
+
 class BufferComponent(NavigableDocument):
     """A NavigableDocument over an LXP wrapper, backed by an open tree.
 
     Pointers are :class:`OpenElem` nodes (object identity).  The open
     tree only ever grows/refines; handed-out pointers stay valid.
+
+    ``lookahead`` fills may run ahead of what the client demanded,
+    fetched by ``workers`` pool threads (0: synchronously), or inside
+    the demand exchange when ``batch`` -- the fill policies of the
+    module docstring.  All off is the plain demand-only buffer.
     """
 
-    def __init__(self, server: LXPServer, tracer=None, name: str = ""):
+    def __init__(self, server: LXPServer, lookahead: int = 0,
+                 workers: int = 0, batch: bool = False, tracer=None,
+                 name: str = ""):
+        if lookahead < 0 or workers < 0:
+            raise ValueError("lookahead and workers must be >= 0")
         self.server = server
+        self.lookahead = lookahead
+        self.workers = workers
+        self.batch = batch
         self.stats = BufferStats()
+        self.prefetch_stats = PrefetchStats()
+        self.batch_stats = BatchStats()
         #: optional tracer + buffer name: demand fills become
         #: ``buffer.fill`` spans in the causal trace, so the source
         #: commands and round trips a fill provokes nest under it
@@ -88,13 +181,23 @@ class BufferComponent(NavigableDocument):
         #: a virtual super-root whose single child list holds the root
         #: element (or its hole before the first fill)
         self._top = OpenElem("#top")
-        self._top.children = [OpenHole(server.get_root().hole_id,
-                                       self._top)]
-        #: guards the open tree and the fill counters.  The plain
-        #: buffer is client-thread-confined and never contends on it;
-        #: the concurrent subclasses (async prefetch) splice worker
-        #: results through the same lock.  Re-entrant: a splice may
-        #: happen inside a navigation that already holds it.
+        root_hole = OpenHole(server.get_root().hole_id, self._top)
+        self._top.children = [root_hole]
+        #: the outstanding holes, kept only when a policy reads them
+        self._holes: Optional[HoleIndex] = (
+            HoleIndex(root_hole) if lookahead or batch else None)
+        #: the look-ahead pool (threads start with its first fill);
+        #: None when no policy uses one, and again once closed
+        self._pool: Optional[FanoutDispatcher] = (
+            FanoutDispatcher(workers, tracer)
+            if workers and not batch else None)
+        #: holes whose look-ahead fill is in flight (or complete, not
+        #: yet spliced)
+        self._inflight: Dict[OpenHole, Future] = {}
+        #: guards the open tree, the hole index, the in-flight table
+        #: and the fill counters.  Pool workers never take it (they
+        #: only run the source I/O); it is re-entrant because a splice
+        #: happens inside a navigation that already holds it.
         self._lock = make_rlock("buffer.component")
 
     @classmethod
@@ -131,15 +234,116 @@ class BufferComponent(NavigableDocument):
             index = parent.children.index(hole)
             spliced = [graft(f, parent) for f in fragments]
             parent.children[index:index + 1] = spliced
+            if self._holes is not None:
+                self._holes.replace(hole, spliced)
 
+    # -- the fill policy -------------------------------------------------
     def _fill_hole(self, hole: OpenHole) -> None:
-        """Replace ``hole`` by the wrapper's fill reply."""
-        tracer = self.tracer
-        if tracer is None or not tracer.active:
+        """Resolve a *demanded* hole the way the policy says, then
+        look ahead (the caller holds the lock)."""
+        with self._lock:
+            future = self._inflight.pop(hole, None)
+        if future is not None:
+            # The look-ahead asked first: its reply, or its failure,
+            # lands here -- on the client thread.
+            if not future.done():
+                self.prefetch_stats.stalls += 1
+            self._splice(hole, future.result())
+            self.prefetch_stats.prefetch_fills += 1
+        else:
+            tracer = self.tracer
+            if tracer is None or not tracer.active:
+                self._demand(hole)
+            else:
+                with tracer.span("buffer", "fill", buffer=self.name):
+                    self._demand(hole)
+            self.prefetch_stats.demand_fills += 1
+        if self.lookahead and not self.batch:
+            self._look_ahead()
+
+    def _demand(self, hole: OpenHole) -> None:
+        """One exchange with the server for ``hole``: a ``fill``, or a
+        ``fill_batch`` whose speculative replies are spliced too."""
+        if not self.batch:
             self._splice(hole, self.server.fill(hole.hole_id))
             return
-        with tracer.span("buffer", "fill", buffer=self.name):
-            self._splice(hole, self.server.fill(hole.hole_id))
+        replies = self.server.fill_batch([hole.hole_id], self.lookahead)
+        stats = self.batch_stats
+        stats.batches += 1
+        answered = False
+        for hole_id, fragments in replies:
+            target = self._holes.get(hole_id)
+            if target is None:
+                stats.dropped_replies += 1
+                continue
+            if target is hole:
+                answered = True
+            else:
+                stats.speculative_fills += 1
+            self._splice(target, fragments)
+        if not answered:
+            raise LXPProtocolError(
+                "batch reply omitted the requested hole %r"
+                % (hole.hole_id,))
+
+    def _prefetch_fill(self, hole_id):
+        """A look-ahead fill's source I/O -- on a pool worker, or
+        inline in the deterministic model."""
+        tracer = self.tracer
+        if tracer is None or not tracer.active:
+            return self.server.fill(hole_id)
+        with tracer.span("buffer", "prefetch_fill", buffer=self.name):
+            return self.server.fill(hole_id)
+
+    def _look_ahead(self) -> None:
+        """A demanded fill has landed: fetch ahead of the client.
+
+        The one scheduling point.  Only a landed fill changes the set
+        of outstanding holes, so this runs per demand fill, never per
+        navigation.
+        """
+        lookahead = self.lookahead
+        if self.workers:
+            with self._lock:
+                pool, inflight = self._pool, self._inflight
+                if pool is None:    # closed
+                    return
+                for hole in self._holes.leftmost(lookahead):
+                    if len(inflight) >= lookahead:
+                        break
+                    if hole not in inflight:
+                        # The pool carries the open span onto the
+                        # worker, so the fill stays in the causal tree
+                        # of the navigation that scheduled it.  With
+                        # workers, submit only queues: the task never
+                        # runs on this thread, under this lock.
+                        # lint: allow=L012
+                        inflight[hole] = pool.submit(partial(
+                            self._prefetch_fill, hole.hole_id))
+            return
+        ahead = 0
+        while ahead < lookahead:
+            holes = self._holes.leftmost(lookahead - ahead)
+            if not holes:
+                return
+            for hole in holes:
+                self._splice(hole, self._prefetch_fill(hole.hole_id))
+                self.prefetch_stats.prefetch_fills += 1
+                ahead += 1
+
+    def close(self) -> None:
+        """Stop the look-ahead pool (idempotent; a no-op without one).
+
+        Fills still in flight are cancelled and forgotten: their holes
+        stay open and are demand-filled if ever reached.
+        """
+        with self._lock:
+            pool, self._pool = self._pool, None
+            inflight, self._inflight = self._inflight, {}
+        for future in inflight.values():
+            future.cancel()
+        if pool is not None:
+            pool.close()
 
     def _chase_elem_at(self, parent: OpenElem,
                        index: int) -> Optional[OpenElem]:
@@ -248,50 +452,6 @@ class BufferComponent(NavigableDocument):
         return pointer.label
 
     # -- inspection -------------------------------------------------------
-    def leftmost_holes(self, limit: int) -> List[OpenHole]:
-        """Up to ``limit`` outstanding holes in document order -- the
-        direction a forward-browsing client needs next.  Both
-        prefetcher variants pick their targets from this list."""
-        found: List[OpenHole] = []
-        with self._lock:
-            start = self._root if self._root is not None else self._top
-
-            def walk(node: OpenElem) -> None:
-                for child in node.children:
-                    if len(found) >= limit:
-                        return
-                    if isinstance(child, OpenHole):
-                        found.append(child)
-                    else:
-                        walk(child)
-
-            walk(start)
-        return found
-
-    def find_hole(self, hole_id) -> Optional[OpenHole]:
-        """The outstanding open-tree hole carrying ``hole_id``, if any.
-
-        Speculative batch replies are addressed by hole id, not by
-        pointer; a reply whose hole has meanwhile been filled (or was
-        never seen) resolves to ``None`` and is simply dropped.
-        """
-        with self._lock:
-            stack: List[OpenElem] = [self._top]
-            while stack:
-                node = stack.pop()
-                for child in node.children:
-                    if isinstance(child, OpenHole):
-                        if child.hole_id == hole_id:
-                            return child
-                    else:
-                        stack.append(child)
-        return None
-
     def holes_outstanding(self) -> int:
-        from .holes import count_holes
         with self._lock:
-            root = self._root
-            if root is None:
-                return sum(1 for c in self._top.children
-                           if isinstance(c, OpenHole))
-            return count_holes(root)
+            return count_holes(self._root or self._top)

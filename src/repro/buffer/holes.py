@@ -22,7 +22,7 @@ them to open nodes when splicing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..xtree.tree import Tree
 
@@ -30,6 +30,7 @@ __all__ = [
     "OpenElem", "OpenHole", "FragElem", "FragHole", "Fragment",
     "LXPProtocolError", "validate_fill_reply", "fragment_of_tree",
     "fragment_wire_size", "open_tree_to_tree", "count_holes",
+    "open_holes", "HoleIndex",
 ]
 
 
@@ -179,12 +180,15 @@ class OpenElem:
 class OpenHole:
     """A hole in the buffer's open tree."""
 
-    __slots__ = ("hole_id", "parent")
+    __slots__ = ("hole_id", "parent", "before", "after")
 
     def __init__(self, hole_id: object,
                  parent: Optional[OpenElem] = None):
         self.hole_id = hole_id
         self.parent = parent
+        #: neighbours in the buffer's :class:`HoleIndex`, if it keeps one
+        self.before: Optional[OpenHole] = None
+        self.after: Optional[OpenHole] = None
 
     def __repr__(self) -> str:
         return "OpenHole(%r)" % (self.hole_id,)
@@ -215,12 +219,62 @@ def open_tree_to_tree(node: OpenElem,
     return Tree(node.label, children)
 
 
+def open_holes(nodes: Iterable[Union[OpenElem, OpenHole]]
+               ) -> Iterator[OpenHole]:
+    """The holes among and under ``nodes``, in document order."""
+    for node in nodes:
+        if isinstance(node, OpenHole):
+            yield node
+        else:
+            yield from open_holes(node.children)
+
+
 def count_holes(node: OpenElem) -> int:
     """Number of holes currently in the open tree under ``node``."""
-    count = 0
-    for child in node.children:
-        if isinstance(child, OpenHole):
-            count += 1
-        else:
-            count += count_holes(child)
-    return count
+    return sum(1 for _ in open_holes(node.children))
+
+
+class HoleIndex:
+    """The outstanding holes of one open tree, in document order (a
+    doubly linked list threaded through the holes) and by id.
+
+    It changes where the set of holes does -- when a fill reply is
+    spliced, at O(reply) -- so reading the leftmost holes or one hole
+    by id never walks the tree.  Guarded by the owning buffer's lock.
+    """
+
+    def __init__(self, root_hole: OpenHole) -> None:
+        #: a sentinel before the leftmost hole, never outstanding
+        self._head = root_hole.before = OpenHole(None)
+        self._head.after = root_hole
+        self._by_id: Dict[object, OpenHole] = {
+            root_hole.hole_id: root_hole}
+
+    def get(self, hole_id: object) -> Optional[OpenHole]:
+        """The outstanding hole carrying ``hole_id``, if any."""
+        return self._by_id.get(hole_id)
+
+    def leftmost(self, limit: int) -> List[OpenHole]:
+        """Up to ``limit`` outstanding holes, leftmost first -- the
+        direction a forward-browsing client needs next."""
+        found: List[OpenHole] = []
+        hole = self._head.after
+        while hole is not None and len(found) < limit:
+            found.append(hole)
+            hole = hole.after
+        return found
+
+    def replace(self, hole: OpenHole,
+                nodes: Iterable[Union[OpenElem, OpenHole]]) -> None:
+        """``hole`` was filled by ``nodes``: the holes they carry take
+        its place."""
+        by_id = self._by_id
+        by_id.pop(hole.hole_id, None)
+        last, after = hole.before, hole.after
+        for new in open_holes(nodes):
+            by_id[new.hole_id] = new
+            last.after, new.before = new, last
+            last = new
+        last.after = after
+        if after is not None:
+            after.before = last

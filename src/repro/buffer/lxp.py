@@ -62,8 +62,7 @@ def reply_holes(fragments: Sequence[Fragment]) -> List[object]:
     """The hole ids of a fill reply, in document order.
 
     The speculation loop of :meth:`LXPServer.fill_batch` uses this to
-    grow its frontier; the buffer uses it to predict what a reply left
-    unexplored."""
+    grow its frontier."""
     holes: List[object] = []
 
     def walk(fragment: Fragment) -> None:

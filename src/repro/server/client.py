@@ -13,9 +13,9 @@ middle::
 
 :class:`SocketChannel` is an :class:`~repro.buffer.lxp.LXPServer`
 whose fills are request/reply frame round trips, so every existing
-client-side layer -- plain, prefetching, thread-backed, and batching
-buffers, retries, circuit breakers, degrade mode -- composes over the
-socket unchanged.  Channel accounting charges *real* wire bytes (no
+client-side layer -- the buffer under every fill policy, retries,
+circuit breakers, degrade mode -- composes over the socket
+unchanged.  Channel accounting charges *real* wire bytes (no
 virtual cost model: the network is charging for itself now).
 
 Typed rejections from the server surface as the exceptions
@@ -33,6 +33,7 @@ from __future__ import annotations
 import socket
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..buffer.component import BufferComponent
 from ..buffer.holes import FragHole, Fragment
 from ..client.element import XMLElement
 from ..client.remote import ChannelStats, MeteredTransport
@@ -204,11 +205,13 @@ class RemoteSession:
 
     def __init__(self, session_id: str, root: XMLElement,
                  channel: SocketChannel,
-                 context: ExecutionContext) -> None:
+                 context: ExecutionContext,
+                 buffer: BufferComponent) -> None:
         self.session_id = session_id
         self.root = root
         self.channel = channel
         self.context = context
+        self.buffer = buffer
 
     @property
     def stats(self) -> ChannelStats:
@@ -223,6 +226,11 @@ class RemoteSession:
         return self.channel.server_stats()
 
     def close(self) -> None:
+        """Stop the buffer's look-ahead, then say goodbye: fills still
+        in flight finish on an open socket instead of racing a closed
+        one.  A later navigation into an unfilled hole is a plain
+        demand fill on the closed channel (``mix:closed``)."""
+        self.buffer.close()
         self.channel.close()
 
     def __enter__(self) -> "RemoteSession":
@@ -267,6 +275,7 @@ def connect(host: str, port: int, query: str,
         open_frame["depth"] = depth
     sock = socket.create_connection(
         (host, port), timeout=connect_timeout_ms / 1000.0)
+    buffer: Optional[BufferComponent] = None
     try:
         reply = checked(exchange(
             sock, open_frame, timeout_ms,
@@ -298,12 +307,14 @@ def connect(host: str, port: int, query: str,
                                  clock=clock, channel=True)
         root = XMLElement(buffer, buffer.root())
     except BaseException:
-        # No session reaches the caller, so nobody else can close
-        # the socket.
+        # No session reaches the caller, so nobody else can stop the
+        # buffer's pool or close the socket.
+        if buffer is not None:
+            buffer.close()
         close_quietly(sock)
         raise
     return RemoteSession(str(reply.get("session")), root, channel,
-                         context)
+                         context, buffer)
 
 
 def fetch_status(host: str, port: int,

@@ -468,6 +468,9 @@ class MediatorServer:
                     self._session_loop(handler)
         finally:
             close_quietly(handler.conn)
+            if handler.session is not None:
+                # every exit path: polite close, kill, drain
+                handler.session.release()
             if admitted:
                 with self._lock:
                     self._active -= 1

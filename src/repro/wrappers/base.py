@@ -35,12 +35,8 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple, TYPE_CHECKING
 
-from ..buffer.batch import BatchingBuffer
 from ..buffer.component import BufferComponent
 from ..buffer.lxp import LXPServer
-from ..buffer.prefetch import AsyncPrefetchingBuffer, PrefetchingBuffer
-from ..navigation.counting import CountingDocument
-from ..navigation.interface import NavigableDocument
 from ..runtime.resilience import Clock, resilient_server
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -48,8 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..runtime.context import ExecutionContext
     from ..runtime.fragcache import FragcacheDecision
 
-__all__ = ["buffered", "buffered_counting", "source_stack",
-           "negotiate_push"]
+__all__ = ["buffered", "source_stack", "negotiate_push"]
 
 
 def negotiate_push(server: Any,
@@ -72,30 +67,17 @@ def buffered(server: LXPServer, prefetch: int = 0,
     """Stack the generic buffer component on top of an LXP wrapper
     (the refined VXD architecture of Figure 7).
 
-    ``prefetch`` is the lookahead budget; ``workers`` backs it with a
-    thread pool (:class:`AsyncPrefetchingBuffer`); ``batch`` switches
-    the demand path to pipelined ``fill_batch`` exchanges
-    (:class:`BatchingBuffer`), with ``prefetch`` as the server-side
-    speculation budget.  Batching subsumes the lookahead -- the
-    speculative fills travel *inside* the demand round trip -- so it
-    takes precedence when both are requested.  All defaults off
-    reproduce the plain buffer byte-for-byte.
+    ``prefetch`` is the look-ahead budget, ``workers`` the pool that
+    fetches it, ``batch`` the pipelined ``fill_batch`` demand path --
+    the fill policies of :mod:`repro.buffer.component`.  All defaults
+    off is the plain demand-only buffer.
 
     ``tracer``/``name`` make the buffer's fills show up as
     ``buffer.fill`` / ``buffer.prefetch_fill`` spans in the causal
     trace (idle tracers cost nothing).
     """
-    if batch:
-        return BatchingBuffer(server, speculate=prefetch,
-                              tracer=tracer, name=name)
-    if workers > 0:
-        return AsyncPrefetchingBuffer(server, lookahead=prefetch,
-                                      workers=workers,
-                                      tracer=tracer, name=name)
-    if prefetch > 0:
-        return PrefetchingBuffer(server, lookahead=prefetch,
-                                 tracer=tracer, name=name)
-    return BufferComponent(server, tracer=tracer, name=name)
+    return BufferComponent(server, lookahead=prefetch, workers=workers,
+                           batch=batch, tracer=tracer, name=name)
 
 
 def source_stack(server: Any, name: str,
@@ -163,12 +145,3 @@ def source_stack(server: Any, name: str,
     context.register("buffer", "client-buffer#" if channel else name,
                      buffer.stats)
     return buffer, decision
-
-
-def buffered_counting(server: LXPServer, name: str = "",
-                      prefetch: int = 0, workers: int = 0,
-                      batch: bool = False) -> CountingDocument:
-    """A buffered wrapper with a navigation meter on top -- the
-    standard experiment rig: mediator -> meter -> buffer -> wrapper."""
-    return CountingDocument(buffered(server, prefetch, workers, batch),
-                            name=name)

@@ -16,7 +16,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..buffer.holes import FragElem, FragHole, Fragment, LXPProtocolError
+from ..buffer.holes import (
+    FragElem,
+    FragHole,
+    Fragment,
+    LXPProtocolError,
+    fragment_of_tree,
+)
 from ..buffer.lxp import LXPServer, LXPStats, measure_fragment
 from ..oodb.store import ObjectStore, OObject
 from ..pushdown.compiled import (
@@ -44,26 +50,26 @@ class OODBLXPWrapper(LXPServer):
     def get_root(self) -> FragHole:
         return FragHole(("store",))
 
-    def _ship_value(self, value) -> List[FragElem]:
+    def _value_trees(self, value) -> List[Tree]:
         if isinstance(value, OObject):
-            return [FragElem("ref", (FragElem(value.oid),))]
+            return [Tree("ref", (Tree(value.oid),))]
         if isinstance(value, list):
-            shipped: List[FragElem] = []
+            shipped: List[Tree] = []
             for item in value:
-                shipped.extend(self._ship_value(item))
+                shipped.extend(self._value_trees(item))
             return shipped
-        return [FragElem(_atom(value))]
+        return [Tree(_atom(value))]
 
-    def _ship_object(self, obj: OObject) -> FragElem:
-        children = [FragElem("oid", (FragElem(obj.oid),))]
+    def _object_tree(self, obj: OObject) -> Tree:
+        children = [Tree("oid", (Tree(obj.oid),))]
         for attribute in obj.oclass.attributes:
             value = obj.get(attribute)
             if value is None:
-                children.append(FragElem(attribute))
+                children.append(Tree(attribute))
             else:
                 children.append(
-                    FragElem(attribute, tuple(self._ship_value(value))))
-        return FragElem("object", tuple(children))
+                    Tree(attribute, tuple(self._value_trees(value))))
+        return Tree("object", tuple(children))
 
     # -- pushdown -------------------------------------------------------------
     def push_compile(self, compiled: CompiledSubplan
@@ -99,27 +105,6 @@ class OODBLXPWrapper(LXPServer):
             for name in names)
         return Tree(self.store.name, classes)
 
-    def _value_trees(self, value) -> List[Tree]:
-        if isinstance(value, OObject):
-            return [Tree("ref", (Tree(value.oid),))]
-        if isinstance(value, list):
-            shipped: List[Tree] = []
-            for item in value:
-                shipped.extend(self._value_trees(item))
-            return shipped
-        return [Tree(_atom(value))]
-
-    def _object_tree(self, obj: OObject) -> Tree:
-        children = [Tree("oid", (Tree(obj.oid),))]
-        for attribute in obj.oclass.attributes:
-            value = obj.get(attribute)
-            if value is None:
-                children.append(Tree(attribute))
-            else:
-                children.append(
-                    Tree(attribute, tuple(self._value_trees(value))))
-        return Tree("object", tuple(children))
-
     def fill(self, hole_id) -> List[Fragment]:
         if hole_id == ("store",):
             classes = tuple(
@@ -137,7 +122,8 @@ class OODBLXPWrapper(LXPServer):
             raise LXPProtocolError("unknown hole id %r" % (hole_id,))
         extent = self.store.extent(class_name)
         end = min(start + self.chunk_size, len(extent))
-        reply = [self._ship_object(obj) for obj in extent[start:end]]
+        reply = [fragment_of_tree(self._object_tree(obj))
+                 for obj in extent[start:end]]
         if end < len(extent):
             reply.append(FragHole(("extent", class_name, end)))
         measure_fragment(self.stats, reply)

@@ -16,20 +16,21 @@ downloading the catalog.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from ..buffer.holes import FragElem, FragHole, Fragment, LXPProtocolError
+from ..buffer.holes import (
+    FragElem,
+    FragHole,
+    Fragment,
+    LXPProtocolError,
+    fragment_of_tree,
+)
 from ..buffer.lxp import LXPServer, LXPStats, measure_fragment
 from ..pushdown.compiled import CompiledSubplan, PageFetchRequest
 from ..webstore.site import HttpSimulator
 from ..xtree.tree import Tree
 
 __all__ = ["WebLXPWrapper"]
-
-
-def _closed(tree: Tree) -> FragElem:
-    return FragElem(tree.label,
-                    tuple(_closed(c) for c in tree.children))
 
 
 class WebLXPWrapper(LXPServer):
@@ -58,7 +59,9 @@ class WebLXPWrapper(LXPServer):
     def get_root(self) -> FragHole:
         return FragHole(("page", self.first_page, True))
 
-    def _page_items(self, url: str):
+    def _page_items(self, url: str
+                    ) -> Tuple[List[Tree], Optional[str]]:
+        """One page fetch: its item trees and the next page's URL."""
         page = self.http.fetch(url)
         items = []
         next_url = None
@@ -66,7 +69,7 @@ class WebLXPWrapper(LXPServer):
             if child.label == self.NEXT_LABEL:
                 next_url = child.text()
             else:
-                items.append(_closed(child))
+                items.append(child)
         return items, next_url
 
     # -- pushdown -------------------------------------------------------------
@@ -91,14 +94,8 @@ class WebLXPWrapper(LXPServer):
         items: List[Tree] = []
         url: Optional[str] = request.first_page
         while url is not None:
-            page = self.http.fetch(url)
-            next_url = None
-            for child in page.children:
-                if child.label == self.NEXT_LABEL:
-                    next_url = child.text()
-                else:
-                    items.append(child)
-            url = next_url
+            page_items, url = self._page_items(url)
+            items.extend(page_items)
         return Tree(self.root_label, tuple(items))
 
     def fill(self, hole_id) -> List[Fragment]:
@@ -109,13 +106,10 @@ class WebLXPWrapper(LXPServer):
         if kind != "page":
             raise LXPProtocolError("unknown hole id %r" % (hole_id,))
         items, next_url = self._page_items(url)
-        tail: List[Fragment] = []
+        reply: List[Fragment] = [fragment_of_tree(item) for item in items]
         if next_url is not None:
-            tail = [FragHole(("page", next_url, False))]
+            reply.append(FragHole(("page", next_url, False)))
         if is_root:
-            reply: List[Fragment] = [
-                FragElem(self.root_label, tuple(items) + tuple(tail))]
-        else:
-            reply = list(items) + tail
+            reply = [FragElem(self.root_label, tuple(reply))]
         measure_fragment(self.stats, reply)
         return reply

@@ -1,5 +1,9 @@
 """Shared fixtures: the paper's running example and plan builders."""
 
+import contextlib
+import gc
+import threading
+
 from repro.algebra import (
     Comparison,
     Concatenate,
@@ -12,6 +16,28 @@ from repro.algebra import (
     Var,
 )
 from repro.xtree import Tree, elem
+
+
+@contextlib.contextmanager
+def pool_thread_ledger():
+    """Yields a function listing the pool worker threads (operator
+    fan-out, buffer look-ahead) started since entry and still alive.
+
+    The cyclic GC is off inside: a pool is returned because somebody
+    closed it, not because a collection happened to run.
+    """
+    def pool_threads():
+        return {thread for thread in threading.enumerate()
+                if thread.name.startswith("mix-fanout")}
+
+    gc.collect()
+    baseline = pool_threads()
+    gc.disable()
+    try:
+        yield lambda: sorted(thread.name
+                             for thread in pool_threads() - baseline)
+    finally:
+        gc.enable()
 
 
 def homes_source() -> Tree:

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.buffer import (
-    AsyncPrefetchingBuffer,
-    BatchingBuffer,
+    AdaptiveTreeLXPServer,
     BufferComponent,
     FragElem,
     FragHole,
     LXPProtocolError,
+    OpenElem,
     OpenHole,
-    PrefetchingBuffer,
     RandomizedLXPServer,
     TreeLXPServer,
     count_holes,
@@ -24,6 +23,8 @@ from repro.buffer import (
 )
 from repro.navigation import materialize
 from repro.xtree import Tree, elem, leaf
+
+from .fixtures import pool_thread_ledger
 
 
 class TestFillReplyValidation:
@@ -184,14 +185,20 @@ class TestBufferComponent:
 
 
 class _CountingList(list):
-    """A child list that counts the identity comparisons made on it:
-    one per indexed read, and as many as ``index`` had to scan."""
+    """A child list that counts the items read from it: one per
+    indexed read or iteration step, and as many identity comparisons
+    as ``index`` had to make."""
 
     comparisons = 0
 
     def __getitem__(self, index):
         self.comparisons += 1
         return super().__getitem__(index)
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.comparisons += 1
+            yield item
 
     def index(self, item, *args):
         found = super().index(item, *args)
@@ -293,7 +300,7 @@ class TestPrefetching:
         tree = Tree("r", [elem("x", str(i)) for i in range(60)])
 
         def demand_fills(lookahead):
-            buffer = PrefetchingBuffer(
+            buffer = BufferComponent(
                 TreeLXPServer(tree, chunk_size=5, depth=3),
                 lookahead=lookahead)
             materialize(buffer)
@@ -303,16 +310,169 @@ class TestPrefetching:
 
     def test_zero_lookahead_is_plain_buffer(self):
         tree = Tree("r", [elem("x", str(i)) for i in range(10)])
-        buffer = PrefetchingBuffer(
+        buffer = BufferComponent(
             TreeLXPServer(tree, chunk_size=5, depth=3), lookahead=0)
         materialize(buffer)
         assert buffer.prefetch_stats.prefetch_fills == 0
 
 
+    @pytest.mark.parametrize("lookahead", [1, 2, 3, 5])
+    @pytest.mark.parametrize("chunks", [1, 7, 12])
+    def test_budget_rule_on_a_chunk_chain(self, chunks, lookahead):
+        """The model's budget: one demand fill buys ``lookahead``
+        prefetch fills, and only the next demand fill buys more."""
+        chunk = 3
+        tree = Tree("r", [leaf(str(i)) for i in range(chunks * chunk)])
+        buffer = BufferComponent(
+            TreeLXPServer(tree, chunk_size=chunk), lookahead=lookahead)
+        assert materialize(buffer) == tree
+        stats = buffer.prefetch_stats
+        assert buffer.stats.fills == chunks
+        assert stats.demand_fills == -(-chunks // (lookahead + 1))
+        assert stats.prefetch_fills == chunks - stats.demand_fills
+        assert stats.stalls == 0
+
+    def test_e5_table(self):
+        """Experiment E5's table (benchmarks/test_bench_lxp_policies):
+        browsing the first 20 hits of a paginated listing."""
+        from repro.bench import book_catalog, browse_first_k
+        from repro.mediator import MIXMediator
+        from repro.webstore import HttpSimulator, make_catalog_site
+        from repro.wrappers import WebLXPWrapper
+
+        site = make_catalog_site(
+            "amazon", book_catalog("amazon", 1500, seed=3), page_size=25)
+        table = []
+        for lookahead in (0, 1, 2, 4):
+            http = HttpSimulator(site, latency_ms=80.0, ms_per_kb=5.0)
+            buffer = BufferComponent(WebLXPWrapper(http),
+                                     lookahead=lookahead)
+            mediator = MIXMediator()
+            mediator.register_source("amazon", buffer)
+            root = mediator.query(
+                "CONSTRUCT <hits> $B {$B} </hits> {} "
+                "WHERE amazon book $B AND $B price._ $P AND $P < 12")
+            browse_first_k(root, 20, per_result=lambda b: b.to_tree())
+            stats = buffer.prefetch_stats
+            table.append((lookahead, stats.demand_fills,
+                          stats.prefetch_fills, http.stats.requests))
+        assert table == [(0, 19, 0, 19), (1, 10, 10, 20),
+                         (2, 7, 14, 21), (4, 4, 16, 20)]
+
+
+class _CountingElem(OpenElem):
+    """An open element whose child list counts its reads."""
+
+    __slots__ = ()
+    lists = []
+
+    def __init__(self, label, parent=None):
+        super().__init__(label, parent)
+        self.children = _CountingList()
+        self.lists.append(self.children)
+
+
+class TestSchedulingPoint:
+    """Look-ahead is scheduled where the set of holes changes -- when
+    a fill lands -- never per navigation: counted in child-list reads,
+    not timed.  (A walk of the open tree per navigation made both
+    scans below quadratic.)"""
+
+    #: 31 chunks, so under a look-ahead of 2 the last fill of a scan
+    #: is a demand fill and the model ends with budget to spare
+    ROWS, CHUNK = 310, 10
+
+    def _tree(self):
+        return Tree("t", [elem("row", elem("a", "1"), elem("b", "2"))
+                          for _ in range(self.ROWS)])
+
+    def _buffer(self, policy):
+        return BufferComponent(
+            TreeLXPServer(self._tree(), chunk_size=self.CHUNK),
+            **policy)
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Every element grafted from now on counts its reads."""
+        monkeypatch.setattr(_CountingElem, "lists", [])
+        monkeypatch.setattr("repro.buffer.holes.OpenElem",
+                            _CountingElem)
+        return lambda: sum(children.comparisons
+                           for children in _CountingElem.lists)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_rewalk_of_a_loaded_buffer_reads_what_the_plain_one_does(
+            self, counted, workers):
+        reads = {}
+        for name, policy in [
+                ("plain", {}),
+                ("ahead", {"lookahead": 2, "workers": workers})]:
+            buffer = self._buffer(policy)
+            try:
+                materialize(buffer)
+                assert buffer.holes_outstanding() == 0
+                loaded = counted()
+                assert materialize(buffer) == self._tree()
+                reads[name] = counted() - loaded
+            finally:
+                buffer.close()
+        assert reads["ahead"] == reads["plain"]
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_first_scan_bookkeeping_is_linear(self, counted, workers):
+        nodes = 1 + 5 * self.ROWS
+        reads = []
+        for policy in [{}, {"lookahead": 2, "workers": workers}]:
+            before = counted()
+            buffer = self._buffer(policy)
+            try:
+                assert materialize(buffer) == self._tree()
+            finally:
+                buffer.close()
+            reads.append(counted() - before)
+        plain, ahead = reads
+        # each spliced node is read once more, to index its holes
+        assert plain <= ahead <= plain + 2 * nodes
+
+
 # ----------------------------------------------------------------------
 # Property: the buffer over ANY liberal server is indistinguishable
-# from direct navigation of the complete tree.
+# from direct navigation of the complete tree -- under every fill
+# policy.
 # ----------------------------------------------------------------------
+
+POLICIES = [
+    {},
+    {"lookahead": 1},
+    {"lookahead": 3},
+    {"lookahead": 2, "workers": 2},
+    {"batch": True},
+    {"lookahead": 4, "batch": True},
+]
+
+SERVERS = [
+    lambda tree, seed: RandomizedLXPServer(tree, seed=seed),
+    lambda tree, seed: TreeLXPServer(tree, chunk_size=1 + seed % 3,
+                                     depth=1 + seed % 4),
+    lambda tree, seed: AdaptiveTreeLXPServer(
+        tree, initial_chunk=1 + seed % 2, max_chunk=4,
+        depth=1 + seed % 3),
+]
+
+
+def assert_fills_reconcile(buffer, server):
+    """Every fill is accounted exactly once, whatever the policy."""
+    if buffer.batch:
+        batch = buffer.batch_stats
+        assert batch.batches + batch.speculative_fills \
+            + batch.dropped_replies == server.stats.fills
+        assert batch.batches + batch.speculative_fills \
+            == buffer.stats.fills
+    else:
+        prefetch = buffer.prefetch_stats
+        assert prefetch.demand_fills + prefetch.prefetch_fills \
+            == buffer.stats.fills
+        assert buffer.batch_stats.commands == 0
 
 _trees = st.recursive(
     st.sampled_from(list("pqxyz12")).map(leaf),
@@ -324,10 +484,19 @@ _trees = st.recursive(
 
 
 @settings(max_examples=120, deadline=None)
-@given(tree=_trees, seed=st.integers(0, 10000))
-def test_buffer_over_randomized_liberal_server(tree, seed):
-    buffer = BufferComponent(RandomizedLXPServer(tree, seed=seed))
-    assert materialize(buffer) == tree
+@given(tree=_trees, seed=st.integers(0, 10000),
+       make_server=st.sampled_from(SERVERS),
+       policy=st.sampled_from(POLICIES))
+def test_buffer_over_randomized_liberal_server(tree, seed, make_server,
+                                               policy):
+    server = make_server(tree, seed)
+    buffer = BufferComponent(server, **policy)
+    try:
+        assert materialize(buffer) == tree
+    finally:
+        buffer.close()
+    assert buffer.holes_outstanding() == 0
+    assert_fills_reconcile(buffer, server)
 
 
 @settings(max_examples=60, deadline=None)
@@ -340,8 +509,12 @@ def test_buffer_over_chunked_server(tree, chunk, depth):
 
 
 @settings(max_examples=80, deadline=None)
-@given(tree=_trees, seed=st.integers(0, 5000), data=st.data())
-def test_partial_navigation_matches_materialized(tree, seed, data):
+@given(tree=_trees, seed=st.integers(0, 5000),
+       make_server=st.sampled_from(SERVERS),
+       policy=st.sampled_from(POLICIES), data=st.data())
+def test_partial_navigation_matches_materialized(tree, seed,
+                                                 make_server, policy,
+                                                 data):
     """Any partial navigation over the buffer equals the same
     navigation over the in-memory tree -- not just full exploration."""
     from repro.navigation import MaterializedDocument, Navigation, \
@@ -351,12 +524,19 @@ def test_partial_navigation_matches_materialized(tree, seed, data):
     nav = Navigation.parse(";".join(commands))
 
     reference = run_navigation(MaterializedDocument(tree), nav)
-    buffered_doc = BufferComponent(RandomizedLXPServer(tree, seed=seed))
-    actual = run_navigation(buffered_doc, nav)
+    server = make_server(tree, seed)
+    buffered_doc = BufferComponent(server, **policy)
+    try:
+        actual = run_navigation(buffered_doc, nav)
+    finally:
+        buffered_doc.close()
 
     assert actual.labels == reference.labels
     assert [p is None for p in actual.pointers] == \
         [p is None for p in reference.pointers]
+    if not policy.get("workers"):
+        # (fills a closed pool abandoned were sent, never spliced)
+        assert_fills_reconcile(buffered_doc, server)
 
 
 class TestAdaptiveGranularity:
@@ -486,26 +666,27 @@ class TestBatchingBuffer:
         tree = self._tree()
         plain = materialize(BufferComponent(
             TreeLXPServer(tree, chunk_size=2, depth=1)))
-        batched = materialize(BatchingBuffer(
-            TreeLXPServer(tree, chunk_size=2, depth=1), speculate=4))
+        batched = materialize(BufferComponent(
+            TreeLXPServer(tree, chunk_size=2, depth=1),
+            lookahead=4, batch=True))
         assert batched == plain
 
     def test_speculative_fills_reduce_batches(self):
         tree = self._tree(20)
 
         def batches(speculate):
-            buffer = BatchingBuffer(
+            buffer = BufferComponent(
                 TreeLXPServer(tree, chunk_size=2, depth=1),
-                speculate=speculate)
+                lookahead=speculate, batch=True)
             materialize(buffer)
             return buffer.batch_stats.batches
 
         assert batches(4) < batches(0)
 
     def test_commands_equal_batches_plus_speculation(self):
-        buffer = BatchingBuffer(
+        buffer = BufferComponent(
             TreeLXPServer(self._tree(), chunk_size=2, depth=1),
-            speculate=3)
+            lookahead=3, batch=True)
         materialize(buffer)
         stats = buffer.batch_stats
         assert stats.commands \
@@ -518,8 +699,8 @@ class TestBatchingBuffer:
             def fill_batch(self, hole_ids, speculate=0):
                 return []  # never answers what was asked
 
-        buffer = BatchingBuffer(RudeServer(self._tree(), chunk_size=2),
-                                speculate=0)
+        buffer = BufferComponent(RudeServer(self._tree(), chunk_size=2),
+                                 batch=True)
         with pytest.raises(LXPProtocolError, match="omitted"):
             buffer.root()
 
@@ -534,8 +715,8 @@ class TestBatchingBuffer:
                                    self.fill(hole_ids[0]))]
 
         tree = self._tree()
-        buffer = BatchingBuffer(EchoTwiceServer(tree, chunk_size=2,
-                                                depth=1))
+        buffer = BufferComponent(EchoTwiceServer(tree, chunk_size=2,
+                                                 depth=1), batch=True)
         plain = materialize(BufferComponent(
             TreeLXPServer(tree, chunk_size=2, depth=1)))
         assert materialize(buffer) == plain
@@ -550,7 +731,7 @@ class TestAsyncPrefetchingBuffer:
         tree = self._tree()
         plain = materialize(BufferComponent(
             TreeLXPServer(tree, chunk_size=3, depth=1)))
-        buffer = AsyncPrefetchingBuffer(
+        buffer = BufferComponent(
             TreeLXPServer(tree, chunk_size=3, depth=1),
             lookahead=3, workers=2)
         try:
@@ -559,7 +740,7 @@ class TestAsyncPrefetchingBuffer:
             buffer.close()
 
     def test_fill_accounting_balances(self):
-        buffer = AsyncPrefetchingBuffer(
+        buffer = BufferComponent(
             TreeLXPServer(self._tree(), chunk_size=2, depth=1),
             lookahead=2, workers=2)
         try:
@@ -573,16 +754,30 @@ class TestAsyncPrefetchingBuffer:
     def test_invalid_parameters_rejected(self):
         server = TreeLXPServer(self._tree(), chunk_size=2)
         with pytest.raises(ValueError):
-            AsyncPrefetchingBuffer(server, workers=0)
+            BufferComponent(server, workers=-1)
         with pytest.raises(ValueError):
-            AsyncPrefetchingBuffer(server, lookahead=-1)
+            BufferComponent(server, lookahead=-1)
+        with pytest.raises(ValueError):
+            BufferComponent(server, lookahead=-1, batch=True)
+        # no workers is the synchronous model, not an error
+        sync = BufferComponent(server, lookahead=2, workers=0)
+        assert materialize(sync) == self._tree()
+        assert sync.prefetch_stats.stalls == 0
 
     def test_close_is_idempotent_and_buffer_survives(self):
-        buffer = AsyncPrefetchingBuffer(
-            TreeLXPServer(self._tree(8), chunk_size=2, depth=1),
-            lookahead=2, workers=1)
-        root = buffer.root()
-        buffer.close()
-        buffer.close()
-        # Demand path still works after close (no more prefetching).
-        assert buffer.down(root) is not None
+        with pool_thread_ledger() as leaked:
+            buffer = BufferComponent(
+                TreeLXPServer(self._tree(8), chunk_size=2, depth=1),
+                lookahead=2, workers=1)
+            buffer.root()
+            assert leaked()
+            buffer.close()
+            buffer.close()
+            # Demand path still works after close (no more
+            # prefetching, no new pool).
+            before = buffer.prefetch_stats.snapshot()
+            assert materialize(buffer) == self._tree(8)
+            after = buffer.prefetch_stats
+            assert after.prefetch_fills == before["prefetch_fills"]
+            assert after.demand_fills > before["demand_fills"]
+            assert leaked() == []

@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.bench.workloads import homes_and_schools
+from repro.bench.workloads import HOMES_SCHOOLS_QUERY, homes_and_schools
 from repro.mediator.mix import MIXMediator
 from repro.navigation.interface import NavigableDocument
 from repro.navigation.materialized import MaterializedDocument
@@ -44,6 +44,8 @@ from repro.testing.transport import (
     slow_loris,
 )
 from repro.testing.transport import _decode  # test-only convenience
+
+from .fixtures import pool_thread_ledger
 
 QUERY = """
 CONSTRUCT <result> <home> $A {$A} </home> {$H} </result> {}
@@ -323,6 +325,83 @@ class TestClientSocketLifetime:
             assert [sock.fileno() for sock in client_sockets] == [-1]
         finally:
             server.drain()
+
+
+class TestThreadLedger:
+    """Every pool thread a session starts -- the daemon's per-query
+    fan-out pool, the client buffer's look-ahead pool -- is gone when
+    the session is, on every exit path and without a GC's help."""
+
+    def test_daemon_closes_each_sessions_context(self):
+        mediator = MIXMediator(EngineConfig(
+            serve_port=0, fanout_workers=2, chunk_size=2,
+            serve_session_max_fills=1))
+        for name, tree in homes_and_schools(6).items():
+            mediator.register_source(name, MaterializedDocument(tree))
+        server = MediatorServer(mediator)
+        host, port = server.start()
+        with pool_thread_ledger() as leaked:
+            try:
+                # connect() spends the one budgeted fill on the root,
+                # which runs the join: the query's pool is up.
+                for _ in range(4):
+                    with connect(host, port, HOMES_SCHOOLS_QUERY):
+                        assert leaked()
+                killed = connect(host, port, HOMES_SCHOOLS_QUERY)
+                with pytest.raises(ServerReplyError) as excinfo:
+                    killed.root.to_tree()
+                assert excinfo.value.code == "mix:budget"
+                wait_until(lambda: server.active_sessions == 0,
+                           message="session teardown")
+                assert leaked() == []
+                drained = connect(host, port, HOMES_SCHOOLS_QUERY)
+                assert leaked()
+            finally:
+                server.drain()
+            assert leaked() == []
+            drained.close()
+
+    def test_remote_session_close_stops_the_buffer_pool(self):
+        server, host, port = make_server(n_homes=12, chunk_size=2)
+        config = EngineConfig(prefetch=2, prefetch_workers=1)
+        with pool_thread_ledger() as leaked:
+            try:
+                session = connect(host, port, QUERY, config=config)
+                first = session.root.first_child()
+                assert first.tag == "home" and leaked()
+                session.close()
+                assert leaked() == []
+                assert session.channel.closed
+                # An unfilled hole is now a plain demand fill on the
+                # closed channel, not a wait on a forgotten future.
+                with pytest.raises(ServerReplyError) as excinfo:
+                    session.root.to_tree()
+                assert excinfo.value.code == "mix:closed"
+                assert leaked() == []
+                session.close()  # idempotent
+            finally:
+                server.drain()
+
+    def test_failed_connect_stops_the_buffer_pool(self, monkeypatch):
+        """No session reaches the caller, so nobody else could."""
+        server, host, port = make_server(n_homes=12, chunk_size=2)
+        started = []
+
+        def broken_element(buffer, pointer):
+            # the root fill has landed and look-ahead is under way
+            started.extend(buffer._inflight)
+            raise RuntimeError("no element for you")
+
+        monkeypatch.setattr("repro.server.client.XMLElement",
+                            broken_element)
+        with pool_thread_ledger() as leaked:
+            try:
+                with pytest.raises(RuntimeError):
+                    connect(host, port, QUERY, config=EngineConfig(
+                        prefetch=2, prefetch_workers=1))
+                assert started and leaked() == []
+            finally:
+                server.drain()
 
 
 class TestFaultContainment:

@@ -9,7 +9,7 @@ from repro.buffer import (
     LXPProtocolError,
     validate_fill_reply,
 )
-from repro.navigation import materialize
+from repro.navigation import CountingDocument, materialize
 from repro.oodb import ObjectStore
 from repro.relational import Connection, Database
 from repro.webstore import HttpSimulator, make_catalog_site
@@ -19,7 +19,6 @@ from repro.wrappers import (
     WebLXPWrapper,
     XMLFileWrapper,
     buffered,
-    buffered_counting,
     document_node,
 )
 from repro.xtree import Tree, elem
@@ -212,8 +211,8 @@ class TestXMLFileWrapper:
         assert tree == document_node("s", doc)
 
     def test_buffered_counting_wires_a_meter(self):
-        meter = buffered_counting(
-            XMLFileWrapper("s", "<r><a>1</a></r>"), name="s")
+        meter = CountingDocument(
+            buffered(XMLFileWrapper("s", "<r><a>1</a></r>")), name="s")
         materialize(meter)
         assert meter.total > 0
         assert meter.name == "s"
