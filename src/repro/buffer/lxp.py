@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..runtime.config import validate_granularity
@@ -169,6 +169,14 @@ def measure_fragment(stats: LXPStats,
             source=source)
 
 
+def _node_at(tree: Tree, path: Tuple[int, ...]) -> Tree:
+    """The node of ``tree`` at child-index ``path``."""
+    node = tree
+    for index in path:
+        node = node.child(index)
+    return node
+
+
 class TreeLXPServer(LXPServer):
     """Serve a complete in-memory tree through LXP.
 
@@ -212,12 +220,6 @@ class TreeLXPServer(LXPServer):
         return 0
 
     # -- helpers ----------------------------------------------------------
-    def _node_at(self, path: Tuple[int, ...]) -> Tree:
-        node = self.tree
-        for index in path:
-            node = node.child(index)
-        return node
-
     def _ship_element(self, path: Tuple[int, ...], node: Tree,
                       depth_left: int) -> FragElem:
         if node.is_leaf:
@@ -239,25 +241,33 @@ class TreeLXPServer(LXPServer):
     def get_root(self) -> FragHole:
         return FragHole(("root",))
 
+    def _range_of(self, hole_id) -> tuple:
+        """A range hole id taken apart: ``(path, lo, hi)``, the chunk
+        to ship, and what a continuation hole appends to its
+        ``(path, limit, hi)``."""
+        path, lo, hi = hole_id
+        return path, lo, hi, self.chunk_size, ()
+
     def fill(self, hole_id) -> List[Fragment]:
         if hole_id == ("root",):
             reply: List[Fragment] = [
                 self._ship_element((), self.tree, self.depth)]
-            measure_fragment(self.stats, reply)
-            return reply
-        try:
-            path, lo, hi = hole_id
-            parent = self._node_at(path)
-        except (ValueError, IndexError, TypeError):
-            raise LXPProtocolError("unknown hole id %r" % (hole_id,))
-        end = len(parent.children) if hi is None else hi
-        reply = []
-        limit = min(end, lo + self.chunk_size)
-        for index in range(lo, limit):
-            reply.append(self._ship_element(
-                path + (index,), parent.child(index), self.depth))
-        if limit < end:
-            reply.append(FragHole((path, limit, hi)))
+        else:
+            try:
+                path, lo, hi, chunk, grown = self._range_of(hole_id)
+                parent = _node_at(self.tree, path)
+            except (ValueError, IndexError, TypeError):
+                raise LXPProtocolError(
+                    "unknown hole id %r" % (hole_id,))
+            # The one range-shipping loop: at most ``chunk`` of
+            # ``children[lo:hi]``, then a hole for whatever remains.
+            end = len(parent.children) if hi is None else hi
+            limit = min(end, lo + chunk)
+            reply = [self._ship_element(path + (index,),
+                                        parent.child(index), self.depth)
+                     for index in range(lo, limit)]
+            if limit < end:
+                reply.append(FragHole((path, limit, hi) + grown))
         measure_fragment(self.stats, reply)
         return reply
 
@@ -281,34 +291,19 @@ class AdaptiveTreeLXPServer(TreeLXPServer):
         self.initial_chunk = initial_chunk
         self.max_chunk = max_chunk
 
+    def _range_of(self, hole_id):
+        if len(hole_id) == 4:
+            path, lo, hi, chunk = hole_id
+        else:
+            path, lo, hi = hole_id
+            chunk = self.initial_chunk
+        self.chunk_size = chunk  # _ship_element uses it for subtrees
+        return path, lo, hi, chunk, (min(chunk * 2, self.max_chunk),)
+
     def fill(self, hole_id) -> List[Fragment]:
         if hole_id == ("root",):
             self.chunk_size = self.initial_chunk
-            reply: List[Fragment] = [
-                self._ship_element((), self.tree, self.depth)]
-            measure_fragment(self.stats, reply)
-            return reply
-        try:
-            if len(hole_id) == 4:
-                path, lo, hi, chunk = hole_id
-            else:
-                path, lo, hi = hole_id
-                chunk = self.initial_chunk
-            parent = self._node_at(path)
-        except (ValueError, IndexError, TypeError):
-            raise LXPProtocolError("unknown hole id %r" % (hole_id,))
-        end = len(parent.children) if hi is None else hi
-        self.chunk_size = chunk  # _ship_element uses it for subtrees
-        reply = []
-        limit = min(end, lo + chunk)
-        for index in range(lo, limit):
-            reply.append(self._ship_element(
-                path + (index,), parent.child(index), self.depth))
-        if limit < end:
-            grown = min(chunk * 2, self.max_chunk)
-            reply.append(FragHole((path, limit, hi, grown)))
-        measure_fragment(self.stats, reply)
-        return reply
+        return super().fill(hole_id)
 
 
 class RandomizedLXPServer(LXPServer):
@@ -327,12 +322,6 @@ class RandomizedLXPServer(LXPServer):
         self.rng = random.Random(seed)
         self.max_run = max(1, max_run)
         self.stats = LXPStats()
-
-    def _node_at(self, path: Tuple[int, ...]) -> Tree:
-        node = self.tree
-        for index in path:
-            node = node.child(index)
-        return node
 
     def get_root(self) -> FragHole:
         return FragHole(("root",))
@@ -366,7 +355,7 @@ class RandomizedLXPServer(LXPServer):
             for offset in range(run):
                 fragments.append(self._ship_element(
                     path + (index + offset,),
-                    self._node_at(path).child(index + offset)))
+                    _node_at(self.tree, path).child(index + offset)))
             index += run
             if index < hi:
                 cut = self.rng.randint(index + 1, hi)
@@ -377,11 +366,10 @@ class RandomizedLXPServer(LXPServer):
     def fill(self, hole_id) -> List[Fragment]:
         if hole_id == ("root",):
             reply: List[Fragment] = [self._ship_element((), self.tree)]
-            measure_fragment(self.stats, reply)
-            return reply
-        path, lo, hi = hole_id
-        parent = self._node_at(path)
-        end = len(parent.children) if hi is None else hi
-        reply = self._split_range(path, lo, end)
+        else:
+            path, lo, hi = hole_id
+            parent = _node_at(self.tree, path)
+            end = len(parent.children) if hi is None else hi
+            reply = self._split_range(path, lo, end)
         measure_fragment(self.stats, reply)
         return reply

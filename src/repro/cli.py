@@ -29,6 +29,8 @@ navigation counts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 from typing import Dict, List, Optional
 
@@ -54,19 +56,26 @@ def _build_parser() -> argparse.ArgumentParser:
                     "mediated views (EDBT 2000 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_file_sources(p):
+        p.add_argument(
+            "-s", "--source", action="append", default=[],
+            metavar="NAME=FILE",
+            help="register an XML file as source NAME (repeatable)")
+
     def add_query_arguments(p, with_sources: bool):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("-q", "--query", help="XMAS query text")
         group.add_argument("-f", "--query-file",
                            help="file containing the XMAS query")
         if with_sources:
-            p.add_argument(
-                "-s", "--source", action="append", default=[],
-                metavar="NAME=FILE",
-                help="register an XML file as source NAME "
-                     "(repeatable)")
+            add_file_sources(p)
+        return group
 
+    # Where a flag sets an EngineConfig field, its ``dest`` *is* that
+    # field's name: _engine_config() picks the fields out of the
+    # namespace, so no command spells the mapping out again.
     run = sub.add_parser("query", help="evaluate a query lazily")
+    run.set_defaults(run=_cmd_query)
     add_query_arguments(run, with_sources=True)
     run.add_argument("--eager", action="store_true",
                      help="materialize eagerly instead (the baseline)")
@@ -76,15 +85,17 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="print per-source navigation counts")
     run.add_argument("--chunk-size", type=int, default=10,
                      help="wrapper fill granularity (default 10)")
-    run.add_argument("--no-optimize", action="store_true",
+    run.add_argument("--no-optimize", action="store_false",
+                     dest="optimize_plans",
                      help="skip the rewriting phase")
-    run.add_argument("--no-cache", action="store_true",
+    run.add_argument("--no-cache", action="store_false",
+                     dest="cache_enabled",
                      help="disable the operator caches (E7 ablation)")
     run.add_argument("--cache-budget", type=int, default=None,
                      metavar="N",
                      help="bound live cached entries to N "
                           "(LRU-evicting; default unbounded)")
-    run.add_argument("--sigma", action="store_true",
+    run.add_argument("--sigma", action="store_true", dest="use_sigma",
                      help="push sibling selection to the sources "
                           "(select(sigma))")
     run.add_argument("--hybrid", action="store_true",
@@ -100,14 +111,17 @@ def _build_parser() -> argparse.ArgumentParser:
                           "sources across sessions (E17; default off "
                           "keeps the lazy reference path)")
     run.add_argument("--retries", type=int, default=1, metavar="N",
+                     dest="retry_max_attempts",
                      help="total attempts per source operation "
                           "(default 1 = fail fast; >1 enables "
                           "transient-failure retries with backoff)")
     run.add_argument("--retry-deadline", type=float, default=None,
-                     metavar="MS",
+                     metavar="MS", dest="retry_deadline_ms",
                      help="cumulative per-operation retry budget in "
                           "milliseconds (default: unbounded)")
-    run.add_argument("--degrade", action="store_true",
+    run.add_argument("--degrade", action="store_const",
+                     const="degrade", default="fail",
+                     dest="on_source_failure",
                      help="on exhausted source failure, splice a "
                           "<mix:error> placeholder into the answer "
                           "instead of aborting the query")
@@ -149,19 +163,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="empirical browsability profile: run the query under "
              "full observation and report the observed client->source "
              "navigation amplification per operator")
+    profile.set_defaults(run=_cmd_profile)
     add_query_arguments(profile, with_sources=True)
     profile.add_argument("--chunk-size", type=int, default=10,
                          help="wrapper fill granularity (default 10)")
-    profile.add_argument("--no-optimize", action="store_true",
+    profile.add_argument("--no-optimize", action="store_false",
+                         dest="optimize_plans",
                          help="skip the rewriting phase")
     profile.add_argument("--sigma", action="store_true",
+                         dest="use_sigma",
                          help="push sibling selection to the sources")
 
     plan = sub.add_parser("plan", help="show the algebraic plan")
+    plan.set_defaults(run=_cmd_plan)
     add_query_arguments(plan, with_sources=False)
 
     classify = sub.add_parser(
         "classify", help="static browsability analysis")
+    classify.set_defaults(run=_cmd_classify)
     add_query_arguments(classify, with_sources=False)
     classify.add_argument("--sigma", action="store_true",
                           help="assume select(sigma) is available")
@@ -171,10 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="static plan diagnostics: browsability, schema/path, "
              "cost and rewrite findings with CI-friendly exit codes "
              "(0 clean, 1 warnings, 2 errors)")
-    what = lint.add_mutually_exclusive_group(required=True)
-    what.add_argument("-q", "--query", help="XMAS query text")
-    what.add_argument("-f", "--query-file",
-                      help="file containing the XMAS query")
+    lint.set_defaults(run=_cmd_lint)
+    what = add_query_arguments(lint, with_sources=False)
     what.add_argument("--examples", metavar="DIR",
                       help="lint every XMAS query constant found in "
                            "the python files under DIR (queries are "
@@ -184,11 +201,12 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="use FILE as a sample document of source "
                            "NAME: enables the schema-aware path "
                            "checks (repeatable)")
-    lint.add_argument("--sigma", action="store_true",
+    lint.add_argument("--sigma", action="store_true", dest="use_sigma",
                       help="assume select(sigma) is available")
     lint.add_argument("--hybrid", action="store_true",
                       help="assume hybrid (lazy/eager) evaluation")
-    lint.add_argument("--no-optimize", action="store_true",
+    lint.add_argument("--no-optimize", action="store_false",
+                      dest="optimize_plans",
                       help="lint the un-optimized initial plan")
     lint.add_argument("--cache-budget", type=int, default=None,
                       metavar="N",
@@ -209,30 +227,32 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the mediator as a long-lived session "
                       "daemon (LXP over TCP)")
-    serve.add_argument("-s", "--source", action="append", default=[],
-                       metavar="NAME=FILE",
-                       help="register an XML file as source NAME "
-                            "(repeatable)")
+    serve.set_defaults(run=_cmd_serve)
+    add_file_sources(serve)
     serve.add_argument("--workload", default=None, metavar="SPEC",
                        help="register a built-in workload instead of "
                             "files: homes:N (the Figure 3 sources at "
                             "N homes)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
+    serve.add_argument("--host", default="127.0.0.1", metavar="HOST",
+                       dest="serve_host")
+    serve.add_argument("--port", type=int, default=0, metavar="PORT",
+                       dest="serve_port",
                        help="0 picks a free port (printed on stdout)")
-    serve.add_argument("--max-sessions", type=int, default=64)
+    serve.add_argument("--max-sessions", type=int, default=64,
+                       metavar="MAX_SESSIONS",
+                       dest="serve_max_sessions")
     serve.add_argument("--idle-timeout", type=float, default=30000.0,
-                       metavar="MS")
+                       metavar="MS", dest="serve_idle_timeout_ms")
     serve.add_argument("--send-timeout", type=float, default=5000.0,
-                       metavar="MS")
+                       metavar="MS", dest="serve_send_timeout_ms")
     serve.add_argument("--request-deadline", type=float, default=None,
-                       metavar="MS")
+                       metavar="MS", dest="serve_request_deadline_ms")
     serve.add_argument("--session-max-fills", type=int, default=None,
-                       metavar="N")
+                       metavar="N", dest="serve_session_max_fills")
     serve.add_argument("--session-max-bytes", type=int, default=None,
-                       metavar="N")
+                       metavar="N", dest="serve_session_max_bytes")
     serve.add_argument("--drain-timeout", type=float, default=5000.0,
-                       metavar="MS")
+                       metavar="MS", dest="serve_drain_timeout_ms")
     serve.add_argument("--chunk-size", type=int, default=2)
     serve.add_argument("--fragment-cache", action="store_true",
                        help="share materialized fragments of "
@@ -249,20 +269,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fraction of traces recorded (hash-based, "
                             "deterministic per trace id)")
     serve.add_argument("--slow-request", type=float, default=None,
-                       metavar="MS",
+                       metavar="MS", dest="slow_request_ms",
                        help="log requests at or over MS to the "
                             "flight recorder")
     serve.add_argument("--flight-recorder", type=int, default=256,
-                       metavar="N",
+                       metavar="N", dest="serve_flight_recorder_events",
                        help="flight-recorder ring capacity (last N "
                             "operational events)")
     serve.add_argument("--incident-dir", default=None, metavar="DIR",
+                       dest="serve_incident_dir",
                        help="dump flight-recorder contents to DIR "
                             "on session kill and drain")
 
     status = sub.add_parser(
         "status", help="query a running serve daemon's live "
                        "operational state (mix:status)")
+    status.set_defaults(run=_cmd_status)
     status.add_argument("address", metavar="HOST:PORT",
                         help="the daemon's listen address")
     status.add_argument("--json", default=None, metavar="FILE",
@@ -281,6 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     merge = trace_sub.add_parser(
         "merge", help="join a client and a server trace export into "
                       "one causal forest")
+    merge.set_defaults(run=_cmd_trace_merge)
     merge.add_argument("client_trace", metavar="CLIENT.jsonl")
     merge.add_argument("server_trace", metavar="SERVER.jsonl")
     merge.add_argument("-o", "--out", default=None, metavar="FILE",
@@ -290,6 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     loadgen = sub.add_parser(
         "loadgen", help="drive concurrent sessions into a running "
                         "serve daemon and report latency")
+    loadgen.set_defaults(run=_cmd_loadgen)
     add_query_arguments(loadgen, with_sources=False)
     loadgen.add_argument("--host", default="127.0.0.1")
     loadgen.add_argument("--port", type=int, required=True)
@@ -323,35 +347,61 @@ def _parse_sources(specs: List[str]) -> Dict[str, str]:
     return sources
 
 
-def _cmd_query(args) -> int:
+_CONFIG_FIELDS = frozenset(
+    field.name for field in dataclasses.fields(EngineConfig))
+
+
+def _engine_config(args, **extra) -> EngineConfig:
+    """The engine configuration a command line asks for: every
+    argparse ``dest`` that names an :class:`EngineConfig` field (see
+    ``_build_parser``), plus what the command derives (``extra``)."""
+    settings = {name: value for name, value in vars(args).items()
+                if name in _CONFIG_FIELDS}
+    settings.update(extra)
+    return EngineConfig(**settings)
+
+
+def _observed_mediator(args) -> MIXMediator:
+    """The mediator for a command with ``--trace-out`` and
+    ``--metrics-out``: either flag arms its half of observability."""
     tracing = args.trace_out is not None
-    config = EngineConfig(
-        optimize_plans=not args.no_optimize,
-        cache_enabled=not args.no_cache,
-        cache_budget=args.cache_budget,
-        use_sigma=args.sigma,
-        hybrid=args.hybrid,
-        pushdown=args.pushdown,
-        fragment_cache=args.fragment_cache,
-        chunk_size=args.chunk_size,
-        retry_max_attempts=args.retries,
-        retry_deadline_ms=args.retry_deadline,
-        on_source_failure="degrade" if args.degrade else "fail",
-        prefetch=args.prefetch,
-        prefetch_workers=args.prefetch_workers,
-        batch_navigations=args.batch_navigations,
-        fanout_workers=args.fanout_workers,
-        metrics_enabled=args.metrics_out is not None,
-        observe_operators=tracing,
-    )
-    tracer = Tracer(record=True) if tracing else None
-    mediator = MIXMediator(config, tracer=tracer)
+    config = _engine_config(
+        args, metrics_enabled=args.metrics_out is not None,
+        observe_operators=tracing)
+    return MIXMediator(
+        config, tracer=Tracer(record=True) if tracing else None)
+
+
+def _register_files(mediator: MIXMediator, args) -> None:
+    """Register every ``-s NAME=FILE`` behind the XML wrapper."""
     for name, path in _parse_sources(args.source).items():
         with open(path) as handle:
             xml_text = handle.read()
         mediator.register_wrapper(
             name, XMLFileWrapper(name, xml_text,
                                  chunk_size=args.chunk_size))
+
+
+def _emit(text: str, dest: str, label: str) -> None:
+    """Write ``text`` where a ``--json``-style flag points: stdout for
+    ``-``, else the file ``dest`` (noted on stderr as ``label``)."""
+    if dest == "-":
+        print(text)
+    else:
+        with open(dest, "w") as handle:
+            handle.write(text + "\n")
+        print("-- %s -> %s --" % (label, dest), file=sys.stderr)
+
+
+def _write_metrics(context, path: str) -> None:
+    with open(path, "w") as handle:
+        handle.write(context.metrics_prometheus())
+    print("-- metrics -> %s --" % path, file=sys.stderr)
+
+
+def _cmd_query(args) -> int:
+    mediator = _observed_mediator(args)
+    _register_files(mediator, args)
     text = _query_text(args)
     result = None
     if args.eager:
@@ -360,7 +410,7 @@ def _cmd_query(args) -> int:
         result = mediator.prepare(text)
         answer = result.materialize()
     print(to_xml(answer, pretty=args.pretty))
-    if tracing:
+    if args.trace_out is not None:
         exporter = (export_chrome_trace
                     if args.trace_format == "chrome" else export_jsonl)
         written = exporter(mediator.tracer.events, args.trace_out)
@@ -368,12 +418,8 @@ def _cmd_query(args) -> int:
               % (written, args.trace_out, args.trace_format),
               file=sys.stderr)
     if args.metrics_out is not None:
-        context = result.context if result is not None \
-            else mediator.runtime
-        with open(args.metrics_out, "w") as handle:
-            handle.write(context.metrics_prometheus())
-        print("-- metrics -> %s --" % args.metrics_out,
-              file=sys.stderr)
+        _write_metrics(result.context if result is not None
+                       else mediator.runtime, args.metrics_out)
     if args.stats:
         print("-- source navigations --", file=sys.stderr)
         for name, meter in sorted(mediator.meters.items()):
@@ -426,18 +472,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    config = EngineConfig(
-        optimize_plans=not args.no_optimize,
-        use_sigma=args.sigma,
-        chunk_size=args.chunk_size,
-    )
-    mediator = MIXMediator(config)
-    for name, path in _parse_sources(args.source).items():
-        with open(path) as handle:
-            xml_text = handle.read()
-        mediator.register_wrapper(
-            name, XMLFileWrapper(name, xml_text,
-                                 chunk_size=args.chunk_size))
+    mediator = MIXMediator(_engine_config(args))
+    _register_files(mediator, args)
     result = mediator.prepare(_query_text(args))
     print(result.explain(analyze=True))
     return 0
@@ -474,12 +510,7 @@ def _cmd_lint(args) -> int:
     from .wrappers.xmlfile import document_node
     from .xtree.parse import parse_xml
 
-    config = EngineConfig(
-        optimize_plans=not args.no_optimize,
-        use_sigma=args.sigma,
-        hybrid=args.hybrid,
-        cache_budget=args.cache_budget,
-    )
+    config = _engine_config(args)
     fail_on = Severity.parse(args.fail_on)
     suppress = tuple(code.strip()
                      for code in args.suppress.split(",")
@@ -515,18 +546,11 @@ def _cmd_lint(args) -> int:
         print()
         exit_code = max(exit_code, report.exit_code(fail_on=fail_on))
     if args.json is not None:
-        import json as json_module
         payload = ([r.to_dict() for r in reports]
                    if args.examples is not None
                    else reports[0].to_dict())
-        text = json_module.dumps(payload, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(text + "\n")
-            print("-- findings -> %s --" % args.json,
-                  file=sys.stderr)
+        _emit(json.dumps(payload, indent=2, sort_keys=True),
+              args.json, "findings")
     print("lint: %d subject(s), exit %d" % (len(reports), exit_code),
           file=sys.stderr)
     return exit_code
@@ -534,43 +558,17 @@ def _cmd_lint(args) -> int:
 
 def _serve_mediator(args) -> MIXMediator:
     """A mediator over the requested sources for the daemon."""
-    tracing = args.trace_out is not None
-    config = EngineConfig(
-        serve_host=args.host,
-        serve_port=args.port,
-        serve_max_sessions=args.max_sessions,
-        serve_idle_timeout_ms=args.idle_timeout,
-        serve_send_timeout_ms=args.send_timeout,
-        serve_request_deadline_ms=args.request_deadline,
-        serve_session_max_fills=args.session_max_fills,
-        serve_session_max_bytes=args.session_max_bytes,
-        serve_drain_timeout_ms=args.drain_timeout,
-        fragment_cache=args.fragment_cache,
-        chunk_size=args.chunk_size,
-        metrics_enabled=args.metrics_out is not None,
-        observe_operators=tracing,
-        trace_sample_rate=args.trace_sample_rate,
-        slow_request_ms=args.slow_request,
-        serve_flight_recorder_events=args.flight_recorder,
-        serve_incident_dir=args.incident_dir,
-    )
-    tracer = Tracer(record=True) if tracing else None
-    mediator = MIXMediator(config, tracer=tracer)
-    for name, path in _parse_sources(args.source).items():
-        with open(path) as handle:
-            xml_text = handle.read()
-        mediator.register_wrapper(
-            name, XMLFileWrapper(name, xml_text,
-                                 chunk_size=args.chunk_size))
+    mediator = _observed_mediator(args)
+    _register_files(mediator, args)
     if args.workload is not None:
-        kind, colon, scale_text = args.workload.partition(":")
-        if kind != "homes":
+        kind, _, scale = args.workload.partition(":")
+        scale = scale or "50"
+        if kind != "homes" or not scale.isdigit():
             raise SystemExit("unknown --workload %r (try homes:N)"
                              % args.workload)
-        scale = int(scale_text) if colon and scale_text else 50
         from .bench.workloads import homes_and_schools
         from .navigation.materialized import MaterializedDocument
-        for name, tree in homes_and_schools(scale).items():
+        for name, tree in homes_and_schools(int(scale)).items():
             mediator.register_source(name, MaterializedDocument(tree))
     if not args.source and args.workload is None:
         raise SystemExit("serve needs at least one -s NAME=FILE "
@@ -610,10 +608,7 @@ def _cmd_serve(args) -> int:
         print("-- trace: %d events -> %s --"
               % (written, args.trace_out), file=sys.stderr)
     if args.metrics_out is not None:
-        with open(args.metrics_out, "w") as handle:
-            handle.write(mediator.runtime.metrics_prometheus())
-        print("-- metrics -> %s --" % args.metrics_out,
-              file=sys.stderr)
+        _write_metrics(mediator.runtime, args.metrics_out)
     return 0
 
 
@@ -672,8 +667,6 @@ def _format_status_table(status: Dict[str, object]) -> str:
 
 
 def _cmd_status(args) -> int:
-    import json as json_module
-
     from .errors import SourceError
     from .server.client import fetch_status
 
@@ -691,13 +684,8 @@ def _cmd_status(args) -> int:
               file=sys.stderr)
         return 2
     if args.json is not None:
-        text = json_module.dumps(status, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(text + "\n")
-            print("-- status -> %s --" % args.json, file=sys.stderr)
+        _emit(json.dumps(status, indent=2, sort_keys=True),
+              args.json, "status")
     if want_prometheus:
         print(status.get("prometheus", ""), end="")
     elif args.json is None:
@@ -705,16 +693,11 @@ def _cmd_status(args) -> int:
     return 1 if status.get("draining") else 0
 
 
-def _cmd_trace(args) -> int:
-    import json as json_module
-
+def _cmd_trace_merge(args) -> int:
     from .runtime.observability import (build_span_tree,
                                         contract_violations,
                                         load_jsonl, merge_traces)
 
-    if args.trace_command != "merge":
-        raise SystemExit("unknown trace command %r"
-                         % args.trace_command)
     client_records = load_jsonl(args.client_trace)
     server_records = load_jsonl(args.server_trace)
     merged = merge_traces(client_records, server_records)
@@ -734,22 +717,13 @@ def _cmd_trace(args) -> int:
             for item in items[:10]:
                 print("    %s" % (item,))
     if args.out is not None:
-        lines = [json_module.dumps(record.to_dict(), sort_keys=True)
-                 for record in merged]
-        if args.out == "-":
-            for line in lines:
-                print(line)
-        else:
-            with open(args.out, "w") as handle:
-                handle.write("\n".join(lines) + "\n")
-            print("-- merged trace -> %s --" % args.out,
-                  file=sys.stderr)
+        _emit("\n".join(json.dumps(record.to_dict(), sort_keys=True)
+                        for record in merged),
+              args.out, "merged trace")
     return 1 if problems else 0
 
 
 def _cmd_loadgen(args) -> int:
-    import json as json_module
-
     from .bench.loadgen import run_load
 
     report = run_load(args.host, args.port, _query_text(args),
@@ -757,7 +731,6 @@ def _cmd_loadgen(args) -> int:
                       concurrency=args.concurrency,
                       rounds=args.rounds,
                       timeout_ms=args.timeout)
-    payload = report.as_dict()
     print("loadgen: %d/%d sessions ok (%d busy, %d failed), "
           "%.1f sessions/s, nav p50=%.2fms p99=%.2fms"
           % (report.completed, len(report.outcomes),
@@ -775,38 +748,16 @@ def _cmd_loadgen(args) -> int:
         for mismatch in correlation.get("mismatches", []):
             print("loadgen: counter mismatch -- %s" % mismatch,
                   file=sys.stderr)
-    text = json_module.dumps(payload, indent=2, sort_keys=True)
-    if args.json == "-":
-        print(text)
-    elif args.json is not None:
-        with open(args.json, "w") as handle:
-            handle.write(text + "\n")
-        print("-- report -> %s --" % args.json, file=sys.stderr)
+    if args.json is not None:
+        _emit(json.dumps(report.as_dict(), indent=2, sort_keys=True),
+              args.json, "report")
     return 0 if report.failed == 0 else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "query":
-        return _cmd_query(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "plan":
-        return _cmd_plan(args)
-    if args.command == "classify":
-        return _cmd_classify(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args)
-    raise SystemExit("unknown command %r" % args.command)
+    return args.run(args)
 
 
 if __name__ == "__main__":

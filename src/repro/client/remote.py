@@ -53,7 +53,6 @@ class NavigableLXPServer(LXPServer):
     the server is stateless beyond the document it serves:
 
     * ``("root",)`` -- the unexplored root element;
-    * ``("kids", p)`` -- the children of pointer ``p``;
     * ``("at", p)`` -- the element at ``p`` and its right siblings.
 
     ``chunk_size`` bounds siblings per fill, ``depth`` bounds how many
@@ -95,9 +94,6 @@ class NavigableLXPServer(LXPServer):
         if kind == "root":
             reply: List[Fragment] = [
                 self._ship(self.document.root(), self.depth)]
-        elif kind == "kids":
-            child = self.document.down(hole_id[1])
-            reply = self._ship_siblings(child)
         elif kind == "at":
             reply = self._ship_siblings(hole_id[1])
         else:

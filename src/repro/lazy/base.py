@@ -38,7 +38,8 @@ from ..navigation.interface import NavigableDocument
 from ..runtime.context import ExecutionContext
 from ..xtree.tree import Tree
 
-__all__ = ["LazyOperator", "BindingsDocument", "LazyError",
+__all__ = ["LazyOperator", "UnaryOperator", "FilterOperator",
+           "TwoSidedValues", "BindingsDocument", "LazyError",
            "value_text_of", "canonical_key_of", "materialize_value"]
 
 #: Opaque ids; concretely nested hashable tuples.
@@ -123,6 +124,128 @@ class LazyOperator:
                 "operator %s has no variable $%s"
                 % (type(self).__name__, var)
             )
+
+
+# ----------------------------------------------------------------------
+# The shared shapes: what an operator inherits instead of restating
+# ----------------------------------------------------------------------
+# Most operators change one level of the protocol and hand the other
+# level to their input untouched.  The untouched halves are written
+# here, once; an operator module then shows only its own Figure 9
+# mappings.  The shapes are plain base classes: a call through an
+# inherited method is exactly as deep as a call through a restated
+# one, and a ``SpannedOperator`` around the input sees the same calls.
+#
+# A third shape -- own-tagged values beside ``("sub", input id)`` ones,
+# in constant / createElement / concatenate / groupBy /
+# getDescendants -- is deliberately *not* shared: pulling the ``sub``
+# branch out would put one more Python frame under every own-tag call
+# (every group member, every match).  Those bodies stay per operator.
+
+class UnaryOperator(LazyOperator):
+    """The pass-through shape: one input whose bindings and values are
+    the output's, id for id.
+
+    ``project`` and ``rename`` are this shape whole; operators that
+    re-map one level (``orderBy`` its bindings, ``constant`` /
+    ``createElement`` / ``concatenate`` their values) override that
+    level and inherit the other.
+    """
+
+    def __init__(self, child: LazyOperator,
+                 context: Optional[ExecutionContext] = None):
+        super().__init__(context)
+        self.child = child
+        self.variables = list(child.variables)
+
+    def first_binding(self):
+        return self.child.first_binding()
+
+    def next_binding(self, binding):
+        return self.child.next_binding(binding)
+
+    def attribute(self, binding, var):
+        self._check_var(var)
+        return self.child.attribute(binding, var)
+
+    def v_down(self, value):
+        return self.child.v_down(value)
+
+    def v_right(self, value):
+        return self.child.v_right(value)
+
+    def v_fetch(self, value):
+        return self.child.v_fetch(value)
+
+    def v_select(self, value, predicate):
+        return self.child.v_select(value, predicate)
+
+
+class FilterOperator(UnaryOperator):
+    """The filter shape: stream the input and decide, per binding,
+    whether it survives (:meth:`_keep`).
+
+    Binding ids wrap the input's 1:1 (``("b", ib)``); values pass
+    through.  ``select``, ``distinct`` and ``difference`` (over its
+    left input) differ only in ``_keep``.
+    """
+
+    def _keep(self, ib) -> bool:
+        raise NotImplementedError
+
+    def _scan(self, ib):
+        while ib is not None:
+            if self._keep(ib):
+                return ("b", ib)
+            ib = self.child.next_binding(ib)
+        return None
+
+    def first_binding(self):
+        return self._scan(self.child.first_binding())
+
+    def next_binding(self, binding):
+        return self._scan(self.child.next_binding(binding[1]))
+
+    def attribute(self, binding, var):
+        self._check_var(var)
+        return self.child.attribute(binding[1], var)
+
+
+class TwoSidedValues(LazyOperator):
+    """The two-sided shape: values of a ``left`` and a ``right`` input
+    side by side, a value id being ``(side, the side's own value
+    id)`` with ``side`` ``"L"`` or ``"R"``.
+
+    ``join`` and ``union`` mint such ids in ``attribute``; the value
+    level below is the same for both.
+    """
+
+    def __init__(self, left: LazyOperator, right: LazyOperator,
+                 context: Optional[ExecutionContext] = None):
+        super().__init__(context)
+        self.left = left
+        self.right = right
+
+    def v_down(self, value):
+        side, inner = value
+        child = (self.left if side == "L" else self.right).v_down(inner)
+        return (side, child) if child is not None else None
+
+    def v_right(self, value):
+        side, inner = value
+        sibling = (self.left if side == "L"
+                   else self.right).v_right(inner)
+        return (side, sibling) if sibling is not None else None
+
+    def v_fetch(self, value):
+        side, inner = value
+        return (self.left if side == "L" else self.right).v_fetch(inner)
+
+    def v_select(self, value, predicate):
+        side, inner = value
+        found = (self.left if side == "L"
+                 else self.right).v_select(inner, predicate)
+        return (side, found) if found is not None else None
 
 
 # ----------------------------------------------------------------------

@@ -17,22 +17,21 @@ from typing import List, Optional, Sequence
 
 from ..algebra.bindings import LIST_LABEL
 from ..runtime.context import ExecutionContext
-from .base import LazyError, LazyOperator
+from .base import LazyError, LazyOperator, UnaryOperator
 
 __all__ = ["LazyConcatenate"]
 
 
-class LazyConcatenate(LazyOperator):
+class LazyConcatenate(UnaryOperator):
     """Lazy n-ary concatenate; see the module docstring for the item
     enumeration rules."""
 
     def __init__(self, child: LazyOperator, in_vars: Sequence[str],
                  out_var: str,
                  context: Optional[ExecutionContext] = None):
-        super().__init__(context)
         if not in_vars:
             raise LazyError("concatenate needs at least one variable")
-        self.child = child
+        super().__init__(child, context)
         self.in_vars = list(in_vars)
         self.out_var = out_var
         self.variables = child.variables + [out_var]
@@ -40,14 +39,7 @@ class LazyConcatenate(LazyOperator):
             if var not in child.variables:
                 raise LazyError("concatenate over unbound $%s" % var)
 
-    # -- bindings -----------------------------------------------------------
-    def first_binding(self):
-        return self.child.first_binding()
-
-    def next_binding(self, binding):
-        return self.child.next_binding(binding)
-
-    # -- attributes -----------------------------------------------------------
+    # -- attributes (bindings pass through 1:1: the pass-through shape) ------
     def attribute(self, binding, var):
         self._check_var(var)
         if var == self.out_var:
@@ -127,6 +119,7 @@ class LazyConcatenate(LazyOperator):
 
     def v_select(self, value, predicate):
         if value[0] in ("list", "item"):
-            return super().v_select(value, predicate)
+            # own values: the protocol's default sibling scan
+            return LazyOperator.v_select(self, value, predicate)
         found = self.child.v_select(value[1], predicate)
         return ("sub", found) if found is not None else None

@@ -17,12 +17,13 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 from ..runtime.context import ExecutionContext
-from .base import LazyError, LazyOperator, value_text_of
+from .base import (LazyError, LazyOperator, UnaryOperator,
+                   value_text_of)
 
 __all__ = ["LazyCreateElement"]
 
 
-class LazyCreateElement(LazyOperator):
+class LazyCreateElement(UnaryOperator):
     """Lazy createElement per Figure 9; see the module docstring for
     the command mappings."""
 
@@ -30,8 +31,7 @@ class LazyCreateElement(LazyOperator):
                  label: Union[str, Tuple[str, str]],
                  content_var: str, out_var: str,
                  context: Optional[ExecutionContext] = None):
-        super().__init__(context)
-        self.child = child
+        super().__init__(child, context)
         if isinstance(label, tuple):
             kind, name = label
             if kind != "var":
@@ -49,14 +49,7 @@ class LazyCreateElement(LazyOperator):
             if var not in child.variables:
                 raise LazyError("createElement over unbound $%s" % var)
 
-    # -- bindings -----------------------------------------------------------
-    def first_binding(self):
-        return self.child.first_binding()
-
-    def next_binding(self, binding):
-        return self.child.next_binding(binding)
-
-    # -- attributes -----------------------------------------------------------
+    # -- attributes (bindings map 1:1: the pass-through shape) ---------------
     def attribute(self, binding, var):
         self._check_var(var)
         if var == self.out_var:

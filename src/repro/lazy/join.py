@@ -16,21 +16,20 @@ from typing import Optional
 from ..algebra.predicates import Predicate
 from ..runtime.cache import MISS
 from ..runtime.context import ExecutionContext
-from .base import LazyError, LazyOperator, value_text_of
+from .base import (LazyError, LazyOperator, TwoSidedValues,
+                   value_text_of)
 
 __all__ = ["LazyJoin"]
 
 
-class LazyJoin(LazyOperator):
+class LazyJoin(TwoSidedValues):
     """Lazy nested-loop join; see the module docstring for the inner
     cache design."""
 
     def __init__(self, left: LazyOperator, right: LazyOperator,
                  predicate: Predicate,
                  context: Optional[ExecutionContext] = None):
-        super().__init__(context)
-        self.left = left
-        self.right = right
+        super().__init__(left, right, context)
         self.predicate = predicate
         overlap = set(left.variables) & set(right.variables)
         if overlap:
@@ -180,7 +179,7 @@ class LazyJoin(LazyOperator):
         _, lb, right_index = binding
         return self._scan(lb, right_index + 1)
 
-    # -- attributes & values ---------------------------------------------------
+    # -- attributes (the two-sided shape supplies the value level) -----------
     def attribute(self, binding, var):
         self._check_var(var)
         _, lb, right_index = binding
@@ -188,25 +187,3 @@ class LazyJoin(LazyOperator):
             return ("L", self.left.attribute(lb, var))
         rb = self._inner_binding(right_index)
         return ("R", self.right.attribute(rb, var))
-
-    # A value id is (side, the side's own value id).
-    def v_down(self, value):
-        side, inner = value
-        child = (self.left if side == "L" else self.right).v_down(inner)
-        return (side, child) if child is not None else None
-
-    def v_right(self, value):
-        side, inner = value
-        sibling = (self.left if side == "L"
-                   else self.right).v_right(inner)
-        return (side, sibling) if sibling is not None else None
-
-    def v_fetch(self, value):
-        side, inner = value
-        return (self.left if side == "L" else self.right).v_fetch(inner)
-
-    def v_select(self, value, predicate):
-        side, inner = value
-        found = (self.left if side == "L"
-                 else self.right).v_select(inner, predicate)
-        return (side, found) if found is not None else None

@@ -14,23 +14,22 @@ from typing import List, Optional, Sequence, Tuple
 from ..algebra.eager import sort_key_for_value
 from ..runtime.cache import MISS
 from ..runtime.context import ExecutionContext
-from .base import LazyError, LazyOperator, value_text_of
+from .base import (LazyError, LazyOperator, UnaryOperator,
+                   value_text_of)
 
 __all__ = ["LazyOrderBy"]
 
 
-class LazyOrderBy(LazyOperator):
+class LazyOrderBy(UnaryOperator):
     """Lazy orderBy: the canonically unbrowsable operator; see the
     module docstring."""
 
     def __init__(self, child: LazyOperator, variables: Sequence[str],
                  descending: bool = False,
                  context: Optional[ExecutionContext] = None):
-        super().__init__(context)
-        self.child = child
+        super().__init__(child, context)
         self.sort_vars = list(variables)
         self.descending = descending
-        self.variables = list(child.variables)
         for var in self.sort_vars:
             if var not in child.variables:
                 raise LazyError("orderBy over unbound $%s" % var)
@@ -71,20 +70,8 @@ class LazyOrderBy(LazyOperator):
         index = binding[1] + 1
         return ("b", index) if index < len(order) else None
 
-    # -- attributes & values ------------------------------------------------
+    # -- attributes (values pass through: the pass-through shape) ----------
     def attribute(self, binding, var):
         self._check_var(var)
         ib = self._force()[binding[1]]
         return self.child.attribute(ib, var)
-
-    def v_down(self, value):
-        return self.child.v_down(value)
-
-    def v_right(self, value):
-        return self.child.v_right(value)
-
-    def v_fetch(self, value):
-        return self.child.v_fetch(value)
-
-    def v_select(self, value, predicate):
-        return self.child.v_select(value, predicate)

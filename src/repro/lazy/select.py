@@ -14,26 +14,25 @@ from ..algebra.predicates import Predicate
 from ..runtime.cache import MISS
 from ..runtime.context import ExecutionContext
 from ..xtree.tree import Tree
-from .base import LazyError, LazyOperator, value_text_of
+from .base import (FilterOperator, LazyError, LazyOperator,
+                   UnaryOperator, value_text_of)
 
 __all__ = ["LazySelect", "LazyProject", "LazyConstant", "LazyRename"]
 
 
-class LazySelect(LazyOperator):
+class LazySelect(FilterOperator):
     """``sigma_p``: bindings of the input satisfying ``p``.
 
-    Binding ids wrap the input's ids 1:1 (``("b", ib)``); values pass
-    through.  Predicate evaluation materializes only the text of the
-    mentioned variables' values; per-binding verdicts are memoized when
-    caching is on.
+    The filter shape (``("b", ib)`` binding ids, values pass through)
+    with the predicate as the survival test.  Predicate evaluation
+    materializes only the text of the mentioned variables' values;
+    per-binding verdicts are memoized when caching is on.
     """
 
     def __init__(self, child: LazyOperator, predicate: Predicate,
                  context: Optional[ExecutionContext] = None):
-        super().__init__(context)
-        self.child = child
+        super().__init__(child, context)
         self.predicate = predicate
-        self.variables = list(child.variables)
         self._verdicts = self.ctx.caches.cache("select.verdicts")
         #: the predicate, lowered once: ``test(ib)``
         self._test = predicate.compile(self._getter)
@@ -42,7 +41,7 @@ class LazySelect(LazyOperator):
         child, attribute = self.child, self.child.attribute
         return lambda ib: value_text_of(child, attribute(ib, var))
 
-    def _holds(self, ib) -> bool:
+    def _keep(self, ib) -> bool:
         verdict = self._verdicts.get(ib, MISS)
         if verdict is not MISS:
             return verdict
@@ -50,79 +49,26 @@ class LazySelect(LazyOperator):
         self._verdicts.put(ib, verdict)
         return verdict
 
-    def _scan(self, ib):
-        while ib is not None:
-            if self._holds(ib):
-                return ("b", ib)
-            ib = self.child.next_binding(ib)
-        return None
 
-    def first_binding(self):
-        return self._scan(self.child.first_binding())
-
-    def next_binding(self, binding):
-        return self._scan(self.child.next_binding(binding[1]))
-
-    def attribute(self, binding, var):
-        self._check_var(var)
-        return self.child.attribute(binding[1], var)
-
-    def v_down(self, value):
-        return self.child.v_down(value)
-
-    def v_right(self, value):
-        return self.child.v_right(value)
-
-    def v_fetch(self, value):
-        return self.child.v_fetch(value)
-
-    def v_select(self, value, predicate):
-        return self.child.v_select(value, predicate)
-
-
-class LazyProject(LazyOperator):
+class LazyProject(UnaryOperator):
     """``pi_{vars}``: restrict the visible attributes; bindings and
     values pass straight through."""
 
     def __init__(self, child: LazyOperator, variables,
                  context: Optional[ExecutionContext] = None):
-        super().__init__(context)
-        self.child = child
+        super().__init__(child, context)
         self.variables = list(variables)
         missing = [v for v in self.variables if v not in child.variables]
         if missing:
             raise LazyError("project over unbound variables %s" % missing)
 
-    def first_binding(self):
-        return self.child.first_binding()
 
-    def next_binding(self, binding):
-        return self.child.next_binding(binding)
-
-    def attribute(self, binding, var):
-        self._check_var(var)
-        return self.child.attribute(binding, var)
-
-    def v_down(self, value):
-        return self.child.v_down(value)
-
-    def v_right(self, value):
-        return self.child.v_right(value)
-
-    def v_fetch(self, value):
-        return self.child.v_fetch(value)
-
-    def v_select(self, value, predicate):
-        return self.child.v_select(value, predicate)
-
-
-class LazyRename(LazyOperator):
+class LazyRename(UnaryOperator):
     """``rho``: rename variables; bindings and values pass through."""
 
     def __init__(self, child: LazyOperator, mapping: dict,
                  context: Optional[ExecutionContext] = None):
-        super().__init__(context)
-        self.child = child
+        super().__init__(child, context)
         self.mapping = dict(mapping)
         self._reverse = {new: old for old, new in self.mapping.items()}
         self.variables = [self.mapping.get(v, v) for v in child.variables]
@@ -130,30 +76,12 @@ class LazyRename(LazyOperator):
             raise LazyError("rename creates duplicate variables: %s"
                             % self.variables)
 
-    def first_binding(self):
-        return self.child.first_binding()
-
-    def next_binding(self, binding):
-        return self.child.next_binding(binding)
-
     def attribute(self, binding, var):
         self._check_var(var)
         return self.child.attribute(binding, self._reverse.get(var, var))
 
-    def v_down(self, value):
-        return self.child.v_down(value)
 
-    def v_right(self, value):
-        return self.child.v_right(value)
-
-    def v_fetch(self, value):
-        return self.child.v_fetch(value)
-
-    def v_select(self, value, predicate):
-        return self.child.v_select(value, predicate)
-
-
-class LazyConstant(LazyOperator):
+class LazyConstant(UnaryOperator):
     """Extend each input binding with a fixed in-memory tree.
 
     The constant's value ids are child-index paths into the tree (the
@@ -163,8 +91,7 @@ class LazyConstant(LazyOperator):
 
     def __init__(self, child: LazyOperator, value: Tree, out_var: str,
                  context: Optional[ExecutionContext] = None):
-        super().__init__(context)
-        self.child = child
+        super().__init__(child, context)
         self.value = value
         self.out_var = out_var
         self.variables = child.variables + [out_var]
@@ -174,12 +101,6 @@ class LazyConstant(LazyOperator):
         for index in path:
             node = node.child(index)
         return node
-
-    def first_binding(self):
-        return self.child.first_binding()
-
-    def next_binding(self, binding):
-        return self.child.next_binding(binding)
 
     def attribute(self, binding, var):
         self._check_var(var)
@@ -216,6 +137,7 @@ class LazyConstant(LazyOperator):
 
     def v_select(self, value, predicate):
         if value[0] == "const":
-            return super().v_select(value, predicate)
+            # own values: the protocol's default sibling scan
+            return LazyOperator.v_select(self, value, predicate)
         found = self.child.v_select(value[1], predicate)
         return ("sub", found) if found is not None else None

@@ -14,24 +14,24 @@ from typing import List, Optional, Set
 
 from ..runtime.cache import MISS
 from ..runtime.context import ExecutionContext
-from .base import LazyError, LazyOperator, canonical_key_of
+from .base import (FilterOperator, LazyError, LazyOperator,
+                   TwoSidedValues, canonical_key_of)
 
 __all__ = ["LazyUnion", "LazyDifference", "LazyDistinct"]
 
 
-class LazyUnion(LazyOperator):
-    """Left bindings followed by right bindings (same schema)."""
+class LazyUnion(TwoSidedValues):
+    """Left bindings followed by right bindings (same schema); the
+    two-sided shape supplies the value level."""
 
     def __init__(self, left: LazyOperator, right: LazyOperator,
                  context: Optional[ExecutionContext] = None):
-        super().__init__(context)
         if left.variables != right.variables:
             raise LazyError(
                 "union schemas differ: %s vs %s"
                 % (left.variables, right.variables)
             )
-        self.left = left
-        self.right = right
+        super().__init__(left, right, context)
         self.variables = list(left.variables)
 
     def first_binding(self):
@@ -69,75 +69,14 @@ class LazyUnion(LazyOperator):
         op = self.left if side == "L" else self.right
         return (side, op.attribute(ib, var))
 
-    def _side(self, value):
-        return self.left if value[0] == "L" else self.right
 
-    def v_down(self, value):
-        child = self._side(value).v_down(value[1])
-        return (value[0], child) if child is not None else None
-
-    def v_right(self, value):
-        sibling = self._side(value).v_right(value[1])
-        return (value[0], sibling) if sibling is not None else None
-
-    def v_fetch(self, value):
-        return self._side(value).v_fetch(value[1])
-
-    def v_select(self, value, predicate):
-        found = self._side(value).v_select(value[1], predicate)
-        return (value[0], found) if found is not None else None
+def _binding_key(op: LazyOperator, ib, variables):
+    """The whole binding ``ib`` of ``op`` as one canonical key."""
+    return tuple(canonical_key_of(op, op.attribute(ib, var))
+                 for var in variables)
 
 
-class _LeftStreamOperator(LazyOperator):
-    """Shared shell for operators that stream their left/only input and
-    merely decide which bindings survive."""
-
-    def __init__(self, child: LazyOperator,
-                 context: Optional[ExecutionContext] = None):
-        super().__init__(context)
-        self.child = child
-        self.variables = list(child.variables)
-
-    def _keep(self, ib) -> bool:
-        raise NotImplementedError
-
-    def _scan(self, ib):
-        while ib is not None:
-            if self._keep(ib):
-                return ("b", ib)
-            ib = self.child.next_binding(ib)
-        return None
-
-    def first_binding(self):
-        return self._scan(self.child.first_binding())
-
-    def next_binding(self, binding):
-        return self._scan(self.child.next_binding(binding[1]))
-
-    def attribute(self, binding, var):
-        self._check_var(var)
-        return self.child.attribute(binding[1], var)
-
-    def v_down(self, value):
-        return self.child.v_down(value)
-
-    def v_right(self, value):
-        return self.child.v_right(value)
-
-    def v_fetch(self, value):
-        return self.child.v_fetch(value)
-
-    def v_select(self, value, predicate):
-        return self.child.v_select(value, predicate)
-
-    def _binding_key(self, op: LazyOperator, ib):
-        return tuple(
-            canonical_key_of(op, op.attribute(ib, var))
-            for var in self.variables
-        )
-
-
-class LazyDifference(_LeftStreamOperator):
+class LazyDifference(FilterOperator):
     """Left bindings whose values do not occur on the right."""
 
     def __init__(self, left: LazyOperator, right: LazyOperator,
@@ -159,13 +98,14 @@ class LazyDifference(_LeftStreamOperator):
         keys = set()
         rb = self.right.first_binding()
         while rb is not None:
-            keys.add(self._binding_key(self.right, rb))
+            keys.add(_binding_key(self.right, rb, self.variables))
             rb = self.right.next_binding(rb)
         self._right_keys.put("keys", keys)
         return keys
 
     def _keep(self, ib) -> bool:
-        return self._binding_key(self.child, ib) not in self._force_right()
+        return _binding_key(self.child, ib, self.variables) \
+            not in self._force_right()
 
     def first_binding(self):
         fanout = self.ctx.fanout
@@ -180,7 +120,7 @@ class LazyDifference(_LeftStreamOperator):
         return super().first_binding()
 
 
-class LazyDistinct(_LeftStreamOperator):
+class LazyDistinct(FilterOperator):
     """First occurrence of each distinct value combination survives.
 
     The seen-set grows monotonically with client progress; node-ids
@@ -197,7 +137,7 @@ class LazyDistinct(_LeftStreamOperator):
         self._seen_upto: List = []  # (ib, key) pairs in input order
 
     def _keep(self, ib) -> bool:
-        key = self._binding_key(self.child, ib)
+        key = _binding_key(self.child, ib, self.variables)
         if self.cache_enabled:
             for _ib, seen_key in self._seen_upto:
                 if _ib == ib:
@@ -211,7 +151,7 @@ class LazyDistinct(_LeftStreamOperator):
         # from the start up to (excluding) ib.
         scan = self.child.first_binding()
         while scan is not None and scan != ib:
-            if self._binding_key(self.child, scan) == key:
+            if _binding_key(self.child, scan, self.variables) == key:
                 return False
             scan = self.child.next_binding(scan)
         return True

@@ -191,10 +191,15 @@ class QueryResult:
         context = ExecutionContext(config, tracer=tracer,
                                    metrics=self.mediator.runtime.metrics)
         context.adopt(self.mediator.runtime)
-        document = build_virtual_document(
-            self.plan, self.mediator._resolver(), context)
-        with tracer.subscribed(events.append):
-            materialize(document)
+        try:
+            document = build_virtual_document(
+                self.plan, self.mediator._resolver(), context)
+            with tracer.subscribed(events.append):
+                materialize(document)
+        finally:
+            # The private context owns a fan-out pool when
+            # ``fanout_workers`` is set; nobody else will close it.
+            context.close()
         return NavigationProfile.from_events(events)
 
     def explain(self, analyze: bool = False,
@@ -490,6 +495,17 @@ class MIXMediator:
             return translate(query)
         return query
 
+    def _initial_plan(self, query: Union[str, XMASQuery, TupleDestroy]
+                      ) -> TupleDestroy:
+        """The plan a query starts from, lazy or eager: parsed and
+        translated, registered views inlined, every source it names
+        checked against the catalog."""
+        initial = self._plan_of(query)
+        if self._views:
+            initial = inline_views(initial, self._views)
+        self._validate_sources(initial)
+        return initial
+
     def _resolver(self):
         documents = self._documents
 
@@ -525,10 +541,7 @@ class MIXMediator:
         """
         context = self._new_context()
         context.trace("mediator", "prepare.begin")
-        initial = self._plan_of(query)
-        if self._views:
-            initial = inline_views(initial, self._views)
-        self._validate_sources(initial)
+        initial = self._initial_plan(query)
         plan = initial
         trace = None
         if self.config.optimize_plans:
@@ -618,10 +631,7 @@ class MIXMediator:
                     ) -> Tree:
         """The materializing baseline: evaluate the full answer at
         once (what "current mediator systems" do, per the paper)."""
-        initial = self._plan_of(query)
-        if self._views:
-            initial = inline_views(initial, self._views)
-        self._validate_sources(initial)
+        initial = self._initial_plan(query)
 
         def tree_of(url: str) -> Tree:
             return materialize(self._resolver()(url))

@@ -163,11 +163,18 @@ def classify(view_factory: ViewFactory,
              early_family: SourceFamily,
              late_family: SourceFamily,
              navigation: Navigation,
-             sizes: Sequence[int] = (4, 8, 16, 32, 64)) -> ComplexityReport:
+             sizes: Sequence[int] = (4, 8, 16, 32, 64),
+             measure=measure_cost) -> ComplexityReport:
     """Empirically classify ``view_factory`` under ``navigation``.
 
     Parameters
     ----------
+    measure:
+        How one run is priced: ``measure(view_factory, source_trees,
+        navigation) -> int``.  :func:`measure_cost` reads the meters;
+        :func:`repro.navigation.profiler.profile_classify` passes the
+        trace-side reading instead.  The sweep and the decision rule
+        below are the same for both.
     early_family / late_family:
         Source generators parameterized by size.  The *early* family
         must place whatever the navigation looks for at the front of
@@ -185,11 +192,11 @@ def classify(view_factory: ViewFactory,
     """
     sizes = list(sizes)
     early = CostCurve(sizes, [
-        measure_cost(view_factory, early_family(n), navigation)
+        measure(view_factory, early_family(n), navigation)
         for n in sizes
     ])
     late = CostCurve(sizes, [
-        measure_cost(view_factory, late_family(n), navigation)
+        measure(view_factory, late_family(n), navigation)
         for n in sizes
     ])
 

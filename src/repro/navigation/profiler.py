@@ -22,10 +22,10 @@ navigation provokes -- with a verdict:
 
 Two classification paths:
 
-* :func:`profile_classify` *sweeps* source families exactly like
+* :func:`profile_classify` *is* the source-family sweep of
   :func:`repro.navigation.complexity.classify` -- same early/late
-  families, same flat/grows decision rule -- but reads its costs off
-  the trace's ``source`` events instead of the meters.  Since every
+  families, same decision rule, one implementation -- with its costs
+  read off the trace's ``source`` events instead of the meters.  Since every
   metered command emits exactly one ``source`` event, the sweep
   verdict provably agrees with the meter-based classification (and,
   on the paper's examples, with the static analyzer).
@@ -44,7 +44,7 @@ from ..runtime.context import Tracer
 from ..runtime.observability import SpanForest, build_span_tree
 from ..xtree.tree import Tree
 from .commands import Navigation
-from .complexity import Browsability, ComplexityReport, CostCurve
+from .complexity import Browsability, ComplexityReport, classify
 from .counting import CountingDocument
 from .interface import NavigableDocument, run_navigation
 from .materialized import MaterializedDocument
@@ -234,25 +234,10 @@ def profile_classify(view_factory, early_family, late_family,
                      ) -> ComplexityReport:
     """Classify a view by sweeping source families, trace-measured.
 
-    Same decision rule as :func:`repro.navigation.complexity.
-    classify` (flat on both families -> bounded; early flat ->
-    browsable; else unbrowsable), so
+    :func:`repro.navigation.complexity.classify` -- its sweep, its
+    decision rule -- priced by :func:`profiled_cost`, so
     ``expected_verdict(profile_classify(...).classification)`` is the
     profiler's authoritative verdict for the view.
     """
-    sizes = list(sizes)
-    early = CostCurve(sizes, [
-        profiled_cost(view_factory, early_family(n), navigation)
-        for n in sizes
-    ])
-    late = CostCurve(sizes, [
-        profiled_cost(view_factory, late_family(n), navigation)
-        for n in sizes
-    ])
-    if early.is_flat() and late.is_flat():
-        classification = Browsability.BOUNDED
-    elif not early.grows():
-        classification = Browsability.BROWSABLE
-    else:
-        classification = Browsability.UNBROWSABLE
-    return ComplexityReport(classification, early, late, navigation)
+    return classify(view_factory, early_family, late_family,
+                    navigation, sizes, measure=profiled_cost)

@@ -30,7 +30,7 @@ Everything cross-cutting in the evaluation tower lives here:
 from . import locks  # noqa: F401
 from .cache import MISS, CacheManager, CacheStats, ManagedCache
 from .config import ConfigError, EngineConfig, validate_granularity
-from .context import ExecutionContext, TraceEvent, Tracer
+from .context import ExecutionContext, Tracer
 from .counters import Counters
 from .observability import (
     EVENT_NAMES,
@@ -41,7 +41,7 @@ from .observability import (
     MetricsRegistry,
     SpanForest,
     SpanNode,
-    TraceRecord,
+    TraceEvent,
     build_span_tree,
     contract_violations,
     export_chrome_trace,
@@ -82,6 +82,6 @@ __all__ = [
     "SpanNode", "SpanForest", "build_span_tree",
     "export_jsonl", "export_chrome_trace", "export_prometheus",
     "EVENT_NAMES", "contract_violations",
-    "FlightRecorder", "TraceRecord",
+    "FlightRecorder",
     "load_jsonl", "merge_traces", "sample_trace",
 ]

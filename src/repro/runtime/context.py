@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import (Any, Callable, ContextManager, Dict, Iterator,
                     List, Optional, Tuple, TYPE_CHECKING)
 
@@ -35,60 +34,11 @@ if TYPE_CHECKING:  # import cycle: resilience imports this module
 from .cache import CacheManager
 from .config import EngineConfig
 from .counters import Counters
-from .observability import MetricsRegistry
+from .observability import MetricsRegistry, TraceEvent
 from .parallel import FanoutDispatcher
 from .locks import make_lock
 
 __all__ = ["TraceEvent", "Tracer", "ExecutionContext"]
-
-
-@dataclass
-class TraceEvent:
-    """One crossing of a layer boundary.
-
-    ``span_id``/``parent_id`` place the event in the causal span tree
-    of the navigation that produced it: ``*.begin``/``*.end`` pairs
-    carry their span's id, point events carry the enclosing span in
-    ``parent_id``.  ``ts_ms`` is the tracer clock's reading (a
-    :class:`~repro.testing.faults.FakeClock` in tests makes it
-    deterministic) and ``thread`` the emitting thread's identity.
-
-    The span fields deliberately stay out of :meth:`__str__`: the
-    golden navigation traces under ``tests/golden/`` compare the
-    string form, which remains exactly ``layer.event key=value ...``.
-    """
-
-    layer: str
-    event: str
-    data: dict = field(default_factory=dict)
-    span_id: Optional[int] = None
-    parent_id: Optional[int] = None
-    ts_ms: Optional[float] = None
-    thread: Optional[int] = None
-
-    def __str__(self) -> str:
-        # Keyed on str(key): heterogeneous data dicts (int and str
-        # keys mixed) must render, not raise -- sorting the raw items
-        # compares unlike types on Python 3.9.  All-string dicts sort
-        # exactly as before, keeping the golden traces stable.
-        detail = " ".join(
-            "%s=%r" % kv
-            for kv in sorted(self.data.items(),
-                             key=lambda kv: str(kv[0])))
-        return ("%s.%s %s" % (self.layer, self.event, detail)).rstrip()
-
-    def to_dict(self) -> dict:
-        """The stable serialization shape of one event (what the JSONL
-        exporter writes, one object per line)."""
-        return {
-            "layer": self.layer,
-            "event": self.event,
-            "data": {str(k): v for k, v in self.data.items()},
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "ts_ms": self.ts_ms,
-            "thread": self.thread,
-        }
 
 
 class Tracer:

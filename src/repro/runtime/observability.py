@@ -28,16 +28,19 @@ into evidence for (or against) those claims:
   asserts code, docs, and goldens agree, so a rename cannot land
   silently.
 
-Nothing here imports the tracer: exporters and the tree builder are
-duck-typed over :class:`~repro.runtime.context.TraceEvent`'s public
-fields (``layer``, ``event``, ``data``, ``span_id``, ``parent_id``,
-``ts_ms``, ``thread``), which keeps the module free of import cycles
-with :mod:`repro.runtime.context`.
+The one event record, :class:`TraceEvent`, is defined here -- what a
+:class:`~repro.runtime.context.Tracer` emits, what :func:`load_jsonl`
+reads back and what :func:`merge_traces` returns.  Nothing here imports
+the tracer: exporters and the tree builder read only the record's
+public fields (``layer``, ``event``, ``data``, ``span_id``,
+``parent_id``, ``ts_ms``, ``thread``), which keeps the module free of
+import cycles with :mod:`repro.runtime.context`.
 """
 
 from __future__ import annotations
 
 import collections
+import dataclasses
 import itertools
 import json
 import os
@@ -54,9 +57,64 @@ __all__ = [
     "SpanNode", "SpanForest", "build_span_tree",
     "export_jsonl", "export_chrome_trace", "export_prometheus",
     "EVENT_NAMES", "contract_violations", "span_name_of",
-    "FlightRecorder", "TraceRecord", "load_jsonl", "merge_traces",
+    "FlightRecorder", "TraceEvent", "load_jsonl", "merge_traces",
     "sample_trace",
 ]
+
+
+# ----------------------------------------------------------------------
+# The event record
+# ----------------------------------------------------------------------
+
+@dataclass
+class TraceEvent:
+    """One crossing of a layer boundary.
+
+    ``span_id``/``parent_id`` place the event in the causal span tree
+    of the navigation that produced it: ``*.begin``/``*.end`` pairs
+    carry their span's id, point events carry the enclosing span in
+    ``parent_id``.  ``ts_ms`` is the tracer clock's reading (a
+    :class:`~repro.testing.faults.FakeClock` in tests makes it
+    deterministic) and ``thread`` the emitting thread's identity (a
+    live thread id from a tracer, a normalized ``c<n>``/``s<n>`` token
+    after :func:`merge_traces`).
+
+    The span fields deliberately stay out of :meth:`__str__`: the
+    golden navigation traces under ``tests/golden/`` compare the
+    string form, which remains exactly ``layer.event key=value ...``.
+    """
+
+    layer: str
+    event: str
+    data: Dict[Any, Any] = field(default_factory=dict)
+    span_id: Optional[int] = None
+    parent_id: Optional[int] = None
+    ts_ms: Optional[float] = None
+    thread: Optional[object] = None
+
+    def __str__(self) -> str:
+        # Keyed on str(key): heterogeneous data dicts (int and str
+        # keys mixed) must render, not raise -- sorting the raw items
+        # compares unlike types on Python 3.9.  All-string dicts sort
+        # exactly as before, keeping the golden traces stable.
+        detail = " ".join(
+            "%s=%r" % kv
+            for kv in sorted(self.data.items(),
+                             key=lambda kv: str(kv[0])))
+        return ("%s.%s %s" % (self.layer, self.event, detail)).rstrip()
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The stable serialization shape of one event (what the JSONL
+        exporter writes, one object per line)."""
+        return {
+            "layer": self.layer,
+            "event": self.event,
+            "data": {str(k): v for k, v in self.data.items()},
+            "span_id": self.span_id,
+            "parent_id": self.parent_id,
+            "ts_ms": self.ts_ms,
+            "thread": self.thread,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -774,62 +832,23 @@ class FlightRecorder:
 # Cross-process trace merging
 # ----------------------------------------------------------------------
 
-@dataclass
-class TraceRecord:
-    """A concrete event record with the duck-typed trace shape.
-
-    What :func:`load_jsonl` yields and :func:`merge_traces` returns:
-    structurally identical to
-    :class:`~repro.runtime.context.TraceEvent` (every exporter and
-    :func:`build_span_tree` accept either), but plain data -- no
-    tracer attached, ``thread`` may be a normalized token rather
-    than a live thread id.
-    """
-
-    layer: str
-    event: str
-    data: Dict[str, Any] = field(default_factory=dict)
-    span_id: Optional[int] = None
-    parent_id: Optional[int] = None
-    ts_ms: Optional[float] = None
-    thread: Optional[object] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "layer": self.layer,
-            "event": self.event,
-            "data": {str(k): v for k, v in self.data.items()},
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "ts_ms": self.ts_ms,
-            "thread": self.thread,
-        }
-
-
-def _as_record(event: Any) -> TraceRecord:
-    return TraceRecord(
-        layer=event.layer, event=event.event, data=dict(event.data),
-        span_id=event.span_id, parent_id=event.parent_id,
-        ts_ms=event.ts_ms, thread=event.thread)
-
-
-def load_jsonl(source: Any) -> List[TraceRecord]:
+def load_jsonl(source: Any) -> List[TraceEvent]:
     """Load a JSONL trace export (the :func:`export_jsonl` format)
-    back into :class:`TraceRecord` objects.
+    back into :class:`TraceEvent` objects.
 
     ``source`` is a path or a readable file object.  Blank lines are
     skipped; missing fields default (old or hand-built exports stay
     loadable).
     """
     handle, owned = _open_sink(source, mode="r")
-    records: List[TraceRecord] = []
+    records: List[TraceEvent] = []
     try:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
             payload = json.loads(line)
-            records.append(TraceRecord(
+            records.append(TraceEvent(
                 layer=str(payload.get("layer", "")),
                 event=str(payload.get("event", "")),
                 data=dict(payload.get("data") or {}),
@@ -843,8 +862,9 @@ def load_jsonl(source: Any) -> List[TraceRecord]:
     return records
 
 
-def merge_traces(client_events: Iterable[Any],
-                 server_events: Iterable[Any]) -> List[TraceRecord]:
+def merge_traces(client_events: Iterable[TraceEvent],
+                 server_events: Iterable[TraceEvent]
+                 ) -> List[TraceEvent]:
     """Join a client and a server trace into one causal stream.
 
     Each process mints span ids from its own counter, so the two id
@@ -859,15 +879,16 @@ def merge_traces(client_events: Iterable[Any],
     tokens in first-seen order, so merged exports of deterministic
     runs are byte-stable.
     """
-    client = [_as_record(event) for event in client_events]
-    server = [_as_record(event) for event in server_events]
+    # Copies: the merge rewrites ids and threads in place.
+    client = [dataclasses.replace(event, data=dict(event.data))
+              for event in client_events]
+    server = [dataclasses.replace(event, data=dict(event.data))
+              for event in server_events]
     client_ids = {record.span_id for record in client
                   if isinstance(record.span_id, int)}
-    used = [record.span_id for record in client
-            if isinstance(record.span_id, int)]
-    used += [record.parent_id for record in client
-             if isinstance(record.parent_id, int)]
-    offset = max(used, default=0)
+    offset = max(client_ids | {record.parent_id for record in client
+                               if isinstance(record.parent_id, int)},
+                 default=0)
 
     mapping: Dict[int, int] = {}
 
@@ -889,7 +910,7 @@ def merge_traces(client_events: Iterable[Any],
             token = threads[key] = "%s%d" % (prefix, ordinal)
         return token
 
-    merged: List[TraceRecord] = []
+    merged: List[TraceEvent] = []
     for record in client:
         record.thread = thread_token("c", record.thread)
         merged.append(record)

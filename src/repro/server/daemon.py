@@ -13,7 +13,10 @@ integers.
 Threading model: one accept-loop thread plus one handler thread per
 connection (the PR 3 thread-safety pass across the tracer, caches,
 breakers, and stats objects is what makes the shared mediator safe
-to navigate from many handler threads at once).
+to navigate from many handler threads at once).  One writer per
+connection: only a connection's own handler thread ever sends on it,
+so every request is answered by exactly its own reply -- nobody else
+can slip a frame in between.
 
 Hardening (all knobs on :class:`~repro.runtime.config.EngineConfig`,
 ``serve_*`` fields):
@@ -38,10 +41,11 @@ Hardening (all knobs on :class:`~repro.runtime.config.EngineConfig`,
   offending *session* only; sibling sessions and the accept loop
   never observe them.
 * **graceful drain** -- :meth:`MediatorServer.drain` (wired to
-  SIGTERM by the ``serve`` CLI) stops accepting, lets in-flight
-  requests finish, answers the next request of every surviving
-  session with ``mix:draining``, wakes idle sessions, and
-  force-closes stragglers after ``serve_drain_timeout_ms``.
+  SIGTERM by the ``serve`` CLI) stops accepting and wakes every
+  session; each handler finishes the request it is in, sends the
+  reply it owes, *then* says ``mix:draining`` and closes (an idle
+  session hears the notice at once); stragglers are force-closed
+  after ``serve_drain_timeout_ms``.
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import (Any, ContextManager, Dict, List, Optional,
-                    Tuple)
+from typing import (Any, Callable, ContextManager, Dict, List,
+                    Optional, Tuple)
 
 from ..errors import ReproError
 from ..mediator.mix import MIXMediator
@@ -167,14 +171,18 @@ class ServerStats(Counters, shared=True):
 class _Handler:
     """Bookkeeping record of one live connection."""
 
-    def __init__(self, conn: socket.socket, thread: threading.Thread,
-                 address: Tuple[str, int]) -> None:
+    def __init__(self, conn: socket.socket, address: Tuple[str, int],
+                 serve: Callable[["_Handler"], None]) -> None:
         self.conn = conn
-        self.thread = thread
         self.address = address
-        #: serializes writes to ``conn``: the handler replies on it,
-        #: and drain may inject a ``mix:draining`` notice
-        self.write_lock = make_lock("server.session.write")
+        #: runs ``serve(self)``; the only thread that ever writes to
+        #: ``conn``
+        self.thread = threading.Thread(
+            target=serve, args=(self,), name="mix-session",
+            daemon=True)
+        #: the admission verdict: True admitted, False ``mix:busy``,
+        #: None ``mix:draining``
+        self.admitted: Optional[bool] = None
         self.session: Optional[Session] = None
 
     @property
@@ -222,8 +230,8 @@ class MediatorServer:
             clock=self.clock)
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
+        #: the admitted connections: its length is the session count
         self._handlers: List[_Handler] = []
-        self._active = 0
         self._session_serial = 0
         self._draining = False
         self._started = False
@@ -267,7 +275,7 @@ class MediatorServer:
     def active_sessions(self) -> int:
         """Currently admitted (not yet closed) sessions."""
         with self._lock:
-            return self._active
+            return len(self._handlers)
 
     @property
     def draining(self) -> bool:
@@ -288,14 +296,17 @@ class MediatorServer:
             except OSError:
                 # Listener closed (drain) -- exit quietly.
                 return
+            handler = _Handler(conn, address[:2], self._handle)
+            # Admission: append under the lock if there is room.
             with self._lock:
                 if self._draining:
-                    admitted = None
-                elif self._active < self.config.serve_max_sessions:
-                    self._active += 1
-                    admitted = True
+                    handler.admitted = None
+                elif len(self._handlers) \
+                        < self.config.serve_max_sessions:
+                    self._handlers.append(handler)
+                    handler.admitted = True
                 else:
-                    admitted = False
+                    handler.admitted = False
             self.stats.bump("accepted")
             self.tracer.emit("server", "accept", peer=address[0])
             if self.config.serve_send_buffer_bytes is not None:
@@ -305,46 +316,34 @@ class MediatorServer:
                         self.config.serve_send_buffer_bytes)
                 except OSError:
                     pass
-            handler = _Handler(conn, threading.Thread(), address[:2])
-            thread = threading.Thread(
-                target=self._handle, args=(handler, admitted),
-                name="mix-session", daemon=True)
-            handler.thread = thread
-            if admitted:
-                with self._lock:
-                    self._handlers.append(handler)
-            thread.start()
+            handler.thread.start()
 
     # -- the session protocol ----------------------------------------------
-    def _reply(self, handler: _Handler, payload: Dict[str, Any],
-               wait: bool = True) -> None:
-        """Send one frame under the connection's write lock and the
-        send timeout (a stalled reader raises ``socket.timeout``).
-        ``wait=False`` gives up when another writer holds the lock."""
+    def _reply(self, handler: _Handler, payload: Dict[str, Any]
+               ) -> None:
+        """Send one frame under the send timeout (a stalled reader
+        raises ``socket.timeout``).  Called from ``handler.thread``
+        only: one writer per connection."""
         config = self.config
-        if not handler.write_lock.acquire(blocking=wait):
-            return
-        try:
-            handler.conn.settimeout(
-                config.serve_send_timeout_ms / 1000.0)
-            # the write lock serializes replies to one connection;
-            # the send is bounded by the settimeout above (see
-            # BLOCKING_HOLD_ALLOWED)
-            # lint: allow=L011
-            send_frame(handler.conn, payload,
-                       config.serve_max_frame_bytes)
-        finally:
-            handler.write_lock.release()
+        handler.conn.settimeout(config.serve_send_timeout_ms / 1000.0)
+        send_frame(handler.conn, payload, config.serve_max_frame_bytes)
 
-    def _error_reply(self, handler: _Handler, code: str, detail: str,
-                     wait: bool = True) -> None:
+    def _error_reply(self, handler: _Handler, code: str, detail: str
+                     ) -> None:
         """Best-effort typed error frame: the peer may already be
         gone, in which case the error is only in the stats/trace."""
         try:
             self._reply(handler, {"ok": False, "error": code,
-                                  "detail": detail}, wait)
+                                  "detail": detail})
         except (OSError, WireError):
             pass
+
+    def _drained(self, handler: _Handler) -> None:
+        """End one session for the drain: count it and tell the peer.
+        Sent by the session's own handler, hence always *after* any
+        reply the session still owed."""
+        self.stats.bump("drained")
+        self._error_reply(handler, *_DRAINING)
 
     def _note(self, event: str, **data: Any) -> None:
         """One server-level event, to the tracer and the flight
@@ -375,8 +374,7 @@ class MediatorServer:
         says: count it, dump the incident, tell the peer."""
         if phase == "recv" and self.draining:
             # The drain woke this recv; the session is not at fault.
-            self.stats.bump("drained")
-            return
+            return self._drained(handler)
         for row_phase, exception, reason, code, detail in FAULTS:
             if row_phase == phase and isinstance(error, exception):
                 break
@@ -452,9 +450,9 @@ class MediatorServer:
         self.tracer.emit("server", "reject", reason=why)
         self._error_reply(handler, code, detail)
 
-    def _handle(self, handler: _Handler,
-                admitted: Optional[bool]) -> None:
+    def _handle(self, handler: _Handler) -> None:
         """The per-connection thread body."""
+        admitted = handler.admitted
         try:
             if admitted is None:
                 self._reject(handler, *_DRAINING)
@@ -473,9 +471,7 @@ class MediatorServer:
                 handler.session.release()
             if admitted:
                 with self._lock:
-                    self._active -= 1
-                    if handler in self._handlers:
-                        self._handlers.remove(handler)
+                    self._handlers.remove(handler)
                 self.stats.bump("sessions_closed")
                 self.tracer.emit("server", "close",
                                  session=handler.session_id)
@@ -486,9 +482,7 @@ class MediatorServer:
         config = self.config
         while True:
             if self.draining:
-                self.stats.bump("drained")
-                self._error_reply(handler, *_DRAINING)
-                return
+                return self._drained(handler)
             handler.conn.settimeout(
                 config.serve_idle_timeout_ms / 1000.0)
             try:
@@ -497,9 +491,11 @@ class MediatorServer:
             except (OSError, WireError) as error:
                 return self._fail(handler, "recv", error)
             if frame is None:
-                # Clean close at a frame boundary: a polite client.
+                # Clean close at a frame boundary: a polite client --
+                # or the end of input drain() wakes an idle session
+                # with.
                 if self.draining:
-                    self.stats.bump("drained")
+                    self._drained(handler)
                 return
             trace_context = decode_trace_context(frame)
             op = str(frame.get("op"))
@@ -661,17 +657,22 @@ class MediatorServer:
         """Graceful shutdown: stop accepting, finish in-flight work,
         cancel idle sessions, force-close stragglers.
 
+        ``drain`` itself never writes to a session's connection: it
+        sets the flag and ends every connection's *input*.  Each
+        handler then notices on its own -- at once if it was parked
+        in ``recv``, after sending the reply it owes if it was
+        navigating -- and says ``mix:draining`` itself
+        (:meth:`_drained`), so the notice can never overtake or
+        replace a reply.
+
         Returns True when every session ended within the grace period
         (``serve_drain_timeout_ms`` by default), False when
         stragglers had to be force-closed.  Idempotent; safe to call
         from a signal handler's deferred path.
         """
         with self._lock:
-            if self._draining:
-                already = True
-            else:
-                self._draining = True
-                already = False
+            already = self._draining
+            self._draining = True
             listener = self._listener
             handlers = list(self._handlers)
         if not already:
@@ -686,12 +687,10 @@ class MediatorServer:
         if accept_thread is not None:
             accept_thread.join(max(0.0, deadline - time.monotonic())
                                + _ACCEPT_POLL_S * 2)
-        # Wake sessions parked in recv: the draining notice goes only
-        # to *idle* sessions (a held write lock means a reply is in
-        # flight; its owner will see the flag afterwards), then the
-        # read side is shut down to interrupt the recv.
+        # Wake sessions parked in recv: shutting the read side down
+        # ends their input; a session busy with a request sees the
+        # flag once it has replied.
         for handler in handlers:
-            self._error_reply(handler, *_DRAINING, wait=False)
             try:
                 handler.conn.shutdown(socket.SHUT_RD)
             except OSError:

@@ -76,14 +76,11 @@ class BlockingCallUnderLock(RuntimeError):
 #:   by design (concurrent subclasses splice through the same lock).
 #: * ``client.channel`` -- the socket channel serializes request/reply
 #:   round trips under its mutex; every wire op is deadline-bounded.
-#: * ``server.session.write`` -- replies and drain notices serialize
-#:   writes to one connection; sends carry an explicit timeout.
 #: * ``pushdown.document`` -- one-shot native-request materialization
 #:   is single-flighted under the document lock.
 BLOCKING_HOLD_ALLOWED = frozenset({
     "buffer.component",
     "client.channel",
-    "server.session.write",
     "pushdown.document",
 })
 

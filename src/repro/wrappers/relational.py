@@ -21,6 +21,7 @@ sweeps against chunk size.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from ..algebra.predicates import compare_values
@@ -61,8 +62,7 @@ class RelationalLXPWrapper(LXPServer):
         self.stats = LXPStats()
         #: per-table row cursors kept across fills so that consecutive
         #: row-level fills advance rather than restart
-        self._cursors: Dict[str, object] = {}
-        self._cursor_pos: Dict[str, int] = {}
+        self._cursors: Dict[str, _ResumableCursor] = {}
 
     @property
     def db_name(self) -> str:
@@ -99,48 +99,19 @@ class RelationalLXPWrapper(LXPServer):
                 name, (FragHole("%s.%s" % (self.db_name, name)),)))
         return FragElem(self.db_name, tuple(tables))
 
-    def _rows_cursor(self, table: str, start: int):
-        """A cursor positioned so its next advance yields row ``start``.
-
-        Reuses the live cursor when the request continues where the
-        previous fill stopped (the common forward-browsing case);
-        otherwise opens a fresh SELECT and skips forward.
-        """
-        cursor = self._cursors.get(table)
-        if cursor is None or self._cursor_pos[table] != start:
-            cursor = self.connection.execute(
-                "SELECT * FROM %s" % table)
-            skipped = 0
-            while skipped < start:
-                if cursor.advance() is None:
-                    break
-                skipped += 1
-            self._cursors[table] = cursor
-            self._cursor_pos[table] = start
-        return cursor
-
     def _fill_rows(self, table: str, start: int) -> List[Fragment]:
         columns = self.connection.columns(table)
-        cursor = self._rows_cursor(table, start)
-        reply: List[Fragment] = []
-        shipped = 0
-        while shipped < self.chunk_size:
-            row = cursor.advance()
-            if row is None:
-                break
-            attrs = tuple(
-                FragElem(col, (FragElem(_atom(value)),)
-                         if value is not None and _atom(value) != ""
-                         else ())
-                for col, value in zip(columns, row)
-            )
-            reply.append(FragElem("row%d" % (start + shipped + 1),
-                                  attrs))
-            shipped += 1
-        self._cursor_pos[table] = start + shipped
-        if shipped == self.chunk_size and not cursor.exhausted:
+        cursor = self._cursors.get(table)
+        if cursor is None:
+            cursor = self._cursors[table] = _ResumableCursor(
+                self.connection, "SELECT * FROM %s" % table)
+        rows, more = cursor.chunk(start, self.chunk_size)
+        reply: List[Fragment] = [
+            FragElem("row%d" % number, _cells(FragElem, columns, row))
+            for number, row in enumerate(rows, start + 1)]
+        if more:
             reply.append(FragHole(
-                "%s.%s.%d" % (self.db_name, table, start + shipped)))
+                "%s.%s.%d" % (self.db_name, table, start + len(rows))))
         return reply
 
     # -- pushdown -------------------------------------------------------------
@@ -243,22 +214,13 @@ class RelationalLXPWrapper(LXPServer):
                 "SELECT * FROM %s" % scan.table)
         columns = cursor.column_names
         rows: List[Tree] = []
-        position = 0
-        while True:
-            row = cursor.advance()
-            if row is None:
-                break
-            position += 1
+        for position, row in enumerate(iter(cursor.advance, None), 1):
             if not scan.renumber and not _row_passes(
                     columns, row, scan.row_filters):
                 continue
             number = len(rows) + 1 if scan.renumber else position
-            cells = tuple(
-                Tree(col, (Tree(_atom(value)),))
-                if value is not None and _atom(value) != "" else
-                Tree(col, ())
-                for col, value in zip(columns, row))
-            rows.append(Tree("row%d" % number, cells))
+            rows.append(Tree("row%d" % number,
+                             _cells(Tree, columns, row)))
         return Tree(scan.table, tuple(rows))
 
 
@@ -284,6 +246,55 @@ def _atom(value) -> str:
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return str(value)
+
+
+def _cells(node, columns, row) -> tuple:
+    """One row as its cells ``col[value]`` (``col[]`` for NULL and for
+    the empty string), built with ``node``: :class:`FragElem` in a fill
+    reply, :class:`Tree` in a pushed export -- both construct from
+    ``(label, children)``, one call per shipped node."""
+    return tuple([
+        node(col, (node(_atom(value)),)
+             if value is not None and _atom(value) != "" else ())
+        for col, value in zip(columns, row)])
+
+
+class _ResumableCursor:
+    """Row offsets over forward-only cursors: the rows of ``sql`` from
+    any ``start``.
+
+    The live cursor is reused when a request continues where the
+    previous one stopped (the common forward-browsing case); any other
+    offset re-runs the statement and skips forward (real systems would
+    use scrollable cursors -- the re-run cost is visible in the
+    connection's statement counter, which is the honest substitute).
+    """
+
+    def __init__(self, connection: Connection, sql: str):
+        self.connection = connection
+        self.sql = sql
+        self._cursor = None
+        self._pos = 0
+
+    @property
+    def column_names(self) -> List[str]:
+        """The statement's columns (after the first :meth:`chunk`)."""
+        return self._cursor.column_names
+
+    def chunk(self, start: int, size: int) -> Tuple[List[tuple], bool]:
+        """Up to ``size`` rows from row ``start`` on, and whether rows
+        remain after them."""
+        cursor = self._cursor
+        if cursor is None or self._pos != start:
+            cursor = self._cursor = self.connection.execute(self.sql)
+            skipped = 0
+            while skipped < start and cursor.advance() is not None:
+                skipped += 1
+        # advance() on the cursor as the connection handed it out (not
+        # its fetch_chunk): an instrumented connection counts there.
+        rows = list(islice(iter(cursor.advance, None), size))
+        self._pos = start + len(rows)
+        return rows, len(rows) == size and not cursor.exhausted
 
 
 class RelationalQueryWrapper(LXPServer):
@@ -313,43 +324,19 @@ class RelationalQueryWrapper(LXPServer):
         self.view_label = view_label
         self.tuple_label = tuple_label
         self.stats = LXPStats()
-        self._cursor = None
-        self._cursor_pos = 0
-
-    def _cursor_at(self, start: int):
-        if self._cursor is None or self._cursor_pos != start:
-            self._cursor = self.connection.execute(self.sql)
-            skipped = 0
-            while skipped < start:
-                if self._cursor.advance() is None:
-                    break
-                skipped += 1
-            self._cursor_pos = start
-        return self._cursor
+        self._cursor = _ResumableCursor(connection, sql)
 
     def get_root(self) -> FragHole:
         return FragHole(("view",))
 
     def _ship_tuples(self, start: int) -> List[Fragment]:
-        cursor = self._cursor_at(start)
-        columns = cursor.column_names
-        reply: List[Fragment] = []
-        shipped = 0
-        while shipped < self.chunk_size:
-            row = cursor.advance()
-            if row is None:
-                break
-            attrs = tuple(
-                FragElem(col, (FragElem(_atom(value)),)
-                         if value is not None and _atom(value) != ""
-                         else ())
-                for col, value in zip(columns, row)
-            )
-            reply.append(FragElem(self.tuple_label, attrs))
-            shipped += 1
-        self._cursor_pos = start + shipped
-        if shipped == self.chunk_size and not cursor.exhausted:
-            reply.append(FragHole(("rows", start + shipped)))
+        rows, more = self._cursor.chunk(start, self.chunk_size)
+        columns = self._cursor.column_names
+        reply: List[Fragment] = [
+            FragElem(self.tuple_label, _cells(FragElem, columns, row))
+            for row in rows]
+        if more:
+            reply.append(FragHole(("rows", start + len(rows))))
         return reply
 
     def fill(self, hole_id) -> List[Fragment]:

@@ -203,3 +203,14 @@ class TestProfileCommand:
         assert "client navigations:" in out
         assert "verdict:" in out
         assert "Join#1" in out
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize("spec", ["homes:abc", "homes:-3",
+                                      "schools:5"])
+    def test_bad_workload_spec_is_a_usage_error(self, spec):
+        """A scale that is not a number takes the same exit as an
+        unknown workload kind -- a message, not a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--workload", spec])
+        assert "unknown --workload %r" % spec in str(excinfo.value)

@@ -32,7 +32,8 @@ from repro.runtime import EngineConfig, Tracer
 from repro.testing import FakeClock
 from repro.xtree import Tree, elem
 
-from .fixtures import fig4_plan, homes_source, schools_source
+from .fixtures import (fig4_plan, homes_source, pool_thread_ledger,
+                       schools_source)
 
 
 # -- the three E2 views (Example 1) ------------------------------------
@@ -262,3 +263,20 @@ class TestQueryResultProfile:
         assert "browsability profile (observed):" in analyzed
         assert "amplification:" in analyzed
         assert "verdict:" in analyzed
+
+    def test_profile_closes_its_private_context(self):
+        """Each ``profile()`` builds its own execution context -- and
+        with ``fanout_workers`` that context starts a ``mix-fanout``
+        pool; the pool must be gone when the profile is returned."""
+        med = MIXMediator(EngineConfig(fanout_workers=2))
+        med.register_source("homesSrc",
+                            MaterializedDocument(homes_source()))
+        med.register_source("schoolsSrc",
+                            MaterializedDocument(schools_source()))
+        result = med.prepare(fig4_plan())
+        with pool_thread_ledger() as leaked:
+            for _ in range(3):
+                assert result.profile().source_commands > 0
+                assert leaked() == []
+            assert "verdict:" in result.explain(analyze=True)
+            assert leaked() == []

@@ -519,6 +519,89 @@ class TestDrain:
         finally:
             session.close()
 
+    def test_drain_answers_an_inflight_request_before_the_notice(self):
+        """Only a connection's handler thread writes to it: a fill
+        that is navigating when ``drain()`` begins is answered with
+        its own fragments, *then* told ``mix:draining``, then closed
+        -- and the daemon counts exactly what the client was
+        answered.  A notice written by the draining thread instead
+        would land in place of that reply."""
+        parked, release = threading.Event(), threading.Event()
+
+        class Gated(NavigableDocument):
+            """Parks the first ``down`` after ``armed`` is set."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.armed = False
+
+            def root(self):
+                return self.inner.root()
+
+            def down(self, pointer):
+                if self.armed:
+                    self.armed = False
+                    parked.set()
+                    assert release.wait(10.0)
+                return self.inner.down(pointer)
+
+            def right(self, pointer):
+                return self.inner.right(pointer)
+
+            def fetch(self, pointer):
+                return self.inner.fetch(pointer)
+
+        mediator = MIXMediator(EngineConfig(serve_port=0))
+        gated = Gated(MaterializedDocument(
+            homes_and_schools(3)["homesSrc"]))
+        mediator.register_source("homesSrc", gated)
+        server = MediatorServer(mediator)
+        host, port = server.start()
+        outcome = []
+        drainer = threading.Thread(
+            target=lambda: outcome.append(server.drain()), daemon=True)
+        busy = open_raw(host, port, timeout_ms=10000.0)
+        idle = open_raw(host, port, timeout_ms=10000.0)
+        try:
+            # ``busy`` is admitted first, so drain() reaches it first.
+            send_frame_bytes(busy, {"op": "open", "query": QUERY})
+            opened = _decode(recv_reply_bytes(busy))
+            assert opened["ok"]
+            send_frame_bytes(idle, {"op": "open", "query": QUERY})
+            assert _decode(recv_reply_bytes(idle))["ok"]
+            gated.armed = True
+            send_frame_bytes(busy, {"op": "fill",
+                                    "hole": opened["root"]})
+            assert parked.wait(10.0)  # the fill is inside _dispatch
+            drainer.start()
+            # The idle session is told and closed -- so drain() is
+            # past the busy one, whose fill is still parked.
+            assert _decode(recv_reply_bytes(idle))["error"] \
+                == "mix:draining"
+            assert recv_reply_bytes(idle) == b""
+            assert server.draining
+            release.set()
+            frames = []
+            while True:
+                raw = recv_reply_bytes(busy)
+                if not raw:
+                    break
+                frames.append(_decode(raw))
+            drainer.join(10.0)
+            assert outcome == [True]
+            assert [frame.get("error") for frame in frames] \
+                == [None, "mix:draining"]
+            assert frames[0]["ok"] and frames[0]["fragments"]
+            stats = server.stats.snapshot()
+            # open x2 + the one fill: every request got its own reply
+            assert (stats["requests"], stats["fills"]) == (3, 1)
+            assert stats["drained"] == 2
+        finally:
+            release.set()
+            busy.close()
+            idle.close()
+            server.drain()
+
     def test_drain_is_idempotent(self):
         server, _, _ = make_server()
         assert server.drain()
