@@ -139,11 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="pipeline LXP: ship batched fill commands "
                           "in one round trip and accept speculative "
                           "multi-fragment replies")
-    run.add_argument("--fanout-workers", type=int, default=0,
-                     metavar="N",
-                     help="probe independent operator inputs (union, "
-                          "difference, join, concatenate) on up to N "
-                          "threads (default 0 = sequential)")
     run.add_argument("--trace-out", default=None, metavar="FILE",
                      help="record the causal span stream and write it "
                           "to FILE (enables tracing and per-operator "
@@ -384,9 +379,11 @@ def _register_files(mediator: MIXMediator, args) -> None:
 
 def _emit(text: str, dest: str, label: str) -> None:
     """Write ``text`` where a ``--json``-style flag points: stdout for
-    ``-``, else the file ``dest`` (noted on stderr as ``label``)."""
+    ``-``, else the file ``dest`` (noted on stderr as ``label``).
+    Empty ``text`` prints nothing, not a blank line."""
     if dest == "-":
-        print(text)
+        if text:
+            print(text)
     else:
         with open(dest, "w") as handle:
             handle.write(text + "\n")

@@ -47,27 +47,6 @@ class LazyConcatenate(UnaryOperator):
         return ("sub", self.child.attribute(binding, var))
 
     # -- item enumeration --------------------------------------------------------
-    def _warm_arguments(self, ib) -> None:
-        """With fan-out active, probe every argument variable's value
-        label concurrently before the sequential enumeration starts.
-
-        The arguments bind to independent sources; the probes warm
-        each source's buffer (and the label memo below) so the
-        boundary crossings of the subsequent walk are buffer hits.
-        The layers underneath (buffers, meters, caches, resilient
-        seams) are lock-guarded, so concurrent probes compose.
-        """
-        fanout = self.ctx.fanout
-        if not fanout.active or len(self.in_vars) <= 1:
-            return
-
-        def probe(var):
-            def thunk():
-                self.child.v_fetch(self.child.attribute(ib, var))
-            return thunk
-
-        fanout.run(*[probe(var) for var in self.in_vars])
-
     def _first_item_of_var(self, ib, var_index: int):
         """The first item contributed by argument ``var_index`` (or the
         first from a later argument when it is an empty list)."""
@@ -86,7 +65,6 @@ class LazyConcatenate(UnaryOperator):
     def v_down(self, value):
         tag = value[0]
         if tag == "list":
-            self._warm_arguments(value[1])
             return self._first_item_of_var(value[1], 0)
         if tag == "item":
             _, _ib, _vi, inner, _from_list = value

@@ -162,17 +162,6 @@ class LazyJoin(TwoSidedValues):
         return None
 
     def first_binding(self):
-        fanout = self.ctx.fanout
-        if fanout.active:
-            # Outer and inner are independent sources: probe the outer
-            # side's first binding while a worker warms the inner
-            # cache's first position, so the first probe of the nested
-            # loop finds both sides resident.  The inner cache is a
-            # lock-guarded ManagedCache, so the warm-up composes with
-            # the demand path.
-            lb, _ = fanout.run(self.left.first_binding,
-                               lambda: self._inner_binding(0))
-            return self._scan(lb, 0)
         return self._scan(self.left.first_binding(), 0)
 
     def next_binding(self, binding):

@@ -35,17 +35,6 @@ class LazyUnion(TwoSidedValues):
         self.variables = list(left.variables)
 
     def first_binding(self):
-        fanout = self.ctx.fanout
-        if fanout.active:
-            # The two sides are independent sources: probe both
-            # concurrently.  The right probe is speculative -- wasted
-            # only when the left side is non-empty, and even then it
-            # has warmed the right buffer for the eventual crossover.
-            lb, rb = fanout.run(self.left.first_binding,
-                                self.right.first_binding)
-            if lb is not None:
-                return ("L", lb)
-            return ("R", rb) if rb is not None else None
         lb = self.left.first_binding()
         if lb is not None:
             return ("L", lb)
@@ -106,18 +95,6 @@ class LazyDifference(FilterOperator):
     def _keep(self, ib) -> bool:
         return _binding_key(self.child, ib, self.variables) \
             not in self._force_right()
-
-    def first_binding(self):
-        fanout = self.ctx.fanout
-        if fanout.active:
-            # Difference must force its whole right side before the
-            # first emission; overlap that forced walk with the left
-            # side's first-binding navigation -- the two inputs are
-            # independent sources.
-            first, _ = fanout.run(self.child.first_binding,
-                                  self._force_right)
-            return self._scan(first)
-        return super().first_binding()
 
 
 class LazyDistinct(FilterOperator):

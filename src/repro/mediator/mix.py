@@ -191,15 +191,10 @@ class QueryResult:
         context = ExecutionContext(config, tracer=tracer,
                                    metrics=self.mediator.runtime.metrics)
         context.adopt(self.mediator.runtime)
-        try:
-            document = build_virtual_document(
-                self.plan, self.mediator._resolver(), context)
-            with tracer.subscribed(events.append):
-                materialize(document)
-        finally:
-            # The private context owns a fan-out pool when
-            # ``fanout_workers`` is set; nobody else will close it.
-            context.close()
+        document = build_virtual_document(
+            self.plan, self.mediator._resolver(), context)
+        with tracer.subscribed(events.append):
+            materialize(document)
         return NavigationProfile.from_events(events)
 
     def explain(self, analyze: bool = False,

@@ -76,8 +76,8 @@ class CountingDocument(NavigableDocument):
         #: ``source_navigations_total{source=,command=}``
         self.metrics = metrics
         self.trace: List[Tuple[str, object]] = []
-        #: guards counters and the command log: with fan-out and
-        #: prefetch workers, one meter is crossed by several threads.
+        #: guards counters and the command log: with prefetch
+        #: workers, one meter is crossed by several threads.
         #: Re-entrant because a tracer callback may itself navigate.
         self._lock = make_rlock("source.meter")
 

@@ -6,9 +6,6 @@ from .store import (
     OObject,
     ObjectStore,
     OODBError,
-    open_store,
-    register_store,
 )
 
-__all__ = ["OClass", "OObject", "ObjectStore", "OODBError",
-           "register_store", "open_store"]
+__all__ = ["OClass", "OObject", "ObjectStore", "OODBError"]

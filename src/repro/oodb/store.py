@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-__all__ = ["OODBError", "OClass", "OObject", "ObjectStore",
-           "register_store", "open_store"]
+__all__ = ["OODBError", "OClass", "OObject", "ObjectStore"]
 
 
 from ..errors import PermanentSourceError
@@ -150,24 +149,3 @@ class ObjectStore:
                     next_frontier.append(result)
             frontier = next_frontier
         return frontier
-
-
-#: URI registry, mirroring the relational one ("oodb://storename").
-_REGISTRY: Dict[str, ObjectStore] = {}
-
-
-def register_store(store: ObjectStore) -> str:
-    """Register a store for URI-based lookup; returns its URI."""
-    _REGISTRY[store.name] = store
-    return "oodb://%s" % store.name
-
-
-def open_store(uri: str) -> ObjectStore:
-    """Resolve a previously registered ``oodb://`` URI."""
-    if not uri.startswith("oodb://"):
-        raise OODBError("not an OODB URI: %r" % uri)
-    name = uri[len("oodb://"):]
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise OODBError("no registered store %r" % name) from None

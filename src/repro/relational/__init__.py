@@ -3,11 +3,11 @@ wrapper (paper Section 4, Example 5).
 
 Provides schemas, insertion-ordered tables, a small SQL SELECT dialect,
 tuple-at-a-time cursors with advance accounting, and a JDBC-flavoured
-connection facade resolved from ``rdb://`` URIs.
+connection facade over a :class:`Database`.
 """
 
 from .cursor import Cursor
-from .database import Connection, Database, connect, register_database
+from .database import Connection, Database
 from .schema import Column, ColumnType, SchemaError, TableSchema
 from .sql import (
     Condition,
@@ -22,7 +22,7 @@ from .table import Table
 __all__ = [
     "Column", "ColumnType", "TableSchema", "SchemaError",
     "Table", "Cursor",
-    "Database", "Connection", "connect", "register_database",
+    "Database", "Connection",
     "SQLError", "SelectStatement", "Condition", "OrderKey",
     "parse_select", "execute_select",
 ]

@@ -1,7 +1,8 @@
 """Databases and the JDBC-flavoured connection facade.
 
-The MIX relational wrapper connects "through JDBC" with the database
-named in the URI; :class:`Connection` is the local stand-in, offering
+The MIX relational wrapper connects "through JDBC" to its database;
+:class:`Connection` is the local stand-in, built over a
+:class:`Database` object, offering
 ``execute(sql)`` (returns a cursor) plus the catalog inspection the
 wrapper needs for its database-level ``fill`` answer.
 """
@@ -15,7 +16,7 @@ from .schema import Column, SchemaError, TableSchema
 from .sql import execute_select, parse_select
 from .table import Table
 
-__all__ = ["Database", "Connection", "connect"]
+__all__ = ["Database", "Connection"]
 
 
 class Database:
@@ -91,25 +92,3 @@ class Connection:
 
     def columns(self, table: str) -> List[str]:
         return self.database.table(table).schema.column_names
-
-
-#: Registry used by connect() -- the moral equivalent of a JDBC URI
-#: resolver.  Wrappers receive URIs like "rdb://homesdb".
-_REGISTRY: Dict[str, Database] = {}
-
-
-def register_database(database: Database) -> str:
-    """Register a database for URI-based lookup; returns its URI."""
-    _REGISTRY[database.name] = database
-    return "rdb://%s" % database.name
-
-
-def connect(uri: str) -> Connection:
-    """Open a connection to a registered database URI."""
-    if not uri.startswith("rdb://"):
-        raise SchemaError("not a relational URI: %r" % uri)
-    name = uri[len("rdb://"):]
-    try:
-        return Connection(_REGISTRY[name])
-    except KeyError:
-        raise SchemaError("no registered database %r" % name) from None

@@ -46,14 +46,13 @@ checks it is never more optimistic than the navigation profiler.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..algebra import operators as ops
 from ..navigation.complexity import Browsability, compose_classes
 from ..xtree.path import Label, PathExpr, Seq, Wildcard
 
-__all__ = ["classify_plan", "classify_path", "classify_nodes",
-           "explain_plan"]
+__all__ = ["classify_plan", "classify_path", "explain_plan"]
 
 #: var name -> Definition 2 class of streaming that variable's
 #: collection value one member at a time.
@@ -165,25 +164,6 @@ def classify_plan(plan: ops.Operator,
     """The static browsability class of a plan."""
     cls, _ = _infer(plan, sigma_available)
     return cls
-
-
-def classify_nodes(plan: ops.Operator,
-                   sigma_available: bool = False
-                   ) -> List[Tuple[ops.Operator, Browsability]]:
-    """Per-node classification, root first (preorder).
-
-    Each node's class is the class of the subplan rooted there -- the
-    same value :func:`classify_plan` returns for that subtree.
-    """
-    result: List[Tuple[ops.Operator, Browsability]] = []
-
-    def walk(node: ops.Operator) -> None:
-        result.append((node, classify_plan(node, sigma_available)))
-        for child in node.inputs:
-            walk(child)
-
-    walk(plan)
-    return result
 
 
 def explain_plan(plan: ops.Operator,

@@ -166,9 +166,9 @@ class CacheManager:
     each registered cache reads them once.
 
     One re-entrant lock serializes all lookups, inserts, LRU motion
-    and evictions: prefetch workers and fan-out threads hit the same
-    registry as the client thread, and an eviction decision must see
-    a consistent LRU.
+    and evictions: every thread navigating one query's answer hits
+    the same registry, and an eviction decision must see a consistent
+    LRU.
     """
 
     def __init__(self, budget: Optional[int] = None,

@@ -98,11 +98,7 @@ class EngineConfig:
         LXP pipelining: a demand fill ships as one *batched* round
         trip that also carries up to ``prefetch`` speculative
         follow-up fills, collapsing a forward scan's chain of round
-        trips.  ``fanout_workers`` lets lazy operators with
-        independent inputs (``concatenate``, the set operators, the
-        outer x inner probe of ``join``) dispatch sub-navigations to
-        distinct sources concurrently; 0 keeps the sequential
-        navigation order byte-for-byte.
+        trips.
 
     Fault tolerance
         ``retry_max_attempts`` is the total number of tries per I/O
@@ -221,7 +217,6 @@ class EngineConfig:
     prefetch: int = 0
     prefetch_workers: int = 0
     batch_navigations: bool = False
-    fanout_workers: int = 0
     latency_ms: float = 20.0
     ms_per_kb: float = 2.0
     retry_max_attempts: int = 1
@@ -258,8 +253,6 @@ class EngineConfig:
             raise ConfigError("prefetch must be >= 0")
         if self.prefetch_workers < 0:
             raise ConfigError("prefetch_workers must be >= 0")
-        if self.fanout_workers < 0:
-            raise ConfigError("fanout_workers must be >= 0")
         if self.latency_ms < 0 or self.ms_per_kb < 0:
             raise ConfigError("channel costs must be >= 0")
         if self.retry_max_attempts < 1:

@@ -35,7 +35,6 @@ from .cache import CacheManager
 from .config import EngineConfig
 from .counters import Counters
 from .observability import MetricsRegistry, TraceEvent
-from .parallel import FanoutDispatcher
 from .locks import make_lock
 
 __all__ = ["TraceEvent", "Tracer", "ExecutionContext"]
@@ -51,7 +50,7 @@ class Tracer:
     before building events.
 
     The tracer is safe under concurrent emitters and subscribers:
-    prefetch workers and fan-out threads emit through the same
+    look-ahead pool workers and concurrent sessions emit through the same
     instance the client thread reads, so the subscriber list and the
     event record are guarded by a lock.  Callbacks are invoked
     *outside* the lock (a callback may itself navigate, which may
@@ -66,8 +65,8 @@ class Tracer:
     :func:`~repro.runtime.observability.build_span_tree`).  Work that
     hops threads keeps the tree connected through :meth:`capture` /
     :meth:`attach`: the dispatching side captures the current span,
-    the worker attaches it before running (the fan-out dispatcher and
-    the async prefetcher do this automatically).
+    the worker attaches it before running (the buffer's look-ahead
+    pool does this automatically).
 
     ``clock`` supplies the event timestamps; tests inject a
     :class:`~repro.testing.faults.FakeClock` so traces are
@@ -338,10 +337,9 @@ class ExecutionContext:
         #: shapes are the rows of ``_SECTIONS``)
         self.stats: Dict[Tuple[str, str], Counters] = {}
         #: guards the registry: buffers and channels register from
-        #: whichever thread opens them (fan-out tasks, prefetch
-        #: workers), and names are minted from registry sizes
+        #: whichever thread opens them (concurrent sessions over one
+        #: mediator), and names are minted from registry sizes
         self._registry_lock = make_lock("context.registry")
-        self._fanout: Optional[FanoutDispatcher] = None
         #: per-kind serial numbers behind :meth:`mint_operator_name`
         self._operator_serials: Dict[str, int] = {}
 
@@ -378,27 +376,6 @@ class ExecutionContext:
             serial = self._operator_serials.get(kind, 0) + 1
             self._operator_serials[kind] = serial
             return "%s#%d" % (kind, serial)
-
-    # -- concurrency -------------------------------------------------------
-    @property
-    def fanout(self) -> FanoutDispatcher:
-        """The query's shared :class:`FanoutDispatcher` (created on
-        first use from ``config.fanout_workers``; inert when 0)."""
-        dispatcher = self._fanout
-        if dispatcher is None:
-            with self._registry_lock:
-                if self._fanout is None:
-                    self._fanout = FanoutDispatcher(
-                        self.config.fanout_workers,
-                        tracer=self.tracer)
-                dispatcher = self._fanout
-        return dispatcher
-
-    def close(self) -> None:
-        """Release pooled resources (the fan-out executor)."""
-        dispatcher = self._fanout
-        if dispatcher is not None:
-            dispatcher.close()
 
     # -- the stats registry ------------------------------------------------
     def register(self, kind: str, name: str,

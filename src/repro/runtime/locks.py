@@ -32,12 +32,11 @@ from __future__ import annotations
 import os
 import re
 import threading
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 __all__ = [
     "make_lock",
     "make_rlock",
-    "created_locks",
     "set_lock_factory",
     "LOCK_NAME_RE",
 ]
@@ -50,12 +49,6 @@ LOCK_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 # (name, reentrant) and returns a lock-like object.
 _factory: Optional[Callable[[str, bool], Any]] = None
 
-# Creation-time census: name -> number of instances made so far.  Cheap
-# (one dict bump per lock *creation*, never per acquisition) and lets
-# tests assert which named locks a scenario actually instantiated.
-_created: Dict[str, int] = {}
-_created_guard = threading.Lock()
-
 
 def _check_name(name: str) -> str:
     if not LOCK_NAME_RE.match(name):
@@ -65,19 +58,13 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _record(name: str) -> None:
-    with _created_guard:
-        _created[name] = _created.get(name, 0) + 1
-
-
 def make_lock(name: str) -> Any:
     """Return a mutex tagged with the dotted identity *name*.
 
     Default path: a plain ``threading.Lock`` -- the name exists only
-    statically (at this call site) and in the creation census.
+    statically, at this call site.
     """
     _check_name(name)
-    _record(name)
     if _factory is not None:
         return _factory(name, False)
     return threading.Lock()
@@ -86,16 +73,9 @@ def make_lock(name: str) -> Any:
 def make_rlock(name: str) -> Any:
     """Like :func:`make_lock` but re-entrant (``threading.RLock``)."""
     _check_name(name)
-    _record(name)
     if _factory is not None:
         return _factory(name, True)
     return threading.RLock()
-
-
-def created_locks() -> Dict[str, int]:
-    """Snapshot of the creation census: name -> instances created."""
-    with _created_guard:
-        return dict(_created)
 
 
 def set_lock_factory(

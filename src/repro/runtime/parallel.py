@@ -1,75 +1,52 @@
-"""Parallel source fan-out: concurrent sub-navigations, one dispatcher.
+"""The buffer's look-ahead pool: source fills off the client thread.
 
-The lazy operators whose inputs are independent -- ``concatenate``
-across its argument variables, the set operators across their two
-inputs, the nested-loop ``join`` across its outer and inner sides --
-spend most of their latency waiting on one source at a time even
-though the sources are autonomous and could answer concurrently
-(paper Sec. 2: the mediator integrates *live, distributed* sources).
-:class:`FanoutDispatcher` gives them a shared, bounded thread pool to
-overlap those waits.
+The paper puts read-ahead in one place, the generic buffer of Sec. 4,
+which decouples the client-driven navigation ("pull from above") from
+the production of results by the wrapped source ("push from below").
+A :class:`~repro.buffer.component.BufferComponent` with ``workers > 0``
+owns one :class:`FanoutDispatcher` and submits its look-ahead fills to
+it; the client thread splices each reply when it reaches the hole.
 
 Design constraints, in order:
 
-* **Zero-cost default.**  ``workers == 0`` (the config default) makes
-  :meth:`run`/:meth:`submit` execute inline on the calling thread, in
-  argument order -- the exact sequential navigation order the golden
-  trace suite locks down.
-* **No nested parallelism.**  A task already running on a fanout
-  worker executes any further fan-out inline.  This removes the
-  classic pool-starvation deadlock (a worker blocking on a future
-  that is queued behind itself) and bounds the thread count at
-  ``workers`` regardless of operator nesting depth.
+* **Only when asked.**  The buffer builds a pool only for
+  ``workers > 0``; the threads start with the first submitted fill.
+* **No nesting.**  A pool worker runs ``server.fill`` and nothing
+  else, so it never submits to its own dispatcher and cannot starve
+  the pool waiting on itself.
 * **Errors propagate.**  A task's exception is re-raised on the
   calling thread by ``Future.result()``, so the resilience seams
   (retries, breakers, ``<mix:error>`` degradation) compose unchanged:
-  they live *below* the dispatcher, around the actual source I/O.
+  they live *below* the pool, around the actual source I/O.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 from .locks import make_lock
 
 __all__ = ["FanoutDispatcher"]
 
 
 class FanoutDispatcher:
-    """A bounded thread pool for operator-level source fan-out.
+    """A bounded thread pool for one buffer's look-ahead fills.
 
-    One dispatcher per :class:`~repro.runtime.context.
-    ExecutionContext`; every operator of the query shares it, so the
-    total concurrency of one query is capped at ``workers`` no matter
-    how the plan is shaped.  The pool is created lazily on the first
-    parallel call and torn down by :meth:`close` (or interpreter
-    exit).
+    The pool is created lazily on the first :meth:`submit` and torn
+    down by :meth:`close` (or interpreter exit).
     """
 
-    def __init__(self, workers: int = 0,
+    def __init__(self, workers: int,
                  tracer: Optional[Any] = None) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
         self.workers = workers
         #: optional tracer whose current span is propagated onto
-        #: worker threads, keeping pooled sub-navigations inside the
-        #: causal span tree of the navigation that dispatched them
+        #: worker threads, keeping pooled fills inside the causal span
+        #: tree of the navigation that scheduled them
         self.tracer = tracer
         self._executor: Optional[ThreadPoolExecutor] = None
         self._lock = make_lock("fanout.dispatcher")
-        self._local = threading.local()
-
-    @property
-    def active(self) -> bool:
-        """Whether parallel dispatch is on at all."""
-        return self.workers > 0
-
-    def _inline(self) -> bool:
-        """True when calls must run on the current thread: fan-out is
-        off, or we already are a fanout worker (no nesting)."""
-        return not self.active or getattr(self._local, "in_worker",
-                                          False)
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
         with self._lock:
@@ -78,13 +55,6 @@ class FanoutDispatcher:
                     max_workers=self.workers,
                     thread_name_prefix="mix-fanout")
             return self._executor
-
-    def _run_in_worker(self, thunk: Callable) -> Any:
-        self._local.in_worker = True
-        try:
-            return thunk()
-        finally:
-            self._local.in_worker = False
 
     def _propagate(self, thunk: Callable) -> Callable:
         """Wrap ``thunk`` to adopt the dispatching thread's current
@@ -104,54 +74,8 @@ class FanoutDispatcher:
 
     # -- public API --------------------------------------------------------
     def submit(self, thunk: Callable[[], object]) -> Future:
-        """Start ``thunk`` concurrently; returns a Future.
-
-        Inline mode runs it immediately on the calling thread and
-        returns an already-completed Future, so callers never branch
-        on the mode.
-        """
-        if self._inline():
-            future: Future = Future()
-            try:
-                future.set_result(thunk())
-            except BaseException as err:  # delivered at .result()
-                future.set_exception(err)
-            return future
-        return self._ensure_executor().submit(
-            self._run_in_worker, self._propagate(thunk))
-
-    def run(self, *thunks: Callable[[], object]) -> List[object]:
-        """Run all thunks to completion, results in argument order.
-
-        The first thunk runs on the calling thread (it is the one the
-        sequential path would run first); the rest overlap on the
-        pool.  All thunks complete before this returns -- a thunk's
-        exception is re-raised only after the others have finished,
-        so no task is abandoned mid-navigation.
-        """
-        if self._inline() or len(thunks) <= 1:
-            return [thunk() for thunk in thunks]
-        executor = self._ensure_executor()
-        futures = [executor.submit(self._run_in_worker,
-                                   self._propagate(thunk))
-                   for thunk in thunks[1:]]
-        first_error: Optional[BaseException] = None
-        try:
-            head = thunks[0]()
-        except BaseException as err:
-            first_error = err
-            head = None
-        results = [head]
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as err:
-                if first_error is None:
-                    first_error = err
-                results.append(None)
-        if first_error is not None:
-            raise first_error
-        return results
+        """Start ``thunk`` on the pool; returns its Future."""
+        return self._ensure_executor().submit(self._propagate(thunk))
 
     def close(self) -> None:
         """Shut the pool down (idempotent); idle dispatchers no-op."""

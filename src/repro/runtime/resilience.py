@@ -155,7 +155,7 @@ class CircuitBreaker:
       closes the breaker, its failure re-opens it for another window.
 
     The automaton is shared by every thread navigating the source
-    (prefetch workers, fan-out tasks, concurrent client sessions), so
+    (prefetch workers, concurrent client sessions), so
     all state transitions happen under one re-entrant lock -- in
     particular the half-open probe slot is claimed atomically.
     """
@@ -247,7 +247,7 @@ class ResilienceStats(Counters, shared=True):
     """Retry/breaker/degradation accounting for one wrapped peer.
 
     Self-locked: a single peer may be exercised by many threads at
-    once (prefetch workers, fan-out tasks, concurrent sessions over a
+    once (prefetch workers, concurrent sessions over a
     shared source).
     """
 

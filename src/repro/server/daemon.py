@@ -466,9 +466,6 @@ class MediatorServer:
                     self._session_loop(handler)
         finally:
             close_quietly(handler.conn)
-            if handler.session is not None:
-                # every exit path: polite close, kill, drain
-                handler.session.release()
             if admitted:
                 with self._lock:
                     self._handlers.remove(handler)
@@ -522,15 +519,25 @@ class MediatorServer:
             except (OSError, WireError) as error:
                 return self._fail(handler, "send", error)
             # Delivered: these are the counters client-side accounting
-            # reconciles against, so they only move once the reply is
-            # actually on the wire.  Admin status probes stay out of
-            # the session-protocol counters (they have their own
-            # telemetry counter) so a monitoring scrape never skews a
-            # load run's client/server reconciliation.
+            # reconciles against, so they -- and their exposition twins
+            # -- only move once the reply is actually on the wire.
+            # Admin status probes stay out of the session-protocol
+            # counters (they have their own telemetry counter) so a
+            # monitoring scrape never skews a load run's client/server
+            # reconciliation.
+            self.telemetry.counter(
+                "server_requests_total",
+                help_text="Requests answered, by op."
+            ).inc(op=op)
             if op != "status":
                 self.stats.bump("requests")
                 if fills:
                     self.stats.bump("fills", fills)
+                    self.telemetry.counter(
+                        "server_fills_total",
+                        help_text="Fill commands answered (batch holes "
+                                  "counted individually)."
+                    ).inc(fills)
             if op == "close" or handler.session is None:
                 # A goodbye, or a sessionless status probe.
                 return
@@ -560,22 +567,14 @@ class MediatorServer:
 
     def _observe_request(self, handler: _Handler, op: str,
                          elapsed_ms: float, fills: int) -> None:
-        """Per-request operational accounting: flight-recorder entry,
-        always-on telemetry, and the slow-request log."""
+        """Per-request operational accounting at dispatch:
+        flight-recorder entry, the dispatch-latency histogram, and the
+        slow-request log.  (Answered requests and fills are counted
+        where the reply is delivered.)"""
         session_id = handler.session_id
         self.recorder.record("server", "request", session=session_id,
                              op=op, elapsed_ms=round(elapsed_ms, 3),
                              fills=fills)
-        self.telemetry.counter(
-            "server_requests_total",
-            help_text="Requests answered, by op."
-        ).inc(op=op)
-        if fills:
-            self.telemetry.counter(
-                "server_fills_total",
-                help_text="Fill commands answered (batch holes "
-                          "counted individually)."
-            ).inc(fills)
         self.telemetry.histogram(
             "server_request_ms", buckets=_REQUEST_MS_BUCKETS,
             help_text="Request dispatch latency in milliseconds, "

@@ -210,12 +210,6 @@ class Session:
         #: the wire trace context last adopted for this session
         self.trace_context: Optional[Dict[str, Any]] = None
 
-    def release(self) -> None:
-        """The session is over, however it ended: return what its
-        query context pooled (the fan-out executor), which nobody else
-        will ever shut down."""
-        self.result.context.close()
-
     def begin(self, op: str,
               trace_context: Optional[Dict[str, Any]]) -> bool:
         """Note one arriving request.  True when it is the first to

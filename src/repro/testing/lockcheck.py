@@ -54,7 +54,6 @@ __all__ = [
     "armed",
     "reset",
     "observed_edges",
-    "observed_graph",
     "held_names",
 ]
 
@@ -352,15 +351,3 @@ def observed_edges() -> Set[Tuple[str, str]]:
     """Snapshot of observed (held, acquired) name pairs."""
     with _graph_lock:
         return {(a, b) for a, succs in _edges.items() for b in succs}
-
-
-def observed_graph() -> Dict[str, Any]:
-    """JSON-shaped snapshot: sorted edges plus first-seen evidence."""
-    with _graph_lock:
-        return {
-            "edges": sorted(
-                [a, b] for a, succs in _edges.items() for b in succs),
-            "evidence": {
-                "%s->%s" % pair: site
-                for pair, site in sorted(_evidence.items())},
-        }

@@ -7,9 +7,7 @@ from .site import (
     WebError,
     WebSite,
     make_catalog_site,
-    open_site,
-    register_site,
 )
 
 __all__ = ["WebSite", "HttpSimulator", "FetchStats", "WebError",
-           "make_catalog_site", "register_site", "open_site"]
+           "make_catalog_site"]

@@ -25,7 +25,7 @@ from ..xtree.serialize import to_xml
 from ..xtree.tree import Tree, elem
 
 __all__ = ["WebSite", "HttpSimulator", "FetchStats", "WebError",
-           "make_catalog_site", "register_site", "open_site"]
+           "make_catalog_site"]
 
 
 from ..errors import PermanentSourceError
@@ -127,24 +127,3 @@ def make_catalog_site(
         site.add_page("/page/%d" % page_index,
                       Tree(listing_label, children))
     return site
-
-
-#: URI registry ("web://sitename") mirroring the other substrates.
-_REGISTRY: Dict[str, WebSite] = {}
-
-
-def register_site(site: WebSite) -> str:
-    """Register a site for URI-based lookup; returns its URI."""
-    _REGISTRY[site.name] = site
-    return "web://%s" % site.name
-
-
-def open_site(uri: str) -> WebSite:
-    """Resolve a previously registered ``web://`` URI."""
-    if not uri.startswith("web://"):
-        raise WebError("not a web URI: %r" % uri)
-    name = uri[len("web://"):]
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise WebError("no registered site %r" % name) from None

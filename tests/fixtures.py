@@ -20,8 +20,8 @@ from repro.xtree import Tree, elem
 
 @contextlib.contextmanager
 def pool_thread_ledger():
-    """Yields a function listing the pool worker threads (operator
-    fan-out, buffer look-ahead) started since entry and still alive.
+    """Yields a function listing the pool worker threads (the buffer's
+    look-ahead pool) started since entry and still alive.
 
     The cyclic GC is off inside: a pool is returned because somebody
     closed it, not because a collection happened to run.

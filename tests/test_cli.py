@@ -98,8 +98,7 @@ class TestResilienceFlags:
         main(_query_argv(source_files))
         baseline = parse_xml(capsys.readouterr().out)
         for extra in (["--batch-navigations", "--prefetch", "4"],
-                      ["--prefetch-workers", "2", "--prefetch", "2"],
-                      ["--fanout-workers", "2"]):
+                      ["--prefetch-workers", "2", "--prefetch", "2"]):
             assert main(_query_argv(source_files, *extra)) == 0
             assert parse_xml(capsys.readouterr().out) == baseline
 
@@ -214,3 +213,16 @@ class TestServeCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--workload", spec])
         assert "unknown --workload %r" % spec in str(excinfo.value)
+
+
+class TestTraceMergeCommand:
+    def test_empty_merge_to_stdout_prints_no_blank_line(self, tmp_path,
+                                                        capsys):
+        client, server = tmp_path / "c.jsonl", tmp_path / "s.jsonl"
+        client.write_text("")
+        server.write_text("")
+        assert main(["trace", "merge", str(client), str(server),
+                     "-o", "-"]) == 0
+        assert capsys.readouterr().out == (
+            "trace merge: 0 client + 0 server = 0 events, "
+            "0 root span(s)\n")

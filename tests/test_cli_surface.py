@@ -126,7 +126,7 @@ def _argvs(tmp_path):
              "--sigma", "--hybrid", "--pushdown", "--fragment-cache",
              "--retries", "3", "--retry-deadline", "250", "--degrade",
              "--prefetch", "4", "--prefetch-workers", "2",
-             "--batch-navigations", "--fanout-workers", "3",
+             "--batch-navigations",
              "--trace-out", str(tmp_path / "t.jsonl"),
              "--trace-format", "chrome",
              "--metrics-out", str(tmp_path / "m.prom")]),

@@ -199,7 +199,6 @@ class TestSharedSourceStress:
         shared state)."""
         from repro.mediator import MIXMediator
         from repro.navigation import MaterializedDocument
-        from repro.runtime import EngineConfig
 
         from .fixtures import (
             expected_fig4_answer,
@@ -208,7 +207,7 @@ class TestSharedSourceStress:
             schools_source,
         )
 
-        med = MIXMediator(EngineConfig(fanout_workers=2))
+        med = MIXMediator()
         med.register_source("homesSrc",
                             MaterializedDocument(homes_source()))
         med.register_source("schoolsSrc",

@@ -3,7 +3,7 @@
 Seeded random navigation walks -- d/r/f/select interleavings with
 partial exploration and revisits from earlier pointers -- run against
 the lazy engine under every concurrency configuration (plain, batched
-LXP, thread-backed prefetcher, parallel fan-out) and must agree
+LXP, thread-backed prefetcher, all at once) and must agree
 step-for-step with the eager oracle.  Hypothesis shrinks any failing
 walk to a minimal counterexample.
 
@@ -44,9 +44,7 @@ CONFIGS = {
     "plain": EngineConfig(),
     "batched": EngineConfig(batch_navigations=True, prefetch=4),
     "async-prefetch": EngineConfig(prefetch=2, prefetch_workers=2),
-    "fanout": EngineConfig(fanout_workers=2),
-    "everything": EngineConfig(batch_navigations=True, prefetch=3,
-                               fanout_workers=2),
+    "everything": EngineConfig(batch_navigations=True, prefetch=3),
 }
 
 
@@ -88,7 +86,7 @@ def _lazy_document(plan, tree, config):
                       workers=config.prefetch_workers,
                       batch=config.batch_navigations)
     lazy = build_lazy_plan(plan, {"src": source}, context)
-    return BindingsDocument(lazy), context
+    return BindingsDocument(lazy)
 
 
 def _navigation_outcome(document, nav):
@@ -104,11 +102,8 @@ def test_random_walk_matches_eager_oracle(tree, plan, nav, config_name):
     expected = _navigation_outcome(MaterializedDocument(eager_tree), nav)
 
     config = CONFIGS[config_name]
-    document, context = _lazy_document(plan, tree, config)
-    try:
-        assert _navigation_outcome(document, nav) == expected
-    finally:
-        context.close()
+    document = _lazy_document(plan, tree, config)
+    assert _navigation_outcome(document, nav) == expected
 
 
 @settings(max_examples=WALKS, deadline=None)
@@ -120,11 +115,8 @@ def test_materialized_answer_matches_eager_oracle(tree, plan,
     byte-identical to the eager evaluator's answer tree."""
     expected = evaluate_bindings(plan, {"src": tree}).to_tree()
     config = CONFIGS[config_name]
-    document, context = _lazy_document(plan, tree, config)
-    try:
-        assert materialize(document) == expected
-    finally:
-        context.close()
+    document = _lazy_document(plan, tree, config)
+    assert materialize(document) == expected
 
 
 @settings(max_examples=WALKS, deadline=None)

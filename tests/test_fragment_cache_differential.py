@@ -261,20 +261,14 @@ def _materialized_cached(plan, tree, store):
     else:
         buffer = buffered(server, name="src")
     lazy = build_lazy_plan(plan, {"src": buffer}, context)
-    try:
-        return materialize(BindingsDocument(lazy))
-    finally:
-        context.close()
+    return materialize(BindingsDocument(lazy))
 
 
 def _materialized_plain(plan, tree):
     context = ExecutionContext.create(EngineConfig())
     wrapper = XMLFileWrapper("src", tree.child(0))
     lazy = build_lazy_plan(plan, {"src": buffered(wrapper)}, context)
-    try:
-        return materialize(BindingsDocument(lazy))
-    finally:
-        context.close()
+    return materialize(BindingsDocument(lazy))
 
 
 @settings(max_examples=WALKS, deadline=None)

@@ -311,20 +311,6 @@ class TestSpanTreePropagation:
         in_tree = len(forest.events("source"))
         assert in_tree == med.total_source_navigations()
 
-    def test_fanout_join_produces_single_connected_tree(self):
-        config = EngineConfig(observe_operators=True,
-                              fanout_workers=2)
-        med, tracer = _observed_mediator(config)
-        result = med.prepare(fig4_plan())
-        result.materialize()
-        forest = build_span_tree(tracer.events)
-        assert forest.orphans == []
-        threads = {e.thread for e in tracer.events}
-        assert len(threads) > 1, "fan-out never left the main thread"
-        # all source commands connected despite the thread hops
-        assert len(forest.events("source")) \
-            == med.total_source_navigations()
-
     def test_async_prefetch_scan_stays_connected(self):
         tracer = Tracer(record=True, clock=FakeClock())
         source = MaterializedDocument(schools_source())

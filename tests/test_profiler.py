@@ -32,8 +32,7 @@ from repro.runtime import EngineConfig, Tracer
 from repro.testing import FakeClock
 from repro.xtree import Tree, elem
 
-from .fixtures import (fig4_plan, homes_source, pool_thread_ledger,
-                       schools_source)
+from .fixtures import fig4_plan, homes_source, schools_source
 
 
 # -- the three E2 views (Example 1) ------------------------------------
@@ -165,10 +164,9 @@ class TestProfileClassify:
 
 
 class TestNavigationProfile:
-    def _observed_run(self, fanout_workers=0):
+    def _observed_run(self):
         tracer = Tracer(record=True, clock=FakeClock())
-        config = EngineConfig(observe_operators=True,
-                              fanout_workers=fanout_workers)
+        config = EngineConfig(observe_operators=True)
         med = MIXMediator(config, tracer=tracer)
         med.register_source("homesSrc",
                             MaterializedDocument(homes_source()))
@@ -196,13 +194,6 @@ class TestNavigationProfile:
                     if name.startswith("Join#"))
         assert join.calls > 0
         assert join.source_commands > 0
-
-    def test_profile_connected_under_fanout(self):
-        med, tracer = self._observed_run(fanout_workers=2)
-        profile = NavigationProfile.from_events(tracer.events)
-        assert profile.orphan_spans == 0
-        assert profile.source_commands \
-            == med.total_source_navigations()
 
     def test_summary_renders(self):
         _, tracer = self._observed_run()
@@ -263,20 +254,3 @@ class TestQueryResultProfile:
         assert "browsability profile (observed):" in analyzed
         assert "amplification:" in analyzed
         assert "verdict:" in analyzed
-
-    def test_profile_closes_its_private_context(self):
-        """Each ``profile()`` builds its own execution context -- and
-        with ``fanout_workers`` that context starts a ``mix-fanout``
-        pool; the pool must be gone when the profile is returned."""
-        med = MIXMediator(EngineConfig(fanout_workers=2))
-        med.register_source("homesSrc",
-                            MaterializedDocument(homes_source()))
-        med.register_source("schoolsSrc",
-                            MaterializedDocument(schools_source()))
-        result = med.prepare(fig4_plan())
-        with pool_thread_ledger() as leaked:
-            for _ in range(3):
-                assert result.profile().source_commands > 0
-                assert leaked() == []
-            assert "verdict:" in result.explain(analyze=True)
-            assert leaked() == []

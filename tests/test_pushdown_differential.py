@@ -189,10 +189,7 @@ class TestWorkloads:
                 assert any(d.pushed for d in decisions)
             lazy = build_lazy_plan(executed, {"bsrc": buffered(wrapper)},
                                    context)
-            try:
-                assert materialize(BindingsDocument(lazy)) == expected
-            finally:
-                context.close()
+            assert materialize(BindingsDocument(lazy)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +239,7 @@ def _materialized(plan, tree, pushdown):
         executed, _ = compile_pushdown(plan, {"src": wrapper}, context)
     lazy = build_lazy_plan(executed, {"src": buffered(wrapper)},
                            context)
-    try:
-        return materialize(BindingsDocument(lazy))
-    finally:
-        context.close()
+    return materialize(BindingsDocument(lazy))
 
 
 @settings(max_examples=WALKS, deadline=None)

@@ -11,9 +11,7 @@ from repro.relational import (
     SQLError,
     Table,
     TableSchema,
-    connect,
     parse_select,
-    register_database,
 )
 
 
@@ -85,16 +83,6 @@ class TestDatabase:
     def test_unknown_table(self, homes_db):
         with pytest.raises(SchemaError):
             homes_db.table("nope")
-
-    def test_uri_registry(self, homes_db):
-        uri = register_database(homes_db)
-        assert uri == "rdb://homesdb"
-        conn = connect(uri)
-        assert conn.tables() == ["homes"]
-        with pytest.raises(SchemaError):
-            connect("rdb://missing")
-        with pytest.raises(SchemaError):
-            connect("web://homesdb")
 
 
 class TestSQLParsing:

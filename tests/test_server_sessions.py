@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.bench.workloads import HOMES_SCHOOLS_QUERY, homes_and_schools
+from repro.bench.workloads import homes_and_schools
 from repro.mediator.mix import MIXMediator
 from repro.navigation.interface import NavigableDocument
 from repro.navigation.materialized import MaterializedDocument
@@ -62,6 +62,18 @@ def wait_until(predicate, timeout_s=5.0, message="condition"):
             return
         gate.wait(0.01)
     raise AssertionError("timed out waiting for %s" % message)
+
+
+def _scraped(text, metric):
+    """The sum of every sample of ``metric`` (a bare name, or a name
+    with its label set) in a Prometheus exposition; 0 when absent."""
+    total = 0.0
+    for line in text.splitlines():
+        name, _, value = line.rpartition(" ")
+        if not line.startswith("#") and (
+                name == metric or name.startswith(metric + "{")):
+            total += float(value)
+    return total
 
 
 def make_server(n_homes=6, config=None, clock=None, **overrides):
@@ -253,6 +265,17 @@ class TestTimeoutsAndBudgets:
                 wait_until(lambda: server.stats.snapshot()
                            ["stalled_kills"] == 1,
                            timeout_s=10.0, message="stalled kill")
+            # The fill reply never reached the client: one scrape's
+            # exposition counters agree with the lifetime counters
+            # client reconciliation reads, which count only delivered
+            # replies (the open).
+            text = server.prometheus_text()
+            assert _scraped(text, "repro_server_fills_total") \
+                == _scraped(text, 'repro_server_lifetime_count'
+                                  '{counter="fills"}') == 0
+            assert _scraped(text, "repro_server_requests_total") \
+                == _scraped(text, 'repro_server_lifetime_count'
+                                  '{counter="requests"}') == 1
         finally:
             server.drain()
 
@@ -328,38 +351,9 @@ class TestClientSocketLifetime:
 
 
 class TestThreadLedger:
-    """Every pool thread a session starts -- the daemon's per-query
-    fan-out pool, the client buffer's look-ahead pool -- is gone when
-    the session is, on every exit path and without a GC's help."""
-
-    def test_daemon_closes_each_sessions_context(self):
-        mediator = MIXMediator(EngineConfig(
-            serve_port=0, fanout_workers=2, chunk_size=2,
-            serve_session_max_fills=1))
-        for name, tree in homes_and_schools(6).items():
-            mediator.register_source(name, MaterializedDocument(tree))
-        server = MediatorServer(mediator)
-        host, port = server.start()
-        with pool_thread_ledger() as leaked:
-            try:
-                # connect() spends the one budgeted fill on the root,
-                # which runs the join: the query's pool is up.
-                for _ in range(4):
-                    with connect(host, port, HOMES_SCHOOLS_QUERY):
-                        assert leaked()
-                killed = connect(host, port, HOMES_SCHOOLS_QUERY)
-                with pytest.raises(ServerReplyError) as excinfo:
-                    killed.root.to_tree()
-                assert excinfo.value.code == "mix:budget"
-                wait_until(lambda: server.active_sessions == 0,
-                           message="session teardown")
-                assert leaked() == []
-                drained = connect(host, port, HOMES_SCHOOLS_QUERY)
-                assert leaked()
-            finally:
-                server.drain()
-            assert leaked() == []
-            drained.close()
+    """Every pool thread a session starts -- the client buffer's
+    look-ahead pool -- is gone when the session is, on every exit path
+    and without a GC's help."""
 
     def test_remote_session_close_stops_the_buffer_pool(self):
         server, host, port = make_server(n_homes=12, chunk_size=2)

@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.oodb import ObjectStore, OODBError, open_store, register_store
+from repro.oodb import ObjectStore, OODBError
 from repro.webstore import (
     HttpSimulator,
     WebError,
     WebSite,
     make_catalog_site,
-    open_site,
-    register_site,
 )
 from repro.xtree import elem
 
@@ -75,12 +73,6 @@ class TestObjectStore:
         with pytest.raises(OODBError):
             university.follow(ann, "name.more")
 
-    def test_uri_registry(self, university):
-        uri = register_store(university)
-        assert open_store(uri) is university
-        with pytest.raises(OODBError):
-            open_store("oodb://missing")
-
 
 class TestWebStore:
     def test_pages_and_404(self):
@@ -125,10 +117,3 @@ class TestWebStore:
         assert http.stats.virtual_ms > 50.0
         http.fetch("/page/1")
         assert http.stats.requests == 2
-
-    def test_uri_registry(self):
-        site = WebSite("mysite")
-        uri = register_site(site)
-        assert open_site(uri) is site
-        with pytest.raises(WebError):
-            open_site("web://missing")

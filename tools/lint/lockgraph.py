@@ -349,8 +349,9 @@ class _FunctionScanner(ast.NodeVisitor):
     def _visit_property(self, node: ast.Attribute,
                         held: Tuple[str, ...]) -> None:
         """An attribute *read* that resolves to a property getter is a
-        call: ``ctx.fanout`` runs :meth:`ExecutionContext.fanout`,
-        which takes the registry lock.  Resolved like a zero-argument
+        call: ``server.active_sessions`` runs
+        :meth:`MediatorServer.active_sessions`, which takes the
+        server lock.  Resolved like a zero-argument
         method call and folded into the same callee summaries."""
         props = self.analyzer.properties_by_name.get(node.attr)
         if not props:
