@@ -211,10 +211,7 @@ class BufferComponent(NavigableDocument):
         and no fill (hence no source navigation) can ever happen.
         """
         # No lock: the buffer is thread-confined until returned (the
-        # same reasoning that exempts __init__).  Taking it here put
-        # buffer.component under pushdown.document in the lock-order
-        # graph and closed a name-level cycle with the demand-fill
-        # path (L010).
+        # same reasoning that exempts __init__).
         buffer = cls(_PrefilledServer(), tracer=tracer, name=name)
         root = graft(fragment_of_tree(tree), buffer._top)
         buffer._top.children = [root]

@@ -38,6 +38,7 @@ from ..navigation.interface import NavigableDocument
 from ..runtime.config import validate_granularity
 from ..runtime.context import ExecutionContext
 from ..runtime.counters import Counters
+from ..runtime.locks import make_lock
 from ..runtime.resilience import Clock
 from .element import XMLElement
 
@@ -58,6 +59,14 @@ class NavigableLXPServer(LXPServer):
     ``chunk_size`` bounds siblings per fill, ``depth`` bounds how many
     levels each shipped element carries -- the same granularity model
     as the source-side wrappers, now applied mediator->client.
+
+    An exported answer is the one place several threads can enter a
+    query: the client thread and the look-ahead pool workers behind
+    :func:`connect_remote`, or the daemon's session handler.  The
+    query's operators, caches and source counters take no lock of
+    their own, so every ``fill`` -- a ``fill_batch`` answers through
+    it -- runs under the exporter's ``export.fill`` lock: one section
+    per fill, never one per navigation.
     """
 
     def __init__(self, document: NavigableDocument,
@@ -67,6 +76,8 @@ class NavigableLXPServer(LXPServer):
         self.chunk_size, self.depth = validate_granularity(chunk_size,
                                                            depth)
         self.stats = LXPStats()
+        #: one navigating thread at a time in the exported query
+        self._lock = make_lock("export.fill")
 
     def get_root(self) -> FragHole:
         return FragHole(("root",))
@@ -90,16 +101,21 @@ class NavigableLXPServer(LXPServer):
         return FragElem(label, tuple(kids))
 
     def fill(self, hole_id) -> List[Fragment]:
-        kind = hole_id[0]
-        if kind == "root":
-            reply: List[Fragment] = [
-                self._ship(self.document.root(), self.depth)]
-        elif kind == "at":
-            reply = self._ship_siblings(hole_id[1])
-        else:
-            raise LXPProtocolError("unknown hole id %r" % (hole_id,))
+        with self._lock:
+            # a fill navigates the query down to its sources and may
+            # block on their I/O; see BLOCKING_HOLD_ALLOWED
+            # lint: allow=L011,L012
+            reply = self._fill(hole_id)
         measure_fragment(self.stats, reply)
         return reply
+
+    def _fill(self, hole_id) -> List[Fragment]:
+        kind = hole_id[0]
+        if kind == "root":
+            return [self._ship(self.document.root(), self.depth)]
+        if kind == "at":
+            return self._ship_siblings(hole_id[1])
+        raise LXPProtocolError("unknown hole id %r" % (hole_id,))
 
     def _ship_siblings(self, pointer) -> List[Fragment]:
         reply: List[Fragment] = []

@@ -5,11 +5,18 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..navigation.counting import NavCounters
 from ..navigation.interface import NavigableDocument
 from ..runtime.context import ExecutionContext
 from .base import LazyOperator
 
 __all__ = ["LazySource"]
+
+
+class _Unheard:
+    """The tracer and metrics of an unmetered source: never live."""
+
+    active = enabled = False
 
 
 class LazySource(LazyOperator):
@@ -19,11 +26,27 @@ class LazySource(LazyOperator):
     a binding's value root has no right sibling even if the underlying
     pointer does (it never does for a document root, but the invariant
     is kept uniform with the other operators).
+
+    Over a source its context meters (a mediator's registered
+    :class:`~repro.navigation.counting.CountingDocument`) the operator
+    is the meter: it navigates the document inside the proxy, counts
+    each ``d/r/f/select`` into the context's own counters, and fans
+    out through the proxy's ``publish`` exactly where the proxy would
+    -- asking inline, per command, whether anyone listens.
     """
 
     def __init__(self, document: NavigableDocument, out_var: str,
                  context: Optional[ExecutionContext] = None):
         super().__init__(context)
+        navs = self.ctx.navigations.get(document)
+        if navs is None:
+            navs = NavCounters()
+            self._tracer = self._metrics = _Unheard
+        else:
+            self._tracer, self._metrics = document.tracer, document.metrics
+            self._publish = document.publish
+            document = document.inner
+        self._navs = navs
         self.document = document
         self.out_var = out_var
         self.variables = [out_var]
@@ -46,21 +69,33 @@ class LazySource(LazyOperator):
 
     # -- values --------------------------------------------------------------
     def v_down(self, value):
+        self._navs.down += 1
+        if self._tracer.active or self._metrics.enabled:
+            self._publish("d")
         child = self._down(value[1])
         return ("v", child, False) if child is not None else None
 
     def v_right(self, value):
         if value[2]:
             return None
+        self._navs.right += 1
+        if self._tracer.active or self._metrics.enabled:
+            self._publish("r")
         sibling = self._right(value[1])
         return ("v", sibling, False) if sibling is not None else None
 
     def v_fetch(self, value):
+        self._navs.fetch += 1
+        if self._tracer.active or self._metrics.enabled:
+            self._publish("f")
         return self._fetch(value[1])
 
     def v_select(self, value, predicate):
         _, pointer, is_root = value
         if is_root:
             return None
+        self._navs.select += 1
+        if self._tracer.active or self._metrics.enabled:
+            self._publish("select")
         found = self.document.select(pointer, predicate)
         return ("v", found, False) if found is not None else None

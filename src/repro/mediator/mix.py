@@ -32,7 +32,6 @@ request each instead of navigation-by-navigation.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -42,7 +41,7 @@ from ..buffer.lxp import LXPServer
 from ..client.element import XMLElement, open_virtual_document
 from ..lazy.build import build_virtual_document
 from ..lazy.document import VirtualDocument
-from ..navigation.counting import CountingDocument, NavCounters
+from ..navigation.counting import CountingDocument, NavCounters, SourceMeter
 from ..navigation.interface import NavigableDocument, materialize
 from ..rewriter.optimizer import OptimizationTrace, optimize
 from ..runtime.config import EngineConfig
@@ -75,15 +74,14 @@ class MediatorWarning(UserWarning):
 
 class QueryResult:
     """Everything the mediator knows about one processed query,
-    including its :class:`ExecutionContext` (config, caches, tracing)
-    and a per-query baseline of the source navigation meters."""
+    including its :class:`ExecutionContext` (config, caches, tracing
+    and the query's own source navigation counters)."""
 
     def __init__(self, mediator: "MIXMediator", plan: TupleDestroy,
                  initial_plan: TupleDestroy,
                  trace: Optional[OptimizationTrace],
                  document: VirtualDocument,
                  context: Optional[ExecutionContext] = None,
-                 meter_baseline: Optional[Dict[str, NavCounters]] = None,
                  executed_plan: Optional[Operator] = None,
                  pushdown_decisions: Tuple = ()):
         self.mediator = mediator
@@ -93,7 +91,6 @@ class QueryResult:
         self.document = document
         self.context = (context if context is not None
                         else ExecutionContext.create())
-        self._meter_baseline = dict(meter_baseline or {})
         self._root: Optional[XMLElement] = None
         #: the static AnalysisReport when prepare() ran with analysis
         self.analysis = None
@@ -134,19 +131,17 @@ class QueryResult:
 
     # -- aggregated telemetry ---------------------------------------------
     def stats(self) -> dict:
-        """One aggregated report for this query: source navigations
-        (since ``prepare()``), per-cache hit/miss/eviction counts, and
-        -- for remote sessions -- channel messages/bytes.
+        """One aggregated report for this query: the source navigations
+        its own operators made, per-cache hit/miss/eviction counts,
+        and -- for remote sessions -- channel messages/bytes.
         """
         report = self.context.stats_report()
         per_source = {}
         total = NavCounters()
-        for name, meter in sorted(self.mediator.meters.items()):
-            counters = meter.counters
-            baseline = self._meter_baseline.get(name)
-            if baseline is not None:
-                counters = counters - baseline
-            per_source[name] = counters.as_dict()
+        for document, counters in sorted(
+                self.context.navigations.items(),
+                key=lambda item: item[0].name):
+            per_source[document.name] = counters.as_dict()
             total = total + counters
         report["source_navigations"] = {
             "total": total.total,
@@ -187,10 +182,8 @@ class QueryResult:
         from ..navigation.profiler import NavigationProfile
         events = []
         tracer = self.mediator.tracer
-        config = self.mediator.config.replace(observe_operators=True)
-        context = ExecutionContext(config, tracer=tracer,
-                                   metrics=self.mediator.runtime.metrics)
-        context.adopt(self.mediator.runtime)
+        context = self.mediator._new_context(
+            self.mediator.config.replace(observe_operators=True))
         document = build_virtual_document(
             self.plan, self.mediator._resolver(), context)
         with tracer.subscribed(events.append):
@@ -335,7 +328,7 @@ class MIXMediator:
         #: registration time report through it
         self.runtime = ExecutionContext(config, tracer=self.tracer)
         self._documents: Dict[str, NavigableDocument] = {}
-        self._meters: Dict[str, CountingDocument] = {}
+        self._meters: Dict[str, SourceMeter] = {}
         self._views: Dict[str, TupleDestroy] = {}
         #: raw (pre-resilience, pre-buffer) LXP servers advertising
         #: the push capability, keyed by source name -- what the
@@ -354,13 +347,21 @@ class MIXMediator:
         #: check must be atomic with the insert
         self._catalog_lock = make_lock("mediator.catalog")
 
-    def _new_context(self) -> ExecutionContext:
+    def _new_context(self, config: Optional[EngineConfig] = None
+                     ) -> ExecutionContext:
         """A fresh per-query execution context (shared tracer), seeded
         with the session-level wrapper registrations so per-query
-        ``stats()`` reports cover buffer and resilience counters."""
-        context = ExecutionContext(self.config, tracer=self.tracer,
+        ``stats()`` reports cover buffer and resilience counters, and
+        attached to every source meter so the query counts its own
+        source navigations."""
+        context = ExecutionContext(config or self.config,
+                                   tracer=self.tracer,
                                    metrics=self.runtime.metrics)
         context.adopt(self.runtime)
+        with self._catalog_lock:
+            meters = list(self._meters.values())
+        for meter in meters:
+            context.navigations[meter.document] = meter.counters_for(context)
         return context
 
     # -- catalog -----------------------------------------------------------
@@ -369,19 +370,22 @@ class MIXMediator:
                         meter: bool = True) -> None:
         """Register a navigable source under ``name``.
 
-        With ``meter=True`` a counting proxy is interposed so per-source
-        navigation statistics are available from :attr:`meters`.
+        With ``meter=True`` per-source navigation statistics are
+        available from :attr:`meters`.  The lazy plans of this
+        mediator's queries count their own navigations (no proxy on
+        their path); the catalog hands every other path -- the eager
+        baseline, say -- a counting proxy.
         """
-        counted: Optional[CountingDocument] = None
+        source_meter: Optional[SourceMeter] = None
         if meter:
-            counted = CountingDocument(document, name=name,
-                                       tracer=self.tracer,
-                                       metrics=self.runtime.metrics)
-            document = counted
+            document = CountingDocument(document, name=name,
+                                        tracer=self.tracer,
+                                        metrics=self.runtime.metrics)
+            source_meter = SourceMeter(document)
         with self._catalog_lock:
             self._check_free(name)
-            if counted is not None:
-                self._meters[name] = counted
+            if source_meter is not None:
+                self._meters[name] = source_meter
             self._documents[name] = document
         self.tracer.emit("mediator", "register_source", name=name)
 
@@ -469,9 +473,10 @@ class MIXMediator:
             return tuple(self._fragcache_decisions)
 
     @property
-    def meters(self) -> Dict[str, CountingDocument]:
+    def meters(self) -> Dict[str, SourceMeter]:
         """Per-source navigation meters (when registered with
-        meter=True)."""
+        meter=True): each sums every query's navigations of its
+        source."""
         return self._meters
 
     def total_source_navigations(self) -> int:
@@ -567,12 +572,9 @@ class MIXMediator:
                     plan, dict(self._pushables), context)
         document = build_virtual_document(
             executed, self._resolver(), context)
-        baseline = {name: dataclasses.replace(meter.counters)
-                    for name, meter in self._meters.items()}
         context.trace("mediator", "prepare.end")
         result = QueryResult(self, plan, initial, trace, document,
-                             context=context, meter_baseline=baseline,
-                             executed_plan=executed,
+                             context=context, executed_plan=executed,
                              pushdown_decisions=tuple(decisions))
         result.analysis = report
         return result

@@ -3,30 +3,38 @@
 The central quantity of the paper is *how many source navigations a
 client navigation costs* (navigational complexity, Definition 2).
 :class:`CountingDocument` is a transparent proxy that meters every
-command crossing it; stacking one between a mediator and each source
-yields exactly the measurements the browsability experiments need.
+command crossing it; stacking one between a measurement and each
+source yields exactly the counts the browsability experiments need.
+
+A mediator's registered source is metered by a :class:`SourceMeter`
+instead.  The lazy ``source`` operators of each query count into their
+own :class:`~repro.runtime.context.ExecutionContext` (one navigating
+thread per query, so no lock); the meter sums those per-query counters
+with the navigations that reached the source any other way.
 """
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .commands import LabelPredicate
 from .interface import NavigableDocument
 from ..runtime.counters import Counters
-from ..runtime.locks import make_rlock
+from ..runtime.locks import make_lock
 
 if False:  # pragma: no cover - import cycle guard, typing only
     from ..runtime.context import Tracer
 
-__all__ = ["NavCounters", "CountingDocument"]
+__all__ = ["NavCounters", "CountingDocument", "SourceMeter"]
 
 
 @dataclass
 class NavCounters(Counters):
-    """Per-command navigation counts (guarded by the meter's
-    ``source.meter`` lock)."""
+    """Per-command navigation counts, written by one navigating
+    thread (a query's, or a :class:`CountingDocument`'s caller)."""
 
     down: int = 0
     right: int = 0
@@ -76,18 +84,11 @@ class CountingDocument(NavigableDocument):
         #: ``source_navigations_total{source=,command=}``
         self.metrics = metrics
         self.trace: List[Tuple[str, object]] = []
-        #: guards counters and the command log: with prefetch
-        #: workers, one meter is crossed by several threads.
-        #: Re-entrant because a tracer callback may itself navigate.
-        self._lock = make_rlock("source.meter")
 
-    def _publish(self, command: str) -> None:
-        """Tracer/metrics fan-out -- called *outside* the meter lock.
-
-        Both sinks run foreign code (tracer subscribers, metric
-        factories); invoking them while holding the meter RLock puts
-        every subscriber under this lock in the order graph (L012).
-        """
+    def publish(self, command: str) -> None:
+        """Tracer/metrics fan-out of one command, to whichever of them
+        listens -- either can be switched on mid-query, so that is
+        asked per command."""
         if self.tracer is not None and self.tracer.active:
             # lint: allow=E002 -- command is "d"/"r"/"f"/"select"
             self.tracer.emit("source", command, source=self.name)
@@ -96,75 +97,114 @@ class CountingDocument(NavigableDocument):
             metrics.counter("source_navigations_total").inc(
                 source=self.name or "unnamed", command=command)
 
+    def _note(self, command: str, pointer) -> None:
+        if self.log:
+            self.trace.append((command, pointer))
+        self.publish(command)
+
     # -- NavigableDocument ----------------------------------------------
     def root(self):
         # Obtaining the root handle is free: the paper's preprocessing
         # returns it without source access.
         return self.inner.root()
 
-    # Each command is one lock section (bump the counter; append to
-    # the log when logging) and then, only when a live tracer or an
-    # enabled metrics registry is listening -- either can be switched
-    # on mid-query, so that is asked per command -- the fan-out.
+    # No lock: a meter is driven by one thread at a time.
     def down(self, pointer):
-        with self._lock:
-            self.counters.down += 1
-            if self.log:
-                self.trace.append(("d", pointer))
-        tracer, metrics = self.tracer, self.metrics
-        if (tracer is not None and tracer.active) \
-                or (metrics is not None and metrics.enabled):
-            self._publish("d")
+        self.counters.down += 1
+        self._note("d", pointer)
         return self.inner.down(pointer)
 
     def right(self, pointer):
-        with self._lock:
-            self.counters.right += 1
-            if self.log:
-                self.trace.append(("r", pointer))
-        tracer, metrics = self.tracer, self.metrics
-        if (tracer is not None and tracer.active) \
-                or (metrics is not None and metrics.enabled):
-            self._publish("r")
+        self.counters.right += 1
+        self._note("r", pointer)
         return self.inner.right(pointer)
 
     def fetch(self, pointer) -> str:
-        with self._lock:
-            self.counters.fetch += 1
-            if self.log:
-                self.trace.append(("f", pointer))
-        tracer, metrics = self.tracer, self.metrics
-        if (tracer is not None and tracer.active) \
-                or (metrics is not None and metrics.enabled):
-            self._publish("f")
+        self.counters.fetch += 1
+        self._note("f", pointer)
         return self.inner.fetch(pointer)
 
     def select(self, pointer, predicate: LabelPredicate):
-        with self._lock:
-            self.counters.select += 1
-            if self.log:
-                self.trace.append(("select", pointer))
-        tracer, metrics = self.tracer, self.metrics
-        if (tracer is not None and tracer.active) \
-                or (metrics is not None and metrics.enabled):
-            self._publish("select")
+        self.counters.select += 1
+        self._note("select", pointer)
         return self.inner.select(pointer, predicate)
 
     # -- measurement helpers ----------------------------------------------
     def reset(self) -> None:
-        # Under the meter, like every other write to the counters and
-        # the log.  Spelled out (fields zeroed by name, the log cut by
-        # slice) because the lock analyzer resolves ``.reset()`` and
-        # ``.clear()`` by name, across every class that has one: the
-        # generic calls would put ``runtime.counters`` and
-        # ``fragcache.shard`` under ``source.meter`` in the order
-        # graph.
-        with self._lock:
-            counters = self.counters
-            counters.down = counters.right = 0
-            counters.fetch = counters.select = 0
-            del self.trace[:]
+        self.counters.reset()
+        del self.trace[:]
 
     @property
     def total(self) -> int:
         return self.counters.total
+
+
+class SourceMeter:
+    """The navigation count of one registered source, over every path
+    that reaches it.
+
+    * :meth:`counters_for` hands each execution context its own
+      :class:`NavCounters`; the context's lazy ``source`` operators
+      count into them on the query's one navigating thread.  Once the
+      context is garbage-collected its counters are folded into a
+      base, so the live set is only as large as the set of live
+      queries -- bounded on a long-lived daemon.
+    * :attr:`document` is the :class:`CountingDocument` the catalog
+      hands every other path (the eager baseline, say): it counts for
+      itself.
+
+    :attr:`counters` / :attr:`total` read the sum; :meth:`reset`
+    starts it from zero again without touching any query's own
+    counters.  The ``source.meter`` lock is taken on attach, fold and
+    read -- never per navigation.
+    """
+
+    def __init__(self, document: CountingDocument) -> None:
+        self.document = document
+        #: counters of collected contexts, folded in, less every reset
+        self._base = NavCounters()
+        #: serial -> counters of a live context
+        self._live: Dict[int, NavCounters] = {}
+        #: serials of contexts collected since the last fold.  A
+        #: finalizer only appends here -- it may run on any thread,
+        #: even inside a locked section of this very meter -- and the
+        #: fold happens under the lock.
+        self._released: List[int] = []
+        self._serials = itertools.count()
+        self._lock = make_lock("source.meter")
+
+    def counters_for(self, owner: object) -> NavCounters:
+        """Fresh counters for ``owner`` (an execution context): summed
+        into this meter while ``owner`` lives, folded into the base
+        once it is collected."""
+        counters = NavCounters()
+        serial = next(self._serials)
+        with self._lock:
+            self._fold_locked()
+            self._live[serial] = counters
+        weakref.finalize(owner, self._released.append, serial)
+        return counters
+
+    def _fold_locked(self) -> None:
+        released, live = self._released, self._live
+        while released:
+            self._base = self._base + live.pop(released.pop())
+
+    def _sum_locked(self) -> NavCounters:
+        self._fold_locked()
+        return sum(self._live.values(), self._base + self.document.counters)
+
+    @property
+    def counters(self) -> NavCounters:
+        """Navigations since registration (or the last :meth:`reset`),
+        per command."""
+        with self._lock:
+            return self._sum_locked()
+
+    @property
+    def total(self) -> int:
+        return self.counters.total
+
+    def reset(self) -> None:
+        with self._lock:
+            self._base = self._base - self._sum_locked()

@@ -18,7 +18,6 @@ from ..buffer.component import BufferComponent
 from ..navigation.interface import NavigableDocument
 from ..runtime.context import ExecutionContext
 from .plan import PushedSource
-from ..runtime.locks import make_lock
 
 __all__ = ["PushedSourceDocument"]
 
@@ -31,7 +30,6 @@ class PushedSourceDocument(NavigableDocument):
         self._node = node
         self._context = context
         self._buffer: Optional[BufferComponent] = None
-        self._lock = make_lock("pushdown.document")
 
     @property
     def executed(self) -> bool:
@@ -39,28 +37,23 @@ class PushedSourceDocument(NavigableDocument):
         return self._buffer is not None
 
     def _materialized(self) -> BufferComponent:
+        # No lock: the document belongs to one query, whose operators
+        # are driven by one thread at a time.
         buffer = self._buffer
         if buffer is not None:
             return buffer
-        with self._lock:
-            if self._buffer is None:
-                node = self._node
-                context = self._context
-                if context is not None:
-                    # the native request is single-flighted under
-                    # the document lock; the span/tracer fan-out
-                    # rides inside deliberately
-                    # lint: allow=L012
-                    with context.span("pushdown", "execute",
-                                      url=node.compiled.url):
-                        tree = node.server.push(node.request)
-                else:
-                    tree = node.server.push(node.request)
-                tracer = context.tracer if context is not None else None
-                self._buffer = BufferComponent.prefilled(
-                    tree, tracer=tracer,
-                    name="pushed:%s" % node.compiled.url)
-            return self._buffer
+        node = self._node
+        context = self._context
+        if context is not None:
+            with context.span("pushdown", "execute",
+                              url=node.compiled.url):
+                tree = node.server.push(node.request)
+        else:
+            tree = node.server.push(node.request)
+        tracer = context.tracer if context is not None else None
+        self._buffer = BufferComponent.prefilled(
+            tree, tracer=tracer, name="pushed:%s" % node.compiled.url)
+        return self._buffer
 
     # -- NavigableDocument -------------------------------------------------
     def root(self) -> Any:

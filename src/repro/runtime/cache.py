@@ -12,6 +12,12 @@ one place, with
 * a global entry budget with LRU eviction across all *memo* caches,
 * a single enable/disable switch (the E7 ablation toggle).
 
+Nothing here takes a lock.  One query's operators, and so its caches,
+are driven by one thread at a time: the client thread in-process, the
+session's handler thread under the daemon, and the pool workers behind
+``connect_remote`` only under the exporter's ``export.fill`` lock (see
+:class:`~repro.client.remote.NavigableLXPServer`).
+
 Two cache kinds exist:
 
 ``memo`` (the default)
@@ -31,7 +37,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional
 from .counters import Counters
-from .locks import make_rlock
 
 __all__ = ["MISS", "CacheStats", "ManagedCache", "CacheManager"]
 
@@ -53,7 +58,7 @@ MISS = _Miss()
 @dataclass
 class CacheStats(Counters):
     """Counters for one registered cache (or one aggregated label);
-    guarded by the manager's ``cache.manager`` lock."""
+    confined to the query's navigating thread."""
 
     hits: int = 0
     misses: int = 0
@@ -86,7 +91,7 @@ class ManagedCache:
     bypass, and whether its entries are *ranked* -- a memo under a
     budget keeps a recency token per entry in the manager's LRU; with
     no budget nothing is ever evicted, recency is unobservable, and a
-    lookup is one ``dict.get`` under the manager's lock.
+    lookup is one ``dict.get``.
     """
 
     __slots__ = ("manager", "name", "kind", "stats", "_data", "_id",
@@ -112,42 +117,36 @@ class ManagedCache:
         """The cached value for ``key``, else ``default`` (counted)."""
         if self._bypass:
             return default
-        manager = self.manager
-        with manager._lock:
-            value = self._data.get(key, MISS)
-            if value is MISS:
-                self.stats.misses += 1
-                return default
-            self.stats.hits += 1
-            if self._ranked:
-                manager._lru.move_to_end((self._id, key))
-            return value
+        value = self._data.get(key, MISS)
+        if value is MISS:
+            self.stats.misses += 1
+            return default
+        self.stats.hits += 1
+        if self._ranked:
+            self.manager._lru.move_to_end((self._id, key))
+        return value
 
     def peek(self, key: Hashable, default: object = MISS) -> object:
         """Like :meth:`get` but without touching the counters."""
         if self._bypass:
             return default
-        manager = self.manager
-        with manager._lock:
-            value = self._data.get(key, MISS)
-            if value is MISS:
-                return default
-            if self._ranked:
-                manager._lru.move_to_end((self._id, key))
-            return value
+        value = self._data.get(key, MISS)
+        if value is MISS:
+            return default
+        if self._ranked:
+            self.manager._lru.move_to_end((self._id, key))
+        return value
 
     def put(self, key: Hashable, value: object) -> None:
         """Store ``key`` -> ``value`` (may trigger evictions)."""
         if self._bypass:
             return
-        manager = self.manager
-        with manager._lock:
-            data = self._data
-            if key not in data:
-                self.stats.entries += 1
-            data[key] = value
-            if self._ranked:
-                manager._rank(self._id, key)
+        data = self._data
+        if key not in data:
+            self.stats.entries += 1
+        data[key] = value
+        if self._ranked:
+            self.manager._rank(self._id, key)
 
     def _evict(self, key: Hashable) -> None:
         del self._data[key]
@@ -165,10 +164,10 @@ class CacheManager:
     semantics, not optimization).  Both are fixed at construction:
     each registered cache reads them once.
 
-    One re-entrant lock serializes all lookups, inserts, LRU motion
-    and evictions: every thread navigating one query's answer hits
-    the same registry, and an eviction decision must see a consistent
-    LRU.
+    Lookups, inserts, LRU motion and evictions run on the query's one
+    navigating thread, so they take no lock; :meth:`report` and
+    :meth:`as_dict` read without synchronisation, as
+    :meth:`~repro.runtime.counters.Counters.as_dict` does.
     """
 
     def __init__(self, budget: Optional[int] = None,
@@ -182,7 +181,6 @@ class CacheManager:
         #: (cache id, key) -> None, one token per live entry
         self._lru: "OrderedDict" = OrderedDict()
         self.evictions = 0
-        self._lock = make_rlock("cache.manager")
 
     # -- registration -----------------------------------------------------
     def cache(self, name: str, kind: str = "memo") -> ManagedCache:
@@ -191,16 +189,15 @@ class CacheManager:
         Multiple registrations may share a name (one per operator
         instance); :meth:`report` aggregates them by name.
         """
-        with self._lock:
-            managed = ManagedCache(self, name, kind, len(self._caches))
-            self._caches.append(managed)
-            return managed
+        managed = ManagedCache(self, name, kind, len(self._caches))
+        self._caches.append(managed)
+        return managed
 
     # -- LRU bookkeeping ---------------------------------------------------
     def _rank(self, cache_id: int, key: Hashable) -> None:
         """Make ``key`` of memo cache ``cache_id`` the most recent
-        entry, then evict down to the budget (the caller holds the
-        lock; only called when there is a budget)."""
+        entry, then evict down to the budget (only called when there
+        is a budget)."""
         lru = self._lru
         token = (cache_id, key)
         if token in lru:
@@ -225,20 +222,18 @@ class CacheManager:
 
     def report(self) -> "Dict[str, CacheStats]":
         """Counters aggregated by cache name."""
-        with self._lock:
-            merged: Dict[str, CacheStats] = {}
-            for cache in self._caches:
-                merged[cache.name] = merged.get(
-                    cache.name, CacheStats()) + cache.stats
-            return merged
+        merged: Dict[str, CacheStats] = {}
+        for cache in self._caches:
+            merged[cache.name] = merged.get(
+                cache.name, CacheStats()) + cache.stats
+        return merged
 
     def totals(self) -> CacheStats:
         """All counters summed over every registered cache."""
-        with self._lock:
-            total = CacheStats()
-            for cache in self._caches:
-                total = total + cache.stats
-            return total
+        total = CacheStats()
+        for cache in self._caches:
+            total = total + cache.stats
+        return total
 
     def as_dict(self) -> dict:
         """The full registry report as plain dicts (for stats/JSON)."""

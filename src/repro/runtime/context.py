@@ -310,6 +310,12 @@ class ExecutionContext:
     ``prepare()`` and threads it through ``build_virtual_document``
     into every operator, so the query's whole cache footprint lives
     (and is bounded) in one place.
+
+    One query's operators, caches and source counters are driven by
+    one thread at a time, so none of them takes a lock.  The one place
+    several threads can enter a query is an exported answer, and
+    :class:`~repro.client.remote.NavigableLXPServer` serializes its
+    fills there.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None,
@@ -342,6 +348,10 @@ class ExecutionContext:
         self._registry_lock = make_lock("context.registry")
         #: per-kind serial numbers behind :meth:`mint_operator_name`
         self._operator_serials: Dict[str, int] = {}
+        #: registered source document -> this query's NavCounters for
+        #: it (filled by the mediator from its source meters); a lazy
+        #: ``source`` operator over such a document counts here
+        self.navigations: Dict[Any, Any] = {}
 
     @classmethod
     def create(cls, config: Optional[EngineConfig] = None,

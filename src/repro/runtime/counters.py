@@ -11,9 +11,9 @@ Two guarding disciplines, chosen per class:
 
 *externally guarded* (the default)
     The owner holds a lock around every mutation (``BufferStats``
-    under ``buffer.component``, ``NavCounters`` under
-    ``source.meter``, ``CacheStats`` under ``cache.manager``) or the
-    instance is thread-confined; increments are plain attribute adds.
+    under ``buffer.component``) or the instance is confined to one
+    navigating thread (a query's ``NavCounters`` and ``CacheStats``);
+    increments are plain attribute adds.
 
 *self-locked* (``class X(Counters, shared=True)``)
     Charged from several threads with no common owner lock

@@ -11,7 +11,9 @@ violations raise immediately:
   cycle in the name graph -- a deadlock *potential*, reported even when
   this particular interleaving did not deadlock.  The check runs
   *before* blocking on the lock, so a true ABBA interleaving raises
-  instead of hanging.
+  instead of hanging.  Edges between two :data:`STACKED_LOCKS` are
+  recorded but close no cycle: those components are ordered by the
+  mediator tree they stack in, not by name.
 * **blocking call under a lock** (:class:`BlockingCallUnderLock`):
   ``time.sleep``, ``Future.result``, ``queue.Queue.get`` and socket
   send/recv/accept/connect are patched to raise when called while a
@@ -49,6 +51,7 @@ __all__ = [
     "LockOrderError",
     "BlockingCallUnderLock",
     "BLOCKING_HOLD_ALLOWED",
+    "STACKED_LOCKS",
     "arm",
     "disarm",
     "armed",
@@ -75,13 +78,20 @@ class BlockingCallUnderLock(RuntimeError):
 #:   by design (concurrent subclasses splice through the same lock).
 #: * ``client.channel`` -- the socket channel serializes request/reply
 #:   round trips under its mutex; every wire op is deadline-bounded.
-#: * ``pushdown.document`` -- one-shot native-request materialization
-#:   is single-flighted under the document lock.
+#: * ``export.fill`` -- an exported query answers each fill under its
+#:   exporter's lock, down to the source I/O the fill needs.
 BLOCKING_HOLD_ALLOWED = frozenset({
     "buffer.component",
     "client.channel",
-    "pushdown.document",
+    "export.fill",
 })
+
+#: Locks of components that stack in a mediator tree -- a client's
+#: buffer over an exported query over source buffers.  Each instance
+#: calls only down the stack, so two of them are ordered by the tree,
+#: not by name (the reason same-name nesting is no edge either).
+#: Mirrors ``tools.lint.lockgraph.STACKED_LOCKS``.
+STACKED_LOCKS = frozenset({"buffer.component", "export.fill"})
 
 _armed = False
 _install_lock = threading.Lock()
@@ -121,12 +131,15 @@ def _call_site() -> str:
 
 
 def _find_path(src: str, dst: str) -> Optional[List[str]]:
-    """DFS for a path src -> dst in the observed graph (lock held)."""
+    """DFS for a path src -> dst in the observed graph (lock held),
+    over edges that carry a name order."""
     stack = [(src, [src])]
     seen = {src}
     while stack:
         node, path = stack.pop()
         for succ in _edges.get(node, ()):
+            if node in STACKED_LOCKS and succ in STACKED_LOCKS:
+                continue
             if succ == dst:
                 return path + [succ]
             if succ not in seen:

@@ -9,10 +9,18 @@ and differ between interpreter versions), divide by the navigations the
 meters counted.  The quotient is a property of the code alone, so it
 can be held in tier-1: like ``test_graph_size_ratchet``, a bound may
 shrink, never grow without someone editing it on purpose.
+
+Lock sections are counted the same way, through the named-lock
+factory: one query's operators, caches and source counters are driven
+by one thread, so a join scan enters no lock per source navigation.
 """
 
+import collections
 import random
 import sys
+import threading
+
+from repro.runtime import locks
 
 import pytest
 
@@ -70,11 +78,11 @@ def _calls_per_navigation(register):
     return calls / navigations
 
 
-# Measured at the commit that set them (12.63 and 10.10), plus 5 %.
-# The commit before read 19.98 and 16.48.
+# Measured at the commit that set them (11.60 and 9.03), plus 5 %.
+# The commits before read 12.61 and 10.03, and 19.98 and 16.48.
 @pytest.mark.parametrize("register, bound", [
-    (_join_scan, 13.3),
-    (_wrapped_scan, 10.6),
+    (_join_scan, 12.2),
+    (_wrapped_scan, 9.5),
 ], ids=["join_scan", "wrapped_scan"])
 def test_python_calls_per_source_navigation(register, bound):
     """May shrink, never grow past the bound without someone editing
@@ -82,3 +90,48 @@ def test_python_calls_per_source_navigation(register, bound):
     measured = _calls_per_navigation(register)
     assert measured <= bound, \
         "%.2f Python calls per source navigation" % measured
+
+
+class _CountedLock:
+    """A named lock that counts the sections entered on it."""
+
+    def __init__(self, lock, name, sections):
+        self._lock, self._name, self._sections = lock, name, sections
+
+    def __enter__(self):
+        self._sections[self._name] += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+    def acquire(self, *args, **kwargs):
+        self._sections[self._name] += 1
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self):
+        self._lock.release()
+
+
+def test_lock_sections_per_source_navigation_on_a_join_scan():
+    """Caches and source counters take no lock; the meter's lock is
+    taken at prepare and read, never per navigation.  Read about 2 per
+    navigation while both were locked."""
+    sections = collections.Counter()
+    previous = locks._factory
+
+    def factory(name, reentrant):
+        lock = (previous(name, reentrant) if previous is not None
+                else threading.RLock() if reentrant else threading.Lock())
+        return _CountedLock(lock, name, sections)
+
+    locks.set_lock_factory(factory)
+    try:
+        mediator = MIXMediator(EngineConfig())
+        query = _join_scan(mediator)
+        answer = mediator.prepare(query).root.to_tree()
+    finally:
+        locks.set_lock_factory(previous)
+    navigations = mediator.total_source_navigations()
+    assert navigations > 500 and answer.children
+    assert sum(sections.values()) / navigations <= 0.01, sections

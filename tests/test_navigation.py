@@ -1,10 +1,6 @@
 """Unit + property tests for the DOM-VXD navigation model."""
 
-import collections
 import dataclasses
-import os
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -155,67 +151,6 @@ class TestCounting:
         counted = CountingDocument(doc, log=True)
         run_navigation(counted, Navigation.parse("d;f"))
         assert [cmd for cmd, _ in counted.trace] == ["d", "f"]
-
-
-    def test_reset_is_atomic_against_live_navigation(self, doc):
-        """``reset()`` takes the meter like every command does: the
-        counters and the command log are cleared in one step, so
-        however a reset interleaves with navigating threads, once they
-        have stopped every counter equals the number of its commands
-        in the log.  (An unlocked reset leaves a command counted but
-        not logged, or loses a zeroing to a concurrent ``+= 1``.)"""
-        counted = CountingDocument(doc, log=True)
-        root = counted.root()
-        errors = []
-        navigators = max(4, 2 * (os.cpu_count() or 1))
-
-        def navigate(start):
-            try:
-                start.wait(timeout=30)
-                for _ in range(25):
-                    child = counted.down(root)
-                    counted.fetch(child)
-                    counted.right(child)
-                    counted.select(child, "note")
-            except Exception as exc:  # reported by the assert below
-                errors.append(exc)
-
-        def resetter(start):
-            try:
-                start.wait(timeout=30)
-                for _ in range(8):
-                    counted.reset()
-            except Exception as exc:
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _round in range(80):
-                start = threading.Barrier(navigators + 1)
-                threads = [threading.Thread(target=navigate,
-                                            args=(start,))
-                           for _ in range(navigators)]
-                threads.append(threading.Thread(target=resetter,
-                                                args=(start,)))
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(t.is_alive() for t in threads)
-                assert errors == []
-                logged = collections.Counter(
-                    cmd for cmd, _ in counted.trace)
-                counters = counted.counters
-                assert (counters.down, counters.right, counters.fetch,
-                        counters.select) \
-                    == (logged["d"], logged["r"], logged["f"],
-                        logged["select"])
-                assert counters.total == len(counted.trace) \
-                    == counters.down + counters.right \
-                    + counters.fetch + counters.select
-        finally:
-            sys.setswitchinterval(interval)
 
 
 class TestExploredPart:

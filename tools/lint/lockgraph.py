@@ -43,7 +43,11 @@ L002  interprocedural-lock-consistency
 Self-edges (A while A) are skipped: re-entrant locks re-enter by
 design, and distinct instances sharing a name (stacked buffers) have
 no static order; instance-level self-deadlock on a plain lock is the
-runtime sanitizer's job.
+runtime sanitizer's job.  For the same reason an edge between two
+:data:`STACKED_LOCKS` is kept in the graph but closes no cycle: those
+components stack in a mediator tree (a client's buffer over an
+exported query over source buffers), each calls only down the stack,
+so their instances are ordered by the tree, not by name.
 
 The graph is dumped as JSON + DOT via
 ``python -m tools.lint --lock-graph lockgraph.json``, and
@@ -90,6 +94,11 @@ _CALLBACK_NAMES = frozenset({
     "observer", "callback", "cb", "hook", "factory", "subscriber",
     "fn", "func", "on_evict", "on_event", "thunk",
 })
+
+#: Locks of components that stack in a mediator tree and are ordered
+#: by it (see the module docstring); mirrored, name for name, by
+#: ``repro.testing.lockcheck.STACKED_LOCKS``.
+STACKED_LOCKS = frozenset({"buffer.component", "export.fill"})
 
 #: Modules whose locks are sanitizer/infra plumbing, not part of the
 #: analyzed order (the guards must not observe themselves).
@@ -176,11 +185,14 @@ class LockGraph:
         return "\n".join(lines) + "\n"
 
     def cycles(self) -> List[List[str]]:
-        """Strongly connected components with more than one lock."""
+        """Strongly connected components with more than one lock
+        (edges between two stacked locks carry no name order)."""
         graph: Dict[str, List[str]] = {}
         for src, dst in self.edges:
-            graph.setdefault(src, []).append(dst)
+            graph.setdefault(src, [])
             graph.setdefault(dst, [])
+            if not (src in STACKED_LOCKS and dst in STACKED_LOCKS):
+                graph[src].append(dst)
         index: Dict[str, int] = {}
         low: Dict[str, int] = {}
         on_stack: Set[str] = set()
@@ -358,8 +370,9 @@ class _FunctionScanner(ast.NodeVisitor):
             return
         program = self.analyzer.program
         recv = node.value
-        if isinstance(recv, ast.Name) and recv.id == "self" \
-                and self.cls is not None:
+        on_self = isinstance(recv, ast.Name) and recv.id == "self" \
+            and self.cls is not None
+        if on_self:
             targets = program.resolve_method({self.cls.name},
                                              node.attr)
         else:
@@ -368,9 +381,10 @@ class _FunctionScanner(ast.NodeVisitor):
                 if types else []
         prop_qnames = {p.qname for p in props}
         targets = [t for t in targets if t.qname in prop_qnames]
-        if not targets and len(props) == 1:
+        if not targets and len(props) == 1 and not on_self:
             # a property name defined exactly once program-wide
-            # resolves even without receiver types
+            # resolves even without receiver types (``self.x`` that
+            # is no property of the class is a plain attribute)
             targets = list(props)
         if targets:
             qnames = tuple(sorted(t.qname for t in targets))
