@@ -61,7 +61,7 @@ class TestGroupByFig10:
         while binding is not None:
             lss = op.attribute(binding, "LSs")
             groups.append([c.text() for c in
-                           materialize_value(op, lss).children])
+                           materialize_value(lss).children])
             binding = op.next_binding(binding)
         assert groups == [["school1", "school2", "school4"],
                           ["school3"], ["school5"]]
@@ -89,10 +89,8 @@ class TestGroupByFig10:
         counter.reset()
         third_member = op.v_right(second_member)  # school2 -> school4
         cost = counter.total
-        assert op.v_fetch(op.v_down(third_member)) == "school1"[:0] \
-            or True  # label checked below via text
         from repro.lazy import materialize_value
-        assert materialize_value(op, third_member).text() == "school4"
+        assert materialize_value(third_member).text() == "school4"
         assert cost < 60
         # And past the last member the list ends.
         assert op.v_right(third_member) is None
@@ -131,7 +129,8 @@ class TestCreateElementFig9:
         binding = op.first_binding()
         vid = op.attribute(binding, "M")
         child = op.v_down(vid)
-        assert op.v_fetch(child) == "h"  # the content value's child
+        # the content value's child, navigated at its owner
+        assert child[0].v_fetch(child) == "h"
 
     def test_created_value_is_a_root(self):
         op, _ = _create_element_setup()

@@ -25,6 +25,14 @@ Operators do keep selected caches (recursive-path frontiers, join inner
 attributes, groupBy's ``G_prev``), toggleable for the ablation
 experiment.
 
+A value id names its owner: element 0 is the operator that minted it
+(or the :class:`~repro.lazy.observe.SpannedOperator` observing that
+operator), the rest is that operator's own payload.  Every value
+navigation goes straight there -- ``vid[0].v_down(vid)`` -- whichever
+operator holds the id, so an operator's ``v_*`` methods see only the
+ids it minted, and an operator that does not re-root a variable hands
+out its input's id unchanged.
+
 A value id handed out by ``attribute`` is the *root* of that binding's
 value: ``v_right`` on it is None even when the underlying node has
 siblings in the source -- the binding perspective detaches it.
@@ -39,7 +47,7 @@ from ..runtime.context import ExecutionContext
 from ..xtree.tree import Tree
 
 __all__ = ["LazyOperator", "UnaryOperator", "FilterOperator",
-           "TwoSidedValues", "BindingsDocument", "LazyError",
+           "BindingsDocument", "LazyError",
            "value_text_of", "canonical_key_of", "materialize_value"]
 
 #: Opaque ids; concretely nested hashable tuples.
@@ -67,6 +75,10 @@ class LazyOperator:
 
     #: output variable schema, in order
     variables: List[str] = []
+    #: the ``Kind#N`` build-order name the plan builder gives the
+    #: operator (None when built by hand); it is also the repr, so a
+    #: printed value id reads the same in every run
+    name: Optional[str] = None
 
     def __init__(self, context: Optional[ExecutionContext] = None):
         self.ctx = (context if context is not None
@@ -74,6 +86,16 @@ class LazyOperator:
         #: whether the paper's operator caches are on -- read from the
         #: (frozen) config once, not per navigation
         self.cache_enabled: bool = self.ctx.config.cache_enabled
+        #: the SpannedOperator observing this operator, if any: the
+        #: value ids it mints then name the proxy, not the operator.
+        #: A root id names ``self.spanned or self``; an id derived from
+        #: an own id copies that id's owner.  An unobserved operator
+        #: never points at itself, so its plan is freed by reference
+        #: counting when the query is dropped.
+        self.spanned: Optional[LazyOperator] = None
+
+    def __repr__(self) -> str:
+        return self.name or type(self).__name__
 
     # -- binding-level navigation ----------------------------------------
     def first_binding(self) -> Optional[BindingId]:
@@ -89,6 +111,8 @@ class LazyOperator:
         raise NotImplementedError
 
     # -- value-level navigation --------------------------------------------
+    # Called only with ids this operator minted (``value[0]`` is its
+    # owner); the answers are ids of any operator.
     def v_down(self, value: ValueId) -> Optional[ValueId]:
         raise NotImplementedError
 
@@ -110,11 +134,12 @@ class LazyOperator:
         bounded browsable (paper Example 1).
         """
         from ..navigation.commands import label_is
-        sibling = self.v_right(value)
+        sibling = value[0].v_right(value)
         while sibling is not None:
-            if label_is(predicate, self.v_fetch(sibling)):
+            owner = sibling[0]
+            if label_is(predicate, owner.v_fetch(sibling)):
                 return sibling
-            sibling = self.v_right(sibling)
+            sibling = owner.v_right(sibling)
         return None
 
     # -- helpers -----------------------------------------------------------
@@ -129,27 +154,19 @@ class LazyOperator:
 # ----------------------------------------------------------------------
 # The shared shapes: what an operator inherits instead of restating
 # ----------------------------------------------------------------------
-# Most operators change one level of the protocol and hand the other
-# level to their input untouched.  The untouched halves are written
-# here, once; an operator module then shows only its own Figure 9
-# mappings.  The shapes are plain base classes: a call through an
-# inherited method is exactly as deep as a call through a restated
-# one, and a ``SpannedOperator`` around the input sees the same calls.
-#
-# A third shape -- own-tagged values beside ``("sub", input id)`` ones,
-# in constant / createElement / concatenate / groupBy /
-# getDescendants -- is deliberately *not* shared: pulling the ``sub``
-# branch out would put one more Python frame under every own-tag call
-# (every group member, every match).  Those bodies stay per operator.
+# Most operators change the binding level and hand out their input's
+# value ids unchanged.  The untouched binding level is written here,
+# once; an operator module then shows only its own Figure 9 mappings.
+# There is no value-level shape to share: a value navigation goes to
+# the id's owner, never through the operators above it.
 
 class UnaryOperator(LazyOperator):
-    """The pass-through shape: one input whose bindings and values are
-    the output's, id for id.
+    """The pass-through shape: one input whose bindings are the
+    output's, id for id.
 
-    ``project`` and ``rename`` are this shape whole; operators that
-    re-map one level (``orderBy`` its bindings, ``constant`` /
-    ``createElement`` / ``concatenate`` their values) override that
-    level and inherit the other.
+    ``project`` and ``rename`` are this shape whole; ``orderBy``
+    re-maps the bindings, and ``constant`` / ``createElement`` /
+    ``concatenate`` add one variable of their own.
     """
 
     def __init__(self, child: LazyOperator,
@@ -168,26 +185,14 @@ class UnaryOperator(LazyOperator):
         self._check_var(var)
         return self.child.attribute(binding, var)
 
-    def v_down(self, value):
-        return self.child.v_down(value)
-
-    def v_right(self, value):
-        return self.child.v_right(value)
-
-    def v_fetch(self, value):
-        return self.child.v_fetch(value)
-
-    def v_select(self, value, predicate):
-        return self.child.v_select(value, predicate)
-
 
 class FilterOperator(UnaryOperator):
     """The filter shape: stream the input and decide, per binding,
     whether it survives (:meth:`_keep`).
 
-    Binding ids wrap the input's 1:1 (``("b", ib)``); values pass
-    through.  ``select``, ``distinct`` and ``difference`` (over its
-    left input) differ only in ``_keep``.
+    Binding ids wrap the input's 1:1 (``("b", ib)``); value ids are
+    the input's.  ``select``, ``distinct`` and ``difference`` (over
+    its left input) differ only in ``_keep``.
     """
 
     def _keep(self, ib) -> bool:
@@ -211,48 +216,11 @@ class FilterOperator(UnaryOperator):
         return self.child.attribute(binding[1], var)
 
 
-class TwoSidedValues(LazyOperator):
-    """The two-sided shape: values of a ``left`` and a ``right`` input
-    side by side, a value id being ``(side, the side's own value
-    id)`` with ``side`` ``"L"`` or ``"R"``.
-
-    ``join`` and ``union`` mint such ids in ``attribute``; the value
-    level below is the same for both.
-    """
-
-    def __init__(self, left: LazyOperator, right: LazyOperator,
-                 context: Optional[ExecutionContext] = None):
-        super().__init__(context)
-        self.left = left
-        self.right = right
-
-    def v_down(self, value):
-        side, inner = value
-        child = (self.left if side == "L" else self.right).v_down(inner)
-        return (side, child) if child is not None else None
-
-    def v_right(self, value):
-        side, inner = value
-        sibling = (self.left if side == "L"
-                   else self.right).v_right(inner)
-        return (side, sibling) if sibling is not None else None
-
-    def v_fetch(self, value):
-        side, inner = value
-        return (self.left if side == "L" else self.right).v_fetch(inner)
-
-    def v_select(self, value, predicate):
-        side, inner = value
-        found = (self.left if side == "L"
-                 else self.right).v_select(inner, predicate)
-        return (side, found) if found is not None else None
-
-
 # ----------------------------------------------------------------------
 # Value utilities (used by predicates, grouping, ordering)
 # ----------------------------------------------------------------------
 
-def value_text_of(op: LazyOperator, value: ValueId) -> str:
+def value_text_of(value: ValueId) -> str:
     """The comparison text of a value: the label of a leaf, else the
     concatenated text of its leaf descendants.
 
@@ -260,28 +228,30 @@ def value_text_of(op: LazyOperator, value: ValueId) -> str:
     honest price of predicates over structured values; the common case
     (variables bound to text leaves via ``zip._``) costs one fetch.
     """
-    first_child = op.v_down(value)
+    owner = value[0]
+    first_child = owner.v_down(value)
     if first_child is None:
-        return op.v_fetch(value)
+        return owner.v_fetch(value)
     parts: List[str] = []
 
     def walk(node: ValueId) -> None:
-        child = op.v_down(node)
+        owner = node[0]
+        child = owner.v_down(node)
         if child is None:
-            parts.append(op.v_fetch(node))
+            parts.append(owner.v_fetch(node))
             return
         while child is not None:
             walk(child)
-            child = op.v_right(child)
+            child = child[0].v_right(child)
 
     child = first_child
     while child is not None:
         walk(child)
-        child = op.v_right(child)
+        child = child[0].v_right(child)
     return "".join(parts)
 
 
-def canonical_key_of(op: LazyOperator, value: ValueId) -> Hashable:
+def canonical_key_of(value: ValueId) -> Hashable:
     """Materialize a value into a canonical structural key (the
     counterpart of :func:`repro.algebra.bindings.value_key`).
 
@@ -289,25 +259,27 @@ def canonical_key_of(op: LazyOperator, value: ValueId) -> Hashable:
     walks the entire value subtree -- the source of groupBy's
     navigational cost.
     """
-    label = op.v_fetch(value)
-    child = op.v_down(value)
+    owner = value[0]
+    label = owner.v_fetch(value)
+    child = owner.v_down(value)
     if child is None:
         return label
     keys = []
     while child is not None:
-        keys.append(canonical_key_of(op, child))
-        child = op.v_right(child)
+        keys.append(canonical_key_of(child))
+        child = child[0].v_right(child)
     return (label, tuple(keys))
 
 
-def materialize_value(op: LazyOperator, value: ValueId) -> Tree:
+def materialize_value(value: ValueId) -> Tree:
     """Navigate a value subtree into an in-memory Tree (testing aid)."""
-    label = op.v_fetch(value)
+    owner = value[0]
+    label = owner.v_fetch(value)
     children = []
-    child = op.v_down(value)
+    child = owner.v_down(value)
     while child is not None:
-        children.append(materialize_value(op, child))
-        child = op.v_right(child)
+        children.append(materialize_value(child))
+        child = child[0].v_right(child)
     return Tree(label, children)
 
 
@@ -329,7 +301,7 @@ class BindingsDocument(NavigableDocument):
         ("bs",)                       the root
         ("b", bid)                    a binding node
         ("var", bid, index)           a variable node  X[...]
-        ("val", vid)                  a value node (delegated)
+        ("val", vid)                  a value node (sent to its owner)
     """
 
     def __init__(self, op: LazyOperator):
@@ -352,7 +324,8 @@ class BindingsDocument(NavigableDocument):
             vid = self.op.attribute(bid, self.op.variables[index])
             return ("val", vid)
         if tag == "val":
-            child = self.op.v_down(pointer[1])
+            vid = pointer[1]
+            child = vid[0].v_down(vid)
             return ("val", child) if child is not None else None
         raise LazyError("bad pointer %r" % (pointer,))
 
@@ -369,7 +342,8 @@ class BindingsDocument(NavigableDocument):
                 return ("var", bid, index + 1)
             return None
         if tag == "val":
-            sibling = self.op.v_right(pointer[1])
+            vid = pointer[1]
+            sibling = vid[0].v_right(vid)
             return ("val", sibling) if sibling is not None else None
         raise LazyError("bad pointer %r" % (pointer,))
 
@@ -382,5 +356,6 @@ class BindingsDocument(NavigableDocument):
         if tag == "var":
             return self.op.variables[pointer[2]]
         if tag == "val":
-            return self.op.v_fetch(pointer[1])
+            vid = pointer[1]
+            return vid[0].v_fetch(vid)
         raise LazyError("bad pointer %r" % (pointer,))

@@ -85,11 +85,13 @@ def build_lazy_plan(plan: ops.Operator, documents: DocumentResolver,
     omitted, a fresh default context is created and shared by the
     whole operator tree.
 
-    With ``config.observe_operators`` every built operator is wrapped
-    in a :class:`~repro.lazy.observe.SpannedOperator`, so each
-    protocol call crossing an operator boundary becomes an
-    ``operator`` span in the trace (names minted deterministically in
-    build order).
+    Every built operator is named ``Kind#N``, minted
+    deterministically in build order; the name is its repr, so the
+    value ids it mints print the same in every run.  With
+    ``config.observe_operators`` every built operator is wrapped in a
+    :class:`~repro.lazy.observe.SpannedOperator` of that name, so each
+    protocol call an operator answers becomes an ``operator`` span in
+    the trace.
     """
     if isinstance(plan, ops.TupleDestroy):
         raise LazyError(
@@ -97,10 +99,12 @@ def build_lazy_plan(plan: ops.Operator, documents: DocumentResolver,
     if context is None:
         context = ExecutionContext.create()
     built = _build_lazy_node(plan, documents, context)
+    name = context.mint_operator_name(type(plan).__name__)
     if context.config.observe_operators:
         from .observe import SpannedOperator
-        built = SpannedOperator(
-            built, context.mint_operator_name(type(plan).__name__))
+        return SpannedOperator(built, name)
+    if built.name is None:  # a pushed chain keeps its replay's names
+        built.name = name
     return built
 
 

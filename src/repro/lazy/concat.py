@@ -9,6 +9,12 @@ Bindings pass through 1:1.  Navigating across an argument boundary
 (the last item of ``$H`` to the first school in ``$LSs``) is where the
 lazy implementation earns its keep: it only touches the next argument
 when the client walks past the previous one.
+
+The operator mints two value ids, told apart by length: ``(owner,
+binding)`` for the list and ``(owner, binding, argument, input id,
+from_list)`` for each item -- the input's value re-rooted so that its
+right sibling is the next item.  Below an item, and for every other
+variable, the ids are the input's own.
 """
 
 from __future__ import annotations
@@ -43,61 +49,44 @@ class LazyConcatenate(UnaryOperator):
     def attribute(self, binding, var):
         self._check_var(var)
         if var == self.out_var:
-            return ("list", binding)
-        return ("sub", self.child.attribute(binding, var))
+            return (self.spanned or self, binding)
+        return self.child.attribute(binding, var)
 
     # -- item enumeration --------------------------------------------------------
-    def _first_item_of_var(self, ib, var_index: int):
+    def _first_item_of_var(self, owner, ib, var_index: int):
         """The first item contributed by argument ``var_index`` (or the
-        first from a later argument when it is an empty list)."""
+        first from a later argument when it is an empty list); ``owner``
+        is the list's."""
         while var_index < len(self.in_vars):
             vid = self.child.attribute(ib, self.in_vars[var_index])
-            if self.child.v_fetch(vid) == LIST_LABEL:
-                inner = self.child.v_down(vid)
+            if vid[0].v_fetch(vid) == LIST_LABEL:
+                inner = vid[0].v_down(vid)
                 if inner is not None:
-                    return ("item", ib, var_index, inner, True)
+                    return (owner, ib, var_index, inner, True)
             else:
-                return ("item", ib, var_index, vid, False)
+                return (owner, ib, var_index, vid, False)
             var_index += 1
         return None
 
-    # -- values ---------------------------------------------------------------
+    # -- values (own ids only; v_select is the protocol's scan) ---------------
     def v_down(self, value):
-        tag = value[0]
-        if tag == "list":
-            return self._first_item_of_var(value[1], 0)
-        if tag == "item":
-            _, _ib, _vi, inner, _from_list = value
-            child = self.child.v_down(inner)
-            return ("sub", child) if child is not None else None
-        child = self.child.v_down(value[1])
-        return ("sub", child) if child is not None else None
+        if len(value) == 2:  # the list: down to its first item
+            return self._first_item_of_var(value[0], value[1], 0)
+        inner = value[3]
+        return inner[0].v_down(inner)
 
     def v_right(self, value):
-        tag = value[0]
-        if tag == "list":
+        if len(value) == 2:
             return None  # the concatenation value is a value root
-        if tag == "item":
-            _, ib, var_index, inner, from_list = value
-            if from_list:
-                sibling = self.child.v_right(inner)
-                if sibling is not None:
-                    return ("item", ib, var_index, sibling, True)
-            return self._first_item_of_var(ib, var_index + 1)
-        sibling = self.child.v_right(value[1])
-        return ("sub", sibling) if sibling is not None else None
+        owner, ib, var_index, inner, from_list = value
+        if from_list:
+            sibling = inner[0].v_right(inner)
+            if sibling is not None:
+                return (owner, ib, var_index, sibling, True)
+        return self._first_item_of_var(owner, ib, var_index + 1)
 
     def v_fetch(self, value):
-        tag = value[0]
-        if tag == "list":
+        if len(value) == 2:
             return LIST_LABEL
-        if tag == "item":
-            return self.child.v_fetch(value[3])
-        return self.child.v_fetch(value[1])
-
-    def v_select(self, value, predicate):
-        if value[0] in ("list", "item"):
-            # own values: the protocol's default sibling scan
-            return LazyOperator.v_select(self, value, predicate)
-        found = self.child.v_select(value[1], predicate)
-        return ("sub", found) if found is not None else None
+        inner = value[3]
+        return inner[0].v_fetch(inner)

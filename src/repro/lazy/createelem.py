@@ -10,6 +10,10 @@ of the content value.  The Figure 9 mappings are realized literally:
 * ``d`` on the created node navigates down into the content value's
   children -- ``<id, d(p_b.HLSs)>``;
 * bindings map 1:1 (``d``/``r`` at the binding level pass through).
+
+The created element is the operator's one value id, ``(owner,
+binding)``; its children, and every other variable, are the input's
+own ids.
 """
 
 from __future__ import annotations
@@ -53,34 +57,22 @@ class LazyCreateElement(UnaryOperator):
     def attribute(self, binding, var):
         self._check_var(var)
         if var == self.out_var:
-            return ("elem", binding)
-        return ("sub", self.child.attribute(binding, var))
+            return (self.spanned or self, binding)
+        return self.child.attribute(binding, var)
 
-    # -- values ---------------------------------------------------------------
+    # -- values: the created element ------------------------------------
     def v_down(self, value):
-        if value[0] == "elem":
-            content = self.child.attribute(value[1], self.content_var)
-            child = self.child.v_down(content)
-            return ("sub", child) if child is not None else None
-        child = self.child.v_down(value[1])
-        return ("sub", child) if child is not None else None
+        content = self.child.attribute(value[1], self.content_var)
+        return content[0].v_down(content)
 
     def v_right(self, value):
-        if value[0] == "elem":
-            return None  # the created element is a value root
-        sibling = self.child.v_right(value[1])
-        return ("sub", sibling) if sibling is not None else None
+        return None  # the created element is a value root
 
     def v_fetch(self, value):
-        if value[0] == "elem":
-            if self.label_const is not None:
-                return self.label_const
-            label_vid = self.child.attribute(value[1], self.label_var)
-            return value_text_of(self.child, label_vid)
-        return self.child.v_fetch(value[1])
+        if self.label_const is not None:
+            return self.label_const
+        return value_text_of(self.child.attribute(value[1],
+                                                  self.label_var))
 
     def v_select(self, value, predicate):
-        if value[0] == "elem":
-            return None  # the created element is a value root
-        found = self.child.v_select(value[1], predicate)
-        return ("sub", found) if found is not None else None
+        return None  # the created element is a value root

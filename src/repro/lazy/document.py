@@ -6,6 +6,10 @@ DOM-VXD interface -- this is the handle the mediator returns to the
 client "without even accessing the sources": obtaining ``root()`` is
 free, and the first source navigation happens only when the client
 fetches or descends.
+
+A pointer below the root is the answer's value id itself: each
+navigation goes straight to the id's owner (``vid[0].v_down(vid)``),
+not down through the plan.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ class VirtualDocument(NavigableDocument):
     def _vid(self, pointer):
         if pointer == ("root",):
             return self._resolve_root()
-        return pointer[1]
+        return pointer
 
     # Client navigations are the roots of the causal span tree: each
     # one opens a ``client`` span (when the tracer is live) under
@@ -68,27 +72,29 @@ class VirtualDocument(NavigableDocument):
     def down(self, pointer):
         tracer = self.op.ctx.tracer
         if not tracer.active:
-            child = self.op.v_down(self._vid(pointer))
-            return ("v", child) if child is not None else None
+            vid = self._vid(pointer)
+            return vid[0].v_down(vid)
         with tracer.span("client", "down"):
-            child = self.op.v_down(self._vid(pointer))
-            return ("v", child) if child is not None else None
+            vid = self._vid(pointer)
+            return vid[0].v_down(vid)
 
     def right(self, pointer):
         tracer = self.op.ctx.tracer
         if not tracer.active:
-            sibling = self.op.v_right(self._vid(pointer))
-            return ("v", sibling) if sibling is not None else None
+            vid = self._vid(pointer)
+            return vid[0].v_right(vid)
         with tracer.span("client", "right"):
-            sibling = self.op.v_right(self._vid(pointer))
-            return ("v", sibling) if sibling is not None else None
+            vid = self._vid(pointer)
+            return vid[0].v_right(vid)
 
     def fetch(self, pointer):
         tracer = self.op.ctx.tracer
         if not tracer.active:
-            return self.op.v_fetch(self._vid(pointer))
+            vid = self._vid(pointer)
+            return vid[0].v_fetch(vid)
         with tracer.span("client", "fetch"):
-            return self.op.v_fetch(self._vid(pointer))
+            vid = self._vid(pointer)
+            return vid[0].v_fetch(vid)
 
     def select(self, pointer, predicate):
         tracer = self.op.ctx.tracer

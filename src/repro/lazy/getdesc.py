@@ -11,7 +11,13 @@ carries the input binding id plus the *DFS stack* -- the path of value
 ids from the parent value down to the current match, each with its NFA
 state frontier before and after consuming that node's label.  With the
 stack in the id, resuming the preorder search after any previously
-issued binding needs no mediator-side association table.
+issued binding needs no mediator-side association table.  The search
+steps through each frame's id by its owner (``vid[0]``), never through
+this operator's input.
+
+The one value id the operator mints is the match root ``(owner,
+inner id)``: the matched node detached from its siblings.  Below it,
+and for every other variable, the ids are the input's own.
 
 Dead NFA frontiers prune whole subtrees without navigating into them;
 ``is_recursive`` paths are the case where the paper's frontier cache
@@ -104,30 +110,31 @@ class LazyGetDescendants(LazyOperator):
     def _first_in_subtree(self, stack: Stack, parent_vid,
                           states) -> Optional[Stack]:
         """First match strictly below ``parent_vid`` in preorder."""
-        child = self.child.v_down(parent_vid)
+        child = parent_vid[0].v_down(parent_vid)
         return self._scan_level(stack, child, states)
 
     def _scan_level(self, stack: Stack, vid, states) -> Optional[Stack]:
         """First match at or below the sibling list starting at ``vid``."""
-        nfa, child = self.nfa, self.child
+        nfa = self.nfa
         sigma_labels = None
         if self.use_sigma:
             sigma_labels = nfa.progress_labels(states)
             if sigma_labels is not None and not sigma_labels:
                 return None  # no label can advance this frontier
-        fetch, step, right = child.v_fetch, nfa.step, child.v_right
+        step = nfa.step
         while vid is not None:
-            after = step(states, fetch(vid))
+            owner = vid[0]
+            after = step(states, owner.v_fetch(vid))
             if after:  # nfa.is_alive
                 frame = (vid, states, after)
                 if nfa.is_accepting(after):
                     return stack + (frame,)
                 deeper = self._scan_level(
-                    stack + (frame,), child.v_down(vid), after)
+                    stack + (frame,), owner.v_down(vid), after)
                 if deeper is not None:
                     return deeper
             if sigma_labels is None:
-                vid = right(vid)
+                vid = owner.v_right(vid)
             else:
                 vid = self._select_sibling(vid, sigma_labels)
         return None
@@ -136,10 +143,9 @@ class LazyGetDescendants(LazyOperator):
         """Next sibling worth looking at when the viable labels are
         concrete: one select(sigma) command."""
         if len(sigma_labels) == 1:
-            return self.child.v_select(vid, next(iter(sigma_labels)))
+            return vid[0].v_select(vid, next(iter(sigma_labels)))
         wanted = sigma_labels
-        return self.child.v_select(vid,
-                                   lambda label: label in wanted)
+        return vid[0].v_select(vid, lambda label: label in wanted)
 
     def _next_match(self, stack: Stack) -> Optional[Stack]:
         """Preorder successor of the match at the top of ``stack``."""
@@ -150,7 +156,7 @@ class LazyGetDescendants(LazyOperator):
         while stack:
             vid, before, _after = stack[-1]
             stack = stack[:-1]
-            sibling = self.child.v_right(vid)
+            sibling = vid[0].v_right(vid)
             found = self._scan_level(stack, sibling, before)
             if found is not None:
                 return found
@@ -159,29 +165,21 @@ class LazyGetDescendants(LazyOperator):
     # -- attributes -------------------------------------------------------
     def attribute(self, binding, var):
         if var == self.out_var:
-            return ("mroot", binding[2][-1][0])
+            return (self.spanned or self, binding[2][-1][0])
         self._check_var(var)
-        return ("sub", self.child.attribute(binding[1], var))
+        return self.child.attribute(binding[1], var)
 
-    # -- values -----------------------------------------------------------
+    # -- values: the match root -------------------------------------------
     def v_down(self, value):
-        tag, vid = value
-        child = self.child.v_down(vid)
-        return ("sub", child) if child is not None else None
+        inner = value[1]
+        return inner[0].v_down(inner)
 
     def v_right(self, value):
-        tag, vid = value
-        if tag == "mroot":
-            # A match is a whole value: detached from its siblings.
-            return None
-        sibling = self.child.v_right(vid)
-        return ("sub", sibling) if sibling is not None else None
+        return None  # a match is a whole value: detached from siblings
 
     def v_fetch(self, value):
-        return self.child.v_fetch(value[1])
+        inner = value[1]
+        return inner[0].v_fetch(inner)
 
     def v_select(self, value, predicate):
-        if value[0] == "mroot":
-            return None  # a match root has no siblings
-        found = self.child.v_select(value[1], predicate)
-        return ("sub", found) if found is not None else None
+        return None  # a match root has no siblings

@@ -18,6 +18,12 @@ navigating the key value again.
 The empty-key group ``groupBy{}`` always yields exactly one output
 binding, even over empty input (this realizes XMAS's ``<answer>
 ... </answer> {}``).
+
+The operator mints two value ids, told apart by length: ``(owner,
+group, aggregation)`` for a grouped list and ``(owner, group,
+aggregation, position)`` for one member of it, the member's value
+re-rooted so that its right sibling is the next member.  Below a
+member, and for the group-by variables, the ids are the input's own.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ class LazyGroupBy(LazyOperator):
     # -- input scanning ------------------------------------------------------
     def _compute_key(self, ib) -> Hashable:
         return tuple(
-            canonical_key_of(self.child, self.child.attribute(ib, var))
+            canonical_key_of(self.child.attribute(ib, var))
             for var in self.group_vars
         )
 
@@ -125,10 +131,10 @@ class LazyGroupBy(LazyOperator):
         index = binding[1]
         if var in self.group_vars:
             witness = self._scanned[self._group_first_pos[index]]
-            return ("sub", self.child.attribute(witness, var))
+            return self.child.attribute(witness, var)
         for agg_index, (_in_var, out_var) in enumerate(self.aggregations):
             if var == out_var:
-                return ("list", index, agg_index)
+                return (self.spanned or self, index, agg_index)
         raise LazyError("unreachable: variable $%s" % var)
 
     # -- member scanning -------------------------------------------------------
@@ -157,52 +163,32 @@ class LazyGroupBy(LazyOperator):
                 return pos
             pos += 1
 
-    # -- values ------------------------------------------------------------------
+    # -- values (own ids only; v_select is the protocol's scan) ---------------
     def v_down(self, value):
-        tag = value[0]
-        if tag == "list":
-            _, group_index, agg_index = value
+        if len(value) == 3:  # the list: down to its first member
+            owner, group_index, agg_index = value
             pos = self._next_member_pos(group_index, 0)
             if pos is None:
                 return None
-            return ("iroot", group_index, agg_index, pos)
-        if tag == "iroot":
-            _, _g, agg_index, pos = value
-            in_var = self.aggregations[agg_index][0]
-            inner = self.child.attribute(self._scanned[pos], in_var)
-            child = self.child.v_down(inner)
-            return ("sub", child) if child is not None else None
-        child = self.child.v_down(value[1])
-        return ("sub", child) if child is not None else None
+            return (owner, group_index, agg_index, pos)
+        _, _g, agg_index, pos = value
+        inner = self.child.attribute(self._scanned[pos],
+                                     self.aggregations[agg_index][0])
+        return inner[0].v_down(inner)
 
     def v_right(self, value):
-        tag = value[0]
-        if tag == "list":
+        if len(value) == 3:
             return None  # a grouped list is a value root
-        if tag == "iroot":
-            _, group_index, agg_index, pos = value
-            nxt = self._next_member_pos(group_index, pos + 1)
-            if nxt is None:
-                return None
-            return ("iroot", group_index, agg_index, nxt)
-        sibling = self.child.v_right(value[1])
-        return ("sub", sibling) if sibling is not None else None
+        owner, group_index, agg_index, pos = value
+        nxt = self._next_member_pos(group_index, pos + 1)
+        if nxt is None:
+            return None
+        return (owner, group_index, agg_index, nxt)
 
     def v_fetch(self, value):
-        tag = value[0]
-        if tag == "list":
+        if len(value) == 3:
             return "list"
-        if tag == "iroot":
-            _, _g, agg_index, pos = value
-            in_var = self.aggregations[agg_index][0]
-            inner = self.child.attribute(self._scanned[pos], in_var)
-            return self.child.v_fetch(inner)
-        return self.child.v_fetch(value[1])
-
-    def v_select(self, value, predicate):
-        if value[0] in ("list", "iroot"):
-            # Grouped lists/members have operator-defined siblings;
-            # fall back to the scanning default.
-            return super().v_select(value, predicate)
-        found = self.child.v_select(value[1], predicate)
-        return ("sub", found) if found is not None else None
+        _, _g, agg_index, pos = value
+        inner = self.child.attribute(self._scanned[pos],
+                                     self.aggregations[agg_index][0])
+        return inner[0].v_fetch(inner)

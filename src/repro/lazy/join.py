@@ -7,29 +7,34 @@ the inner argument of the loop ... the 'binding' nodes along with the
 attributes that participate in the join condition" (paper Section 3,
 footnote 9) -- memoizes the right binding ids and their join-attribute
 texts, so re-scans stop costing source navigations once warmed.
+
+The join mints no value ids: ``b.X`` is the id the side holding ``X``
+hands out, and value navigation goes straight to that id's owner.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from ..algebra.predicates import Predicate
 from ..runtime.cache import MISS
 from ..runtime.context import ExecutionContext
-from .base import (LazyError, LazyOperator, TwoSidedValues,
-                   value_text_of)
+from .base import LazyError, LazyOperator, value_text_of
 
 __all__ = ["LazyJoin"]
 
 
-class LazyJoin(TwoSidedValues):
+class LazyJoin(LazyOperator):
     """Lazy nested-loop join; see the module docstring for the inner
     cache design."""
 
     def __init__(self, left: LazyOperator, right: LazyOperator,
                  predicate: Predicate,
                  context: Optional[ExecutionContext] = None):
-        super().__init__(left, right, context)
+        super().__init__(context)
+        self.left = left
+        self.right = right
         self.predicate = predicate
         overlap = set(left.variables) & set(right.variables)
         if overlap:
@@ -114,28 +119,30 @@ class LazyJoin(TwoSidedValues):
         return self._right_getter(var)
 
     def _left_getter(self, var: str):
-        left, attribute = self.left, self.left.attribute
+        attribute = self.left.attribute
 
         def left_text(env) -> str:
             memo = env[2]
             text = memo.get(var)
             if text is None:
-                text = memo[var] = value_text_of(
-                    left, attribute(env[0], var))
+                text = memo[var] = value_text_of(attribute(env[0], var))
             return text
 
         return left_text
 
     def _right_getter(self, var: str):
-        right, attribute = self.right, self.right.attribute
+        attribute = self.right.attribute
         texts = self._inner_texts
+        # The join keeps this closure (in ``_test``): a strong reference
+        # back would leave a finished query's plan in a cycle.
+        join = weakref.proxy(self)
 
         def right_text(env) -> str:
             key = (env[1], var)
             text = texts.get(key, MISS)
             if text is MISS:
-                rb = self._inner_binding(env[1])
-                text = value_text_of(right, attribute(rb, var))
+                rb = join._inner_binding(env[1])
+                text = value_text_of(attribute(rb, var))
                 texts.put(key, text)
             return text
 
@@ -168,11 +175,10 @@ class LazyJoin(TwoSidedValues):
         _, lb, right_index = binding
         return self._scan(lb, right_index + 1)
 
-    # -- attributes (the two-sided shape supplies the value level) -----------
+    # -- attributes: the sides' own value ids -------------------------------
     def attribute(self, binding, var):
         self._check_var(var)
         _, lb, right_index = binding
         if var in self._left_vars:
-            return ("L", self.left.attribute(lb, var))
-        rb = self._inner_binding(right_index)
-        return ("R", self.right.attribute(rb, var))
+            return self.left.attribute(lb, var)
+        return self.right.attribute(self._inner_binding(right_index), var)

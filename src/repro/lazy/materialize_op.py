@@ -31,7 +31,7 @@ class LazyMaterialize(LazyOperator):
     untouched variables (e.g. the source-root binding the construction
     never looks at) cost nothing.
 
-    Value ids are ``("m", binding_index, var_index, path)`` --
+    Value ids are ``(owner, binding_index, var_index, path)`` --
     child-index paths into the buffered value trees, the same scheme
     as MaterializedDocument.
     """
@@ -67,7 +67,6 @@ class LazyMaterialize(LazyOperator):
         if tree is MISS:
             child_binding = self._force()[binding_index]
             tree = materialize_value(
-                self.child,
                 self.child.attribute(child_binding,
                                      self.variables[var_index]))
             self._values.put(key, tree)
@@ -90,24 +89,25 @@ class LazyMaterialize(LazyOperator):
 
     def attribute(self, binding, var):
         self._check_var(var)
-        return ("m", binding[1], self.variables.index(var), ())
+        return (self.spanned or self, binding[1],
+                self.variables.index(var), ())
 
     # -- values --------------------------------------------------------------
     def v_down(self, value):
-        _, b, v, path = value
+        owner, b, v, path = value
         if self._node(b, v, path).is_leaf:
             return None
-        return ("m", b, v, path + (0,))
+        return (owner, b, v, path + (0,))
 
     def v_right(self, value):
-        _, b, v, path = value
+        owner, b, v, path = value
         if not path:
             return None  # value roots have no siblings
         parent = self._node(b, v, path[:-1])
         index = path[-1] + 1
         if index >= len(parent.children):
             return None
-        return ("m", b, v, path[:-1] + (index,))
+        return (owner, b, v, path[:-1] + (index,))
 
     def v_fetch(self, value):
         _, b, v, path = value

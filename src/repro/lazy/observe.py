@@ -8,10 +8,13 @@ Wrapped around every lazy mediator at plan-build time (gated on
 ``EngineConfig.observe_operators``), it brackets each protocol call --
 ``first_binding`` / ``next_binding`` / ``attribute`` / ``v_down`` /
 ``v_right`` / ``v_fetch`` / ``v_select`` -- in an ``operator`` span.
-Because operators call their *inputs* through the same protocol, the
-spans nest: one client navigation becomes a tree whose internal nodes
-are operator calls and whose leaves are buffer fills and source
-commands -- exactly what the browsability profiler
+Binding-level calls go to an operator's *inputs*, so their spans nest
+down the plan.  Value ids name their owner, and a wrapped operator's
+owner is its proxy: a value navigation opens one span, at the operator
+that minted the id, and none at the operators it crosses on the way
+(they no longer run).  One client navigation thus becomes a tree whose
+internal nodes are operator calls and whose leaves are buffer fills
+and source commands -- exactly what the browsability profiler
 (:mod:`repro.navigation.profiler`) measures amplification from.
 
 The proxy is transparent: it subclasses :class:`LazyOperator`, shares
@@ -42,6 +45,8 @@ class SpannedOperator(LazyOperator):
         self.op = op
         self.name = name
         self.ctx = op.ctx
+        # the ids the operator mints route their navigations here
+        op.spanned = self
 
     @property
     def variables(self):
@@ -95,4 +100,6 @@ class SpannedOperator(LazyOperator):
         return getattr(self.op, attr)
 
     def __repr__(self) -> str:
-        return "SpannedOperator(%s, %r)" % (self.name, self.op)
+        # the name alone: it is printed inside every id that names
+        # this proxy as owner
+        return self.name

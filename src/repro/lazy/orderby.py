@@ -49,7 +49,7 @@ class LazyOrderBy(UnaryOperator):
         while ib is not None:
             key = tuple(
                 sort_key_for_value(value_text_of(
-                    self.child, self.child.attribute(ib, var)))
+                    self.child.attribute(ib, var)))
                 for var in self.sort_vars
             )
             entries.append((key, position, ib))
@@ -70,7 +70,7 @@ class LazyOrderBy(UnaryOperator):
         index = binding[1] + 1
         return ("b", index) if index < len(order) else None
 
-    # -- attributes (values pass through: the pass-through shape) ----------
+    # -- attributes (the input's value ids: the pass-through shape) --------
     def attribute(self, binding, var):
         self._check_var(var)
         ib = self._force()[binding[1]]

@@ -23,8 +23,8 @@ __all__ = ["LazySelect", "LazyProject", "LazyConstant", "LazyRename"]
 class LazySelect(FilterOperator):
     """``sigma_p``: bindings of the input satisfying ``p``.
 
-    The filter shape (``("b", ib)`` binding ids, values pass through)
-    with the predicate as the survival test.  Predicate evaluation
+    The filter shape (``("b", ib)`` binding ids, the input's value
+    ids) with the predicate as the survival test.  Predicate evaluation
     materializes only the text of the mentioned variables' values;
     per-binding verdicts are memoized when caching is on.
     """
@@ -38,8 +38,8 @@ class LazySelect(FilterOperator):
         self._test = predicate.compile(self._getter)
 
     def _getter(self, var: str):
-        child, attribute = self.child, self.child.attribute
-        return lambda ib: value_text_of(child, attribute(ib, var))
+        attribute = self.child.attribute
+        return lambda ib: value_text_of(attribute(ib, var))
 
     def _keep(self, ib) -> bool:
         verdict = self._verdicts.get(ib, MISS)
@@ -51,8 +51,8 @@ class LazySelect(FilterOperator):
 
 
 class LazyProject(UnaryOperator):
-    """``pi_{vars}``: restrict the visible attributes; bindings and
-    values pass straight through."""
+    """``pi_{vars}``: restrict the visible attributes; binding and
+    value ids are the input's."""
 
     def __init__(self, child: LazyOperator, variables,
                  context: Optional[ExecutionContext] = None):
@@ -64,7 +64,8 @@ class LazyProject(UnaryOperator):
 
 
 class LazyRename(UnaryOperator):
-    """``rho``: rename variables; bindings and values pass through."""
+    """``rho``: rename variables; binding and value ids are the
+    input's."""
 
     def __init__(self, child: LazyOperator, mapping: dict,
                  context: Optional[ExecutionContext] = None):
@@ -84,9 +85,9 @@ class LazyRename(UnaryOperator):
 class LazyConstant(UnaryOperator):
     """Extend each input binding with a fixed in-memory tree.
 
-    The constant's value ids are child-index paths into the tree (the
-    same scheme as MaterializedDocument), tagged ``("const", path)``;
-    everything else passes through.
+    The constant's value ids are ``(owner, path)``, child-index paths
+    into the tree (the same scheme as MaterializedDocument); every
+    other variable's ids are the input's.
     """
 
     def __init__(self, child: LazyOperator, value: Tree, out_var: str,
@@ -105,39 +106,25 @@ class LazyConstant(UnaryOperator):
     def attribute(self, binding, var):
         self._check_var(var)
         if var == self.out_var:
-            return ("const", ())
-        return ("sub", self.child.attribute(binding, var))
+            return (self.spanned or self, ())
+        return self.child.attribute(binding, var)
 
+    # -- values (own ids only; v_select is the protocol's scan) -----------
     def v_down(self, value):
-        if value[0] == "const":
-            path = value[1]
-            if self._node(path).is_leaf:
-                return None
-            return ("const", path + (0,))
-        child = self.child.v_down(value[1])
-        return ("sub", child) if child is not None else None
+        owner, path = value
+        if self._node(path).is_leaf:
+            return None
+        return (owner, path + (0,))
 
     def v_right(self, value):
-        if value[0] == "const":
-            path = value[1]
-            if not path:
-                return None  # the constant root is a value root
-            parent = self._node(path[:-1])
-            index = path[-1] + 1
-            if index >= len(parent.children):
-                return None
-            return ("const", path[:-1] + (index,))
-        sibling = self.child.v_right(value[1])
-        return ("sub", sibling) if sibling is not None else None
+        owner, path = value
+        if not path:
+            return None  # the constant root is a value root
+        parent = self._node(path[:-1])
+        index = path[-1] + 1
+        if index >= len(parent.children):
+            return None
+        return (owner, path[:-1] + (index,))
 
     def v_fetch(self, value):
-        if value[0] == "const":
-            return self._node(value[1]).label
-        return self.child.v_fetch(value[1])
-
-    def v_select(self, value, predicate):
-        if value[0] == "const":
-            # own values: the protocol's default sibling scan
-            return LazyOperator.v_select(self, value, predicate)
-        found = self.child.v_select(value[1], predicate)
-        return ("sub", found) if found is not None else None
+        return self._node(value[1]).label

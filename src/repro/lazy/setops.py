@@ -1,6 +1,7 @@
 """Lazy set/list operators: union, difference, distinct.
 
-* ``union`` is fully lazy: left bindings first, then right.
+* ``union`` is fully lazy: left bindings first, then right; its value
+  ids are the sides' own.
 * ``difference`` must know the complete right side before emitting
   anything (value-level anti-join) -- unbrowsable on its right input.
 * ``distinct`` is browsable: it streams the left input, skipping
@@ -15,14 +16,14 @@ from typing import List, Optional, Set
 from ..runtime.cache import MISS
 from ..runtime.context import ExecutionContext
 from .base import (FilterOperator, LazyError, LazyOperator,
-                   TwoSidedValues, canonical_key_of)
+                   canonical_key_of)
 
 __all__ = ["LazyUnion", "LazyDifference", "LazyDistinct"]
 
 
-class LazyUnion(TwoSidedValues):
-    """Left bindings followed by right bindings (same schema); the
-    two-sided shape supplies the value level."""
+class LazyUnion(LazyOperator):
+    """Left bindings followed by right bindings (same schema); a
+    value id is the one its side hands out."""
 
     def __init__(self, left: LazyOperator, right: LazyOperator,
                  context: Optional[ExecutionContext] = None):
@@ -31,7 +32,9 @@ class LazyUnion(TwoSidedValues):
                 "union schemas differ: %s vs %s"
                 % (left.variables, right.variables)
             )
-        super().__init__(left, right, context)
+        super().__init__(context)
+        self.left = left
+        self.right = right
         self.variables = list(left.variables)
 
     def first_binding(self):
@@ -56,12 +59,12 @@ class LazyUnion(TwoSidedValues):
         self._check_var(var)
         side, ib = binding
         op = self.left if side == "L" else self.right
-        return (side, op.attribute(ib, var))
+        return op.attribute(ib, var)
 
 
 def _binding_key(op: LazyOperator, ib, variables):
     """The whole binding ``ib`` of ``op`` as one canonical key."""
-    return tuple(canonical_key_of(op, op.attribute(ib, var))
+    return tuple(canonical_key_of(op.attribute(ib, var))
                  for var in variables)
 
 

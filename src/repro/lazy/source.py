@@ -22,10 +22,10 @@ class _Unheard:
 class LazySource(LazyOperator):
     """``source_{url -> v}`` over a NavigableDocument.
 
-    Value ids are ``("v", pointer, is_root)``: the flag pins down that
-    a binding's value root has no right sibling even if the underlying
-    pointer does (it never does for a document root, but the invariant
-    is kept uniform with the other operators).
+    Value ids are ``(owner, pointer, is_root)``: the flag pins down
+    that a binding's value root has no right sibling even if the
+    underlying pointer does (it never does for a document root, but the
+    invariant is kept uniform with the other operators).
 
     Over a source its context meters (a mediator's registered
     :class:`~repro.navigation.counting.CountingDocument`) the operator
@@ -65,7 +65,7 @@ class LazySource(LazyOperator):
 
     def attribute(self, binding, var):
         self._check_var(var)
-        return ("v", self.document.root(), True)
+        return (self.spanned or self, self.document.root(), True)
 
     # -- values --------------------------------------------------------------
     def v_down(self, value):
@@ -73,7 +73,7 @@ class LazySource(LazyOperator):
         if self._tracer.active or self._metrics.enabled:
             self._publish("d")
         child = self._down(value[1])
-        return ("v", child, False) if child is not None else None
+        return (value[0], child, False) if child is not None else None
 
     def v_right(self, value):
         if value[2]:
@@ -82,7 +82,7 @@ class LazySource(LazyOperator):
         if self._tracer.active or self._metrics.enabled:
             self._publish("r")
         sibling = self._right(value[1])
-        return ("v", sibling, False) if sibling is not None else None
+        return (value[0], sibling, False) if sibling is not None else None
 
     def v_fetch(self, value):
         self._navs.fetch += 1
@@ -91,11 +91,11 @@ class LazySource(LazyOperator):
         return self._fetch(value[1])
 
     def v_select(self, value, predicate):
-        _, pointer, is_root = value
+        owner, pointer, is_root = value
         if is_root:
             return None
         self._navs.select += 1
         if self._tracer.active or self._metrics.enabled:
             self._publish("select")
         found = self.document.select(pointer, predicate)
-        return ("v", found, False) if found is not None else None
+        return (owner, found, False) if found is not None else None

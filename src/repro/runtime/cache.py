@@ -29,13 +29,20 @@ Two cache kinds exist:
     Evaluation state the operator semantics rely on (groupBy's
     ``G_prev`` group registry, an explicit Materialize buffer): always
     on, never evicted, reported but exempt from the budget.
+
+The entries belong to the operator that registered the cache; the
+manager keeps each cache's name, kind and counters, and reaches the
+cache itself only through a budget's LRU tokens.  Entries hold
+node-ids, and a value id names its operator, so a registry of the
+caches would close a cycle through the query's context: without a
+budget a finished query is freed by reference counting instead.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 from .counters import Counters
 
 __all__ = ["MISS", "CacheStats", "ManagedCache", "CacheManager"]
@@ -94,11 +101,11 @@ class ManagedCache:
     lookup is one ``dict.get``.
     """
 
-    __slots__ = ("manager", "name", "kind", "stats", "_data", "_id",
+    __slots__ = ("manager", "name", "kind", "stats", "_data",
                  "_bypass", "_ranked")
 
-    def __init__(self, manager: "CacheManager", name: str, kind: str,
-                 cache_id: int) -> None:
+    def __init__(self, manager: "CacheManager", name: str,
+                 kind: str) -> None:
         if kind not in ("memo", "state"):
             raise ValueError("unknown cache kind %r" % kind)
         self.manager = manager
@@ -106,12 +113,8 @@ class ManagedCache:
         self.kind = kind
         self.stats = CacheStats()
         self._data: Dict[Hashable, object] = {}
-        self._id = cache_id
         self._bypass = kind == "memo" and not manager.enabled
         self._ranked = kind == "memo" and manager.budget is not None
-
-    def __len__(self) -> int:
-        return len(self._data)
 
     def get(self, key: Hashable, default: object = MISS) -> object:
         """The cached value for ``key``, else ``default`` (counted)."""
@@ -123,7 +126,7 @@ class ManagedCache:
             return default
         self.stats.hits += 1
         if self._ranked:
-            self.manager._lru.move_to_end((self._id, key))
+            self.manager._lru.move_to_end((self, key))
         return value
 
     def peek(self, key: Hashable, default: object = MISS) -> object:
@@ -134,7 +137,7 @@ class ManagedCache:
         if value is MISS:
             return default
         if self._ranked:
-            self.manager._lru.move_to_end((self._id, key))
+            self.manager._lru.move_to_end((self, key))
         return value
 
     def put(self, key: Hashable, value: object) -> None:
@@ -146,7 +149,7 @@ class ManagedCache:
             self.stats.entries += 1
         data[key] = value
         if self._ranked:
-            self.manager._rank(self._id, key)
+            self.manager._rank(self, key)
 
     def _evict(self, key: Hashable) -> None:
         del self._data[key]
@@ -176,9 +179,11 @@ class CacheManager:
             raise ValueError("budget must be >= 0 or None")
         self.budget = budget
         self.enabled = enabled
-        self._caches: List[ManagedCache] = []
+        #: ``(name, kind, counters)`` per registered cache: what the
+        #: reports read, kept after the cache's operator is gone
+        self._registered: List[Tuple[str, str, CacheStats]] = []
         #: global LRU over memo entries, kept only under a budget:
-        #: (cache id, key) -> None, one token per live entry
+        #: (cache, key) -> None, one token per live entry
         self._lru: "OrderedDict" = OrderedDict()
         self.evictions = 0
 
@@ -189,50 +194,49 @@ class CacheManager:
         Multiple registrations may share a name (one per operator
         instance); :meth:`report` aggregates them by name.
         """
-        managed = ManagedCache(self, name, kind, len(self._caches))
-        self._caches.append(managed)
+        managed = ManagedCache(self, name, kind)
+        self._registered.append((name, kind, managed.stats))
         return managed
 
     # -- LRU bookkeeping ---------------------------------------------------
-    def _rank(self, cache_id: int, key: Hashable) -> None:
-        """Make ``key`` of memo cache ``cache_id`` the most recent
-        entry, then evict down to the budget (only called when there
-        is a budget)."""
+    def _rank(self, cache: ManagedCache, key: Hashable) -> None:
+        """Make ``key`` of memo cache ``cache`` the most recent entry,
+        then evict down to the budget (only called when there is a
+        budget)."""
         lru = self._lru
-        token = (cache_id, key)
+        token = (cache, key)
         if token in lru:
             lru.move_to_end(token)
         else:
             lru[token] = None
         budget = self.budget
         while budget is not None and len(lru) > budget:
-            victim_id, victim = lru.popitem(last=False)[0]
-            self._caches[victim_id]._evict(victim)
+            victim, victim_key = lru.popitem(last=False)[0]
+            victim._evict(victim_key)
             self.evictions += 1
 
     # -- reporting ---------------------------------------------------------
     @property
     def memo_entries(self) -> int:
         """Live memo entries (the budgeted quantity)."""
-        return sum(len(c) for c in self._caches if c.kind == "memo")
+        return sum(s.entries for _, k, s in self._registered if k == "memo")
 
     @property
     def state_entries(self) -> int:
-        return sum(len(c) for c in self._caches if c.kind == "state")
+        return sum(s.entries for _, k, s in self._registered if k == "state")
 
     def report(self) -> "Dict[str, CacheStats]":
         """Counters aggregated by cache name."""
         merged: Dict[str, CacheStats] = {}
-        for cache in self._caches:
-            merged[cache.name] = merged.get(
-                cache.name, CacheStats()) + cache.stats
+        for name, _, stats in self._registered:
+            merged[name] = merged.get(name, CacheStats()) + stats
         return merged
 
     def totals(self) -> CacheStats:
         """All counters summed over every registered cache."""
         total = CacheStats()
-        for cache in self._caches:
-            total = total + cache.stats
+        for _, _, stats in self._registered:
+            total = total + stats
         return total
 
     def as_dict(self) -> dict:

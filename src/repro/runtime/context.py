@@ -346,6 +346,9 @@ class ExecutionContext:
         #: whichever thread opens them (concurrent sessions over one
         #: mediator), and names are minted from registry sizes
         self._registry_lock = make_lock("context.registry")
+        #: kind -> the last serial :meth:`register` minted; shared, with
+        #: the lock, by every context that adopts this one
+        self._serials: Dict[str, int] = {}
         #: per-kind serial numbers behind :meth:`mint_operator_name`
         self._operator_serials: Dict[str, int] = {}
         #: registered source document -> this query's NavCounters for
@@ -379,13 +382,13 @@ class ExecutionContext:
         return self.tracer.span(layer, name, **data)
 
     def mint_operator_name(self, kind: str) -> str:
-        """A fresh ``Kind#N`` label for one observed operator --
-        serials are per kind and per context, so names are
-        deterministic in plan-build order."""
-        with self._registry_lock:
-            serial = self._operator_serials.get(kind, 0) + 1
-            self._operator_serials[kind] = serial
-            return "%s#%d" % (kind, serial)
+        """A fresh ``Kind#N`` label for one built operator -- serials
+        are per kind and per context, so names are deterministic in
+        plan-build order.  One thread builds a query's plan, so this
+        takes no lock."""
+        serial = self._operator_serials.get(kind, 0) + 1
+        self._operator_serials[kind] = serial
+        return "%s#%d" % (kind, serial)
 
     # -- the stats registry ------------------------------------------------
     def register(self, kind: str, name: str,
@@ -395,25 +398,32 @@ class ExecutionContext:
 
         A ``name`` ending in ``#`` is a serial prefix: the entry is
         stored as ``name + N``, N being one more than the kind's
-        current population (``remote#1``, ``client-buffer#3``).  Mint
-        and insert happen under one lock, so concurrent sessions
-        opening channels never collide.
+        current population (``remote#1``, ``client-buffer#3``) or than
+        the last serial any context sharing this one's serials minted,
+        whichever is larger.  A lone query's names are its own
+        population's; two queries on one mediator never share a name,
+        so never a metrics series.  Mint and insert happen under one
+        lock, so concurrent sessions opening channels never collide.
         """
         with self._registry_lock:
             if name.endswith("#"):
-                name += str(1 + sum(1 for k, _ in self.stats
-                                    if k == kind))
+                serial = 1 + max(self._serials.get(kind, 0),
+                                 sum(1 for k, _ in self.stats
+                                     if k == kind))
+                self._serials[kind] = serial
+                name += str(serial)
             self.stats[(kind, name)] = counters
             return name
 
     def adopt(self, other: "ExecutionContext") -> None:
-        """Share another context's registered counters (the mediator
-        seeds each per-query context with the session-level wrapper
-        registrations)."""
-        with other._registry_lock:
-            entries = dict(other.stats)
+        """Share another context's registered counters, its serials and
+        the lock guarding both (the mediator seeds each per-query
+        context with the session-level wrapper registrations, so its
+        queries mint serial names from one sequence)."""
+        self._registry_lock = other._registry_lock
         with self._registry_lock:
-            self.stats.update(entries)
+            self._serials = other._serials
+            self.stats.update(other.stats)
 
     def _snapshots(self) -> Dict[str, Dict[str, Dict[str, Any]]]:
         """``kind -> name -> snapshot`` over the whole registry, names

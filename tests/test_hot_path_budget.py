@@ -78,11 +78,12 @@ def _calls_per_navigation(register):
     return calls / navigations
 
 
-# Measured at the commit that set them (11.60 and 9.03), plus 5 %.
-# The commits before read 12.61 and 10.03, and 19.98 and 16.48.
+# Measured at the commit that set them (8.39 and 8.80, once value
+# navigations went straight to the id's owner), plus 5 %.  The commits
+# before read 11.60 and 9.03, 12.61 and 10.03, and 19.98 and 16.48.
 @pytest.mark.parametrize("register, bound", [
-    (_join_scan, 12.2),
-    (_wrapped_scan, 9.5),
+    (_join_scan, 8.9),
+    (_wrapped_scan, 9.3),
 ], ids=["join_scan", "wrapped_scan"])
 def test_python_calls_per_source_navigation(register, bound):
     """May shrink, never grow past the bound without someone editing

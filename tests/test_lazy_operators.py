@@ -124,7 +124,7 @@ class TestLazyGetDescendants:
         vid = op.attribute(b, "H")
         # The home element has a sibling in the source, but as a bound
         # value it is a root.
-        assert op.v_right(vid) is None
+        assert vid[0].v_right(vid) is None
 
     def test_resume_from_stale_binding_id(self):
         # Node-ids encode associations: an old id stays navigable.
@@ -251,14 +251,13 @@ class TestLoweredPredicates:
                 if var in join._left_vars:
                     if var not in left_texts:
                         left_texts[var] = value_text_of(
-                            join.left, join.left.attribute(lb, var))
+                            join.left.attribute(lb, var))
                     return left_texts[var]
                 text = join._inner_texts.get((right_index, var), MISS)
                 if text is not MISS:
                     return text
                 rb = join._inner_binding(right_index)
-                text = value_text_of(join.right,
-                                     join.right.attribute(rb, var))
+                text = value_text_of(join.right.attribute(rb, var))
                 join._inner_texts.put((right_index, var), text)
                 return text
 
@@ -268,8 +267,7 @@ class TestLoweredPredicates:
     @staticmethod
     def _interpreted_select_test(select):
         return lambda ib: select.predicate.evaluate(
-            lambda var: value_text_of(
-                select.child, select.child.attribute(ib, var)))
+            lambda var: value_text_of(select.child.attribute(ib, var)))
 
     def _run(self, plan, config, interpret=None):
         docs = {url: CountingDocument(MaterializedDocument(tree),
@@ -457,7 +455,7 @@ class TestValueHelpers:
         binding = op.first_binding()
         vid = op.attribute(binding, "V")
         before = docs["homesSrc"].counters.fetch
-        assert value_text_of(op, vid) == "91220"
+        assert value_text_of(vid) == "91220"
         # one failed v_down probe + one fetch
         assert docs["homesSrc"].counters.fetch - before <= 1
 
@@ -465,5 +463,5 @@ class TestValueHelpers:
         trees = {"homesSrc": homes_source()}
         op = lazy_of(HOMES_WITH_ZIPS, trees)
         vid = op.attribute(op.first_binding(), "H")
-        assert materialize_value(op, vid) == \
+        assert materialize_value(vid) == \
             elem("home", elem("addr", "La Jolla"), elem("zip", "91220"))

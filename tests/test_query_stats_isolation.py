@@ -6,6 +6,11 @@ mediator-wide meters less a baseline taken at ``prepare()``, so two
 queries navigated after both were prepared each reported the other's
 navigations too (3 276 each instead of 1 638 on Figure 3 over
 ``homes_and_schools(10, seed=1)``).
+
+The same holds for a query's remote channel and its metrics series:
+every query's context used to name its first channel ``remote#1``, so
+two queries on one mediator added into one series (70 round trips
+where each query's own ``stats()`` read 35).
 """
 
 import gc
@@ -109,3 +114,22 @@ def test_meter_folds_collected_queries_and_stays_bounded(solo):
     assert mediator.total_source_navigations() == 0
     mediator.prepare(HOMES_SCHOOLS_QUERY).root.to_tree()
     assert mediator.total_source_navigations() == solo[1]["total"]
+
+
+def test_each_remote_query_reads_its_own_metrics_series():
+    mediator = MIXMediator(EngineConfig(metrics_enabled=True))
+    for name, tree in homes_and_schools(5).items():
+        mediator.register_source(name, MaterializedDocument(tree))
+    reports = []
+    for _ in range(2):
+        result = mediator.prepare(HOMES_SCHOOLS_QUERY)
+        root, _channel = result.connect_remote(chunk_size=2, depth=2)
+        root.to_tree()
+        reports.append(result.stats())
+    names = []
+    for report in reports:
+        (name, channel), = report["channels"]["per_channel"].items()
+        series = report["metrics"]["channel_round_trips_total"]["series"]
+        assert series["channel=" + name] == channel["messages"] == 35
+        names.append(name)
+    assert names == ["remote#1", "remote#2"]

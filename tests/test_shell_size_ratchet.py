@@ -21,16 +21,18 @@ from pathlib import Path
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 SHELL_PACKAGES = ("runtime", "buffer", "server", "client")
 
-#: measured after the query caches lost their lock (before: 4058; now
-#: runtime 1920, buffer 638, server 1096, client 397)
-SHELL_CODE_LINES = 4051
+#: measured when the cache registry stopped holding the caches and a
+#: mediator's contexts began sharing serial names (before: 4051, after
+#: the query caches lost their lock; now runtime 1919, buffer 638,
+#: server 1096, client 397)
+SHELL_CODE_LINES = 4050
 
-#: all of ``src/repro``, measured when each query began counting its
-#: own source navigations (``SourceMeter``, ``LazySource`` as the
-#: meter) and exported fills were serialized: raised on purpose from
-#: 13635, the count after operator fan-out, the URI registries and the
-#: lock-creation census were deleted (before that: 13816)
-PACKAGE_CODE_LINES = 13658
+#: all of ``src/repro``, measured when value ids began naming their
+#: owner (``lazy/`` 1314 -> 1238 code lines).  Before: 13658, when each
+#: query began counting its own source navigations, raised on purpose
+#: from 13635, the count after operator fan-out, the URI registries
+#: and the lock-creation census were deleted (before that: 13816)
+PACKAGE_CODE_LINES = 13581
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
