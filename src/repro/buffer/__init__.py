@@ -13,11 +13,7 @@ from .holes import (
     FragHole,
     Fragment,
     LXPProtocolError,
-    OpenElem,
-    OpenHole,
-    count_holes,
     fragment_of_tree,
-    open_tree_to_tree,
     validate_fill_reply,
 )
 from .lxp import (
@@ -30,9 +26,9 @@ from .lxp import (
 )
 
 __all__ = [
-    "OpenElem", "OpenHole", "FragElem", "FragHole", "Fragment",
+    "FragElem", "FragHole", "Fragment",
     "LXPProtocolError", "validate_fill_reply", "fragment_of_tree",
-    "open_tree_to_tree", "count_holes", "reply_holes",
+    "reply_holes",
     "LXPServer", "LXPStats", "TreeLXPServer", "AdaptiveTreeLXPServer",
     "RandomizedLXPServer",
     "BufferComponent", "BufferStats", "PrefetchStats", "BatchStats",

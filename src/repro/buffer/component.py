@@ -7,6 +7,14 @@ every wrapper -- the modularity argument of the refined VXD
 architecture ("instead of having each wrapper handle its own buffering
 needs ... a separate generic buffer component").
 
+The open tree is kept as node tables: parallel lists with one entry
+per node -- its label (``None`` for a hole), first child, right and
+left sibling, and parent -- so a pointer is a node number, ``down``,
+``right`` and ``fetch`` each read one entry, and a splice appends the
+reply's nodes and relinks the hole's neighbours.  Nothing points back
+at the buffer, so a finished query's open tree is freed by reference
+counting.
+
 The ``down``/``right`` implementations are the chase algorithms of
 Figure 8, generalized to the most liberal LXP replies: fills may return
 holes at arbitrary positions, so the chase loops until it reaches an
@@ -55,7 +63,7 @@ from __future__ import annotations
 from concurrent.futures import Future
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..navigation.interface import NavigableDocument
 from ..xtree.tree import Tree
@@ -63,11 +71,6 @@ from .holes import (
     FragHole,
     HoleIndex,
     LXPProtocolError,
-    OpenElem,
-    OpenHole,
-    count_holes,
-    fragment_of_tree,
-    graft,
     validate_fill_reply,
 )
 from .lxp import LXPServer
@@ -151,8 +154,9 @@ class BatchStats(Counters):
 class BufferComponent(NavigableDocument):
     """A NavigableDocument over an LXP wrapper, backed by an open tree.
 
-    Pointers are :class:`OpenElem` nodes (object identity).  The open
-    tree only ever grows/refines; handed-out pointers stay valid.
+    Pointers are node numbers (``int``) into the buffer's node tables.
+    The open tree only ever grows/refines: a node keeps its number for
+    the buffer's lifetime, so handed-out pointers stay valid.
 
     ``lookahead`` fills may run ahead of what the client demanded,
     fetched by ``workers`` pool threads (0: synchronously), or inside
@@ -177,15 +181,25 @@ class BufferComponent(NavigableDocument):
         #: commands and round trips a fill provokes nest under it
         self.tracer = tracer
         self.name = name
-        self._root: Optional[OpenElem] = None
-        #: a virtual super-root whose single child list holds the root
-        #: element (or its hole before the first fill)
-        self._top = OpenElem("#top")
-        root_hole = OpenHole(server.get_root().hole_id, self._top)
-        self._top.children = [root_hole]
-        #: the outstanding holes, kept only when a policy reads them
+        self._root: Optional[int] = None
+        #: the open tree, one entry per node: its label (None: a hole),
+        #: first child, right and left sibling, and parent (None: there
+        #: is none).  Node 0 is a virtual ``#top`` whose children are
+        #: the root element -- node 1 is its hole before the first fill
+        #: -- so no pointer handed out is 0.  A filled hole's entry is
+        #: left in place, unlinked, and never reused.
+        self._label: List[Optional[str]] = ["#top", None]
+        self._first: List[Optional[int]] = [1, None]
+        self._next: List[Optional[int]] = [None, None]
+        self._prev: List[Optional[int]] = [None, None]
+        self._parent: List[Optional[int]] = [None, 0]
+        root_id = server.get_root().hole_id
+        #: the wrapper's id of each outstanding hole, by node
+        self._hole_ids: Dict[int, object] = {1: root_id}
+        #: the outstanding holes in order, kept only when a policy
+        #: reads them
         self._holes: Optional[HoleIndex] = (
-            HoleIndex(root_hole) if lookahead or batch else None)
+            HoleIndex(1, root_id) if lookahead or batch else None)
         #: the look-ahead pool (threads start with its first fill);
         #: None when no policy uses one, and again once closed
         self._pool: Optional[FanoutDispatcher] = (
@@ -193,8 +207,8 @@ class BufferComponent(NavigableDocument):
             if workers and not batch else None)
         #: holes whose look-ahead fill is in flight (or complete, not
         #: yet spliced)
-        self._inflight: Dict[OpenHole, Future] = {}
-        #: guards the open tree, the hole index, the in-flight table
+        self._inflight: Dict[int, Future] = {}
+        #: guards the node tables, the hole index, the in-flight table
         #: and the fill counters.  Pool workers never take it (they
         #: only run the source I/O); it is re-entrant because a splice
         #: happens inside a navigation that already holds it.
@@ -210,15 +224,17 @@ class BufferComponent(NavigableDocument):
         hole-free subtree, so every later navigation is a buffer hit
         and no fill (hence no source navigation) can ever happen.
         """
-        # No lock: the buffer is thread-confined until returned (the
-        # same reasoning that exempts __init__).
         buffer = cls(_PrefilledServer(), tracer=tracer, name=name)
-        root = graft(fragment_of_tree(tree), buffer._top)
-        buffer._top.children = [root]
+        # No lock: the buffer is thread-confined until returned (the
+        # same reasoning that exempts __init__).  The tree takes the
+        # root hole's place before anyone can see it.
+        buffer._hole_ids.clear()
+        # lint: allow=L002
+        buffer._first[0] = buffer._graft_locked((tree,), 0)
         return buffer
 
     # -- splicing --------------------------------------------------------
-    def _splice(self, hole: OpenHole, fragments) -> None:
+    def _splice(self, hole: int, fragments) -> None:
         """Replace ``hole`` in the open tree by ``fragments``.
 
         The one mutation point of the open tree: every fill reply --
@@ -227,15 +243,67 @@ class BufferComponent(NavigableDocument):
         validate_fill_reply(fragments)
         with self._lock:
             self.stats.fills += 1
-            parent = hole.parent
-            index = parent.children.index(hole)
-            spliced = [graft(f, parent) for f in fragments]
-            parent.children[index:index + 1] = spliced
+            label, first, nxt, prev = (self._label, self._first,
+                                       self._next, self._prev)
+            hole_id = self._hole_ids.pop(hole)
+            parent, before, after = self._parent[hole], prev[hole], \
+                nxt[hole]
+            start = len(label)
+            tail = self._graft_locked(fragments, parent)
+            if tail is None:    # a dead end: the hole just goes
+                head, tail = after, before
+            else:
+                head = start
+                prev[head] = before
+                nxt[tail] = after
+            if before is None:
+                first[parent] = head
+            else:
+                nxt[before] = head
+            if after is not None:
+                prev[after] = tail
             if self._holes is not None:
-                self._holes.replace(hole, spliced)
+                hole_ids = self._hole_ids
+                self._holes.replace(hole, hole_id, [
+                    (node, hole_ids[node])
+                    for node in range(start, len(label))
+                    if label[node] is None])
+
+    def _graft_locked(self, fragments, parent: int) -> Optional[int]:
+        """Append ``fragments`` to the node tables as a run of siblings
+        under ``parent``, each with its subtree in document order (so
+        an element's first child is the next node).  A closed ``Tree``
+        has the same ``label``/``children`` and grafts the same way.
+        Returns the run's last node, None when it is empty; linking
+        the run's ends is the caller's."""
+        label, first, nxt, prev, up = (self._label, self._first,
+                                       self._next, self._prev,
+                                       self._parent)
+        last = None
+        for fragment in fragments:
+            node = len(label)
+            if last is not None:
+                nxt[last] = node
+            prev.append(last)
+            nxt.append(None)
+            up.append(parent)
+            if fragment.__class__ is FragHole:
+                label.append(None)
+                first.append(None)
+                self._hole_ids[node] = fragment.hole_id
+            else:
+                label.append(fragment.label)
+                children = fragment.children
+                if children:
+                    first.append(node + 1)
+                    self._graft_locked(children, node)
+                else:
+                    first.append(None)
+            last = node
+        return last
 
     # -- the fill policy -------------------------------------------------
-    def _fill_hole(self, hole: OpenHole) -> None:
+    def _fill_hole(self, hole: int) -> None:
         """Resolve a *demanded* hole the way the policy says, then
         look ahead (the caller holds the lock)."""
         with self._lock:
@@ -258,22 +326,23 @@ class BufferComponent(NavigableDocument):
         if self.lookahead and not self.batch:
             self._look_ahead()
 
-    def _demand(self, hole: OpenHole) -> None:
+    def _demand(self, hole: int) -> None:
         """One exchange with the server for ``hole``: a ``fill``, or a
         ``fill_batch`` whose speculative replies are spliced too."""
+        hole_id = self._hole_ids[hole]
         if not self.batch:
-            self._splice(hole, self.server.fill(hole.hole_id))
+            self._splice(hole, self.server.fill(hole_id))
             return
-        replies = self.server.fill_batch([hole.hole_id], self.lookahead)
+        replies = self.server.fill_batch([hole_id], self.lookahead)
         stats = self.batch_stats
         stats.batches += 1
         answered = False
-        for hole_id, fragments in replies:
-            target = self._holes.get(hole_id)
+        for reply_id, fragments in replies:
+            target = self._holes.get(reply_id)
             if target is None:
                 stats.dropped_replies += 1
                 continue
-            if target is hole:
+            if target == hole:
                 answered = True
             else:
                 stats.speculative_fills += 1
@@ -281,7 +350,7 @@ class BufferComponent(NavigableDocument):
         if not answered:
             raise LXPProtocolError(
                 "batch reply omitted the requested hole %r"
-                % (hole.hole_id,))
+                % (hole_id,))
 
     def _prefetch_fill(self, hole_id):
         """A look-ahead fill's source I/O -- on a pool worker, or
@@ -300,6 +369,7 @@ class BufferComponent(NavigableDocument):
         navigation.
         """
         lookahead = self.lookahead
+        hole_ids = self._hole_ids
         if self.workers:
             with self._lock:
                 pool, inflight = self._pool, self._inflight
@@ -316,7 +386,7 @@ class BufferComponent(NavigableDocument):
                         # runs on this thread, under this lock.
                         # lint: allow=L012
                         inflight[hole] = pool.submit(partial(
-                            self._prefetch_fill, hole.hole_id))
+                            self._prefetch_fill, hole_ids[hole]))
             return
         ahead = 0
         while ahead < lookahead:
@@ -324,7 +394,7 @@ class BufferComponent(NavigableDocument):
             if not holes:
                 return
             for hole in holes:
-                self._splice(hole, self._prefetch_fill(hole.hole_id))
+                self._splice(hole, self._prefetch_fill(hole_ids[hole]))
                 self.prefetch_stats.prefetch_fills += 1
                 ahead += 1
 
@@ -342,20 +412,23 @@ class BufferComponent(NavigableDocument):
         if pool is not None:
             pool.close()
 
-    def _chase_elem_at(self, parent: OpenElem,
-                       index: int) -> Optional[OpenElem]:
-        """First element at or after ``index`` in ``parent``'s child
-        list, filling holes as needed (Figure 8's chase, iterative)."""
-        while index < len(parent.children):
-            node = parent.children[index]
-            if isinstance(node, OpenElem):
+    def _chase(self, link: List[Optional[int]],
+               pointer: int) -> Optional[int]:
+        """The first element reached through ``link[pointer]`` (the
+        ``first`` or ``next`` table), filling holes as needed (Figure
+        8's chase, iterative).  A fill relinks the hole's left
+        neighbour, so the link is re-read after each."""
+        label = self._label
+        node = link[pointer]
+        while node is not None:
+            if label[node] is not None:
                 return node
             self._fill_hole(node)
-            # The hole was replaced in place; re-examine this index.
+            node = link[pointer]
         return None
 
     # -- NavigableDocument ---------------------------------------------------
-    def root(self) -> OpenElem:
+    def root(self) -> int:
         """The root element pointer.
 
         Note: resolving the root may require the first fill -- LXP's
@@ -370,7 +443,7 @@ class BufferComponent(NavigableDocument):
                 # demand fills run under the open-tree lock by
                 # design; see BLOCKING_HOLD_ALLOWED
                 # lint: allow=L011,L012
-                root = self._chase_elem_at(self._top, 0)
+                root = self._chase(self._first, 0)
                 if root is None:
                     raise LXPProtocolError(
                         "wrapper shipped no root element")
@@ -381,74 +454,67 @@ class BufferComponent(NavigableDocument):
     # when the adjacent node is an element (or there is none): that is
     # a hit, settled without entering the chase.  Only a hole in the
     # way starts the chase -- and the fills it makes.
-    def down(self, pointer: OpenElem) -> Optional[OpenElem]:
+    def down(self, pointer: int) -> Optional[int]:
         with self._lock:
             stats = self.stats
             stats.navigations += 1
-            children = pointer.children
-            if not children:
-                stats.hits += 1
-                return None
-            node = children[0]
-            if isinstance(node, OpenElem):
+            node = self._first[pointer]
+            if node is None or self._label[node] is not None:
                 stats.hits += 1
                 return node
             # demand fills run under the open-tree lock by
             # design; see BLOCKING_HOLD_ALLOWED
             # lint: allow=L011,L012
-            return self._chase_counted(pointer, 0)
+            return self._chase_counted(self._first, pointer)
 
-    def right(self, pointer: OpenElem) -> Optional[OpenElem]:
+    def right(self, pointer: int) -> Optional[int]:
         with self._lock:
             stats = self.stats
             stats.navigations += 1
-            parent = pointer.parent
-            if parent is None or parent is self._top:
+            node = self._next[pointer]
+            if node is None or self._parent[pointer] == 0:
                 # The root element has no siblings (the wrapper exports
-                # a single root; trailing holes beside it are not
+                # a single root; trailing nodes beside it are not
                 # chased).
                 stats.hits += 1
                 return None
-            siblings = parent.children
-            index = pointer.index_in_parent() + 1
-            if index >= len(siblings):
+            if self._label[node] is not None:
                 stats.hits += 1
-                return None
-            node = siblings[index]
-            if isinstance(node, OpenElem):
-                stats.hits += 1
-            else:
-                # demand fills run under the open-tree lock by
-                # design; see BLOCKING_HOLD_ALLOWED
-                # lint: allow=L011,L012
-                node = self._chase_counted(parent, index)
-                if node is None:
-                    return None
-            # The chase refills in place, so the sibling sits at
-            # ``index`` either way: a forward scan keeps every hint it
-            # will use next exact, whatever was spliced meanwhile.
-            node.pos = index
-            return node
+                return node
+            # demand fills run under the open-tree lock by
+            # design; see BLOCKING_HOLD_ALLOWED
+            # lint: allow=L011,L012
+            return self._chase_counted(self._next, pointer)
 
-    def _chase_counted(self, parent: OpenElem,
-                       index: int) -> Optional[OpenElem]:
-        """:meth:`_chase_elem_at` for a navigation (the caller holds
-        the lock): still a hit when the chase made no fill."""
+    def _chase_counted(self, link: List[Optional[int]],
+                       pointer: int) -> Optional[int]:
+        """:meth:`_chase` for a navigation (the caller holds the
+        lock): still a hit when the chase made no fill."""
         before = self.stats.fills
-        result = self._chase_elem_at(parent, index)
+        result = self._chase(link, pointer)
         if self.stats.fills == before:
             self.stats.hits += 1
         return result
 
-    def fetch(self, pointer: OpenElem) -> str:
+    def fetch(self, pointer: int) -> str:
         # Labels always travel with their elements: a fetch never
         # triggers a fill.
         with self._lock:
             self.stats.navigations += 1
             self.stats.hits += 1
-        return pointer.label
+            return self._label[pointer]
 
     # -- inspection -------------------------------------------------------
     def holes_outstanding(self) -> int:
+        """The holes left under the root element (anywhere, before the
+        first fill)."""
         with self._lock:
-            return count_holes(self._root or self._top)
+            top = self._root or 0
+            parent = self._parent
+            count = 0
+            for node in self._hole_ids:
+                # a parent's number is lower than its children's
+                while node > top:
+                    node = parent[node]
+                count += node == top
+            return count

@@ -64,16 +64,13 @@ def reply_holes(fragments: Sequence[Fragment]) -> List[object]:
     The speculation loop of :meth:`LXPServer.fill_batch` uses this to
     grow its frontier."""
     holes: List[object] = []
-
-    def walk(fragment: Fragment) -> None:
+    stack = list(reversed(fragments))
+    while stack:
+        fragment = stack.pop()
         if isinstance(fragment, FragHole):
             holes.append(fragment.hole_id)
         else:
-            for child in fragment.children:
-                walk(child)
-
-    for fragment in fragments:
-        walk(fragment)
+            stack.extend(reversed(fragment.children))
     return holes
 
 

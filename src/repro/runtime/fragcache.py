@@ -340,6 +340,20 @@ def reset_shared_store() -> None:
 # The caching seam
 # ----------------------------------------------------------------------
 
+def _expand(fragments: Sequence[Fragment],
+            replies: Dict[object, Tuple[Fragment, ...]]) -> List[Tree]:
+    """``fragments`` as trees, each hole replaced by the expansion of
+    its recorded reply (KeyError: a hole with none)."""
+    out: List[Tree] = []
+    for fragment in fragments:
+        if isinstance(fragment, FragHole):
+            out.extend(_expand(replies[fragment.hole_id], replies))
+        else:
+            out.append(Tree(fragment.label,
+                            _expand(fragment.children, replies)))
+    return out
+
+
 class CachingLXPServer(LXPServer):
     """An LXP proxy answering fills from a :class:`FragmentStore`.
 
@@ -469,20 +483,8 @@ class CachingLXPServer(LXPServer):
         root_id = self._root_id
         if root_id is None or root_id not in self._replies:
             return None
-
-        def expand(fragments: Sequence[Fragment]) -> List[Tree]:
-            out: List[Tree] = []
-            for fragment in fragments:
-                if isinstance(fragment, FragHole):
-                    out.extend(expand(
-                        self._replies[fragment.hole_id]))
-                else:
-                    out.append(Tree(fragment.label,
-                                    expand(list(fragment.children))))
-            return out
-
         try:
-            elements = expand(self._replies[root_id])
+            elements = _expand(self._replies[root_id], self._replies)
         except KeyError:
             return None
         if len(elements) != 1:

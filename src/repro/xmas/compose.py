@@ -70,21 +70,14 @@ def inline_views(query_plan: TupleDestroy,
                  views: Mapping[str, TupleDestroy]) -> TupleDestroy:
     """Compose a full query plan with view definitions, transitively
     (views may reference other views; cycles raise RecursionError)."""
-    composed: Dict[str, TupleDestroy] = {}
-    for name, view in views.items():
-        composed[name] = view
-
-    def fully(plan: Operator, depth: int = 0) -> Operator:
-        if depth > 32:
-            raise RecursionError(
-                "view composition exceeded depth 32 (cyclic views?)")
-        result = compose_plans(plan, composed)
+    from ..algebra.operators import walk_plan
+    composed: Dict[str, TupleDestroy] = dict(views)
+    body = query_plan.child
+    for _depth in range(33):
+        body = compose_plans(body, composed)
         # Re-compose until no view sources remain (views over views).
-        from ..algebra.operators import walk_plan
-        if any(isinstance(n, Source) and n.url in composed
-               for n in walk_plan(result)):
-            return fully(result, depth + 1)
-        return result
-
-    body = fully(query_plan.child)
-    return TupleDestroy(body, query_plan.var)
+        if not any(isinstance(n, Source) and n.url in composed
+                   for n in walk_plan(body)):
+            return TupleDestroy(body, query_plan.var)
+    raise RecursionError(
+        "view composition exceeded depth 32 (cyclic views?)")

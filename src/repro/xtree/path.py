@@ -223,6 +223,19 @@ def parse_path(text: str) -> PathExpr:
 Guard = Optional[str]
 
 
+def _has_repeat(expr: PathExpr) -> bool:
+    """Whether ``expr`` contains a ``*`` or ``+``."""
+    if isinstance(expr, (Star, Plus)):
+        return True
+    if isinstance(expr, Seq):
+        return any(_has_repeat(p) for p in expr.parts)
+    if isinstance(expr, Alt):
+        return any(_has_repeat(o) for o in expr.options)
+    if isinstance(expr, Opt):
+        return _has_repeat(expr.inner)
+    return False
+
+
 class PathNFA:
     """An epsilon-free NFA over node labels with set-of-states stepping.
 
@@ -311,19 +324,7 @@ class PathNFA:
         ``+``.  Recursive paths force the getDescendants mediator to
         cache visited input nodes (paper Section 3).
         """
-
-        def has_repeat(expr: PathExpr) -> bool:
-            if isinstance(expr, (Star, Plus)):
-                return True
-            if isinstance(expr, Seq):
-                return any(has_repeat(p) for p in expr.parts)
-            if isinstance(expr, Alt):
-                return any(has_repeat(o) for o in expr.options)
-            if isinstance(expr, Opt):
-                return has_repeat(expr.inner)
-            return False
-
-        return has_repeat(self.expr)
+        return _has_repeat(self.expr)
 
     # -- matcher interface ----------------------------------------------
     @property

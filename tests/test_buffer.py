@@ -4,6 +4,15 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    multiple,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.buffer import (
     AdaptiveTreeLXPServer,
@@ -11,18 +20,15 @@ from repro.buffer import (
     FragElem,
     FragHole,
     LXPProtocolError,
-    OpenElem,
-    OpenHole,
+    LXPServer,
     RandomizedLXPServer,
     TreeLXPServer,
-    count_holes,
     fragment_of_tree,
-    open_tree_to_tree,
     reply_holes,
     validate_fill_reply,
 )
 from repro.navigation import materialize
-from repro.xtree import Tree, elem, leaf
+from repro.xtree import Tree, elem, leaf, tree_size
 
 from .fixtures import pool_thread_ledger
 
@@ -185,30 +191,43 @@ class TestBufferComponent:
 
 
 class _CountingList(list):
-    """A child list that counts the items read from it: one per
-    indexed read or iteration step, and as many identity comparisons
-    as ``index`` had to make."""
+    """A node table that counts the entries read from it."""
 
-    comparisons = 0
+    reads = 0
 
     def __getitem__(self, index):
-        self.comparisons += 1
+        self.reads += 1
         return super().__getitem__(index)
 
-    def __iter__(self):
-        for item in super().__iter__():
-            self.comparisons += 1
-            yield item
 
-    def index(self, item, *args):
-        found = super().index(item, *args)
-        self.comparisons += found + 1
-        return found
+def _count_table_reads(buffer):
+    """Swap ``buffer``'s node tables for counting ones; returns a
+    reading of the entries read from them so far."""
+    tables = []
+    for name in ("_label", "_first", "_next", "_prev", "_parent"):
+        table = _CountingList(getattr(buffer, name))
+        setattr(buffer, name, table)
+        tables.append(table)
+    return lambda: sum(table.reads for table in tables)
+
+
+class _ScriptedServer(LXPServer):
+    """Answers each fill from a ``{hole_id: reply}`` script."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def get_root(self):
+        return FragHole(("root",))
+
+    def fill(self, hole_id):
+        return self.script[hole_id]
 
 
 class TestPositionHint:
-    """``OpenElem.pos`` is a hint checked on use: a splice to a node's
-    left moves it without telling it."""
+    """A pointer is a node number and ``right`` reads the ``next``
+    table: a splice to a node's left relinks the hole's neighbours and
+    moves no node, so there is no position to find again."""
 
     @pytest.mark.parametrize("labels", [
         ["x", "y", "z"],    # the hole becomes k > 1 fragments
@@ -216,53 +235,57 @@ class TestPositionHint:
         [],                 # ... none: a dead end
     ])
     def test_hint_survives_a_splice_to_the_left(self, labels):
-        buffer = BufferComponent.prefilled(
-            Tree("r", [leaf("a"), leaf("b"), leaf("c")]))
+        buffer = BufferComponent(_ScriptedServer({
+            ("root",): [FragElem("r", (FragElem("a"), FragHole("h"),
+                                       FragElem("b"), FragElem("c")))],
+            "h": [FragElem(label) for label in labels]}))
         root = buffer.root()
         a = buffer.down(root)
-        b = buffer.right(a)
+        # A walk splices a hole before it passes it, so the pointers
+        # right of the hole are taken from the table.
+        (hole,) = buffer._hole_ids
+        b = buffer._next[hole]
         c = buffer.right(b)
-        assert (a.pos, b.pos, c.pos) == (0, 1, 2)
-        hole = OpenHole("h", root)
-        root.children.insert(1, hole)
-        buffer._splice(hole, [FragElem(label) for label in labels])
-        # b and c have moved; their hints still say 1 and 2
-        assert (b.pos, c.pos) == (1, 2)
-        assert buffer.right(b) is c and buffer.right(c) is None
-        assert b.index_in_parent() == 1 + len(labels)
-        assert c.index_in_parent() == 2 + len(labels)
+        buffer._splice(hole, buffer.server.fill("h"))
+        assert (buffer.fetch(b), buffer.fetch(c)) == ("b", "c")
+        assert buffer.right(b) == c and buffer.right(c) is None
         walked, node = [], a
         while node is not None:
             walked.append(buffer.fetch(node))
             node = buffer.right(node)
         assert walked == ["a"] + labels + ["b", "c"]
-        assert all(root.children[node.pos] is node
-                   for node in root.children)
+        assert buffer.holes_outstanding() == 0
 
     def test_stale_hint_out_of_range(self):
-        buffer = BufferComponent.prefilled(
-            Tree("r", [leaf("a"), leaf("b")]))
-        a = buffer.down(buffer.root())
-        b = buffer.right(a)
-        b.pos = 7
-        assert b.index_in_parent() == 1 and b.pos == 1
-        assert buffer.right(b) is None
+        """Node numbers are not positions: children a later fill
+        grafts are numbered past the nodes to their right, and their
+        own links end their sibling list."""
+        buffer = BufferComponent(TreeLXPServer(
+            Tree("r", [elem("x", "1", "2"), elem("y", "3")]), depth=2))
+        x = buffer.down(buffer.root())
+        y = buffer.right(x)
+        one = buffer.down(x)
+        two = buffer.right(one)
+        assert y < one < two
+        assert buffer.fetch(two) == "2" and buffer.right(two) is None
+        assert buffer.right(y) is None
 
     def test_sibling_walk_is_linear(self):
-        """A ``right`` walk over n siblings locates each node in O(1)
-        -- counted in comparisons on the child list, not timed.  (One
-        ``list.index`` per step would be n^2/2 = 200 million.)"""
+        """A ``right`` walk over n siblings reads each step's links in
+        O(1) -- counted in reads of the node tables, not timed.  (A
+        search of the sibling list per step would be n^2/2 = 200
+        million.)"""
         n = 20000
         buffer = BufferComponent.prefilled(
             Tree("r", [leaf("x")] * n))
         root = buffer.root()
-        root.children = _CountingList(root.children)
+        reads = _count_table_reads(buffer)
         node, steps = buffer.down(root), 0
         while node is not None:
             node = buffer.right(node)
             steps += 1
         assert steps == n
-        assert root.children.comparisons <= 3 * n
+        assert reads() <= 3 * n
 
 
 class TestExample7Trace:
@@ -279,18 +302,7 @@ class TestExample7Trace:
             5: [],
             6: [FragElem("e")],
         }
-
-        class ScriptedServer(TreeLXPServer):
-            def __init__(self):
-                self.stats = type("S", (), {"fills": 0})()
-
-            def get_root(self):
-                return FragHole(("root",))
-
-            def fill(self, hole_id):
-                return script[hole_id]
-
-        buffer = BufferComponent(ScriptedServer())
+        buffer = BufferComponent(_ScriptedServer(script))
         assert materialize(buffer) == elem("a", elem("b", "d", "e"),
                                            elem("c"))
 
@@ -360,23 +372,11 @@ class TestPrefetching:
                          (2, 7, 14, 21), (4, 4, 16, 20)]
 
 
-class _CountingElem(OpenElem):
-    """An open element whose child list counts its reads."""
-
-    __slots__ = ()
-    lists = []
-
-    def __init__(self, label, parent=None):
-        super().__init__(label, parent)
-        self.children = _CountingList()
-        self.lists.append(self.children)
-
-
 class TestSchedulingPoint:
     """Look-ahead is scheduled where the set of holes changes -- when
-    a fill lands -- never per navigation: counted in child-list reads,
-    not timed.  (A walk of the open tree per navigation made both
-    scans below quadratic.)"""
+    a fill lands -- never per navigation: counted in reads of the node
+    tables, not timed.  (A walk of the open tree per navigation made
+    both scans below quadratic.)"""
 
     #: 31 chunks, so under a look-ahead of 2 the last fill of a scan
     #: is a demand fill and the model ends with budget to spare
@@ -387,27 +387,20 @@ class TestSchedulingPoint:
                           for _ in range(self.ROWS)])
 
     def _buffer(self, policy):
-        return BufferComponent(
+        """A buffer, and a reading of its table reads so far."""
+        buffer = BufferComponent(
             TreeLXPServer(self._tree(), chunk_size=self.CHUNK),
             **policy)
-
-    @pytest.fixture
-    def counted(self, monkeypatch):
-        """Every element grafted from now on counts its reads."""
-        monkeypatch.setattr(_CountingElem, "lists", [])
-        monkeypatch.setattr("repro.buffer.holes.OpenElem",
-                            _CountingElem)
-        return lambda: sum(children.comparisons
-                           for children in _CountingElem.lists)
+        return buffer, _count_table_reads(buffer)
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_rewalk_of_a_loaded_buffer_reads_what_the_plain_one_does(
-            self, counted, workers):
+            self, workers):
         reads = {}
         for name, policy in [
                 ("plain", {}),
                 ("ahead", {"lookahead": 2, "workers": workers})]:
-            buffer = self._buffer(policy)
+            buffer, counted = self._buffer(policy)
             try:
                 materialize(buffer)
                 assert buffer.holes_outstanding() == 0
@@ -419,17 +412,16 @@ class TestSchedulingPoint:
         assert reads["ahead"] == reads["plain"]
 
     @pytest.mark.parametrize("workers", [0, 1])
-    def test_first_scan_bookkeeping_is_linear(self, counted, workers):
+    def test_first_scan_bookkeeping_is_linear(self, workers):
         nodes = 1 + 5 * self.ROWS
         reads = []
         for policy in [{}, {"lookahead": 2, "workers": workers}]:
-            before = counted()
-            buffer = self._buffer(policy)
+            buffer, counted = self._buffer(policy)
             try:
                 assert materialize(buffer) == self._tree()
             finally:
                 buffer.close()
-            reads.append(counted() - before)
+            reads.append(counted())
         plain, ahead = reads
         # each spliced node is read once more, to index its holes
         assert plain <= ahead <= plain + 2 * nodes
@@ -537,6 +529,123 @@ def test_partial_navigation_matches_materialized(tree, seed,
     if not policy.get("workers"):
         # (fills a closed pool abandoned were sent, never spliced)
         assert_fills_reconcile(buffered_doc, server)
+
+
+class _DeadEndServer(RandomizedLXPServer):
+    """A liberal server that also ends some replies with a dead end: a
+    hole that stands for no element."""
+
+    dead_ends = 0
+
+    def fill(self, hole_id):
+        if hole_id[0] == "dead end":
+            return []
+        reply = super().fill(hole_id)
+        if reply and isinstance(reply[-1], FragElem) \
+                and self.rng.random() < 0.3:
+            self.dead_ends += 1
+            reply.append(FragHole(("dead end", self.dead_ends)))
+        return reply
+
+
+class BufferModel(RuleBasedStateMachine):
+    """The buffer against the tree it exposes, materialized: ``root``,
+    ``down``, ``right`` and ``fetch`` from any pointer handed out so
+    far, over a liberal server's replies.
+
+    The model names a node by its path.  Pointers and paths correspond
+    one to one, so a pointer that named another node after a splice to
+    its left shows up as soon as either node is reached again.
+    ``stats.navigations`` counts one per ``down``/``right``/``fetch``
+    and one for the first ``root``."""
+
+    pointers = Bundle("pointers")
+
+    def __init__(self, policy):
+        super().__init__()
+        self.policy = policy
+        self.buffer = None
+
+    @initialize(tree=_trees, seed=st.integers(0, 10000))
+    def open(self, tree, seed):
+        self.tree = tree
+        self.buffer = BufferComponent(_DeadEndServer(tree, seed=seed),
+                                      **self.policy)
+        self.path_of, self.pointer_at = {}, {}
+        self.navigations = 0
+        self.rooted = False
+
+    def teardown(self):
+        if self.buffer is not None:
+            self.buffer.close()
+
+    def _node(self, path):
+        node = self.tree
+        for index in path:
+            node = node.children[index]
+        return node
+
+    def _hand_out(self, pointer, path):
+        """``pointer`` is the buffer's answer where the model says
+        ``path`` (None: there is no such node)."""
+        if path is None:
+            assert pointer is None
+            return multiple()
+        assert self.path_of.setdefault(pointer, path) == path
+        assert self.pointer_at.setdefault(path, pointer) == pointer
+        return pointer
+
+    @rule(target=pointers)
+    def root(self):
+        pointer = self.buffer.root()
+        self.navigations += not self.rooted
+        self.rooted = True
+        return self._hand_out(pointer, ())
+
+    @rule(target=pointers, pointer=pointers)
+    def down(self, pointer):
+        path = self.path_of[pointer]
+        self.navigations += 1
+        child = path + (0,) if self._node(path).children else None
+        return self._hand_out(self.buffer.down(pointer), child)
+
+    @rule(target=pointers, pointer=pointers)
+    def right(self, pointer):
+        path = self.path_of[pointer]
+        self.navigations += 1
+        sibling = None
+        if path and path[-1] + 1 < len(self._node(path[:-1]).children):
+            sibling = path[:-1] + (path[-1] + 1,)
+        return self._hand_out(self.buffer.right(pointer), sibling)
+
+    @rule(pointer=pointers)
+    def fetch(self, pointer):
+        self.navigations += 1
+        assert self.buffer.fetch(pointer) \
+            == self._node(self.path_of[pointer]).label
+
+    @rule()
+    def walk_everything(self):
+        # one fetch and one down per node, one right per non-root node
+        self.navigations += 3 * tree_size(self.tree) - 1 \
+            + (not self.rooted)
+        self.rooted = True
+        assert materialize(self.buffer) == self.tree
+        assert self.buffer.holes_outstanding() == 0
+
+    @invariant()
+    def navigations_are_counted(self):
+        if self.buffer is not None:
+            assert self.buffer.stats.navigations == self.navigations
+
+
+@pytest.mark.parametrize("policy", POLICIES,
+                         ids=lambda policy: repr(policy))
+def test_buffer_state_machine(policy):
+    run_state_machine_as_test(
+        lambda: BufferModel(policy),
+        settings=settings(max_examples=40, stateful_step_count=30,
+                          deadline=None))
 
 
 class TestAdaptiveGranularity:

@@ -92,7 +92,7 @@ class _SpliceAudit:
 
         def audited(hole, fragments):
             with self._lock:
-                self.seen.append(hole.hole_id)
+                self.seen.append(buffer._hole_ids[hole])
             original(hole, fragments)
 
         buffer._splice = audited

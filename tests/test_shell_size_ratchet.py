@@ -21,18 +21,20 @@ from pathlib import Path
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 SHELL_PACKAGES = ("runtime", "buffer", "server", "client")
 
-#: measured when the cache registry stopped holding the caches and a
-#: mediator's contexts began sharing serial names (before: 4051, after
-#: the query caches lost their lock; now runtime 1919, buffer 638,
-#: server 1096, client 397)
-SHELL_CODE_LINES = 4050
+#: measured when the buffer's open tree became node tables (buffer 638
+#: -> 617; now runtime 1919, buffer 617, server 1096, client 397).
+#: Before: 4050, when the cache registry stopped holding the caches
+#: and a mediator's contexts began sharing serial names (before that:
+#: 4051, after the query caches lost their lock)
+SHELL_CODE_LINES = 4029
 
-#: all of ``src/repro``, measured when value ids began naming their
-#: owner (``lazy/`` 1314 -> 1238 code lines).  Before: 13658, when each
-#: query began counting its own source navigations, raised on purpose
-#: from 13635, the count after operator fan-out, the URI registries
-#: and the lock-creation census were deleted (before that: 13816)
-PACKAGE_CODE_LINES = 13581
+#: all of ``src/repro``, measured when the buffer's open tree became
+#: node tables.  Before: 13581, when value ids began naming their owner
+#: (``lazy/`` 1314 -> 1238 code lines); 13658, when each query began
+#: counting its own source navigations, raised on purpose from 13635,
+#: the count after operator fan-out, the URI registries and the
+#: lock-creation census were deleted (before that: 13816)
+PACKAGE_CODE_LINES = 13555
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
