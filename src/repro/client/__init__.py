@@ -6,18 +6,15 @@ from .bbq import BBQError, BBQSession
 from .element import XMLElement, open_virtual_document
 from .remote import (
     ChannelStats,
-    MessageChannel,
     MeteredTransport,
     NavigableLXPServer,
     RPCDocument,
     connect_remote,
-    fragment_wire_size,
 )
 
 __all__ = [
     "XMLElement", "open_virtual_document",
     "BBQSession", "BBQError",
-    "NavigableLXPServer", "MessageChannel", "MeteredTransport",
+    "NavigableLXPServer", "MeteredTransport",
     "ChannelStats", "RPCDocument", "connect_remote",
-    "fragment_wire_size",
 ]

@@ -9,12 +9,16 @@ communication overhead." -- paper, Section 5.
 This module realizes that plan with the machinery the paper already
 provides: the *virtual answer document itself* is exported through LXP
 (:class:`NavigableLXPServer` turns any NavigableDocument into an LXP
-wrapper), shipped over a cost-charging :class:`MessageChannel`, and
-reassembled client-side by the ordinary generic buffer component.  The
-client's XMLElement API is unchanged -- the stack composes:
+wrapper), shipped as the daemon's session frames, and reassembled
+client-side by the ordinary generic buffer component.  The client's
+XMLElement API is unchanged -- the stack composes:
 
-    XMLElement -> BufferComponent -> MessageChannel -> NavigableLXPServer
-        -> VirtualDocument -> lazy mediators -> ... -> sources
+    XMLElement -> BufferComponent -> SocketChannel -> FramePipe
+        -> Session -> NavigableLXPServer -> VirtualDocument
+        -> lazy mediators -> ... -> sources
+
+which is the served stack of :mod:`repro.server` with the socket and
+the daemon's handler thread taken out.
 
 The naive alternative -- every DOM-VXD command as its own round trip --
 is modeled by :class:`RPCDocument` so experiment E10 can quantify the
@@ -26,25 +30,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..buffer.holes import (
-    FragElem,
-    FragHole,
-    Fragment,
-    LXPProtocolError,
-    fragment_wire_size,
-)
+from ..buffer.holes import FragElem, FragHole, Fragment, LXPProtocolError
 from ..buffer.lxp import LXPServer, LXPStats, measure_fragment
 from ..navigation.interface import NavigableDocument
 from ..runtime.config import validate_granularity
 from ..runtime.context import ExecutionContext
 from ..runtime.counters import Counters
-from ..runtime.locks import make_lock
-from ..runtime.resilience import Clock
+from ..runtime.resilience import SYSTEM_CLOCK, Clock
 from .element import XMLElement
 
-__all__ = ["NavigableLXPServer", "MessageChannel", "MeteredTransport",
-           "ChannelStats", "RPCDocument", "connect_remote",
-           "fragment_wire_size"]
+__all__ = ["NavigableLXPServer", "MeteredTransport", "ChannelStats",
+           "RPCDocument", "connect_remote"]
 
 
 class NavigableLXPServer(LXPServer):
@@ -60,13 +56,10 @@ class NavigableLXPServer(LXPServer):
     levels each shipped element carries -- the same granularity model
     as the source-side wrappers, now applied mediator->client.
 
-    An exported answer is the one place several threads can enter a
-    query: the client thread and the look-ahead pool workers behind
-    :func:`connect_remote`, or the daemon's session handler.  The
-    query's operators, caches and source counters take no lock of
-    their own, so every ``fill`` -- a ``fill_batch`` answers through
-    it -- runs under the exporter's ``export.fill`` lock: one section
-    per fill, never one per navigation.
+    The exporter takes no lock: every remote entry into it comes
+    through one session, which one thread drives at a time -- the
+    daemon's handler, or, behind :func:`connect_remote`, whichever
+    client thread holds the channel's ``client.channel`` lock.
     """
 
     def __init__(self, document: NavigableDocument,
@@ -76,56 +69,40 @@ class NavigableLXPServer(LXPServer):
         self.chunk_size, self.depth = validate_granularity(chunk_size,
                                                            depth)
         self.stats = LXPStats()
-        #: one navigating thread at a time in the exported query
-        self._lock = make_lock("export.fill")
 
     def get_root(self) -> FragHole:
         return FragHole(("root",))
 
-    def _ship(self, pointer, depth_left: int) -> FragElem:
+    def _ship(self, pointer, depth: int) -> FragElem:
         label = self.document.fetch(pointer)
-        if depth_left <= 1:
-            child = self.document.down(pointer)
-            if child is None:
-                return FragElem(label)
-            return FragElem(label, (FragHole(("at", child)),))
-        kids: List[Fragment] = []
         child = self.document.down(pointer)
-        shipped = 0
-        while child is not None and shipped < self.chunk_size:
-            kids.append(self._ship(child, depth_left - 1))
-            shipped += 1
-            child = self.document.right(child)
-        if child is not None:
-            kids.append(FragHole(("at", child)))
-        return FragElem(label, tuple(kids))
+        if child is None:
+            return FragElem(label)
+        if depth <= 1:
+            return FragElem(label, (FragHole(("at", child)),))
+        return FragElem(label, tuple(self._ship_siblings(child,
+                                                         depth - 1)))
 
-    def fill(self, hole_id) -> List[Fragment]:
-        with self._lock:
-            # a fill navigates the query down to its sources and may
-            # block on their I/O; see BLOCKING_HOLD_ALLOWED
-            # lint: allow=L011,L012
-            reply = self._fill(hole_id)
-        measure_fragment(self.stats, reply)
-        return reply
-
-    def _fill(self, hole_id) -> List[Fragment]:
-        kind = hole_id[0]
-        if kind == "root":
-            return [self._ship(self.document.root(), self.depth)]
-        if kind == "at":
-            return self._ship_siblings(hole_id[1])
-        raise LXPProtocolError("unknown hole id %r" % (hole_id,))
-
-    def _ship_siblings(self, pointer) -> List[Fragment]:
+    def _ship_siblings(self, pointer, depth: int) -> List[Fragment]:
+        """Up to ``chunk_size`` siblings from ``pointer`` on, each
+        ``depth`` levels deep, and a hole for the rest."""
         reply: List[Fragment] = []
-        shipped = 0
-        while pointer is not None and shipped < self.chunk_size:
-            reply.append(self._ship(pointer, self.depth))
-            shipped += 1
+        while pointer is not None and len(reply) < self.chunk_size:
+            reply.append(self._ship(pointer, depth))
             pointer = self.document.right(pointer)
         if pointer is not None:
             reply.append(FragHole(("at", pointer)))
+        return reply
+
+    def fill(self, hole_id) -> List[Fragment]:
+        kind = hole_id[0]
+        if kind == "root":
+            reply = [self._ship(self.document.root(), self.depth)]
+        elif kind == "at":
+            reply = self._ship_siblings(hole_id[1], self.depth)
+        else:
+            raise LXPProtocolError("unknown hole id %r" % (hole_id,))
+        measure_fragment(self.stats, reply)
         return reply
 
 
@@ -152,9 +129,11 @@ class ChannelStats(Counters, shared=True):
 
 
 class MeteredTransport:
-    """Shared cost-charging core of every simulated remote transport
-    (:class:`MessageChannel`, :class:`RPCDocument`): one
-    :class:`ChannelStats` object, one charging rule.
+    """Shared cost-charging core of every remote transport
+    (:class:`~repro.server.client.SocketChannel`,
+    :class:`RPCDocument`): one :class:`ChannelStats` object, one
+    charging rule -- ``latency_ms`` per round trip plus ``ms_per_kb``
+    on its bytes.
 
     Charging is lock-guarded (through the stats object's own lock,
     so external reporters and the charger serialize on one lock):
@@ -194,43 +173,6 @@ class MeteredTransport:
                 commands, channel=channel)
             metrics.histogram("channel_message_bytes").observe(
                 size, channel=channel)
-
-
-class MessageChannel(MeteredTransport, LXPServer):
-    """An LXP server proxied over a simulated network.
-
-    Each ``fill`` is one round trip: fixed ``latency_ms`` plus
-    ``ms_per_kb`` transfer cost on the serialized reply.  A
-    ``fill_batch`` is *also* one round trip -- that is the point of
-    the pipelined protocol -- carrying one command per answered hole.
-    """
-
-    def __init__(self, server: LXPServer, latency_ms: float = 20.0,
-                 ms_per_kb: float = 2.0, tracer=None, metrics=None,
-                 name: str = ""):
-        super().__init__(latency_ms, ms_per_kb, tracer, metrics, name)
-        self.server = server
-
-    def get_root(self) -> FragHole:
-        root = self.server.get_root()
-        self._charge(fragment_wire_size(root))
-        return root
-
-    def fill(self, hole_id) -> List[Fragment]:
-        reply = self.server.fill(hole_id)
-        self._charge(sum(fragment_wire_size(f) for f in reply)
-                     + len(repr(hole_id)))
-        return reply
-
-    def fill_batch(self, hole_ids, speculate: int = 0
-                   ) -> List[Tuple[object, List[Fragment]]]:
-        replies = self.server.fill_batch(hole_ids, speculate)
-        size = len(repr(list(hole_ids)))
-        for hole_id, fragments in replies:
-            size += len(repr(hole_id)) \
-                + sum(fragment_wire_size(f) for f in fragments)
-        self._charge(size, commands=max(len(replies), 1))
-        return replies
 
 
 class RPCDocument(MeteredTransport, NavigableDocument):
@@ -277,6 +219,15 @@ def connect_remote(document: NavigableDocument,
                    ) -> Tuple[XMLElement, ChannelStats]:
     """Open a remote client session onto ``document``.
 
+    The server side is the daemon's own
+    :class:`~repro.server.session.Session` -- exporter, hole table,
+    deadline and budgets from the engine config -- and the client
+    reads it through the same :class:`~repro.server.client.
+    SocketChannel` as :func:`~repro.server.client.connect`, over a
+    :class:`~repro.server.wire.FramePipe` instead of a socket.  Holes
+    travel as the session's wire integers, and the channel charges
+    the real frame bytes at ``latency_ms`` / ``ms_per_kb``.
+
     Granularity and channel costs default to the execution context's
     engine config (or the config defaults when no context is given).
     The client side of the channel is the standard
@@ -287,27 +238,34 @@ def connect_remote(document: NavigableDocument,
     mode a broken one splices a ``<mix:error>`` placeholder into the
     client's view instead of aborting -- and the config's concurrency
     knobs pick the buffer.  ``clock`` injects a time source for the
-    backoff/breaker (tests use a fake).
+    backoff/breaker and the session deadline (tests use a fake).
 
     Returns the client-side root XMLElement (backed by a client-local
     buffer over the fragment channel) and the channel's stats object.
     """
+    from ..server.client import SocketChannel
+    from ..server.daemon import ServerStats
+    from ..server.session import Session
+    from ..server.wire import FramePipe
     from ..wrappers.base import source_stack
 
     if context is None:
         context = ExecutionContext.create()
     config = context.config
-    server = NavigableLXPServer(
-        document,
+    session = Session(
+        "", document, config,
+        clock if clock is not None else SYSTEM_CLOCK, ServerStats(),
         chunk_size=config.chunk_size if chunk_size is None else chunk_size,
-        depth=config.depth if depth is None else depth)
-    channel = MessageChannel(
-        server,
+        depth=config.depth if depth is None else depth,
+        metrics=context.metrics)
+    channel = SocketChannel(
+        FramePipe(session, config.serve_max_frame_bytes),
+        session.root_wire,
+        max_frame_bytes=config.serve_max_frame_bytes,
         latency_ms=config.latency_ms if latency_ms is None else latency_ms,
         ms_per_kb=config.ms_per_kb if ms_per_kb is None else ms_per_kb,
         tracer=context.tracer, metrics=context.metrics)
     buffer, _ = source_stack(channel, "remote#", context, clock=clock,
                              channel=True)
-    server.stats.metrics = context.metrics
-    server.stats.source = channel.name
+    session.rename(channel.name)
     return XMLElement(buffer, buffer.root()), channel.stats

@@ -15,7 +15,7 @@ states, not exceptions; this module gives the tower the same posture:
   soaking every query in its full retry schedule.
 * :class:`ResilientLXPServer` -- the seam wrapper.  Both I/O seams in
   the architecture speak LXP (the generic buffer's ``fill`` into a
-  source wrapper, and the remote client's ``MessageChannel``), so one
+  source wrapper, and the remote client's session channel), so one
   proxy class covers both.  In ``"degrade"`` mode an exhausted or
   broken source yields a marked ``<mix:error source=...>`` placeholder
   element in the virtual answer instead of aborting the query.
@@ -397,7 +397,7 @@ class ResilientLXPServer:
 
     Both I/O seams of the architecture speak LXP -- the generic
     buffer's ``fill`` into a source wrapper, and the remote client's
-    ``MessageChannel`` -- so this one proxy hardens both.  On
+    ``SocketChannel`` -- so this one proxy hardens both.  On
     ``on_failure="degrade"``, an exhausted or short-circuited
     operation answers with :func:`error_placeholder` fragments instead
     of raising, which the buffer splices like any reply: the virtual

@@ -15,8 +15,12 @@ middle::
 whose fills are request/reply frame round trips, so every existing
 client-side layer -- the buffer under every fill policy, retries,
 circuit breakers, degrade mode -- composes over the socket
-unchanged.  Channel accounting charges *real* wire bytes (no
-virtual cost model: the network is charging for itself now).
+unchanged.  Channel accounting charges *real* frame bytes; over TCP
+the virtual cost model is off (the network is charging for itself).
+The in-process :func:`~repro.client.remote.connect_remote` runs the
+same channel over a :class:`~repro.server.wire.FramePipe` to a
+:class:`~repro.server.session.Session` and prices those frames at
+its ``latency_ms`` / ``ms_per_kb``.
 
 Typed rejections from the server surface as the exceptions
 :data:`~repro.server.wire.ERRORS` names: ``mix:busy`` ->
@@ -31,7 +35,7 @@ the same request at the same session cannot help).
 from __future__ import annotations
 
 import socket
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..buffer.component import BufferComponent
 from ..buffer.holes import FragHole, Fragment
@@ -46,6 +50,7 @@ from ..runtime.locks import make_lock
 from .wire import (
     MAX_FRAME_BYTES,
     TRACE_KEY,
+    FramePipe,
     ServerReplyError,
     WireError,
     checked,
@@ -54,24 +59,31 @@ from .wire import (
     encode_trace_context,
     error_spec,
     exchange,
+    wire_int,
 )
 
 __all__ = ["SocketChannel", "RemoteSession", "connect", "fetch_status"]
 
 
 class SocketChannel(MeteredTransport, LXPServer):
-    """An LXP server whose fills are socket round trips.
+    """An LXP server whose fills are frame round trips to a session.
 
+    ``sock`` is a TCP socket to the daemon, or a
+    :class:`~repro.server.wire.FramePipe` to an in-process session.
     One request/reply per :meth:`fill`; one per :meth:`fill_batch`
-    regardless of batch width (that is the point of batching).  A
-    single lock serializes round trips: with thread-backed prefetching
+    regardless of batch width (that is the point of batching).  The
+    root hole is free: its wire id came with the session.  A single
+    lock serializes round trips: with thread-backed prefetching
     several client-side workers share this one connection, and frames
-    must not interleave.
+    must not interleave.  Over a pipe the session answers inside that
+    lock, so it is also what keeps one thread at a time in the
+    exported query.
 
     ``stats`` is the :class:`~repro.client.remote.MeteredTransport`
-    accounting under a zero cost model: real bytes on the wire
-    (header included) and no virtual time, so every existing
-    report/metric over channel traffic works unchanged.
+    accounting of the real frame bytes (header included) at
+    ``latency_ms`` / ``ms_per_kb`` virtual cost (zero by default);
+    with ``metrics`` the round trips also feed the ``channel_*``
+    series.
 
     When the session carries a trace (``trace_id`` set), every
     request frame gains the wire trace envelope: the trace id, the
@@ -81,15 +93,17 @@ class SocketChannel(MeteredTransport, LXPServer):
     tracer is idle -- frames are byte-identical to before.
     """
 
-    def __init__(self, sock: socket.socket, root_wire_id: int,
-                 timeout_ms: float,
+    def __init__(self, sock: Union[socket.socket, FramePipe],
+                 root_wire_id: int, timeout_ms: float = 10000.0,
                  max_frame_bytes: int = MAX_FRAME_BYTES,
+                 latency_ms: float = 0.0, ms_per_kb: float = 0.0,
                  name: str = "",
                  tracer: Optional[Tracer] = None,
+                 metrics: Any = None,
                  trace_id: Optional[str] = None,
                  sampled: bool = True) -> None:
-        super().__init__(latency_ms=0.0, ms_per_kb=0.0, tracer=tracer,
-                         name=name)
+        super().__init__(latency_ms, ms_per_kb, tracer=tracer,
+                         metrics=metrics, name=name)
         self.sock = sock
         self.root_wire_id = root_wire_id
         self.timeout_ms = timeout_ms
@@ -106,9 +120,10 @@ class SocketChannel(MeteredTransport, LXPServer):
         close_quietly(self.sock)
 
     # -- the round trip ----------------------------------------------------
-    def call(self, request: Dict[str, Any],
-             commands: int = 1) -> Dict[str, Any]:
-        """One request/reply exchange, serialized and accounted."""
+    def call(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """One request/reply exchange, serialized and accounted as
+        one message carrying one command -- or, for a ``fill_batch``,
+        one per hole the reply answers, speculated ones included."""
         if self.trace_id is not None:
             parent = (self.tracer.current_span()
                       if self.tracer is not None else None)
@@ -121,9 +136,10 @@ class SocketChannel(MeteredTransport, LXPServer):
                                        "session already closed")
             try:
                 # the channel mutex serializes whole round trips;
-                # every wire op is bounded by exchange's settimeout
-                # (see BLOCKING_HOLD_ALLOWED)
-                # lint: allow=L011
+                # every wire op is bounded by exchange's settimeout,
+                # and over a pipe the session answers in here, down
+                # to its sources (see BLOCKING_HOLD_ALLOWED)
+                # lint: allow=L011,L012
                 reply, sent, received = exchange(
                     self.sock, request, self.timeout_ms,
                     self.max_frame_bytes)
@@ -141,7 +157,9 @@ class SocketChannel(MeteredTransport, LXPServer):
             spec = None if reply is None else error_spec(reply)
             if reply is None or (spec and spec.killed):
                 self._abandon_locked()
-        self._charge(sent + received, commands)
+        replies = (reply or {}).get("replies")
+        self._charge(sent + received,
+                     len(replies) if isinstance(replies, list) else 1)
         return checked(reply, request["op"])
 
     # -- LXPServer surface -------------------------------------------------
@@ -156,8 +174,7 @@ class SocketChannel(MeteredTransport, LXPServer):
                    ) -> List[Tuple[object, List[Fragment]]]:
         reply = self.call({"op": "fill_batch",
                            "holes": list(hole_ids),
-                           "speculate": speculate},
-                          commands=len(hole_ids))
+                           "speculate": speculate})
         try:
             return [(hole, decode_fragments(fragments))
                     for hole, fragments in reply.get("replies")]
@@ -185,7 +202,7 @@ class SocketChannel(MeteredTransport, LXPServer):
             try:
                 # close handshake under the channel mutex, bounded
                 # by exchange's settimeout
-                # lint: allow=L011
+                # lint: allow=L011,L012
                 exchange(self.sock, {"op": "close"}, self.timeout_ms,
                          self.max_frame_bytes)
             except (OSError, WireError):
@@ -281,7 +298,7 @@ def connect(host: str, port: int, query: str,
             sock, open_frame, timeout_ms,
             engine_config.serve_max_frame_bytes)[0], "open")
         root_wire = reply.get("root")
-        if not isinstance(root_wire, int) or isinstance(root_wire, bool):
+        if not wire_int(root_wire):
             raise ServerReplyError(
                 "mix:protocol",
                 "open reply carries no root hole id: %r" % (reply,))
@@ -302,7 +319,8 @@ def connect(host: str, port: int, query: str,
         channel = SocketChannel(
             sock, root_wire, timeout_ms=timeout_ms,
             max_frame_bytes=engine_config.serve_max_frame_bytes,
-            tracer=tracer, trace_id=trace_id, sampled=sampled)
+            tracer=tracer, metrics=context.metrics, trace_id=trace_id,
+            sampled=sampled)
         buffer, _ = source_stack(channel, "remote#", context,
                                  clock=clock, channel=True)
         root = XMLElement(buffer, buffer.root())

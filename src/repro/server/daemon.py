@@ -59,7 +59,6 @@ from dataclasses import dataclass
 from typing import (Any, Callable, ContextManager, Dict, List,
                     Optional, Tuple)
 
-from ..errors import ReproError
 from ..mediator.mix import MIXMediator
 from ..runtime.config import EngineConfig
 from ..runtime.observability import (
@@ -68,13 +67,14 @@ from ..runtime.observability import (
     export_prometheus,
 )
 from ..runtime.resilience import SYSTEM_CLOCK, Clock
-from .session import RequestDeadlineError, Session, SessionBudgetError
+from .session import FAULTS, Session, fault
 from .wire import (
     WireError,
     close_quietly,
     decode_trace_context,
     recv_frame,
     send_frame,
+    wire_int,
 )
 from ..runtime.counters import Counters
 from ..runtime.locks import make_lock
@@ -86,40 +86,6 @@ __all__ = ["ServerStats", "MediatorServer", "OPS", "FAULTS"]
 #: daemon -- they are legal before a session exists -- the rest by
 #: the connection's :class:`~repro.server.session.Session`.
 OPS: Tuple[str, ...] = ("open", "status") + tuple(Session.OPS)
-
-#: Every way a request can fail, declared once (the PROTOCOLS.md
-#: fault table is generated from this).  One row is ``(phase,
-#: exception, kill reason, wire code, detail)``: ``phase`` is where in
-#: the request cycle the exception surfaced (``recv`` a frame,
-#: ``dispatch`` it, ``send`` the reply); within a phase the first row
-#: whose exception matches wins.  The session dies either way; a kill
-#: reason counts it under ``ServerStats.<reason>_kills`` with an
-#: incident dump (``None``: a rejected query, the client's own
-#: mistake, counted under ``query_rejects``); the wire code and its
-#: ``detail`` template go out as a best-effort last frame (``None``:
-#: the peer is not reading).
-FAULTS: Tuple[Tuple[str, type, Optional[str], Optional[str], str],
-              ...] = (
-    ("recv", socket.timeout, "idle", "mix:idle",
-     "no complete frame within %(idle_ms).0fms"),
-    ("recv", WireError, "protocol", "mix:protocol", "%(error)s"),
-    ("recv", OSError, "disconnect", None, ""),
-    ("dispatch", RequestDeadlineError, "deadline", "mix:deadline",
-     "%(error)s"),
-    ("dispatch", SessionBudgetError, "budget", "mix:budget",
-     "%(error)s"),
-    ("dispatch", WireError, "protocol", "mix:protocol", "%(error)s"),
-    # A bad query or a source-side failure: this session's problem,
-    # reported and closed; the server lives on.
-    ("dispatch", ReproError, None, "mix:query", "%(type)s: %(error)s"),
-    ("dispatch", Exception, "internal", "mix:error",
-     "%(type)s: %(error)s"),
-    ("send", socket.timeout, "stalled", None, ""),
-    # The server produced an unsendable (oversized) reply: its own
-    # bug, charged to this session, not the peer's.
-    ("send", WireError, "internal", "mix:error", "%(error)s"),
-    ("send", OSError, "disconnect", None, ""),
-)
 
 #: accept-loop poll granularity: how often the loop wakes to notice
 #: a drain request (the listener socket's timeout, in seconds)
@@ -152,7 +118,8 @@ class ServerStats(Counters, shared=True):
     drained: int = 0
     #: fill commands answered (``fill`` = 1, ``fill_batch`` = its
     #: hole count) -- what client-side fill accounting reconciles
-    #: against
+    #: against (a client's ``ChannelStats.commands`` also counts the
+    #: speculated replies a ``fill_batch`` brought)
     fills: int = 0
     idle_kills: int = 0
     internal_kills: int = 0
@@ -375,17 +342,14 @@ class MediatorServer:
         if phase == "recv" and self.draining:
             # The drain woke this recv; the session is not at fault.
             return self._drained(handler)
-        for row_phase, exception, reason, code, detail in FAULTS:
-            if row_phase == phase and isinstance(error, exception):
-                break
+        reason, code, detail = fault(
+            phase, error, self.config.serve_idle_timeout_ms)
         if reason is not None:
             self._kill(handler, reason, detail=type(error).__name__)
         else:
             self.stats.bump("query_rejects")
         if code is not None:
-            self._error_reply(handler, code, detail % {
-                "error": error, "type": type(error).__name__,
-                "idle_ms": self.config.serve_idle_timeout_ms})
+            self._error_reply(handler, code, detail)
 
     def _open_session(self, handler: _Handler,
                       frame: Dict[str, Any]) -> Dict[str, Any]:
@@ -394,13 +358,18 @@ class MediatorServer:
         if not isinstance(query, str) or not query.strip():
             raise WireError("open frame must carry a non-empty "
                             "'query' string")
+        for key in ("chunk_size", "depth"):
+            value = frame.get(key)
+            if value is not None and not wire_int(value):
+                raise WireError("%s must be an integer, got %r"
+                                % (key, value))
         config = self.config
         result = self.mediator.prepare(query)
         with self._lock:
             self._session_serial += 1
             session_id = "s#%d" % self._session_serial
         session = handler.session = Session(
-            session_id, result, config, self.clock, self.stats,
+            session_id, result.document, config, self.clock, self.stats,
             chunk_size=frame.get("chunk_size", config.chunk_size),
             depth=frame.get("depth", config.depth),
             metrics=self.metrics)
@@ -435,12 +404,7 @@ class MediatorServer:
                 raise WireError(
                     "first frame must be 'open', got op=%r" % (op,))
             return self._open_session(handler, frame), 0
-        if op == "open":
-            raise WireError("session already open")
-        answer = Session.OPS.get(op) if isinstance(op, str) else None
-        if answer is None:
-            raise WireError("unknown op %r" % (op,))
-        return answer(session, frame)
+        return session.dispatch(frame)
 
     def _reject(self, handler: _Handler, code: str, detail: str) -> None:
         """Refuse a connection at admission (``mix:busy`` /

@@ -1,13 +1,10 @@
 """Per-session server state: hole table, budgets, deadlines.
 
-One TCP connection is one session.  A session owns:
+One TCP connection to the daemon is one session, and so is one
+in-process ``connect_remote`` client.  A session owns:
 
-* the prepared query's :class:`~repro.mediator.mix.QueryResult`
-  (which carries the per-session
-  :class:`~repro.runtime.context.ExecutionContext` -- caches, tracer,
-  metrics -- exactly as an in-process client would get);
 * a :class:`~repro.client.remote.NavigableLXPServer` exporting the
-  virtual answer as fragments;
+  prepared query's virtual answer as fragments;
 * a :class:`HoleTable` mapping those fragments' in-process hole
   identifiers (which embed live document pointers) to session-scoped
   wire integers and back;
@@ -22,20 +19,22 @@ runaway navigation is cut mid-request -- deterministically under a
 
 from __future__ import annotations
 
+import socket
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..buffer.holes import Fragment, fragment_wire_size
 from ..client.remote import NavigableLXPServer
-from ..errors import TransientSourceError
+from ..errors import ReproError, TransientSourceError
 from ..navigation.interface import NavigableDocument
 from ..runtime.config import EngineConfig
 from ..runtime.counters import Counters
 from ..runtime.resilience import SYSTEM_CLOCK, Clock
-from .wire import MalformedFrameError, WireError, encode_fragments
+from .wire import (MalformedFrameError, WireError, encode_fragments,
+                   wire_int)
 from ..runtime.locks import make_lock
 
 __all__ = ["HoleTable", "SessionBudgetError", "RequestDeadlineError",
-           "DeadlineDocument", "Session"]
+           "DeadlineDocument", "Session", "FAULTS", "fault"]
 
 #: what an op answers: the reply frame and the fill commands it
 #: answered (what the daemon's delivered-``fills`` counter charges)
@@ -51,6 +50,53 @@ class SessionBudgetError(TransientSourceError):
 class RequestDeadlineError(TransientSourceError):
     """A request's server-side navigation work overran the
     per-request deadline."""
+
+
+#: Every way a request can fail, declared once (the PROTOCOLS.md
+#: fault table is generated from this).  One row is ``(phase,
+#: exception, kill reason, wire code, detail)``: ``phase`` is where in
+#: the request cycle the exception surfaced (``recv`` a frame,
+#: ``dispatch`` it, ``send`` the reply); within a phase the first row
+#: whose exception matches wins (:func:`fault`).  The session dies
+#: either way; the daemon counts a kill reason under
+#: ``ServerStats.<reason>_kills`` with an incident dump (``None``: a
+#: rejected query, the client's own mistake, counted under
+#: ``query_rejects``); the wire code and its ``detail`` template go out
+#: as a best-effort last frame (``None``: the peer is not reading).
+FAULTS: Tuple[Tuple[str, type, Optional[str], Optional[str], str],
+              ...] = (
+    ("recv", socket.timeout, "idle", "mix:idle",
+     "no complete frame within %(idle_ms).0fms"),
+    ("recv", WireError, "protocol", "mix:protocol", "%(error)s"),
+    ("recv", OSError, "disconnect", None, ""),
+    ("dispatch", RequestDeadlineError, "deadline", "mix:deadline",
+     "%(error)s"),
+    ("dispatch", SessionBudgetError, "budget", "mix:budget",
+     "%(error)s"),
+    ("dispatch", WireError, "protocol", "mix:protocol", "%(error)s"),
+    # A bad query or a source-side failure: this session's problem,
+    # reported and closed; the server lives on.
+    ("dispatch", ReproError, None, "mix:query", "%(type)s: %(error)s"),
+    ("dispatch", Exception, "internal", "mix:error",
+     "%(type)s: %(error)s"),
+    ("send", socket.timeout, "stalled", None, ""),
+    # The server produced an unsendable (oversized) reply: its own
+    # bug, charged to this session, not the peer's.
+    ("send", WireError, "internal", "mix:error", "%(error)s"),
+    ("send", OSError, "disconnect", None, ""),
+)
+
+
+def fault(phase: str, error: BaseException, idle_ms: float = 0.0
+          ) -> Tuple[Optional[str], Optional[str], str]:
+    """``error``'s :data:`FAULTS` row in ``phase``: ``(kill reason,
+    wire code, detail)``, the detail template filled in."""
+    for row_phase, exception, reason, code, detail in FAULTS:
+        if row_phase == phase and isinstance(error, exception):
+            return reason, code, detail % {
+                "error": error, "type": type(error).__name__,
+                "idle_ms": idle_ms}
+    raise error
 
 
 class HoleTable:
@@ -91,7 +137,7 @@ class HoleTable:
         Unknown or ill-typed ids are a protocol violation (the client
         can only learn ids from fragments this session shipped).
         """
-        if not isinstance(wire_id, int) or isinstance(wire_id, bool):
+        if not wire_int(wire_id):
             raise MalformedFrameError(
                 "hole id must be an integer, got %r" % (wire_id,))
         with self._lock:
@@ -110,13 +156,13 @@ class HoleTable:
 class DeadlineDocument(NavigableDocument):
     """A navigation proxy that enforces a per-request deadline.
 
-    The session calls ``arm()`` when a request's navigation starts
-    and ``disarm()`` when it ends; every navigation in between
-    compares the clock against the armed deadline
-    (``deadline_ms=None``: never armed).  The proxy is only ever
-    driven by its session's handler thread, but arm/disarm and the
-    checks keep the state in one slot so a misuse is at worst a late
-    cut, never a crash.
+    The session runs a request's navigation inside ``with deadline:``,
+    which arms the deadline on entry and disarms it on exit; every
+    navigation in between compares the clock against the armed
+    deadline (``deadline_ms=None``: never armed).  The proxy is only
+    ever driven by one thread at a time, but arming, disarming and
+    the checks keep the state in one slot so a misuse is at worst a
+    late cut, never a crash.
     """
 
     def __init__(self, document: NavigableDocument,
@@ -127,12 +173,13 @@ class DeadlineDocument(NavigableDocument):
         self.clock: Clock = clock if clock is not None else SYSTEM_CLOCK
         self._deadline_at: Optional[float] = None
 
-    def arm(self) -> None:
+    def __enter__(self) -> "DeadlineDocument":
         """Start the request clock."""
         if self.deadline_ms is not None:
             self._deadline_at = self.clock.now_ms() + self.deadline_ms
+        return self
 
-    def disarm(self) -> None:
+    def __exit__(self, *exc: object) -> None:
         self._deadline_at = None
 
     def _check(self) -> None:
@@ -164,32 +211,33 @@ class DeadlineDocument(NavigableDocument):
 
 
 class Session:
-    """One client's dialogue with the daemon, server side.
+    """One client's dialogue with its exported view, server side.
 
-    Created by the handler on a successful ``open``; owns the exported
-    view, the hole table, the request deadline and the budget
-    counters, and answers the session-level ops of the protocol
-    (:attr:`OPS`).  The handler thread is the only mutator; the
-    budget check happens before each navigation request, so a reply
-    that crosses the budget is still delivered and the *next* request
-    is refused.
+    Created by the daemon's handler on a successful ``open``, or by
+    ``connect_remote`` behind a :class:`~repro.server.wire.FramePipe`;
+    owns the exported view, the hole table, the request deadline and
+    the budget counters, and answers the session-level ops of the
+    protocol (:attr:`OPS`).  One thread at a time drives it -- the
+    daemon's handler, or the client holding its channel's lock -- and
+    that serializes every entry into the exported query.  The budget
+    check happens before each navigation request, so a reply that
+    crosses the budget is still delivered and the *next* request is
+    refused.
     """
 
-    def __init__(self, session_id: str, result: Any,
+    def __init__(self, session_id: str, document: NavigableDocument,
                  config: EngineConfig, clock: Clock,
                  server_stats: Counters,
                  chunk_size: Optional[int] = None,
                  depth: Optional[int] = None,
                  metrics: Any = None) -> None:
-        self.session_id = session_id
-        self.result = result
         self.server_stats = server_stats
         self._deadline = DeadlineDocument(
-            result.document, config.serve_request_deadline_ms, clock)
+            document, config.serve_request_deadline_ms, clock)
         self._exporter = NavigableLXPServer(
             self._deadline, chunk_size=chunk_size, depth=depth)
         self._exporter.stats.metrics = metrics
-        self._exporter.stats.source = session_id
+        self.rename(session_id)
         self._holes = HoleTable()
         #: the wire id of the answer's root hole (the ``open`` reply)
         self.root_wire = self._holes.intern(
@@ -209,6 +257,12 @@ class Session:
         self.in_flight: Optional[str] = None
         #: the wire trace context last adopted for this session
         self.trace_context: Optional[Dict[str, Any]] = None
+
+    def rename(self, session_id: str) -> None:
+        """Adopt ``session_id``, also the source name the exporter's
+        metrics series report under (``connect_remote`` learns its
+        channel's ``remote#N`` only once the channel registers)."""
+        self.session_id = self._exporter.stats.source = session_id
 
     def begin(self, op: str,
               trace_context: Optional[Dict[str, Any]]) -> bool:
@@ -236,15 +290,6 @@ class Session:
                 "session %s exhausted its %d-byte ship budget"
                 % (self.session_id, self.max_bytes))
 
-    def _navigate(self, operation: Callable[..., Any],
-                  *args: Any) -> Any:
-        """Run one export call under the per-request deadline."""
-        self._deadline.arm()
-        try:
-            return operation(*args)
-        finally:
-            self._deadline.disarm()
-
     def _ship(self, fragments: List[Fragment]) -> List[Any]:
         """Charge one answered hole to the budgets and encode it."""
         self.fills += 1
@@ -255,7 +300,8 @@ class Session:
     def fill(self, frame: Dict[str, Any]) -> Reply:
         self._check_budget()
         hole_id = self._holes.resolve(frame.get("hole"))
-        fragments = self._navigate(self._exporter.fill, hole_id)
+        with self._deadline:
+            fragments = self._exporter.fill(hole_id)
         return {"ok": True, "fragments": self._ship(fragments)}, 1
 
     def fill_batch(self, frame: Dict[str, Any]) -> Reply:
@@ -265,14 +311,15 @@ class Session:
             raise WireError("fill_batch frame must carry a "
                             "non-empty 'holes' array")
         speculate = frame.get("speculate", 0)
-        if not isinstance(speculate, int) or speculate < 0:
+        if not wire_int(speculate) or speculate < 0:
             raise WireError("speculate must be a non-negative "
                             "integer")
         hole_ids = [self._holes.resolve(hole) for hole in holes]
-        replies = self._navigate(self._exporter.fill_batch, hole_ids,
-                                 speculate)
+        with self._deadline:
+            replies = self._exporter.fill_batch(hole_ids, speculate)
         # Speculated replies ride along unasked: the command count is
-        # what the client sent, which is what its accounting charges.
+        # what the client sent.  (Its channel also counts the
+        # speculated replies it receives, as its buffer does.)
         return {"ok": True, "replies": [
             [self._holes.intern(hole_id), self._ship(fragments)]
             for hole_id, fragments in replies]}, len(holes)
@@ -302,6 +349,29 @@ class Session:
     OPS: Dict[str, Callable[["Session", Dict[str, Any]], Reply]] = {
         "fill": fill, "fill_batch": fill_batch, "ping": ping,
         "stats": stats, "close": close}
+
+    def dispatch(self, frame: Dict[str, Any]) -> Reply:
+        """Answer one request frame through :attr:`OPS`.  Raises what
+        :data:`FAULTS` maps to ``mix:*``."""
+        op = frame.get("op")
+        if op == "open":
+            raise WireError("session already open")
+        answer = self.OPS.get(op) if isinstance(op, str) else None
+        if answer is None:
+            raise WireError("unknown op %r" % (op,))
+        return answer(self, frame)
+
+    def answer(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """The reply to one request frame from a peer with no daemon
+        in between (a :class:`~repro.server.wire.FramePipe`): the op's
+        reply, or the error frame its ``dispatch`` :data:`FAULTS` row
+        names -- behind which the peer abandons the session, as it
+        would one the daemon killed."""
+        try:
+            return self.dispatch(frame)[0]
+        except Exception as error:
+            _, code, detail = fault("dispatch", error)
+            return {"ok": False, "error": code, "detail": detail}
 
     # -- status ------------------------------------------------------------
     def status_row(self, now_ms: float, peer: str) -> Dict[str, Any]:

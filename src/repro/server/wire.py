@@ -26,7 +26,9 @@ This is the only module that writes or reads a frame (linter rule
 ``X103``).  Every client -- :class:`~repro.server.client.
 SocketChannel`, the status probe, the load generator, the fault kit's
 well-behaved control -- runs the same :func:`exchange` and reads an
-error reply through the same :data:`ERRORS` table.
+error reply through the same :data:`ERRORS` table.  A client with no
+daemon between it and its session (``connect_remote``) exchanges the
+same frames over a :class:`FramePipe` instead of a socket.
 """
 
 from __future__ import annotations
@@ -34,21 +36,24 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
-                    Tuple, Type)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List,
+                    NamedTuple, Optional, Tuple, Type, Union)
 
 from ..buffer.holes import FragElem, FragHole, Fragment
 from ..errors import (PermanentSourceError, SourceError,
                       TransientSourceError)
+
+if TYPE_CHECKING:
+    from .session import Session
 
 __all__ = [
     "WireError", "MalformedFrameError", "TruncatedFrameError",
     "FrameTooLargeError",
     "ReplyError", "ServerBusyError", "ServerDrainingError",
     "ServerReplyError", "ErrorSpec", "ERRORS", "error_spec", "checked",
-    "MAX_FRAME_BYTES", "frame_bytes", "decode_frame",
-    "send_frame", "recv_frame_bytes", "recv_frame", "recv_frame_sized",
-    "exchange", "close_quietly",
+    "MAX_FRAME_BYTES", "wire_int", "frame_bytes", "decode_frame",
+    "FramePipe", "send_frame", "recv_frame_bytes", "recv_frame",
+    "recv_frame_sized", "exchange", "close_quietly",
     "encode_fragment", "decode_fragment",
     "encode_fragments", "decode_fragments", "wire_holes",
     "TRACE_KEY", "encode_trace_context", "decode_trace_context",
@@ -164,7 +169,14 @@ def checked(reply: Optional[Dict[str, Any]], op: object
     return reply
 
 
-def _recv_exact(sock: socket.socket, count: int, part: str) -> bytes:
+def wire_int(value: object) -> bool:
+    """Whether a decoded JSON value is an integer: ``true`` and
+    ``false`` decode to Python bools, which are ints too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _recv_exact(sock: Union[socket.socket, FramePipe], count: int,
+                part: str) -> bytes:
     """Read exactly ``count`` bytes of a frame's ``part``.  EOF before
     the first header byte is a clean close at a frame boundary
     (``b""``); anywhere else it is a truncation."""
@@ -211,7 +223,44 @@ def decode_frame(raw: bytes) -> Dict[str, Any]:
     return payload
 
 
-def send_frame(sock: socket.socket, payload: Dict[str, Any],
+class FramePipe:
+    """A connection to a :class:`~repro.server.session.Session` in
+    the caller's own process: the socket stand-in
+    ``connect_remote`` hands its :class:`~repro.server.client.
+    SocketChannel`.
+
+    ``sendall`` gives the request frame to the session, which answers
+    it at once, in the sending thread; ``recv`` reads the reply frame
+    back.  Both frames go through :func:`frame_bytes` and
+    :func:`decode_frame`, so the dialogue is the daemon's, byte for
+    byte, with no socket, handler thread or timeout under it.
+    """
+
+    def __init__(self, session: "Session",
+                 max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+        self.session = session
+        self.max_frame_bytes = max_frame_bytes
+        self._reply = b""
+
+    def settimeout(self, timeout: Optional[float]) -> None:
+        """Nothing to bound: the reply exists before ``sendall``
+        returns."""
+
+    def sendall(self, frame: bytes) -> None:
+        self._reply = frame_bytes(
+            self.session.answer(decode_frame(frame)),
+            self.max_frame_bytes)
+
+    def recv(self, count: int) -> bytes:
+        chunk, self._reply = self._reply[:count], self._reply[count:]
+        return chunk
+
+    def close(self) -> None:
+        self._reply = b""
+
+
+def send_frame(sock: Union[socket.socket, FramePipe],
+               payload: Dict[str, Any],
                max_frame_bytes: int = MAX_FRAME_BYTES) -> int:
     """Send ``payload`` as one frame.  Returns the total bytes put on
     the wire (header included), so channel accounting can charge real
@@ -221,7 +270,7 @@ def send_frame(sock: socket.socket, payload: Dict[str, Any],
     return len(frame)
 
 
-def recv_frame_bytes(sock: socket.socket,
+def recv_frame_bytes(sock: Union[socket.socket, FramePipe],
                      max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """Read one whole frame, undecoded (header included); ``b""`` on
     a clean EOF at a frame boundary.
@@ -249,7 +298,7 @@ def recv_frame(sock: socket.socket,
     return recv_frame_sized(sock, max_frame_bytes)[0]
 
 
-def recv_frame_sized(sock: socket.socket,
+def recv_frame_sized(sock: Union[socket.socket, FramePipe],
                      max_frame_bytes: int = MAX_FRAME_BYTES
                      ) -> "Tuple[Optional[Dict[str, Any]], int]":
     """Like :func:`recv_frame`, also reporting the bytes read off the
@@ -261,8 +310,8 @@ def recv_frame_sized(sock: socket.socket,
     return decode_frame(raw), len(raw)
 
 
-def exchange(sock: socket.socket, request: Dict[str, Any],
-             timeout_ms: float,
+def exchange(sock: Union[socket.socket, FramePipe],
+             request: Dict[str, Any], timeout_ms: float,
              max_frame_bytes: int = MAX_FRAME_BYTES
              ) -> "Tuple[Optional[Dict[str, Any]], int, int]":
     """One request/reply round trip, each socket operation bounded by
@@ -278,7 +327,7 @@ def exchange(sock: socket.socket, request: Dict[str, Any],
     return reply, sent, received
 
 
-def close_quietly(sock: socket.socket) -> None:
+def close_quietly(sock: Union[socket.socket, FramePipe]) -> None:
     """Close ``sock``; a peer that is already gone is not news."""
     try:
         sock.close()
@@ -328,8 +377,7 @@ def decode_trace_context(frame: Dict[str, Any]
     sampled = raw.get("sampled", True)
     if not isinstance(trace_id, str) or not trace_id:
         return None
-    if parent is not None and (not isinstance(parent, int)
-                               or isinstance(parent, bool)):
+    if parent is not None and not wire_int(parent):
         return None
     if not isinstance(sampled, bool):
         return None
@@ -365,8 +413,7 @@ def decode_fragment(obj: Any) -> Fragment:
             "fragment must be a non-empty array, got %r" % (obj,))
     kind = obj[0]
     if kind == "h":
-        if len(obj) != 2 or not isinstance(obj[1], int) \
-                or isinstance(obj[1], bool):
+        if len(obj) != 2 or not wire_int(obj[1]):
             raise MalformedFrameError(
                 "hole fragment must be ['h', int], got %r" % (obj,))
         return FragHole(obj[1])

@@ -175,7 +175,7 @@ class FlakyChannel(FlakyLXPServer):
 
     Identical mechanics to :class:`FlakyLXPServer` -- the remote
     channel *is* an LXP server -- but named for the seam it models:
-    wrap a :class:`~repro.client.remote.MessageChannel` in one of
+    wrap a :class:`~repro.server.client.SocketChannel` in one of
     these, then wrap the result in a ``ResilientLXPServer`` (or let
     ``connect_remote`` do it from the engine config).
     """

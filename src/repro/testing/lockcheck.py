@@ -76,22 +76,21 @@ class BlockingCallUnderLock(RuntimeError):
 #:
 #: * ``buffer.component`` -- demand fills run under the open-tree lock
 #:   by design (concurrent subclasses splice through the same lock).
-#: * ``client.channel`` -- the socket channel serializes request/reply
-#:   round trips under its mutex; every wire op is deadline-bounded.
-#: * ``export.fill`` -- an exported query answers each fill under its
-#:   exporter's lock, down to the source I/O the fill needs.
+#: * ``client.channel`` -- the session channel serializes
+#:   request/reply round trips under its mutex; every socket op is
+#:   deadline-bounded, and over an in-process pipe the session answers
+#:   inside it, down to the source I/O the fill needs.
 BLOCKING_HOLD_ALLOWED = frozenset({
     "buffer.component",
     "client.channel",
-    "export.fill",
 })
 
 #: Locks of components that stack in a mediator tree -- a client's
-#: buffer over an exported query over source buffers.  Each instance
-#: calls only down the stack, so two of them are ordered by the tree,
-#: not by name (the reason same-name nesting is no edge either).
-#: Mirrors ``tools.lint.lockgraph.STACKED_LOCKS``.
-STACKED_LOCKS = frozenset({"buffer.component", "export.fill"})
+#: buffer over its session channel over an exported query over source
+#: buffers.  Each instance calls only down the stack, so two of them
+#: are ordered by the tree, not by name (the reason same-name nesting
+#: is no edge either).  Mirrors ``tools.lint.lockgraph.STACKED_LOCKS``.
+STACKED_LOCKS = frozenset({"buffer.component", "client.channel"})
 
 _armed = False
 _install_lock = threading.Lock()

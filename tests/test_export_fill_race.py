@@ -4,9 +4,11 @@
 the pool workers fill the same exported answer at once.  The query's
 operators keep scan state (a groupBy's position, join caches) and take
 no lock of their own -- one query is driven by one thread at a time --
-so :class:`~repro.client.remote.NavigableLXPServer` serializes its
-fills under ``export.fill``.  Without that, two workers raced one
-groupBy scan and about one run in ten shipped a wrong answer.
+so every fill reaches the exported query through the client's one
+:class:`~repro.server.client.SocketChannel`, whose ``client.channel``
+lock is held across each round trip, the session's answer included.
+Without that serialization, two workers raced one groupBy scan and
+about one run in ten shipped a wrong answer.
 """
 
 import sys

@@ -12,7 +12,6 @@ from repro.buffer import (
     TreeLXPServer,
 )
 from repro.client import XMLElement
-from repro.client.remote import MessageChannel, NavigableLXPServer
 from repro.errors import (
     PermanentSourceError,
     TransientSourceError,
@@ -36,6 +35,10 @@ from repro.testing import (
     FlakyChannel,
     FlakyLXPServer,
 )
+from repro.server.client import SocketChannel
+from repro.server.daemon import ServerStats
+from repro.server.session import Session
+from repro.server.wire import FramePipe
 from repro.wrappers import XMLFileWrapper
 from repro.xmas import XMASSyntaxError, XMASTranslationError
 from repro.xtree import Tree, XMLParseError, elem, leaf, parse_xml, to_xml
@@ -614,9 +617,10 @@ class TestResilientChannel:
         med = MIXMediator()
         med.register_wrapper("s", XMLFileWrapper("s", CATALOG_XML))
         document = med.prepare(BOOKS_QUERY).document
-        server = NavigableLXPServer(document, chunk_size=2, depth=2)
+        session = Session("chan", document, EngineConfig(), clock,
+                          ServerStats(), chunk_size=2, depth=2)
         channel = FlakyChannel(
-            MessageChannel(server, latency_ms=0.0, ms_per_kb=0.0),
+            SocketChannel(FramePipe(session), session.root_wire),
             schedule)
         transport = resilient_server(channel, config, name="chan",
                                      clock=clock)

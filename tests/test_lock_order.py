@@ -81,8 +81,8 @@ class TestStaticLockOrder:
         assert any(set(c) == {"toy.a", "toy.b"} for c in graph.cycles())
 
     def test_stacked_locks_close_no_cycle(self, tmp_path):
-        """A client buffer over an exported query over a source
-        buffer: ``buffer.component`` and ``export.fill`` nest both
+        """A client buffer over its session channel over a source
+        buffer: ``buffer.component`` and ``client.channel`` nest both
         ways by name, ordered by the stack, not by name."""
         path = _toy(tmp_path, "stack.py", """\
             from repro.runtime.locks import make_lock
@@ -96,9 +96,9 @@ class TestStaticLockOrder:
                     with self._lock:
                         self.server.fill()
 
-            class Exporter:
+            class Channel:
                 def __init__(self, buffer):
-                    self._lock = make_lock("export.fill")
+                    self._lock = make_lock("client.channel")
                     self.buffer = buffer
 
                 def fill(self):
@@ -106,10 +106,35 @@ class TestStaticLockOrder:
                         self.buffer.down()
             """)
         graph = analyze([path])
-        assert {("buffer.component", "export.fill"),
-                ("export.fill", "buffer.component")} \
+        assert {("buffer.component", "client.channel"),
+                ("client.channel", "buffer.component")} \
             <= graph.edge_pairs()
         assert graph.cycles() == []
+
+    def test_op_table_call_reaches_every_op(self, tmp_path):
+        """A call through a class op table (``OPS.get(op)(...)``) may
+        run any method in the table: each one's locks are reached."""
+        path = _toy(tmp_path, "ops.py", """\
+            from repro.runtime.locks import make_lock
+
+            class Table:
+                def __init__(self):
+                    self._lock = make_lock("toy.table")
+                    self._inner = make_lock("toy.inner")
+
+                def ping(self, frame):
+                    with self._inner:
+                        return frame
+
+                def dispatch(self, frame):
+                    op = self.OPS.get(frame)
+                    with self._lock:
+                        return op(self, frame)
+
+                OPS = {"ping": ping}
+            """)
+        graph = analyze([path])
+        assert ("toy.table", "toy.inner") in graph.edge_pairs()
 
     def test_self_attribute_is_not_a_foreign_property(self, tmp_path):
         """``self.counters`` in a class where it is a plain attribute
@@ -334,7 +359,7 @@ class TestRepoGraph:
     def test_graph_size_ratchet(self, graph):
         """The graph may shrink, never grow past its current size
         without someone editing this bound on purpose."""
-        assert len(graph.locks) <= 21, sorted(graph.locks)
+        assert len(graph.locks) <= 20, sorted(graph.locks)
         assert len(graph.edges) <= 27, sorted(graph.edges)
 
     def test_every_lock_bearing_module_is_covered(self, graph):

@@ -130,6 +130,6 @@ def test_each_remote_query_reads_its_own_metrics_series():
     for report in reports:
         (name, channel), = report["channels"]["per_channel"].items()
         series = report["metrics"]["channel_round_trips_total"]["series"]
-        assert series["channel=" + name] == channel["messages"] == 35
+        assert series["channel=" + name] == channel["messages"] == 34
         names.append(name)
     assert names == ["remote#1", "remote#2"]

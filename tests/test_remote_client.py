@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.buffer import BufferComponent, LXPProtocolError, \
     validate_fill_reply
 from repro.client import (
-    MessageChannel,
     NavigableLXPServer,
     RPCDocument,
     connect_remote,
@@ -143,7 +142,6 @@ _trees = st.recursive(
 def test_remote_buffer_reconstructs_any_document(tree, chunk, depth):
     """Property: the remote stack is transparent for any document and
     any granularity."""
-    server = NavigableLXPServer(MaterializedDocument(tree),
-                                chunk_size=chunk, depth=depth)
-    buffer = BufferComponent(MessageChannel(server))
-    assert materialize(buffer) == tree
+    root, _ = connect_remote(MaterializedDocument(tree),
+                             chunk_size=chunk, depth=depth)
+    assert root.to_tree() == tree

@@ -31,6 +31,7 @@ from repro.server import (
     ServerReplyError,
     connect,
 )
+from repro.server.wire import exchange
 from repro.testing.faults import FakeClock
 from repro.testing.transport import (
     StalledReader,
@@ -470,6 +471,112 @@ class TestFaultContainment:
             # And the server is still healthy afterwards.
             recovered = scripted_session(host, port, QUERY, fills=3)
             assert recovered[1:] == control[1:]
+        finally:
+            server.drain()
+
+
+class TestWireIntegers:
+    """Granularity and speculation are JSON integers, checked where
+    the frame arrives: anything else is the client's protocol fault,
+    never an internal error of the server's."""
+
+    @staticmethod
+    def _dialogue(host, port, *requests):
+        """The raw replies to ``requests``, sent on one connection."""
+        sock = open_raw(host, port)
+        try:
+            return [exchange(sock, request, 5000.0)[0]
+                    for request in requests]
+        finally:
+            sock.close()
+
+    @pytest.mark.parametrize("field, value", [
+        ("chunk_size", "4"), ("chunk_size", True), ("depth", 2.5)])
+    def test_open_refuses_a_non_integer_granularity(self, field,
+                                                     value):
+        server, host, port = make_server()
+        try:
+            (reply,) = self._dialogue(host, port, {
+                "op": "open", "query": QUERY, field: value})
+            assert reply["error"] == "mix:protocol"
+            assert field in reply["detail"]
+            counts = server.stats.snapshot()
+            assert counts["protocol_kills"] == 1
+            assert counts["internal_kills"] == 0
+            assert server.recorder.incidents[-1]["reason"] \
+                == "protocol"
+        finally:
+            server.drain()
+
+    def test_zero_granularity_stays_a_query_error(self):
+        server, host, port = make_server()
+        try:
+            (reply,) = self._dialogue(host, port, {
+                "op": "open", "query": QUERY, "chunk_size": 0})
+            assert reply["error"] == "mix:query"
+            assert "ConfigError" in reply["detail"]
+            assert server.stats.snapshot()["query_rejects"] == 1
+        finally:
+            server.drain()
+
+    def test_fill_batch_refuses_a_boolean_speculate(self):
+        server, host, port = make_server()
+        try:
+            opened, reply = self._dialogue(
+                host, port, {"op": "open", "query": QUERY},
+                {"op": "fill_batch", "holes": [1], "speculate": True})
+            assert opened["ok"] and opened["root"] == 1
+            assert reply["error"] == "mix:protocol"
+            assert "speculate" in reply["detail"]
+            assert server.stats.snapshot()["protocol_kills"] == 1
+        finally:
+            server.drain()
+
+
+class TestTwoReadingsAgree:
+    """A remote client's channel counters and its ``channel_*``
+    metrics series are two readings of one set of round trips, on
+    both remote paths; the daemon's ``ServerStats`` and its
+    ``server_*`` series are two readings of one set of replies."""
+
+    @staticmethod
+    def _assert_channel_readings_agree(metrics, name, stats):
+        channel = {"channel": name}
+        assert stats.messages > 0
+        assert metrics.counter("channel_round_trips_total").value(
+            **channel) == stats.messages
+        assert metrics.counter("channel_commands_total").value(
+            **channel) == stats.commands
+
+    def test_in_process_session(self):
+        mediator = MIXMediator(EngineConfig(metrics_enabled=True))
+        tree = homes_and_schools(6)["homesSrc"]
+        mediator.register_source("homesSrc", MaterializedDocument(tree))
+        result = mediator.prepare(QUERY)
+        root, stats = result.connect_remote(chunk_size=2, depth=2)
+        root.to_tree()
+        self._assert_channel_readings_agree(
+            result.context.metrics, "remote#1", stats)
+
+    def test_tcp_session(self):
+        config = EngineConfig(metrics_enabled=True, serve_port=0,
+                              batch_navigations=True, prefetch=2)
+        server, host, port = make_server(config=config)
+        try:
+            with connect(host, port, QUERY, config=config,
+                         chunk_size=2, depth=2) as session:
+                session.root.to_tree()
+                stats = session.stats
+                metrics = session.context.metrics
+            self._assert_channel_readings_agree(metrics, "remote#1",
+                                                stats)
+            wait_until(lambda: server.stats.snapshot()
+                       ["sessions_closed"] == 1,
+                       message="the session's close")
+            fills = server.stats.snapshot()["fills"]
+            assert fills > 0
+            assert server.telemetry.counter(
+                "server_fills_total").value() == fills
         finally:
             server.drain()
 

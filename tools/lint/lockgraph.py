@@ -6,8 +6,9 @@ acquire B while A is held.  Edges come from two shapes:
 
 * lexical nesting -- ``with a: ... with b:`` in one function, and
 * call propagation -- ``with a: self.method()`` where ``method``
-  (transitively, through resolved ``self.``/module/virtual calls)
-  acquires B.
+  (transitively, through resolved ``self.``/module/virtual calls, or
+  a call through a class op table such as ``Session.OPS``, which may
+  reach every method in the table) acquires B.
 
 Function summaries (locks acquired, blocking operations reached,
 foreign callbacks invoked) are computed to a fixpoint over the call
@@ -45,9 +46,10 @@ design, and distinct instances sharing a name (stacked buffers) have
 no static order; instance-level self-deadlock on a plain lock is the
 runtime sanitizer's job.  For the same reason an edge between two
 :data:`STACKED_LOCKS` is kept in the graph but closes no cycle: those
-components stack in a mediator tree (a client's buffer over an
-exported query over source buffers), each calls only down the stack,
-so their instances are ordered by the tree, not by name.
+components stack in a mediator tree (a client's buffer over its
+session channel over an exported query over source buffers), each
+calls only down the stack, so their instances are ordered by the
+tree, not by name.
 
 The graph is dumped as JSON + DOT via
 ``python -m tools.lint --lock-graph lockgraph.json``, and
@@ -98,7 +100,7 @@ _CALLBACK_NAMES = frozenset({
 #: Locks of components that stack in a mediator tree and are ordered
 #: by it (see the module docstring); mirrored, name for name, by
 #: ``repro.testing.lockcheck.STACKED_LOCKS``.
-STACKED_LOCKS = frozenset({"buffer.component", "export.fill"})
+STACKED_LOCKS = frozenset({"buffer.component", "client.channel"})
 
 #: Modules whose locks are sanitizer/infra plumbing, not part of the
 #: analyzed order (the guards must not observe themselves).
@@ -253,6 +255,9 @@ class _Env:
         self.elems: Dict[str, Set[str]] = {}
         self.locks: Dict[str, LockDecl] = {}
         self.callables: Set[str] = set()
+        #: locals bound to an entry of a class op table -> the
+        #: methods a call through them can reach
+        self.ops: Dict[str, List[FuncInfo]] = {}
 
 
 class _FunctionScanner(ast.NodeVisitor):
@@ -528,6 +533,8 @@ class _FunctionScanner(ast.NodeVisitor):
     def _resolve_call(self, call: ast.Call) -> List[FuncInfo]:
         program = self.analyzer.program
         func = call.func
+        if isinstance(func, ast.Name) and func.id in self.env.ops:
+            return self.env.ops[func.id]
         if isinstance(func, ast.Name):
             module = program.modules.get(self.func.module)
             if module and func.id in module.functions:
@@ -859,6 +866,9 @@ class Analyzer:
                         env.locks[name] = \
                             mod.module_locks[node.value.id]
                         continue
+                    ops = self._op_table_entries(cls, node.value)
+                    if ops:
+                        env.ops[name] = ops
                     types = self._static_expr_types(mod, cls, env,
                                                     node.value)
                     if types:
@@ -878,6 +888,25 @@ class Analyzer:
                             or name in _CALLBACK_NAMES:
                         env.callables.add(name)
         return env
+
+    def _op_table_entries(self, cls: Optional[ClassInfo],
+                          expr: ast.expr) -> List[FuncInfo]:
+        """The methods an expression reading a class op table
+        (``self.OPS.get(op)``, ``Session.OPS[op]``) can pick."""
+        out: List[FuncInfo] = []
+        for sub in ast.walk(expr):
+            if not (isinstance(sub, ast.Attribute)
+                    and isinstance(sub.value, ast.Name)):
+                continue
+            if sub.value.id == "self":
+                owners = [cls] if cls is not None else []
+            else:
+                owners = self.program.classes_by_name.get(
+                    sub.value.id, [])
+            for owner in owners:
+                out.extend(owner.methods[name] for name
+                           in owner.op_tables.get(sub.attr, ()))
+        return out
 
     def _static_expr_types(self, mod: ModuleInfo,
                            cls: Optional[ClassInfo],

@@ -77,6 +77,9 @@ class ClassInfo:
     elem_types: Dict[str, Set[str]] = field(default_factory=dict)
     #: self.<attr> -> lock declaration
     lock_attrs: Dict[str, LockDecl] = field(default_factory=dict)
+    #: class-level op table (a dict literal of the class's own
+    #: methods, e.g. ``OPS = {"fill": fill}``) -> its method names
+    op_tables: Dict[str, List[str]] = field(default_factory=dict)
 
 
 @dataclass
@@ -221,6 +224,18 @@ class Program:
                 if elems:
                     info.elem_types.setdefault(
                         item.target.id, set()).update(elems)
+        for item in node.body:
+            value = getattr(item, "value", None)
+            target = (item.targets[0] if isinstance(item, ast.Assign)
+                      else getattr(item, "target", None))
+            if isinstance(target, ast.Name) \
+                    and isinstance(value, ast.Dict) and value.values \
+                    and all(isinstance(v, ast.Name)
+                            and v.id in info.methods
+                            for v in value.values):
+                info.op_tables[target.id] = [
+                    v.id for v in value.values
+                    if isinstance(v, ast.Name)]
         # attribute types + lock declarations from method bodies
         for method in info.methods.values():
             self._harvest_method(mod, info, method)
