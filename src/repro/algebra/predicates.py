@@ -48,12 +48,16 @@ class Const:
 Operand = Union[Var, Const]
 
 
-def _weakly_typed(test: Callable[[Any, Any], bool]
-                  ) -> Callable[[str, str], bool]:
-    """``test`` over two texts: as numbers when both parse as
-    numbers, else as strings."""
+def _weakly_typed(test: Callable[[Any, Any], bool], get_left: Getter,
+                  get_right: Getter) -> Test:
+    """The test ``env -> bool`` applying ``test`` to the texts
+    ``get_left(env)`` and ``get_right(env)``: as numbers when both
+    parse as numbers, else as strings.  The one statement of the
+    typing rule: ``compare_values`` and every compiled comparison
+    run it."""
 
-    def compare(left: str, right: str) -> bool:
+    def compare(env: Any) -> bool:
+        left, right = get_left(env), get_right(env)
         try:
             left_number, right_number = float(left), float(right)
         except (TypeError, ValueError):
@@ -63,14 +67,21 @@ def _weakly_typed(test: Callable[[Any, Any], bool]
     return compare
 
 
-#: operator -> its weakly typed comparison of two texts
-_COMPARATORS: Dict[str, Callable[[str, str], bool]] = {
-    "=": _weakly_typed(operator.eq),
-    "!=": _weakly_typed(operator.ne),
-    "<": _weakly_typed(operator.lt),
-    "<=": _weakly_typed(operator.le),
-    ">": _weakly_typed(operator.gt),
-    ">=": _weakly_typed(operator.ge),
+#: operator -> the comparison it names
+_TESTS: Dict[str, Callable[[Any, Any], bool]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+#: operator -> its weakly typed comparison of a pair of texts
+_COMPARATORS: Dict[str, Test] = {
+    op: _weakly_typed(test, operator.itemgetter(0),
+                      operator.itemgetter(1))
+    for op, test in _TESTS.items()
 }
 
 
@@ -81,7 +92,11 @@ def compare_values(left: str, op: str, right: str) -> bool:
     except KeyError:
         raise ValueError(
             "unknown comparison operator %r" % op) from None
-    return compare(left, right)
+    return compare((left, right))
+
+
+def _constant(text: str) -> Getter:
+    return lambda env: text
 
 
 class Predicate:
@@ -135,20 +150,16 @@ class Comparison(Predicate):
         return compare_values(left, self.op, right)
 
     def compile(self, getter_of):
-        compare = _COMPARATORS[self.op]
         left, right = self.left, self.right
-        if isinstance(left, Var) and isinstance(right, Var):
-            get_left = getter_of(left.name)
-            get_right = getter_of(right.name)
-            return lambda env: compare(get_left(env), get_right(env))
-        if isinstance(left, Var):
-            get_left, right_text = getter_of(left.name), str(right.value)
-            return lambda env: compare(get_left(env), right_text)
-        if isinstance(right, Var):
-            left_text, get_right = str(left.value), getter_of(right.name)
-            return lambda env: compare(left_text, get_right(env))
-        verdict = compare(str(left.value), str(right.value))
-        return lambda env: verdict
+        if not isinstance(left, Var) and not isinstance(right, Var):
+            verdict = compare_values(str(left.value), self.op,
+                                     str(right.value))
+            return lambda env: verdict
+        get_left = (getter_of(left.name) if isinstance(left, Var)
+                    else _constant(str(left.value)))
+        get_right = (getter_of(right.name) if isinstance(right, Var)
+                     else _constant(str(right.value)))
+        return _weakly_typed(_TESTS[self.op], get_left, get_right)
 
     def variables(self):
         names = set()

@@ -142,6 +142,63 @@ class LazyOperator:
             sibling = owner.v_right(sibling)
         return None
 
+    # -- whole-value walks ---------------------------------------------------
+    # Called, like the v_* above, only with own ids.  Both walk the
+    # value through each node's owner, node by node; an operator that
+    # can walk its own ids for less Python overrides them, issuing the
+    # same commands to its sources in the same order.  Loops, not
+    # recursion: a recursive closure per walk would be a reference
+    # cycle per walk.
+    def v_text(self, value: ValueId) -> str:
+        """The text of ``value``: a leaf's label, else its leaf
+        descendants' labels concatenated in document order."""
+        parts: List[str] = []
+        node = value
+        # the nodes entered below ``value``; each is stepped right
+        # once its subtree is done
+        path: List[ValueId] = []
+        while True:
+            child = node[0].v_down(node)
+            if child is not None:
+                path.append(child)
+                node = child
+                continue
+            parts.append(node[0].v_fetch(node))
+            while path:
+                done = path.pop()
+                node = done[0].v_right(done)
+                if node is not None:
+                    path.append(node)
+                    break
+            else:
+                return "".join(parts)
+
+    def v_key(self, value: ValueId) -> Hashable:
+        """The canonical structural key of ``value``: a leaf's label,
+        else ``(label, (child keys...))``."""
+        # one frame per open node: (label, child keys, node id)
+        frames: list = []
+        node = value
+        while True:
+            owner = node[0]
+            label = owner.v_fetch(node)
+            child = owner.v_down(node)
+            if child is not None:
+                frames.append((label, [], node))
+                node = child
+                continue
+            key: Hashable = label
+            while frames:
+                frames[-1][1].append(key)
+                sibling = node[0].v_right(node)
+                if sibling is not None:
+                    node = sibling
+                    break
+                label, keys, node = frames.pop()
+                key = (label, tuple(keys))
+            else:
+                return key
+
     # -- helpers -----------------------------------------------------------
     def _check_var(self, var: str) -> None:
         if var not in self.variables:
@@ -227,28 +284,9 @@ def value_text_of(value: ValueId) -> str:
     Costs navigations proportional to the value's size -- which is the
     honest price of predicates over structured values; the common case
     (variables bound to text leaves via ``zip._``) costs one fetch.
+    The walk is the value owner's :meth:`LazyOperator.v_text`.
     """
-    owner = value[0]
-    first_child = owner.v_down(value)
-    if first_child is None:
-        return owner.v_fetch(value)
-    parts: List[str] = []
-
-    def walk(node: ValueId) -> None:
-        owner = node[0]
-        child = owner.v_down(node)
-        if child is None:
-            parts.append(owner.v_fetch(node))
-            return
-        while child is not None:
-            walk(child)
-            child = child[0].v_right(child)
-
-    child = first_child
-    while child is not None:
-        walk(child)
-        child = child[0].v_right(child)
-    return "".join(parts)
+    return value[0].v_text(value)
 
 
 def canonical_key_of(value: ValueId) -> Hashable:
@@ -257,18 +295,10 @@ def canonical_key_of(value: ValueId) -> Hashable:
 
     Grouping and duplicate elimination compare whole values, so this
     walks the entire value subtree -- the source of groupBy's
-    navigational cost.
+    navigational cost.  The walk is the value owner's
+    :meth:`LazyOperator.v_key`.
     """
-    owner = value[0]
-    label = owner.v_fetch(value)
-    child = owner.v_down(value)
-    if child is None:
-        return label
-    keys = []
-    while child is not None:
-        keys.append(canonical_key_of(child))
-        child = child[0].v_right(child)
-    return (label, tuple(keys))
+    return value[0].v_key(value)
 
 
 def materialize_value(value: ValueId) -> Tree:

@@ -183,3 +183,13 @@ class LazyGetDescendants(LazyOperator):
 
     def v_select(self, value, predicate):
         return None  # a match root has no siblings
+
+    # A walk never steps right of the value it walks, and stepping
+    # right is all the re-rooting changes: the inner id's owner walks.
+    def v_text(self, value):
+        inner = value[1]
+        return inner[0].v_text(inner)
+
+    def v_key(self, value):
+        inner = value[1]
+        return inner[0].v_key(inner)

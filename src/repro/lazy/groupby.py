@@ -32,7 +32,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 
 from ..runtime.cache import MISS
 from ..runtime.context import ExecutionContext
-from .base import LazyError, LazyOperator, canonical_key_of
+from .base import LazyError, LazyOperator
 
 __all__ = ["LazyGroupBy"]
 
@@ -71,10 +71,11 @@ class LazyGroupBy(LazyOperator):
 
     # -- input scanning ------------------------------------------------------
     def _compute_key(self, ib) -> Hashable:
-        return tuple(
-            canonical_key_of(self.child.attribute(ib, var))
-            for var in self.group_vars
-        )
+        key = []
+        for var in self.group_vars:
+            value = self.child.attribute(ib, var)
+            key.append(value[0].v_key(value))
+        return tuple(key)
 
     def _scan_one(self) -> bool:
         """Advance the global input scan by one binding; register any

@@ -20,7 +20,7 @@ from typing import Optional
 from ..algebra.predicates import Predicate
 from ..runtime.cache import MISS
 from ..runtime.context import ExecutionContext
-from .base import LazyError, LazyOperator, value_text_of
+from .base import LazyError, LazyOperator
 
 __all__ = ["LazyJoin"]
 
@@ -125,7 +125,8 @@ class LazyJoin(LazyOperator):
             memo = env[2]
             text = memo.get(var)
             if text is None:
-                text = memo[var] = value_text_of(attribute(env[0], var))
+                value = attribute(env[0], var)
+                text = memo[var] = value[0].v_text(value)
             return text
 
         return left_text
@@ -141,8 +142,8 @@ class LazyJoin(LazyOperator):
             key = (env[1], var)
             text = texts.get(key, MISS)
             if text is MISS:
-                rb = join._inner_binding(env[1])
-                text = value_text_of(attribute(rb, var))
+                value = attribute(join._inner_binding(env[1]), var)
+                text = value[0].v_text(value)
                 texts.put(key, text)
             return text
 

@@ -31,9 +31,9 @@ class LazyMaterialize(LazyOperator):
     untouched variables (e.g. the source-root binding the construction
     never looks at) cost nothing.
 
-    Value ids are ``(owner, binding_index, var_index, path)`` --
-    child-index paths into the buffered value trees, the same scheme
-    as MaterializedDocument.
+    Value ids are ``(owner, binding_index, var_index, path)``, where
+    ``path`` is the child-index path from the buffered value tree's
+    root to the node.
     """
 
     def __init__(self, child: LazyOperator,

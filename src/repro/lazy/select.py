@@ -14,8 +14,7 @@ from ..algebra.predicates import Predicate
 from ..runtime.cache import MISS
 from ..runtime.context import ExecutionContext
 from ..xtree.tree import Tree
-from .base import (FilterOperator, LazyError, LazyOperator,
-                   UnaryOperator, value_text_of)
+from .base import FilterOperator, LazyError, LazyOperator, UnaryOperator
 
 __all__ = ["LazySelect", "LazyProject", "LazyConstant", "LazyRename"]
 
@@ -39,7 +38,12 @@ class LazySelect(FilterOperator):
 
     def _getter(self, var: str):
         attribute = self.child.attribute
-        return lambda ib: value_text_of(attribute(ib, var))
+
+        def text(ib) -> str:
+            value = attribute(ib, var)
+            return value[0].v_text(value)
+
+        return text
 
     def _keep(self, ib) -> bool:
         verdict = self._verdicts.get(ib, MISS)
@@ -85,8 +89,8 @@ class LazyRename(UnaryOperator):
 class LazyConstant(UnaryOperator):
     """Extend each input binding with a fixed in-memory tree.
 
-    The constant's value ids are ``(owner, path)``, child-index paths
-    into the tree (the same scheme as MaterializedDocument); every
+    The constant's value ids are ``(owner, path)``, where ``path`` is
+    the child-index path from the tree's root to the node; every
     other variable's ids are the input's.
     """
 

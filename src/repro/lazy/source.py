@@ -90,6 +90,71 @@ class LazySource(LazyOperator):
             self._publish("f")
         return self._fetch(value[1])
 
+    # The whole-value walks over the document itself: the commands,
+    # their order and the counts are the generic walk's, without a
+    # trip through v_down/v_right/v_fetch per node.  A listener needs
+    # each command published, so with one the generic walk runs.
+    def v_text(self, value):
+        if self._tracer.active or self._metrics.enabled:
+            return LazyOperator.v_text(self, value)
+        navs, down, fetch = self._navs, self._down, self._fetch
+        pointer = value[1]
+        navs.down += 1
+        child = down(pointer)
+        if child is None:  # a text leaf: the common case
+            navs.fetch += 1
+            return fetch(pointer)
+        right = self._right
+        parts = []
+        path = [child]  # the nodes entered below the value
+        pointer = child
+        while True:
+            navs.down += 1
+            child = down(pointer)
+            if child is not None:
+                path.append(child)
+                pointer = child
+                continue
+            navs.fetch += 1
+            parts.append(fetch(pointer))
+            while path:
+                navs.right += 1
+                pointer = right(path.pop())
+                if pointer is not None:
+                    path.append(pointer)
+                    break
+            else:
+                return "".join(parts)
+
+    def v_key(self, value):
+        if self._tracer.active or self._metrics.enabled:
+            return LazyOperator.v_key(self, value)
+        navs, down, right, fetch = \
+            self._navs, self._down, self._right, self._fetch
+        frames = []  # one per open node: (label, child keys, pointer)
+        pointer = value[1]
+        while True:
+            navs.fetch += 1
+            label = fetch(pointer)
+            navs.down += 1
+            child = down(pointer)
+            if child is not None:
+                frames.append((label, [], pointer))
+                pointer = child
+                continue
+            key = label
+            while frames:
+                frames[-1][1].append(key)
+                navs.right += 1
+                sibling = right(pointer)
+                if sibling is not None:
+                    pointer = sibling
+                    break
+                label, keys, pointer = frames.pop()
+                key = (label, tuple(keys))
+            else:
+                return key
+
     def v_select(self, value, predicate):
         owner, pointer, is_root = value
         if is_root:

@@ -35,7 +35,7 @@ from .interface import (
     materialize,
     run_navigation,
 )
-from .materialized import MaterializedDocument, TreePointer
+from .materialized import MaterializedDocument
 from .profiler import (
     NavigationProfile,
     OperatorProfile,
@@ -50,7 +50,7 @@ __all__ = [
     "label_is",
     "NavigableDocument", "run_navigation", "materialize", "iter_children",
     "child_labels",
-    "MaterializedDocument", "TreePointer",
+    "MaterializedDocument",
     "CountingDocument", "NavCounters",
     "ExploredPart", "explored_part", "UNFETCHED_LABEL",
     "Browsability", "CostCurve", "ComplexityReport", "classify",

@@ -14,12 +14,12 @@ source than the corresponding explored part requires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from ..xtree.tree import Tree
-from .commands import Fetch, Navigation
-from .interface import run_navigation
-from .materialized import MaterializedDocument, TreePointer
+from .commands import Navigation
+from .interface import NavigableDocument, run_navigation
+from .materialized import MaterializedDocument
 
 __all__ = ["ExploredPart", "explored_part", "UNFETCHED_LABEL"]
 
@@ -34,13 +34,15 @@ class ExploredPart:
     Attributes
     ----------
     visited:
-        pointers (child-index paths) whose node-ids were accessed.
+        pointers (preorder node numbers, as
+        :class:`~repro.navigation.materialized.MaterializedDocument`
+        hands them out) whose node-ids were accessed.
     fetched:
         subset of ``visited`` whose labels were fetched.
     """
 
-    visited: Set[TreePointer] = field(default_factory=set)
-    fetched: Set[TreePointer] = field(default_factory=set)
+    visited: Set[int] = field(default_factory=set)
+    fetched: Set[int] = field(default_factory=set)
 
     @property
     def node_count(self) -> int:
@@ -51,20 +53,25 @@ class ExploredPart:
 
         Returns None when nothing (not even the root) was visited.
         """
-        if () not in self.visited:
+        if 0 not in self.visited:
             return None
+        return _render(self, source, 0)[0]
 
-        def build(pointer: TreePointer, node: Tree) -> Tree:
-            label = (node.label if pointer in self.fetched
-                     else UNFETCHED_LABEL)
-            children: List[Tree] = []
-            for index, child in enumerate(node.children):
-                child_pointer = pointer + (index,)
-                if child_pointer in self.visited:
-                    children.append(build(child_pointer, child))
-            return Tree(label, children)
 
-        return build((), source)
+def _render(part: ExploredPart, node: Tree,
+            number: int) -> Tuple[Optional[Tree], int]:
+    """The rendering of ``node`` (None when unvisited; node ``number``
+    in preorder) and the number that follows its subtree."""
+    after = number + 1
+    children: List[Tree] = []
+    for child in node.children:
+        rendered, after = _render(part, child, after)
+        if rendered is not None:
+            children.append(rendered)
+    if number not in part.visited:
+        return None, after
+    label = node.label if number in part.fetched else UNFETCHED_LABEL
+    return Tree(label, children), after
 
 
 def explored_part(tree: Tree, navigation: Navigation) -> ExploredPart:
@@ -82,26 +89,30 @@ def explored_part(tree: Tree, navigation: Navigation) -> ExploredPart:
     return doc.explored
 
 
-class _RecordingDocument(MaterializedDocument):
-    """MaterializedDocument that records visits for explored_part."""
+class _RecordingDocument(NavigableDocument):
+    """A MaterializedDocument's navigation, recording visits for
+    explored_part."""
 
     def __init__(self, tree: Tree):
-        super().__init__(tree)
+        self.inner = MaterializedDocument(tree)
         self.explored = ExploredPart()
-        self.explored.visited.add(())
+        self.explored.visited.add(0)
 
-    def down(self, pointer: TreePointer) -> Optional[TreePointer]:
-        child = super().down(pointer)
+    def root(self) -> int:
+        return self.inner.root()
+
+    def down(self, pointer: int) -> Optional[int]:
+        child = self.inner.down(pointer)
         if child is not None:
             self.explored.visited.add(child)
         return child
 
-    def right(self, pointer: TreePointer) -> Optional[TreePointer]:
-        sibling = super().right(pointer)
+    def right(self, pointer: int) -> Optional[int]:
+        sibling = self.inner.right(pointer)
         if sibling is not None:
             self.explored.visited.add(sibling)
         return sibling
 
-    def fetch(self, pointer: TreePointer) -> str:
+    def fetch(self, pointer: int) -> str:
         self.explored.fetched.add(pointer)
-        return super().fetch(pointer)
+        return self.inner.fetch(pointer)

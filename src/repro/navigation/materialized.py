@@ -1,23 +1,26 @@
 """Navigation over an in-memory tree (the "ideal source").
 
-Pointers are child-index paths (tuples of ints), so they are hashable,
-stable, and encode their own position -- the same design philosophy as
-the mediator's Skolem-style node-ids.  A pointer cache avoids repeated
-root-to-node walks for interactive access patterns.
+The tree is numbered once, at construction, in preorder: node ``n``
+has its label in ``label[n]``, its first child's number in
+``first[n]`` and its right sibling's in ``next[n]`` (None for a leaf,
+a last child, or the root).  A pointer is the node number -- ``0`` is
+the root -- so pointers are hashable and stable, and each DOM-VXD
+command is one table read: ``down``, ``right`` and ``fetch`` *are*
+the tables' bound ``__getitem__``, and run no Python frame.
+
+The tables are never written after construction, so one document can
+be navigated by any number of threads at once (the daemon shares a
+registered document across its handler threads) without a lock.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import List, Optional
 
 from ..xtree.tree import Tree
 from .interface import NavigableDocument
 
-__all__ = ["MaterializedDocument", "TreePointer"]
-
-#: A pointer into a materialized document: the child-index path from
-#: the root ('()' is the root itself).
-TreePointer = Tuple[int, ...]
+__all__ = ["MaterializedDocument"]
 
 
 class MaterializedDocument(NavigableDocument):
@@ -25,47 +28,34 @@ class MaterializedDocument(NavigableDocument):
 
     def __init__(self, tree: Tree):
         self.tree = tree
-        self._nodes: Dict[TreePointer, Tree] = {(): tree}
+        label: List[str] = [tree.label]
+        first: List[Optional[int]] = [None]
+        following: List[Optional[int]] = [None]
+        # One frame per open node: [number, its children, its last
+        # numbered child]; a loop, so no depth limit.
+        frames: list = [[0, iter(tree.children), None]]
+        while frames:
+            frame = frames[-1]
+            child = next(frame[1], None)
+            if child is None:
+                frames.pop()
+                continue
+            number = len(label)
+            label.append(child.label)
+            first.append(None)
+            following.append(None)
+            if frame[2] is None:
+                first[frame[0]] = number
+            else:
+                following[frame[2]] = number
+            frame[2] = number
+            if child.children:
+                frames.append([number, iter(child.children), None])
+        self.label, self.first, self.next = label, first, following
+        # The three commands, as table reads.
+        self.down = first.__getitem__
+        self.right = following.__getitem__
+        self.fetch = label.__getitem__
 
-    # -- helpers ---------------------------------------------------------
-    def node_at(self, pointer: TreePointer) -> Tree:
-        """Resolve a pointer to its tree node (cached)."""
-        node = self._nodes.get(pointer)
-        if node is not None:
-            return node
-        parent = self.node_at(pointer[:-1])
-        node = parent.child(pointer[-1])
-        self._nodes[pointer] = node
-        return node
-
-    # -- NavigableDocument -----------------------------------------------
-    def root(self) -> TreePointer:
-        return ()
-
-    # Commands land on pointers this document handed out (hence
-    # resolved) nearly always: each probes the pointer cache inline and
-    # falls back to the walk only on a miss.
-    def down(self, pointer: TreePointer) -> Optional[TreePointer]:
-        node = self._nodes.get(pointer)
-        if node is None:
-            node = self.node_at(pointer)
-        if node.is_leaf:
-            return None
-        return pointer + (0,)
-
-    def right(self, pointer: TreePointer) -> Optional[TreePointer]:
-        if not pointer:
-            return None  # the root has no siblings
-        parent = self._nodes.get(pointer[:-1])
-        if parent is None:
-            parent = self.node_at(pointer[:-1])
-        index = pointer[-1] + 1
-        if index >= len(parent.children):
-            return None
-        return pointer[:-1] + (index,)
-
-    def fetch(self, pointer: TreePointer) -> str:
-        node = self._nodes.get(pointer)
-        if node is None:
-            node = self.node_at(pointer)
-        return node.label
+    def root(self) -> int:
+        return 0

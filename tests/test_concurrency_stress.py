@@ -19,11 +19,13 @@ consumption is atomic: exactly the scripted number of faults is
 injected no matter how the threads interleave.
 """
 
+import sys
 import threading
 
 import pytest
 
 from repro.buffer import BufferComponent, TreeLXPServer
+from repro.navigation import MaterializedDocument, materialize
 from repro.runtime import RetryPolicy
 from repro.runtime.resilience import ResilientLXPServer
 from repro.testing import FailureSchedule, FakeClock, FlakyLXPServer
@@ -220,6 +222,26 @@ class TestSharedSourceStress:
 
         _run_sessions(session)
         assert answers == [expected] * SESSIONS
+
+
+@pytest.mark.timeout(60)
+def test_one_materialized_document_navigated_by_eight_threads():
+    """The daemon's handler threads share a registered document.  Its
+    node tables are read-only once built, so threads navigating it at
+    once need no lock: each must read the whole tree back."""
+    tree = _homes_tree(30)
+    document = MaterializedDocument(tree)
+    readings = [[] for _ in range(8)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_sessions(
+            lambda index: readings[index].extend(
+                materialize(document) for _ in range(3)),
+            n=8)
+    finally:
+        sys.setswitchinterval(previous)
+    assert readings == [[tree] * 3] * 8
 
 
 def _tiny_tree():

@@ -313,11 +313,18 @@ class TestBrowsabilityClassifier:
             def root(self):
                 return ()
 
+            def _pointer(self, p):
+                # the view's root is the sorted document's root
+                document = self._force()
+                return document, document.root() if p == () else p
+
             def down(self, p):
-                return self._force().down(p)
+                document, pointer = self._pointer(p)
+                return document.down(pointer)
 
             def right(self, p):
-                return self._force().right(p)
+                document, pointer = self._pointer(p)
+                return document.right(pointer)
 
             def fetch(self, p):
                 if p == ():

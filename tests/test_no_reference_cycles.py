@@ -12,8 +12,9 @@ through its own cell.)
 The scenarios are those of ``test_hot_path_budget`` -- a join over
 materialized sources and a scan through a relational wrapper and the
 buffer -- plus a fragment-cache session that writes the shared store
-and one that adopts the stored view, and a view-inlining query of
-which the client reads only the first results.
+and one that adopts the stored view, a view-inlining query of which
+the client reads only the first results, and a selection that reads
+the text of a structured value in every binding.
 """
 
 import collections
@@ -43,6 +44,9 @@ NAMES_QUERY = ("CONSTRUCT <names> $N {$N} </names> {} "
                "WHERE bigdb items._ $R AND $R name._ $N")
 HITS_QUERY = ("CONSTRUCT <hits> $H {$H} </hits> {} "
               "WHERE homesSrc homes.home $H")
+NOWHERE_QUERY = ("CONSTRUCT <hits> $H {$H} </hits> {} "
+                 "WHERE homesSrc homes.home $H AND $H addr $A "
+                 'AND $A = "nowhere"')
 
 
 def _join_scan():
@@ -50,6 +54,16 @@ def _join_scan():
     for name, tree in homes_and_schools(10, seed=1).items():
         mediator.register_source(name, MaterializedDocument(tree))
     assert mediator.prepare(HOMES_SCHOOLS_QUERY).root.to_tree().children
+
+
+def _structured_text():
+    """A selection reading the text of a structured value (an
+    ``addr`` element, not its text leaf) in every home."""
+    mediator = MIXMediator(EngineConfig())
+    for name, tree in homes_and_schools(10, seed=1).items():
+        mediator.register_source(name, MaterializedDocument(tree))
+    answer = mediator.prepare(NOWHERE_QUERY).root.to_tree()
+    assert answer.label == "hits" and not answer.children
 
 
 def _wrapped_scan():
@@ -102,8 +116,9 @@ def _browse_prefix():
 
 @pytest.mark.parametrize("scenario", [
     _join_scan, _wrapped_scan, _cache_cold, _cache_warm, _browse_prefix,
+    _structured_text,
 ], ids=["join_scan", "wrapped_scan", "cache_cold", "cache_warm",
-        "browse_prefix"])
+        "browse_prefix", "structured_text"])
 def test_a_finished_query_leaves_no_cyclic_garbage(scenario):
     # A first run does the once-per-process work (imports, compiled
     # patterns), whose garbage is not the query's.

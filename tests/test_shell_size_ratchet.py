@@ -31,14 +31,19 @@ SHELL_PACKAGES = ("runtime", "buffer", "server", "client")
 #: 4051, after the query caches lost their lock)
 SHELL_CODE_LINES = 4029
 
-#: all of ``src/repro``, measured when connect_remote began speaking
-#: the daemon's session dialogue.  Before: 13555, when the buffer's
+#: all of ``src/repro``, raised on purpose when values began to be
+#: walked by their owner (``lazy/`` 1238 -> 1321 code lines: the
+#: generic text and key walks as loops, and the source's own walks
+#: over its document, which the generic walk backs while a tracer or
+#: metrics listen) and the materialized source became node tables
+#: (``navigation/`` 666 -> 664).  Before: 13554, when connect_remote
+#: began speaking the daemon's session dialogue; 13555, when the buffer's
 #: open tree became node tables; 13581, when value ids began naming
 #: their owner (``lazy/`` 1314 -> 1238 code lines); 13658, when each
 #: query began counting its own source navigations, raised on purpose
 #: from 13635, the count after operator fan-out, the URI registries
 #: and the lock-creation census were deleted (before that: 13816)
-PACKAGE_CODE_LINES = 13554
+PACKAGE_CODE_LINES = 13639
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
