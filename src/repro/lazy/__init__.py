@@ -20,15 +20,15 @@ from .join import LazyJoin
 from .materialize_op import LazyMaterialize
 from .observe import SpannedOperator
 from .orderby import LazyOrderBy
-from .select import LazyConstant, LazyProject, LazyRename, LazySelect
+from .select import LazyConstant, LazySelect
 from .setops import LazyDifference, LazyDistinct, LazyUnion
 from .source import LazySource
 
 __all__ = [
     "LazyOperator", "LazyError", "BindingsDocument",
     "value_text_of", "canonical_key_of", "materialize_value",
-    "LazySource", "LazyGetDescendants", "LazySelect", "LazyProject",
-    "LazyConstant", "LazyRename", "LazyJoin", "LazyGroupBy", "LazyConcatenate",
+    "LazySource", "LazyGetDescendants", "LazySelect",
+    "LazyConstant", "LazyJoin", "LazyGroupBy", "LazyConcatenate",
     "LazyCreateElement", "LazyOrderBy", "LazyMaterialize",
     "LazyUnion", "LazyDifference",
     "LazyDistinct", "SpannedOperator",

@@ -13,7 +13,9 @@ lists of the input mediator.  Instead we allow the operators to
 directly request values of attributes."  Hence the protocol:
 
 binding level (the ``bs``/``b`` nodes)
-    ``first_binding()``, ``next_binding(b)``, ``attribute(b, var)``
+    ``first_binding()``, ``next_binding(b)``, ``attribute(b, var)``;
+    ``route(var)`` names the call that answers ``b.var``, so a parent
+    resolves once, at build time, which operator binds ``var``
 
 value level (the subtrees bound to variables)
     ``v_down(v)``, ``v_right(v)``, ``v_fetch(v)``
@@ -40,7 +42,7 @@ siblings in the source -- the binding perspective detaches it.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional
+from typing import Hashable, List, Mapping, Optional
 
 from ..navigation.interface import NavigableDocument
 from ..runtime.context import ExecutionContext
@@ -109,6 +111,17 @@ class LazyOperator:
     def attribute(self, binding: BindingId, var: str) -> ValueId:
         """Direct access ``b.X``: the root value id of ``var``."""
         raise NotImplementedError
+
+    def route(self, var: str):
+        """``(attribute, name)``: the call that answers ``b.var`` for
+        this operator's binding ids -- ``attribute(b, name)``.
+
+        An operator that binds ``var``, or whose binding ids are its
+        own, answers for itself.  A pass-through shape hands out its
+        input's binding ids, so it answers with the route its input
+        gave (see :class:`UnaryOperator`).
+        """
+        return (self.attribute, var)
 
     # -- value-level navigation --------------------------------------------
     # Called only with ids this operator minted (``value[0]`` is its
@@ -203,8 +216,7 @@ class LazyOperator:
     def _check_var(self, var: str) -> None:
         if var not in self.variables:
             raise LazyError(
-                "operator %s has no variable $%s"
-                % (type(self).__name__, var)
+                "operator %s has no variable $%s" % (self, var)
             )
 
 
@@ -218,19 +230,37 @@ class LazyOperator:
 # the id's owner, never through the operators above it.
 
 class UnaryOperator(LazyOperator):
-    """The pass-through shape: one input whose bindings are the
+    """The pass-through shape: one input whose binding ids are the
     output's, id for id.
 
-    ``project`` and ``rename`` are this shape whole; ``orderBy``
-    re-maps the bindings, and ``constant`` / ``createElement`` /
-    ``concatenate`` add one variable of their own.
+    ``routes`` maps each output variable, in schema order, to the
+    input variable it shows (default: every input variable under its
+    own name).  ``project`` is this shape over the kept variables,
+    ``rename`` over the renamed keys; :class:`FilterOperator` adds a
+    survival test.  ``constant`` / ``createElement`` /
+    ``concatenate`` answer their own variable first, then use the
+    table.
+
+    The route rule: ``b.X`` goes straight to the operator that binds
+    ``X``.  The table is built once, from the input's :meth:`route`,
+    so a chain of pass-through shapes collapses to that operator and
+    ``attribute`` costs one lookup and one call to it.  Two
+    exceptions answer for themselves (the default
+    :meth:`LazyOperator.route`): ``orderBy``, whose binding ids are
+    positions, and a :class:`~repro.lazy.observe.SpannedOperator`,
+    which must see every call it observes.
     """
 
     def __init__(self, child: LazyOperator,
-                 context: Optional[ExecutionContext] = None):
+                 context: Optional[ExecutionContext] = None,
+                 routes: Optional[Mapping[str, str]] = None):
         super().__init__(context)
         self.child = child
-        self.variables = list(child.variables)
+        if routes is None:
+            routes = {var: var for var in child.variables}
+        self.variables = list(routes)
+        self._routes = {out: child.route(var)
+                        for out, var in routes.items()}
 
     def first_binding(self):
         return self.child.first_binding()
@@ -239,17 +269,26 @@ class UnaryOperator(LazyOperator):
         return self.child.next_binding(binding)
 
     def attribute(self, binding, var):
-        self._check_var(var)
-        return self.child.attribute(binding, var)
+        try:
+            attribute, name = self._routes[var]
+        except KeyError:
+            raise LazyError("operator %s has no variable $%s"
+                            % (self, var)) from None
+        return attribute(binding, name)
+
+    def route(self, var):
+        # a variable the table lacks is the operator's own
+        return self._routes.get(var, (self.attribute, var))
 
 
 class FilterOperator(UnaryOperator):
     """The filter shape: stream the input and decide, per binding,
     whether it survives (:meth:`_keep`).
 
-    Binding ids wrap the input's 1:1 (``("b", ib)``); value ids are
-    the input's.  ``select``, ``distinct`` and ``difference`` (over
-    its left input) differ only in ``_keep``.
+    Binding and value ids are the input's, unchanged, so ``b.X`` is
+    routed as for any pass-through shape.  ``select``, ``distinct``
+    and ``difference`` (over its left input) differ only in
+    ``_keep``.
     """
 
     def _keep(self, ib) -> bool:
@@ -258,7 +297,7 @@ class FilterOperator(UnaryOperator):
     def _scan(self, ib):
         while ib is not None:
             if self._keep(ib):
-                return ("b", ib)
+                return ib
             ib = self.child.next_binding(ib)
         return None
 
@@ -266,11 +305,7 @@ class FilterOperator(UnaryOperator):
         return self._scan(self.child.first_binding())
 
     def next_binding(self, binding):
-        return self._scan(self.child.next_binding(binding[1]))
-
-    def attribute(self, binding, var):
-        self._check_var(var)
-        return self.child.attribute(binding[1], var)
+        return self._scan(self.child.next_binding(binding))
 
 
 # ----------------------------------------------------------------------

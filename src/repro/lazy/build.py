@@ -8,7 +8,14 @@ we obtain a smoothly integrated, uniform evaluation scheme."
 ``build_lazy_plan`` maps every algebra node to its lazy counterpart;
 sources are resolved to NavigableDocuments (wrapped sources, buffer
 components, or even *other lazy plans* -- which is exactly how mediator
-stacking in Figure 1 works).
+stacking in Figure 1 works).  ``project`` and ``rename`` have no lazy
+class: each becomes the pass-through shape
+(:class:`~repro.lazy.base.UnaryOperator`) with a route map, so ``b.X``
+goes past them to the operator that binds ``X``.
+
+The plan's schema is checked once, at the public entry points, by
+:meth:`~repro.algebra.operators.Operator.validate`; the builder then
+recurses privately and no lazy constructor checks it again.
 
 Every operator in the resulting tree shares one
 :class:`~repro.runtime.context.ExecutionContext`: the frozen
@@ -28,7 +35,7 @@ from ..navigation.interface import NavigableDocument
 from ..pushdown.document import PushedSourceDocument
 from ..pushdown.plan import PushedSource
 from ..runtime.context import ExecutionContext
-from .base import LazyError, LazyOperator
+from .base import LazyError, LazyOperator, UnaryOperator
 from .concat import LazyConcatenate
 from .createelem import LazyCreateElement
 from .document import VirtualDocument
@@ -37,7 +44,7 @@ from .groupby import LazyGroupBy
 from .join import LazyJoin
 from .materialize_op import LazyMaterialize
 from .orderby import LazyOrderBy
-from .select import LazyConstant, LazyProject, LazyRename, LazySelect
+from .select import LazyConstant, LazySelect
 from .setops import LazyDifference, LazyDistinct, LazyUnion
 from .source import LazySource
 
@@ -92,12 +99,23 @@ def build_lazy_plan(plan: ops.Operator, documents: DocumentResolver,
     :class:`~repro.lazy.observe.SpannedOperator` of that name, so each
     protocol call an operator answers becomes an ``operator`` span in
     the trace.
+
+    The plan's schema is checked once, here, by
+    :meth:`~repro.algebra.operators.Operator.validate`; the lazy
+    operators do not check it again.
     """
     if isinstance(plan, ops.TupleDestroy):
         raise LazyError(
             "build_virtual_document() handles TupleDestroy roots")
+    plan.validate()
     if context is None:
         context = ExecutionContext.create()
+    return _build(plan, documents, context)
+
+
+def _build(plan: ops.Operator, documents: DocumentResolver,
+           context: ExecutionContext) -> LazyOperator:
+    """:func:`build_lazy_plan` over a validated plan."""
     built = _build_lazy_node(plan, documents, context)
     name = context.mint_operator_name(type(plan).__name__)
     if context.config.observe_operators:
@@ -111,7 +129,7 @@ def build_lazy_plan(plan: ops.Operator, documents: DocumentResolver,
 def _build_lazy_node(plan: ops.Operator, documents: DocumentResolver,
                      context: ExecutionContext) -> LazyOperator:
     def rec(node: ops.Operator) -> LazyOperator:
-        return build_lazy_plan(node, documents, context)
+        return _build(node, documents, context)
 
     if isinstance(plan, PushedSource):
         # A pushed chain: stand a PushedSourceDocument (one native
@@ -120,8 +138,8 @@ def _build_lazy_node(plan: ops.Operator, documents: DocumentResolver,
         # the residual evaluation that makes conservative backends
         # sound and answers byte-identical to the lazy run.
         pushed = PushedSourceDocument(plan, context)
-        return build_lazy_plan(plan.compiled.subplan,
-                               {plan.compiled.url: pushed}, context)
+        return _build(plan.compiled.subplan,
+                      {plan.compiled.url: pushed}, context)
     if isinstance(plan, ops.Source):
         return LazySource(_resolve(documents, plan.url), plan.out_var,
                           context)
@@ -134,9 +152,13 @@ def _build_lazy_node(plan: ops.Operator, documents: DocumentResolver,
     if isinstance(plan, ops.Select):
         return LazySelect(rec(plan.child), plan.predicate, context)
     if isinstance(plan, ops.Project):
-        return LazyProject(rec(plan.child), plan.variables, context)
+        return UnaryOperator(rec(plan.child), context,
+                             {var: var for var in plan.variables})
     if isinstance(plan, ops.Rename):
-        return LazyRename(rec(plan.child), plan.mapping, context)
+        child = rec(plan.child)
+        return UnaryOperator(child, context,
+                             {plan.mapping.get(var, var): var
+                              for var in child.variables})
     if isinstance(plan, ops.Distinct):
         return LazyDistinct(rec(plan.child), context)
     if isinstance(plan, ops.Join):
@@ -180,5 +202,5 @@ def build_virtual_document(plan: ops.Operator,
     plan.validate()
     if context is None:
         context = ExecutionContext.create()
-    lazy = build_lazy_plan(plan.child, documents, context)
+    lazy = _build(plan.child, documents, context)
     return VirtualDocument(lazy, plan.var)

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 from ..algebra.bindings import LIST_LABEL
 from ..runtime.context import ExecutionContext
-from .base import LazyError, LazyOperator, UnaryOperator
+from .base import LazyOperator, UnaryOperator
 
 __all__ = ["LazyConcatenate"]
 
@@ -35,22 +35,16 @@ class LazyConcatenate(UnaryOperator):
     def __init__(self, child: LazyOperator, in_vars: Sequence[str],
                  out_var: str,
                  context: Optional[ExecutionContext] = None):
-        if not in_vars:
-            raise LazyError("concatenate needs at least one variable")
         super().__init__(child, context)
         self.in_vars = list(in_vars)
         self.out_var = out_var
         self.variables = child.variables + [out_var]
-        for var in self.in_vars:
-            if var not in child.variables:
-                raise LazyError("concatenate over unbound $%s" % var)
 
     # -- attributes (bindings pass through 1:1: the pass-through shape) ------
     def attribute(self, binding, var):
-        self._check_var(var)
         if var == self.out_var:
             return (self.spanned or self, binding)
-        return self.child.attribute(binding, var)
+        return UnaryOperator.attribute(self, binding, var)
 
     # -- item enumeration --------------------------------------------------------
     def _first_item_of_var(self, owner, ib, var_index: int):

@@ -21,8 +21,7 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 from ..runtime.context import ExecutionContext
-from .base import (LazyError, LazyOperator, UnaryOperator,
-                   value_text_of)
+from .base import LazyOperator, UnaryOperator, value_text_of
 
 __all__ = ["LazyCreateElement"]
 
@@ -37,10 +36,7 @@ class LazyCreateElement(UnaryOperator):
                  context: Optional[ExecutionContext] = None):
         super().__init__(child, context)
         if isinstance(label, tuple):
-            kind, name = label
-            if kind != "var":
-                raise LazyError("bad label spec %r" % (label,))
-            self.label_var: Optional[str] = name
+            self.label_var: Optional[str] = label[1]
             self.label_const: Optional[str] = None
         else:
             self.label_var = None
@@ -48,17 +44,12 @@ class LazyCreateElement(UnaryOperator):
         self.content_var = content_var
         self.out_var = out_var
         self.variables = child.variables + [out_var]
-        for var in [content_var] + ([self.label_var]
-                                    if self.label_var else []):
-            if var not in child.variables:
-                raise LazyError("createElement over unbound $%s" % var)
 
     # -- attributes (bindings map 1:1: the pass-through shape) ---------------
     def attribute(self, binding, var):
-        self._check_var(var)
         if var == self.out_var:
             return (self.spanned or self, binding)
-        return self.child.attribute(binding, var)
+        return UnaryOperator.attribute(self, binding, var)
 
     # -- values: the created element ------------------------------------
     def v_down(self, value):

@@ -14,8 +14,6 @@ not down through the plan.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..navigation.interface import NavigableDocument
 from .base import LazyError, LazyOperator
 
@@ -24,19 +22,10 @@ __all__ = ["VirtualDocument"]
 
 class VirtualDocument(NavigableDocument):
     """DOM-VXD facade over the value of ``var`` in the plan's single
-    output binding."""
+    output binding (``tupleDestroy``'s variable, which the algebra
+    checked is bound)."""
 
-    def __init__(self, op: LazyOperator, var: Optional[str] = None):
-        if var is None:
-            if len(op.variables) != 1:
-                raise LazyError(
-                    "tupleDestroy needs an explicit variable when the "
-                    "plan schema is %s" % op.variables
-                )
-            var = op.variables[0]
-        if var not in op.variables:
-            raise LazyError("no variable $%s in plan schema %s"
-                            % (var, op.variables))
+    def __init__(self, op: LazyOperator, var: str):
         self.op = op
         self.var = var
         self._root_vid = None

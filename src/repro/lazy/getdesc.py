@@ -166,7 +166,6 @@ class LazyGetDescendants(LazyOperator):
     def attribute(self, binding, var):
         if var == self.out_var:
             return (self.spanned or self, binding[2][-1][0])
-        self._check_var(var)
         return self.child.attribute(binding[1], var)
 
     # -- values: the match root -------------------------------------------

@@ -50,9 +50,6 @@ class LazyGroupBy(LazyOperator):
         self.group_vars = list(group_vars)
         self.aggregations = [tuple(a) for a in aggregations]
         self.variables = self.group_vars + [o for _, o in self.aggregations]
-        for var in self.group_vars + [v for v, _ in self.aggregations]:
-            if var not in child.variables:
-                raise LazyError("groupBy over unbound variable $%s" % var)
 
         #: input bindings scanned so far, in input order
         self._scanned: List[object] = []
@@ -128,7 +125,6 @@ class LazyGroupBy(LazyOperator):
 
     # -- attributes ------------------------------------------------------------
     def attribute(self, binding, var):
-        self._check_var(var)
         index = binding[1]
         if var in self.group_vars:
             witness = self._scanned[self._group_first_pos[index]]
@@ -136,7 +132,7 @@ class LazyGroupBy(LazyOperator):
         for agg_index, (_in_var, out_var) in enumerate(self.aggregations):
             if var == out_var:
                 return (self.spanned or self, index, agg_index)
-        raise LazyError("unreachable: variable $%s" % var)
+        raise LazyError("operator %s has no variable $%s" % (self, var))
 
     # -- member scanning -------------------------------------------------------
     def _next_member_pos(self, group_index: int,

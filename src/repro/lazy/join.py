@@ -20,7 +20,7 @@ from typing import Optional
 from ..algebra.predicates import Predicate
 from ..runtime.cache import MISS
 from ..runtime.context import ExecutionContext
-from .base import LazyError, LazyOperator
+from .base import LazyOperator
 
 __all__ = ["LazyJoin"]
 
@@ -36,10 +36,6 @@ class LazyJoin(LazyOperator):
         self.left = left
         self.right = right
         self.predicate = predicate
-        overlap = set(left.variables) & set(right.variables)
-        if overlap:
-            raise LazyError("join inputs share variables %s"
-                            % sorted(overlap))
         self.variables = left.variables + right.variables
         self._left_vars = set(left.variables)
         #: inner cache (paper footnote 9): position -> right binding id,
@@ -178,7 +174,6 @@ class LazyJoin(LazyOperator):
 
     # -- attributes: the sides' own value ids -------------------------------
     def attribute(self, binding, var):
-        self._check_var(var)
         _, lb, right_index = binding
         if var in self._left_vars:
             return self.left.attribute(lb, var)

@@ -14,8 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..algebra.eager import sort_key_for_value
 from ..runtime.cache import MISS
 from ..runtime.context import ExecutionContext
-from .base import (LazyError, LazyOperator, UnaryOperator,
-                   value_text_of)
+from .base import LazyOperator, UnaryOperator, value_text_of
 
 __all__ = ["LazyOrderBy"]
 
@@ -30,9 +29,6 @@ class LazyOrderBy(UnaryOperator):
         super().__init__(child, context)
         self.sort_vars = list(variables)
         self.descending = descending
-        for var in self.sort_vars:
-            if var not in child.variables:
-                raise LazyError("orderBy over unbound $%s" % var)
         #: one-entry memo holding the sorted binding order; the sort
         #: is deterministic, so re-deriving it after eviction yields
         #: the same positions and node-ids stay valid
@@ -71,7 +67,10 @@ class LazyOrderBy(UnaryOperator):
         return ("b", index) if index < len(order) else None
 
     # -- attributes (the input's value ids: the pass-through shape) --------
+    # The binding ids are positions, not the input's: orderBy answers
+    # for itself, then routes the input binding it holds.
+    route = LazyOperator.route
+
     def attribute(self, binding, var):
-        self._check_var(var)
-        ib = self._force()[binding[1]]
-        return self.child.attribute(ib, var)
+        return UnaryOperator.attribute(self, self._force()[binding[1]],
+                                       var)

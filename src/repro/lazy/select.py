@@ -1,4 +1,8 @@
-"""The lazy ``select`` operator and the pass-through Project/Constant.
+"""The lazy ``select`` and ``constant`` operators.
+
+``project`` and ``rename`` have no class of their own: they are the
+pass-through shape (:class:`~repro.lazy.base.UnaryOperator`) with a
+route map, built by :mod:`repro.lazy.build`.
 
 ``select`` scans the input binding list for bindings that satisfy the
 predicate -- Example 1's *(unbounded) browsable* pattern: the cost of
@@ -14,16 +18,16 @@ from ..algebra.predicates import Predicate
 from ..runtime.cache import MISS
 from ..runtime.context import ExecutionContext
 from ..xtree.tree import Tree
-from .base import FilterOperator, LazyError, LazyOperator, UnaryOperator
+from .base import FilterOperator, LazyOperator, UnaryOperator
 
-__all__ = ["LazySelect", "LazyProject", "LazyConstant", "LazyRename"]
+__all__ = ["LazySelect", "LazyConstant"]
 
 
 class LazySelect(FilterOperator):
     """``sigma_p``: bindings of the input satisfying ``p``.
 
-    The filter shape (``("b", ib)`` binding ids, the input's value
-    ids) with the predicate as the survival test.  Predicate evaluation
+    The filter shape (the input's binding and value ids) with the
+    predicate as the survival test.  Predicate evaluation
     materializes only the text of the mentioned variables' values;
     per-binding verdicts are memoized when caching is on.
     """
@@ -54,38 +58,6 @@ class LazySelect(FilterOperator):
         return verdict
 
 
-class LazyProject(UnaryOperator):
-    """``pi_{vars}``: restrict the visible attributes; binding and
-    value ids are the input's."""
-
-    def __init__(self, child: LazyOperator, variables,
-                 context: Optional[ExecutionContext] = None):
-        super().__init__(child, context)
-        self.variables = list(variables)
-        missing = [v for v in self.variables if v not in child.variables]
-        if missing:
-            raise LazyError("project over unbound variables %s" % missing)
-
-
-class LazyRename(UnaryOperator):
-    """``rho``: rename variables; binding and value ids are the
-    input's."""
-
-    def __init__(self, child: LazyOperator, mapping: dict,
-                 context: Optional[ExecutionContext] = None):
-        super().__init__(child, context)
-        self.mapping = dict(mapping)
-        self._reverse = {new: old for old, new in self.mapping.items()}
-        self.variables = [self.mapping.get(v, v) for v in child.variables]
-        if len(set(self.variables)) != len(self.variables):
-            raise LazyError("rename creates duplicate variables: %s"
-                            % self.variables)
-
-    def attribute(self, binding, var):
-        self._check_var(var)
-        return self.child.attribute(binding, self._reverse.get(var, var))
-
-
 class LazyConstant(UnaryOperator):
     """Extend each input binding with a fixed in-memory tree.
 
@@ -108,10 +80,9 @@ class LazyConstant(UnaryOperator):
         return node
 
     def attribute(self, binding, var):
-        self._check_var(var)
         if var == self.out_var:
             return (self.spanned or self, ())
-        return self.child.attribute(binding, var)
+        return UnaryOperator.attribute(self, binding, var)
 
     # -- values (own ids only; v_select is the protocol's scan) -----------
     def v_down(self, value):

@@ -15,8 +15,7 @@ from typing import List, Optional, Set
 
 from ..runtime.cache import MISS
 from ..runtime.context import ExecutionContext
-from .base import (FilterOperator, LazyError, LazyOperator,
-                   canonical_key_of)
+from .base import FilterOperator, LazyOperator, canonical_key_of
 
 __all__ = ["LazyUnion", "LazyDifference", "LazyDistinct"]
 
@@ -27,11 +26,6 @@ class LazyUnion(LazyOperator):
 
     def __init__(self, left: LazyOperator, right: LazyOperator,
                  context: Optional[ExecutionContext] = None):
-        if left.variables != right.variables:
-            raise LazyError(
-                "union schemas differ: %s vs %s"
-                % (left.variables, right.variables)
-            )
         super().__init__(context)
         self.left = left
         self.right = right
@@ -56,7 +50,6 @@ class LazyUnion(LazyOperator):
         return ("R", nxt) if nxt is not None else None
 
     def attribute(self, binding, var):
-        self._check_var(var)
         side, ib = binding
         op = self.left if side == "L" else self.right
         return op.attribute(ib, var)
@@ -73,11 +66,6 @@ class LazyDifference(FilterOperator):
 
     def __init__(self, left: LazyOperator, right: LazyOperator,
                  context: Optional[ExecutionContext] = None):
-        if left.variables != right.variables:
-            raise LazyError(
-                "difference schemas differ: %s vs %s"
-                % (left.variables, right.variables)
-            )
         super().__init__(left, context)
         self.right = right
         #: one-entry memo holding the full right-side key set

@@ -23,6 +23,7 @@ from repro.algebra import (
     Join,
     OrderBy,
     Project,
+    Rename,
     Select,
     Source,
     Union,
@@ -73,8 +74,8 @@ def _plans(draw):
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(
             ["getdesc", "select", "groupby", "concat", "create",
-             "orderby", "distinct", "project", "join", "union",
-             "difference"]))
+             "orderby", "distinct", "project", "rename", "join",
+             "union", "difference"]))
         if kind == "join" and not joined[0]:
             joined[0] = True
             right = Project(
@@ -138,6 +139,11 @@ def _plans(draw):
                                  min_size=1, max_size=2, unique=True))
             plan = Project(plan, keep)
             variables = list(keep)
+        elif kind == "rename":
+            old = draw(st.sampled_from(variables[1:]))
+            new = next(fresh)
+            plan = Rename(plan, {old: new})
+            variables = [new if var == old else var for var in variables]
         if len(variables) < 2:
             variables = ["R"] + variables  # keep draw domains non-empty
     return plan

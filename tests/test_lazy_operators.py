@@ -15,10 +15,12 @@ from repro.algebra import (
     GetDescendants,
     GroupBy,
     Join,
+    Materialize,
     Not,
     Or,
     OrderBy,
     Project,
+    Rename,
     Select,
     Source,
     Union,
@@ -59,6 +61,33 @@ def assert_lazy_matches_eager(plan, trees, cache=True):
 HOMES_WITH_ZIPS = GetDescendants(
     GetDescendants(Source("homesSrc", "root"), "root", "homes.home", "H"),
     "H", "zip._", "V")
+ZIPS = Project(HOMES_WITH_ZIPS, ["V"])
+SCHOOL_ZIPS = Project(GetDescendants(
+    GetDescendants(Source("schoolsSrc", "r2"), "r2", "schools.school",
+                   "S"),
+    "S", "zip._", "W"), ["W"])
+
+#: one plan per operator kind, each with at least one output binding
+EVERY_KIND = {
+    "source": Source("homesSrc", "root"),
+    "getDescendants": HOMES_WITH_ZIPS,
+    "select": Select(HOMES_WITH_ZIPS,
+                     Comparison(Var("V"), "!=", Const("none"))),
+    "project": ZIPS,
+    "rename": Rename(HOMES_WITH_ZIPS, {"V": "Z"}),
+    "constant": Constant(HOMES_WITH_ZIPS, leaf("k"), "K"),
+    "distinct": Distinct(ZIPS),
+    "join": Join(HOMES_WITH_ZIPS, SCHOOL_ZIPS,
+                 Comparison(Var("V"), "=", Var("W"))),
+    "union": Union(ZIPS, ZIPS),
+    "difference": Difference(ZIPS, Select(
+        ZIPS, Comparison(Var("V"), "=", Const("none")))),
+    "materialize": Materialize(HOMES_WITH_ZIPS),
+    "groupBy": GroupBy(HOMES_WITH_ZIPS, ["V"], [("H", "Hs")]),
+    "orderBy": OrderBy(HOMES_WITH_ZIPS, ["V"]),
+    "concatenate": Concatenate(HOMES_WITH_ZIPS, ["H", "V"], "C"),
+    "createElement": CreateElement(HOMES_WITH_ZIPS, "made", "H", "E"),
+}
 
 
 class TestLazySource:
@@ -77,9 +106,24 @@ class TestLazySource:
         assert op.v_fetch(child) == "homes"
 
     def test_unknown_variable_raises(self):
+        """The schema is checked once, when the plan is built; past
+        that, ``b.X`` for an ``X`` the operator lacks still raises, on
+        every operator kind, observed or not."""
         op = LazySource(MaterializedDocument(homes_source()), "root")
         with pytest.raises(LazyError):
             op.attribute(op.first_binding(), "nope")
+        docs = {url: MaterializedDocument(tree)
+                for url, tree in fig4_sources().items()}
+        for kind, plan in sorted(EVERY_KIND.items()):
+            for observe in (False, True):
+                op = build_lazy_plan(plan, docs, ExecutionContext.create(
+                    observe_operators=observe))
+                binding = op.first_binding()
+                assert binding is not None, kind
+                for var in op.variables:
+                    op.attribute(binding, var)
+                with pytest.raises(LazyError):
+                    op.attribute(binding, "nope")
 
     def test_matches_eager(self):
         assert_lazy_matches_eager(Source("homesSrc", "root"),

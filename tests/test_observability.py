@@ -13,6 +13,9 @@ import threading
 
 import pytest
 
+from repro.bench import (ALLBOOKS_VIEW_NAME, CHEAP_DB_BOOKS_QUERY,
+                         allbooks_plan, two_bookstores)
+from repro.buffer import TreeLXPServer
 from repro.mediator import MIXMediator
 from repro.navigation import MaterializedDocument, materialize
 from repro.runtime import (
@@ -28,6 +31,7 @@ from repro.runtime import (
 )
 from repro.testing import FakeClock
 from repro.wrappers import XMLFileWrapper, buffered
+from repro.xtree import Tree
 
 from .fixtures import fig4_plan, homes_source, schools_source
 
@@ -436,3 +440,59 @@ class TestObservabilityOffIsIdentical:
         observed = {name: meter.counters.as_dict()
                     for name, meter in med.meters.items()}
         assert observed == plain
+
+
+#: ``operator_navigations_total`` per operator and method for the
+#: cheap-books query over the ``allbooks`` view, as first read when
+#: ``project`` and ``rename`` still had classes of their own.  Each
+#: observed operator is a route barrier: the pass-through shapes
+#: above it route ``b.X`` to its proxy, never past it, so every hop
+#: keeps its span and its count.
+OBSERVED_BROWSE_SERIES = {
+    "Concatenate#1": {"attribute": 1, "first_binding": 1, "v_down": 15,
+                      "v_fetch": 14, "v_right": 14},
+    "CreateElement#1": {"attribute": 1, "first_binding": 1,
+                        "next_binding": 1, "v_down": 1},
+    "CreateElement#2": {"attribute": 1, "first_binding": 1, "v_down": 1,
+                        "v_fetch": 1},
+    "GetDescendants#1": {"attribute": 74, "first_binding": 1,
+                         "next_binding": 20, "v_down": 47, "v_fetch": 27},
+    "GetDescendants#2": {"attribute": 74, "first_binding": 1,
+                         "next_binding": 20, "v_down": 47, "v_fetch": 27},
+    "GetDescendants#3": {"attribute": 68, "first_binding": 1,
+                         "next_binding": 40, "v_down": 54, "v_fetch": 14},
+    "GetDescendants#4": {"attribute": 68, "first_binding": 1,
+                         "next_binding": 40, "v_down": 40, "v_fetch": 40},
+    "GroupBy#1": {"attribute": 1, "first_binding": 1, "next_binding": 1,
+                  "v_down": 95, "v_fetch": 54, "v_right": 40},
+    "GroupBy#2": {"attribute": 1, "first_binding": 1, "v_down": 15,
+                  "v_fetch": 15, "v_right": 14},
+    "Project#1": {"attribute": 74, "first_binding": 1, "next_binding": 20},
+    "Project#2": {"attribute": 74, "first_binding": 1, "next_binding": 20},
+    "Project#3": {"attribute": 1, "first_binding": 1, "next_binding": 1},
+    "Rename#1": {"attribute": 1, "first_binding": 1, "next_binding": 1},
+    "Select#1": {"attribute": 28, "first_binding": 1, "next_binding": 14},
+    "Source#1": {"attribute": 1, "first_binding": 1, "next_binding": 1,
+                 "v_down": 345, "v_fetch": 464, "v_right": 417},
+    "Source#2": {"attribute": 1, "first_binding": 1, "next_binding": 1,
+                 "v_down": 345, "v_fetch": 464, "v_right": 417},
+    "Union#1": {"attribute": 148, "first_binding": 1, "next_binding": 40},
+}
+
+
+def test_observed_operators_are_route_barriers():
+    med = MIXMediator(EngineConfig(observe_operators=True,
+                                   metrics_enabled=True))
+    for name, books in zip(("amazonSrc", "bnSrc"),
+                           two_bookstores(20, seed=1)):
+        med.register_wrapper(name, TreeLXPServer(
+            Tree(name, [Tree("catalog", books)]), chunk_size=10))
+    med.register_view(ALLBOOKS_VIEW_NAME, allbooks_plan())
+    result = med.prepare(CHEAP_DB_BOOKS_QUERY)
+    result.materialize()
+    series = {}
+    for labels, count in result.stats()["metrics"][
+            "operator_navigations_total"]["series"].items():
+        label = dict(pair.split("=") for pair in labels.split(","))
+        series.setdefault(label["op"], {})[label["method"]] = count
+    assert series == OBSERVED_BROWSE_SERIES

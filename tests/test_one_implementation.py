@@ -135,6 +135,38 @@ def test_two_sided_value_plumbing_is_written_once():
     assert offenders == [], offenders
 
 
+def _init_raises(tree):
+    """``(class, line)`` for every ``raise`` in an ``__init__``."""
+    return [(cls.name, node.lineno)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for init in cls.body
+            if isinstance(init, ast.FunctionDef)
+            and init.name == "__init__"
+            for node in ast.walk(init) if isinstance(node, ast.Raise)]
+
+
+def test_the_schema_is_checked_once():
+    """``Operator.validate()`` in ``algebra/operators.py`` checks a
+    plan's variables -- unbound, duplicated, overlapping, differing
+    schemas -- before any lazy operator is built.  No lazy
+    constructor checks them again: under ``lazy/`` no ``__init__``
+    raises."""
+    probe = ast.parse('''
+class LazyProbe(LazyOperator):
+    def __init__(self, child, var):
+        if var not in child.variables:
+            raise LazyError(var)
+
+    def attribute(self, binding, var):
+        raise LazyError(var)
+''')
+    assert _init_raises(probe) == [("LazyProbe", 5)]
+    offenders = [(path.stem,) + found
+                 for path in sorted((SRC_ROOT / "lazy").glob("*.py"))
+                 for found in _init_raises(ast.parse(path.read_text()))]
+    assert offenders == [], offenders
+
+
 def test_cli_builds_its_config_and_dispatches_in_one_place():
     tree = ast.parse((SRC_ROOT / "cli.py").read_text())
     config_calls = [node for node in ast.walk(tree)

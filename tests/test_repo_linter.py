@@ -9,6 +9,8 @@ of the ``repro`` package: it is imported from the repo root.
 import sys
 from pathlib import Path
 
+import pytest
+
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO))
@@ -258,6 +260,13 @@ class TestDriver:
         assert lint_repro.main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "bad.py:2: X101" in out
+
+    @pytest.mark.parametrize("flag", ["--lock-graph", "--assert-contains"])
+    def test_flag_missing_its_value_is_a_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            lint_repro.main([flag])
+        assert exit_info.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
 
 
 class TestMetricLabelCardinality:

@@ -31,7 +31,12 @@ SHELL_PACKAGES = ("runtime", "buffer", "server", "client")
 #: 4051, after the query caches lost their lock)
 SHELL_CODE_LINES = 4029
 
-#: all of ``src/repro``, raised on purpose when values began to be
+#: all of ``src/repro``, measured when binding attributes began to go
+#: straight to the operator that binds them (``lazy/`` 1321 -> 1264
+#: code lines: project and rename became the pass-through shape with
+#: a route map, filters stopped wrapping binding ids, and the lazy
+#: copies of the algebra's schema checks were deleted).  Before:
+#: 13639, raised on purpose when values began to be
 #: walked by their owner (``lazy/`` 1238 -> 1321 code lines: the
 #: generic text and key walks as loops, and the source's own walks
 #: over its document, which the generic walk backs while a tracer or
@@ -43,7 +48,7 @@ SHELL_CODE_LINES = 4029
 #: query began counting its own source navigations, raised on purpose
 #: from 13635, the count after operator fan-out, the URI registries
 #: and the lock-creation census were deleted (before that: 13816)
-PACKAGE_CODE_LINES = 13639
+PACKAGE_CODE_LINES = 13582
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

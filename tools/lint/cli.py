@@ -18,11 +18,13 @@ Flags::
                           static)
 
 Exit status: 0 when clean, 1 when any finding survives suppression
-or the containment check misses.
+or the containment check misses, 2 on a usage error (a flag missing
+its value).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -41,29 +43,31 @@ def _collect(root: Path) -> List[Path]:
     return sorted(root.rglob("*.py")) if root.is_dir() else [root]
 
 
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m tools.lint",
+        description="Lint the repro tree (default: src/repro, "
+                    "benchmarks, tools and examples).")
+    parser.add_argument("paths", nargs="*", type=Path,
+                        help="files or directories to lint")
+    parser.add_argument("--lock-graph", type=Path, metavar="PATH",
+                        help="dump the lock-order graph as JSON (and "
+                             "a Graphviz .dot next to it)")
+    parser.add_argument("--assert-contains", type=Path, metavar="P",
+                        help="fail unless every sanitizer-observed "
+                             "edge in this JSONL dump is in the "
+                             "static graph")
+    return parser
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     repo_root = Path(__file__).resolve().parents[2]
 
-    graph_out: Optional[Path] = None
-    observed_in: Optional[Path] = None
-    rest: List[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--lock-graph":
-            i += 1
-            graph_out = Path(argv[i])
-        elif arg == "--assert-contains":
-            i += 1
-            observed_in = Path(argv[i])
-        else:
-            rest.append(arg)
-        i += 1
-
-    if rest:
-        roots = [Path(a) for a in rest]
-    else:
+    args = _parser().parse_args(argv)
+    graph_out: Optional[Path] = args.lock_graph
+    observed_in: Optional[Path] = args.assert_contains
+    roots: List[Path] = args.paths
+    if not roots:
         roots = [repo_root / "src" / "repro"]
         for extra in ("benchmarks", "tools", "examples"):
             candidate = repo_root / extra
