@@ -18,13 +18,13 @@ import pytest
 from repro.bench import book_catalog, browse_first_k, format_table
 from repro.buffer import (
     BufferComponent,
-    FragElem,
-    FragHole,
+    Fragments,
     RandomizedLXPServer,
     TreeLXPServer,
 )
 from repro.mediator import MIXMediator
 from repro.navigation import materialize
+from repro.server.wire import decode_fragments
 from repro.webstore import HttpSimulator, make_catalog_site
 from repro.wrappers import WebLXPWrapper
 from repro.xtree import Tree, elem
@@ -32,20 +32,22 @@ from repro.xtree import Tree, elem
 
 def test_example7_trace_replays():
     """The paper's liberal trace, verbatim."""
-    script = {
-        ("root",): [FragElem("a", (FragHole(1),))],
-        1: [FragElem("b", (FragHole(2),)), FragHole(3)],
-        3: [FragElem("c")],
-        2: [FragHole(4), FragElem("d", (FragHole(5),)), FragHole(6)],
+    # Each reply in the wire codec's array shape: ["e", label,
+    # [children]] an element, ["h", id] a hole.
+    script = {hole_id: decode_fragments(shape) for hole_id, shape in {
+        ("root",): [["e", "a", [["h", 1]]]],
+        1: [["e", "b", [["h", 2]]], ["h", 3]],
+        3: [["e", "c", []]],
+        2: [["h", 4], ["e", "d", [["h", 5]]], ["h", 6]],
         4: [],
         5: [],
-        6: [FragElem("e")],
-    }
+        6: [["e", "e", []]],
+    }.items()}
     fills = []
 
     class Scripted:
         def get_root(self):
-            return FragHole(("root",))
+            return Fragments.hole(("root",))
 
         def fill(self, hole_id):
             fills.append(hole_id)

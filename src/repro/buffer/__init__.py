@@ -9,9 +9,7 @@ from .component import (
     PrefetchStats,
 )
 from .holes import (
-    FragElem,
-    FragHole,
-    Fragment,
+    Fragments,
     LXPProtocolError,
     fragment_of_tree,
     validate_fill_reply,
@@ -26,7 +24,7 @@ from .lxp import (
 )
 
 __all__ = [
-    "FragElem", "FragHole", "Fragment",
+    "Fragments",
     "LXPProtocolError", "validate_fill_reply", "fragment_of_tree",
     "reply_holes",
     "LXPServer", "LXPStats", "TreeLXPServer", "AdaptiveTreeLXPServer",

@@ -66,9 +66,8 @@ from functools import partial
 from typing import Dict, List, Optional
 
 from ..navigation.interface import NavigableDocument
-from ..xtree.tree import Tree
 from .holes import (
-    FragHole,
+    Fragments,
     HoleIndex,
     LXPProtocolError,
     validate_fill_reply,
@@ -90,8 +89,8 @@ class _PrefilledServer(LXPServer):
     which is a protocol error, never silently fabricated data.
     """
 
-    def get_root(self) -> FragHole:
-        return FragHole(("prefilled",))
+    def get_root(self) -> Fragments:
+        return Fragments.hole(("prefilled",))
 
     def fill(self, hole_id: object):
         raise LXPProtocolError(
@@ -215,22 +214,25 @@ class BufferComponent(NavigableDocument):
         self._lock = make_rlock("buffer.component")
 
     @classmethod
-    def prefilled(cls, tree: Tree, tracer=None,
+    def prefilled(cls, fragments: Fragments, tracer=None,
                   name: str = "") -> "BufferComponent":
-        """A buffer whose open tree is ``tree``, fully closed.
+        """A buffer whose open tree is ``fragments``, one hole-free
+        root element.
 
-        This is how a pushed source-native result enters the
-        navigation stack: the complete reply is adopted as one
-        hole-free subtree, so every later navigation is a buffer hit
-        and no fill (hence no source navigation) can ever happen.
+        This is how a pushed source-native result (see
+        :func:`~repro.buffer.holes.fragment_of_tree`) and a whole
+        view from the fragment cache enter the navigation stack: the
+        complete reply is adopted with the graft every fill takes, so
+        every later navigation is a buffer hit and no fill (hence no
+        source navigation) can ever happen.
         """
         buffer = cls(_PrefilledServer(), tracer=tracer, name=name)
         # No lock: the buffer is thread-confined until returned (the
-        # same reasoning that exempts __init__).  The tree takes the
+        # same reasoning that exempts __init__).  The reply takes the
         # root hole's place before anyone can see it.
         buffer._hole_ids.clear()
         # lint: allow=L002
-        buffer._first[0] = buffer._graft_locked((tree,), 0)
+        buffer._first[0] = buffer._graft_locked(fragments, 0)
         return buffer
 
     # -- splicing --------------------------------------------------------
@@ -263,44 +265,46 @@ class BufferComponent(NavigableDocument):
             if after is not None:
                 prev[after] = tail
             if self._holes is not None:
-                hole_ids = self._hole_ids
-                self._holes.replace(hole, hole_id, [
-                    (node, hole_ids[node])
-                    for node in range(start, len(label))
-                    if label[node] is None])
+                self._holes.replace(hole, hole_id, zip(
+                    [node for node in range(start, len(label))
+                     if label[node] is None], fragments.holes))
 
-    def _graft_locked(self, fragments, parent: int) -> Optional[int]:
-        """Append ``fragments`` to the node tables as a run of siblings
-        under ``parent``, each with its subtree in document order (so
-        an element's first child is the next node).  A closed ``Tree``
-        has the same ``label``/``children`` and grafts the same way.
-        Returns the run's last node, None when it is empty; linking
-        the run's ends is the caller's."""
+    def _graft_locked(self, fragments: Fragments,
+                      parent: int) -> Optional[int]:
+        """Append a reply to the node tables as a run of siblings
+        under ``parent``, in its own preorder (so an element's first
+        child is the next node): one loop over the record, a stack of
+        the enclosing runs.  Returns the run's last node, None when
+        it is empty; linking the run's ends is the caller's."""
         label, first, nxt, prev, up = (self._label, self._first,
                                        self._next, self._prev,
                                        self._parent)
-        last = None
-        for fragment in fragments:
-            node = len(label)
-            if last is not None:
-                nxt[last] = node
-            prev.append(last)
-            nxt.append(None)
-            up.append(parent)
-            if fragment.__class__ is FragHole:
-                label.append(None)
-                first.append(None)
-                self._hole_ids[node] = fragment.hole_id
-            else:
-                label.append(fragment.label)
-                children = fragment.children
-                if children:
-                    first.append(node + 1)
-                    self._graft_locked(children, node)
-                else:
-                    first.append(None)
+        holes = iter(fragments.holes)
+        start = len(label)
+        label.extend(fragments.labels)
+        add_next, add_prev, add_up, add_first = (
+            nxt.append, prev.append, up.append, first.append)
+        #: the runs left open above: (end, parent, the element)
+        runs: list = []
+        end = len(label)
+        last: Optional[int] = None
+        for node, size in enumerate(fragments.sizes, start):
+            while node == end:
+                end, parent, last = runs.pop()
+            after = node + size
+            add_next(after if after < end else None)
+            add_prev(last)
+            add_up(parent)
+            if label[node] is None:
+                self._hole_ids[node] = next(holes)
+            elif size > 1:
+                add_first(node + 1)
+                runs.append((end, parent, node))
+                end, parent, last = after, node, None
+                continue
+            add_first(None)
             last = node
-        return last
+        return runs[0][2] if runs else last
 
     # -- the fill policy -------------------------------------------------
     def _fill_hole(self, hole: int) -> None:

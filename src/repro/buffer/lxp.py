@@ -3,7 +3,7 @@
 Two commands only::
 
     get_root(uri)   ->  hole[id]          establish the connection
-    fill(hole[id])  ->  [fragment...]     explore the part the hole
+    fill(hole[id])  ->  fragments         explore the part the hole
                                           represents
 
 The wrapper decides the reply granularity: one node, a chunk of
@@ -11,7 +11,8 @@ siblings, a whole subtree, or any liberal mix with holes at arbitrary
 (non-adjacent) positions.  This module provides the server interface,
 a reference server over in-memory trees with configurable granularity
 policies, and a randomized liberal server used by the property tests
-to hammer the buffer's chase algorithms.
+to hammer the buffer's chase algorithms.  A reply is one flat
+:class:`~repro.buffer.holes.Fragments` record, appended in preorder.
 
 Hole identifiers are *stateless* where possible (the MIXm relational
 wrapper's ``db.table.row`` scheme): ``TreeLXPServer`` encodes
@@ -28,7 +29,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..runtime.config import validate_granularity
 from ..xtree.tree import Tree
-from .holes import FragElem, FragHole, Fragment, LXPProtocolError
+from .holes import (Fragments, LXPProtocolError, append_hole,
+                    append_trees, fragment_wire_size)
 from ..runtime.counters import Counters
 
 __all__ = ["LXPServer", "LXPStats", "TreeLXPServer",
@@ -58,36 +60,29 @@ class LXPStats(Counters, shared=True):
         self.source = ""
 
 
-def reply_holes(fragments: Sequence[Fragment]) -> List[object]:
+def reply_holes(fragments: Fragments) -> Tuple[object, ...]:
     """The hole ids of a fill reply, in document order.
 
     The speculation loop of :meth:`LXPServer.fill_batch` uses this to
     grow its frontier."""
-    holes: List[object] = []
-    stack = list(reversed(fragments))
-    while stack:
-        fragment = stack.pop()
-        if isinstance(fragment, FragHole):
-            holes.append(fragment.hole_id)
-        else:
-            stack.extend(reversed(fragment.children))
-    return holes
+    return fragments.holes
 
 
 class LXPServer:
     """Interface every LXP wrapper implements."""
 
-    def get_root(self) -> FragHole:
-        """A hole standing for the (not yet shipped) root element."""
+    def get_root(self) -> Fragments:
+        """A one-hole reply standing for the (not yet shipped) root
+        element."""
         raise NotImplementedError
 
-    def fill(self, hole_id) -> List[Fragment]:
+    def fill(self, hole_id) -> Fragments:
         """Explore the part of the source the hole represents."""
         raise NotImplementedError
 
     def fill_batch(self, hole_ids: Sequence[object],
                    speculate: int = 0
-                   ) -> List[Tuple[object, List[Fragment]]]:
+                   ) -> List[Tuple[object, Fragments]]:
         """Answer a *batch* of fill commands in one exchange.
 
         The pipelined form of LXP: the client ships every outstanding
@@ -112,14 +107,14 @@ class LXPServer:
         """
         if speculate < 0:
             raise LXPProtocolError("speculate must be >= 0")
-        replies: List[Tuple[object, List[Fragment]]] = []
+        replies: List[Tuple[object, Fragments]] = []
         frontier: "deque" = deque()
         answered = set()
         for hole_id in hole_ids:
             reply = self.fill(hole_id)
             replies.append((hole_id, reply))
             answered.add(hole_id)
-            frontier.extend(reply_holes(reply))
+            frontier.extend(reply.holes)
         budget = speculate
         while budget > 0 and frontier:
             hole_id = frontier.popleft()
@@ -128,26 +123,18 @@ class LXPServer:
             reply = self.fill(hole_id)
             replies.append((hole_id, reply))
             answered.add(hole_id)
-            frontier.extend(reply_holes(reply))
+            frontier.extend(reply.holes)
             budget -= 1
         return replies
 
 
-def measure_fragment(stats: LXPStats,
-                     fragments: Sequence[Fragment]) -> None:
+def measure_fragment(stats: LXPStats, fragments: Fragments) -> None:
     """Account one fill reply against ``stats``: bump the fill count
     and tally shipped elements/holes across the whole reply.  Every
     LXP server (source wrappers and the remote channel exporter) calls
     this on each reply it returns."""
-    elements = holes = 0
-    stack = list(fragments)
-    while stack:
-        fragment = stack.pop()
-        if isinstance(fragment, FragHole):
-            holes += 1
-        else:
-            elements += 1
-            stack.extend(fragment.children)
+    holes = len(fragments.holes)
+    elements = len(fragments.labels) - holes
     with stats.lock:
         stats.fills += 1
         stats.elements_shipped += elements
@@ -160,17 +147,15 @@ def measure_fragment(stats: LXPStats,
             elements, source=source)
         metrics.counter("lxp_holes_shipped_total").inc(
             holes, source=source)
-        from .holes import fragment_wire_size
         metrics.histogram("lxp_fragment_bytes").observe(
-            sum(fragment_wire_size(f) for f in fragments),
-            source=source)
+            fragment_wire_size(fragments), source=source)
 
 
 def _node_at(tree: Tree, path: Tuple[int, ...]) -> Tree:
     """The node of ``tree`` at child-index ``path``."""
     node = tree
     for index in path:
-        node = node.child(index)
+        node = node._children[index]
     return node
 
 
@@ -192,7 +177,10 @@ class TreeLXPServer(LXPServer):
 
     Hole ids are ``(path, lo, hi)``: the represented sublist
     ``children[lo:hi]`` of the node at child-index ``path`` (hi=None
-    means "to the end"), plus the root hole ``("root",)``.
+    means "to the end"), plus the root hole ``("root",)``.  A fill
+    walks the tree as it stands
+    (:func:`~repro.buffer.holes.append_trees`); nothing is numbered up
+    front, so a server costs what its fills ship.
     """
 
     def __init__(self, tree: Tree, chunk_size: Optional[int] = None,
@@ -216,27 +204,9 @@ class TreeLXPServer(LXPServer):
         """
         return 0
 
-    # -- helpers ----------------------------------------------------------
-    def _ship_element(self, path: Tuple[int, ...], node: Tree,
-                      depth_left: int) -> FragElem:
-        if node.is_leaf:
-            return FragElem(node.label)
-        if depth_left <= 1:
-            # Children unexplored: one hole for the whole list.
-            return FragElem(node.label,
-                            (FragHole((path, 0, None)),))
-        kids = []
-        limit = min(len(node.children), self.chunk_size)
-        for index in range(limit):
-            kids.append(self._ship_element(
-                path + (index,), node.child(index), depth_left - 1))
-        if limit < len(node.children):
-            kids.append(FragHole((path, limit, None)))
-        return FragElem(node.label, tuple(kids))
-
     # -- LXPServer ----------------------------------------------------------
-    def get_root(self) -> FragHole:
-        return FragHole(("root",))
+    def get_root(self) -> Fragments:
+        return Fragments.hole(("root",))
 
     def _range_of(self, hole_id) -> tuple:
         """A range hole id taken apart: ``(path, lo, hi)``, the chunk
@@ -245,26 +215,27 @@ class TreeLXPServer(LXPServer):
         path, lo, hi = hole_id
         return path, lo, hi, self.chunk_size, ()
 
-    def fill(self, hole_id) -> List[Fragment]:
+    def fill(self, hole_id) -> Fragments:
+        out: tuple = ([], [], [])
         if hole_id == ("root",):
-            reply: List[Fragment] = [
-                self._ship_element((), self.tree, self.depth)]
+            append_trees(out, (self.tree,), depth=self.depth,
+                         chunk=self.chunk_size)
         else:
             try:
                 path, lo, hi, chunk, grown = self._range_of(hole_id)
-                parent = _node_at(self.tree, path)
+                kids = _node_at(self.tree, path)._children
             except (ValueError, IndexError, TypeError):
                 raise LXPProtocolError(
                     "unknown hole id %r" % (hole_id,))
             # The one range-shipping loop: at most ``chunk`` of
             # ``children[lo:hi]``, then a hole for whatever remains.
-            end = len(parent.children) if hi is None else hi
+            end = len(kids) if hi is None else hi
             limit = min(end, lo + chunk)
-            reply = [self._ship_element(path + (index,),
-                                        parent.child(index), self.depth)
-                     for index in range(lo, limit)]
+            append_trees(out, kids, lo, limit, path, self.depth,
+                         self.chunk_size)
             if limit < end:
-                reply.append(FragHole((path, limit, hi) + grown))
+                append_hole(out, (path, limit, hi) + grown)
+        reply = Fragments(*map(tuple, out))
         measure_fragment(self.stats, reply)
         return reply
 
@@ -294,10 +265,10 @@ class AdaptiveTreeLXPServer(TreeLXPServer):
         else:
             path, lo, hi = hole_id
             chunk = self.initial_chunk
-        self.chunk_size = chunk  # _ship_element uses it for subtrees
+        self.chunk_size = chunk  # the walk uses it for subtrees
         return path, lo, hi, chunk, (min(chunk * 2, self.max_chunk),)
 
-    def fill(self, hole_id) -> List[Fragment]:
+    def fill(self, hole_id) -> Fragments:
         if hole_id == ("root",):
             self.chunk_size = self.initial_chunk
         return super().fill(hole_id)
@@ -320,53 +291,55 @@ class RandomizedLXPServer(LXPServer):
         self.max_run = max(1, max_run)
         self.stats = LXPStats()
 
-    def get_root(self) -> FragHole:
-        return FragHole(("root",))
+    def get_root(self) -> Fragments:
+        return Fragments.hole(("root",))
 
-    def _ship_element(self, path: Tuple[int, ...],
-                      node: Tree) -> FragElem:
-        if node.is_leaf:
-            return FragElem(node.label)
-        if self.rng.random() < 0.5:
-            # Leave the children wholly unexplored.
-            return FragElem(node.label,
-                            (FragHole((path, 0, len(node.children))),))
-        return FragElem(
-            node.label,
-            tuple(self._split_range(path, 0, len(node.children))))
+    def _ship_element(self, out: tuple, path: Tuple[int, ...],
+                      node: Tree) -> None:
+        slot = len(out[1])
+        out[0].append(node._label)
+        out[1].append(1)
+        kids = node._children
+        if kids:
+            if self.rng.random() < 0.5:
+                # Leave the children wholly unexplored.
+                append_hole(out, (path, 0, len(kids)))
+            else:
+                self._split_range(out, path, 0, len(kids))
+            out[1][slot] = len(out[1]) - slot
 
-    def _split_range(self, path: Tuple[int, ...], lo: int,
-                     hi: int) -> List[Fragment]:
-        """A random legal fragment list covering children [lo, hi)."""
+    def _split_range(self, out: tuple, path: Tuple[int, ...], lo: int,
+                     hi: int) -> None:
+        """A random legal run covering children [lo, hi)."""
         if lo >= hi:
-            return []
-        fragments: List[Fragment] = []
+            return
+        kids = _node_at(self.tree, path)._children
         index = lo
         # Optionally a leading hole covering a prefix.
         if self.rng.random() < 0.3 and hi - index >= 2:
             cut = self.rng.randint(index + 1, hi - 1)
-            fragments.append(FragHole((path, index, cut)))
+            append_hole(out, (path, index, cut))
             index = cut
         while index < hi:
             run = min(self.rng.randint(1, self.max_run), hi - index)
             for offset in range(run):
-                fragments.append(self._ship_element(
-                    path + (index + offset,),
-                    _node_at(self.tree, path).child(index + offset)))
+                self._ship_element(out, path + (index + offset,),
+                                   kids[index + offset])
             index += run
             if index < hi:
                 cut = self.rng.randint(index + 1, hi)
-                fragments.append(FragHole((path, index, cut)))
+                append_hole(out, (path, index, cut))
                 index = cut
-        return fragments
 
-    def fill(self, hole_id) -> List[Fragment]:
+    def fill(self, hole_id) -> Fragments:
+        out: tuple = ([], [], [])
         if hole_id == ("root",):
-            reply: List[Fragment] = [self._ship_element((), self.tree)]
+            self._ship_element(out, (), self.tree)
         else:
             path, lo, hi = hole_id
-            parent = _node_at(self.tree, path)
-            end = len(parent.children) if hi is None else hi
-            reply = self._split_range(path, lo, end)
+            kids = _node_at(self.tree, path)._children
+            self._split_range(out, path, lo,
+                              len(kids) if hi is None else hi)
+        reply = Fragments(*map(tuple, out))
         measure_fragment(self.stats, reply)
         return reply

@@ -28,9 +28,9 @@ fragment protocol's advantage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..buffer.holes import FragElem, FragHole, Fragment, LXPProtocolError
+from ..buffer.holes import Fragments, LXPProtocolError, append_hole
 from ..buffer.lxp import LXPServer, LXPStats, measure_fragment
 from ..navigation.interface import NavigableDocument
 from ..runtime.config import validate_granularity
@@ -70,38 +70,49 @@ class NavigableLXPServer(LXPServer):
                                                            depth)
         self.stats = LXPStats()
 
-    def get_root(self) -> FragHole:
-        return FragHole(("root",))
+    def get_root(self) -> Fragments:
+        return Fragments.hole(("root",))
 
-    def _ship(self, pointer, depth: int) -> FragElem:
-        label = self.document.fetch(pointer)
-        child = self.document.down(pointer)
-        if child is None:
-            return FragElem(label)
-        if depth <= 1:
-            return FragElem(label, (FragHole(("at", child)),))
-        return FragElem(label, tuple(self._ship_siblings(child,
-                                                         depth - 1)))
-
-    def _ship_siblings(self, pointer, depth: int) -> List[Fragment]:
-        """Up to ``chunk_size`` siblings from ``pointer`` on, each
-        ``depth`` levels deep, and a hole for the rest."""
-        reply: List[Fragment] = []
-        while pointer is not None and len(reply) < self.chunk_size:
-            reply.append(self._ship(pointer, depth))
-            pointer = self.document.right(pointer)
-        if pointer is not None:
-            reply.append(FragHole(("at", pointer)))
-        return reply
-
-    def fill(self, hole_id) -> List[Fragment]:
+    def fill(self, hole_id) -> Fragments:
+        """Ship up to ``chunk_size`` siblings from the hole's element
+        on (the root alone, for ``("root",)``), each ``depth`` levels
+        deep, and a hole for the rest of every cut run.  One loop over
+        a stack of the open runs; per element the commands are
+        ``fetch``, ``down``, its subtree's, then ``right`` (none after
+        the root)."""
         kind = hole_id[0]
-        if kind == "root":
-            reply = [self._ship(self.document.root(), self.depth)]
-        elif kind == "at":
-            reply = self._ship_siblings(hole_id[1], self.depth)
-        else:
+        if kind not in ("root", "at"):
             raise LXPProtocolError("unknown hole id %r" % (hole_id,))
+        doc = self.document
+        out: tuple = ([], [], [])
+        labels, sizes, _ = out
+        #: the open runs: [the next element to ship -- the last one
+        #: shipped once some are; how many are; how many may be (0:
+        #: the run is past the depth horizon); their depth; the slot
+        #: of the element whose children they are]
+        runs: list = [[doc.root() if kind == "root" else hole_id[1], 0,
+                 self.chunk_size, self.depth, None]]
+        while runs:
+            run = runs[-1]
+            pointer, count, limit, depth, slot = run
+            if count:   # the last shipped element's subtree is done
+                pointer = None if kind == "root" and len(runs) == 1 \
+                    else doc.right(pointer)
+            if pointer is not None and count < limit:
+                run[0], run[1] = pointer, count + 1
+                labels.append(doc.fetch(pointer))
+                sizes.append(1)
+                child = doc.down(pointer)
+                if child is not None:
+                    runs.append([child, 0, self.chunk_size if depth > 1
+                                 else 0, depth - 1, len(sizes) - 1])
+                continue
+            if pointer is not None:     # the rest of the run: a hole
+                append_hole(out, ("at", pointer))
+            runs.pop()
+            if slot is not None:
+                sizes[slot] = len(sizes) - slot
+        reply = Fragments(*map(tuple, out))
         measure_fragment(self.stats, reply)
         return reply
 

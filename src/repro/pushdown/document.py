@@ -47,12 +47,12 @@ class PushedSourceDocument(NavigableDocument):
         if context is not None:
             with context.span("pushdown", "execute",
                               url=node.compiled.url):
-                tree = node.server.push(node.request)
+                reply = node.server.push(node.request)
         else:
-            tree = node.server.push(node.request)
+            reply = node.server.push(node.request)
         tracer = context.tracer if context is not None else None
         self._buffer = BufferComponent.prefilled(
-            tree, tracer=tracer, name="pushed:%s" % node.compiled.url)
+            reply, tracer=tracer, name="pushed:%s" % node.compiled.url)
         return self._buffer
 
     # -- NavigableDocument -------------------------------------------------

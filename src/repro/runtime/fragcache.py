@@ -17,8 +17,12 @@ Three pieces:
   lock, an entry table keyed by ``(view_id, hole_id)``, a whole-view
   table keyed by ``view_id``, and a single-flight table so concurrent
   sessions missing on the same region issue exactly one source fill.
-  Entries are version-tagged; a lookup presenting a newer source
-  version drops the stale entry (counted as an invalidation), and
+  An entry is the wrapper's reply record itself
+  (:class:`~repro.buffer.holes.Fragments`, immutable), tagged with its
+  source version: a hit is one ``dict`` probe and hands the record out
+  as it is, and a miss allocates no wait primitive unless a second
+  session actually waits.  A lookup presenting a newer source version
+  drops the stale entry (counted as an invalidation), and
   :meth:`FragmentStore.sweep` drops a view's whole stale epoch at
   once.
 * :class:`CachingLXPServer` -- the seam proxy.  It sits between the
@@ -26,8 +30,9 @@ Three pieces:
   ``fill`` consults the store before touching the source, keyed by the
   wrapper's *stateless* hole ids and the wrapper's current
   ``snapshot_version()``.  When a session's fills resolve every hole
-  the server ever introduced, the complete view is assembled and
-  stored, so the next session adopts it through
+  the server ever introduced, the complete view is assembled, in one
+  pass, into one hole-free record and stored, so the next session
+  adopts it through
   :meth:`~repro.buffer.component.BufferComponent.prefilled` -- the
   hole-free fast path -- without a single source navigation.
 * :func:`admissible` / :class:`FragcacheDecision` -- the
@@ -55,12 +60,12 @@ from __future__ import annotations
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Optional, Sequence,
-                    Set, Tuple)
+from functools import partial
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Set,
+                    Tuple)
 
-from ..buffer.holes import FragHole, Fragment
-from ..buffer.lxp import LXPServer, reply_holes
-from ..xtree.tree import Tree
+from ..buffer.holes import Fragments
+from ..buffer.lxp import LXPServer
 from .counters import Counters
 from .locks import make_lock
 
@@ -95,35 +100,22 @@ class FragcacheStats(Counters, shared=True):
     view_adoptions: int = 0
 
 
-@dataclass(frozen=True)
-class _Entry:
-    """One cached fill reply, tagged with its source snapshot."""
-
-    fragments: Tuple[Fragment, ...]
-    version: object
-
-
-@dataclass(frozen=True)
-class _ViewEntry:
-    """One complete materialized view, tagged with its snapshot."""
-
-    tree: Tree
-    version: object
-
-
 class _Shard:
     """One lock domain of the store.
 
     All three tables live under one per-shard lock; cross-shard
     operations take shard locks strictly one at a time, so there is no
-    lock ordering to get wrong.
+    lock ordering to get wrong.  An entry is ``(version, fragments)``:
+    the reply record itself, tagged with its source snapshot.
     """
 
     def __init__(self) -> None:
         self.lock = make_lock("fragcache.shard")
-        self.entries: Dict[FragmentKey, _Entry] = {}
-        self.views: Dict[str, _ViewEntry] = {}
-        self.inflight: Dict[FragmentKey, threading.Event] = {}
+        self.entries: Dict[FragmentKey, Tuple[object, Fragments]] = {}
+        self.views: Dict[str, Tuple[object, Fragments]] = {}
+        #: keys being produced, each with the event its waiters wait
+        #: on -- None until a second session actually waits
+        self.inflight: Dict[FragmentKey, Optional[threading.Event]] = {}
 
 
 #: observer callback: outcome name -> None (tracing seam)
@@ -140,10 +132,9 @@ def shard_index(key: FragmentKey, shards: int) -> int:
 class FragmentStore:
     """A process-wide sharded store of immutable view fragments.
 
-    Fragments (:class:`~repro.buffer.holes.FragElem` /
-    :class:`~repro.buffer.holes.FragHole`) are frozen dataclasses, so
-    entries are shared across sessions without copying; the store
-    never hands out anything a caller could mutate.
+    Replies (:class:`~repro.buffer.holes.Fragments`) are immutable
+    records, so entries are shared across sessions as they are; the
+    store never hands out anything a caller could mutate.
 
     ``shards`` picks the number of independent lock domains; 1 is
     legal (every key collides -- the stress tests use it).
@@ -160,116 +151,114 @@ class FragmentStore:
     def shards(self) -> int:
         return len(self._shards)
 
-    def _shard_of(self, key: FragmentKey) -> _Shard:
-        return self._shards[shard_index(key, len(self._shards))]
-
     # -- the demand path ---------------------------------------------------
     def fill_through(self, key: FragmentKey, version: object,
-                     producer: Callable[[], Sequence[Fragment]],
-                     observer: _Observer = None) -> List[Fragment]:
+                     producer: Callable[[], Fragments],
+                     observer: _Observer = None) -> Fragments:
         """Serve ``key`` at ``version`` from the store, or produce it.
 
         The single-flight contract: when several sessions miss on the
         same key concurrently, exactly one runs ``producer`` (one
-        source fill); the rest wait on the filler's event and then
-        read the stored entry.  A failing producer releases its
-        waiters, and the first of them becomes the next producer.
+        source fill); the rest wait for it and then read the stored
+        entry.  A failing producer releases its waiters, and the first
+        of them becomes the next producer.  The registration is
+        released and its waiters woken whatever happens -- a raising
+        ``observer`` (foreign code: a tracer subscriber) included; its
+        exception still reaches the caller.
 
         Every call counts exactly one hit or one miss; a stale entry
         (version mismatch) additionally counts one invalidation before
-        the miss.
+        the miss.  The counters move in one section per call.
         """
-        shard = self._shard_of(key)
-        while True:
-            # Observer callbacks are foreign code: collect outcomes
-            # under the lock, invoke them after it is released (the
-            # entry check and in-flight registration stay atomic).
-            outcomes: List[str] = []
-            hit: Optional[List[Fragment]] = None
-            waiter = None
-            with shard.lock:
-                entry = shard.entries.get(key)
-                if entry is not None:
-                    if entry.version == version:
-                        self.stats.bump("hits")
-                        outcomes.append("hit")
-                        hit = list(entry.fragments)
-                    else:
-                        # The source snapshot advanced past this
-                        # entry: drop it and fall through to a
-                        # producing miss.
-                        del shard.entries[key]
-                        self.stats.bump("invalidations")
-                        outcomes.append("invalidate")
-                if hit is None:
-                    waiter = shard.inflight.get(key)
-                    if waiter is None:
-                        event = threading.Event()
-                        shard.inflight[key] = event
-            if observer is not None:
-                for outcome in outcomes:
-                    observer(outcome)
-            if hit is not None:
-                return hit
-            if waiter is None:
-                break
-            # Another session is filling this key: wait outside the
-            # lock, then re-check the entry table from the top.
-            self.stats.bump("single_flight_waits")
-            if observer is not None:
-                observer("wait")
-            waiter.wait()
+        shard = self._shards[shard_index(key, len(self._shards))]
+        hits = misses = invalidations = waits = 0
         try:
-            fragments = tuple(producer())
-        except BaseException:
-            with shard.lock:
-                del shard.inflight[key]
-            event.set()
-            raise
-        self.stats.bump("misses")
-        if observer is not None:
-            observer("miss")
-        with shard.lock:
-            shard.entries[key] = _Entry(fragments, version)
-            del shard.inflight[key]
-        self.stats.bump("stores")
-        if observer is not None:
-            observer("store")
-        event.set()
-        return list(fragments)
+            while True:
+                # Observer callbacks are foreign code: they run after
+                # the lock is released (the entry check and the
+                # in-flight registration stay atomic).
+                with shard.lock:
+                    entry = shard.entries.get(key)
+                    if entry is not None and entry[0] == version:
+                        hits = 1
+                        found = entry[1]
+                    else:
+                        if entry is not None:
+                            # The source snapshot advanced past this
+                            # entry: drop it and fall through to a
+                            # producing miss.
+                            del shard.entries[key]
+                            invalidations += 1
+                        if key not in shard.inflight:
+                            shard.inflight[key] = None
+                            break
+                        event = shard.inflight[key] or threading.Event()
+                        shard.inflight[key] = event
+                if hits:
+                    if observer is not None:
+                        observer("hit")
+                    return found
+                # Another session is filling this key: wait outside
+                # the lock, then re-check the entry table from the top.
+                waits += 1
+                if observer is not None:
+                    if entry is not None:
+                        observer("invalidate")
+                    observer("wait")
+                event.wait()
+            try:
+                if observer is not None and entry is not None:
+                    observer("invalidate")
+                fragments = producer()
+                misses = 1
+            finally:
+                with shard.lock:
+                    if misses:
+                        shard.entries[key] = (version, fragments)
+                    waiter = shard.inflight.pop(key)
+                if waiter is not None:
+                    waiter.set()
+            if observer is not None:
+                observer("miss")
+                observer("store")
+            return fragments
+        finally:
+            with self.stats.lock:
+                self.stats.hits += hits
+                self.stats.misses += misses
+                self.stats.stores += misses
+                self.stats.invalidations += invalidations
+                self.stats.single_flight_waits += waits
 
     # -- whole views -------------------------------------------------------
     def store_view(self, view_id: str, version: object,
-                   tree: Tree) -> None:
-        """Record the complete materialized view at ``version``."""
-        shard = self._shard_of((view_id, None))
+                   fragments: Fragments) -> None:
+        """Record the complete view (one hole-free record) at
+        ``version``."""
+        shard = self._shards[shard_index((view_id, None), len(self._shards))]
         with shard.lock:
-            shard.views[view_id] = _ViewEntry(tree, version)
+            shard.views[view_id] = (version, fragments)
         self.stats.bump("view_stores")
 
-    def view(self, view_id: str, version: object) -> Optional[Tree]:
+    def view(self, view_id: str, version: object) -> Optional[Fragments]:
         """The complete view at exactly ``version``, if stored.
 
         A stale whole-view entry is dropped (counted as an
         invalidation), never returned: adoption through the prefilled
         buffer must be snapshot-exact.
         """
-        shard = self._shard_of((view_id, None))
-        stale = False
-        found: Optional[Tree] = None
+        shard = self._shards[shard_index((view_id, None), len(self._shards))]
         with shard.lock:
             entry = shard.views.get(view_id)
-            if entry is not None:
-                if entry.version == version:
-                    found = entry.tree
-                else:
-                    del shard.views[view_id]
-                    stale = True
+            stale = entry is not None and entry[0] != version
+            if stale:
+                del shard.views[view_id]
         if stale:
             self.stats.bump("invalidations")
-        if found is not None:
+        elif entry is not None:
             self.stats.bump("view_adoptions")
-        return found
+            return entry[1]
+        return None
 
     # -- epoch invalidation ------------------------------------------------
     def sweep(self, view_id: str, current_version: object) -> int:
@@ -282,13 +271,12 @@ class FragmentStore:
                 stale_keys = [
                     key for key, entry in shard.entries.items()
                     if key[0] == view_id
-                    and entry.version != current_version]
+                    and entry[0] != current_version]
                 for key in stale_keys:
                     del shard.entries[key]
                 dropped += len(stale_keys)
                 view = shard.views.get(view_id)
-                if view is not None \
-                        and view.version != current_version:
+                if view is not None and view[0] != current_version:
                     del shard.views[view_id]
                     dropped += 1
         self.stats.bump("invalidations", dropped)
@@ -340,18 +328,52 @@ def reset_shared_store() -> None:
 # The caching seam
 # ----------------------------------------------------------------------
 
-def _expand(fragments: Sequence[Fragment],
-            replies: Dict[object, Tuple[Fragment, ...]]) -> List[Tree]:
-    """``fragments`` as trees, each hole replaced by the expansion of
-    its recorded reply (KeyError: a hole with none)."""
-    out: List[Tree] = []
-    for fragment in fragments:
-        if isinstance(fragment, FragHole):
-            out.extend(_expand(replies[fragment.hole_id], replies))
+def _assemble(root_id: object,
+              replies: Dict[object, Fragments]) -> Optional[Fragments]:
+    """The whole view as one hole-free record: the root hole with
+    every hole replaced by its own reply, in one pass over a stack of
+    the runs still being read.  None when a hole has no reply or the
+    view is not one element."""
+    labels: List[Optional[str]] = []
+    sizes: List[int] = []
+    #: (reply, its hole ids, next entry, end of the run, slot of the
+    #: element whose children the run is -- None: a hole's reply)
+    runs: List[Tuple[Fragments, Iterator[object], int, int,
+                     Optional[int]]] = [
+        (Fragments.hole(root_id), iter((root_id,)), 0, 1, None)]
+    while runs:
+        reply, holes, index, end, slot = runs.pop()
+        rlabels, rsizes, _ = reply
+        while index < end:
+            # the siblings on from here that hold no hole, in bulk
+            hole_at = rlabels.index(None, index, end) \
+                if None in rlabels[index:end] else end
+            stop = index
+            while stop < end and stop + rsizes[stop] <= hole_at:
+                stop += rsizes[stop]
+            labels += rlabels[index:stop]
+            sizes += rsizes[index:stop]
+            if stop > index:
+                index = stop
+                continue
+            runs.append((reply, holes, index + rsizes[index], end, slot))
+            if rlabels[index] is None:  # a hole: its reply, then the rest
+                filled = replies.get(next(holes))
+                if filled is None:
+                    return None
+                runs.append((filled, iter(filled.holes), 0,
+                             len(filled.labels), None))
+            else:   # an element holding a hole: its children first
+                labels.append(rlabels[index])
+                sizes.append(1)
+                runs.append((reply, holes, index + 1,
+                             index + rsizes[index], len(sizes) - 1))
+            break
         else:
-            out.append(Tree(fragment.label,
-                            _expand(fragment.children, replies)))
-    return out
+            if slot is not None:
+                sizes[slot] = len(sizes) - slot
+    return Fragments(tuple(labels), tuple(sizes)) \
+        if sizes and sizes[0] == len(sizes) else None
 
 
 class CachingLXPServer(LXPServer):
@@ -381,32 +403,32 @@ class CachingLXPServer(LXPServer):
         self._lock = make_lock("fragcache.harvest")
         self._root_id: Optional[object] = None
         self._last_version: Optional[object] = None
-        self._replies: Dict[object, Tuple[Fragment, ...]] = {}
+        self._replies: Dict[object, Fragments] = {}
         self._outstanding: Optional[Set[object]] = None
         self._harvest_dead = False
 
     # -- LXPServer ---------------------------------------------------------
-    def get_root(self) -> FragHole:
+    def get_root(self) -> Fragments:
         root = self.inner.get_root()
         with self._lock:
             self._root_id = root.hole_id
         return root
 
-    def fill(self, hole_id: object) -> List[Fragment]:
+    def fill(self, hole_id: object) -> Fragments:
         tracer = self._tracer
         if tracer is not None and tracer.active:
             with tracer.span("fragcache", "fill", source=self.view_id):
-                return self._fill(hole_id)
-        return self._fill(hole_id)
+                return self._fill(hole_id, self._observe)
+        return self._fill(hole_id, None)
 
-    def _fill(self, hole_id: object) -> List[Fragment]:
+    def _fill(self, hole_id: object, observer: _Observer) -> Fragments:
         version = self._version_of()
-        self._note_version(version)
+        if version != self._last_version:
+            self._note_version(version)
         reply = self.store.fill_through(
             (self.view_id, hole_id), version,
-            lambda: self.inner.fill(hole_id),
-            observer=self._observe)
-        self._harvest(hole_id, tuple(reply), version)
+            partial(self.inner.fill, hole_id), observer)
+        self._harvest(hole_id, reply, version)
         return reply
 
     # fill_batch is inherited: the pipelined protocol decomposes into
@@ -414,9 +436,9 @@ class CachingLXPServer(LXPServer):
 
     # -- tracing -----------------------------------------------------------
     def _observe(self, outcome: str) -> None:
+        """The store's outcomes as trace events (passed to the store
+        only while the tracer records)."""
         tracer = self._tracer
-        if tracer is None or not tracer.active:
-            return
         if outcome == "hit":
             tracer.emit("fragcache", "hit", source=self.view_id)
         elif outcome == "miss":
@@ -430,7 +452,8 @@ class CachingLXPServer(LXPServer):
 
     # -- epoch tracking ----------------------------------------------------
     def _note_version(self, version: object) -> None:
-        """Sweep the view's stale epoch when the snapshot advances."""
+        """Sweep the view's stale epoch when the snapshot advances
+        (called when a fill reads a version other than the last)."""
         with self._lock:
             changed = (self._last_version is not None
                        and self._last_version != version)
@@ -438,58 +461,40 @@ class CachingLXPServer(LXPServer):
             if changed:
                 # New epoch: fills recorded so far describe the old
                 # snapshot and can never complete into a current view.
-                self._replies.clear()
-                self._outstanding = None
+                self._replies, self._outstanding = {}, None
                 self._harvest_dead = False
         if changed:
             self.store.sweep(self.view_id, version)
 
     # -- whole-view harvest ------------------------------------------------
-    def _harvest(self, hole_id: object,
-                 reply: Tuple[Fragment, ...],
+    def _harvest(self, hole_id: object, reply: Fragments,
                  version: object) -> None:
         """Track hole accounting; when every introduced hole has been
         filled at one version, assemble and store the complete view."""
-        complete: Optional[Tree] = None
+        complete: Optional[Fragments] = None
         with self._lock:
             if self._harvest_dead or version != self._last_version:
                 return
-            if self._outstanding is None:
-                start = self._root_id if self._root_id is not None \
-                    else hole_id
-                self._outstanding = {start}
-            if hole_id not in self._outstanding:
+            outstanding = self._outstanding
+            if outstanding is None:
+                outstanding = self._outstanding = {
+                    hole_id if self._root_id is None else self._root_id}
+            if hole_id not in outstanding:
                 # A refill of something already accounted (or a hole
                 # we never saw introduced): accounting is no longer
                 # trustworthy, stop harvesting this epoch.
-                self._harvest_dead = True
-                self._replies.clear()
+                self._harvest_dead, self._replies = True, {}
                 return
-            self._outstanding.discard(hole_id)
+            outstanding.discard(hole_id)
             self._replies[hole_id] = reply
-            self._outstanding.update(reply_holes(list(reply)))
-            if not self._outstanding:
-                complete = self._assemble_locked()
+            outstanding.update(reply.holes)
+            if not outstanding:
+                complete = _assemble(self._root_id, self._replies)
         if complete is not None:
             self.store.store_view(self.view_id, version, complete)
             tracer = self._tracer
             if tracer is not None and tracer.active:
-                tracer.emit("fragcache", "complete",
-                            source=self.view_id)
-
-    def _assemble_locked(self) -> Optional[Tree]:
-        """The complete view tree from the recorded replies (called
-        under the lock; pure)."""
-        root_id = self._root_id
-        if root_id is None or root_id not in self._replies:
-            return None
-        try:
-            elements = _expand(self._replies[root_id], self._replies)
-        except KeyError:
-            return None
-        if len(elements) != 1:
-            return None
-        return elements[0]
+                tracer.emit("fragcache", "complete", source=self.view_id)
 
 
 # ----------------------------------------------------------------------
@@ -552,14 +557,15 @@ def fragment_cached(
         url: str, server: LXPServer,
         store: Optional[FragmentStore] = None,
         tracer: Optional[Any] = None,
-) -> Tuple[LXPServer, Optional[Tree], FragcacheDecision]:
+) -> Tuple[LXPServer, Optional[Fragments], FragcacheDecision]:
     """Wire one registered wrapper through the fragment cache.
 
     Runs the admissibility check, records the decision (and emits it
     as a ``fragcache.decision`` event), and -- for admissible wrappers
     -- returns the :class:`CachingLXPServer` proxy plus, when the
     store already holds the complete view at the wrapper's *current*
-    snapshot version, the tree to adopt through the prefilled buffer.
+    snapshot version, its record to adopt through the prefilled
+    buffer.
     Inadmissible wrappers come back unchanged.
     """
     if store is None:

@@ -31,8 +31,9 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
+from ..buffer.holes import Fragments
 from ..errors import (
     FAILURE_TYPES,
     PermanentSourceError,
@@ -374,18 +375,17 @@ def is_error_label(label: str) -> bool:
     return label == ERROR_LABEL
 
 
-def error_placeholder(source: str, reason: str) -> Any:
-    """The marked partial-answer element ``<mix:error source=...>``.
+def error_placeholder(source: str, reason: str) -> Fragments:
+    """The marked partial-answer reply ``mix:error[source[...],
+    reason[...]]``.
 
-    Shipped as an ordinary closed fragment, it flows through the
-    buffer, the lazy operators and the client API like any element;
+    Shipped as an ordinary closed reply, it flows through the buffer,
+    the lazy operators and the client API like any element;
     ``XMLElement.is_error`` and :func:`is_error_label` recognize it.
     """
-    from ..buffer.holes import FragElem
-    return FragElem(ERROR_LABEL, (
-        FragElem("source", (FragElem(source),)),
-        FragElem("reason", (FragElem(reason or "unavailable"),)),
-    ))
+    return Fragments(
+        (ERROR_LABEL, "source", source, "reason",
+         reason or "unavailable"), (5, 2, 1, 2, 1))
 
 
 # ----------------------------------------------------------------------
@@ -428,13 +428,12 @@ class ResilientLXPServer:
     def breaker(self) -> Optional[CircuitBreaker]:
         return self.caller.breaker
 
-    def _degrade(self, err: BaseException) -> List[Any]:
+    def _degrade(self, err: BaseException) -> Fragments:
         self.resilience.bump("degraded")
         self.caller._trace("degraded", error=type(err).__name__)
-        return [error_placeholder(self.name, str(err))]
+        return error_placeholder(self.name, str(err))
 
     def get_root(self) -> Any:
-        from ..buffer.holes import FragHole
         try:
             return self.caller.call(self.server.get_root,
                                     key="get_root")
@@ -444,12 +443,12 @@ class ResilientLXPServer:
             # Degrade via a synthetic hole: get_root must return a
             # hole, so the placeholder ships on its first fill.
             self.resilience.bump("degraded")
-            return FragHole((_ERROR_HOLE, str(err)))
+            return Fragments.hole((_ERROR_HOLE, str(err)))
 
     def fill(self, hole_id: Any) -> Any:
         if isinstance(hole_id, tuple) and hole_id \
                 and hole_id[0] == _ERROR_HOLE:
-            return [error_placeholder(self.name, hole_id[1])]
+            return error_placeholder(self.name, hole_id[1])
         try:
             return self.caller.call(self.server.fill, hole_id,
                                     key=hole_id)
@@ -486,7 +485,7 @@ class ResilientLXPServer:
             self.resilience.bump("degraded", len(hole_ids))
             self.caller._trace("degraded", error=type(err).__name__,
                                batch=len(hole_ids))
-            return [(hid, [error_placeholder(self.name, str(err))])
+            return [(hid, error_placeholder(self.name, str(err)))
                     for hid in hole_ids]
 
     def __getattr__(self, attr: str) -> Any:

@@ -38,7 +38,7 @@ import socket
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..buffer.component import BufferComponent
-from ..buffer.holes import FragHole, Fragment
+from ..buffer.holes import Fragments
 from ..client.element import XMLElement
 from ..client.remote import ChannelStats, MeteredTransport
 from ..errors import TransientSourceError
@@ -163,15 +163,15 @@ class SocketChannel(MeteredTransport, LXPServer):
         return checked(reply, request["op"])
 
     # -- LXPServer surface -------------------------------------------------
-    def get_root(self) -> FragHole:
-        return FragHole(self.root_wire_id)
+    def get_root(self) -> Fragments:
+        return Fragments.hole(self.root_wire_id)
 
-    def fill(self, hole_id: object) -> List[Fragment]:
+    def fill(self, hole_id: object) -> Fragments:
         reply = self.call({"op": "fill", "hole": hole_id})
         return decode_fragments(reply.get("fragments"))
 
     def fill_batch(self, hole_ids: Sequence[object], speculate: int = 0
-                   ) -> List[Tuple[object, List[Fragment]]]:
+                   ) -> List[Tuple[object, Fragments]]:
         reply = self.call({"op": "fill_batch",
                            "holes": list(hole_ids),
                            "speculate": speculate})

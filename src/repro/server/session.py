@@ -22,7 +22,7 @@ from __future__ import annotations
 import socket
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..buffer.holes import Fragment, fragment_wire_size
+from ..buffer.holes import Fragments, fragment_wire_size
 from ..client.remote import NavigableLXPServer
 from ..errors import ReproError, TransientSourceError
 from ..navigation.interface import NavigableDocument
@@ -290,11 +290,10 @@ class Session:
                 "session %s exhausted its %d-byte ship budget"
                 % (self.session_id, self.max_bytes))
 
-    def _ship(self, fragments: List[Fragment]) -> List[Any]:
+    def _ship(self, fragments: Fragments) -> List[Any]:
         """Charge one answered hole to the budgets and encode it."""
         self.fills += 1
-        self.bytes_shipped += sum(fragment_wire_size(f)
-                                  for f in fragments)
+        self.bytes_shipped += fragment_wire_size(fragments)
         return encode_fragments(fragments, self._holes.intern)
 
     def fill(self, frame: Dict[str, Any]) -> Reply:

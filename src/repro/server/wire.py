@@ -5,10 +5,11 @@ bytes of UTF-8 JSON encoding a single object.  Both directions use the
 same framing; the protocol on top (``docs/PROTOCOLS.md``, "LXP wire
 framing & session lifecycle") is strictly request/reply.
 
-Fragments cross the wire in a compact array encoding::
+A fill reply (a :class:`~repro.buffer.holes.Fragments` record) crosses
+the wire in a compact nested array encoding, one array per entry::
 
-    FragElem(label, children)  ->  ["e", label, [child, ...]]
-    FragHole(wire_id)          ->  ["h", wire_id]
+    element  ->  ["e", label, [child, ...]]
+    hole     ->  ["h", wire_id]
 
 where ``wire_id`` is a session-scoped integer minted by the server's
 hole table (:class:`~repro.server.session.HoleTable`) -- the in-
@@ -39,7 +40,7 @@ import struct
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List,
                     NamedTuple, Optional, Tuple, Type, Union)
 
-from ..buffer.holes import FragElem, FragHole, Fragment
+from ..buffer.holes import Fragments
 from ..errors import (PermanentSourceError, SourceError,
                       TransientSourceError)
 
@@ -54,7 +55,6 @@ __all__ = [
     "MAX_FRAME_BYTES", "wire_int", "frame_bytes", "decode_frame",
     "FramePipe", "send_frame", "recv_frame_bytes", "recv_frame",
     "recv_frame_sized", "exchange", "close_quietly",
-    "encode_fragment", "decode_fragment",
     "encode_fragments", "decode_fragments", "wire_holes",
     "TRACE_KEY", "encode_trace_context", "decode_trace_context",
 ]
@@ -388,54 +388,70 @@ def decode_trace_context(frame: Dict[str, Any]
 # Fragment codec
 # ----------------------------------------------------------------------
 
-def encode_fragment(fragment: Fragment,
-                    intern: Callable[[object], int]) -> List[Any]:
-    """One fragment as the wire array shape; holes are interned to
-    session-scoped integers through ``intern``."""
-    if isinstance(fragment, FragHole):
-        return ["h", intern(fragment.hole_id)]
-    return ["e", fragment.label,
-            [encode_fragment(child, intern)
-             for child in fragment.children]]
-
-
-def encode_fragments(fragments: List[Fragment],
+def encode_fragments(fragments: Union[Fragments, List[Fragments]],
                      intern: Callable[[object], int]) -> List[Any]:
-    """A fill reply's fragment list in wire shape."""
-    return [encode_fragment(fragment, intern) for fragment in fragments]
+    """A fill reply in wire shape, its holes interned to session-scoped
+    integers through ``intern`` in document order: one loop over the
+    record, a stack of the open child lists.  A list of records (runs
+    of siblings one after another) encodes as their concatenation."""
+    if isinstance(fragments, list):
+        fragments = Fragments.join(fragments)
+    hole_ids = iter(fragments.holes)
+    sizes = fragments.sizes
+    runs: List[Any] = [([], len(sizes))]   # (child list, entry past it)
+    for index, label in enumerate(fragments.labels):
+        while index == runs[-1][1]:
+            runs.pop()
+        run = runs[-1][0]
+        if label is None:
+            run.append(["h", intern(next(hole_ids))])
+        else:
+            run.append(["e", label, []])
+            if sizes[index] > 1:
+                runs.append((run[-1][2], index + sizes[index]))
+    return runs[0][0]
 
 
-def decode_fragment(obj: Any) -> Fragment:
-    """The inverse codec, with strict shape validation: anything that
-    is not exactly the documented array shape is malformed."""
-    if (not isinstance(obj, list)) or not obj:
-        raise MalformedFrameError(
-            "fragment must be a non-empty array, got %r" % (obj,))
-    kind = obj[0]
-    if kind == "h":
-        if len(obj) != 2 or not wire_int(obj[1]):
-            raise MalformedFrameError(
-                "hole fragment must be ['h', int], got %r" % (obj,))
-        return FragHole(obj[1])
-    if kind == "e":
-        if len(obj) != 3 or not isinstance(obj[1], str) \
-                or not isinstance(obj[2], list):
-            raise MalformedFrameError(
-                "element fragment must be ['e', label, [children]], "
-                "got %r" % (obj,))
-        return FragElem(obj[1],
-                        tuple(decode_fragment(child)
-                              for child in obj[2]))
-    raise MalformedFrameError(
-        "unknown fragment kind %r (expected 'e' or 'h')" % (kind,))
-
-
-def decode_fragments(obj: Any) -> List[Fragment]:
-    """Decode a fill reply's fragment list (strictly validated)."""
+def decode_fragments(obj: Any) -> Fragments:
+    """Decode a fill reply's wire shape into its record, strictly
+    validated: anything that is not exactly the documented array
+    shape is malformed.  One loop over a stack of the arrays still to
+    read, each element's slot pushed below its children (as a tuple,
+    which JSON never decodes to) to count its subtree when they are
+    done."""
     if not isinstance(obj, list):
         raise MalformedFrameError(
             "fragment list must be an array, got %r" % (obj,))
-    return [decode_fragment(item) for item in obj]
+    labels: List[Optional[str]] = []
+    sizes: List[int] = []
+    holes: List[int] = []
+    todo = obj[::-1]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is tuple:
+            sizes[item[0]] = len(sizes) - item[0]
+            continue
+        if not isinstance(item, list) or not item:
+            raise MalformedFrameError(
+                "fragment must be a non-empty array, got %r" % (item,))
+        kind = item[0]
+        if kind == "h" and len(item) == 2 and wire_int(item[1]):
+            holes.append(item[1])
+        elif kind == "e" and len(item) == 3 \
+                and isinstance(item[1], str) and isinstance(item[2], list):
+            if item[2]:
+                todo.append((len(sizes),))
+                todo += item[2][::-1]
+        else:
+            raise MalformedFrameError(
+                "hole fragment must be ['h', int], got %r" % (item,)
+                if kind == "h" else "element fragment must be ['e', "
+                "label, [children]], got %r" % (item,) if kind == "e"
+                else "unknown fragment kind %r (expected 'e' or 'h')"
+                % (kind,))
+        labels.append(None if kind == "h" else item[1])
+        sizes.append(1)
+    return Fragments(tuple(labels), tuple(sizes), tuple(holes))
 
 
 def wire_holes(fragments: Any) -> List[int]:

@@ -19,12 +19,13 @@ capability is negotiated by presence):
     the chain needs) is always sound, because the mediator replays
     the original subplan over the pushed result.
 
-``push(request) -> Tree``
+``push(request) -> Fragments``
     Execute one previously compiled request against the backend in a
     single native evaluation and return the complete exported view
-    (restricted as the request allows) as a closed tree.  The reply
-    must be shaped exactly like the wrapper's incremental LXP export
-    with every hole resolved.
+    (restricted as the request allows) as one hole-free reply record
+    (:class:`~repro.buffer.holes.Fragments`).  It must be shaped
+    exactly like the wrapper's incremental LXP export with every hole
+    resolved.
 
 Wrappers without the capability are never asked twice:
 ``negotiate_push`` answers None for them and the mediator keeps the

@@ -16,13 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..buffer.holes import (
-    FragElem,
-    FragHole,
-    Fragment,
-    LXPProtocolError,
-    fragment_of_tree,
-)
+from ..buffer.holes import Fragments, LXPProtocolError
 from ..buffer.lxp import LXPServer, LXPStats, measure_fragment
 from ..oodb.store import ObjectStore, OObject
 from ..pushdown.compiled import (
@@ -31,7 +25,6 @@ from ..pushdown.compiled import (
     child_restriction,
 )
 from ..runtime.config import validate_granularity
-from ..xtree.tree import Tree
 
 __all__ = ["OODBLXPWrapper"]
 
@@ -47,29 +40,8 @@ class OODBLXPWrapper(LXPServer):
         self.chunk_size, _ = validate_granularity(chunk_size)
         self.stats = LXPStats()
 
-    def get_root(self) -> FragHole:
-        return FragHole(("store",))
-
-    def _value_trees(self, value) -> List[Tree]:
-        if isinstance(value, OObject):
-            return [Tree("ref", (Tree(value.oid),))]
-        if isinstance(value, list):
-            shipped: List[Tree] = []
-            for item in value:
-                shipped.extend(self._value_trees(item))
-            return shipped
-        return [Tree(_atom(value))]
-
-    def _object_tree(self, obj: OObject) -> Tree:
-        children = [Tree("oid", (Tree(obj.oid),))]
-        for attribute in obj.oclass.attributes:
-            value = obj.get(attribute)
-            if value is None:
-                children.append(Tree(attribute))
-            else:
-                children.append(
-                    Tree(attribute, tuple(self._value_trees(value))))
-        return Tree("object", tuple(children))
+    def get_root(self) -> Fragments:
+        return Fragments.hole(("store",))
 
     # -- pushdown -------------------------------------------------------------
     def push_compile(self, compiled: CompiledSubplan
@@ -89,9 +61,9 @@ class OODBLXPWrapper(LXPServer):
                             if name in keep)
         return OODBPathQuery(self.store.name, classes)
 
-    def push(self, request: OODBPathQuery) -> Tree:
+    def push(self, request: OODBPathQuery) -> Fragments:
         """Evaluate a compiled path query: the kept extents, complete,
-        as the closed export tree."""
+        as one hole-free reply."""
         if not isinstance(request, OODBPathQuery) or \
                 request.store != self.store.name:
             raise LXPProtocolError(
@@ -99,19 +71,17 @@ class OODBLXPWrapper(LXPServer):
                 % (request, self.store.name))
         names = self.store.class_names if request.classes is None \
             else request.classes
-        classes = tuple(
-            Tree(name, tuple(self._object_tree(obj)
-                             for obj in self.store.extent(name)))
-            for name in names)
-        return Tree(self.store.name, classes)
+        return Fragments.element(self.store.name, *[
+            Fragments.element(name, *map(self._object,
+                                         self.store.extent(name)))
+            for name in names])
 
-    def fill(self, hole_id) -> List[Fragment]:
+    def fill(self, hole_id) -> Fragments:
         if hole_id == ("store",):
-            classes = tuple(
-                FragElem(name, (FragHole(("extent", name, 0)),))
-                for name in self.store.class_names
-            )
-            reply: List[Fragment] = [FragElem(self.store.name, classes)]
+            reply = Fragments.element(self.store.name, *[
+                Fragments.element(name, Fragments.hole(
+                    ("extent", name, 0)))
+                for name in self.store.class_names])
             measure_fragment(self.stats, reply)
             return reply
         try:
@@ -122,12 +92,40 @@ class OODBLXPWrapper(LXPServer):
             raise LXPProtocolError("unknown hole id %r" % (hole_id,))
         extent = self.store.extent(class_name)
         end = min(start + self.chunk_size, len(extent))
-        reply = [fragment_of_tree(self._object_tree(obj))
-                 for obj in extent[start:end]]
+        runs = [self._object(obj) for obj in extent[start:end]]
         if end < len(extent):
-            reply.append(FragHole(("extent", class_name, end)))
+            runs.append(Fragments.hole(("extent", class_name, end)))
+        reply = Fragments.join(runs)
         measure_fragment(self.stats, reply)
         return reply
+
+    @staticmethod
+    def _object(obj: OObject) -> Fragments:
+        """One object as a reply: ``object[oid[...], attr[...],
+        ...]``, an attribute's atoms as text leaves, its references as
+        ``ref[oid]`` (a list attribute fans out; nested lists
+        flatten)."""
+        labels: List[str] = ["object", "oid", obj.oid]
+        sizes: List[int] = [1, 2, 1]
+        for attribute in obj.oclass.attributes:
+            slot = len(sizes)
+            labels.append(attribute)
+            sizes.append(1)
+            value = obj.get(attribute)
+            stack = [] if value is None else [value]
+            while stack:
+                item = stack.pop()
+                if isinstance(item, list):
+                    stack.extend(reversed(item))
+                elif isinstance(item, OObject):
+                    labels += ("ref", item.oid)
+                    sizes += (2, 1)
+                else:
+                    labels.append(_atom(item))
+                    sizes.append(1)
+            sizes[slot] = len(sizes) - slot
+        sizes[0] = len(sizes)
+        return Fragments(tuple(labels), tuple(sizes))
 
 
 def _atom(value) -> str:

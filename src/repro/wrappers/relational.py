@@ -21,11 +21,11 @@ sweeps against chunk size.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, repeat
 from typing import Dict, List, Optional, Tuple
 
 from ..algebra.predicates import compare_values
-from ..buffer.holes import FragElem, FragHole, Fragment, LXPProtocolError
+from ..buffer.holes import Fragments, LXPProtocolError
 from ..buffer.lxp import LXPServer, LXPStats, measure_fragment
 from ..pushdown.compiled import (
     CompiledSubplan,
@@ -39,7 +39,6 @@ from ..pushdown.compiled import (
 )
 from ..relational.database import Connection
 from ..runtime.config import validate_granularity
-from ..xtree.tree import Tree
 
 __all__ = ["RelationalLXPWrapper", "RelationalQueryWrapper"]
 
@@ -69,17 +68,17 @@ class RelationalLXPWrapper(LXPServer):
         return self.connection.database.name
 
     # -- LXP -----------------------------------------------------------------
-    def get_root(self) -> FragHole:
-        return FragHole(self.db_name)
+    def get_root(self) -> Fragments:
+        return Fragments.hole(self.db_name)
 
-    def fill(self, hole_id) -> List[Fragment]:
+    def fill(self, hole_id) -> Fragments:
         parts = str(hole_id).split(".")
         if parts[0] != self.db_name:
             raise LXPProtocolError(
                 "hole %r does not belong to database %r"
                 % (hole_id, self.db_name))
         if len(parts) == 1:
-            reply = [self._fill_database()]
+            reply = self._fill_database()
         elif len(parts) == 2:
             reply = self._fill_rows(parts[1], 0)
         elif len(parts) == 3:
@@ -90,29 +89,26 @@ class RelationalLXPWrapper(LXPServer):
         return reply
 
     # -- levels ---------------------------------------------------------------
-    def _fill_database(self) -> FragElem:
+    def _fill_database(self) -> Fragments:
         """Database level: the schema -- one table element per table,
         rows unexplored."""
-        tables = []
-        for name in self.connection.tables():
-            tables.append(FragElem(
-                name, (FragHole("%s.%s" % (self.db_name, name)),)))
-        return FragElem(self.db_name, tuple(tables))
+        return Fragments.element(self.db_name, *[
+            Fragments.element(name, Fragments.hole(
+                "%s.%s" % (self.db_name, name)))
+            for name in self.connection.tables()])
 
-    def _fill_rows(self, table: str, start: int) -> List[Fragment]:
+    def _fill_rows(self, table: str, start: int) -> Fragments:
         columns = self.connection.columns(table)
         cursor = self._cursors.get(table)
         if cursor is None:
             cursor = self._cursors[table] = _ResumableCursor(
                 self.connection, "SELECT * FROM %s" % table)
         rows, more = cursor.chunk(start, self.chunk_size)
-        reply: List[Fragment] = [
-            FragElem("row%d" % number, _cells(FragElem, columns, row))
-            for number, row in enumerate(rows, start + 1)]
-        if more:
-            reply.append(FragHole(
-                "%s.%s.%d" % (self.db_name, table, start + len(rows))))
-        return reply
+        end = start + len(rows)
+        reply = _rows(columns, zip(
+            map("row%d".__mod__, range(start + 1, end + 1)), rows))
+        return Fragments.join((reply, Fragments.hole(
+            "%s.%s.%d" % (self.db_name, table, end)))) if more else reply
 
     # -- pushdown -------------------------------------------------------------
     def push_compile(self, compiled: CompiledSubplan
@@ -195,33 +191,27 @@ class RelationalLXPWrapper(LXPServer):
             filters.append((column, op, literal))
         return tuple(filters)
 
-    def push(self, request: RelationalPushRequest) -> Tree:
+    def push(self, request: RelationalPushRequest) -> Fragments:
         """Evaluate a compiled request: one native statement per scan,
-        shipped as the complete closed export tree."""
+        shipped as the complete export, one hole-free reply."""
         if not isinstance(request, RelationalPushRequest) or \
                 request.database != self.db_name:
             raise LXPProtocolError(
                 "request %r does not belong to database %r"
                 % (request, self.db_name))
-        return Tree(self.db_name, tuple(
-            self._scan_tree(scan) for scan in request.scans))
+        return Fragments.element(self.db_name, *[
+            Fragments.element(scan.table, self._scan(scan))
+            for scan in request.scans])
 
-    def _scan_tree(self, scan: TableScan) -> Tree:
-        if scan.renumber:
-            cursor = self.connection.execute(scan.sql)
-        else:
-            cursor = self.connection.execute(
-                "SELECT * FROM %s" % scan.table)
+    def _scan(self, scan: TableScan) -> Fragments:
+        # (a renumbering scan's SQL has already filtered its rows)
+        cursor = self.connection.execute(
+            scan.sql if scan.renumber else "SELECT * FROM %s" % scan.table)
         columns = cursor.column_names
-        rows: List[Tree] = []
-        for position, row in enumerate(iter(cursor.advance, None), 1):
-            if not scan.renumber and not _row_passes(
-                    columns, row, scan.row_filters):
-                continue
-            number = len(rows) + 1 if scan.renumber else position
-            rows.append(Tree("row%d" % number,
-                             _cells(Tree, columns, row)))
-        return Tree(scan.table, tuple(rows))
+        return _rows(columns, [
+            ("row%d" % number, row) for number, row
+            in enumerate(iter(cursor.advance, None), 1)
+            if scan.renumber or _row_passes(columns, row, scan.row_filters)])
 
 
 def _row_passes(columns: Tuple[str, ...], row,
@@ -248,15 +238,23 @@ def _atom(value) -> str:
     return str(value)
 
 
-def _cells(node, columns, row) -> tuple:
-    """One row as its cells ``col[value]`` (``col[]`` for NULL and for
-    the empty string), built with ``node``: :class:`FragElem` in a fill
-    reply, :class:`Tree` in a pushed export -- both construct from
-    ``(label, children)``, one call per shipped node."""
-    return tuple([
-        node(col, (node(_atom(value)),)
-             if value is not None and _atom(value) != "" else ())
-        for col, value in zip(columns, row)])
+def _rows(columns, labeled_rows) -> Fragments:
+    """Each ``(label, row)`` as ``label[col[value], ...]`` (just ``col``
+    for NULL and for the empty string), one reply: one loop, the cell
+    text as :func:`_atom` has it."""
+    labels, sizes = [], []
+    for row_label, row in labeled_rows:
+        slot = len(sizes)
+        labels.append(row_label)
+        sizes.append(1)
+        for column, value in zip(columns, row):
+            text = "" if value is None else str(int(value)) \
+                if isinstance(value, float) and value.is_integer() \
+                else str(value)
+            labels += (column, text) if text else (column,)
+            sizes += (2, 1) if text else (1,)
+        sizes[slot] = len(sizes) - slot
+    return Fragments(tuple(labels), tuple(sizes))
 
 
 class _ResumableCursor:
@@ -326,23 +324,21 @@ class RelationalQueryWrapper(LXPServer):
         self.stats = LXPStats()
         self._cursor = _ResumableCursor(connection, sql)
 
-    def get_root(self) -> FragHole:
-        return FragHole(("view",))
+    def get_root(self) -> Fragments:
+        return Fragments.hole(("view",))
 
-    def _ship_tuples(self, start: int) -> List[Fragment]:
+    def _ship_tuples(self, start: int) -> Fragments:
+        """The next chunk of tuples from ``start``."""
         rows, more = self._cursor.chunk(start, self.chunk_size)
-        columns = self._cursor.column_names
-        reply: List[Fragment] = [
-            FragElem(self.tuple_label, _cells(FragElem, columns, row))
-            for row in rows]
-        if more:
-            reply.append(FragHole(("rows", start + len(rows))))
-        return reply
+        reply = _rows(self._cursor.column_names,
+                      zip(repeat(self.tuple_label), rows))
+        return Fragments.join((reply, Fragments.hole(
+            ("rows", start + len(rows))))) if more else reply
 
-    def fill(self, hole_id) -> List[Fragment]:
+    def fill(self, hole_id) -> Fragments:
         if hole_id == ("view",):
-            reply: List[Fragment] = [FragElem(
-                self.view_label, tuple(self._ship_tuples(0)))]
+            reply = Fragments.element(self.view_label,
+                                      self._ship_tuples(0))
         else:
             try:
                 kind, start = hole_id

@@ -18,13 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..buffer.holes import (
-    FragElem,
-    FragHole,
-    Fragment,
-    LXPProtocolError,
-    fragment_of_tree,
-)
+from ..buffer.holes import Fragments, LXPProtocolError, fragment_of_tree
 from ..buffer.lxp import LXPServer, LXPStats, measure_fragment
 from ..pushdown.compiled import CompiledSubplan, PageFetchRequest
 from ..webstore.site import HttpSimulator
@@ -56,8 +50,8 @@ class WebLXPWrapper(LXPServer):
         self.root_label = root_label or http.site.name
         self.stats = LXPStats()
 
-    def get_root(self) -> FragHole:
-        return FragHole(("page", self.first_page, True))
+    def get_root(self) -> Fragments:
+        return Fragments.hole(("page", self.first_page, True))
 
     def _page_items(self, url: str
                     ) -> Tuple[List[Tree], Optional[str]]:
@@ -86,19 +80,19 @@ class WebLXPWrapper(LXPServer):
         del compiled  # every chain compiles to the full drain
         return PageFetchRequest(self.first_page)
 
-    def push(self, request: PageFetchRequest) -> Tree:
+    def push(self, request: PageFetchRequest) -> Fragments:
         """Fetch the whole listing in one request chain and return the
-        dissolved-pagination export, closed."""
+        dissolved-pagination export as one hole-free reply."""
         if not isinstance(request, PageFetchRequest):
             raise LXPProtocolError("unknown request %r" % (request,))
-        items: List[Tree] = []
+        runs: List[Fragments] = []
         url: Optional[str] = request.first_page
         while url is not None:
-            page_items, url = self._page_items(url)
-            items.extend(page_items)
-        return Tree(self.root_label, tuple(items))
+            items, url = self._page_items(url)
+            runs += map(fragment_of_tree, items)
+        return Fragments.element(self.root_label, *runs)
 
-    def fill(self, hole_id) -> List[Fragment]:
+    def fill(self, hole_id) -> Fragments:
         try:
             kind, url, is_root = hole_id
         except (TypeError, ValueError):
@@ -106,10 +100,11 @@ class WebLXPWrapper(LXPServer):
         if kind != "page":
             raise LXPProtocolError("unknown hole id %r" % (hole_id,))
         items, next_url = self._page_items(url)
-        reply: List[Fragment] = [fragment_of_tree(item) for item in items]
+        runs = [fragment_of_tree(item) for item in items]
         if next_url is not None:
-            reply.append(FragHole(("page", next_url, False)))
+            runs.append(Fragments.hole(("page", next_url, False)))
+        reply = Fragments.join(runs)
         if is_root:
-            reply = [FragElem(self.root_label, tuple(reply))]
+            reply = Fragments.element(self.root_label, reply)
         measure_fragment(self.stats, reply)
         return reply

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from ..buffer.holes import LXPProtocolError
+from ..buffer.holes import Fragments, LXPProtocolError, fragment_of_tree
 from ..buffer.lxp import TreeLXPServer
 from ..pushdown.compiled import CompiledSubplan, XPathScanRequest
 from ..xtree.parse import parse_xml
@@ -62,11 +62,11 @@ class XMLFileWrapper(TreeLXPServer):
             self.source_name,
             tuple(str(step.path) for step in compiled.steps))
 
-    def push(self, request: XPathScanRequest) -> Tree:
+    def push(self, request: XPathScanRequest) -> Fragments:
         """Evaluate a compiled scan: the complete document node."""
         if not isinstance(request, XPathScanRequest) or \
                 request.source != self.source_name:
             raise LXPProtocolError(
                 "request %r does not belong to source %r"
                 % (request, self.source_name))
-        return self.tree
+        return fragment_of_tree(self.tree)

@@ -15,6 +15,7 @@ from repro.algebra import (
     TupleDestroy,
     Var,
 )
+from repro.buffer import Fragments
 from repro.xtree import Tree, elem
 
 
@@ -38,6 +39,73 @@ def pool_thread_ledger():
                              for thread in pool_threads() - baseline)
     finally:
         gc.enable()
+
+
+class hole:
+    """A hole in a fill reply written out (:func:`reply`)."""
+
+    __slots__ = ("hole_id",)
+
+    def __init__(self, hole_id):
+        self.hole_id = hole_id
+
+    def __eq__(self, other):
+        return isinstance(other, hole) and other.hole_id == self.hole_id
+
+    def __hash__(self):
+        return hash(self.hole_id)
+
+    def __repr__(self):
+        return "hole(%r)" % (self.hole_id,)
+
+
+def _write(out, entry):
+    labels, sizes, holes = out
+    slot = len(sizes)
+    sizes.append(1)
+    if isinstance(entry, hole):
+        labels.append(None)
+        holes.append(entry.hole_id)
+    elif isinstance(entry, str):
+        labels.append(entry)
+    else:
+        labels.append(entry[0])
+        for child in entry[1:]:
+            _write(out, child)
+        sizes[slot] = len(sizes) - slot
+
+
+def reply(*entries) -> Fragments:
+    """A fill reply written out, entry by entry: a string is a leaf,
+    ``(label, *children)`` an element, ``hole(id)`` a hole --
+    ``reply(("a", "b", hole(7)), hole(8))`` is ``a[b, hole 7], hole
+    8``."""
+    out = ([], [], [])
+    for entry in entries:
+        _write(out, entry)
+    return Fragments(*map(tuple, out))
+
+
+def _read(fragments, holes, lo, hi) -> tuple:
+    labels, sizes, _ = fragments
+    read = []
+    while lo < hi:
+        label, size = labels[lo], sizes[lo]
+        if label is None:
+            read.append(hole(next(holes)))
+        elif size == 1:
+            read.append(label)
+        else:
+            read.append((label,)
+                        + _read(fragments, holes, lo + 1, lo + size))
+        lo += size
+    return tuple(read)
+
+
+def entries(fragments: Fragments) -> tuple:
+    """A reply's entries written out, as :func:`reply` takes them."""
+    return _read(fragments, iter(fragments.holes), 0,
+                 len(fragments.labels))
 
 
 def homes_source() -> Tree:

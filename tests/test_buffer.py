@@ -17,8 +17,7 @@ from hypothesis.stateful import (
 from repro.buffer import (
     AdaptiveTreeLXPServer,
     BufferComponent,
-    FragElem,
-    FragHole,
+    Fragments,
     LXPProtocolError,
     LXPServer,
     RandomizedLXPServer,
@@ -30,42 +29,41 @@ from repro.buffer import (
 from repro.navigation import materialize
 from repro.xtree import Tree, elem, leaf, tree_size
 
-from .fixtures import pool_thread_ledger
+from .fixtures import entries, hole, pool_thread_ledger, reply
 
 
 class TestFillReplyValidation:
     def test_empty_reply_is_legal(self):
-        validate_fill_reply([])
+        validate_fill_reply(reply())
 
     def test_elements_only(self):
-        validate_fill_reply([FragElem("a"), FragElem("b")])
+        validate_fill_reply(reply("a", "b"))
 
     def test_trailing_hole(self):
-        validate_fill_reply([FragElem("a"), FragHole(1)])
+        validate_fill_reply(reply("a", hole(1)))
 
     def test_leading_hole(self):
-        validate_fill_reply([FragHole(1), FragElem("a")])
+        validate_fill_reply(reply(hole(1), "a"))
 
     def test_only_holes_rejected(self):
         with pytest.raises(LXPProtocolError):
-            validate_fill_reply([FragHole(1)])
+            validate_fill_reply(reply(hole(1)))
 
     def test_adjacent_holes_rejected(self):
         with pytest.raises(LXPProtocolError):
-            validate_fill_reply([FragElem("a"), FragHole(1),
-                                 FragHole(2)])
+            validate_fill_reply(reply("a", hole(1), hole(2)))
 
     def test_nested_adjacent_holes_rejected(self):
-        bad = FragElem("a", (FragElem("b"), FragHole(1), FragHole(2)))
+        bad = reply(("a", "b", hole(1), hole(2)))
         with pytest.raises(LXPProtocolError):
-            validate_fill_reply([bad])
+            validate_fill_reply(bad)
 
     def test_single_child_hole_is_legal(self):
-        validate_fill_reply([FragElem("a", (FragHole(1),))])
+        validate_fill_reply(reply(("a", hole(1))))
 
     def test_fragment_of_tree_is_closed(self):
         frag = fragment_of_tree(elem("a", elem("b", "c")))
-        assert frag == FragElem("a", (FragElem("b", (FragElem("c"),)),))
+        assert frag == reply(("a", ("b", "c")))
 
 
 EXAMPLE7_TREE = elem("a", elem("b", "d", "e"), elem("c"))
@@ -74,45 +72,44 @@ EXAMPLE7_TREE = elem("a", elem("b", "d", "e"), elem("c"))
 class TestTreeLXPServer:
     def test_root_hole(self):
         server = TreeLXPServer(EXAMPLE7_TREE)
-        assert server.get_root() == FragHole(("root",))
+        assert server.get_root() == Fragments.hole(("root",))
 
     def test_full_depth_ships_everything(self):
         server = TreeLXPServer(EXAMPLE7_TREE, chunk_size=100)
-        reply = server.fill(("root",))
-        assert reply == [fragment_of_tree(EXAMPLE7_TREE)]
+        shipped = server.fill(("root",))
+        assert shipped == fragment_of_tree(EXAMPLE7_TREE)
         assert server.stats.fills == 1
 
     def test_depth_one_leaves_child_holes(self):
         server = TreeLXPServer(EXAMPLE7_TREE, depth=1)
-        (root,) = server.fill(("root",))
-        assert root.label == "a"
-        assert isinstance(root.children[0], FragHole)
+        (root,) = entries(server.fill(("root",)))
+        assert root[0] == "a"
+        assert isinstance(root[1], hole)
 
     def test_chunking_leaves_trailing_hole(self):
         tree = Tree("r", [leaf(str(i)) for i in range(7)])
         server = TreeLXPServer(tree, chunk_size=3, depth=2)
-        (root,) = server.fill(("root",))
-        labels = [c.label for c in root.children[:-1]]
+        (root,) = entries(server.fill(("root",)))
+        labels = list(root[1:-1])
         assert labels == ["0", "1", "2"]
-        hole = root.children[-1]
-        reply2 = server.fill(hole.hole_id)
-        assert [c.label for c in reply2[:-1]] == ["3", "4", "5"]
+        rest = root[-1]
+        reply2 = entries(server.fill(rest.hole_id))
+        assert list(reply2[:-1]) == ["3", "4", "5"]
 
     def test_replies_always_validate(self):
         tree = Tree("r", [elem("x", str(i)) for i in range(20)])
         server = TreeLXPServer(tree, chunk_size=4, depth=1)
         stack = [server.get_root().hole_id]
         while stack:
-            reply = server.fill(stack.pop())
-            validate_fill_reply(reply)
-            for frag in reply:
-                queue = [frag]
-                while queue:
-                    f = queue.pop()
-                    if isinstance(f, FragHole):
-                        stack.append(f.hole_id)
-                    else:
-                        queue.extend(f.children)
+            shipped = server.fill(stack.pop())
+            validate_fill_reply(shipped)
+            queue = list(entries(shipped))
+            while queue:
+                f = queue.pop()
+                if isinstance(f, hole):
+                    stack.append(f.hole_id)
+                elif isinstance(f, tuple):
+                    queue.extend(f[1:])
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -183,7 +180,7 @@ class TestBufferComponent:
     def test_empty_root_reply_raises(self):
         class EmptyServer(TreeLXPServer):
             def fill(self, hole_id):
-                return []
+                return reply()
 
         buffer = BufferComponent(EmptyServer(EXAMPLE7_TREE))
         with pytest.raises(LXPProtocolError):
@@ -218,7 +215,7 @@ class _ScriptedServer(LXPServer):
         self.script = script
 
     def get_root(self):
-        return FragHole(("root",))
+        return Fragments.hole(("root",))
 
     def fill(self, hole_id):
         return self.script[hole_id]
@@ -236,17 +233,16 @@ class TestPositionHint:
     ])
     def test_hint_survives_a_splice_to_the_left(self, labels):
         buffer = BufferComponent(_ScriptedServer({
-            ("root",): [FragElem("r", (FragElem("a"), FragHole("h"),
-                                       FragElem("b"), FragElem("c")))],
-            "h": [FragElem(label) for label in labels]}))
+            ("root",): reply(("r", "a", hole("h"), "b", "c")),
+            "h": reply(*labels)}))
         root = buffer.root()
         a = buffer.down(root)
         # A walk splices a hole before it passes it, so the pointers
         # right of the hole are taken from the table.
-        (hole,) = buffer._hole_ids
-        b = buffer._next[hole]
+        (open_hole,) = buffer._hole_ids
+        b = buffer._next[open_hole]
         c = buffer.right(b)
-        buffer._splice(hole, buffer.server.fill("h"))
+        buffer._splice(open_hole, buffer.server.fill("h"))
         assert (buffer.fetch(b), buffer.fetch(c)) == ("b", "c")
         assert buffer.right(b) == c and buffer.right(c) is None
         walked, node = [], a
@@ -277,7 +273,7 @@ class TestPositionHint:
         million.)"""
         n = 20000
         buffer = BufferComponent.prefilled(
-            Tree("r", [leaf("x")] * n))
+            fragment_of_tree(Tree("r", [leaf("x")] * n)))
         root = buffer.root()
         reads = _count_table_reads(buffer)
         node, steps = buffer.down(root), 0
@@ -294,13 +290,13 @@ class TestExample7Trace:
     def test_liberal_fill_sequence(self):
         # A scripted server answering exactly as in the paper.
         script = {
-            ("root",): [FragElem("a", (FragHole(1),))],
-            1: [FragElem("b", (FragHole(2),)), FragHole(3)],
-            3: [FragElem("c")],
-            2: [FragHole(4), FragElem("d", (FragHole(5),)), FragHole(6)],
-            4: [],
-            5: [],
-            6: [FragElem("e")],
+            ("root",): reply(("a", hole(1))),
+            1: reply(("b", hole(2)), hole(3)),
+            3: reply("c"),
+            2: reply(hole(4), ("d", hole(5)), hole(6)),
+            4: reply(),
+            5: reply(),
+            6: reply("e"),
         }
         buffer = BufferComponent(_ScriptedServer(script))
         assert materialize(buffer) == elem("a", elem("b", "d", "e"),
@@ -539,13 +535,15 @@ class _DeadEndServer(RandomizedLXPServer):
 
     def fill(self, hole_id):
         if hole_id[0] == "dead end":
-            return []
-        reply = super().fill(hole_id)
-        if reply and isinstance(reply[-1], FragElem) \
+            return reply()
+        shipped = super().fill(hole_id)
+        if shipped.labels and not isinstance(entries(shipped)[-1], hole) \
                 and self.rng.random() < 0.3:
             self.dead_ends += 1
-            reply.append(FragHole(("dead end", self.dead_ends)))
-        return reply
+            shipped = Fragments(
+                shipped.labels + (None,), shipped.sizes + (1,),
+                shipped.holes + (("dead end", self.dead_ends),))
+        return shipped
 
 
 class BufferModel(RuleBasedStateMachine):
@@ -663,15 +661,15 @@ class TestAdaptiveGranularity:
         from repro.buffer import AdaptiveTreeLXPServer
         server = AdaptiveTreeLXPServer(self._tree(), initial_chunk=2,
                                        max_chunk=64, depth=2)
-        (root,) = server.fill(("root",))
-        hole = root.children[-1]
-        assert isinstance(hole, FragHole)
+        (root,) = entries(server.fill(("root",)))
+        rest = root[-1]
+        assert isinstance(rest, hole)
         sizes = []
-        while isinstance(hole, FragHole):
-            reply = server.fill(hole.hole_id)
-            elems = [f for f in reply if isinstance(f, FragElem)]
+        while isinstance(rest, hole):
+            shipped = entries(server.fill(rest.hole_id))
+            elems = [f for f in shipped if not isinstance(f, hole)]
             sizes.append(len(elems))
-            hole = reply[-1]
+            rest = shipped[-1]
         # Doubling run capped at max_chunk.
         assert sizes[0] == 2 and sizes[1] == 4 and sizes[2] == 8
         assert max(sizes) <= 64
@@ -760,11 +758,8 @@ class TestFillBatchProtocol:
         assert server.stats.fills - before == len(replies)
 
     def test_reply_holes_document_order(self):
-        fragments = [
-            FragElem("a", [FragHole("h1"), FragElem("b", [FragHole("h2")])]),
-            FragHole("h3"),
-        ]
-        assert reply_holes(fragments) == ["h1", "h2", "h3"]
+        fragments = reply(("a", hole("h1"), ("b", hole("h2"))), hole("h3"))
+        assert reply_holes(fragments) == ("h1", "h2", "h3")
 
 
 class TestBatchingBuffer:

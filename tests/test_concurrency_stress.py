@@ -454,6 +454,67 @@ class TestFragmentStoreStress:
             load_event_names(repo))
         assert findings == [], findings
 
+    @pytest.mark.parametrize("outcome", ["miss", "invalidate", "store"])
+    def test_a_raising_observer_never_wedges_the_key(self, outcome):
+        """The observer is foreign code (a tracer subscriber).  Raising
+        on an outcome must still release the key's in-flight
+        registration and wake the sessions waiting on it; the error
+        reaches the observer's own caller.  A second session demanding
+        the key -- later (``miss``, ``invalidate``) or already waiting
+        (``store``) -- then completes instead of blocking for good."""
+        from repro.buffer import Fragments
+        from repro.runtime.fragcache import FragmentStore
+
+        store = FragmentStore(shards=1)
+        key = ("v", "k")
+        if outcome == "invalidate":
+            # a stale entry for the raising demand to drop
+            store.fill_through(key, 0, lambda: Fragments(("old",), (1,)))
+        producing, waiting = threading.Event(), threading.Event()
+
+        def produce():
+            producing.set()
+            if outcome == "store":
+                # the second session is waiting on this production
+                assert waiting.wait(timeout=JOIN_TIMEOUT_S)
+            return Fragments(("new",), (1,))
+
+        def raising(seen):
+            if seen == outcome:
+                raise RuntimeError("subscriber failed on %s" % seen)
+
+        def noting(seen):
+            if seen == "wait":
+                waiting.set()
+
+        replies, errors = [], []
+
+        def demand(observer):
+            try:
+                replies.append(store.fill_through(key, 1, produce,
+                                                  observer=observer))
+            except RuntimeError as err:
+                errors.append(err)
+
+        first = threading.Thread(target=demand, args=(raising,),
+                                 daemon=True)
+        second = threading.Thread(target=demand, args=(noting,),
+                                  daemon=True)
+        first.start()
+        if outcome == "store":
+            # the first session holds the key before the second asks
+            assert producing.wait(timeout=JOIN_TIMEOUT_S)
+        else:
+            first.join(timeout=JOIN_TIMEOUT_S)
+        second.start()
+        for thread in (first, second):
+            thread.join(timeout=3.0)
+        assert not first.is_alive() and not second.is_alive(), \
+            "a session is still blocked on the key after %r" % outcome
+        assert [str(err) for err in errors] == [
+            "subscriber failed on %s" % outcome]
+        assert replies == [Fragments(("new",), (1,))]
+
 
 # ----------------------------------------------------------------------
 # The socket server under mixed polite/hostile load

@@ -6,8 +6,7 @@ import pytest
 
 from repro.buffer import (
     BufferComponent,
-    FragElem,
-    FragHole,
+    Fragments,
     LXPProtocolError,
     TreeLXPServer,
 )
@@ -43,6 +42,8 @@ from repro.wrappers import XMLFileWrapper
 from repro.xmas import XMASSyntaxError, XMASTranslationError
 from repro.xtree import Tree, XMLParseError, elem, leaf, parse_xml, to_xml
 
+from .fixtures import hole, reply
+
 
 class _ScriptedServer:
     """An LXP server answering from a fixed script (for misbehaviour)."""
@@ -51,7 +52,7 @@ class _ScriptedServer:
         self.script = script
 
     def get_root(self):
-        return FragHole(("root",))
+        return Fragments.hole(("root",))
 
     def fill(self, hole_id):
         return self.script[hole_id]
@@ -60,8 +61,8 @@ class _ScriptedServer:
 class TestMaliciousWrappers:
     def test_adjacent_holes_rejected(self):
         server = _ScriptedServer({
-            ("root",): [FragElem("a", (FragHole(1),))],
-            1: [FragHole(2), FragHole(3)],
+            ("root",): reply(("a", hole(1))),
+            1: reply(hole(2), hole(3)),
         })
         buffer = BufferComponent(server)
         root = buffer.root()
@@ -70,22 +71,21 @@ class TestMaliciousWrappers:
 
     def test_only_holes_rejected(self):
         server = _ScriptedServer({
-            ("root",): [FragHole(7)],
+            ("root",): reply(hole(7)),
         })
         buffer = BufferComponent(server)
         with pytest.raises(LXPProtocolError):
             buffer.root()
 
     def test_no_root_element_rejected(self):
-        server = _ScriptedServer({("root",): []})
+        server = _ScriptedServer({("root",): reply()})
         buffer = BufferComponent(server)
         with pytest.raises(LXPProtocolError):
             buffer.root()
 
     def test_nested_violation_rejected(self):
-        bad_child = FragElem("a", (FragElem("b"), FragHole(1),
-                                   FragHole(2)))
-        server = _ScriptedServer({("root",): [bad_child]})
+        bad_child = reply(("a", "b", hole(1), hole(2)))
+        server = _ScriptedServer({("root",): bad_child})
         buffer = BufferComponent(server)
         with pytest.raises(LXPProtocolError):
             buffer.root()
@@ -93,8 +93,8 @@ class TestMaliciousWrappers:
     def test_dead_end_holes_are_fine(self):
         # Empty replies are legal: the hole represented zero elements.
         server = _ScriptedServer({
-            ("root",): [FragElem("a", (FragHole(1),))],
-            1: [],
+            ("root",): reply(("a", hole(1))),
+            1: reply(),
         })
         buffer = BufferComponent(server)
         assert materialize(buffer) == leaf("a")
@@ -105,12 +105,12 @@ class TestMaliciousWrappers:
 
         class Endless:
             def get_root(self):
-                return FragHole(0)
+                return Fragments.hole(0)
 
             def fill(self, hole_id):
                 if hole_id == 0:
-                    return [FragElem("r", (FragHole(1),))]
-                return [FragElem("x"), FragHole(hole_id + 1)]
+                    return reply(("r", hole(1)))
+                return reply("x", hole(hole_id + 1))
 
         buffer = BufferComponent(Endless())
         with pytest.raises(RuntimeError):

@@ -16,6 +16,7 @@ by one thread, so a join scan enters no lock per source navigation.
 """
 
 import collections
+import gc
 import random
 import sys
 import threading
@@ -31,7 +32,7 @@ from repro.bench import (ALLBOOKS_VIEW_NAME, CHEAP_DB_BOOKS_QUERY,
 from repro.buffer import TreeLXPServer
 from repro.navigation import MaterializedDocument
 from repro.relational import Connection, Database
-from repro.wrappers import RelationalLXPWrapper
+from repro.wrappers import RelationalLXPWrapper, XMLFileWrapper
 from repro.xtree import Tree
 
 NAMES_QUERY = ("CONSTRUCT <names> $N {$N} </names> {} "
@@ -84,8 +85,20 @@ def _browse(mediator):
     return CHEAP_DB_BOOKS_QUERY
 
 
-def _calls_per_navigation(register):
-    mediator = MIXMediator(EngineConfig())
+def _cache_cold(mediator):
+    """The cache_cold query: the fragment cache's seam, its store
+    (single-flight, harvest, whole-view assembly) and the wrapper's
+    fills, with a chunk of two homes per fill."""
+    from repro.runtime.fragcache import reset_shared_store
+    reset_shared_store()
+    tree = homes_and_schools(200)["homesSrc"].children[0]
+    mediator.register_wrapper(
+        "homesSrc", XMLFileWrapper("homesSrc", tree, chunk_size=2))
+    return "CONSTRUCT <hits> $H {$H} </hits> {} WHERE homesSrc homes.home $H"
+
+
+def _calls_per_navigation(register, config=EngineConfig()):
+    mediator = MIXMediator(config)
     query = register(mediator)
     calls = 0
 
@@ -106,26 +119,49 @@ def _calls_per_navigation(register):
 
 
 # Measured at the commits that set them, plus 5 %: 5.21 on the join
-# scan, 6.07 on the served query and 5.71 on the browse query once
-# binding attributes went straight to the operator that binds them
-# (they read 5.32, 6.21 and 5.85 before); 7.56 on the wrapped scan
-# once the buffer's open tree became node tables (it read 8.80
-# before; 7.48 since).  The commits before read 8.39 and 9.36 (join
-# scan and served query, before sources answered commands from node
-# tables and values were walked by their owner), 11.60 and 9.03,
-# 12.61 and 10.03, and 19.98 and 16.48 (join and wrapped scan).
-@pytest.mark.parametrize("register, bound", [
-    (_join_scan, 5.5),
-    (_wrapped_scan, 8.0),
-    (_served_sessions, 6.4),
-    (_browse, 6.0),
-], ids=["join_scan", "wrapped_scan", "served_sessions", "browse"])
-def test_python_calls_per_source_navigation(register, bound):
+# scan and 6.07 on the served query once binding attributes went
+# straight to the operator that binds them (they read 5.32 and 6.21
+# before); 6.42 on the wrapped scan, 4.70 on the browse query and 6.70
+# on the fragment-cache scan once a fill reply became one flat record
+# from wrapper to buffer (they read 7.48, 5.71 and 9.30 before).  The
+# commits before read 8.80 on the wrapped scan (before the buffer's
+# open tree became node tables), 8.39 and 9.36 (join scan and served
+# query, before sources answered commands from node tables and values
+# were walked by their owner), 11.60 and 9.03, 12.61 and 10.03, and
+# 19.98 and 16.48 (join and wrapped scan).
+@pytest.mark.parametrize("register, config, bound", [
+    (_join_scan, EngineConfig(), 5.5),
+    (_wrapped_scan, EngineConfig(), 6.75),
+    (_served_sessions, EngineConfig(), 6.4),
+    (_browse, EngineConfig(), 4.95),
+    (_cache_cold, EngineConfig(fragment_cache=True), 7.05),
+], ids=["join_scan", "wrapped_scan", "served_sessions", "browse",
+        "cache_cold"])
+def test_python_calls_per_source_navigation(register, config, bound):
     """May shrink, never grow past the bound without someone editing
     it on purpose."""
-    measured = _calls_per_navigation(register)
+    measured = _calls_per_navigation(register, config)
     assert measured <= bound, \
         "%.2f Python calls per source navigation" % measured
+
+
+def test_a_fill_allocates_no_object_per_shipped_node():
+    """A fill reply is one flat record: shipping a 1 001-node subtree
+    leaves its tuples behind, not an object per node (2.01 blocks per
+    node while each node was a frozen fragment object)."""
+    server = TreeLXPServer(Tree("r", [Tree("x%d" % i)
+                                      for i in range(1000)]),
+                           chunk_size=1000)
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        reply = server.fill(("root",))
+        allocated = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert len(reply.labels) == 1001
+    assert allocated / 1001 < 0.1, allocated
 
 
 class _CountedLock:

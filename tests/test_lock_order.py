@@ -531,7 +531,7 @@ class TestFoundBugRegressions:
         def observer(outcome):
             held_during_observer.append(lockcheck.held_names())
 
-        fragments = [fragment_of_tree(elem("home", "x"))]
+        fragments = fragment_of_tree(elem("home", "x"))
         for _ in range(2):  # miss+produce, then hit
             store.fill_through(("src", "k"), 1, lambda: fragments,
                                observer=observer)
@@ -571,8 +571,9 @@ class TestFoundBugRegressions:
         from repro.buffer.component import BufferComponent
         from repro.xtree import elem
 
+        from repro.buffer.holes import fragment_of_tree
         buffer = BufferComponent.prefilled(
-            elem("home", elem("addr", "a")))
+            fragment_of_tree(elem("home", elem("addr", "a"))))
         assert ("pushdown.document", "buffer.component") \
             not in lockcheck.observed_edges()
         root = buffer.root()

@@ -17,7 +17,7 @@ from repro.navigation import MaterializedDocument, materialize
 from repro.wrappers import XMLFileWrapper
 from repro.xtree import Tree, elem, leaf
 
-from .fixtures import expected_fig4_answer
+from .fixtures import entries, expected_fig4_answer, hole
 
 HOMES_XML = ("<homes>"
              "<home><addr>La Jolla</addr><zip>91220</zip></home>"
@@ -63,9 +63,8 @@ class TestNavigableLXPServer:
         tree = Tree("r", [elem("x", str(i)) for i in range(7)])
         server = NavigableLXPServer(MaterializedDocument(tree),
                                     chunk_size=3, depth=2)
-        (root,) = server.fill(("root",))
-        from repro.buffer import FragHole
-        assert isinstance(root.children[-1], FragHole)
+        (root,) = entries(server.fill(("root",)))
+        assert isinstance(root[-1], hole)
 
     def test_bad_parameters(self):
         doc = MaterializedDocument(elem("r"))

@@ -4,8 +4,7 @@ import pytest
 
 from repro.buffer import (
     BufferComponent,
-    FragElem,
-    FragHole,
+    Fragments,
     LXPProtocolError,
     validate_fill_reply,
 )
@@ -23,6 +22,8 @@ from repro.wrappers import (
 )
 from repro.xtree import Tree, elem
 
+from .fixtures import entries, hole
+
 
 @pytest.fixture
 def homes_db():
@@ -38,35 +39,35 @@ class TestRelationalWrapper:
     def test_paper_hole_id_scheme(self, homes_db):
         wrapper = RelationalLXPWrapper(Connection(homes_db),
                                        chunk_size=2)
-        assert wrapper.get_root() == FragHole("homesdb")
-        (db_elem,) = wrapper.fill("homesdb")
-        assert db_elem.label == "homesdb"
-        (table_elem,) = db_elem.children
-        assert table_elem.label == "homes"
-        assert table_elem.children == (FragHole("homesdb.homes"),)
+        assert wrapper.get_root() == Fragments.hole("homesdb")
+        (db_elem,) = entries(wrapper.fill("homesdb"))
+        assert db_elem[0] == "homesdb"
+        (table_elem,) = db_elem[1:]
+        assert table_elem[0] == "homes"
+        assert table_elem[1:] == (hole("homesdb.homes"),)
 
     def test_table_level_chunks(self, homes_db):
         wrapper = RelationalLXPWrapper(Connection(homesdb := homes_db),
                                        chunk_size=2)
-        reply = wrapper.fill("homesdb.homes")
-        assert [f.label for f in reply[:-1]] == ["row1", "row2"]
-        assert reply[-1] == FragHole("homesdb.homes.2")
+        reply = entries(wrapper.fill("homesdb.homes"))
+        assert [f[0] for f in reply[:-1]] == ["row1", "row2"]
+        assert reply[-1] == hole("homesdb.homes.2")
 
     def test_row_level_continuation(self, homes_db):
         wrapper = RelationalLXPWrapper(Connection(homes_db),
                                        chunk_size=2)
         wrapper.fill("homesdb.homes")
-        reply = wrapper.fill("homesdb.homes.2")
-        assert [f.label for f in reply[:-1]] == ["row3", "row4"]
-        reply = wrapper.fill("homesdb.homes.4")
-        assert [f.label for f in reply] == ["row5"]  # no trailing hole
+        reply = entries(wrapper.fill("homesdb.homes.2"))
+        assert [f[0] for f in reply[:-1]] == ["row3", "row4"]
+        reply = entries(wrapper.fill("homesdb.homes.4"))
+        assert [f[0] for f in reply] == ["row5"]  # no trailing hole
 
     def test_rows_ship_complete_tuples(self, homes_db):
         wrapper = RelationalLXPWrapper(Connection(homes_db),
                                        chunk_size=1)
-        row = wrapper.fill("homesdb.homes")[0]
-        assert [a.label for a in row.children] == ["addr", "zip"]
-        assert row.children[0].children[0].label == "A St"
+        row = entries(wrapper.fill("homesdb.homes"))[0]
+        assert [a[0] for a in row[1:]] == ["addr", "zip"]
+        assert row[1][1] == "A St"
 
     def test_continuing_fill_reuses_cursor(self, homes_db):
         conn = Connection(homes_db)
@@ -189,9 +190,9 @@ class TestOODBWrapper:
         for i in range(7):
             store.create("Item", n=str(i))
         wrapper = OODBLXPWrapper(store, chunk_size=3)
-        reply = wrapper.fill(("extent", "Item", 0))
+        reply = entries(wrapper.fill(("extent", "Item", 0)))
         assert len(reply) == 4  # 3 objects + hole
-        assert reply[-1] == FragHole(("extent", "Item", 3))
+        assert reply[-1] == hole(("extent", "Item", 3))
         tree = materialize(buffered(OODBLXPWrapper(store,
                                                    chunk_size=3)))
         assert len(tree.child(0).children) == 7
@@ -267,10 +268,10 @@ class TestRelationalQueryWrapper:
 
     def test_chunking_with_trailing_hole(self, homes_db):
         wrapper = self._wrapper(homes_db, chunk=2)
-        (view,) = wrapper.fill(("view",))
-        assert isinstance(view.children[-1], FragHole)
-        more = wrapper.fill(view.children[-1].hole_id)
-        assert [f.label for f in more if isinstance(f, FragElem)]
+        (view,) = entries(wrapper.fill(("view",)))
+        assert isinstance(view[-1], hole)
+        more = entries(wrapper.fill(view[-1].hole_id))
+        assert [f[0] for f in more if not isinstance(f, hole)]
 
     def test_order_by_query_is_served_in_order(self, homes_db):
         wrapper = self._wrapper(
