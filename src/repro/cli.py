@@ -582,16 +582,18 @@ def _cmd_serve(args) -> int:
     mediator = _serve_mediator(args)
     server = MediatorServer(mediator)
     host, port = server.start()
-    # The contract line tooling scripts key off (stdout, flushed
-    # before anything else): "serving HOST PORT".
-    print("serving %s %d" % (host, port), flush=True)
     stop = threading.Event()
 
     def request_drain(signum, frame) -> None:
         stop.set()
 
+    # Armed before the contract line: a peer that reads it may
+    # signal at once.
     signal.signal(signal.SIGTERM, request_drain)
     signal.signal(signal.SIGINT, request_drain)
+    # The contract line tooling scripts key off (stdout, flushed
+    # before anything else): "serving HOST PORT".
+    print("serving %s %d" % (host, port), flush=True)
     while not stop.wait(0.2):
         pass
     clean = server.drain()

@@ -28,6 +28,13 @@ tower.  With ``config.pushdown`` on, ``prepare()`` additionally runs
 the :mod:`repro.pushdown` compiler pass: maximal single-source
 subplans whose wrappers accept the negotiation execute as one native
 request each instead of navigation-by-navigation.
+
+Phases 1 and 2 depend only on the query text and the catalog, so a
+mediator keeps their result -- ``(initial plan, optimized plan,
+trace)`` -- per query text (:data:`PREPARED_PLANS`): a daemon serving
+many short sessions of one query parses and optimizes it once.
+Phase 3, and everything that holds per-evaluation state, is built
+afresh by every ``prepare()``.
 """
 
 from __future__ import annotations
@@ -55,7 +62,12 @@ from ..xmas.translate import translate
 from ..xtree.tree import Tree
 
 __all__ = ["MIXMediator", "MediatorError", "MediatorWarning",
-           "QueryResult"]
+           "QueryResult", "PREPARED_PLANS"]
+
+#: How many query texts a mediator keeps prepared plans for; past it
+#: the oldest entry is dropped, so a peer sending ever new texts
+#: cannot grow a long-lived mediator.
+PREPARED_PLANS = 32
 
 
 from ..errors import ReproError
@@ -346,6 +358,10 @@ class MIXMediator:
         #: register sources on a shared mediator, and the name-clash
         #: check must be atomic with the insert
         self._catalog_lock = make_lock("mediator.catalog")
+        #: query text -> (initial plan, optimized plan, trace), oldest
+        #: first; read and written under the catalog lock, never held
+        #: across parsing or optimizing (see :meth:`_processed`)
+        self._prepared: Dict[str, tuple] = {}
 
     def _new_context(self, config: Optional[EngineConfig] = None
                      ) -> ExecutionContext:
@@ -541,11 +557,8 @@ class MIXMediator:
         """
         context = self._new_context()
         context.trace("mediator", "prepare.begin")
-        initial = self._initial_plan(query)
-        plan = initial
-        trace = None
+        initial, plan, trace = self._processed(query)
         if self.config.optimize_plans:
-            plan, trace = optimize(initial, hybrid=self.config.hybrid)
             context.trace("mediator", "optimize",
                           applied=tuple(trace.applied) if trace else ())
             if not isinstance(plan, TupleDestroy):
@@ -578,6 +591,38 @@ class MIXMediator:
                              pushdown_decisions=tuple(decisions))
         result.analysis = report
         return result
+
+    def _processed(self, query: Union[str, XMASQuery, TupleDestroy]
+                   ) -> Tuple[TupleDestroy, Operator,
+                              Optional[OptimizationTrace]]:
+        """Phases 1 and 2: ``(initial plan, optimized plan, trace)``.
+
+        A query text seen before is answered from :attr:`_prepared`
+        without parsing, inlining, validating or optimizing; a result
+        is stored only once all of that succeeded.  An entry cannot go
+        stale: the catalog only grows, :meth:`_check_free` forbids
+        rebinding a name and the config is frozen -- a future
+        unregister must clear the table.  Entries are shared by every
+        query prepared from them and never written: rewrites copy on
+        write, and each ``prepare()`` builds its own lazy operators.
+        """
+        text = query if isinstance(query, str) else None
+        with self._catalog_lock:
+            entry = self._prepared.get(text) if text is not None else None
+        if entry is None:
+            initial = self._initial_plan(query)
+            plan, trace = (optimize(initial, hybrid=self.config.hybrid)
+                           if self.config.optimize_plans
+                           else (initial, None))
+            entry = (initial, plan, trace)
+            if text is not None:
+                with self._catalog_lock:
+                    # of two racing misses the first stored wins, so
+                    # both share one plan
+                    entry = self._prepared.setdefault(text, entry)
+                    if len(self._prepared) > PREPARED_PLANS:
+                        del self._prepared[next(iter(self._prepared))]
+        return entry
 
     def _analyze_plan(self, plan: TupleDestroy,
                       analyze: Optional[str],

@@ -213,7 +213,9 @@ def decode_frame(raw: bytes) -> Dict[str, Any]:
     """The payload of one whole raw frame (header included)."""
     try:
         payload = json.loads(raw[_HEADER.size:].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as err:
+    except (ValueError, UnicodeDecodeError, RecursionError) as err:
+        # RecursionError: arrays or objects nested past the decoder's
+        # stack, which a frame far under the size cap can do
         raise MalformedFrameError(
             "frame payload is not valid JSON: %s" % err) from None
     if not isinstance(payload, dict):

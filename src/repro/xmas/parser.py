@@ -29,7 +29,7 @@ import re
 from typing import List, Optional, Tuple, Union
 
 from ..xtree.errors import PathSyntaxError
-from ..xtree.path import parse_path
+from ..xtree.path import MAX_NESTING, parse_path
 from .ast import (
     ComparisonCondition,
     Condition,
@@ -121,6 +121,14 @@ class _Parser:
                 % (kind, " %r" % value if value else "", token[1]))
         return token[1]
 
+    def open_tag(self, depth: int) -> str:
+        """The next element's tag, ``depth`` elements deep."""
+        tag = self.expect("open")
+        if depth > MAX_NESTING:
+            raise XMASSyntaxError("<%s> nests deeper than %d elements"
+                                  % (tag, MAX_NESTING))
+        return tag
+
     def at(self, kind: str, value: Optional[str] = None) -> bool:
         token = self.peek()
         return (token is not None and token[0] == kind
@@ -163,12 +171,12 @@ class _Parser:
             self.next()
         return (var, descending)
 
-    def parse_element(self) -> ElementTemplate:
-        tag = self.expect("open")
+    def parse_element(self, depth: int = 1) -> ElementTemplate:
+        tag = self.open_tag(depth)
         children: List[Union[ElementTemplate, VarUse, LiteralContent]] = []
         while not self.at("close"):
             if self.at("open"):
-                children.append(self.parse_element())
+                children.append(self.parse_element(depth + 1))
             elif self.at("var"):
                 name = self.next()[1]
                 group = self.parse_group_opt()
@@ -232,19 +240,21 @@ class _Parser:
 
         return _desugar_pattern(root, root_binder, source, fresh)
 
-    def parse_pattern_element(self):
-        tag = self.expect("open")
+    def parse_pattern_element(self, depth: int = 1):
+        tag = self.open_tag(depth)
         items = []
         while not self.at("close"):
             if self.at("var"):
                 name = self.next()[1]
                 if self.at("punct", ":"):
                     self.next()
-                    items.append((name, self.parse_pattern_element()))
+                    items.append((name,
+                                  self.parse_pattern_element(depth + 1)))
                 else:
                     items.append(("$", name))  # bare content variable
             elif self.at("open"):
-                items.append((None, self.parse_pattern_element()))
+                items.append((None,
+                              self.parse_pattern_element(depth + 1)))
             else:
                 token = self.peek()
                 raise XMASSyntaxError(

@@ -32,8 +32,14 @@ from .errors import PathSyntaxError
 
 __all__ = [
     "PathExpr", "Label", "Wildcard", "Seq", "Alt", "Star", "Plus", "Opt",
-    "parse_path", "PathNFA", "compile_path", "naive_match",
+    "parse_path", "PathNFA", "compile_path", "naive_match", "MAX_NESTING",
 ]
+
+#: How deep a query's expressions may nest: path operators here, and
+#: constructed or pattern elements in the XMAS parser.  Every later
+#: phase recurses over the nesting, so deeper text is refused as a
+#: syntax error instead of running out of stack.
+MAX_NESTING = 64
 
 
 # ----------------------------------------------------------------------
@@ -212,6 +218,11 @@ def parse_path(text: str) -> PathExpr:
     """Parse a regular path expression string into its AST."""
     if not text or not text.strip():
         raise PathSyntaxError("empty path expression")
+    if sum(map(text.count, "(*+?")) > MAX_NESTING:
+        # no label holds these characters: each is an operator that
+        # may nest
+        raise PathSyntaxError("path %r has more than %d operators"
+                              % (text[:40], MAX_NESTING))
     return _PathParser(text).parse()
 
 

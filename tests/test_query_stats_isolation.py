@@ -14,11 +14,13 @@ where each query's own ``stats()`` read 35).
 """
 
 import gc
+import sys
 import threading
 
 import pytest
 
 from repro import EngineConfig, MIXMediator
+from repro.mediator.mix import PREPARED_PLANS, MediatorError
 from repro.bench import HOMES_SCHOOLS_QUERY, homes_and_schools
 from repro.navigation import MaterializedDocument
 from repro.xtree import to_xml
@@ -133,3 +135,127 @@ def test_each_remote_query_reads_its_own_metrics_series():
         assert series["channel=" + name] == channel["messages"] == 34
         names.append(name)
     assert names == ["remote#1", "remote#2"]
+
+
+# -- prepared plans: shared by query text, read only ---------------------
+
+def test_one_text_prepared_on_two_threads_shares_its_plan(solo):
+    """Two sessions of one query text share the plans and nothing
+    else: each gets its own context, caches and lazy operators, and
+    navigating both leaves the shared plan as it was."""
+    mediator = _mediator()
+    results = [None, None]
+    start = threading.Barrier(2)
+
+    def prepare(index):
+        start.wait(timeout=30)
+        results[index] = mediator.prepare(HOMES_SCHOOLS_QUERY)
+
+    threads = [threading.Thread(target=prepare, args=(index,))
+               for index in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    first, second = results
+    assert first.plan is second.plan
+    assert first.initial_plan is second.initial_plan
+    assert first.optimization_trace is second.optimization_trace
+    assert first.context is not second.context
+    assert first.context.caches is not second.context.caches
+    assert first.document is not second.document
+    pretty = first.plan.pretty()
+    applied = list(first.optimization_trace.applied)
+    eager = to_xml(mediator.query_eager(HOMES_SCHOOLS_QUERY))
+    for result in results:
+        assert to_xml(result.root.to_tree()) == eager == solo[0]
+        assert _navigations(result) == solo[1]
+    assert first.plan.pretty() == pretty
+    assert list(first.optimization_trace.applied) == applied
+    assert mediator.prepare(HOMES_SCHOOLS_QUERY).plan is first.plan
+
+
+def test_a_failed_prepare_is_not_kept():
+    mediator = MIXMediator(EngineConfig())
+    trees = homes_and_schools(3, seed=1)
+    mediator.register_source("homesSrc",
+                             MaterializedDocument(trees["homesSrc"]))
+    with pytest.raises(MediatorError, match="schoolsSrc"):
+        mediator.prepare(HOMES_SCHOOLS_QUERY)
+    mediator.register_source("schoolsSrc",
+                             MaterializedDocument(trees["schoolsSrc"]))
+    result = mediator.prepare(HOMES_SCHOOLS_QUERY)
+    assert to_xml(result.materialize()) \
+        == to_xml(mediator.query_eager(HOMES_SCHOOLS_QUERY))
+
+
+def _distinct_texts(count):
+    return ["CONSTRUCT <r%d> $H {$H} </r%d> {} "
+            "WHERE homesSrc homes.home $H" % (index, index)
+            for index in range(count)]
+
+
+def test_the_table_stays_at_its_cap():
+    """A peer sending ever new texts cannot grow the mediator: the
+    oldest text is dropped first."""
+    mediator = _mediator()
+    texts = _distinct_texts(PREPARED_PLANS + 5)
+    plans = [mediator.prepare(text).plan for text in texts]
+    assert len(mediator._prepared) == PREPARED_PLANS
+    assert mediator.prepare(texts[-1]).plan is plans[-1]
+    assert mediator.prepare(texts[0]).plan is not plans[0]
+
+
+def test_a_repeated_prepare_emits_the_same_events():
+    mediator = _mediator()
+    runs = []
+    for _ in range(2):
+        events = []
+        with mediator.tracer.subscribed(events.append):
+            mediator.prepare(HOMES_SCHOOLS_QUERY)
+        runs.append([str(event) for event in events
+                     if event.layer == "mediator"])
+    assert runs[0] == runs[1]
+    assert [line.split()[0] for line in runs[0]] == [
+        "mediator.prepare.begin", "mediator.optimize",
+        "mediator.prepare.end"]
+
+
+def test_many_threads_keep_the_table_at_its_cap():
+    """More threads than cores racing on the table, with a short
+    switch interval: the table never holds more than its cap, and
+    the texts still in it are answered from it."""
+    mediator = _mediator()
+    texts = _distinct_texts(PREPARED_PLANS + 8)
+    failures = []
+    start = threading.Barrier(8)
+
+    def prepare(offset):
+        try:
+            start.wait(timeout=30)
+            for _ in range(3):
+                for index in range(len(texts)):
+                    mediator.prepare(texts[(index + offset) % len(texts)])
+                    with mediator._catalog_lock:  # the table's guard
+                        assert len(mediator._prepared) <= PREPARED_PLANS
+        except Exception as error:  # reported below
+            failures.append(error)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=prepare, args=(offset,))
+                   for offset in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(mediator._prepared) == PREPARED_PLANS
+    kept = [mediator.prepare(text).plan for text in texts[-4:]]
+    assert all(mediator.prepare(text).plan is plan
+               for text, plan in zip(texts[-4:], kept))

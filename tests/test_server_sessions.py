@@ -31,8 +31,9 @@ from repro.server import (
     ServerReplyError,
     connect,
 )
-from repro.server.wire import exchange
+from repro.server.wire import MalformedFrameError, decode_frame, exchange
 from repro.testing.faults import FakeClock
+from repro.xtree.path import MAX_NESTING
 from repro.testing.transport import (
     StalledReader,
     abrupt_disconnect,
@@ -148,6 +149,39 @@ class TestLifecycle:
             # The server survived and still serves good queries.
             with connect(host, port, QUERY) as session:
                 assert session.ping()
+        finally:
+            server.drain()
+
+    def test_deeply_nested_query_is_a_query_error(self, tmp_path):
+        """1 000 nested elements (7 KB of text, far under the frame
+        cap) used to overflow the parser's stack: an internal kill
+        with an incident dump, for the client's own mistake."""
+        server, host, port = make_server(
+            serve_incident_dir=str(tmp_path))
+        try:
+            deep = ("CONSTRUCT " + "<a> " * 1000 + "$H {$H} "
+                    + "</a> " * 999 + "</a> {} "
+                    "WHERE homesSrc homes.home $H")
+            with pytest.raises(ServerReplyError) as excinfo:
+                connect(host, port, deep)
+            assert excinfo.value.code == "mix:query"
+            assert "XMASSyntaxError" in str(excinfo.value)
+            counts = server.stats.snapshot()
+            assert counts["query_rejects"] == 1
+            assert counts["internal_kills"] == 0
+            assert not list(tmp_path.iterdir())
+        finally:
+            server.drain()
+
+    def test_query_at_the_nesting_limit_is_served(self):
+        server, host, port = make_server(n_homes=3)
+        try:
+            query = ("CONSTRUCT " + "<a> " * MAX_NESTING + "$H {$H} "
+                     + "</a> " * (MAX_NESTING - 1) + "</a> {} "
+                     "WHERE homesSrc homes.home $H")
+            expected = server.mediator.prepare(query).materialize()
+            with connect(host, port, query) as session:
+                assert session.root.to_tree() == expected
         finally:
             server.drain()
 
@@ -518,6 +552,33 @@ class TestWireIntegers:
             assert server.stats.snapshot()["query_rejects"] == 1
         finally:
             server.drain()
+
+    def test_nested_json_frame_is_a_protocol_fault(self, monkeypatch):
+        """A 200 KB ``{"op":[[[...]]]}`` frame overflows the JSON
+        decoder's stack: it used to kill the handler thread past the
+        FAULTS table, with a bare EOF for the peer and no kill
+        counted."""
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        server, host, port = make_server()
+        try:
+            depth = 100000
+            body = b'{"op":' + b"[" * depth + b"]" * depth + b"}"
+            frame = len(body).to_bytes(4, "big") + body
+            # the client decodes a hostile reply the same way
+            with pytest.raises(MalformedFrameError):
+                decode_frame(frame)
+            reply = send_garbage(host, port, frame)
+            assert reply is not None \
+                and reply["error"] == "mix:protocol"
+            wait_until(lambda: server.stats.snapshot()
+                       ["protocol_kills"] == 1,
+                       message="protocol kill")
+            with connect(host, port, QUERY) as session:
+                assert session.ping()
+        finally:
+            server.drain()
+        assert escaped == []
 
     def test_fill_batch_refuses_a_boolean_speculate(self):
         server, host, port = make_server()

@@ -27,7 +27,10 @@ from repro.xmas import (
     parse_xmas,
     translate,
 )
-from repro.xtree import Tree, elem
+from repro import EngineConfig, MIXMediator
+from repro.navigation import MaterializedDocument
+from repro.xtree import Tree, elem, to_xml
+from repro.xtree.path import MAX_NESTING
 
 from .fixtures import expected_fig4_answer, fig4_sources
 
@@ -107,6 +110,50 @@ class TestParser:
     def test_syntax_errors(self, bad):
         with pytest.raises(XMASSyntaxError):
             parse_xmas(bad)
+
+
+def _nested(depth):
+    """A query whose answer nests ``depth`` constructed elements."""
+    return ("CONSTRUCT " + "<a> " * depth + "$H {$H} "
+            + "</a> " * (depth - 1) + "</a> {} "
+            "WHERE homesSrc homes.home $H")
+
+
+class TestNestingLimit:
+    """Every phase after the parser recurses over a query's nesting,
+    so the parser refuses what would run out of stack later: a bad
+    query, not an internal error (1 000 nested elements, 7 KB of text,
+    used to raise RecursionError)."""
+
+    @pytest.mark.parametrize("text", [
+        _nested(MAX_NESTING + 1),
+        _nested(1000),
+        "CONSTRUCT <a> $H {$H} </a> {} WHERE "
+        + "<x> " * MAX_NESTING + "$H:<y></y>" + "</x> " * MAX_NESTING
+        + "IN homesSrc",
+        "CONSTRUCT <a> $H {$H} </a> {} WHERE homesSrc "
+        + "(" * 1000 + "homes" + ")" * 1000 + ".home $H",
+        "CONSTRUCT <a> $H {$H} </a> {} WHERE homesSrc homes.home"
+        + "?" * (MAX_NESTING + 1) + " $H",
+    ], ids=["elements", "elements-1000", "pattern", "parentheses",
+            "postfix"])
+    def test_deeper_than_the_limit_is_a_syntax_error(self, text):
+        with pytest.raises(XMASSyntaxError, match="%d" % MAX_NESTING):
+            parse_xmas(text)
+
+    @pytest.mark.parametrize("text", [
+        _nested(MAX_NESTING),
+        "CONSTRUCT <a> $H {$H} </a> {} WHERE homesSrc "
+        + "(" * (MAX_NESTING - 1) + "homes" + ")" * (MAX_NESTING - 1)
+        + ".home? $H",
+    ], ids=["elements", "path"])
+    def test_at_the_limit_prepares_and_navigates_to_the_end(self, text):
+        mediator = MIXMediator(EngineConfig())
+        for name, tree in fig4_sources().items():
+            mediator.register_source(name, MaterializedDocument(tree))
+        answer = mediator.prepare(text).root.to_tree()
+        assert answer == mediator.query_eager(text)
+        assert "<home>" in to_xml(answer)
 
 
 class TestTranslation:
