@@ -1,29 +1,22 @@
-"""E13 -- batched & concurrent navigation.
+"""E13 -- batched navigation.
 
 The channel-cost model of Section 5 charges per round trip, so the
 dependent chain "fill chunk n, learn the hole for chunk n+1, ask
 again" is the dominant cost of a forward scan over a chunked remote
-source.  E13 measures the two concurrency levers added on top of the
-plain LXP channel:
-
-* **LXP pipelining** (``batch_navigations``): one request carries a
-  batch of fill commands and the server speculatively resolves the
-  frontier holes its own replies introduce -- round trips collapse
-  while the command count (the paper's navigation cost) is unchanged.
-* **thread-backed prefetching** (``prefetch_workers``): a worker pool
-  fills upcoming holes while the client thinks; measured by the stall
-  ratio (demanded holes whose fill had not landed yet).
+source.  E13 measures LXP pipelining (``batch_navigations``): one
+request carries a batch of fill commands and the server speculatively
+resolves the frontier holes its own replies introduce -- round trips
+collapse while the command count (the paper's navigation cost) is
+unchanged.
 
 Expected shape: batching cuts round trips by roughly the speculation
-depth (>= 2x required below); the prefetcher converts demand fills
-into overlapped prefetch fills without changing the answer.
+depth (>= 2x required below).
 """
 
 from repro.bench import HOMES_SCHOOLS_QUERY, format_table, \
     homes_and_schools
-from repro.buffer import BufferComponent, TreeLXPServer
 from repro.mediator import MIXMediator
-from repro.navigation import MaterializedDocument, materialize
+from repro.navigation import MaterializedDocument
 from repro.runtime import EngineConfig
 
 N_HOMES = 30
@@ -81,45 +74,3 @@ def test_batching_cuts_round_trips(write_result):
         <= record["plain"]["messages"]
     assert record["batched+spec8"]["messages"] \
         <= record["batched+spec4"]["messages"]
-
-
-def test_prefetch_worker_stall_profile(write_result):
-    tree = homes_and_schools(N_HOMES)["homesSrc"]
-    rows = []
-    record = {}
-
-    plain = BufferComponent(TreeLXPServer(tree, chunk_size=CHUNK,
-                                          depth=DEPTH))
-    expected = materialize(plain)
-    rows.append(["demand only", plain.stats.fills, 0, 0, "-"])
-    record["demand"] = {"fills": plain.stats.fills,
-                        "prefetch_fills": 0, "stalls": 0}
-
-    for lookahead, workers in [(2, 1), (4, 2), (8, 4)]:
-        buffer = BufferComponent(
-            TreeLXPServer(tree, chunk_size=CHUNK, depth=DEPTH),
-            lookahead=lookahead, workers=workers)
-        try:
-            assert materialize(buffer) == expected
-        finally:
-            buffer.close()
-        stats = buffer.prefetch_stats
-        fills = buffer.stats.fills
-        assert stats.demand_fills + stats.prefetch_fills == fills
-        stall_ratio = stats.stalls / fills if fills else 0.0
-        name = "workers=%d lookahead=%d" % (workers, lookahead)
-        rows.append([name, stats.demand_fills, stats.prefetch_fills,
-                     stats.stalls, "%.2f" % stall_ratio])
-        record[name] = {"demand_fills": stats.demand_fills,
-                        "prefetch_fills": stats.prefetch_fills,
-                        "stalls": stats.stalls,
-                        "stall_ratio": round(stall_ratio, 3)}
-
-    table = format_table(
-        ["prefetcher (full forward scan)", "demand fills",
-         "prefetch fills", "stalls", "stall ratio"], rows)
-    write_result("E13_prefetch_stalls", table, record)
-
-    # The pool must actually take work off the demand path.
-    busiest = record["workers=4 lookahead=8"]
-    assert busiest["prefetch_fills"] > busiest["demand_fills"]

@@ -37,22 +37,17 @@ compares them.
 
 *demand only* (default): one ``fill`` per demanded hole.
 
-*look-ahead* (``lookahead > 0``): with ``workers == 0`` the
-deterministic model of experiment E5 -- after a demand fill, up to
-``lookahead`` further holes are filled, leftmost first (the direction
-a forward-browsing client needs next), and spliced at once; only the
-next demand fill renews the budget.  With ``workers > 0`` at most
-``lookahead`` fills are in flight on a pool whose workers run *only*
-the source I/O: a reply is spliced on the client thread when its hole
-is demanded (the open tree stays single-writer), a navigation that
-finds its fill still in flight *stalls* (counted) on that one future,
-and a failed fill re-raises when, and only when, its hole is demanded.
+*look-ahead* (``lookahead > 0``): the deterministic model of
+experiment E5 -- after a demand fill, up to ``lookahead`` further
+holes are filled, leftmost first (the direction a forward-browsing
+client needs next), and spliced at once; only the next demand fill
+renews the budget.  Every fill runs on the navigating thread, so a
+failed look-ahead fill raises at the navigation that scheduled it.
 
 *batched* (``batch=True``): the demand fill ships as one
 ``fill_batch`` exchange carrying up to ``lookahead`` server-side
 speculative fills.  Replies are addressed by hole id; one whose hole
-is no longer outstanding is dropped.  Takes precedence over
-``workers``.
+is no longer outstanding is dropped.
 
 The open tree and the answer are the same under every policy; only
 the timing and the classification of fills differ.
@@ -60,9 +55,7 @@ the timing and the classification of fills differ.
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional
 
 from ..navigation.interface import NavigableDocument
@@ -75,7 +68,6 @@ from .holes import (
 from .lxp import LXPServer
 from ..runtime.counters import Counters
 from ..runtime.locks import make_rlock
-from ..runtime.parallel import FanoutDispatcher
 
 __all__ = ["BufferComponent", "BufferStats", "PrefetchStats",
            "BatchStats"]
@@ -115,18 +107,10 @@ class BufferStats(Counters):
 
 @dataclass
 class PrefetchStats(Counters):
-    """Demand/prefetch fill split, plus stall accounting.
-
-    ``stalls`` counts navigations that reached a hole whose look-ahead
-    fill was issued but not yet complete -- the client had to wait.
-    The deterministic model never stalls (its fills are synchronous);
-    the pool reports its overlap quality through the
-    ``stalls : prefetch_fills`` ratio.
-    """
+    """Demand/prefetch fill split: every fill is one or the other."""
 
     demand_fills: int = 0
     prefetch_fills: int = 0
-    stalls: int = 0
 
 
 @dataclass
@@ -158,19 +142,17 @@ class BufferComponent(NavigableDocument):
     the buffer's lifetime, so handed-out pointers stay valid.
 
     ``lookahead`` fills may run ahead of what the client demanded,
-    fetched by ``workers`` pool threads (0: synchronously), or inside
-    the demand exchange when ``batch`` -- the fill policies of the
-    module docstring.  All off is the plain demand-only buffer.
+    after each demand fill or inside the demand exchange when
+    ``batch`` -- the fill policies of the module docstring.  Both off
+    is the plain demand-only buffer.
     """
 
     def __init__(self, server: LXPServer, lookahead: int = 0,
-                 workers: int = 0, batch: bool = False, tracer=None,
-                 name: str = ""):
-        if lookahead < 0 or workers < 0:
-            raise ValueError("lookahead and workers must be >= 0")
+                 batch: bool = False, tracer=None, name: str = ""):
+        if lookahead < 0:
+            raise ValueError("lookahead must be >= 0")
         self.server = server
         self.lookahead = lookahead
-        self.workers = workers
         self.batch = batch
         self.stats = BufferStats()
         self.prefetch_stats = PrefetchStats()
@@ -199,18 +181,10 @@ class BufferComponent(NavigableDocument):
         #: reads them
         self._holes: Optional[HoleIndex] = (
             HoleIndex(1, root_id) if lookahead or batch else None)
-        #: the look-ahead pool (threads start with its first fill);
-        #: None when no policy uses one, and again once closed
-        self._pool: Optional[FanoutDispatcher] = (
-            FanoutDispatcher(workers, tracer)
-            if workers and not batch else None)
-        #: holes whose look-ahead fill is in flight (or complete, not
-        #: yet spliced)
-        self._inflight: Dict[int, Future] = {}
-        #: guards the node tables, the hole index, the in-flight table
-        #: and the fill counters.  Pool workers never take it (they
-        #: only run the source I/O); it is re-entrant because a splice
-        #: happens inside a navigation that already holds it.
+        #: guards the node tables, the hole index and the fill
+        #: counters: a buffer under a registered wrapper is shared by
+        #: the daemon's concurrent sessions.  It is re-entrant because
+        #: a splice happens inside a navigation that already holds it.
         self._lock = make_rlock("buffer.component")
 
     @classmethod
@@ -310,23 +284,13 @@ class BufferComponent(NavigableDocument):
     def _fill_hole(self, hole: int) -> None:
         """Resolve a *demanded* hole the way the policy says, then
         look ahead (the caller holds the lock)."""
-        with self._lock:
-            future = self._inflight.pop(hole, None)
-        if future is not None:
-            # The look-ahead asked first: its reply, or its failure,
-            # lands here -- on the client thread.
-            if not future.done():
-                self.prefetch_stats.stalls += 1
-            self._splice(hole, future.result())
-            self.prefetch_stats.prefetch_fills += 1
+        tracer = self.tracer
+        if tracer is None or not tracer.active:
+            self._demand(hole)
         else:
-            tracer = self.tracer
-            if tracer is None or not tracer.active:
+            with tracer.span("buffer", "fill", buffer=self.name):
                 self._demand(hole)
-            else:
-                with tracer.span("buffer", "fill", buffer=self.name):
-                    self._demand(hole)
-            self.prefetch_stats.demand_fills += 1
+        self.prefetch_stats.demand_fills += 1
         if self.lookahead and not self.batch:
             self._look_ahead()
 
@@ -357,8 +321,7 @@ class BufferComponent(NavigableDocument):
                 % (hole_id,))
 
     def _prefetch_fill(self, hole_id):
-        """A look-ahead fill's source I/O -- on a pool worker, or
-        inline in the deterministic model."""
+        """A look-ahead fill's source I/O."""
         tracer = self.tracer
         if tracer is None or not tracer.active:
             return self.server.fill(hole_id)
@@ -374,24 +337,6 @@ class BufferComponent(NavigableDocument):
         """
         lookahead = self.lookahead
         hole_ids = self._hole_ids
-        if self.workers:
-            with self._lock:
-                pool, inflight = self._pool, self._inflight
-                if pool is None:    # closed
-                    return
-                for hole in self._holes.leftmost(lookahead):
-                    if len(inflight) >= lookahead:
-                        break
-                    if hole not in inflight:
-                        # The pool carries the open span onto the
-                        # worker, so the fill stays in the causal tree
-                        # of the navigation that scheduled it.  With
-                        # workers, submit only queues: the task never
-                        # runs on this thread, under this lock.
-                        # lint: allow=L012
-                        inflight[hole] = pool.submit(partial(
-                            self._prefetch_fill, hole_ids[hole]))
-            return
         ahead = 0
         while ahead < lookahead:
             holes = self._holes.leftmost(lookahead - ahead)
@@ -401,20 +346,6 @@ class BufferComponent(NavigableDocument):
                 self._splice(hole, self._prefetch_fill(hole_ids[hole]))
                 self.prefetch_stats.prefetch_fills += 1
                 ahead += 1
-
-    def close(self) -> None:
-        """Stop the look-ahead pool (idempotent; a no-op without one).
-
-        Fills still in flight are cancelled and forgotten: their holes
-        stay open and are demand-filled if ever reached.
-        """
-        with self._lock:
-            pool, self._pool = self._pool, None
-            inflight, self._inflight = self._inflight, {}
-        for future in inflight.values():
-            future.cancel()
-        if pool is not None:
-            pool.close()
 
     def _chase(self, link: List[Optional[int]],
                pointer: int) -> Optional[int]:

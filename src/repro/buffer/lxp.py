@@ -42,9 +42,9 @@ __all__ = ["LXPServer", "LXPStats", "TreeLXPServer",
 class LXPStats(Counters, shared=True):
     """Traffic accounting for one LXP connection.
 
-    Self-locked: with batched pipelining and thread-backed
-    prefetching, fills reach one server from the client thread and
-    from prefetch workers at once."""
+    Self-locked: a registered wrapper serves every concurrent
+    session of the daemon, and reporters read its counters while
+    fills land."""
 
     fills: int = 0
     elements_shipped: int = 0

@@ -130,11 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "holes per navigation (with "
                           "--batch-navigations: server-side "
                           "speculation depth)")
-    run.add_argument("--prefetch-workers", type=int, default=0,
-                     metavar="N",
-                     help="fill prefetched holes on N background "
-                          "threads (default 0 = synchronous, "
-                          "deterministic)")
     run.add_argument("--batch-navigations", action="store_true",
                      help="pipeline LXP: ship batched fill commands "
                           "in one round trip and accept speculative "

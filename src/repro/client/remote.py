@@ -128,9 +128,9 @@ class ChannelStats(Counters, shared=True):
     gap is exactly what batching saved.
 
     Self-locked (like :class:`~repro.buffer.lxp.LXPStats`): one
-    channel is charged from the client thread, prefetch workers, and
-    -- under the session server -- a per-connection handler thread,
-    while reporters read concurrently through :meth:`snapshot`.
+    channel is charged from the client thread and -- under the
+    session server -- a per-connection handler thread, while
+    reporters read concurrently through :meth:`snapshot`.
     """
 
     messages: int = 0          # request/reply round trips

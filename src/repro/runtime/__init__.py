@@ -51,7 +51,6 @@ from .observability import (
     merge_traces,
     sample_trace,
 )
-from .parallel import FanoutDispatcher
 from .resilience import (
     ERROR_LABEL,
     SYSTEM_CLOCK,
@@ -72,7 +71,6 @@ __all__ = [
     "EngineConfig", "ConfigError", "validate_granularity",
     "MISS", "CacheStats", "ManagedCache", "CacheManager",
     "ExecutionContext", "Tracer", "TraceEvent", "Counters",
-    "FanoutDispatcher",
     "Clock", "MonotonicClock", "SYSTEM_CLOCK",
     "RetryPolicy", "BreakerOpenError", "CircuitBreaker",
     "ResilienceStats", "ResilientCaller",

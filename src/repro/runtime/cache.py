@@ -14,9 +14,9 @@ one place, with
 
 Nothing here takes a lock.  One query's operators, and so its caches,
 are driven by one thread at a time: the client thread in-process, the
-session's handler thread under the daemon, and the pool workers behind
-``connect_remote`` only under their channel's ``client.channel`` lock
-(see :class:`~repro.server.client.SocketChannel`).
+session's handler thread under the daemon, and behind
+``connect_remote`` whichever client thread holds the channel's
+``client.channel`` lock (see :class:`~repro.server.client.SocketChannel`).
 
 Two cache kinds exist:
 

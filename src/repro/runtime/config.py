@@ -89,16 +89,11 @@ class EngineConfig:
         ``latency_ms``/``ms_per_kb`` parameterize the simulated remote
         channel.
 
-    Concurrency
-        ``prefetch_workers`` backs the buffer's prefetcher with a
-        thread pool of that many workers: outstanding holes are filled
-        during client think time and handed over under a lock.  0 (the
-        default) keeps the deterministic in-line prefetcher, so the
-        seed benchmarks are untouched.  ``batch_navigations`` turns on
-        LXP pipelining: a demand fill ships as one *batched* round
-        trip that also carries up to ``prefetch`` speculative
-        follow-up fills, collapsing a forward scan's chain of round
-        trips.
+    Pipelining
+        ``batch_navigations`` turns on LXP pipelining: a demand fill
+        ships as one *batched* round trip that also carries up to
+        ``prefetch`` speculative follow-up fills, collapsing a forward
+        scan's chain of round trips.
 
     Fault tolerance
         ``retry_max_attempts`` is the total number of tries per I/O
@@ -215,7 +210,6 @@ class EngineConfig:
     chunk_size: int = 10
     depth: int = 3
     prefetch: int = 0
-    prefetch_workers: int = 0
     batch_navigations: bool = False
     latency_ms: float = 20.0
     ms_per_kb: float = 2.0
@@ -251,8 +245,6 @@ class EngineConfig:
         validate_granularity(self.chunk_size, self.depth)
         if self.prefetch < 0:
             raise ConfigError("prefetch must be >= 0")
-        if self.prefetch_workers < 0:
-            raise ConfigError("prefetch_workers must be >= 0")
         if self.latency_ms < 0 or self.ms_per_kb < 0:
             raise ConfigError("channel costs must be >= 0")
         if self.retry_max_attempts < 1:

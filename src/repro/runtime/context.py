@@ -50,11 +50,10 @@ class Tracer:
     before building events.
 
     The tracer is safe under concurrent emitters and subscribers:
-    look-ahead pool workers and concurrent sessions emit through the same
-    instance the client thread reads, so the subscriber list and the
-    event record are guarded by a lock.  Callbacks are invoked
-    *outside* the lock (a callback may itself navigate, which may
-    emit).
+    concurrent sessions emit through the same instance a reporter
+    reads, so the subscriber list and the event record are guarded by
+    a lock.  Callbacks are invoked *outside* the lock (a callback may
+    itself navigate, which may emit).
 
     **Causal spans.**  :meth:`span` mints a span id, remembers the
     enclosing span on a thread-local stack, and stamps both onto the
@@ -62,11 +61,9 @@ class Tracer:
     point event's ``parent_id``.  One client navigation therefore
     yields a *tree* of spans down through mediator -> lazy operators
     -> buffer -> channel -> source (reconstructable with
-    :func:`~repro.runtime.observability.build_span_tree`).  Work that
-    hops threads keeps the tree connected through :meth:`capture` /
-    :meth:`attach`: the dispatching side captures the current span,
-    the worker attaches it before running (the buffer's look-ahead
-    pool does this automatically).
+    :func:`~repro.runtime.observability.build_span_tree`).  The span
+    stack is per thread: every span of one navigation opens on the
+    thread that navigates.
 
     ``clock`` supplies the event timestamps; tests inject a
     :class:`~repro.testing.faults.FakeClock` so traces are
@@ -182,30 +179,6 @@ class Tracer:
         """The innermost open span on this thread (None outside)."""
         stack = getattr(self._tls, "stack", None)
         return stack[-1] if stack else None
-
-    def capture(self) -> Optional[int]:
-        """The current span id, for handing to another thread."""
-        return self.current_span()
-
-    @contextmanager
-    def attach(self, span_id: Optional[int]) -> Iterator["Tracer"]:
-        """Adopt a captured span as this thread's current span.
-
-        Worker threads bracket their task with this so the spans and
-        events they emit stay children of the navigation that
-        scheduled the work -- one connected tree, no orphans.
-        Attaching ``None`` is a no-op (the dispatching side had no
-        open span).
-        """
-        if span_id is None:
-            yield self
-            return
-        stack = self._stack()
-        stack.append(span_id)
-        try:
-            yield self
-        finally:
-            stack.pop()
 
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         """Register a callback invoked on every event."""

@@ -156,8 +156,8 @@ class CircuitBreaker:
       closes the breaker, its failure re-opens it for another window.
 
     The automaton is shared by every thread navigating the source
-    (prefetch workers, concurrent client sessions), so
-    all state transitions happen under one re-entrant lock -- in
+    (concurrent client sessions), so all state transitions happen
+    under one re-entrant lock -- in
     particular the half-open probe slot is claimed atomically.
     """
 
@@ -248,8 +248,7 @@ class ResilienceStats(Counters, shared=True):
     """Retry/breaker/degradation accounting for one wrapped peer.
 
     Self-locked: a single peer may be exercised by many threads at
-    once (prefetch workers, concurrent sessions over a
-    shared source).
+    once (concurrent sessions over a shared source).
     """
 
     calls: int = 0

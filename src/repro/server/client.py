@@ -37,7 +37,6 @@ from __future__ import annotations
 import socket
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..buffer.component import BufferComponent
 from ..buffer.holes import Fragments
 from ..client.element import XMLElement
 from ..client.remote import ChannelStats, MeteredTransport
@@ -73,10 +72,9 @@ class SocketChannel(MeteredTransport, LXPServer):
     One request/reply per :meth:`fill`; one per :meth:`fill_batch`
     regardless of batch width (that is the point of batching).  The
     root hole is free: its wire id came with the session.  A single
-    lock serializes round trips: with thread-backed prefetching
-    several client-side workers share this one connection, and frames
-    must not interleave.  Over a pipe the session answers inside that
-    lock, so it is also what keeps one thread at a time in the
+    lock serializes round trips, so threads that share one session
+    never interleave frames.  Over a pipe the session answers inside
+    that lock, so it is also what keeps one thread at a time in the
     exported query.
 
     ``stats`` is the :class:`~repro.client.remote.MeteredTransport`
@@ -222,13 +220,11 @@ class RemoteSession:
 
     def __init__(self, session_id: str, root: XMLElement,
                  channel: SocketChannel,
-                 context: ExecutionContext,
-                 buffer: BufferComponent) -> None:
+                 context: ExecutionContext) -> None:
         self.session_id = session_id
         self.root = root
         self.channel = channel
         self.context = context
-        self.buffer = buffer
 
     @property
     def stats(self) -> ChannelStats:
@@ -243,11 +239,8 @@ class RemoteSession:
         return self.channel.server_stats()
 
     def close(self) -> None:
-        """Stop the buffer's look-ahead, then say goodbye: fills still
-        in flight finish on an open socket instead of racing a closed
-        one.  A later navigation into an unfilled hole is a plain
-        demand fill on the closed channel (``mix:closed``)."""
-        self.buffer.close()
+        """Say goodbye.  A later navigation into an unfilled hole is a
+        plain demand fill on the closed channel (``mix:closed``)."""
         self.channel.close()
 
     def __enter__(self) -> "RemoteSession":
@@ -268,10 +261,10 @@ def connect(host: str, port: int, query: str,
     """Open a session: connect, send ``open``, build the client stack.
 
     ``config`` (or ``context.config``) is the *client-side* engine
-    config -- its ``prefetch`` / ``prefetch_workers`` /
-    ``batch_navigations`` knobs pick the buffer exactly as
-    :func:`~repro.client.remote.connect_remote` does in-process, and
-    its resilience knobs wrap the channel in retries/breakers.
+    config -- its ``prefetch`` / ``batch_navigations`` knobs pick the
+    buffer exactly as :func:`~repro.client.remote.connect_remote` does
+    in-process, and its resilience knobs wrap the channel in
+    retries/breakers.
     ``chunk_size`` / ``depth`` override the *server's* shipping
     granularity for this session.
 
@@ -292,7 +285,6 @@ def connect(host: str, port: int, query: str,
         open_frame["depth"] = depth
     sock = socket.create_connection(
         (host, port), timeout=connect_timeout_ms / 1000.0)
-    buffer: Optional[BufferComponent] = None
     try:
         reply = checked(exchange(
             sock, open_frame, timeout_ms,
@@ -325,14 +317,12 @@ def connect(host: str, port: int, query: str,
                                  clock=clock, channel=True)
         root = XMLElement(buffer, buffer.root())
     except BaseException:
-        # No session reaches the caller, so nobody else can stop the
-        # buffer's pool or close the socket.
-        if buffer is not None:
-            buffer.close()
+        # No session reaches the caller, so nobody else can close the
+        # socket.
         close_quietly(sock)
         raise
     return RemoteSession(str(reply.get("session")), root, channel,
-                         context, buffer)
+                         context)
 
 
 def fetch_status(host: str, port: int,

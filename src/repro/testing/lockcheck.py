@@ -15,7 +15,7 @@ violations raise immediately:
   recorded but close no cycle: those components are ordered by the
   mediator tree they stack in, not by name.
 * **blocking call under a lock** (:class:`BlockingCallUnderLock`):
-  ``time.sleep``, ``Future.result``, ``queue.Queue.get`` and socket
+  ``time.sleep``, ``queue.Queue.get`` and socket
   send/recv/accept/connect are patched to raise when called while a
   named lock outside :data:`BLOCKING_HOLD_ALLOWED` is held -- the
   runtime twin of the static L011 rule.
@@ -42,7 +42,6 @@ import socket
 import threading
 import time
 import traceback
-from concurrent import futures
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..runtime import locks as _locks
@@ -75,7 +74,8 @@ class BlockingCallUnderLock(RuntimeError):
 #: the agreement suite asserts the two stay in sync.
 #:
 #: * ``buffer.component`` -- demand fills run under the open-tree lock
-#:   by design (concurrent subclasses splice through the same lock).
+#:   by design: a navigation and the fills it makes are one critical
+#:   section, so sessions sharing a buffer never see a half splice.
 #: * ``client.channel`` -- the session channel serializes
 #:   request/reply round trips under its mutex; every socket op is
 #:   deadline-bounded, and over an in-process pipe the session answers
@@ -278,9 +278,6 @@ def _wrap(op: str, original: Callable[..., Any]) -> Callable[..., Any]:
 def _patch_blocking() -> None:
     _saved["time.sleep"] = time.sleep
     time.sleep = _wrap("time.sleep", time.sleep)  # type: ignore[assignment]
-    _saved["Future.result"] = futures.Future.result
-    futures.Future.result = _wrap(  # type: ignore[method-assign]
-        "Future.result", futures.Future.result)
     _saved["Queue.get"] = queue.Queue.get
     queue.Queue.get = _wrap(  # type: ignore[method-assign]
         "Queue.get", queue.Queue.get)
@@ -295,8 +292,6 @@ def _unpatch_blocking() -> None:
     if not _saved:
         return
     time.sleep = _saved.pop("time.sleep")  # type: ignore[assignment]
-    futures.Future.result = _saved.pop(  # type: ignore[method-assign]
-        "Future.result")
     queue.Queue.get = _saved.pop(  # type: ignore[method-assign]
         "Queue.get")
     for method in ("accept", "connect", "recv", "recv_into", "send",

@@ -62,23 +62,22 @@ def negotiate_push(server: Any,
     return push_compile(compiled)
 
 
-def buffered(server: LXPServer, prefetch: int = 0,
-             workers: int = 0, batch: bool = False,
+def buffered(server: LXPServer, prefetch: int = 0, batch: bool = False,
              tracer=None, name: str = "") -> BufferComponent:
     """Stack the generic buffer component on top of an LXP wrapper
     (the refined VXD architecture of Figure 7).
 
-    ``prefetch`` is the look-ahead budget, ``workers`` the pool that
-    fetches it, ``batch`` the pipelined ``fill_batch`` demand path --
-    the fill policies of :mod:`repro.buffer.component`.  All defaults
-    off is the plain demand-only buffer.
+    ``prefetch`` is the look-ahead budget, ``batch`` the pipelined
+    ``fill_batch`` demand path -- the fill policies of
+    :mod:`repro.buffer.component`.  Both off is the plain demand-only
+    buffer.
 
     ``tracer``/``name`` make the buffer's fills show up as
     ``buffer.fill`` / ``buffer.prefetch_fill`` spans in the causal
     trace (idle tracers cost nothing).
     """
-    return BufferComponent(server, lookahead=prefetch, workers=workers,
-                           batch=batch, tracer=tracer, name=name)
+    return BufferComponent(server, lookahead=prefetch, batch=batch,
+                           tracer=tracer, name=name)
 
 
 def source_stack(server: Any, name: str,
@@ -140,7 +139,6 @@ def source_stack(server: Any, name: str,
         buffer = buffered(
             transport,
             config.prefetch if prefetch is None else prefetch,
-            workers=config.prefetch_workers,
             batch=config.batch_navigations,
             tracer=tracer, name=name)
     context.register("buffer", "client-buffer#" if channel else name,

@@ -29,7 +29,7 @@ import re
 from typing import List, Optional, Tuple, Union
 
 from ..xtree.errors import PathSyntaxError
-from ..xtree.path import MAX_NESTING, parse_path
+from ..xtree.path import MAX_CONDITIONS, MAX_NESTING, parse_path
 from .ast import (
     ComparisonCondition,
     Condition,
@@ -147,6 +147,10 @@ class _Parser:
         while self.at("kw", "and"):
             self.next()
             conditions.extend(self.parse_condition_group())
+        if len(conditions) > MAX_CONDITIONS:
+            raise XMASSyntaxError(
+                "the WHERE clause holds %d conditions, more than %d"
+                % (len(conditions), MAX_CONDITIONS))
         order_by = []
         if self.at("kw", "order"):
             self.next()

@@ -33,6 +33,7 @@ from .errors import PathSyntaxError
 __all__ = [
     "PathExpr", "Label", "Wildcard", "Seq", "Alt", "Star", "Plus", "Opt",
     "parse_path", "PathNFA", "compile_path", "naive_match", "MAX_NESTING",
+    "MAX_CONDITIONS",
 ]
 
 #: How deep a query's expressions may nest: path operators here, and
@@ -40,6 +41,13 @@ __all__ = [
 #: phase recurses over the nesting, so deeper text is refused as a
 #: syntax error instead of running out of stack.
 MAX_NESTING = 64
+
+#: How many conditions an XMAS WHERE clause may hold, a tree pattern
+#: counted as the path conditions it desugars to.  Each condition is
+#: one more level of the plan, which translation, rewriting and
+#: navigation recurse over, so a longer clause is refused as a syntax
+#: error for the same reason.
+MAX_CONDITIONS = 128
 
 
 # ----------------------------------------------------------------------

@@ -19,25 +19,52 @@ from repro.buffer import Fragments
 from repro.xtree import Tree, elem
 
 
-@contextlib.contextmanager
-def pool_thread_ledger():
-    """Yields a function listing the pool worker threads (the buffer's
-    look-ahead pool) started since entry and still alive.
+class ThreadLedger:
+    """The ``mix-*`` threads (the daemon's ``mix-accept`` and
+    ``mix-session`` threads) started while a :func:`thread_ledger` is
+    open, in start order."""
 
-    The cyclic GC is off inside: a pool is returned because somebody
-    closed it, not because a collection happened to run.
+    def __init__(self):
+        self.threads = []
+
+    @property
+    def started(self):
+        """The names of the threads started, in start order."""
+        return [thread.name for thread in self.threads]
+
+    def leaked(self, timeout_s=5.0):
+        """The names of the threads still alive after a join of at
+        most ``timeout_s`` each."""
+        for thread in self.threads:
+            thread.join(timeout_s)
+        return sorted(thread.name for thread in self.threads
+                      if thread.is_alive())
+
+
+@contextlib.contextmanager
+def thread_ledger():
+    """Yields a :class:`ThreadLedger` that records every ``mix-*``
+    thread as it starts, however briefly it lives.
+
+    The cyclic GC is off inside: a thread ends because its owner
+    ended it (a socket closed, a session torn down), not because a
+    collection happened to run.
     """
-    def pool_threads():
-        return {thread for thread in threading.enumerate()
-                if thread.name.startswith("mix-fanout")}
+    ledger = ThreadLedger()
+    start = threading.Thread.start
+
+    def recorded(thread):
+        if thread.name.startswith("mix-"):
+            ledger.threads.append(thread)
+        start(thread)
 
     gc.collect()
-    baseline = pool_threads()
     gc.disable()
+    threading.Thread.start = recorded
     try:
-        yield lambda: sorted(thread.name
-                             for thread in pool_threads() - baseline)
+        yield ledger
     finally:
+        threading.Thread.start = start
         gc.enable()
 
 
@@ -106,6 +133,15 @@ def entries(fragments: Fragments) -> tuple:
     """A reply's entries written out, as :func:`reply` takes them."""
     return _read(fragments, iter(fragments.holes), 0,
                  len(fragments.labels))
+
+
+def long_where_clause(count: int) -> str:
+    """A flat query over ``homesSrc`` whose WHERE clause holds
+    ``count`` conditions: the homes, then one address per condition."""
+    return ("CONSTRUCT <r> $H {$H} </r> {} "
+            "WHERE homesSrc homes.home $H"
+            + "".join(" AND $H addr._ $A%d" % index
+                      for index in range(count - 1)))
 
 
 def homes_source() -> Tree:

@@ -29,7 +29,7 @@ from repro.buffer import (
 from repro.navigation import materialize
 from repro.xtree import Tree, elem, leaf, tree_size
 
-from .fixtures import entries, hole, pool_thread_ledger, reply
+from .fixtures import entries, hole, reply
 
 
 class TestFillReplyValidation:
@@ -316,6 +316,13 @@ class TestPrefetching:
 
         assert demand_fills(4) < demand_fills(0)
 
+    def test_invalid_parameters_rejected(self):
+        server = TreeLXPServer(Tree("r", [leaf("x")]), chunk_size=2)
+        with pytest.raises(ValueError):
+            BufferComponent(server, lookahead=-1)
+        with pytest.raises(ValueError):
+            BufferComponent(server, lookahead=-1, batch=True)
+
     def test_zero_lookahead_is_plain_buffer(self):
         tree = Tree("r", [elem("x", str(i)) for i in range(10)])
         buffer = BufferComponent(
@@ -338,7 +345,6 @@ class TestPrefetching:
         assert buffer.stats.fills == chunks
         assert stats.demand_fills == -(-chunks // (lookahead + 1))
         assert stats.prefetch_fills == chunks - stats.demand_fills
-        assert stats.stalls == 0
 
     def test_e5_table(self):
         """Experiment E5's table (benchmarks/test_bench_lxp_policies):
@@ -389,34 +395,27 @@ class TestSchedulingPoint:
             **policy)
         return buffer, _count_table_reads(buffer)
 
-    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.parametrize("batch", [0, 1])
     def test_rewalk_of_a_loaded_buffer_reads_what_the_plain_one_does(
-            self, workers):
+            self, batch):
         reads = {}
         for name, policy in [
-                ("plain", {}),
-                ("ahead", {"lookahead": 2, "workers": workers})]:
+                ("plain", {}), ("ahead", {"lookahead": 2, "batch": batch})]:
             buffer, counted = self._buffer(policy)
-            try:
-                materialize(buffer)
-                assert buffer.holes_outstanding() == 0
-                loaded = counted()
-                assert materialize(buffer) == self._tree()
-                reads[name] = counted() - loaded
-            finally:
-                buffer.close()
+            materialize(buffer)
+            assert buffer.holes_outstanding() == 0
+            loaded = counted()
+            assert materialize(buffer) == self._tree()
+            reads[name] = counted() - loaded
         assert reads["ahead"] == reads["plain"]
 
-    @pytest.mark.parametrize("workers", [0, 1])
-    def test_first_scan_bookkeeping_is_linear(self, workers):
+    @pytest.mark.parametrize("batch", [0, 1])
+    def test_first_scan_bookkeeping_is_linear(self, batch):
         nodes = 1 + 5 * self.ROWS
         reads = []
-        for policy in [{}, {"lookahead": 2, "workers": workers}]:
+        for policy in [{}, {"lookahead": 2, "batch": batch}]:
             buffer, counted = self._buffer(policy)
-            try:
-                assert materialize(buffer) == self._tree()
-            finally:
-                buffer.close()
+            assert materialize(buffer) == self._tree()
             reads.append(counted())
         plain, ahead = reads
         # each spliced node is read once more, to index its holes
@@ -433,7 +432,6 @@ POLICIES = [
     {},
     {"lookahead": 1},
     {"lookahead": 3},
-    {"lookahead": 2, "workers": 2},
     {"batch": True},
     {"lookahead": 4, "batch": True},
 ]
@@ -479,10 +477,7 @@ def test_buffer_over_randomized_liberal_server(tree, seed, make_server,
                                                policy):
     server = make_server(tree, seed)
     buffer = BufferComponent(server, **policy)
-    try:
-        assert materialize(buffer) == tree
-    finally:
-        buffer.close()
+    assert materialize(buffer) == tree
     assert buffer.holes_outstanding() == 0
     assert_fills_reconcile(buffer, server)
 
@@ -514,17 +509,12 @@ def test_partial_navigation_matches_materialized(tree, seed,
     reference = run_navigation(MaterializedDocument(tree), nav)
     server = make_server(tree, seed)
     buffered_doc = BufferComponent(server, **policy)
-    try:
-        actual = run_navigation(buffered_doc, nav)
-    finally:
-        buffered_doc.close()
+    actual = run_navigation(buffered_doc, nav)
 
     assert actual.labels == reference.labels
     assert [p is None for p in actual.pointers] == \
         [p is None for p in reference.pointers]
-    if not policy.get("workers"):
-        # (fills a closed pool abandoned were sent, never spliced)
-        assert_fills_reconcile(buffered_doc, server)
+    assert_fills_reconcile(buffered_doc, server)
 
 
 class _DeadEndServer(RandomizedLXPServer):
@@ -572,10 +562,6 @@ class BufferModel(RuleBasedStateMachine):
         self.path_of, self.pointer_at = {}, {}
         self.navigations = 0
         self.rooted = False
-
-    def teardown(self):
-        if self.buffer is not None:
-            self.buffer.close()
 
     def _node(self, path):
         node = self.tree
@@ -825,63 +811,3 @@ class TestBatchingBuffer:
             TreeLXPServer(tree, chunk_size=2, depth=1)))
         assert materialize(buffer) == plain
         assert buffer.batch_stats.dropped_replies > 0
-
-
-class TestAsyncPrefetchingBuffer:
-    def _tree(self, n=30):
-        return Tree("r", [elem("x", str(i)) for i in range(n)])
-
-    def test_materializes_identically_to_plain_buffer(self):
-        tree = self._tree()
-        plain = materialize(BufferComponent(
-            TreeLXPServer(tree, chunk_size=3, depth=1)))
-        buffer = BufferComponent(
-            TreeLXPServer(tree, chunk_size=3, depth=1),
-            lookahead=3, workers=2)
-        try:
-            assert materialize(buffer) == plain
-        finally:
-            buffer.close()
-
-    def test_fill_accounting_balances(self):
-        buffer = BufferComponent(
-            TreeLXPServer(self._tree(), chunk_size=2, depth=1),
-            lookahead=2, workers=2)
-        try:
-            materialize(buffer)
-        finally:
-            buffer.close()
-        stats = buffer.prefetch_stats
-        assert stats.demand_fills + stats.prefetch_fills \
-            == buffer.stats.fills
-
-    def test_invalid_parameters_rejected(self):
-        server = TreeLXPServer(self._tree(), chunk_size=2)
-        with pytest.raises(ValueError):
-            BufferComponent(server, workers=-1)
-        with pytest.raises(ValueError):
-            BufferComponent(server, lookahead=-1)
-        with pytest.raises(ValueError):
-            BufferComponent(server, lookahead=-1, batch=True)
-        # no workers is the synchronous model, not an error
-        sync = BufferComponent(server, lookahead=2, workers=0)
-        assert materialize(sync) == self._tree()
-        assert sync.prefetch_stats.stalls == 0
-
-    def test_close_is_idempotent_and_buffer_survives(self):
-        with pool_thread_ledger() as leaked:
-            buffer = BufferComponent(
-                TreeLXPServer(self._tree(8), chunk_size=2, depth=1),
-                lookahead=2, workers=1)
-            buffer.root()
-            assert leaked()
-            buffer.close()
-            buffer.close()
-            # Demand path still works after close (no more
-            # prefetching, no new pool).
-            before = buffer.prefetch_stats.snapshot()
-            assert materialize(buffer) == self._tree(8)
-            after = buffer.prefetch_stats
-            assert after.prefetch_fills == before["prefetch_fills"]
-            assert after.demand_fills > before["demand_fills"]
-            assert leaked() == []

@@ -98,7 +98,7 @@ class TestResilienceFlags:
         main(_query_argv(source_files))
         baseline = parse_xml(capsys.readouterr().out)
         for extra in (["--batch-navigations", "--prefetch", "4"],
-                      ["--prefetch-workers", "2", "--prefetch", "2"]):
+                      ["--prefetch", "2"]):
             assert main(_query_argv(source_files, *extra)) == 0
             assert parse_xml(capsys.readouterr().out) == baseline
 

@@ -125,7 +125,7 @@ def _argvs(tmp_path):
              "--no-optimize", "--no-cache", "--cache-budget", "5",
              "--sigma", "--hybrid", "--pushdown", "--fragment-cache",
              "--retries", "3", "--retry-deadline", "250", "--degrade",
-             "--prefetch", "4", "--prefetch-workers", "2",
+             "--prefetch", "4",
              "--batch-navigations",
              "--trace-out", str(tmp_path / "t.jsonl"),
              "--trace-format", "chrome",

@@ -132,12 +132,9 @@ class TestSharedSourceStress:
             resilient = ResilientLXPServer(
                 flaky, name="shared#%d" % index,
                 policy=policy, clock=clock)
-            buffer = buffered(resilient, workers=2)
+            buffer = buffered(resilient)
             audits.append(_SpliceAudit(buffer))
-            try:
-                results[index] = _scan_all(buffer)
-            finally:
-                buffer.close()
+            results[index] = _scan_all(buffer)
 
         _run_sessions(session)
         assert results == [expected] * SESSIONS
@@ -147,23 +144,22 @@ class TestSharedSourceStress:
 
     def test_prefetch_fill_accounting_balances(self):
         """demand_fills + prefetch_fills == buffer fills, per session,
-        under concurrent prefetch workers."""
+        with every session looking ahead at once."""
         tree = _homes_tree(16)
         buffers = []
 
         def session(index):
             server = TreeLXPServer(tree, chunk_size=2, depth=1)
-            buffer = buffered(server, prefetch=3, workers=2)
+            buffer = buffered(server, prefetch=3)
             buffers.append(buffer)
             _scan_all(buffer)
 
         _run_sessions(session)
         for buffer in buffers:
-            buffer.close()
             pf = buffer.prefetch_stats
+            assert pf.prefetch_fills
             assert pf.demand_fills + pf.prefetch_fills \
                 == buffer.stats.fills
-            assert pf.stalls <= buffer.stats.fills
 
     def test_batched_sessions_never_exceed_one_message_per_command(self):
         """Round trips <= commands for every concurrent batched
@@ -249,18 +245,17 @@ def _tiny_tree():
 
 
 @pytest.mark.timeout(60)
-def test_worker_failure_is_raised_on_demand_not_swallowed():
-    """A prefetch worker that hits a hard failure must surface it at
-    the demanding navigation, not lose it in the pool."""
-    schedule = FailureSchedule.always()
+def test_look_ahead_failure_is_raised_not_swallowed():
+    """A look-ahead fill that hits a hard failure surfaces at the
+    navigation whose demand fill scheduled it."""
+    schedule = FailureSchedule([False], exhausted="fail")
     flaky = FlakyLXPServer(TreeLXPServer(_tiny_tree(), chunk_size=1,
                                          depth=1), schedule)
-    buffer = buffered(flaky, workers=2)
-    try:
-        with pytest.raises(Exception, match="injected transient fault"):
-            _scan_all(buffer)
-    finally:
-        buffer.close()
+    buffer = buffered(flaky, prefetch=2)
+    with pytest.raises(Exception, match="injected transient fault"):
+        _scan_all(buffer)
+    assert buffer.prefetch_stats.demand_fills == 1
+    assert buffer.prefetch_stats.prefetch_fills == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Property-based differential testing of concurrent navigation.
+"""Property-based differential testing of the buffer's fill policies.
 
 Seeded random navigation walks -- d/r/f/select interleavings with
 partial exploration and revisits from earlier pointers -- run against
-the lazy engine under every concurrency configuration (plain, batched
-LXP, thread-backed prefetcher, all at once) and must agree
+the lazy engine under every fill policy (plain, batched LXP,
+look-ahead, both at once) and must agree
 step-for-step with the eager oracle.  Hypothesis shrinks any failing
 walk to a minimal counterexample.
 
@@ -43,7 +43,7 @@ _SELECT_LABELS = ["a", "b", "c", "1", "2", "3", "nope"]
 CONFIGS = {
     "plain": EngineConfig(),
     "batched": EngineConfig(batch_navigations=True, prefetch=4),
-    "async-prefetch": EngineConfig(prefetch=2, prefetch_workers=2),
+    "prefetch": EngineConfig(prefetch=2),
     "everything": EngineConfig(batch_navigations=True, prefetch=3),
 }
 
@@ -77,13 +77,13 @@ def _walks(draw):
 
 
 def _lazy_document(plan, tree, config):
-    """The virtual answer document with the full concurrent stack:
-    tree -> LXP server -> (batched/async/plain) buffer -> lazy plan."""
+    """The virtual answer document with the full buffer stack:
+    tree -> LXP server -> (batched/look-ahead/plain) buffer -> lazy
+    plan."""
     context = ExecutionContext.create(config)
     server = TreeLXPServer(tree, chunk_size=2, depth=2)
     source = buffered(server,
                       prefetch=config.prefetch,
-                      workers=config.prefetch_workers,
                       batch=config.batch_navigations)
     lazy = build_lazy_plan(plan, {"src": source}, context)
     return BindingsDocument(lazy)
@@ -111,7 +111,7 @@ def test_random_walk_matches_eager_oracle(tree, plan, nav, config_name):
        config_name=st.sampled_from(sorted(CONFIGS)))
 def test_materialized_answer_matches_eager_oracle(tree, plan,
                                                   config_name):
-    """Full materialization through every concurrent stack is
+    """Full materialization through every buffer stack is
     byte-identical to the eager evaluator's answer tree."""
     expected = evaluate_bindings(plan, {"src": tree}).to_tree()
     config = CONFIGS[config_name]
@@ -131,8 +131,5 @@ def test_buffer_stacks_agree_on_raw_source(tree, nav):
         server = TreeLXPServer(tree, chunk_size=2, depth=1)
         source = buffered(server,
                           prefetch=config.prefetch,
-                          workers=config.prefetch_workers,
                           batch=config.batch_navigations)
         assert _navigation_outcome(source, nav) == expected
-        if hasattr(source, "close"):
-            source.close()

@@ -5,7 +5,7 @@ Every feature is differential-tested against the default path on its
 own elsewhere; here Hypothesis draws a point of the product
 
     pushdown x fragment_cache x batch_navigations
-      x look-ahead (none / 2 in line / 2 pooled)
+      x look-ahead (none / 2)
       x on_source_failure (fail / degrade) x cache_budget (None / 8)
       x observe_operators
 
@@ -24,7 +24,7 @@ The client walks the virtual answer with the revisiting walker of
 :mod:`tests.test_differential_walks`, then reads the rest of it; both
 must match the eager answer.  The same walk is repeated with
 ``observe_operators`` flipped: observing must not change a single
-source navigation.  Pooled look-ahead must leave no thread behind.
+source navigation.  No feature may leave a thread behind.
 
 In-process only; the served leg of the lattice comes later.
 """
@@ -51,25 +51,20 @@ from repro.runtime.fragcache import reset_shared_store
 from repro.wrappers import RelationalLXPWrapper
 from repro.xtree.tree import Tree
 
-from .fixtures import pool_thread_ledger
+from .fixtures import thread_ledger
 from .test_differential_walks import WALKS, _walks
 
 NAMES_QUERY = ("CONSTRUCT <names> $N {$N} </names> {} "
                "WHERE bigdb items._ $R AND $R name._ $N")
 
-#: look-ahead axis: name -> (prefetch, prefetch_workers)
-LOOKAHEAD = {"none": (0, 0), "sync-2": (2, 0), "pooled-2": (2, 2)}
-
 
 @st.composite
 def _configs(draw):
-    prefetch, workers = LOOKAHEAD[draw(st.sampled_from(sorted(LOOKAHEAD)))]
     return EngineConfig(
         pushdown=draw(st.booleans()),
         fragment_cache=draw(st.booleans()),
         batch_navigations=draw(st.booleans()),
-        prefetch=prefetch,
-        prefetch_workers=workers,
+        prefetch=draw(st.sampled_from([0, 2])),
         on_source_failure=draw(st.sampled_from(["fail", "degrade"])),
         cache_budget=draw(st.sampled_from([None, 8])),
         observe_operators=draw(st.booleans()))
@@ -124,16 +119,10 @@ def _run(register, query, config, nav):
     what the client saw and the source navigations it cost."""
     mediator = MIXMediator(config)
     register(mediator)
-    try:
-        document = mediator.prepare(query).document
-        walked = _outcome(document, nav)
-        answer = materialize(document)
-        return walked, answer, mediator.total_source_navigations()
-    finally:
-        for meter in mediator.meters.values():
-            close = getattr(meter.document.inner, "close", None)
-            if close is not None:
-                close()
+    document = mediator.prepare(query).document
+    walked = _outcome(document, nav)
+    answer = materialize(document)
+    return walked, answer, mediator.total_source_navigations()
 
 
 @settings(max_examples=4 * WALKS, deadline=None)
@@ -148,14 +137,14 @@ def test_lattice_point_matches_the_eager_oracle(config, scenario, size,
     twin = config.replace(observe_operators=not config.observe_operators)
     reset_shared_store()
     try:
-        with pool_thread_ledger() as leaked:
+        with thread_ledger() as ledger:
             # the twin runs second: with the fragment cache on, it
             # adopts what the first run stored
             walked, answer, navigations = _run(register, query, config,
                                                nav)
             twin_walked, twin_answer, twin_navigations = _run(
                 register, query, twin, nav)
-            assert leaked() == []
+            assert ledger.leaked() == []
     finally:
         reset_shared_store()
     assert walked == _outcome(MaterializedDocument(expected), nav)

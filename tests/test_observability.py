@@ -9,7 +9,6 @@ faithful, not approximate, account of the navigation cascade.
 
 import io
 import json
-import threading
 
 import pytest
 
@@ -79,37 +78,6 @@ class TestTracerSpans:
             tracer.emit("source", "d")
         assert tracer.events == []
         assert tracer.current_span() is None
-
-    def test_capture_attach_connects_worker_thread(self):
-        tracer = Tracer(record=True, clock=FakeClock())
-        results = []
-
-        def worker(parent):
-            with tracer.attach(parent):
-                with tracer.span("buffer", "prefetch_fill"):
-                    tracer.emit("source", "f")
-            results.append(tracer.current_span())
-
-        with tracer.span("client", "fetch"):
-            parent = tracer.capture()
-            thread = threading.Thread(target=worker, args=(parent,))
-            thread.start()
-            thread.join()
-        forest = build_span_tree(tracer.events)
-        assert forest.orphans == []
-        (root,) = forest.roots
-        (child,) = root.children
-        assert (child.layer, child.name) == ("buffer", "prefetch_fill")
-        assert child.thread != root.thread
-        assert len(child.leaf_events("source")) == 1
-        # the worker's stack is clean after detaching
-        assert results == [None]
-
-    def test_attach_none_is_noop(self):
-        tracer = Tracer(record=True)
-        with tracer.attach(None):
-            tracer.emit("source", "d")
-        assert tracer.events[0].parent_id is None
 
 
 class TestSubscribed:
@@ -315,29 +283,24 @@ class TestSpanTreePropagation:
         in_tree = len(forest.events("source"))
         assert in_tree == med.total_source_navigations()
 
-    def test_async_prefetch_scan_stays_connected(self):
+    def test_prefetch_scan_stays_connected(self):
         tracer = Tracer(record=True, clock=FakeClock())
         source = MaterializedDocument(schools_source())
         from repro.client.remote import NavigableLXPServer
         server = NavigableLXPServer(source, chunk_size=1, depth=2)
-        buffer = buffered(server, prefetch=2, workers=2,
-                          tracer=tracer, name="schoolsSrc")
+        buffer = buffered(server, prefetch=2, tracer=tracer,
+                          name="schoolsSrc")
         materialize(buffer)
-        buffer.close()
         forest = build_span_tree(tracer.events)
         assert forest.orphans == []
         spans = [s for s in forest.spans.values()
                  if s.layer == "buffer"]
-        names = {s.name for s in spans}
-        assert "fill" in names
-        # prefetch fills happened on worker threads, demand fills on
-        # the client thread -- and both reconstruct into one forest
-        if "prefetch_fill" in names:
-            prefetch_threads = {s.thread for s in spans
-                                if s.name == "prefetch_fill"}
-            demand_threads = {s.thread for s in spans
-                              if s.name == "fill"}
-            assert prefetch_threads.isdisjoint(demand_threads)
+        # demand and look-ahead fills alike run on the navigating
+        # thread, each source command inside its fill's span
+        assert {s.name for s in spans} == {"fill", "prefetch_fill"}
+        assert len({s.thread for s in spans}) == 1
+        assert sum(len(s.leaf_events("source")) for s in spans) \
+            == len(forest.events("source"))
 
     def test_deterministic_under_fake_clock(self):
         def run():

@@ -203,3 +203,75 @@ def test_runtime_defines_one_trace_event_record():
                         and isinstance(node.target, ast.Name)}:
                 records.append((path.stem, cls.name))
     assert records == [("observability", "TraceEvent")]
+
+
+#: the modules that start threads: the daemon (its accept thread and
+#: one handler thread per connection) and the load generator's clients
+THREAD_STARTERS = ["bench/loadgen.py", "server/daemon.py"]
+
+
+def _thread_uses(tree):
+    """Lines that construct or subclass ``threading.Thread``, or
+    import ``Thread`` by name (after which a bare call constructs
+    one)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "threading" \
+                and any(alias.name == "Thread" for alias in node.names):
+            found.append(node.lineno)
+        elif isinstance(node, (ast.Call, ast.ClassDef)):
+            targets = ([node.func] if isinstance(node, ast.Call)
+                       else node.bases)
+            found.extend(
+                node.lineno for target in targets
+                if isinstance(target, ast.Attribute)
+                and target.attr == "Thread"
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "threading")
+    return sorted(found)
+
+
+def _pool_imports(tree):
+    """Lines that import ``concurrent.futures``, in any spelling."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend(node.lineno for alias in node.names
+                         if alias.name.startswith("concurrent"))
+        elif isinstance(node, ast.ImportFrom) \
+                and (node.module or "").startswith("concurrent"):
+            found.append(node.lineno)
+    return found
+
+
+def test_the_thread_guards_recognise_what_they_guard():
+    tree = ast.parse('''
+import threading
+import concurrent.futures
+from concurrent import futures
+from concurrent.futures import ThreadPoolExecutor
+from threading import Thread
+
+handle: "threading.Thread" = threading.Thread(target=print)
+class Worker(threading.Thread):
+    pass
+lock = threading.Lock()
+''')
+    assert _thread_uses(tree) == [6, 8, 9]
+    assert _pool_imports(tree) == [3, 4, 5]
+
+
+def test_threads_start_in_one_place():
+    """Only the daemon and the load generator start threads, and no
+    module keeps a pool: the engine's read-ahead runs on the thread
+    that navigates."""
+    starters, pools = [], []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        name = path.relative_to(SRC_ROOT).as_posix()
+        if _thread_uses(tree):
+            starters.append(name)
+        pools.extend("%s:%d" % (name, line)
+                     for line in _pool_imports(tree))
+    assert starters == THREAD_STARTERS
+    assert pools == []

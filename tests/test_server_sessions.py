@@ -33,7 +33,7 @@ from repro.server import (
 )
 from repro.server.wire import MalformedFrameError, decode_frame, exchange
 from repro.testing.faults import FakeClock
-from repro.xtree.path import MAX_NESTING
+from repro.xtree.path import MAX_CONDITIONS, MAX_NESTING
 from repro.testing.transport import (
     StalledReader,
     abrupt_disconnect,
@@ -47,7 +47,7 @@ from repro.testing.transport import (
 )
 from repro.testing.transport import _decode  # test-only convenience
 
-from .fixtures import pool_thread_ledger
+from .fixtures import long_where_clause, thread_ledger
 
 QUERY = """
 CONSTRUCT <result> <home> $A {$A} </home> {$H} </result> {}
@@ -170,6 +170,32 @@ class TestLifecycle:
             assert counts["query_rejects"] == 1
             assert counts["internal_kills"] == 0
             assert not list(tmp_path.iterdir())
+        finally:
+            server.drain()
+
+    def test_long_where_clause_is_a_query_error(self, tmp_path):
+        """400 conditions used to overflow the optimizer's stack: an
+        internal kill with an incident dump."""
+        server, host, port = make_server(
+            serve_incident_dir=str(tmp_path))
+        try:
+            with pytest.raises(ServerReplyError) as excinfo:
+                connect(host, port, long_where_clause(400))
+            assert excinfo.value.code == "mix:query"
+            assert "XMASSyntaxError" in str(excinfo.value)
+            counts = server.stats.snapshot()
+            assert counts["query_rejects"] == 1
+            assert counts["internal_kills"] == 0
+            assert not list(tmp_path.iterdir())
+        finally:
+            server.drain()
+
+    def test_query_at_the_condition_limit_is_served(self):
+        server, host, port = make_server(n_homes=3)
+        try:
+            with connect(host, port,
+                         long_where_clause(MAX_CONDITIONS)) as session:
+                assert session.root.first_child().tag == "home"
         finally:
             server.drain()
 
@@ -315,20 +341,22 @@ class TestTimeoutsAndBudgets:
             server.drain()
 
 
+@pytest.fixture
+def client_sockets(monkeypatch):
+    """Every client socket the test opens, in order."""
+    created = []
+    real = socket.create_connection
+
+    def recording(*args, **kwargs):
+        created.append(real(*args, **kwargs))
+        return created[-1]
+
+    monkeypatch.setattr(socket, "create_connection", recording)
+    return created
+
+
 class TestClientSocketLifetime:
     """A typed error reply must not strand the client's socket."""
-
-    @pytest.fixture
-    def client_sockets(self, monkeypatch):
-        created = []
-        real = socket.create_connection
-
-        def recording(*args, **kwargs):
-            created.append(real(*args, **kwargs))
-            return created[-1]
-
-        monkeypatch.setattr(socket, "create_connection", recording)
-        return created
 
     def test_killed_session_abandons_the_channel(self, client_sockets):
         server, host, port = make_server(
@@ -386,51 +414,71 @@ class TestClientSocketLifetime:
 
 
 class TestThreadLedger:
-    """Every pool thread a session starts -- the client buffer's
-    look-ahead pool -- is gone when the session is, on every exit path
-    and without a GC's help."""
+    """Every thread a session starts -- its ``mix-session`` handler on
+    the daemon -- ends with the session, and the client's socket is
+    closed, on every exit path and without a GC's help."""
 
-    def test_remote_session_close_stops_the_buffer_pool(self):
+    def test_remote_session_close_ends_the_session_thread(
+            self, client_sockets):
         server, host, port = make_server(n_homes=12, chunk_size=2)
-        config = EngineConfig(prefetch=2, prefetch_workers=1)
-        with pool_thread_ledger() as leaked:
-            try:
-                session = connect(host, port, QUERY, config=config)
-                first = session.root.first_child()
-                assert first.tag == "home" and leaked()
+        try:
+            with thread_ledger() as ledger:
+                session = connect(host, port, QUERY,
+                                  config=EngineConfig(prefetch=2))
+                assert session.root.first_child().tag == "home"
                 session.close()
-                assert leaked() == []
-                assert session.channel.closed
+                assert [sock.fileno() for sock in client_sockets] \
+                    == [-1]
+                assert ledger.started == ["mix-session"]
+                assert ledger.leaked() == []
                 # An unfilled hole is now a plain demand fill on the
-                # closed channel, not a wait on a forgotten future.
+                # closed channel.
                 with pytest.raises(ServerReplyError) as excinfo:
                     session.root.to_tree()
                 assert excinfo.value.code == "mix:closed"
-                assert leaked() == []
                 session.close()  # idempotent
-            finally:
-                server.drain()
+        finally:
+            server.drain()
 
-    def test_failed_connect_stops_the_buffer_pool(self, monkeypatch):
+    def test_failed_connect_ends_the_session_thread(
+            self, client_sockets, monkeypatch):
         """No session reaches the caller, so nobody else could."""
         server, host, port = make_server(n_homes=12, chunk_size=2)
-        started = []
 
         def broken_element(buffer, pointer):
-            # the root fill has landed and look-ahead is under way
-            started.extend(buffer._inflight)
+            # the root fill and its look-ahead have landed
+            assert buffer.prefetch_stats.prefetch_fills
             raise RuntimeError("no element for you")
 
         monkeypatch.setattr("repro.server.client.XMLElement",
                             broken_element)
-        with pool_thread_ledger() as leaked:
-            try:
+        try:
+            with thread_ledger() as ledger:
                 with pytest.raises(RuntimeError):
-                    connect(host, port, QUERY, config=EngineConfig(
-                        prefetch=2, prefetch_workers=1))
-                assert started and leaked() == []
-            finally:
-                server.drain()
+                    connect(host, port, QUERY,
+                            config=EngineConfig(prefetch=2))
+                assert [sock.fileno() for sock in client_sockets] \
+                    == [-1]
+                assert ledger.started == ["mix-session"]
+                assert ledger.leaked() == []
+        finally:
+            server.drain()
+
+    def test_protocol_kill_ends_the_session_thread(self,
+                                                   client_sockets):
+        server, host, port = make_server()
+        try:
+            with thread_ledger() as ledger:
+                reply = send_garbage(host, port)
+                assert reply is not None \
+                    and reply["error"] == "mix:protocol"
+                assert [sock.fileno() for sock in client_sockets] \
+                    == [-1]
+                assert ledger.started == ["mix-session"]
+                assert ledger.leaked() == []
+            assert server.stats.snapshot()["protocol_kills"] == 1
+        finally:
+            server.drain()
 
 
 class TestFaultContainment:

@@ -21,8 +21,13 @@ from pathlib import Path
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 SHELL_PACKAGES = ("runtime", "buffer", "server", "client")
 
-#: measured when a fill reply became one flat record from wrapper to
-#: buffer, raised on purpose from 4029: buffer 617 -> 612 and runtime
+#: measured when the buffer's look-ahead pool was deleted
+#: (``runtime/parallel.py``, the buffer's in-flight futures and
+#: ``close()``, ``Tracer.capture``/``attach``, the config field, and
+#: ``RemoteSession.buffer``, kept only to close it): buffer 612 -> 574,
+#: runtime 1915 -> 1856, server 1151 -> 1144.
+#: Before: 4039, measured when a fill reply became one flat record from
+#: wrapper to buffer, raised on purpose from 4029: buffer 617 -> 612 and runtime
 #: 1919 -> 1915, but server 1137 -> 1151 and client 356 -> 361, the
 #: wire codec and the exporter's walk written as loops where they
 #: were recursive helpers one frame per node.
@@ -34,9 +39,14 @@ SHELL_PACKAGES = ("runtime", "buffer", "server", "client")
 #: Before: 4050, when the cache registry stopped holding the caches
 #: and a mediator's contexts began sharing serial names (before that:
 #: 4051, after the query caches lost their lock)
-SHELL_CODE_LINES = 4039
+SHELL_CODE_LINES = 3935
 
-#: all of ``src/repro``, raised on purpose from 13577 when the
+#: all of ``src/repro``, measured when the buffer's look-ahead pool
+#: was deleted (the shell -104 code lines, ``cli.py`` -5,
+#: ``wrappers/`` -2, the sanitizer's ``Future.result`` patch -6) and
+#: the XMAS parser began bounding a WHERE clause's conditions
+#: (``xmas/`` and ``xtree/`` +6).  Before: 13606, raised
+#: on purpose from 13577 when the
 #: mediator began keeping prepared plans per query text
 #: (``mediator/mix.py`` 395 -> 412 code lines) and the parsers began
 #: refusing deep nesting (``xmas/`` and ``xtree/`` +12).  Before:
@@ -60,7 +70,7 @@ SHELL_CODE_LINES = 4039
 #: query began counting its own source navigations, raised on purpose
 #: from 13635, the count after operator fan-out, the URI registries
 #: and the lock-creation census were deleted (before that: 13816)
-PACKAGE_CODE_LINES = 13606
+PACKAGE_CODE_LINES = 13495
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

@@ -30,9 +30,10 @@ from repro.xmas import (
 from repro import EngineConfig, MIXMediator
 from repro.navigation import MaterializedDocument
 from repro.xtree import Tree, elem, to_xml
-from repro.xtree.path import MAX_NESTING
+from repro.xtree.path import MAX_CONDITIONS, MAX_NESTING
 
-from .fixtures import expected_fig4_answer, fig4_sources
+from .fixtures import expected_fig4_answer, fig4_sources, \
+    long_where_clause
 
 FIG3_QUERY = """
 CONSTRUCT <answer>
@@ -154,6 +155,35 @@ class TestNestingLimit:
         answer = mediator.prepare(text).root.to_tree()
         assert answer == mediator.query_eager(text)
         assert "<home>" in to_xml(answer)
+
+
+class TestConditionLimit:
+    """Translation, rewriting and navigation recurse over a WHERE
+    clause's conditions too: 400 conditions used to raise
+    RecursionError in ``prepare``, 300 under ``observe_operators``."""
+
+    @pytest.mark.parametrize("count", [MAX_CONDITIONS + 1, 400])
+    def test_more_than_the_limit_is_a_syntax_error(self, count):
+        with pytest.raises(XMASSyntaxError,
+                           match="more than %d" % MAX_CONDITIONS):
+            parse_xmas(long_where_clause(count))
+
+    def test_a_pattern_counts_as_its_path_conditions(self):
+        pattern = "<home> %s</home>" % "".join(
+            "$A%d:<addr></addr> " % index
+            for index in range(MAX_CONDITIONS))
+        with pytest.raises(XMASSyntaxError,
+                           match="more than %d" % MAX_CONDITIONS):
+            parse_xmas("CONSTRUCT <r> $H {$H} </r> {} WHERE "
+                       "$H:%s IN homesSrc" % pattern)
+
+    def test_at_the_limit_prepares_and_reaches_its_first_result(self):
+        mediator = MIXMediator(EngineConfig(observe_operators=True))
+        for name, tree in fig4_sources().items():
+            mediator.register_source(name, MaterializedDocument(tree))
+        root = mediator.prepare(
+            long_where_clause(MAX_CONDITIONS)).root
+        assert root.first_child().tag == "home"
 
 
 class TestTranslation:
