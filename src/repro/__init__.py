@@ -24,7 +24,6 @@ from .errors import (
     SourceError,
     StaticAnalysisError,
     TransientSourceError,
-    classify_failure,
 )
 from .core import (
     BindingsDocument,
@@ -73,6 +72,6 @@ __all__ = [
     "XMLFileWrapper", "RelationalLXPWrapper", "WebLXPWrapper",
     "OODBLXPWrapper", "buffered",
     "ReproError", "SourceError", "TransientSourceError",
-    "PermanentSourceError", "StaticAnalysisError", "classify_failure",
+    "PermanentSourceError", "StaticAnalysisError",
     "__version__",
 ]

@@ -5,8 +5,6 @@ from .bindings import (
     LIST_LABEL,
     Binding,
     BindingList,
-    is_list_value,
-    list_items,
     make_list_value,
     value_key,
     value_text,
@@ -34,13 +32,6 @@ from .operators import (
     product,
     walk_plan,
 )
-from .serialize import (
-    SerializationError,
-    plan_from_dict,
-    plan_from_json,
-    plan_to_dict,
-    plan_to_json,
-)
 from .predicates import (
     And,
     Comparison,
@@ -55,7 +46,7 @@ from .predicates import (
 
 __all__ = [
     "Binding", "BindingList", "LIST_LABEL", "make_list_value",
-    "is_list_value", "list_items", "value_key", "value_text",
+    "value_key", "value_text",
     "Predicate", "Comparison", "And", "Or", "Not", "TruePredicate",
     "Var", "Const", "compare_values",
     "Operator", "Source", "Constant", "GetDescendants", "Select", "Join",
@@ -64,6 +55,4 @@ __all__ = [
     "OrderBy", "Concatenate", "CreateElement", "TupleDestroy",
     "PlanError", "walk_plan",
     "evaluate", "evaluate_bindings", "match_descendants",
-    "plan_to_dict", "plan_from_dict", "plan_to_json",
-    "plan_from_json", "SerializationError",
 ]

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..xtree.tree import Tree
 
 __all__ = ["Binding", "BindingList", "LIST_LABEL", "make_list_value",
-           "is_list_value", "list_items", "value_key", "value_text"]
+           "value_key", "value_text"]
 
 #: The reserved label for grouped/concatenated collections.
 LIST_LABEL = "list"
@@ -181,19 +181,6 @@ class BindingList:
 def make_list_value(items: Sequence[Tree]) -> Tree:
     """A ``list[...]`` collection node over shared item subtrees."""
     return Tree(LIST_LABEL, items)
-
-
-def is_list_value(value: Tree) -> bool:
-    """Whether a value is a ``list[...]`` collection node."""
-    return value.label == LIST_LABEL
-
-
-def list_items(value: Tree) -> Tuple[Tree, ...]:
-    """The items of a collection value; a non-list value is the
-    singleton of itself (the paper's concatenate case analysis)."""
-    if is_list_value(value):
-        return value.children
-    return (value,)
 
 
 # ----------------------------------------------------------------------

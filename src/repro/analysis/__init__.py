@@ -30,7 +30,7 @@ from .findings import (
 from .pushdown import pushdown_pass
 from .rewrites import rewrites_pass
 from .schema import SchemaGraph, schema_pass, static_truth
-from .walk import node_at, walk_with_paths
+from .walk import walk_with_paths
 
 __all__ = [
     "analyze_plan", "analyze_query",
@@ -40,5 +40,5 @@ __all__ = [
     "pushdown_pass",
     "cardinality_degree",
     "ExampleQuery", "extract_queries", "scan_examples",
-    "walk_with_paths", "node_at",
+    "walk_with_paths",
 ]

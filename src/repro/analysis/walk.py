@@ -12,7 +12,7 @@ from typing import Iterator, Tuple
 
 from ..algebra import operators as ops
 
-__all__ = ["walk_with_paths", "node_at"]
+__all__ = ["walk_with_paths"]
 
 
 def walk_with_paths(plan: ops.Operator
@@ -28,12 +28,3 @@ def walk_with_paths(plan: ops.Operator
             yield from walk(child, child_path)
 
     return walk(plan, "")
-
-
-def node_at(plan: ops.Operator, path: str) -> ops.Operator:
-    """Resolve a child-index path back to its node."""
-    node = plan
-    if path:
-        for part in path.split("."):
-            node = node.inputs[int(part)]
-    return node

@@ -5,7 +5,6 @@ from .measure import (
     Timer,
     bench_record,
     browse_first_k,
-    depth_first_prefix,
     format_table,
     parse_table,
 )
@@ -23,6 +22,6 @@ __all__ = [
     "homes_and_schools", "book_catalog", "two_bookstores",
     "allbooks_plan", "HOMES_SCHOOLS_QUERY", "CHEAP_DB_BOOKS_QUERY",
     "ALLBOOKS_VIEW_NAME",
-    "browse_first_k", "depth_first_prefix", "format_table",
+    "browse_first_k", "format_table",
     "parse_table", "bench_record", "Timer",
 ]

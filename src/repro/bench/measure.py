@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import re
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..client.element import XMLElement
-from ..navigation.interface import NavigableDocument, materialize
 
-__all__ = ["browse_first_k", "depth_first_prefix", "format_table",
+__all__ = ["browse_first_k", "format_table",
            "parse_table", "bench_record", "Timer"]
 
 
@@ -35,25 +34,6 @@ def browse_first_k(root: XMLElement, k: int,
         seen += 1
         child = child.right()
     return seen
-
-
-def depth_first_prefix(document: NavigableDocument,
-                       max_nodes: int) -> int:
-    """Navigate the first ``max_nodes`` nodes of a document in
-    document order (d/r/f), returning the number visited."""
-    visited = 0
-    stack = [document.root()]
-    while stack and visited < max_nodes:
-        pointer = stack.pop()
-        document.fetch(pointer)
-        visited += 1
-        sibling = document.right(pointer)
-        if sibling is not None:
-            stack.append(sibling)
-        child = document.down(pointer)
-        if child is not None:
-            stack.append(child)
-    return visited
 
 
 class Timer:

@@ -27,7 +27,7 @@ their faults into two branches of :class:`SourceError`:
   schema errors.  These fail (or degrade) immediately, never retry.
 
 Failures raised by code outside this library are classified by
-:func:`classify_failure`: the builtin ``ConnectionError`` and
+:func:`is_transient`: the builtin ``ConnectionError`` and
 ``TimeoutError`` count as transient, everything else as permanent.
 """
 
@@ -37,7 +37,6 @@ __all__ = [
     "StaticAnalysisError",
     "TransientSourceError",
     "PermanentSourceError",
-    "classify_failure",
     "is_transient",
 ]
 
@@ -86,13 +85,3 @@ def is_transient(error: BaseException) -> bool:
     if isinstance(error, SourceError):
         return False
     return isinstance(error, (ConnectionError, TimeoutError))
-
-
-def classify_failure(error: BaseException) -> str:
-    """``"transient"`` or ``"permanent"`` for any exception.
-
-    Library errors carry their class in the taxonomy; foreign
-    exceptions are classified conservatively (only the builtins that
-    plainly mean "try again" are transient).
-    """
-    return "transient" if is_transient(error) else "permanent"

@@ -43,7 +43,9 @@ import warnings
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..algebra.eager import evaluate
-from ..algebra.operators import Operator, Source, TupleDestroy, walk_plan
+from ..algebra.operators import (GetDescendants, Join, Operator, Select,
+                                 Source, TupleDestroy, walk_plan)
+from ..algebra.predicates import TruePredicate
 from ..buffer.lxp import LXPServer
 from ..client.element import XMLElement, open_virtual_document
 from ..lazy.build import build_virtual_document
@@ -59,6 +61,7 @@ from ..xmas.ast import XMASQuery
 from ..xmas.compose import inline_views
 from ..xmas.parser import parse_xmas
 from ..xmas.translate import translate
+from ..xtree.path import MAX_CONDITIONS
 from ..xtree.tree import Tree
 
 __all__ = ["MIXMediator", "MediatorError", "MediatorWarning",
@@ -75,13 +78,24 @@ from ..runtime.locks import make_lock
 
 
 class MediatorError(ReproError):
-    """Raised for catalog problems (unknown sources, name clashes)."""
+    """Raised for catalog problems (unknown sources, name clashes) and
+    for a query that its views compose past ``MAX_CONDITIONS``."""
 
 
 class MediatorWarning(UserWarning):
     """Emitted for recoverable mediator anomalies (e.g. the optimizer
     returning a plan with a non-tupleDestroy root, which is discarded
     in favor of the initial plan)."""
+
+
+def _conditions(plan: Operator) -> int:
+    """The WHERE conditions a plan holds, counted as the parser counts
+    one text's: a getDescendants per path condition, a select or a
+    non-product join per comparison."""
+    return sum(1 for node in walk_plan(plan)
+               if isinstance(node, (GetDescendants, Select))
+               or (isinstance(node, Join)
+                   and not isinstance(node.predicate, TruePredicate)))
 
 
 class QueryResult:
@@ -382,26 +396,20 @@ class MIXMediator:
 
     # -- catalog -----------------------------------------------------------
     def register_source(self, name: str,
-                        document: NavigableDocument,
-                        meter: bool = True) -> None:
+                        document: NavigableDocument) -> None:
         """Register a navigable source under ``name``.
 
-        With ``meter=True`` per-source navigation statistics are
-        available from :attr:`meters`.  The lazy plans of this
-        mediator's queries count their own navigations (no proxy on
-        their path); the catalog hands every other path -- the eager
-        baseline, say -- a counting proxy.
+        Its navigation statistics are available from :attr:`meters`.
+        The lazy plans of this mediator's queries count their own
+        navigations (no proxy on their path); the catalog hands every
+        other path -- the eager baseline, say -- a counting proxy.
         """
-        source_meter: Optional[SourceMeter] = None
-        if meter:
-            document = CountingDocument(document, name=name,
-                                        tracer=self.tracer,
-                                        metrics=self.runtime.metrics)
-            source_meter = SourceMeter(document)
+        document = CountingDocument(document, name=name,
+                                    tracer=self.tracer,
+                                    metrics=self.runtime.metrics)
         with self._catalog_lock:
             self._check_free(name)
-            if source_meter is not None:
-                self._meters[name] = source_meter
+            self._meters[name] = SourceMeter(document)
             self._documents[name] = document
         self.tracer.emit("mediator", "register_source", name=name)
 
@@ -419,17 +427,13 @@ class MIXMediator:
         with self._catalog_lock:
             self._schemas[name] = schema
 
-    def register_wrapper(self, name: str, server: LXPServer,
-                         prefetch: Optional[int] = None,
-                         meter: bool = True) -> None:
+    def register_wrapper(self, name: str, server: LXPServer) -> None:
         """Register an LXP wrapper under the standard seam stack
         (:func:`~repro.wrappers.base.source_stack`): the fragment
         cache for admissible wrappers when ``config.fragment_cache``
         is on, retry/breaker/degradation when the config's resilience
         is active, and the generic buffer on top -- each layer's
         counters surfacing through ``QueryResult.stats()``.
-
-        ``prefetch`` defaults to the engine config's buffer lookahead.
 
         A wrapper advertising the push capability (``push_compile``,
         see :mod:`repro.wrappers.base`) is additionally recorded for
@@ -443,12 +447,11 @@ class MIXMediator:
             stats.metrics = self.runtime.metrics
             stats.source = name
         buffer, decision = source_stack(server, name, self.runtime,
-                                        clock=self.clock,
-                                        prefetch=prefetch)
+                                        clock=self.clock)
         if decision is not None:
             with self._catalog_lock:
                 self._fragcache_decisions.append(decision)
-        self.register_source(name, buffer, meter)
+        self.register_source(name, buffer)
         if hasattr(server, "push_compile"):
             with self._catalog_lock:
                 self._pushables[name] = server
@@ -490,9 +493,8 @@ class MIXMediator:
 
     @property
     def meters(self) -> Dict[str, SourceMeter]:
-        """Per-source navigation meters (when registered with
-        meter=True): each sums every query's navigations of its
-        source."""
+        """Per-source navigation meters: each sums every query's
+        navigations of its source."""
         return self._meters
 
     def total_source_navigations(self) -> int:
@@ -519,6 +521,15 @@ class MIXMediator:
         initial = self._plan_of(query)
         if self._views:
             initial = inline_views(initial, self._views)
+            # Each text is held to MAX_CONDITIONS by the parser; the
+            # plan inlining composes is held to it too, since
+            # navigation recurses over all of its conditions at once.
+            conditions = _conditions(initial)
+            if conditions > MAX_CONDITIONS:
+                raise MediatorError(
+                    "the query composed with its views holds %d "
+                    "conditions, more than %d"
+                    % (conditions, MAX_CONDITIONS))
         self._validate_sources(initial)
         return initial
 

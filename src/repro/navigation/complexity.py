@@ -84,7 +84,7 @@ def compose_classes(*classes: Browsability) -> Browsability:
     """
     result = Browsability.BOUNDED
     for cls in classes:
-        if _CLASS_ORDER[cls] > _CLASS_ORDER[result]:
+        if browsability_order(cls) > browsability_order(result):
             result = cls
     return result
 

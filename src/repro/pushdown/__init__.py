@@ -28,7 +28,6 @@ from .compiled import (  # noqa: F401
     comparison_filter,
     conjuncts,
     first_labels,
-    single_hop_label,
     single_hop_value_column,
     sql_exact_filter,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "conjuncts",
     "comparison_filter",
     "first_labels",
-    "single_hop_label",
     "single_hop_value_column",
     "child_restriction",
     "sql_exact_filter",

@@ -64,7 +64,6 @@ __all__ = [
     "comparison_filter",
     "first_labels",
     "single_hop_value_column",
-    "single_hop_label",
     "child_restriction",
     "sql_exact_filter",
     "RelationalPushRequest",
@@ -208,16 +207,6 @@ def single_hop_value_column(path: PathExpr) -> Optional[str]:
     if isinstance(path, Seq) and len(path.parts) == 2 \
             and isinstance(path.parts[0], Label) \
             and isinstance(path.parts[1], Wildcard):
-        return path.parts[0].name
-    return None
-
-
-def single_hop_label(path: PathExpr) -> Optional[str]:
-    """The label of a one-hop ``Label`` path, or None."""
-    if isinstance(path, Label):
-        return path.name
-    if isinstance(path, Seq) and len(path.parts) == 1 \
-            and isinstance(path.parts[0], Label):
         return path.parts[0].name
     return None
 

@@ -109,8 +109,11 @@ def _insert_materialize(plan: ops.Operator, trace: OptimizationTrace,
     return plan
 
 
+#: fixpoint rounds of the local rules and fusion before giving up
+MAX_PASSES = 8
+
+
 def optimize(plan: ops.Operator,
-             max_passes: int = 8,
              hybrid: bool = False) -> Tuple[ops.Operator,
                                             OptimizationTrace]:
     """Optimize ``plan``; returns (new_plan, trace).
@@ -119,7 +122,7 @@ def optimize(plan: ops.Operator,
     above unbrowsable subplans (Section 6's lazy/eager combination).
     """
     trace = OptimizationTrace()
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         before = plan.pretty()
         plan = _apply_local_rules(plan, trace)
         plan = _apply_fusion(plan, plan, trace)

@@ -292,14 +292,11 @@ class ExecutionContext:
     """
 
     def __init__(self, config: Optional[EngineConfig] = None,
-                 caches: Optional[CacheManager] = None,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.config = config if config is not None else EngineConfig()
-        if caches is None:
-            caches = CacheManager(budget=self.config.cache_budget,
-                                  enabled=self.config.cache_enabled)
-        self.caches = caches
+        self.caches = CacheManager(budget=self.config.cache_budget,
+                                   enabled=self.config.cache_enabled)
         self.tracer = tracer if tracer is not None else Tracer()
         if metrics is None:
             metrics = MetricsRegistry(

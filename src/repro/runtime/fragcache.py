@@ -6,17 +6,16 @@ view.  Yet each session historically rebuilt its virtual view from
 scratch: the operator caches on the
 :class:`~repro.runtime.context.ExecutionContext` are strictly
 per-execution.  This module adds the missing tier -- a process-wide
-:class:`FragmentStore`, sharded by hash of ``(view_id, region)``,
-holding the immutable fill replies previous sessions already paid a
-source for, tagged with the source snapshot version they were derived
-from.
+:class:`FragmentStore`, keyed by ``(view_id, region)``, holding
+the immutable fill replies previous sessions already paid a source
+for, tagged with the source snapshot version they were derived from.
 
 Three pieces:
 
-* :class:`FragmentStore` -- the sharded store.  Each shard has its own
-  lock, an entry table keyed by ``(view_id, hole_id)``, a whole-view
-  table keyed by ``view_id``, and a single-flight table so concurrent
-  sessions missing on the same region issue exactly one source fill.
+* :class:`FragmentStore` -- the store.  One lock guards an entry
+  table keyed by ``(view_id, hole_id)``, a whole-view table keyed by
+  ``view_id``, and a single-flight table so concurrent sessions
+  missing on the same region issue exactly one source fill.
   An entry is the wrapper's reply record itself
   (:class:`~repro.buffer.holes.Fragments`, immutable), tagged with its
   source version: a hit is one ``dict`` probe and hands the record out
@@ -37,7 +36,8 @@ Three pieces:
   hole-free fast path -- without a single source navigation.
 * :func:`admissible` / :class:`FragcacheDecision` -- the
   pushdown-style compile-time admissibility check: only *versioned*,
-  *side-effect-free*, Definition-2-*browsable* exports are cacheable.
+  *side-effect-free* exports are cacheable (an export is a bare
+  source, bounded browsable under Definition 2).
   Every registered wrapper gets a decision record, surfaced through
   ``QueryResult.stats()``/``explain()`` and a ``fragcache.decision``
   trace event.
@@ -58,7 +58,6 @@ grafted.
 from __future__ import annotations
 
 import threading
-import zlib
 from dataclasses import dataclass
 from functools import partial
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Set,
@@ -100,56 +99,33 @@ class FragcacheStats(Counters, shared=True):
     view_adoptions: int = 0
 
 
-class _Shard:
-    """One lock domain of the store.
-
-    All three tables live under one per-shard lock; cross-shard
-    operations take shard locks strictly one at a time, so there is no
-    lock ordering to get wrong.  An entry is ``(version, fragments)``:
-    the reply record itself, tagged with its source snapshot.
-    """
-
-    def __init__(self) -> None:
-        self.lock = make_lock("fragcache.shard")
-        self.entries: Dict[FragmentKey, Tuple[object, Fragments]] = {}
-        self.views: Dict[str, Tuple[object, Fragments]] = {}
-        #: keys being produced, each with the event its waiters wait
-        #: on -- None until a second session actually waits
-        self.inflight: Dict[FragmentKey, Optional[threading.Event]] = {}
-
-
 #: observer callback: outcome name -> None (tracing seam)
 _Observer = Optional[Callable[[str], None]]
 
 
-def shard_index(key: FragmentKey, shards: int) -> int:
-    """The shard a key lands in: crc32 of its repr, mod the shard
-    count.  Deterministic across processes and runs, so tests can
-    craft deliberately colliding keys."""
-    return zlib.crc32(repr(key).encode("utf-8")) % shards
-
-
 class FragmentStore:
-    """A process-wide sharded store of immutable view fragments.
+    """A process-wide store of immutable view fragments.
 
     Replies (:class:`~repro.buffer.holes.Fragments`) are immutable
     records, so entries are shared across sessions as they are; the
     store never hands out anything a caller could mutate.
 
-    ``shards`` picks the number of independent lock domains; 1 is
-    legal (every key collides -- the stress tests use it).
+    One lock guards three tables: the entries keyed by
+    ``(view_id, hole_id)``, the whole views keyed by ``view_id``, and
+    the keys being produced.  An entry is ``(version, fragments)``:
+    the reply record itself, tagged with its source snapshot.  The
+    lock is held for a probe or an update only, never across a source
+    fill or an observer callback.
     """
 
-    def __init__(self, shards: int = 16) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+    def __init__(self) -> None:
         self.stats = FragcacheStats()
-        self._shards: Tuple[_Shard, ...] = tuple(
-            _Shard() for _ in range(shards))
-
-    @property
-    def shards(self) -> int:
-        return len(self._shards)
+        self._lock = make_lock("fragcache.store")
+        self._entries: Dict[FragmentKey, Tuple[object, Fragments]] = {}
+        self._views: Dict[str, Tuple[object, Fragments]] = {}
+        #: keys being produced, each with the event its waiters wait
+        #: on -- None until a second session actually waits
+        self._inflight: Dict[FragmentKey, Optional[threading.Event]] = {}
 
     # -- the demand path ---------------------------------------------------
     def fill_through(self, key: FragmentKey, version: object,
@@ -170,15 +146,14 @@ class FragmentStore:
         (version mismatch) additionally counts one invalidation before
         the miss.  The counters move in one section per call.
         """
-        shard = self._shards[shard_index(key, len(self._shards))]
         hits = misses = invalidations = waits = 0
         try:
             while True:
                 # Observer callbacks are foreign code: they run after
                 # the lock is released (the entry check and the
                 # in-flight registration stay atomic).
-                with shard.lock:
-                    entry = shard.entries.get(key)
+                with self._lock:
+                    entry = self._entries.get(key)
                     if entry is not None and entry[0] == version:
                         hits = 1
                         found = entry[1]
@@ -187,13 +162,13 @@ class FragmentStore:
                             # The source snapshot advanced past this
                             # entry: drop it and fall through to a
                             # producing miss.
-                            del shard.entries[key]
+                            del self._entries[key]
                             invalidations += 1
-                        if key not in shard.inflight:
-                            shard.inflight[key] = None
+                        if key not in self._inflight:
+                            self._inflight[key] = None
                             break
-                        event = shard.inflight[key] or threading.Event()
-                        shard.inflight[key] = event
+                        event = self._inflight[key] or threading.Event()
+                        self._inflight[key] = event
                 if hits:
                     if observer is not None:
                         observer("hit")
@@ -212,10 +187,10 @@ class FragmentStore:
                 fragments = producer()
                 misses = 1
             finally:
-                with shard.lock:
+                with self._lock:
                     if misses:
-                        shard.entries[key] = (version, fragments)
-                    waiter = shard.inflight.pop(key)
+                        self._entries[key] = (version, fragments)
+                    waiter = self._inflight.pop(key)
                 if waiter is not None:
                     waiter.set()
             if observer is not None:
@@ -235,9 +210,8 @@ class FragmentStore:
                    fragments: Fragments) -> None:
         """Record the complete view (one hole-free record) at
         ``version``."""
-        shard = self._shards[shard_index((view_id, None), len(self._shards))]
-        with shard.lock:
-            shard.views[view_id] = (version, fragments)
+        with self._lock:
+            self._views[view_id] = (version, fragments)
         self.stats.bump("view_stores")
 
     def view(self, view_id: str, version: object) -> Optional[Fragments]:
@@ -247,12 +221,11 @@ class FragmentStore:
         invalidation), never returned: adoption through the prefilled
         buffer must be snapshot-exact.
         """
-        shard = self._shards[shard_index((view_id, None), len(self._shards))]
-        with shard.lock:
-            entry = shard.views.get(view_id)
+        with self._lock:
+            entry = self._views.get(view_id)
             stale = entry is not None and entry[0] != version
             if stale:
-                del shard.views[view_id]
+                del self._views[view_id]
         if stale:
             self.stats.bump("invalidations")
         elif entry is not None:
@@ -265,63 +238,50 @@ class FragmentStore:
         """Drop every entry of ``view_id`` whose version is not
         ``current_version`` (the version-epoch invalidation sweep).
         Returns how many entries were dropped."""
-        dropped = 0
-        for shard in self._shards:
-            with shard.lock:
-                stale_keys = [
-                    key for key, entry in shard.entries.items()
-                    if key[0] == view_id
-                    and entry[0] != current_version]
-                for key in stale_keys:
-                    del shard.entries[key]
-                dropped += len(stale_keys)
-                view = shard.views.get(view_id)
-                if view is not None and view[0] != current_version:
-                    del shard.views[view_id]
-                    dropped += 1
+        with self._lock:
+            stale_keys = [key for key, entry in self._entries.items()
+                          if key[0] == view_id
+                          and entry[0] != current_version]
+            for key in stale_keys:
+                del self._entries[key]
+            dropped = len(stale_keys)
+            view = self._views.get(view_id)
+            if view is not None and view[0] != current_version:
+                del self._views[view_id]
+                dropped += 1
         self.stats.bump("invalidations", dropped)
         return dropped
 
     def clear(self) -> None:
         """Drop every entry (counters keep their history)."""
-        for shard in self._shards:
-            with shard.lock:
-                shard.entries.clear()
-                shard.views.clear()
+        with self._lock:
+            self._entries.clear()
+            self._views.clear()
 
     def entry_count(self) -> int:
-        """Live fragment entries across all shards (tests/diagnostics)."""
-        total = 0
-        for shard in self._shards:
-            with shard.lock:
-                total += len(shard.entries)
-        return total
+        """Live fragment entries (tests/diagnostics)."""
+        with self._lock:
+            return len(self._entries)
 
 
 # ----------------------------------------------------------------------
 # The process-wide shared store
 # ----------------------------------------------------------------------
 
-_shared_lock = make_lock("fragcache.store")
-_shared: Optional[FragmentStore] = None
+_shared = FragmentStore()
 
 
 def shared_store() -> FragmentStore:
     """The process-wide store every mediator shares by default, so a
     server daemon's sessions -- and successive in-process mediators --
     reuse each other's fragments."""
-    global _shared
-    with _shared_lock:
-        if _shared is None:
-            _shared = FragmentStore()
-        return _shared
+    return _shared
 
 
 def reset_shared_store() -> None:
-    """Forget the shared store (test isolation)."""
+    """Start a fresh shared store (test isolation)."""
     global _shared
-    with _shared_lock:
-        _shared = None
+    _shared = FragmentStore()
 
 
 # ----------------------------------------------------------------------
@@ -508,7 +468,7 @@ class FragcacheDecision:
     url: str
     cached: bool
     reason: str   # "cacheable" | "no-versioned-snapshots" |
-    #               "side-effecting-source" | "not-browsable"
+    #               "side-effecting-source"
     detail: str
 
     def as_dict(self) -> Dict[str, object]:
@@ -526,11 +486,11 @@ def admissible(url: str, server: object) -> Tuple[bool, str, str]:
        negotiated, like the push capability) -- without a version
        authority, stale fragments could never be invalidated;
     2. it must not declare ``side_effects`` -- replaying a cached
-       fragment would skip whatever the source does per navigation;
-    3. its export must be browsable under Definition 2 -- the same
-       classifier the rewriter and the static analyzer use.  A bare
-       source export is bounded browsable; the check runs the real
-       classifier rather than assuming it.
+       fragment would skip whatever the source does per navigation.
+
+    What is cached is the wrapper's export, a bare ``Source(url)``:
+    bounded browsable under Definition 2 whatever the wrapper (the
+    classifier rates every bare source so), which the detail records.
     """
     version_of = getattr(server, "snapshot_version", None)
     if not callable(version_of):
@@ -541,16 +501,9 @@ def admissible(url: str, server: object) -> Tuple[bool, str, str]:
         return (False, "side-effecting-source",
                 "wrapper declares per-navigation side effects; "
                 "answering from cache would skip them")
-    from ..algebra.operators import Source
-    from ..rewriter.analyzer import classify_plan
-    from ..navigation.complexity import Browsability
-    cls = classify_plan(Source(url, "v"))
-    if cls == Browsability.UNBROWSABLE:
-        return (False, "not-browsable",
-                "export classified %s under Definition 2" % cls)
     return (True, "cacheable",
             "versioned side-effect-free export, Definition 2 "
-            "class %s" % cls)
+            "class bounded browsable")
 
 
 def fragment_cached(

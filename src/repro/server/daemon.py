@@ -60,7 +60,6 @@ from typing import (Any, Callable, ContextManager, Dict, List,
                     Optional, Tuple)
 
 from ..mediator.mix import MIXMediator
-from ..runtime.config import EngineConfig
 from ..runtime.observability import (
     FlightRecorder,
     MetricsRegistry,
@@ -175,10 +174,9 @@ class MediatorServer:
     """
 
     def __init__(self, mediator: MIXMediator,
-                 config: Optional[EngineConfig] = None,
                  clock: Optional[Clock] = None) -> None:
         self.mediator = mediator
-        self.config = config if config is not None else mediator.config
+        self.config = mediator.config
         self.clock: Clock = clock if clock is not None else SYSTEM_CLOCK
         self.stats = ServerStats()
         self.tracer = mediator.tracer
@@ -565,7 +563,6 @@ class MediatorServer:
         store = shared_store()
         stats: Dict[str, Any] = dict(store.stats.snapshot())
         stats["entries"] = store.entry_count()
-        stats["shards"] = store.shards
         return stats
 
     def status(self, include_prometheus: bool = False

@@ -83,7 +83,6 @@ def buffered(server: LXPServer, prefetch: int = 0, batch: bool = False,
 def source_stack(server: Any, name: str,
                  context: "ExecutionContext",
                  clock: Optional[Clock] = None,
-                 prefetch: Optional[int] = None,
                  channel: bool = False,
                  ) -> Tuple[BufferComponent,
                             Optional["FragcacheDecision"]]:
@@ -111,8 +110,6 @@ def source_stack(server: Any, name: str,
     also assigned to ``server.name``, the buffer as the next
     ``client-buffer#N``.  A channel has no version authority, so the
     fragment cache never applies.
-
-    ``prefetch`` overrides the config's buffer lookahead.
     """
     config = context.config
     tracer = context.tracer
@@ -137,8 +134,7 @@ def source_stack(server: Any, name: str,
                                            name=name)
     else:
         buffer = buffered(
-            transport,
-            config.prefetch if prefetch is None else prefetch,
+            transport, config.prefetch,
             batch=config.batch_navigations,
             tracer=tracer, name=name)
     context.register("buffer", "client-buffer#" if channel else name,

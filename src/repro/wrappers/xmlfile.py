@@ -38,11 +38,9 @@ class XMLFileWrapper(TreeLXPServer):
 
     def __init__(self, source_name: str,
                  document: Union[str, Tree],
-                 chunk_size: int = 10, depth: int = 1000000,
-                 keep_attributes: bool = True):
+                 chunk_size: int = 10, depth: int = 1000000):
         if isinstance(document, str):
-            document = parse_xml(document,
-                                 keep_attributes=keep_attributes)
+            document = parse_xml(document)
         super().__init__(document_node(source_name, document),
                          chunk_size=chunk_size, depth=depth)
         self.source_name = source_name

@@ -11,7 +11,7 @@ from .errors import (
     XMLParseError,
     XTreeError,
 )
-from .parse import ATTRIBUTE_PREFIX, parse_fragment, parse_xml
+from .parse import ATTRIBUTE_PREFIX, parse_xml
 from .path import (
     Alt,
     Label,
@@ -30,18 +30,14 @@ from .serialize import escape_attribute, escape_text, to_xml
 from .tree import (
     Tree,
     elem,
-    labels_on_path,
     leaf,
     preorder,
-    tree_depth,
-    tree_from_obj,
     tree_size,
 )
 
 __all__ = [
-    "Tree", "elem", "leaf", "tree_from_obj", "tree_size", "tree_depth",
-    "preorder", "labels_on_path",
-    "parse_xml", "parse_fragment", "ATTRIBUTE_PREFIX",
+    "Tree", "elem", "leaf", "tree_size", "preorder",
+    "parse_xml", "ATTRIBUTE_PREFIX",
     "to_xml", "escape_text", "escape_attribute",
     "PathExpr", "Label", "Wildcard", "Seq", "Alt", "Star", "Plus", "Opt",
     "parse_path", "compile_path", "PathNFA", "naive_match",

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 from .errors import XMLParseError
 from .tree import Tree
 
-__all__ = ["parse_xml", "parse_fragment", "ATTRIBUTE_PREFIX"]
+__all__ = ["parse_xml", "ATTRIBUTE_PREFIX"]
 
 #: Children produced from XML attributes carry this label prefix.
 ATTRIBUTE_PREFIX = "@"
@@ -276,31 +276,3 @@ def parse_xml(text: str, keep_whitespace: bool = False,
         are discarded, matching the paper's formal model.
     """
     return _Parser(text, keep_whitespace, keep_attributes).parse_document()
-
-
-def parse_fragment(text: str, keep_whitespace: bool = False,
-                   keep_attributes: bool = True) -> List[Tree]:
-    """Parse a sequence of sibling elements (an XML fragment).
-
-    Used by the LXP machinery, whose ``fill`` answers are lists of
-    trees rather than complete documents.
-    """
-    parser = _Parser(text, keep_whitespace, keep_attributes)
-    trees: List[Tree] = []
-    while True:
-        parser._skip_misc()
-        if parser.scan.eof():
-            return trees
-        if parser.scan.peek() == "<":
-            trees.append(parser.parse_element())
-        else:
-            start = parser.scan.pos
-            end = parser.scan.text.find("<", start)
-            if end < 0:
-                end = parser.scan.length
-            raw = parser.scan.text[start:end]
-            parser.scan.pos = end
-            content = _decode_entities(raw, start)
-            if keep_whitespace or content.strip():
-                trees.append(Tree(content if keep_whitespace
-                                  else content.strip()))

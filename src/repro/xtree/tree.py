@@ -32,11 +32,8 @@ __all__ = [
     "Tree",
     "leaf",
     "elem",
-    "tree_from_obj",
     "tree_size",
-    "tree_depth",
     "preorder",
-    "labels_on_path",
 ]
 
 #: Anything accepted where a child tree is expected: an existing Tree, a
@@ -191,16 +188,6 @@ class Tree:
         """A structurally equal tree sharing no nodes with this one."""
         return Tree(self._label, [c.deep_copy() for c in self._children])
 
-    def to_obj(self):
-        """Convert to a nested ``(label, [children])`` representation.
-
-        Leaves become bare strings; inner nodes become 2-tuples.  The
-        inverse is :func:`tree_from_obj`.  Handy for terse test fixtures.
-        """
-        if self.is_leaf:
-            return self._label
-        return (self._label, [c.to_obj() for c in self._children])
-
     def __repr__(self) -> str:
         return "Tree(%s)" % self.sexpr(max_depth=3)
 
@@ -241,19 +228,6 @@ def elem(label: str, *children: ChildLike) -> Tree:
     return Tree(label, children)
 
 
-def tree_from_obj(obj) -> Tree:
-    """Inverse of :meth:`Tree.to_obj`.
-
-    Accepts a bare string (leaf) or a ``(label, [children])`` pair.
-    """
-    if isinstance(obj, (str, int, float)):
-        return leaf(obj)
-    if isinstance(obj, Tree):
-        return obj
-    label, children = obj
-    return Tree(label, [tree_from_obj(c) for c in children])
-
-
 # ----------------------------------------------------------------------
 # Whole-tree measures and traversals
 # ----------------------------------------------------------------------
@@ -269,19 +243,6 @@ def tree_size(t: Tree) -> int:
     return count
 
 
-def tree_depth(t: Tree) -> int:
-    """Height of ``t``: 1 for a single leaf."""
-    depth = 0
-    frontier = [t]
-    while frontier:
-        depth += 1
-        nxt: List[Tree] = []
-        for node in frontier:
-            nxt.extend(node.children)
-        frontier = nxt
-    return depth
-
-
 def preorder(t: Tree) -> Iterator[Tree]:
     """Document-order (preorder) traversal, including ``t`` itself."""
     stack = [t]
@@ -289,18 +250,3 @@ def preorder(t: Tree) -> Iterator[Tree]:
         node = stack.pop()
         yield node
         stack.extend(reversed(node.children))
-
-
-def labels_on_path(t: Tree, indexes: Iterable[int]) -> List[str]:
-    """Labels along the child-index path ``indexes`` starting below ``t``.
-
-    ``labels_on_path(home_tree, [1, 0])`` returns, e.g.,
-    ``["zip", "91220"]`` -- the label sequence matched against a
-    regular path expression by ``getDescendants``.
-    """
-    labels: List[str] = []
-    node = t
-    for i in indexes:
-        node = node.child(i)
-        labels.append(node.label)
-    return labels

@@ -135,13 +135,26 @@ def entries(fragments: Fragments) -> tuple:
                  len(fragments.labels))
 
 
-def long_where_clause(count: int) -> str:
-    """A flat query over ``homesSrc`` whose WHERE clause holds
-    ``count`` conditions: the homes, then one address per condition."""
-    return ("CONSTRUCT <r> $H {$H} </r> {} "
-            "WHERE homesSrc homes.home $H"
+def long_where_clause(count: int, source: str = "homesSrc",
+                      path: str = "homes.home", root: str = "r") -> str:
+    """A flat query over ``source`` whose WHERE clause holds ``count``
+    conditions: the homes at ``path``, then one address per
+    condition; its answer is a ``root`` element over those homes."""
+    return ("CONSTRUCT <%s> $H {$H} </%s> {} WHERE %s %s $H"
+            % (root, root, source, path)
             + "".join(" AND $H addr._ $A%d" % index
                       for index in range(count - 1)))
+
+
+def stacked_views(mediator, count: int) -> str:
+    """Register two text views of ``count`` conditions each over
+    ``homesSrc``, the second over the first, and return a query of
+    ``count`` conditions over the second: view inlining composes a
+    plan of ``3 * count`` conditions."""
+    mediator.register_view("v1", long_where_clause(count, root="homes"))
+    mediator.register_view(
+        "v2", long_where_clause(count, "v1", "home", "homes"))
+    return long_where_clause(count, "v2", "home")
 
 
 def homes_source() -> Tree:

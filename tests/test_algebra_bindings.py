@@ -8,6 +8,7 @@ from repro.algebra import (
     And,
     Binding,
     BindingList,
+    LIST_LABEL,
     Comparison,
     Const,
     Not,
@@ -15,8 +16,6 @@ from repro.algebra import (
     TruePredicate,
     Var,
     compare_values,
-    is_list_value,
-    list_items,
     make_list_value,
     value_key,
     value_text,
@@ -94,12 +93,8 @@ class TestListValues:
     def test_make_and_inspect(self):
         items = (elem("s", "1"), elem("s", "2"))
         value = make_list_value(items)
-        assert is_list_value(value)
-        assert list_items(value) == items
-
-    def test_non_list_is_singleton_of_itself(self):
-        value = elem("home")
-        assert list_items(value) == (value,)
+        assert value.label == LIST_LABEL
+        assert value.children == items
 
     def test_value_key_structural(self):
         assert value_key(elem("a", "1")) == value_key(elem("a", "1"))

@@ -8,7 +8,6 @@ from repro.bench import (
     allbooks_plan,
     book_catalog,
     browse_first_k,
-    depth_first_prefix,
     format_table,
     homes_and_schools,
     two_bookstores,
@@ -16,7 +15,6 @@ from repro.bench import (
 from repro.client import open_virtual_document
 from repro.mediator import MIXMediator
 from repro.navigation import MaterializedDocument
-from repro.xtree import tree_size
 
 
 class TestHomesAndSchools:
@@ -97,13 +95,6 @@ class TestMeasureUtilities:
         browse_first_k(self._root(4), 2,
                        per_result=lambda b: seen.append(b.tag))
         assert seen == ["book", "book"]
-
-    def test_depth_first_prefix(self):
-        from repro.xtree import Tree, elem
-        tree = Tree("r", [elem("a", "1"), elem("b", "2")])
-        doc = MaterializedDocument(tree)
-        assert depth_first_prefix(doc, 3) == 3
-        assert depth_first_prefix(doc, 100) == tree_size(tree)
 
     def test_timer(self):
         with Timer() as timer:

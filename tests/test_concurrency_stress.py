@@ -295,14 +295,14 @@ class _KeyCountingLXPServer:
 class TestFragmentStoreStress:
     def _make_store(self):
         from repro.runtime.fragcache import FragmentStore
-        # one shard: every key collides, maximal lock contention and
-        # a worst case for the single-flight table
-        return FragmentStore(shards=1)
+        # one lock domain: every key contends, a worst case for the
+        # single-flight table
+        return FragmentStore()
 
     def test_colliding_sessions_no_deadlock_no_duplicate_fills(self):
-        """N sessions drain the same view through one single-shard
-        store: all terminate, answers agree, and no region is ever
-        filled at the source twice (single-flight)."""
+        """N sessions drain the same view through one shared store:
+        all terminate, answers agree, and no region is ever filled at
+        the source twice (single-flight)."""
         from repro.runtime.fragcache import fragment_cached
 
         counting = _KeyCountingLXPServer(
@@ -347,7 +347,7 @@ class TestFragmentStoreStress:
         from repro.errors import TransientSourceError
         from repro.runtime.fragcache import FragmentStore
 
-        store = FragmentStore(shards=1)
+        store = FragmentStore()
         # ``producing`` is set from *inside* session 0's producer, so
         # by the time any waiter demands the key, session 0 is the
         # registered in-flight producer -- deterministic ordering.
@@ -403,7 +403,7 @@ class TestFragmentStoreStress:
                                    [Tree("a%d.%d" % (version, i))])])
                 for i in range(8)])
 
-        store = FragmentStore(shards=1)
+        store = FragmentStore()
         churn = VersionedLXPServer([snapshot(0), snapshot(1)],
                                    chunk_size=2)
         advanced = threading.Event()
@@ -460,7 +460,7 @@ class TestFragmentStoreStress:
         from repro.buffer import Fragments
         from repro.runtime.fragcache import FragmentStore
 
-        store = FragmentStore(shards=1)
+        store = FragmentStore()
         key = ("v", "k")
         if outcome == "invalidate":
             # a stale entry for the raising demand to drop

@@ -14,7 +14,6 @@ from repro.client import XMLElement
 from repro.errors import (
     PermanentSourceError,
     TransientSourceError,
-    classify_failure,
     is_transient,
 )
 from repro.mediator import MediatorError, MIXMediator
@@ -239,11 +238,9 @@ class TestErrorTaxonomy:
     def test_transient_subclasses_source_error(self):
         assert issubclass(TransientSourceError, Exception)
         assert is_transient(TransientSourceError("x"))
-        assert classify_failure(TransientSourceError("x")) == "transient"
 
     def test_permanent_not_transient(self):
         assert not is_transient(PermanentSourceError("x"))
-        assert classify_failure(PermanentSourceError("x")) == "permanent"
 
     def test_builtin_network_errors_are_transient(self):
         assert is_transient(ConnectionError("reset"))
@@ -251,7 +248,7 @@ class TestErrorTaxonomy:
 
     def test_other_errors_are_permanent(self):
         assert not is_transient(ValueError("nope"))
-        assert classify_failure(RuntimeError("boom")) == "permanent"
+        assert not is_transient(RuntimeError("boom"))
 
     def test_substrate_errors_classify_permanent(self):
         from repro.oodb import OODBError

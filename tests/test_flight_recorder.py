@@ -299,6 +299,37 @@ class TestStatusVerb:
         finally:
             server.drain()
 
+    def test_status_fragcache_section_is_the_store_counters(self):
+        """With the fragment cache on, the section is the shared
+        store's ``FragcacheStats`` fields plus its live entry count."""
+        import dataclasses
+
+        from repro.bench import homes_and_schools
+        from repro.runtime.fragcache import (FragcacheStats,
+                                             reset_shared_store)
+        from repro.wrappers import XMLFileWrapper
+
+        reset_shared_store()
+        server, host, port = make_server(n_homes=3, fragment_cache=True)
+        try:
+            homes = homes_and_schools(4)["homesSrc"].children[0]
+            server.mediator.register_wrapper(
+                "homesXml", XMLFileWrapper("homesXml", homes, chunk_size=2))
+            with connect(host, port,
+                         "CONSTRUCT <r> $H {$H} </r> {} "
+                         "WHERE homesXml homes.home $H") as session:
+                assert len(session.root.to_tree().children) == 4
+            section = fetch_status(host, port)["fragcache"]
+            assert sorted(section) == sorted(
+                [field.name for field in dataclasses.fields(FragcacheStats)]
+                + ["entries"])
+            assert section["hits"] == 0
+            assert section["misses"] == section["stores"] \
+                == section["entries"] > 0
+        finally:
+            server.drain()
+            reset_shared_store()
+
     def test_status_reports_budget_and_trace(self):
         from repro.runtime.config import EngineConfig
         from repro.runtime.context import ExecutionContext, Tracer

@@ -39,6 +39,7 @@ from repro.navigation import materialize
 from repro.runtime import EngineConfig, ExecutionContext, Tracer
 from repro.runtime.fragcache import (
     FragmentStore,
+    admissible,
     fragment_cached,
     reset_shared_store,
     shared_store,
@@ -130,6 +131,17 @@ class TestColdWarmEquivalence:
         assert "fragment cache:" in text
         assert "cached homesSrc" in text
 
+    def test_admitted_detail_is_the_classifiers_verdict(self):
+        # What is cached is a wrapper's export, a bare source: the
+        # decision states the class the classifier gives one.
+        from repro.algebra.operators import Source
+        from repro.rewriter.analyzer import classify_plan
+        ok, reason, detail = admissible(
+            "src", XMLFileWrapper("src", HOMES_XML))
+        assert (ok, reason) == (True, "cacheable")
+        assert detail.endswith(
+            "Definition 2 class %s" % classify_plan(Source("src", "v")))
+
     def test_store_is_shared_across_mediators(self):
         med_a = _homes_mediator(True)
         med_b = _homes_mediator(True)
@@ -152,7 +164,7 @@ class TestSubtreeGraft:
         return wrapper, server, whole
 
     def test_partial_cold_then_warm_hits(self):
-        store = FragmentStore(shards=4)
+        store = FragmentStore()
         wrapper, cold, whole = self._cached_server(store)
         assert whole is None
         root = cold.get_root()
@@ -189,7 +201,7 @@ class TestSubtreeGraft:
                 frontier.extend(reply_holes(reply))
             return replies
 
-        store = FragmentStore(shards=4)
+        store = FragmentStore()
         wrapper_a, cold, _ = self._cached_server(store)
         cold_replies = drain(cold)
         wrapper_b, warm, _ = self._cached_server(store)
@@ -207,7 +219,7 @@ class TestSubtreeGraft:
 
 class TestAccountingInvariant:
     def test_structural_invariant_at_the_store(self):
-        store = FragmentStore(shards=2)
+        store = FragmentStore()
         demands = 0
         for round_ in range(3):
             for key in ("k1", "k2", "k3"):
@@ -219,7 +231,7 @@ class TestAccountingInvariant:
         assert counters["misses"] == 3
 
     def test_failed_demands_count_neither(self):
-        store = FragmentStore(shards=1)
+        store = FragmentStore()
 
         def boom():
             raise RuntimeError("source down")
@@ -276,7 +288,7 @@ def _materialized_plain(plan, tree):
 def test_random_plans_cache_is_observationally_silent(tree, plan):
     oracle = evaluate_bindings(plan, {"src": tree}).to_tree()
     off = _materialized_plain(plan, tree)
-    store = FragmentStore(shards=4)
+    store = FragmentStore()
     cold = _materialized_cached(plan, tree, store)
     warm = _materialized_cached(plan, tree, store)
     assert off == oracle

@@ -112,7 +112,7 @@ class TestChurn:
         assert store.stats.snapshot()["view_adoptions"] == 0
 
     def test_counters_tick_exactly_for_dropped_entries(self):
-        store = FragmentStore(shards=2)
+        store = FragmentStore()
         for key in ("k1", "k2", "k3"):
             store.fill_through(("vs", key), 0, lambda: [])
         assert store.entry_count() == 3
@@ -122,7 +122,7 @@ class TestChurn:
         assert store.stats.snapshot()["invalidations"] == 3
 
     def test_sweep_spares_other_views(self):
-        store = FragmentStore(shards=2)
+        store = FragmentStore()
         store.fill_through(("vs", "k"), 0, lambda: [])
         store.fill_through(("other", "k"), 0, lambda: [])
         assert store.sweep("vs", 1) == 1
@@ -158,7 +158,7 @@ class TestEpochStraddle:
         for advance_at in (1, 2, 3):
             cached_churn = VersionedLXPServer(
                 [_snapshot(0), _snapshot(1)], chunk_size=2)
-            store = FragmentStore(shards=4)
+            store = FragmentStore()
             cached, _, decision = fragment_cached(
                 "vs", cached_churn, store=store)
             assert decision.cached
@@ -174,7 +174,7 @@ class TestEpochStraddle:
     def test_straddle_then_warm_serves_only_new_epoch(self):
         churn = VersionedLXPServer([_snapshot(0), _snapshot(1)],
                                    chunk_size=2)
-        store = FragmentStore(shards=4)
+        store = FragmentStore()
         cached, _, _ = fragment_cached("vs", churn, store=store)
         self._drain_with_advance_after(cached, 2, churn)
         # everything left in the store is tagged with epoch 1: a

@@ -27,6 +27,8 @@ from hypothesis.stateful import (
 from repro.buffer import Fragments
 from repro.runtime.fragcache import FragmentStore
 
+from .test_differential_walks import WALKS
+
 VIEWS = st.sampled_from(["v", "w"])
 HOLES = st.sampled_from(["h1", "h2", "h3"])
 VERSIONS = st.integers(min_value=0, max_value=2)
@@ -34,6 +36,11 @@ VERSIONS = st.integers(min_value=0, max_value=2)
 #: sessions in the threaded rule, and their bound on any wait
 SESSIONS = 4
 TIMEOUT_S = 30.0
+
+#: 60 runs at the default walk volume (``DIFF_WALKS`` 25), scaled
+#: with it like the differential walks: CI's stress job drives the
+#: single-lock store's threaded single-flight rule 480 times
+EXAMPLES = 60 * WALKS // 25
 
 
 def _record(*parts):
@@ -44,7 +51,7 @@ def _record(*parts):
 class FragmentStoreModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.store = FragmentStore(shards=2)
+        self.store = FragmentStore()
         #: (view, hole) -> (version, record): the entries
         self.entries = {}
         #: view -> (version, record): the whole views
@@ -201,5 +208,5 @@ class FragmentStoreModel(RuleBasedStateMachine):
 def test_fragment_store_state_machine():
     run_state_machine_as_test(
         FragmentStoreModel,
-        settings=settings(max_examples=60, stateful_step_count=30,
+        settings=settings(max_examples=EXAMPLES, stateful_step_count=30,
                           deadline=None))

@@ -519,13 +519,14 @@ class TestRuntimeSanitizer:
 class TestFoundBugRegressions:
     def test_fragcache_observer_runs_outside_the_shard_lock(
             self, sanitizer):
-        """fill_through used to invoke the observer while holding
-        ``fragcache.shard``; a reentrant observer would deadlock."""
+        """fill_through used to invoke the observer while holding the
+        store lock (``fragcache.store``, one lock per shard when the
+        store was sharded); a reentrant observer would deadlock."""
         from repro.buffer.holes import fragment_of_tree
         from repro.runtime.fragcache import FragmentStore
         from repro.xtree import elem
 
-        store = FragmentStore(shards=2)
+        store = FragmentStore()
         held_during_observer = []
 
         def observer(outcome):
@@ -740,12 +741,12 @@ class TestCliScoping:
 
         good = tmp_path / "good.jsonl"
         good.write_text(
-            '{"edges": [["buffer.component", "fragcache.shard"]]}\n')
+            '{"edges": [["buffer.component", "fragcache.store"]]}\n')
         assert main(["--lock-graph", str(graph_path),
                      "--assert-contains", str(good)]) == 0
 
         bad = tmp_path / "bad.jsonl"
         bad.write_text(
-            '{"edges": [["fragcache.shard", "buffer.component"]]}\n')
+            '{"edges": [["fragcache.store", "buffer.component"]]}\n')
         assert main(["--lock-graph", str(graph_path),
                      "--assert-contains", str(bad)]) != 0

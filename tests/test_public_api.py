@@ -58,7 +58,7 @@ def test_core_facade_matches_primary_contribution():
 def test_unified_error_hierarchy():
     """Every expected-failure exception derives from ReproError."""
     from repro import ReproError
-    from repro.algebra import PlanError, SerializationError
+    from repro.algebra import PlanError
     from repro.buffer import LXPProtocolError
     from repro.client import BBQError  # noqa: F401  (re-export check)
     from repro.client.bbq import BBQError as BBQError2
@@ -70,7 +70,7 @@ def test_unified_error_hierarchy():
     from repro.xmas import XMASSyntaxError, XMASTranslationError
     from repro.xtree import XMLParseError, PathSyntaxError
 
-    for exc in (PlanError, SerializationError, LXPProtocolError,
+    for exc in (PlanError, LXPProtocolError,
                 BBQError2, LazyError, MediatorError, OODBError,
                 SchemaError, SQLError, WebError, XMASSyntaxError,
                 XMASTranslationError, XMLParseError, PathSyntaxError):

@@ -47,7 +47,7 @@ from repro.testing.transport import (
 )
 from repro.testing.transport import _decode  # test-only convenience
 
-from .fixtures import long_where_clause, thread_ledger
+from .fixtures import long_where_clause, stacked_views, thread_ledger
 
 QUERY = """
 CONSTRUCT <result> <home> $A {$A} </home> {$H} </result> {}
@@ -183,6 +183,28 @@ class TestLifecycle:
                 connect(host, port, long_where_clause(400))
             assert excinfo.value.code == "mix:query"
             assert "XMASSyntaxError" in str(excinfo.value)
+            counts = server.stats.snapshot()
+            assert counts["query_rejects"] == 1
+            assert counts["internal_kills"] == 0
+            assert not list(tmp_path.iterdir())
+        finally:
+            server.drain()
+
+    def test_query_composed_past_the_condition_limit_is_a_query_error(
+            self, tmp_path):
+        """Three stacked 100-condition texts used to open a session
+        whose first navigation overflowed the stack under
+        ``observe_operators``: an internal kill with an incident
+        dump."""
+        server, host, port = make_server(
+            observe_operators=True, serve_incident_dir=str(tmp_path))
+        try:
+            query = stacked_views(server.mediator, 100)
+            with pytest.raises(ServerReplyError) as excinfo:
+                with connect(host, port, query) as session:
+                    session.root.first_child()
+            assert excinfo.value.code == "mix:query"
+            assert "MediatorError" in str(excinfo.value)
             counts = server.stats.snapshot()
             assert counts["query_rejects"] == 1
             assert counts["internal_kills"] == 0

@@ -21,7 +21,11 @@ from pathlib import Path
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 SHELL_PACKAGES = ("runtime", "buffer", "server", "client")
 
-#: measured when the buffer's look-ahead pool was deleted
+#: measured when the fragment store became one lock domain (its
+#: shards and the shared store's own lock deleted: runtime 1856 ->
+#: 1818) and ``MediatorServer`` lost its ``config`` parameter (server
+#: 1144 -> 1141).
+#: Before: 3935, measured when the buffer's look-ahead pool was deleted
 #: (``runtime/parallel.py``, the buffer's in-flight futures and
 #: ``close()``, ``Tracer.capture``/``attach``, the config field, and
 #: ``RemoteSession.buffer``, kept only to close it): buffer 612 -> 574,
@@ -39,9 +43,14 @@ SHELL_PACKAGES = ("runtime", "buffer", "server", "client")
 #: Before: 4050, when the cache registry stopped holding the caches
 #: and a mediator's contexts began sharing serial names (before that:
 #: 4051, after the query caches lost their lock)
-SHELL_CODE_LINES = 3935
+SHELL_CODE_LINES = 3894
 
-#: all of ``src/repro``, measured when the buffer's look-ahead pool
+#: all of ``src/repro``, measured when the census of exported names
+#: and parameters deleted plan JSON (``algebra/`` 1079 -> 884), ten
+#: helpers nothing but their tests called, the store's shards and nine
+#: parameters every caller left at one value, and the mediator began
+#: bounding the plan view inlining composes (``mediator/`` +6).
+#: Before: 13495, measured when the buffer's look-ahead pool
 #: was deleted (the shell -104 code lines, ``cli.py`` -5,
 #: ``wrappers/`` -2, the sanitizer's ``Future.result`` patch -6) and
 #: the XMAS parser began bounding a WHERE clause's conditions
@@ -70,7 +79,7 @@ SHELL_CODE_LINES = 3935
 #: query began counting its own source navigations, raised on purpose
 #: from 13635, the count after operator fan-out, the URI registries
 #: and the lock-creation census were deleted (before that: 13816)
-PACKAGE_CODE_LINES = 13495
+PACKAGE_CODE_LINES = 13168
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

@@ -38,7 +38,6 @@ from repro.analysis import (
     analyze_plan,
     analyze_query,
     cardinality_degree,
-    node_at,
     scan_examples,
     static_truth,
     walk_with_paths,
@@ -171,6 +170,15 @@ class TestFindingsModel:
 # ----------------------------------------------------------------------
 # Plan walking
 # ----------------------------------------------------------------------
+
+def node_at(plan, path):
+    """Resolve a child-index path back to its node."""
+    node = plan
+    if path:
+        for part in path.split("."):
+            node = node.inputs[int(part)]
+    return node
+
 
 class TestWalk:
     def test_paths_roundtrip(self):

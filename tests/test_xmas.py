@@ -27,13 +27,13 @@ from repro.xmas import (
     parse_xmas,
     translate,
 )
-from repro import EngineConfig, MIXMediator
+from repro import EngineConfig, MediatorError, MIXMediator
 from repro.navigation import MaterializedDocument
 from repro.xtree import Tree, elem, to_xml
 from repro.xtree.path import MAX_CONDITIONS, MAX_NESTING
 
 from .fixtures import expected_fig4_answer, fig4_sources, \
-    long_where_clause
+    long_where_clause, stacked_views
 
 FIG3_QUERY = """
 CONSTRUCT <answer>
@@ -184,6 +184,35 @@ class TestConditionLimit:
         root = mediator.prepare(
             long_where_clause(MAX_CONDITIONS)).root
         assert root.first_child().tag == "home"
+
+    def _observed_mediator(self):
+        mediator = MIXMediator(EngineConfig(observe_operators=True))
+        for name, tree in fig4_sources().items():
+            mediator.register_source(name, MaterializedDocument(tree))
+        return mediator
+
+    def test_a_composed_plan_past_the_limit_is_a_mediator_error(self):
+        """Views inlined into a query join their conditions: 100 per
+        text, three texts deep, used to prepare and then raise
+        RecursionError at the first navigation."""
+        mediator = self._observed_mediator()
+        query = stacked_views(mediator, 100)
+        with pytest.raises(MediatorError,
+                           match="holds 300 conditions, more than %d"
+                           % MAX_CONDITIONS):
+            mediator.prepare(query)
+
+    def test_a_composed_plan_at_the_limit_reaches_its_first_result(self):
+        mediator = self._observed_mediator()
+        query = stacked_views(mediator, MAX_CONDITIONS // 3)
+        root = mediator.prepare(query).root
+        assert root.first_child().tag == "home"
+        # one condition more than the limit, on the query's own text
+        extra = MAX_CONDITIONS + 1 - 3 * (MAX_CONDITIONS // 3)
+        with pytest.raises(MediatorError, match="holds %d conditions"
+                           % (MAX_CONDITIONS + 1)):
+            mediator.prepare(query + "".join(
+                " AND $H addr._ $B%d" % index for index in range(extra)))
 
 
 class TestTranslation:

@@ -5,7 +5,6 @@ import pytest
 from repro.xtree import (
     XMLParseError,
     elem,
-    parse_fragment,
     parse_xml,
     to_xml,
 )
@@ -146,16 +145,3 @@ class TestSerialization:
         pretty = to_xml(doc, pretty=True)
         assert "\n  <a>" in pretty
         assert parse_xml(pretty) == doc
-
-
-class TestFragments:
-    def test_fragment_list(self):
-        trees = parse_fragment("<a/><b>1</b>text")
-        assert [t.sexpr() for t in trees] == ["a", "b[1]", "text"]
-
-    def test_empty_fragment(self):
-        assert parse_fragment("   ") == []
-
-    def test_fragment_with_comments(self):
-        trees = parse_fragment("<!-- c --><a/><!-- d -->")
-        assert [t.label for t in trees] == ["a"]

@@ -6,11 +6,8 @@ from repro.xtree import (
     Tree,
     TreeConstructionError,
     elem,
-    labels_on_path,
     leaf,
     preorder,
-    tree_depth,
-    tree_from_obj,
     tree_size,
 )
 
@@ -117,27 +114,12 @@ class TestMeasuresAndTraversal:
         assert tree_size(leaf("x")) == 1
         assert tree_size(elem("a", "x", elem("b", "y"))) == 4
 
-    def test_tree_depth(self):
-        assert tree_depth(leaf("x")) == 1
-        assert tree_depth(elem("a", elem("b", elem("c", "d")))) == 4
-
     def test_preorder_is_document_order(self):
         t = elem("a", elem("b", "1"), elem("c", "2"))
         assert [n.label for n in preorder(t)] == ["a", "b", "1", "c", "2"]
 
-    def test_labels_on_path(self):
-        home = elem("home", elem("addr", "La Jolla"), elem("zip", "91220"))
-        assert labels_on_path(home, [1, 0]) == ["zip", "91220"]
-
 
 class TestConversion:
-    def test_to_obj_round_trip(self):
-        t = elem("a", elem("b", "1"), "2")
-        assert tree_from_obj(t.to_obj()) == t
-
-    def test_obj_of_leaf_is_string(self):
-        assert leaf("x").to_obj() == "x"
-
     def test_deep_copy_is_equal_but_disjoint(self):
         t = elem("a", elem("b", "1"))
         copy = t.deep_copy()
