@@ -1,24 +1,25 @@
 """E14 -- observability overhead: off vs record vs full export.
 
-The observability layer (PR 4) threads span and metrics hooks through
-every seam of the tower -- client, lazy operators, buffer, channel,
-source meters.  Its contract is *pay-for-use*: with no subscribers,
-no recording, and metrics disabled (all defaults), every hook
-short-circuits on one attribute check, so the engine must navigate
-byte-identically to the un-instrumented build and run within noise of
-itself.
+The observability layer threads span hooks through every seam of the
+tower -- client, lazy operators, buffer, channel, source meters.  Its
+contract is *pay-for-use*: with no subscribers and no recording (the
+defaults), every hook short-circuits on one attribute check, so the
+engine must navigate byte-identically to the un-instrumented build
+and run within noise of itself.  Metric series cost nothing while the
+query runs: they are read from the counters the layers keep anyway,
+when scraped.
 
 E14 measures the E13 remote forward-scan workload in three modes:
 
-* **off** -- defaults: idle tracer, metrics disabled, operators
-  unwrapped.  Run twice (interleaved) so the off/off ratio exposes
+* **off** -- defaults: idle tracer, operators unwrapped.  Run twice (interleaved) so the off/off ratio exposes
   the measurement noise floor; the acceptance band below is set from
   that floor.
-* **record** -- recording tracer + fake clock, ``metrics_enabled``,
-  ``observe_operators``: every span/event is built and kept.
+* **record** -- recording tracer + fake clock, ``observe_operators``:
+  every span/event is built and kept.
 * **export** -- record, plus dumping the trace as JSONL *and* Chrome
-  ``trace_event`` and the metrics as Prometheus text (to in-memory
-  sinks, so disk speed is not part of the measurement).
+  ``trace_event`` and scraping the query's metric series as
+  Prometheus text (to in-memory sinks, so disk speed is not part of
+  the measurement).
 
 Asserted invariants: the navigation behavior (channel commands,
 round trips, per-source navigation counts, answer) is identical in
@@ -38,7 +39,6 @@ from repro.runtime import (
     Tracer,
     export_chrome_trace,
     export_jsonl,
-    export_prometheus,
 )
 from repro.testing import FakeClock
 
@@ -56,7 +56,7 @@ def _scan(config, tracer=None):
     result = med.prepare(HOMES_SCHOOLS_QUERY)
     root, stats = result.connect_remote(chunk_size=CHUNK, depth=DEPTH)
     answer = root.to_tree()
-    return med, answer, stats
+    return med, result, answer, stats
 
 
 def _timed(fn):
@@ -71,7 +71,7 @@ def _timed(fn):
     return samples[len(samples) // 2]
 
 
-def _fingerprint(med, answer, stats):
+def _fingerprint(med, _result, answer, stats):
     return {
         "commands": stats.commands,
         "round_trips": stats.messages,
@@ -87,26 +87,22 @@ def test_observability_overhead(write_result):
     fingerprints = {}
 
     def run_off():
-        med, answer, stats = _scan(EngineConfig())
-        fingerprints["off"] = _fingerprint(med, answer, stats)
+        fingerprints["off"] = _fingerprint(*_scan(EngineConfig()))
 
     def run_record():
         tracer = Tracer(record=True, clock=FakeClock())
-        med, answer, stats = _scan(
-            EngineConfig(observe_operators=True, metrics_enabled=True),
-            tracer=tracer)
-        fingerprints["record"] = _fingerprint(med, answer, stats)
+        fingerprints["record"] = _fingerprint(*_scan(
+            EngineConfig(observe_operators=True), tracer=tracer))
         fingerprints["record"]["events"] = len(tracer.events)
 
     def run_export():
         tracer = Tracer(record=True, clock=FakeClock())
-        med, answer, stats = _scan(
-            EngineConfig(observe_operators=True, metrics_enabled=True),
-            tracer=tracer)
+        scan = _scan(EngineConfig(observe_operators=True),
+                     tracer=tracer)
         export_jsonl(tracer.events, io.StringIO())
         export_chrome_trace(tracer.events, io.StringIO())
-        export_prometheus(med.runtime.metrics, io.StringIO())
-        fingerprints["export"] = _fingerprint(med, answer, stats)
+        io.StringIO().write(scan[1].context.metrics_prometheus())
+        fingerprints["export"] = _fingerprint(*scan)
 
     # Interleave-ish: warm everything once, then time each mode.
     run_off(), run_record(), run_export()

@@ -9,7 +9,7 @@ same one-attribute check per hook as the off path.
 
 E18 measures the E13 remote forward-scan workload in three modes:
 
-* **off** -- defaults: idle tracer, no trace id, metrics disabled.
+* **off** -- defaults: idle tracer, no trace id.
 * **sampled** -- a recording tracer armed with a fresh trace id per
   scan and ``trace_sample_rate=0.01``: the honest hash verdict
   decides per scan whether anything records (at 1% nearly all scans

@@ -30,7 +30,7 @@ __all__ = [
     "Operator", "Source", "Constant", "GetDescendants", "Select", "Join",
     "product", "Union", "Difference", "Distinct", "Project", "GroupBy",
     "OrderBy", "Concatenate", "CreateElement", "TupleDestroy",
-    "PlanError", "walk_plan",
+    "PlanError", "walk_plan", "plan_depth",
 ]
 
 
@@ -87,10 +87,25 @@ class Operator:
 
 
 def walk_plan(plan: Operator) -> Iterator[Operator]:
-    """All nodes of a plan, root first."""
-    yield plan
-    for child in plan.inputs:
-        yield from walk_plan(child)
+    """All nodes of a plan in preorder, root first -- an explicit
+    stack, so a plan of any depth is walked without recursion."""
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.inputs))
+
+
+def plan_depth(plan: Operator) -> int:
+    """The number of operators on the plan's longest root-to-leaf
+    path, measured without recursion."""
+    deepest = 0
+    stack = [(plan, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in node.inputs)
+    return deepest
 
 
 # ----------------------------------------------------------------------

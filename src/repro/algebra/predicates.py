@@ -13,7 +13,6 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Set, Tuple, Union
 
-from ..xtree.tree import Tree
 from .bindings import Binding, value_text
 
 __all__ = ["Predicate", "Comparison", "And", "Or", "Not", "TruePredicate",

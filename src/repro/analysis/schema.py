@@ -35,11 +35,10 @@ from ..algebra.predicates import (
 )
 from ..xmas.dtd import InferredDTD
 from ..xtree.path import (
-    Alt, Label, Opt, PathExpr, PathNFA, Plus, Seq, Star, Wildcard,
+    Alt, Label, Opt, PathExpr, PathNFA, Plus, Seq, Star,
 )
 from ..xtree.tree import Tree
 from .findings import Finding
-from .walk import walk_with_paths
 
 __all__ = ["SchemaGraph", "schema_pass", "static_truth"]
 

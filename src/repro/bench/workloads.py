@@ -13,7 +13,7 @@ domains:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..xtree.tree import Tree, elem
 

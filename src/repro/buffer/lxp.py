@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..runtime.config import validate_granularity
 from ..xtree.tree import Tree
 from .holes import (Fragments, LXPProtocolError, append_hole,
-                    append_trees, fragment_wire_size)
+                    append_trees)
 from ..runtime.counters import Counters
 
 __all__ = ["LXPServer", "LXPStats", "TreeLXPServer",
@@ -49,15 +49,6 @@ class LXPStats(Counters, shared=True):
     fills: int = 0
     elements_shipped: int = 0
     holes_shipped: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        # Optional observability hookup (not dataclass fields, so
-        # equality/repr stay value-based): when a MetricsRegistry is
-        # attached, every measured reply also feeds the lxp_* metric
-        # series, labelled with this connection's source name.
-        self.metrics = None
-        self.source = ""
 
 
 def reply_holes(fragments: Fragments) -> Tuple[object, ...]:
@@ -139,16 +130,6 @@ def measure_fragment(stats: LXPStats, fragments: Fragments) -> None:
         stats.fills += 1
         stats.elements_shipped += elements
         stats.holes_shipped += holes
-        metrics = getattr(stats, "metrics", None)
-    if metrics is not None and metrics.enabled:
-        source = getattr(stats, "source", "") or "unnamed"
-        metrics.counter("lxp_fills_total").inc(source=source)
-        metrics.counter("lxp_elements_shipped_total").inc(
-            elements, source=source)
-        metrics.counter("lxp_holes_shipped_total").inc(
-            holes, source=source)
-        metrics.histogram("lxp_fragment_bytes").observe(
-            fragment_wire_size(fragments), source=source)
 
 
 def _node_at(tree: Tree, path: Tuple[int, ...]) -> Tree:

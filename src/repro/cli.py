@@ -17,8 +17,8 @@ the findings machine-readably.
 
 ``query`` also exports observability data: ``--trace-out FILE``
 (with ``--trace-format jsonl|chrome``) dumps the causal span stream,
-``--metrics-out FILE`` writes the metrics registry in Prometheus text
-exposition format.
+``--metrics-out FILE`` writes the query's metric series, read from its
+counters, in Prometheus text exposition format.
 
 ``query`` builds a MIX mediator over the given files (each behind the
 XML wrapper and the generic buffer), evaluates the query lazily, and
@@ -352,12 +352,11 @@ def _engine_config(args, **extra) -> EngineConfig:
 
 
 def _observed_mediator(args) -> MIXMediator:
-    """The mediator for a command with ``--trace-out`` and
-    ``--metrics-out``: either flag arms its half of observability."""
+    """The mediator for a command with ``--trace-out``: it records
+    the span stream with every operator observed.  (``--metrics-out``
+    needs nothing armed: the series are read from the counters.)"""
     tracing = args.trace_out is not None
-    config = _engine_config(
-        args, metrics_enabled=args.metrics_out is not None,
-        observe_operators=tracing)
+    config = _engine_config(args, observe_operators=tracing)
     return MIXMediator(
         config, tracer=Tracer(record=True) if tracing else None)
 

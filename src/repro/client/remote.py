@@ -154,15 +154,13 @@ class MeteredTransport:
 
     def __init__(self, latency_ms: float = 20.0,
                  ms_per_kb: float = 2.0,
-                 tracer=None, metrics=None, name: str = ""):
+                 tracer=None, name: str = ""):
         self.latency_ms = latency_ms
         self.ms_per_kb = ms_per_kb
         self.stats = ChannelStats()
         self.tracer = tracer
-        #: optional MetricsRegistry + channel name: charges also feed
-        #: the channel_* metric series (``name`` is assigned by the
-        #: context when the channel registers)
-        self.metrics = metrics
+        #: the channel's name (assigned by the context when the
+        #: channel registers)
         self.name = name
 
     def _charge(self, size: int, commands: int = 1) -> None:
@@ -175,15 +173,6 @@ class MeteredTransport:
         if self.tracer is not None and self.tracer.active:
             self.tracer.emit("channel", "round_trip", bytes=size,
                              commands=commands)
-        metrics = self.metrics
-        if metrics is not None and metrics.enabled:
-            channel = self.name or "unnamed"
-            metrics.counter("channel_round_trips_total").inc(
-                channel=channel)
-            metrics.counter("channel_commands_total").inc(
-                commands, channel=channel)
-            metrics.histogram("channel_message_bytes").observe(
-                size, channel=channel)
 
 
 class RPCDocument(MeteredTransport, NavigableDocument):
@@ -197,8 +186,8 @@ class RPCDocument(MeteredTransport, NavigableDocument):
 
     def __init__(self, document: NavigableDocument,
                  latency_ms: float = 20.0, ms_per_kb: float = 2.0,
-                 tracer=None, metrics=None, name: str = ""):
-        super().__init__(latency_ms, ms_per_kb, tracer, metrics, name)
+                 tracer=None, name: str = ""):
+        super().__init__(latency_ms, ms_per_kb, tracer, name)
         self.document = document
 
     def root(self):
@@ -267,16 +256,15 @@ def connect_remote(document: NavigableDocument,
         "", document, config,
         clock if clock is not None else SYSTEM_CLOCK, ServerStats(),
         chunk_size=config.chunk_size if chunk_size is None else chunk_size,
-        depth=config.depth if depth is None else depth,
-        metrics=context.metrics)
+        depth=config.depth if depth is None else depth)
     channel = SocketChannel(
         FramePipe(session, config.serve_max_frame_bytes),
         session.root_wire,
         max_frame_bytes=config.serve_max_frame_bytes,
         latency_ms=config.latency_ms if latency_ms is None else latency_ms,
         ms_per_kb=config.ms_per_kb if ms_per_kb is None else ms_per_kb,
-        tracer=context.tracer, metrics=context.metrics)
+        tracer=context.tracer)
     buffer, _ = source_stack(channel, "remote#", context, clock=clock,
                              channel=True)
-    session.rename(channel.name)
+    session.session_id = channel.name
     return XMLElement(buffer, buffer.root()), channel.stats

@@ -19,7 +19,7 @@ variable, the ids are the input's own.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..algebra.bindings import LIST_LABEL
 from ..runtime.context import ExecutionContext

@@ -53,12 +53,7 @@ class SpannedOperator(LazyOperator):
         return self.op.variables
 
     def _call(self, method: str, thunk):
-        ctx = self.ctx
-        metrics = ctx.metrics
-        if metrics.enabled:
-            metrics.counter("operator_navigations_total").inc(
-                op=self.name, method=method)
-        tracer = ctx.tracer
+        tracer = self.ctx.tracer
         if not tracer.active:
             return thunk()
         # lint: allow=E002 -- callers pass contract names verbatim

@@ -14,9 +14,9 @@ __all__ = ["LazySource"]
 
 
 class _Unheard:
-    """The tracer and metrics of an unmetered source: never live."""
+    """The tracer of an unmetered source: never live."""
 
-    active = enabled = False
+    active = False
 
 
 class LazySource(LazyOperator):
@@ -32,7 +32,7 @@ class LazySource(LazyOperator):
     is the meter: it navigates the document inside the proxy, counts
     each ``d/r/f/select`` into the context's own counters, and fans
     out through the proxy's ``publish`` exactly where the proxy would
-    -- asking inline, per command, whether anyone listens.
+    -- asking inline, per command, whether the tracer listens.
     """
 
     def __init__(self, document: NavigableDocument, out_var: str,
@@ -41,9 +41,9 @@ class LazySource(LazyOperator):
         navs = self.ctx.navigations.get(document)
         if navs is None:
             navs = NavCounters()
-            self._tracer = self._metrics = _Unheard
+            self._tracer = _Unheard
         else:
-            self._tracer, self._metrics = document.tracer, document.metrics
+            self._tracer = document.tracer
             self._publish = document.publish
             document = document.inner
         self._navs = navs
@@ -70,7 +70,7 @@ class LazySource(LazyOperator):
     # -- values --------------------------------------------------------------
     def v_down(self, value):
         self._navs.down += 1
-        if self._tracer.active or self._metrics.enabled:
+        if self._tracer.active:
             self._publish("d")
         child = self._down(value[1])
         return (value[0], child, False) if child is not None else None
@@ -79,23 +79,24 @@ class LazySource(LazyOperator):
         if value[2]:
             return None
         self._navs.right += 1
-        if self._tracer.active or self._metrics.enabled:
+        if self._tracer.active:
             self._publish("r")
         sibling = self._right(value[1])
         return (value[0], sibling, False) if sibling is not None else None
 
     def v_fetch(self, value):
         self._navs.fetch += 1
-        if self._tracer.active or self._metrics.enabled:
+        if self._tracer.active:
             self._publish("f")
         return self._fetch(value[1])
 
     # The whole-value walks over the document itself: the commands,
     # their order and the counts are the generic walk's, without a
-    # trip through v_down/v_right/v_fetch per node.  A listener needs
-    # each command published, so with one the generic walk runs.
+    # trip through v_down/v_right/v_fetch per node.  A listening
+    # tracer needs each command published, so with one the generic
+    # walk runs.
     def v_text(self, value):
-        if self._tracer.active or self._metrics.enabled:
+        if self._tracer.active:
             return LazyOperator.v_text(self, value)
         navs, down, fetch = self._navs, self._down, self._fetch
         pointer = value[1]
@@ -127,7 +128,7 @@ class LazySource(LazyOperator):
                 return "".join(parts)
 
     def v_key(self, value):
-        if self._tracer.active or self._metrics.enabled:
+        if self._tracer.active:
             return LazyOperator.v_key(self, value)
         navs, down, right, fetch = \
             self._navs, self._down, self._right, self._fetch
@@ -160,7 +161,7 @@ class LazySource(LazyOperator):
         if is_root:
             return None
         self._navs.select += 1
-        if self._tracer.active or self._metrics.enabled:
+        if self._tracer.active:
             self._publish("select")
         found = self.document.select(pointer, predicate)
         return (owner, found, False) if found is not None else None

@@ -44,7 +44,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..algebra.eager import evaluate
 from ..algebra.operators import (GetDescendants, Join, Operator, Select,
-                                 Source, TupleDestroy, walk_plan)
+                                 Source, TupleDestroy, plan_depth,
+                                 walk_plan)
 from ..algebra.predicates import TruePredicate
 from ..buffer.lxp import LXPServer
 from ..client.element import XMLElement, open_virtual_document
@@ -60,7 +61,7 @@ from ..wrappers.base import source_stack
 from ..xmas.ast import XMASQuery
 from ..xmas.compose import inline_views
 from ..xmas.parser import parse_xmas
-from ..xmas.translate import translate
+from ..xmas.translate import MAX_PLAN_DEPTH, translate
 from ..xtree.path import MAX_CONDITIONS
 from ..xtree.tree import Tree
 
@@ -385,8 +386,7 @@ class MIXMediator:
         attached to every source meter so the query counts its own
         source navigations."""
         context = ExecutionContext(config or self.config,
-                                   tracer=self.tracer,
-                                   metrics=self.runtime.metrics)
+                                   tracer=self.tracer)
         context.adopt(self.runtime)
         with self._catalog_lock:
             meters = list(self._meters.values())
@@ -405,12 +405,12 @@ class MIXMediator:
         other path -- the eager baseline, say -- a counting proxy.
         """
         document = CountingDocument(document, name=name,
-                                    tracer=self.tracer,
-                                    metrics=self.runtime.metrics)
+                                    tracer=self.tracer)
         with self._catalog_lock:
             self._check_free(name)
-            self._meters[name] = SourceMeter(document)
+            meter = self._meters[name] = SourceMeter(document)
             self._documents[name] = document
+            self.runtime.navigations[document] = meter
         self.tracer.emit("mediator", "register_source", name=name)
 
     def register_schema(self, name: str, schema) -> None:
@@ -440,12 +440,6 @@ class MIXMediator:
         the pushdown compiler pass; with ``config.pushdown`` off the
         record is never consulted.
         """
-        stats = getattr(server, "stats", None)
-        if stats is not None and hasattr(stats, "metrics"):
-            # Wire the LXP fragment meter into the session metrics so
-            # fills/bytes shipped by this wrapper land in the registry.
-            stats.metrics = self.runtime.metrics
-            stats.source = name
         buffer, decision = source_stack(server, name, self.runtime,
                                         clock=self.clock)
         if decision is not None:
@@ -511,6 +505,13 @@ class MIXMediator:
             query = parse_xmas(query)
         if isinstance(query, XMASQuery):
             return translate(query)
+        # A text is bounded by its parser; a plan is bounded here,
+        # before any pass recurses over it.
+        depth = plan_depth(query)
+        if depth > MAX_PLAN_DEPTH:
+            raise MediatorError(
+                "the plan is %d operators deep, more than the %d any "
+                "query text translates to" % (depth, MAX_PLAN_DEPTH))
         return query
 
     def _initial_plan(self, query: Union[str, XMASQuery, TupleDestroy]

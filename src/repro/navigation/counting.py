@@ -73,29 +73,21 @@ class CountingDocument(NavigableDocument):
     """
 
     def __init__(self, inner: NavigableDocument, name: str = "",
-                 log: bool = False, tracer: "Optional[Tracer]" = None,
-                 metrics=None):
+                 log: bool = False, tracer: "Optional[Tracer]" = None):
         self.inner = inner
         self.name = name
         self.counters = NavCounters()
         self.log = log
         self.tracer = tracer
-        #: optional MetricsRegistry; every command also increments
-        #: ``source_navigations_total{source=,command=}``
-        self.metrics = metrics
         self.trace: List[Tuple[str, object]] = []
 
     def publish(self, command: str) -> None:
-        """Tracer/metrics fan-out of one command, to whichever of them
-        listens -- either can be switched on mid-query, so that is
-        asked per command."""
+        """The ``source`` event of one command, when the tracer
+        listens -- it can be switched on mid-query, so that is asked
+        per command."""
         if self.tracer is not None and self.tracer.active:
             # lint: allow=E002 -- command is "d"/"r"/"f"/"select"
             self.tracer.emit("source", command, source=self.name)
-        metrics = self.metrics
-        if metrics is not None and metrics.enabled:
-            metrics.counter("source_navigations_total").inc(
-                source=self.name or "unnamed", command=command)
 
     def _note(self, command: str, pointer) -> None:
         if self.log:
@@ -204,6 +196,11 @@ class SourceMeter:
     @property
     def total(self) -> int:
         return self.counters.total
+
+    def snapshot(self) -> Dict[str, int]:
+        """:attr:`counters`' fields, as a ``Counters`` snapshot reads
+        them (the mediator's own context scrapes its meters)."""
+        return self.counters.snapshot()
 
     def reset(self) -> None:
         with self._lock:

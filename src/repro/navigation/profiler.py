@@ -38,15 +38,15 @@ Two classification paths:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..runtime.context import Tracer
-from ..runtime.observability import SpanForest, build_span_tree
+from ..runtime.observability import build_span_tree
 from ..xtree.tree import Tree
 from .commands import Navigation
 from .complexity import Browsability, ComplexityReport, classify
 from .counting import CountingDocument
-from .interface import NavigableDocument, run_navigation
+from .interface import run_navigation
 from .materialized import MaterializedDocument
 
 __all__ = [

@@ -10,7 +10,7 @@ cursor traffic against DOM-VXD command traffic.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["Cursor"]
 

@@ -9,7 +9,7 @@ wrapper needs for its database-level ``fill`` answer.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .cursor import Cursor
 from .schema import Column, SchemaError, TableSchema

@@ -9,7 +9,7 @@ request.  This module provides exactly that metadata layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 __all__ = ["ColumnType", "Column", "TableSchema", "SchemaError"]
 

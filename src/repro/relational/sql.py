@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .cursor import Cursor
-from .schema import SchemaError
 from .table import Table
 
 __all__ = ["SQLError", "SelectStatement", "Condition", "OrderKey",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from .schema import SchemaError, TableSchema
+from .schema import TableSchema
 
 __all__ = ["Table"]
 

@@ -11,7 +11,7 @@ evaluation on every experiment workload.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..algebra import operators as ops
 from ..algebra.operators import Difference, Materialize, OrderBy

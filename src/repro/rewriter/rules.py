@@ -25,10 +25,10 @@ None, and reports a name for the optimizer's trace:
 from __future__ import annotations
 
 import copy
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..algebra import operators as ops
-from ..algebra.predicates import And, Predicate
+from ..algebra.predicates import And
 from ..xtree.path import Seq
 
 __all__ = ["ALL_RULES", "Rule", "rebuild"]

@@ -113,11 +113,9 @@ class EngineConfig:
         is byte-for-byte the PR 1 code path.
 
     Observability
-        ``metrics_enabled`` arms the context's
-        :class:`~repro.runtime.observability.MetricsRegistry`
-        (counters/gauges/histograms; off by default so instrumented
-        hot paths cost one attribute read).  ``observe_operators``
-        wraps every lazy operator in a span-emitting proxy so traces
+        Metric series need no knob: they are read from the counters
+        when scraped (``ExecutionContext.metrics_snapshot``).
+        ``observe_operators`` wraps every lazy operator in a span-emitting proxy so traces
         show per-operator navigation amplification -- the expensive
         half of tracing, and the input to the browsability profiler;
         off by default.
@@ -218,7 +216,6 @@ class EngineConfig:
     breaker_threshold: int = 5
     breaker_reset_ms: float = 30000.0
     on_source_failure: str = "fail"
-    metrics_enabled: bool = False
     observe_operators: bool = False
     static_analysis: str = "off"
     pushdown: bool = False

@@ -11,13 +11,15 @@ with it.  It carries exactly four things:
 * a :class:`Tracer` whose span/event callbacks see each navigation
   crossing the layers (mediator, lazy operators, sources, channel),
   now with causal span ids linking the crossings into one tree,
-* a :class:`~repro.runtime.observability.MetricsRegistry` of
-  counters, gauges, and histograms (disabled by default; enable with
-  ``EngineConfig(metrics_enabled=True)``).
+* the stats registry: every seam's counters by ``(kind, name)``, and
+  the query's own source navigation counters.
 
 ``QueryResult.stats()`` aggregates the context into a single report:
 source navigations, per-cache hit/miss/eviction counts, and -- for
-remote sessions -- channel messages/bytes.
+remote sessions -- channel messages/bytes.  The metric series
+(:meth:`ExecutionContext.metrics_snapshot`,
+:meth:`ExecutionContext.metrics_prometheus`) are read from the same
+counters when scraped: nothing below the context holds a registry.
 """
 
 from __future__ import annotations
@@ -292,21 +294,11 @@ class ExecutionContext:
     """
 
     def __init__(self, config: Optional[EngineConfig] = None,
-                 tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 tracer: Optional[Tracer] = None) -> None:
         self.config = config if config is not None else EngineConfig()
         self.caches = CacheManager(budget=self.config.cache_budget,
                                    enabled=self.config.cache_enabled)
         self.tracer = tracer if tracer is not None else Tracer()
-        if metrics is None:
-            metrics = MetricsRegistry(
-                enabled=self.config.metrics_enabled)
-        #: the query's metric instruments (counters, gauges,
-        #: histograms) -- the fourth registry next to caches, buffers,
-        #: and resilience.  Disabled registries short-circuit in the
-        #: instruments themselves, so instrumentation costs one
-        #: attribute read when metrics are off.
-        self.metrics = metrics
         #: the one stats registry: ``(kind, name) -> Counters`` for
         #: every buffer, channel, resilience seam and fragment store
         #: that reports through this context (kinds and their report
@@ -323,7 +315,9 @@ class ExecutionContext:
         self._operator_serials: Dict[str, int] = {}
         #: registered source document -> this query's NavCounters for
         #: it (filled by the mediator from its source meters); a lazy
-        #: ``source`` operator over such a document counts here
+        #: ``source`` operator over such a document counts here.  On
+        #: the mediator's own context the values are the source
+        #: meters themselves, which sum every query's navigations.
         self.navigations: Dict[Any, Any] = {}
 
     @classmethod
@@ -409,40 +403,44 @@ class ExecutionContext:
         return by_kind
 
     # -- metrics -----------------------------------------------------------
-    def _collect_metrics(self) -> None:
-        """Fold the registered counters into gauges.
-
-        Pull-based: instead of every cache/buffer/channel pushing on
-        each operation, the snapshot reads the registry it already
-        has.  Keeps the hot paths free of double accounting and the
-        gauges consistent with ``stats_report()``.
-        """
-        metrics = self.metrics
-        if not metrics.enabled:
-            return
+    def _metrics(self) -> MetricsRegistry:
+        """A registry holding the context's series, read from its
+        counters now: the operator caches, the source navigations and
+        every registered seam (the series columns of ``_SECTIONS``).
+        Built per scrape and dropped after it, so there are as many
+        series as counters, however long the mediator lives."""
+        registry = MetricsRegistry()
         caches = self.caches.as_dict()["caches"]
         for field_name in ("hits", "misses", "evictions"):
-            gauge = metrics.gauge("cache_" + field_name)
+            gauge = registry.gauge("cache_" + field_name)
             for name, counts in caches.items():
                 gauge.set(counts[field_name], cache=name)
+        navigations = registry.counter("source_navigations_total")
+        for document, counters in list(self.navigations.items()):
+            snap = counters.snapshot()
+            for command, field_name in _COMMANDS:
+                navigations.inc(snap[field_name], source=document.name,
+                                command=command)
         by_kind = self._snapshots()
-        for kind, _, _, _, _, label, gauges in _SECTIONS:
-            for gauge_name, field_name in gauges:
-                gauge = metrics.gauge(gauge_name)
+        for kind, _, _, _, _, label, series in _SECTIONS:
+            for series_name, field_name in series:
+                write: Callable[..., None]
+                if series_name.endswith("_total"):
+                    write = registry.counter(series_name).inc
+                else:
+                    write = registry.gauge(series_name).set
                 for name, snap in by_kind.get(kind, {}).items():
-                    gauge.set(snap[field_name], **{label: name})
+                    write(snap[field_name], **{label: name})
+        return registry
 
     def metrics_snapshot(self) -> dict:
-        """The full metric state as plain dicts (see
-        :meth:`MetricsRegistry.snapshot`), with the registry-backed
-        gauges refreshed first."""
-        self._collect_metrics()
-        return self.metrics.snapshot()
+        """Every series as plain dicts (see
+        :meth:`MetricsRegistry.snapshot`), read from the counters."""
+        return self._metrics().snapshot()
 
     def metrics_prometheus(self) -> str:
-        """The metric state in Prometheus text exposition format."""
-        self._collect_metrics()
-        return self.metrics.to_prometheus()
+        """The same series in Prometheus text exposition format."""
+        return self._metrics().to_prometheus()
 
     # -- reporting ---------------------------------------------------------
     def stats_report(self) -> dict:
@@ -453,7 +451,7 @@ class ExecutionContext:
         for kind, title, totals, rows_key, row_fields, _, _ \
                 in _SECTIONS:
             snaps = by_kind.get(kind)
-            if not snaps:
+            if not snaps or title is None:
                 continue
             if totals is None:
                 totals = tuple(next(iter(snaps.values())))
@@ -469,18 +467,19 @@ class ExecutionContext:
                 else:
                     body.update(rows)
             report[title] = body
-        if self.metrics.enabled:
-            report["metrics"] = self.metrics_snapshot()
         return report
 
 
-#: The report/gauge table, one row per registry kind, in report order:
-#: ``(kind, report key, summed fields, rows key, row fields, gauge
-#: label, (gauge, field) pairs)``.  The summed fields head the
-#: section (None = every declared field); the per-entry rows sit
+#: The report/series table, one row per registry kind, in report
+#: order: ``(kind, report key, summed fields, rows key, row fields,
+#: series label, (series, field) pairs)``.  The summed fields head
+#: the section (None = every declared field); the per-entry rows sit
 #: under the rows key ("" = directly in the section, None = no rows)
-#: and show the row fields (None = the whole snapshot).
-_SECTIONS: Tuple[Tuple[str, str, Optional[Tuple[str, ...]],
+#: and show the row fields (None = the whole snapshot).  A kind with
+#: no report key is scraped only.  Each series reads one field of
+#: every entry of its kind, labelled with the entry's name: a counter
+#: when its name ends in ``_total``, else a gauge.
+_SECTIONS: Tuple[Tuple[str, Optional[str], Optional[Tuple[str, ...]],
                        Optional[str], Optional[Tuple[str, ...]], str,
                        Tuple[Tuple[str, str], ...]], ...] = (
     ("fragcache", "fragcache", None, None, None, "store", ()),
@@ -498,5 +497,16 @@ _SECTIONS: Tuple[Tuple[str, str, Optional[Tuple[str, ...]],
      "per_channel", ("messages", "bytes_transferred", "virtual_ms"),
      "channel",
      (("channel_messages", "messages"),
-      ("channel_bytes", "bytes_transferred"))),
+      ("channel_bytes", "bytes_transferred"),
+      ("channel_round_trips_total", "messages"),
+      ("channel_commands_total", "commands"))),
+    ("lxp", None, None, None, None, "source",
+     (("lxp_fills_total", "fills"),
+      ("lxp_elements_shipped_total", "elements_shipped"),
+      ("lxp_holes_shipped_total", "holes_shipped"))),
 )
+
+#: ``source_navigations_total``'s ``command`` label per
+#: :class:`~repro.navigation.counting.NavCounters` field
+_COMMANDS = (("d", "down"), ("r", "right"), ("f", "fetch"),
+             ("select", "select"))

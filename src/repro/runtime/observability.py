@@ -7,11 +7,10 @@ round trips for fragment granularity.  This module turns every run
 into evidence for (or against) those claims:
 
 * :class:`MetricsRegistry` -- counters, gauges, and fixed-bucket
-  histograms with Prometheus-style labels, registered on the
-  :class:`~repro.runtime.context.ExecutionContext` next to the cache
-  and resilience registries and folded into ``QueryResult.stats()``.
-  A disabled registry (the default) short-circuits every instrument
-  call on one attribute check, keeping the idle path within noise.
+  histograms with Prometheus-style labels: the daemon's request
+  telemetry, and the registry an
+  :class:`~repro.runtime.context.ExecutionContext` fills from its
+  registered counters each time it is scraped.
 * :class:`SpanNode` / :func:`build_span_tree` -- reconstruct the
   causal tree of one (or many) client navigations from a
   :class:`~repro.runtime.context.Tracer` event stream: client span ->
@@ -260,6 +259,23 @@ class _Instrument:
     def _value_of(self, raw: Any) -> Any:
         return raw
 
+    def _exposition(self) -> List[str]:
+        """The family's text-exposition lines; the caller holds the
+        registry lock."""
+        metric = _prometheus_name(self.name)
+        lines: List[str] = []
+        if self.help:
+            lines.append("# HELP %s %s" % (metric, _escape_help(self.help)))
+        lines.append("# TYPE %s %s" % (metric, self.kind))
+        for key, raw in sorted(self._series.items()):
+            lines.extend(self._samples(metric, key, raw))
+        return lines
+
+    def _samples(self, metric: str, key: LabelKey,
+                 raw: Any) -> List[str]:
+        return ["%s%s %s" % (metric, _prometheus_labels(key),
+                             _format_number(raw))]
+
 
 class Counter(_Instrument):
     """A monotonically increasing sum, per label set."""
@@ -267,8 +283,6 @@ class Counter(_Instrument):
     kind = "counter"
 
     def inc(self, amount: float = 1, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
         key = _label_key(labels)
         with self._registry._lock:
             self._series[key] = self._series.get(key, 0) + amount
@@ -284,19 +298,12 @@ class Gauge(_Instrument):
     kind = "gauge"
 
     def set(self, value: float, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
         with self._registry._lock:
             self._series[_label_key(labels)] = value
 
     def value(self, **labels: object) -> float:
         with self._registry._lock:
             return cast(float, self._series.get(_label_key(labels), 0))
-
-
-#: default histogram buckets: byte-ish powers of four
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    64, 256, 1024, 4096, 16384, 65536, 262144)
 
 
 @dataclass
@@ -318,13 +325,11 @@ class Histogram(_Instrument):
     kind = "histogram"
 
     def __init__(self, name: str, registry: "MetricsRegistry",
-                 buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
+                 buckets: Sequence[float]) -> None:
         super().__init__(name, registry)
         self.buckets: Tuple[float, ...] = tuple(sorted(buckets))
 
     def observe(self, value: float, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
         key = _label_key(labels)
         with self._registry._lock:
             series = self._series.get(key)
@@ -340,6 +345,10 @@ class Histogram(_Instrument):
             series.total += value
             series.observations += 1
 
+    def _samples(self, metric: str, key: LabelKey,
+                 raw: _HistogramSeries) -> List[str]:
+        return _prometheus_histogram(metric, self.buckets, key, raw)
+
     def _value_of(self, raw: _HistogramSeries) -> dict:
         return {"buckets": dict(zip([str(b) for b in self.buckets]
                                     + ["+Inf"], raw.counts)),
@@ -347,19 +356,16 @@ class Histogram(_Instrument):
 
 
 class MetricsRegistry:
-    """Named instruments under one lock, with an enable switch.
+    """Named instruments under one lock.
 
-    A *disabled* registry is the default on every
-    :class:`~repro.runtime.context.ExecutionContext`: instruments can
-    still be fetched and called, but every mutation short-circuits on
-    the ``enabled`` check, so instrumented hot paths cost one
-    attribute read when observability is off.  Enable it through
-    ``EngineConfig(metrics_enabled=True)`` (or flip
-    :attr:`enabled` directly on a context's registry).
+    Two kinds of owner: the daemon's long-lived request telemetry
+    (:attr:`~repro.server.daemon.MediatorServer.telemetry`), written
+    per request, and the registry an
+    :class:`~repro.runtime.context.ExecutionContext` builds from its
+    counters at each scrape and drops after it.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = make_rlock("metrics.registry")
         self._instruments: Dict[str, _Instrument] = {}
 
@@ -404,10 +410,8 @@ class MetricsRegistry:
                             % (name, instrument.kind))
         return instrument
 
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = DEFAULT_BUCKETS,
-                  help_text: Optional[str] = None,
-                  ) -> Histogram:
+    def histogram(self, name: str, buckets: Sequence[float],
+                  help_text: Optional[str] = None) -> Histogram:
         """Get-or-create the histogram called ``name``."""
         instrument = self._get(
             name, lambda: Histogram(name, self, buckets), help_text)
@@ -425,27 +429,17 @@ class MetricsRegistry:
                        "series": instrument.series()}
                 for name, instrument in instruments}
 
-    def to_prometheus(self) -> str:
-        """A Prometheus text-exposition snapshot of the registry."""
-        lines: List[str] = []
-        with self._lock:
-            instruments = sorted(self._instruments.items())
-        for name, instrument in instruments:
-            metric = _prometheus_name(name)
-            if instrument.help:
-                lines.append("# HELP %s %s"
-                             % (metric, _escape_help(instrument.help)))
-            lines.append("# TYPE %s %s" % (metric, instrument.kind))
-            with self._lock:
-                series = sorted(instrument._series.items())
-            for key, raw in series:
-                if isinstance(instrument, Histogram):
-                    lines.extend(_prometheus_histogram(
-                        metric, instrument.buckets, key, raw))
-                else:
-                    lines.append("%s%s %s"
-                                 % (metric, _prometheus_labels(key),
-                                    _format_number(raw)))
+    def to_prometheus(self, *others: "MetricsRegistry") -> str:
+        """A Prometheus text-exposition snapshot of the registry and of
+        ``others``, families sorted by name across all of them."""
+        families: List[Tuple[str, List[str]]] = []
+        for registry in (self,) + others:
+            with registry._lock:
+                families.extend(
+                    (name, instrument._exposition())
+                    for name, instrument in registry._instruments.items())
+        lines = [line for _, family in sorted(families)
+                 for line in family]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -695,10 +689,12 @@ def export_chrome_trace(events: Sequence, sink: Any) -> int:
     return len(records)
 
 
-def export_prometheus(registry: MetricsRegistry, sink: Any) -> str:
-    """Write the registry's Prometheus text exposition to ``sink``
-    (path or file object) and return it."""
-    text = registry.to_prometheus()
+def export_prometheus(registry: MetricsRegistry, sink: Any,
+                      *others: MetricsRegistry) -> str:
+    """Write the Prometheus text exposition of the registry (and of
+    ``others``, families merged by name) to ``sink`` (path or file
+    object) and return it."""
+    text = registry.to_prometheus(*others)
     handle, owned = _open_sink(sink)
     try:
         handle.write(text)

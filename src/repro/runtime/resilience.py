@@ -36,7 +36,6 @@ from typing import Any, Callable, Optional
 from ..buffer.holes import Fragments
 from ..errors import (
     FAILURE_TYPES,
-    PermanentSourceError,
     TransientSourceError,
     is_transient,
 )
@@ -279,27 +278,19 @@ class ResilientCaller:
                  policy: Optional[RetryPolicy] = None,
                  breaker: Optional[CircuitBreaker] = None,
                  clock: Clock = SYSTEM_CLOCK,
-                 tracer: Optional[Any] = None,
-                 metrics: Optional[Any] = None) -> None:
+                 tracer: Optional[Any] = None) -> None:
         self.name = name
         self.policy = policy if policy is not None else RetryPolicy()
         self.breaker = breaker
         self.clock = clock
         self.tracer = tracer
         self.stats = ResilienceStats()
-        #: optional MetricsRegistry: every traced transition also
-        #: increments ``resilience_events_total{source=,event=}``
-        self.metrics = metrics
 
     def _trace(self, event: str, **data: object) -> None:
         if self.tracer is not None and self.tracer.active:
             # lint: allow=E002 -- callers pass contract names verbatim
             self.tracer.emit("resilience", event, source=self.name,
                              **data)
-        metrics = self.metrics
-        if metrics is not None and metrics.enabled:
-            metrics.counter("resilience_events_total").inc(
-                source=self.name, event=event)
 
     def call(self, fn: Callable, *args: object,
              key: object = None) -> Any:
@@ -409,8 +400,7 @@ class ResilientLXPServer:
                  breaker: Optional[CircuitBreaker] = None,
                  clock: Clock = SYSTEM_CLOCK,
                  on_failure: str = "fail",
-                 tracer: Optional[Any] = None,
-                 metrics: Optional[Any] = None) -> None:
+                 tracer: Optional[Any] = None) -> None:
         if on_failure not in ("fail", "degrade"):
             raise ConfigError(
                 "on_failure must be 'fail' or 'degrade', not %r"
@@ -420,7 +410,7 @@ class ResilientLXPServer:
         self.on_failure = on_failure
         self.caller = ResilientCaller(name, policy=policy,
                                       breaker=breaker, clock=clock,
-                                      tracer=tracer, metrics=metrics)
+                                      tracer=tracer)
         self.resilience = self.caller.stats
 
     @property
@@ -499,8 +489,7 @@ class ResilientLXPServer:
 def resilient_server(server: Any, config: Any,
                      name: str = "source",
                      clock: Optional[Clock] = None,
-                     tracer: Optional[Any] = None,
-                     metrics: Optional[Any] = None) -> Any:
+                     tracer: Optional[Any] = None) -> Any:
     """Wrap an LXP server per ``config``; pass-through when inactive.
 
     When ``config.resilience_active`` is false the server is returned
@@ -521,4 +510,4 @@ def resilient_server(server: Any, config: Any,
     return ResilientLXPServer(
         server, name=name, policy=policy, breaker=breaker, clock=clock,
         on_failure=config.on_source_failure,
-        tracer=tracer, metrics=metrics)
+        tracer=tracer)

@@ -79,9 +79,7 @@ class SocketChannel(MeteredTransport, LXPServer):
 
     ``stats`` is the :class:`~repro.client.remote.MeteredTransport`
     accounting of the real frame bytes (header included) at
-    ``latency_ms`` / ``ms_per_kb`` virtual cost (zero by default);
-    with ``metrics`` the round trips also feed the ``channel_*``
-    series.
+    ``latency_ms`` / ``ms_per_kb`` virtual cost (zero by default).
 
     When the session carries a trace (``trace_id`` set), every
     request frame gains the wire trace envelope: the trace id, the
@@ -97,11 +95,10 @@ class SocketChannel(MeteredTransport, LXPServer):
                  latency_ms: float = 0.0, ms_per_kb: float = 0.0,
                  name: str = "",
                  tracer: Optional[Tracer] = None,
-                 metrics: Any = None,
                  trace_id: Optional[str] = None,
                  sampled: bool = True) -> None:
         super().__init__(latency_ms, ms_per_kb, tracer=tracer,
-                         metrics=metrics, name=name)
+                         name=name)
         self.sock = sock
         self.root_wire_id = root_wire_id
         self.timeout_ms = timeout_ms
@@ -311,7 +308,7 @@ def connect(host: str, port: int, query: str,
         channel = SocketChannel(
             sock, root_wire, timeout_ms=timeout_ms,
             max_frame_bytes=engine_config.serve_max_frame_bytes,
-            tracer=tracer, metrics=context.metrics, trace_id=trace_id,
+            tracer=tracer, trace_id=trace_id,
             sampled=sampled)
         buffer, _ = source_stack(channel, "remote#", context,
                                  clock=clock, channel=True)

@@ -99,6 +99,15 @@ _DRAINING = ("mix:draining", "server is draining")
 #: latency buckets of the always-on per-request histogram (ms)
 _REQUEST_MS_BUCKETS = (1.0, 5.0, 25.0, 100.0, 500.0, 2500.0, 10000.0)
 
+#: the counter series a scrape reads from one ``ServerStats`` field:
+#: ``(series, field, help)``
+_SCRAPED_COUNTERS = (
+    ("server_sessions_total", "sessions_opened",
+     "Sessions opened over the daemon's lifetime."),
+    ("server_fills_total", "fills",
+     "Fill commands answered (batch holes counted individually)."),
+)
+
 
 @dataclass
 class ServerStats(Counters, shared=True):
@@ -180,14 +189,12 @@ class MediatorServer:
         self.clock: Clock = clock if clock is not None else SYSTEM_CLOCK
         self.stats = ServerStats()
         self.tracer = mediator.tracer
-        self.metrics = mediator.runtime.metrics
-        #: always-on operational telemetry, independent of the
-        #: mediator's gated ``metrics_enabled`` registry: the daemon
-        #: must be scrapeable (``mix:status``) even on a default
-        #: config.  Touched only at server-level events (per request,
-        #: not per navigation), so the cost is a few lock-guarded
-        #: increments per round trip.
-        self.telemetry = MetricsRegistry(enabled=True)
+        #: always-on request telemetry: latency by op, answered,
+        #: slow and status requests -- the facts no counter keeps.
+        #: Touched once per request, never per navigation; what
+        #: :attr:`stats` counts is read from there at scrape time
+        #: (:meth:`prometheus_text`).
+        self.telemetry = MetricsRegistry()
         #: the flight recorder: always on, dumped on kills and drain
         self.recorder = FlightRecorder(
             capacity=self.config.serve_flight_recorder_events,
@@ -326,10 +333,6 @@ class MediatorServer:
         session_id = handler.session_id
         self._note("kill", session=session_id, reason=reason,
                    detail=detail)
-        self.telemetry.counter(
-            "server_kills_total",
-            help_text="Sessions killed by the daemon, by reason."
-        ).inc(reason=reason)
         self.recorder.incident(reason, session=session_id,
                                detail=detail)
 
@@ -369,14 +372,9 @@ class MediatorServer:
         session = handler.session = Session(
             session_id, result.document, config, self.clock, self.stats,
             chunk_size=frame.get("chunk_size", config.chunk_size),
-            depth=frame.get("depth", config.depth),
-            metrics=self.metrics)
+            depth=frame.get("depth", config.depth))
         self.stats.bump("sessions_opened")
         self._note("open", session=session_id, peer=handler.address[0])
-        self.telemetry.counter(
-            "server_sessions_total",
-            help_text="Sessions opened over the daemon's lifetime."
-        ).inc()
         return {"ok": True, "session": session_id,
                 "root": session.root_wire}
 
@@ -481,12 +479,11 @@ class MediatorServer:
             except (OSError, WireError) as error:
                 return self._fail(handler, "send", error)
             # Delivered: these are the counters client-side accounting
-            # reconciles against, so they -- and their exposition twins
-            # -- only move once the reply is actually on the wire.
-            # Admin status probes stay out of the session-protocol
-            # counters (they have their own telemetry counter) so a
-            # monitoring scrape never skews a load run's client/server
-            # reconciliation.
+            # reconciles against, so they only move once the reply is
+            # actually on the wire.  Admin status probes stay out of
+            # the session-protocol counters (they have their own
+            # telemetry counter) so a monitoring scrape never skews a
+            # load run's client/server reconciliation.
             self.telemetry.counter(
                 "server_requests_total",
                 help_text="Requests answered, by op."
@@ -495,11 +492,6 @@ class MediatorServer:
                 self.stats.bump("requests")
                 if fills:
                     self.stats.bump("fills", fills)
-                    self.telemetry.counter(
-                        "server_fills_total",
-                        help_text="Fill commands answered (batch holes "
-                                  "counted individually)."
-                    ).inc(fills)
             if op == "close" or handler.session is None:
                 # A goodbye, or a sessionless status probe.
                 return
@@ -595,22 +587,31 @@ class MediatorServer:
         return payload
 
     def prometheus_text(self) -> str:
-        """The always-on telemetry as Prometheus text exposition.
-
-        The lifetime :class:`ServerStats` counters are folded in as a
-        labelled gauge at scrape time, so a scrape always reflects
-        the current counter state without per-event double writes.
-        """
-        gauge = self.telemetry.gauge(
+        """The daemon's Prometheus text exposition: the request
+        telemetry, and the :class:`ServerStats` counters read at
+        scrape time into a registry of their own (a counter series
+        appears once its count is non-zero)."""
+        counts = self.stats.snapshot()
+        scrape = MetricsRegistry()
+        for name, field_name, help_text in _SCRAPED_COUNTERS:
+            if counts[field_name]:
+                scrape.counter(name, help_text).inc(counts[field_name])
+        for field_name, value in counts.items():
+            if field_name.endswith("_kills") and value:
+                scrape.counter(
+                    "server_kills_total",
+                    "Sessions killed by the daemon, by reason."
+                ).inc(value, reason=field_name[:-len("_kills")])
+        gauge = scrape.gauge(
             "server_lifetime_count",
             help_text="Lifetime daemon counters, by counter name.")
-        for name, value in self.stats.snapshot().items():
+        for name, value in counts.items():
             gauge.set(value, counter=name)
-        self.telemetry.gauge(
+        scrape.gauge(
             "server_sessions_active",
             help_text="Currently admitted sessions."
         ).set(self.active_sessions)
-        return export_prometheus(self.telemetry, io.StringIO())
+        return export_prometheus(scrape, io.StringIO(), self.telemetry)
 
     # -- drain -------------------------------------------------------------
     def drain(self, timeout_ms: Optional[float] = None) -> bool:

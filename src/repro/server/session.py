@@ -229,15 +229,15 @@ class Session:
                  config: EngineConfig, clock: Clock,
                  server_stats: Counters,
                  chunk_size: Optional[int] = None,
-                 depth: Optional[int] = None,
-                 metrics: Any = None) -> None:
+                 depth: Optional[int] = None) -> None:
+        #: the session's name (``connect_remote`` renames its session
+        #: after the channel, once that registers as ``remote#N``)
+        self.session_id = session_id
         self.server_stats = server_stats
         self._deadline = DeadlineDocument(
             document, config.serve_request_deadline_ms, clock)
         self._exporter = NavigableLXPServer(
             self._deadline, chunk_size=chunk_size, depth=depth)
-        self._exporter.stats.metrics = metrics
-        self.rename(session_id)
         self._holes = HoleTable()
         #: the wire id of the answer's root hole (the ``open`` reply)
         self.root_wire = self._holes.intern(
@@ -257,12 +257,6 @@ class Session:
         self.in_flight: Optional[str] = None
         #: the wire trace context last adopted for this session
         self.trace_context: Optional[Dict[str, Any]] = None
-
-    def rename(self, session_id: str) -> None:
-        """Adopt ``session_id``, also the source name the exporter's
-        metrics series report under (``connect_remote`` learns its
-        channel's ``remote#N`` only once the channel registers)."""
-        self.session_id = self._exporter.stats.source = session_id
 
     def begin(self, op: str,
               trace_context: Optional[Dict[str, Any]]) -> bool:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Any, Optional, Tuple, TYPE_CHECKING
 
 from ..buffer.component import BufferComponent
-from ..buffer.lxp import LXPServer
+from ..buffer.lxp import LXPServer, LXPStats
 from ..runtime.resilience import Clock, resilient_server
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -97,7 +97,9 @@ def source_stack(server: Any, name: str,
     it, so the default stack is the plain buffer, byte-for-byte.
 
     ``channel=False``: ``server`` is a source wrapper registered as
-    ``name``.  With ``config.fragment_cache`` on (else the module is
+    ``name``; its :class:`~repro.buffer.lxp.LXPStats`, when it keeps
+    them, register too (the ``lxp_*`` metric series read them).  With
+    ``config.fragment_cache`` on (else the module is
     never imported) its fills route through the process-wide fragment
     store when admissible -- below resilience, so degraded
     ``<mix:error>`` placeholders are never cached -- and a whole view
@@ -118,15 +120,18 @@ def source_stack(server: Any, name: str,
     if channel:
         name = server.name = context.register("channel", name,
                                               server.stats)
-    elif config.fragment_cache:
-        from ..runtime.fragcache import fragment_cached, shared_store
-        store = shared_store()
-        server, prefill, decision = fragment_cached(
-            name, server, store=store, tracer=tracer)
-        context.register("fragcache", "shared", store.stats)
+    else:
+        stats = getattr(server, "stats", None)
+        if isinstance(stats, LXPStats):
+            context.register("lxp", name, stats)
+        if config.fragment_cache:
+            from ..runtime.fragcache import fragment_cached, shared_store
+            store = shared_store()
+            server, prefill, decision = fragment_cached(
+                name, server, store=store, tracer=tracer)
+            context.register("fragcache", "shared", store.stats)
     transport = resilient_server(server, config, name=name,
-                                 clock=clock, tracer=tracer,
-                                 metrics=context.metrics)
+                                 clock=clock, tracer=tracer)
     if transport is not server:
         context.register("resilience", name, transport.resilience)
     if prefill is not None:

@@ -51,6 +51,7 @@ from ..algebra.operators import (
     TupleDestroy,
 )
 from ..algebra.predicates import Comparison, Const, Predicate, Var
+from ..xtree.path import MAX_CONDITIONS, MAX_NESTING
 from ..xtree.tree import Tree, leaf
 from .ast import (
     ComparisonCondition,
@@ -61,7 +62,16 @@ from .ast import (
     XMASQuery,
 )
 
-__all__ = ["translate", "XMASTranslationError"]
+__all__ = ["translate", "XMASTranslationError", "MAX_PLAN_DEPTH"]
+
+#: The deepest plan :func:`translate` builds for a text within the
+#: parser's limits (``MAX_CONDITIONS`` conditions, elements nested
+#: ``MAX_NESTING`` deep): each condition adds at most one level over
+#: its source, each nested element at most four (groupBy, the
+#: constant of one literal, concatenate, createElement), and the
+#: source, one ORDER BY key and tupleDestroy one each.  A plan handed
+#: to the mediator instead of a text is held to it.
+MAX_PLAN_DEPTH = MAX_CONDITIONS + 4 * MAX_NESTING + 3
 
 
 from ..errors import ReproError

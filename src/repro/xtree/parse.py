@@ -23,7 +23,7 @@ predictable behaviour for the mediator stack above it.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import XMLParseError
 from .tree import Tree

@@ -199,11 +199,10 @@ class TestIncidentDumps:
         assert len(list(tmp_path.glob("incident-*-drain.jsonl"))) == 1
 
     def test_recorder_runs_with_metrics_disabled(self):
-        """Always on means always on: the default config records
-        operational history even though ``metrics_enabled`` is off."""
+        """Always on means always on: the default config, with nothing
+        armed, records operational history."""
         server, host, port = make_server(n_homes=3)
         try:
-            assert server.metrics.enabled is False
             with connect(host, port, QUERY) as session:
                 session.root.first_child()
             wait_until(lambda: server.active_sessions == 0,

@@ -118,24 +118,27 @@ def _calls_per_navigation(register, config=EngineConfig()):
     return calls / navigations
 
 
-# Measured at the commits that set them, plus 5 %: 5.21 on the join
-# scan and 6.07 on the served query once binding attributes went
-# straight to the operator that binds them (they read 5.32 and 6.21
-# before); 6.42 on the wrapped scan and 4.70 on the browse query once
-# a fill reply became one flat record from wrapper to buffer (they
-# read 7.48 and 5.71 before); 6.68 on the fragment-cache scan once the
-# store became one lock domain (6.70 before, 9.30 before the flat
-# record).  The
+# Measured at the commits that set them, plus 5 %: 5.04 on the join
+# scan, 6.39 on the wrapped scan, 5.91 on the served query and 4.62
+# on the browse query once ``prepare`` walked plans with an explicit
+# stack (one generator per walk, not one per plan node; they read
+# 5.22, 6.43, 6.08 and 4.73 before); 6.68 on the fragment-cache scan once the store
+# became one lock domain (6.70 before, 9.30 before the flat record).
+# Before that, 5.21 on the join scan and 6.07 on the served query once
+# binding attributes went straight to the operator that binds them
+# (they read 5.32 and 6.21 before); 6.42 on the wrapped scan and 4.70
+# on the browse query once a fill reply became one flat record from
+# wrapper to buffer (they read 7.48 and 5.71 before).  The
 # commits before read 8.80 on the wrapped scan (before the buffer's
 # open tree became node tables), 8.39 and 9.36 (join scan and served
 # query, before sources answered commands from node tables and values
 # were walked by their owner), 11.60 and 9.03, 12.61 and 10.03, and
 # 19.98 and 16.48 (join and wrapped scan).
 @pytest.mark.parametrize("register, config, bound", [
-    (_join_scan, EngineConfig(), 5.5),
-    (_wrapped_scan, EngineConfig(), 6.75),
-    (_served_sessions, EngineConfig(), 6.4),
-    (_browse, EngineConfig(), 4.95),
+    (_join_scan, EngineConfig(), 5.3),
+    (_wrapped_scan, EngineConfig(), 6.7),
+    (_served_sessions, EngineConfig(), 6.2),
+    (_browse, EngineConfig(), 4.85),
     (_cache_cold, EngineConfig(fragment_cache=True), 7.0),
 ], ids=["join_scan", "wrapped_scan", "served_sessions", "browse",
         "cache_cold"])

@@ -1,5 +1,6 @@
 """Tests for the observability layer: causal spans, the metrics
-registry, the exporters, and cross-thread span propagation.
+registry and the series a context reads from its counters, the
+exporters, and cross-thread span propagation.
 
 The acceptance anchor: one client ``fetch`` on the Fig. 9 join view
 must yield a span tree whose leaf events reconcile *exactly* with the
@@ -15,6 +16,7 @@ import pytest
 from repro.bench import (ALLBOOKS_VIEW_NAME, CHEAP_DB_BOOKS_QUERY,
                          allbooks_plan, two_bookstores)
 from repro.buffer import TreeLXPServer
+from repro.client.remote import ChannelStats
 from repro.mediator import MIXMediator
 from repro.navigation import MaterializedDocument, materialize
 from repro.runtime import (
@@ -149,13 +151,6 @@ class TestMetricsRegistry:
         with pytest.raises(TypeError):
             registry.gauge("x")
 
-    def test_disabled_registry_is_inert(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.counter("navs").inc(100, source="a")
-        registry.histogram("bytes").observe(9)
-        assert registry.counter("navs").value(source="a") == 0
-        assert registry.snapshot()["navs"]["series"] == {}
-
     def test_prometheus_exposition(self):
         registry = MetricsRegistry()
         registry.counter("source_navigations_total").inc(
@@ -227,30 +222,33 @@ class TestExporters:
 
 
 class TestContextMetricsIntegration:
-    def test_stats_report_includes_metrics_when_enabled(self):
-        config = EngineConfig(metrics_enabled=True)
-        context = ExecutionContext(config)
-        context.metrics.counter("x").inc()
-        report = context.stats_report()
-        assert "metrics" in report
-        assert report["metrics"]["x"]["series"] == {"": 1}
-
-    def test_stats_report_omits_metrics_when_disabled(self):
+    def test_metrics_snapshot_reads_registered_counters(self):
+        """A series is a read of a registered counter at scrape time:
+        a later scrape sees the counter's later value, and the stats
+        report does not restate the series."""
         context = ExecutionContext(EngineConfig())
+        stats = ChannelStats()
+        name = context.register("channel", "remote#", stats)
+        stats.bump("messages", 3)
+        series = context.metrics_snapshot()[
+            "channel_round_trips_total"]["series"]
+        assert series == {"channel=" + name: 3}
+        stats.bump("messages")
+        assert context.metrics_snapshot()["channel_round_trips_total"][
+            "series"] == {"channel=" + name: 4}
         assert "metrics" not in context.stats_report()
 
     def test_mediator_source_metrics(self):
-        config = EngineConfig(metrics_enabled=True)
-        med = MIXMediator(config)
+        med = MIXMediator(EngineConfig())
         med.register_source(
             "homesSrc", MaterializedDocument(homes_source()))
         doc = med._documents["homesSrc"]
         doc.fetch(doc.root())
         doc.down(doc.root())
-        counter = med.runtime.metrics.counter(
-            "source_navigations_total")
-        assert counter.value(source="homesSrc", command="f") == 1
-        assert counter.value(source="homesSrc", command="d") == 1
+        series = med.runtime.metrics_snapshot()[
+            "source_navigations_total"]["series"]
+        assert series["command=f,source=homesSrc"] == 1
+        assert series["command=d,source=homesSrc"] == 1
 
 
 def _observed_mediator(config=None, clock=None):
@@ -317,8 +315,7 @@ class TestFig9Reconciliation:
 
     def _remote_session(self):
         tracer = Tracer(record=True, clock=FakeClock())
-        config = EngineConfig(observe_operators=True,
-                              metrics_enabled=True)
+        config = EngineConfig(observe_operators=True)
         med = MIXMediator(config, tracer=tracer)
         med.register_source("homesSrc",
                             MaterializedDocument(homes_source()))
@@ -326,10 +323,11 @@ class TestFig9Reconciliation:
                             MaterializedDocument(schools_source()))
         result = med.prepare(fig4_plan())
         root, channel_stats = result.connect_remote()
-        return med, tracer, root, channel_stats
+        return med, result, root, channel_stats
 
     def test_one_fetch_reconciles_with_meters_and_channel(self):
-        med, tracer, root, channel_stats = self._remote_session()
+        med, result, root, channel_stats = self._remote_session()
+        tracer = med.tracer
         first = root.first_child()   # descend to the first med_home
         assert first.tag == "med_home"
         forest = build_span_tree(tracer.events)
@@ -354,23 +352,26 @@ class TestFig9Reconciliation:
         assert len(round_trips) == channel_stats.messages
         assert sum(e.data["bytes"] for e in round_trips) \
             == channel_stats.bytes_transferred
-        # The metrics registry saw the same traffic.
-        counter = med.runtime.metrics.counter(
-            "channel_round_trips_total")
-        assert sum(counter.series().values()) == channel_stats.messages
+        # The scraped series read the same traffic.
+        series = result.context.metrics_snapshot()[
+            "channel_round_trips_total"]["series"]
+        assert sum(series.values()) == channel_stats.messages
 
     def test_source_metrics_match_meters(self):
-        med, tracer, root, channel_stats = self._remote_session()
+        med, result, root, channel_stats = self._remote_session()
         for child in root.children():
             child.to_tree()          # navigate the whole answer
-        counter = med.runtime.metrics.counter(
-            "source_navigations_total")
-        for name, meter in med.meters.items():
-            counted = sum(
-                counter.value(source=name, command=command)
-                for command in ("d", "r", "f", "select"))
-            assert counted == meter.total
-            assert meter.total > 0
+        # The query's own scrape and the mediator's agree with the
+        # meters (this mediator ran this one query).
+        for context in (result.context, med.runtime):
+            series = context.metrics_snapshot()[
+                "source_navigations_total"]["series"]
+            for name, meter in med.meters.items():
+                counted = sum(
+                    series["command=%s,source=%s" % (command, name)]
+                    for command in ("d", "r", "f", "select"))
+                assert counted == meter.total
+                assert meter.total > 0
 
 
 class TestObservabilityOffIsIdentical:
@@ -392,8 +393,7 @@ class TestObservabilityOffIsIdentical:
         plain = self._navigation_counts(EngineConfig())
         observed_med_counts = None
         tracer = Tracer(record=True, clock=FakeClock())
-        med = MIXMediator(EngineConfig(observe_operators=True,
-                                       metrics_enabled=True),
+        med = MIXMediator(EngineConfig(observe_operators=True),
                           tracer=tracer)
         med.register_wrapper("homesSrc",
                              XMLFileWrapper("homesSrc", HOMES_XML))
@@ -405,12 +405,13 @@ class TestObservabilityOffIsIdentical:
         assert observed == plain
 
 
-#: ``operator_navigations_total`` per operator and method for the
-#: cheap-books query over the ``allbooks`` view, as first read when
-#: ``project`` and ``rename`` still had classes of their own.  Each
-#: observed operator is a route barrier: the pass-through shapes
-#: above it route ``b.X`` to its proxy, never past it, so every hop
-#: keeps its span and its count.
+#: ``operator`` spans per operator and method for the cheap-books
+#: query over the ``allbooks`` view, as first read (then as the
+#: ``operator_navigations_total`` series) when ``project`` and
+#: ``rename`` still had classes of their own.  Each observed operator
+#: is a route barrier: the pass-through shapes above it route ``b.X``
+#: to its proxy, never past it, so every hop keeps its span and its
+#: count.
 OBSERVED_BROWSE_SERIES = {
     "Concatenate#1": {"attribute": 1, "first_binding": 1, "v_down": 15,
                       "v_fetch": 14, "v_right": 14},
@@ -444,8 +445,9 @@ OBSERVED_BROWSE_SERIES = {
 
 
 def test_observed_operators_are_route_barriers():
-    med = MIXMediator(EngineConfig(observe_operators=True,
-                                   metrics_enabled=True))
+    tracer = Tracer(record=True, clock=FakeClock())
+    med = MIXMediator(EngineConfig(observe_operators=True),
+                      tracer=tracer)
     for name, books in zip(("amazonSrc", "bnSrc"),
                            two_bookstores(20, seed=1)):
         med.register_wrapper(name, TreeLXPServer(
@@ -454,8 +456,9 @@ def test_observed_operators_are_route_barriers():
     result = med.prepare(CHEAP_DB_BOOKS_QUERY)
     result.materialize()
     series = {}
-    for labels, count in result.stats()["metrics"][
-            "operator_navigations_total"]["series"].items():
-        label = dict(pair.split("=") for pair in labels.split(","))
-        series.setdefault(label["op"], {})[label["method"]] = count
+    for event in tracer.events:
+        if event.layer == "operator" and event.event.endswith(".begin"):
+            method = event.event[:-len(".begin")]
+            calls = series.setdefault(event.data["op"], {})
+            calls[method] = calls.get(method, 0) + 1
     assert series == OBSERVED_BROWSE_SERIES

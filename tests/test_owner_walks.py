@@ -8,8 +8,9 @@ generic walk through each node owner's ``v_down`` / ``v_right`` /
 ``v_fetch``.  Over random trees and every kind of owner, the two must
 give the same answer, send the same commands to the source in the
 same order (a logging :class:`CountingDocument` under the operator),
-count the same :class:`NavCounters`, and -- with the tracer active,
-metrics enabled or operators observed -- emit the same events.
+count the same :class:`NavCounters` (so scrape the same metric
+series), and -- with the tracer active or operators observed -- emit
+the same events.
 """
 
 from hypothesis import given, settings
@@ -43,19 +44,17 @@ def _document(kind, tree):
     return MaterializedDocument(tree)
 
 
-def _value(owner, tree, steps, tracer, metrics, observe):
+def _value(owner, tree, steps, tracer, observe):
     """Build the owner over a fresh source; return (value id, the
     source's command log, its counters, the context)."""
     context = ExecutionContext(
-        EngineConfig(metrics_enabled=metrics,
-                     observe_operators=observe),
+        EngineConfig(observe_operators=observe),
         tracer=Tracer(record=True, clock=FakeClock()) if tracer
         else None)
     if owner == "match_root":
         tree = Tree("top", [tree])  # so the path "_" matches ``tree``
     logged = CountingDocument(_document(owner, tree), log=True)
-    meter = CountingDocument(logged, name="src", tracer=context.tracer,
-                             metrics=context.metrics)
+    meter = CountingDocument(logged, name="src", tracer=context.tracer)
     counters = context.navigations[meter] = NavCounters()
 
     def wrap(op, name):
@@ -87,9 +86,9 @@ def _value(owner, tree, steps, tracer, metrics, observe):
     return value, logged, counters, context
 
 
-def _observed(walk, owner, tree, steps, tracer, metrics, observe):
+def _observed(walk, owner, tree, steps, tracer, observe):
     value, logged, counters, context = _value(
-        owner, tree, steps, tracer, metrics, observe)
+        owner, tree, steps, tracer, observe)
     before_log, before = len(logged.trace), counters + NavCounters()
     before_events = len(context.tracer.events)
     result = walk(value)
@@ -97,16 +96,16 @@ def _observed(walk, owner, tree, steps, tracer, metrics, observe):
               for e in context.tracer.events[before_events:]]
     return (result, logged.trace[before_log:],
             (counters - before).as_dict(), events,
-            context.metrics.to_prometheus())
+            context.metrics_prometheus())
 
 
 @settings(max_examples=120, deadline=None)
 @given(tree=_trees, owner=st.sampled_from(OWNERS),
        steps=st.lists(st.integers(0, 3), max_size=3),
-       tracer=st.booleans(), metrics=st.booleans(),
-       observe=st.booleans(), kind=st.sampled_from(["text", "key"]))
+       tracer=st.booleans(), observe=st.booleans(),
+       kind=st.sampled_from(["text", "key"]))
 def test_owner_walk_is_the_generic_walk(tree, owner, steps, tracer,
-                                        metrics, observe, kind):
+                                        observe, kind):
     if kind == "text":
         def by_owner(value):
             return value[0].v_text(value)
@@ -119,14 +118,14 @@ def test_owner_walk_is_the_generic_walk(tree, owner, steps, tracer,
 
         def generic(value):
             return LazyOperator.v_key(value[0], value)
-    args = (owner, tree, steps, tracer, metrics, observe)
+    args = (owner, tree, steps, tracer, observe)
     walked = _observed(by_owner, *args)
     assert walked == _observed(generic, *args)
     assert walked[1], "the walk issued no source command"
 
 
 def test_the_source_walks_its_own_document_when_nobody_listens():
-    """Idle tracer, metrics off: the source's own walk runs, not one
+    """Idle tracer: the source's own walk runs, not one
     v_* call per node."""
     tree = Tree("r", [Tree("a", [leaf("1"), leaf("2")]), leaf("3")])
     source = LazySource(MaterializedDocument(tree), "X")

@@ -6,7 +6,8 @@ The daemon's always-on telemetry is scraped as text
 produce *valid* exposition format, not merely plausible-looking
 lines: HELP before TYPE, cumulative histogram buckets with a
 terminal ``+Inf`` equal to the count series, and correct escaping in
-label values and help text.
+label values and help text.  The same line, HELP/TYPE and escaping
+checks run over a real query's scrape (``metrics_prometheus()``).
 """
 
 from __future__ import annotations
@@ -16,10 +17,22 @@ import re
 
 import pytest
 
+from repro.bench import HOMES_SCHOOLS_QUERY, homes_and_schools
+from repro.mediator import MIXMediator
+from repro.runtime import EngineConfig
 from repro.runtime.observability import (
     MetricsRegistry,
     export_prometheus,
 )
+from repro.wrappers import XMLFileWrapper
+from repro.xtree import to_xml
+
+#: every sample line of the text exposition format: name{labels} value
+SAMPLE = re.compile(
+    r'^[a-zA-Z_:][a-zA-Z0-9_:]*'
+    r'(\{[a-zA-Z_][a-zA-Z0-9_]*="([^"\\]|\\.)*"'
+    r'(,[a-zA-Z_][a-zA-Z0-9_]*="([^"\\]|\\.)*")*\})? '
+    r'[-+]?([0-9.]+(e[-+]?[0-9]+)?|Inf|NaN)$')
 
 
 def _export(registry):
@@ -79,15 +92,10 @@ class TestMetaLines:
         registry.counter("a", help_text="A.").inc(op="x")
         registry.gauge("b").set(2.25, kind="y")
         registry.histogram("c", buckets=(1, 10)).observe(3, op="z")
-        sample = re.compile(
-            r'^[a-zA-Z_:][a-zA-Z0-9_:]*'
-            r'(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"'
-            r'(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? '
-            r'[-+]?([0-9.]+(e[-+]?[0-9]+)?|Inf|NaN)$')
         for line in _lines(registry):
             if line.startswith("#"):
                 continue
-            assert sample.match(line), "unparseable line: %r" % line
+            assert SAMPLE.match(line), "unparseable line: %r" % line
 
 
 class TestHistogramExport:
@@ -172,14 +180,6 @@ class TestRegistryDiscipline:
         with pytest.raises(TypeError):
             registry.gauge("x")
 
-    def test_disabled_registry_exports_no_samples(self):
-        """A disabled registry still registers instruments (the TYPE
-        line renders) but writes record nothing."""
-        registry = MetricsRegistry(enabled=False)
-        registry.counter("quiet").inc()
-        assert [line for line in _lines(registry)
-                if not line.startswith("#")] == []
-
     def test_integral_floats_render_without_decimal_point(self):
         registry = MetricsRegistry()
         registry.gauge("whole").set(3.0)
@@ -187,3 +187,54 @@ class TestRegistryDiscipline:
         text = _export(registry)
         assert "repro_whole 3\n" in text
         assert "repro_frac 3.5" in text
+
+
+#: a wrapper name that exercises every escaped character of a label
+ODD_NAME = 'odd "src" C:\\tmp\nline2'
+
+
+class TestQueryScrape:
+    """A real query's pulled exposition: the series read from its
+    counters obey the same grammar as a hand-filled registry."""
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        mediator = MIXMediator(EngineConfig(retry_max_attempts=2))
+        sources = homes_and_schools(4)
+        for name, tree in sources.items():
+            mediator.register_wrapper(
+                name, XMLFileWrapper(name, to_xml(tree), chunk_size=2))
+        mediator.register_wrapper(ODD_NAME, XMLFileWrapper(
+            ODD_NAME, to_xml(sources["homesSrc"])))
+        result = mediator.prepare(HOMES_SCHOOLS_QUERY)
+        root, _ = result.connect_remote(chunk_size=2, depth=2)
+        root.to_tree()
+        return result.context.metrics_prometheus()
+
+    def test_every_sample_line_parses(self, text):
+        lines = text.splitlines()
+        assert len(lines) > 20
+        for line in lines:
+            if not line.startswith("#"):
+                assert SAMPLE.match(line), "unparseable line: %r" % line
+
+    def test_each_family_is_typed_before_its_samples(self, text):
+        typed = {}
+        for line in text.splitlines():
+            if line.startswith("# TYPE "):
+                _, _, metric, kind = line.split(" ")
+                assert metric not in typed, "family typed twice"
+                typed[metric] = kind
+            elif not line.startswith("#"):
+                metric = re.match(r"[a-zA-Z0-9_:]+", line).group(0)
+                assert metric in typed, "sample before its TYPE line"
+        assert typed["repro_source_navigations_total"] == "counter"
+        assert typed["repro_channel_round_trips_total"] == "counter"
+        assert typed["repro_lxp_fills_total"] == "counter"
+        assert typed["repro_buffer_hits"] == "gauge"
+        assert typed["repro_resilience_retries"] == "gauge"
+
+    def test_registered_names_are_escaped(self, text):
+        escaped = 'odd \\"src\\" C:\\\\tmp\\nline2'
+        assert 'repro_buffer_hits{buffer="%s"}' % escaped in text
+        assert 'repro_lxp_fills_total{source="%s"} 0' % escaped in text

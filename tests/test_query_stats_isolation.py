@@ -119,7 +119,7 @@ def test_meter_folds_collected_queries_and_stays_bounded(solo):
 
 
 def test_each_remote_query_reads_its_own_metrics_series():
-    mediator = MIXMediator(EngineConfig(metrics_enabled=True))
+    mediator = MIXMediator(EngineConfig())
     for name, tree in homes_and_schools(5).items():
         mediator.register_source(name, MaterializedDocument(tree))
     reports = []
@@ -127,11 +127,12 @@ def test_each_remote_query_reads_its_own_metrics_series():
         result = mediator.prepare(HOMES_SCHOOLS_QUERY)
         root, _channel = result.connect_remote(chunk_size=2, depth=2)
         root.to_tree()
-        reports.append(result.stats())
+        reports.append((result.stats(),
+                        result.context.metrics_snapshot()))
     names = []
-    for report in reports:
+    for report, metrics in reports:
         (name, channel), = report["channels"]["per_channel"].items()
-        series = report["metrics"]["channel_round_trips_total"]["series"]
+        series = metrics["channel_round_trips_total"]["series"]
         assert series["channel=" + name] == channel["messages"] == 34
         names.append(name)
     assert names == ["remote#1", "remote#2"]

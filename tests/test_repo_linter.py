@@ -234,6 +234,48 @@ class TestRawFrameIO:
         assert holders == ["src/repro/testing/transport.py"]
 
 
+class TestUnusedImports:
+    def test_imported_names_never_loaded_are_x104(self, tmp_path):
+        source = ("import os\n"
+                  "import os.path as osp\n"
+                  "from typing import List, Optional\n"
+                  "def names() -> List[str]:\n"
+                  "    return []\n")
+        findings = _lint_source(tmp_path, source)
+        assert _codes(findings) == ["X104", "X104", "X104"]
+        assert [f.line for f in findings] == [1, 2, 3]
+        assert "'Optional'" in findings[2].message
+
+    def test_loads_attributes_and_aliases_count_as_uses(self, tmp_path):
+        source = ("import os.path\n"
+                  "from json import dumps as render\n"
+                  "def where():\n"
+                  "    return os.path.sep, render\n")
+        assert _lint_source(tmp_path, source) == []
+
+    def test_exports_future_and_string_annotations_are_exempt(
+            self, tmp_path):
+        source = ("from __future__ import annotations\n"
+                  "from collections import OrderedDict\n"
+                  "if False:\n"
+                  "    from threading import Lock\n"
+                  "__all__ = ['OrderedDict']\n"
+                  "def guard(lock: 'Optional[Lock]' = None):\n"
+                  "    return lock\n")
+        assert _lint_source(tmp_path, source) == []
+
+    def test_package_init_reexports_are_exempt(self, tmp_path):
+        source = "from os import sep\n"
+        assert _lint_source(tmp_path, source,
+                            name="pkg/__init__.py") == []
+        assert _codes(_lint_source(tmp_path, source)) == ["X104"]
+
+    def test_x104_honours_suppression(self, tmp_path):
+        assert lint_repro.CODES["X104"].severity == "warning"
+        source = "import os  # lint: allow=X104\n"
+        assert _lint_source(tmp_path, source) == []
+
+
 class TestSuppression:
     def test_same_line_allow(self, tmp_path):
         source = ("import time\n"

@@ -46,8 +46,11 @@ from repro.testing.transport import (
     slow_loris,
 )
 from repro.testing.transport import _decode  # test-only convenience
+from repro.wrappers import XMLFileWrapper
 
 from .fixtures import long_where_clause, stacked_views, thread_ledger
+from .test_remote_client import HOMES_XML, SCHOOLS_XML
+from .test_remote_client import QUERY as FIG4_QUERY
 
 QUERY = """
 CONSTRUCT <result> <home> $A {$A} </home> {$H} </result> {}
@@ -672,33 +675,33 @@ class TestTwoReadingsAgree:
 
     @staticmethod
     def _assert_channel_readings_agree(metrics, name, stats):
-        channel = {"channel": name}
+        channel = "channel=" + name
         assert stats.messages > 0
-        assert metrics.counter("channel_round_trips_total").value(
-            **channel) == stats.messages
-        assert metrics.counter("channel_commands_total").value(
-            **channel) == stats.commands
+        assert metrics["channel_round_trips_total"]["series"][
+            channel] == stats.messages
+        assert metrics["channel_commands_total"]["series"][
+            channel] == stats.commands
 
     def test_in_process_session(self):
-        mediator = MIXMediator(EngineConfig(metrics_enabled=True))
+        mediator = MIXMediator(EngineConfig())
         tree = homes_and_schools(6)["homesSrc"]
         mediator.register_source("homesSrc", MaterializedDocument(tree))
         result = mediator.prepare(QUERY)
         root, stats = result.connect_remote(chunk_size=2, depth=2)
         root.to_tree()
         self._assert_channel_readings_agree(
-            result.context.metrics, "remote#1", stats)
+            result.context.metrics_snapshot(), "remote#1", stats)
 
     def test_tcp_session(self):
-        config = EngineConfig(metrics_enabled=True, serve_port=0,
-                              batch_navigations=True, prefetch=2)
+        config = EngineConfig(serve_port=0, batch_navigations=True,
+                              prefetch=2)
         server, host, port = make_server(config=config)
         try:
             with connect(host, port, QUERY, config=config,
                          chunk_size=2, depth=2) as session:
                 session.root.to_tree()
                 stats = session.stats
-                metrics = session.context.metrics
+                metrics = session.context.metrics_snapshot()
             self._assert_channel_readings_agree(metrics, "remote#1",
                                                 stats)
             wait_until(lambda: server.stats.snapshot()
@@ -706,10 +709,52 @@ class TestTwoReadingsAgree:
                        message="the session's close")
             fills = server.stats.snapshot()["fills"]
             assert fills > 0
-            assert server.telemetry.counter(
-                "server_fills_total").value() == fills
+            assert _scraped(server.prometheus_text(),
+                            "repro_server_fills_total") == fills
         finally:
             server.drain()
+
+
+def _series_count(snapshot):
+    return sum(len(metric["series"]) for metric in snapshot.values())
+
+
+def _sample_count(text):
+    return sum(1 for line in text.splitlines()
+               if not line.startswith("#"))
+
+
+class TestBoundedSeries:
+    """A long-lived daemon's scrapes stay the size of its counters:
+    serving more sessions adds no series to the mediator's or the
+    daemon's exposition (per-session series used to pile up under the
+    mediator, four per session and never dropped)."""
+
+    def test_scraped_series_do_not_grow_with_sessions(self):
+        mediator = MIXMediator(EngineConfig(serve_port=0))
+        for name, xml in (("homesSrc", HOMES_XML),
+                          ("schoolsSrc", SCHOOLS_XML)):
+            mediator.register_wrapper(name, XMLFileWrapper(name, xml))
+        server = MediatorServer(mediator)
+        host, port = server.start()
+        counts = {}
+        served = 0
+        try:
+            for sessions in (1, 10, 40):
+                while served < sessions:
+                    with connect(host, port, FIG4_QUERY) as session:
+                        session.root.to_tree()
+                    served += 1
+                wait_until(lambda: server.stats.snapshot()
+                           ["sessions_closed"] == served,
+                           message="%d closed sessions" % served)
+                counts[sessions] = (
+                    _series_count(mediator.runtime.metrics_snapshot()),
+                    _sample_count(server.prometheus_text()))
+        finally:
+            server.drain()
+        assert counts[1][0] > 0
+        assert counts[1] == counts[10] == counts[40], counts
 
 
 class TestDrain:

@@ -21,10 +21,14 @@ from pathlib import Path
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 SHELL_PACKAGES = ("runtime", "buffer", "server", "client")
 
-#: measured when the fragment store became one lock domain (its
-#: shards and the shared store's own lock deleted: runtime 1856 ->
-#: 1818) and ``MediatorServer`` lost its ``config`` parameter (server
-#: 1144 -> 1141).
+#: measured when metrics became reads of the counters at scrape time
+#: (the ``metrics`` parameter of eleven seams, the push halves, the
+#: byte histograms and ``metrics_enabled`` deleted): runtime 1818 ->
+#: 1811, buffer 574 -> 560, server 1141 -> 1138, client 361 -> 350.
+#: Before: 3894, measured when the fragment store became one lock
+#: domain (its shards and the shared store's own lock deleted: runtime
+#: 1856 -> 1818) and ``MediatorServer`` lost its ``config`` parameter
+#: (server 1144 -> 1141).
 #: Before: 3935, measured when the buffer's look-ahead pool was deleted
 #: (``runtime/parallel.py``, the buffer's in-flight futures and
 #: ``close()``, ``Tracer.capture``/``attach``, the config field, and
@@ -43,9 +47,15 @@ SHELL_PACKAGES = ("runtime", "buffer", "server", "client")
 #: Before: 4050, when the cache registry stopped holding the caches
 #: and a mediator's contexts began sharing serial names (before that:
 #: 4051, after the query caches lost their lock)
-SHELL_CODE_LINES = 3894
+SHELL_CODE_LINES = 3859
 
-#: all of ``src/repro``, measured when the census of exported names
+#: all of ``src/repro``, measured when metrics became reads of the
+#: counters at scrape time (the shell -35 code lines, ``lazy/`` -5)
+#: and the 20 unused imports ``tools.lint`` X104 found were deleted
+#: (most shared a line with a used name), while plans got an
+#: explicit-stack walk and a depth bound (``algebra/`` +9, ``xmas/``
+#: +2).
+#: Before: 13168, measured when the census of exported names
 #: and parameters deleted plan JSON (``algebra/`` 1079 -> 884), ten
 #: helpers nothing but their tests called, the store's shards and nine
 #: parameters every caller left at one value, and the mediator began
@@ -79,7 +89,7 @@ SHELL_CODE_LINES = 3894
 #: query began counting its own source navigations, raised on purpose
 #: from 13635, the count after operator fan-out, the URI registries
 #: and the lock-creation census were deleted (before that: 13816)
-PACKAGE_CODE_LINES = 13168
+PACKAGE_CODE_LINES = 13135
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

@@ -1,13 +1,14 @@
 """The stats-report golden: every report surface, pinned whole.
 
 One deterministic scenario -- the Fig. 4 view over two XML wrappers,
-with ``fragment_cache``, retries and ``metrics_enabled`` on, one
-in-process ``connect_remote`` session and one TCP session, all under
-a :class:`~repro.testing.FakeClock` -- and the five reports an
-operator can ask for, as sorted-key JSON in
-``tests/golden/stats_report.json``:
+with ``fragment_cache`` and retries on, one in-process
+``connect_remote`` session and one TCP session, all under a
+:class:`~repro.testing.FakeClock` -- and the six reports an operator
+can ask for, as sorted-key JSON in ``tests/golden/stats_report.json``:
 
 * ``QueryResult.stats()``,
+* the same query's ``context.metrics_snapshot()`` (the series read
+  from its counters),
 * the TCP client's ``context.stats_report()``,
 * ``Session.stats()`` (the ``stats`` wire op),
 * ``MediatorServer.status()["server"]`` and
@@ -41,7 +42,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "stats_report.json"
 REGEN = os.environ.get("REGEN_GOLDEN") == "1"
 
 CONFIG = EngineConfig(fragment_cache=True, retry_max_attempts=3,
-                      metrics_enabled=True, serve_port=0)
+                      serve_port=0)
 
 
 def _without_config(report):
@@ -63,11 +64,13 @@ def _observed_reports():
     reports = {}
 
     # In-process remote session first: the daemon below shares the
-    # mediator's metrics registry.
+    # mediator's wrapper counters.
     result = mediator.prepare(QUERY)
     root, _ = result.connect_remote(chunk_size=1, depth=1)
     assert root.to_tree() == expected_fig4_answer()
     reports["query_result_stats"] = _without_config(result.stats())
+    reports["query_metrics_snapshot"] = \
+        result.context.metrics_snapshot()
 
     server = MediatorServer(mediator, clock=clock)
     host, port = server.start()

@@ -15,6 +15,7 @@ from repro.algebra import (
     evaluate_bindings,
     walk_plan,
 )
+from repro.algebra.operators import Project, plan_depth
 from repro.xmas import (
     ComparisonCondition,
     ElementTemplate,
@@ -27,6 +28,7 @@ from repro.xmas import (
     parse_xmas,
     translate,
 )
+from repro.xmas.translate import MAX_PLAN_DEPTH
 from repro import EngineConfig, MediatorError, MIXMediator
 from repro.navigation import MaterializedDocument
 from repro.xtree import Tree, elem, to_xml
@@ -213,6 +215,75 @@ class TestConditionLimit:
                            % (MAX_CONDITIONS + 1)):
             mediator.prepare(query + "".join(
                 " AND $H addr._ $B%d" % index for index in range(extra)))
+
+
+def _project_chain(levels):
+    """A plan over homesSrc: one getDescendants under ``levels``
+    stacked projections, closed by tupleDestroy -- the ``homes``
+    element."""
+    plan = GetDescendants(Source("homesSrc", "R"), "R", "homes", "H")
+    for _ in range(levels):
+        plan = Project(plan, ["H"])
+    return TupleDestroy(plan, "H")
+
+
+def _deepest_admitted_text():
+    """MAX_CONDITIONS conditions chained over one source, elements
+    nested MAX_NESTING deep with a literal and a group key each, and
+    one ORDER BY key."""
+    where = "homesSrc homes.home $V0" + "".join(
+        " AND $V%d _ $V%d" % (index, index + 1)
+        for index in range(MAX_CONDITIONS - 1))
+    last = "$V%d" % (MAX_CONDITIONS - 1)
+    head = '<b> "x" %s {%s} </b>' % (last, last)
+    for index in reversed(range(MAX_NESTING - 1)):
+        head = '<a> "x" $V%d %s </a> {$V%d}' % (index, head, index)
+    return "CONSTRUCT %s WHERE %s ORDER BY $V0" % (head, where)
+
+
+class TestPlanDepthLimit:
+    """A plan handed to the mediator instead of a text is held to the
+    depth any admitted text translates to: a 2000-level view used to
+    raise RecursionError in ``prepare``'s view inlining."""
+
+    def test_the_deepest_admitted_text_is_within_the_bound(self):
+        assert plan_depth(translate(parse_xmas(
+            _deepest_admitted_text()))) == MAX_PLAN_DEPTH
+
+    def test_walk_plan_is_preorder_at_any_depth(self):
+        plan = _project_chain(2000)
+        nodes = list(walk_plan(plan))
+        assert len(nodes) == plan_depth(plan) == 2003
+        assert nodes[0] is plan and isinstance(nodes[-1], Source)
+        fig3 = translate(parse_xmas(FIG3_QUERY))
+
+        def recursive(node):
+            yield node
+            for child in node.inputs:
+                yield from recursive(child)
+
+        assert list(walk_plan(fig3)) == list(recursive(fig3))
+
+    def test_a_deep_plan_view_is_a_mediator_error(self):
+        mediator = MIXMediator(EngineConfig())
+        for name, tree in fig4_sources().items():
+            mediator.register_source(name, MaterializedDocument(tree))
+        with pytest.raises(MediatorError, match="2003 operators deep"):
+            mediator.register_view("deep", _project_chain(2000))
+        with pytest.raises(MediatorError, match="%d operators deep, "
+                           "more than the %d" % (MAX_PLAN_DEPTH + 1,
+                                                 MAX_PLAN_DEPTH)):
+            mediator.prepare(_project_chain(MAX_PLAN_DEPTH - 2))
+
+    def test_plans_within_the_bound_are_registered(self):
+        mediator = MIXMediator(EngineConfig())
+        for name, tree in fig4_sources().items():
+            mediator.register_source(name, MaterializedDocument(tree))
+        mediator.register_view("deep", _project_chain(MAX_PLAN_DEPTH - 3))
+        mediator.register_view("view", _project_chain(100))
+        answer = mediator.prepare(
+            "CONSTRUCT <r> $H {$H} </r> {} WHERE view home $H").root
+        assert [home.tag for home in answer.children()] == ["home"] * 2
 
 
 class TestTranslation:

@@ -40,6 +40,7 @@ CODES: Dict[str, CodeInfo] = {
     "X101": CodeInfo("warning", "real-sleep"),
     "X102": CodeInfo("warning", "unbounded-socket"),
     "X103": CodeInfo("error", "raw-frame-io"),
+    "X104": CodeInfo("warning", "unused-import"),
 }
 
 

@@ -919,6 +919,13 @@ class Analyzer:
                     return {cls.name}
                 if func.id in program.classes_by_name:
                     return {func.id}
+            # self._waiters.pop(key) / .get(key) -> Dict value types
+            if isinstance(func, ast.Attribute) \
+                    and func.attr in ("pop", "get"):
+                elems = self._static_elem_types(mod, cls, env,
+                                                func.value)
+                if elems:
+                    return elems
             if isinstance(func, ast.Attribute) \
                     and isinstance(func.value, ast.Name) \
                     and func.value.id == "self" and cls is not None:

@@ -1,4 +1,4 @@
-"""Per-file linter rules: L001, E001/E002, E003, X100/X101, X102, X103.
+"""Per-file linter rules: L001, E001/E002, E003, X100-X104.
 
 These are the single-file checks (one AST at a time); the
 interprocedural lock rules (L002/L010/L011/L012) live in
@@ -61,6 +61,14 @@ X103  raw-frame-io
     the frame cap, the truncation taxonomy and the error table apply.
     The transport fault kit's deliberately malformed write carries
     the one suppression.
+
+X104  unused-import
+    A name an ``import`` binds that the module never loads: dead
+    code the size ratchet counts.  Exempt: package ``__init__``
+    modules (their imports are re-exports), names listed in
+    ``__all__``, ``__future__`` imports, and names read only inside
+    a string annotation (``"Optional[Tracer]"``).  Applied to the
+    ``src`` tree only.
 """
 
 from __future__ import annotations
@@ -475,6 +483,75 @@ def _check_raw_frame_io(path: Path, tree: ast.Module) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
+# X104: imported names never loaded
+# ----------------------------------------------------------------------
+
+def _annotation_names(tree: ast.Module) -> Set[str]:
+    """Names read inside string annotations anywhere in ``tree``."""
+    annotations: List[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                annotations.append(node.returns)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names: Set[str] = set()
+    for annotation in annotations:
+        for part in ast.walk(annotation):
+            if not (isinstance(part, ast.Constant)
+                    and isinstance(part.value, str)):
+                continue
+            try:
+                parsed = ast.parse(part.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(name.id for name in ast.walk(parsed)
+                         if isinstance(name, ast.Name))
+    return names
+
+
+def _exported_names(tree: ast.Module) -> Set[str]:
+    """The string entries of a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets) \
+                and isinstance(node.value, (ast.List, ast.Tuple)):
+            return {elt.value for elt in node.value.elts
+                    if isinstance(elt, ast.Constant)
+                    and isinstance(elt.value, str)}
+    return set()
+
+
+def _check_unused_imports(path: Path, tree: ast.Module
+                          ) -> List[Finding]:
+    if path.name == "__init__.py":
+        return []
+    imported: List[Tuple[str, int]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.extend(
+                ((alias.asname or alias.name.split(".")[0]), node.lineno)
+                for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            imported.extend((alias.asname or alias.name, node.lineno)
+                            for alias in node.names
+                            if alias.name != "*")
+    if not imported:
+        return []
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name)
+              and isinstance(node.ctx, ast.Load)}
+    used = loaded | _exported_names(tree) | _annotation_names(tree)
+    return [Finding(path, line, "X104",
+                    "%r is imported but never used" % name)
+            for name, line in imported if name not in used]
+
+
+# ----------------------------------------------------------------------
 # file drivers
 # ----------------------------------------------------------------------
 
@@ -506,7 +583,8 @@ def lint_file(path: Path, event_names: Dict[str, Dict[str, tuple]]
                 + _check_metric_labels(path, tree)
                 + _check_hygiene(path, tree)
                 + _check_socket_timeouts(path, tree)
-                + _check_raw_frame_io(path, tree))
+                + _check_raw_frame_io(path, tree)
+                + _check_unused_imports(path, tree))
     return apply_suppressions(findings, source.splitlines())
 
 
