@@ -144,9 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "line) or chrome (trace_event JSON, "
                           "Perfetto-loadable; default jsonl)")
     run.add_argument("--metrics-out", default=None, metavar="FILE",
-                     help="enable the metrics registry and write it "
-                          "to FILE in Prometheus text exposition "
-                          "format")
+                     help="write the query's metric series, read "
+                          "from its counters, to FILE in Prometheus "
+                          "text exposition format")
 
     profile = sub.add_parser(
         "profile",
