@@ -104,7 +104,8 @@ def plan_depth(plan: Operator) -> int:
     while stack:
         node, depth = stack.pop()
         deepest = max(deepest, depth)
-        stack.extend((child, depth + 1) for child in node.inputs)
+        for child in node.inputs:
+            stack.append((child, depth + 1))
     return deepest
 
 

@@ -15,7 +15,7 @@ goes past them to the operator that binds ``X``.
 
 The plan's schema is checked once, at the public entry points, by
 :meth:`~repro.algebra.operators.Operator.validate`; the builder then
-recurses privately and no lazy constructor checks it again.
+walks the plan privately and no lazy constructor checks it again.
 
 Every operator in the resulting tree shares one
 :class:`~repro.runtime.context.ExecutionContext`: the frozen
@@ -28,7 +28,7 @@ booleans.
 from __future__ import annotations
 
 import typing
-from typing import Callable, Mapping, Optional
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from ..algebra import operators as ops
 from ..navigation.interface import NavigableDocument
@@ -115,74 +115,97 @@ def build_lazy_plan(plan: ops.Operator, documents: DocumentResolver,
 
 def _build(plan: ops.Operator, documents: DocumentResolver,
            context: ExecutionContext) -> LazyOperator:
-    """:func:`build_lazy_plan` over a validated plan."""
-    built = _build_lazy_node(plan, documents, context)
-    name = context.mint_operator_name(type(plan).__name__)
-    if context.config.observe_operators:
-        from .observe import SpannedOperator
-        return SpannedOperator(built, name)
-    if built.name is None:  # a pushed chain keeps its replay's names
-        built.name = name
-    return built
+    """:func:`build_lazy_plan` over a validated plan.
+
+    A post-order walk on an explicit stack, so a plan as deep as
+    :data:`~repro.xmas.translate.MAX_PLAN_DEPTH` builds at the default
+    recursion limit.  Each operator is built after its inputs, left
+    to right, and named as it is built: the ``Kind#N`` names follow
+    that order.  A pushed chain replays its original chain over a
+    :class:`~repro.pushdown.document.PushedSourceDocument` (one native
+    request, executed on first navigation) -- the residual evaluation
+    that makes conservative backends sound and answers byte-identical
+    to the lazy run.
+    """
+    # Post-order, inputs left to right, is the reverse of a preorder
+    # that visits inputs right to left.
+    order: List[Tuple[ops.Operator, DocumentResolver]] = []
+    stack: List[Tuple[ops.Operator, DocumentResolver]] = [
+        (plan, documents)]
+    while stack:
+        node, docs = stack.pop()
+        order.append((node, docs))
+        if isinstance(node, PushedSource):
+            pushed = PushedSourceDocument(node, context)
+            stack.append((node.compiled.subplan,
+                          {node.compiled.url: pushed}))
+        else:
+            for child in node.inputs:
+                stack.append((child, docs))
+    observe = context.config.observe_operators
+    built: List[LazyOperator] = []
+    for node, docs in reversed(order):
+        arity = 1 if isinstance(node, PushedSource) else len(node.inputs)
+        inputs = built[len(built) - arity:]
+        del built[len(built) - arity:]
+        lazy = _lazy_node(node, inputs, docs, context)
+        name = context.mint_operator_name(type(node).__name__)
+        if observe:
+            from .observe import SpannedOperator
+            lazy = SpannedOperator(lazy, name)
+        elif lazy.name is None:  # a pushed chain keeps its replay's names
+            lazy.name = name
+        built.append(lazy)
+    return built[0]
 
 
-def _build_lazy_node(plan: ops.Operator, documents: DocumentResolver,
-                     context: ExecutionContext) -> LazyOperator:
-    def rec(node: ops.Operator) -> LazyOperator:
-        return _build(node, documents, context)
-
+def _lazy_node(plan: ops.Operator, inputs: List[LazyOperator],
+               documents: DocumentResolver,
+               context: ExecutionContext) -> LazyOperator:
+    """The lazy operator of one plan node over its built ``inputs``
+    (a pushed chain's one input is its built replay)."""
     if isinstance(plan, PushedSource):
-        # A pushed chain: stand a PushedSourceDocument (one native
-        # request, executed on first navigation) where the wrapped
-        # source would be, and replay the *original* chain over it --
-        # the residual evaluation that makes conservative backends
-        # sound and answers byte-identical to the lazy run.
-        pushed = PushedSourceDocument(plan, context)
-        return _build(plan.compiled.subplan,
-                      {plan.compiled.url: pushed}, context)
+        return inputs[0]
     if isinstance(plan, ops.Source):
         return LazySource(_resolve(documents, plan.url), plan.out_var,
                           context)
     if isinstance(plan, ops.Constant):
-        return LazyConstant(rec(plan.child), plan.value, plan.out_var,
-                            context)
+        return LazyConstant(inputs[0], plan.value, plan.out_var, context)
     if isinstance(plan, ops.GetDescendants):
-        return LazyGetDescendants(rec(plan.child), plan.parent_var,
+        return LazyGetDescendants(inputs[0], plan.parent_var,
                                   plan.path, plan.out_var, context)
     if isinstance(plan, ops.Select):
-        return LazySelect(rec(plan.child), plan.predicate, context)
+        return LazySelect(inputs[0], plan.predicate, context)
     if isinstance(plan, ops.Project):
-        return UnaryOperator(rec(plan.child), context,
+        return UnaryOperator(inputs[0], context,
                              {var: var for var in plan.variables})
     if isinstance(plan, ops.Rename):
-        child = rec(plan.child)
-        return UnaryOperator(child, context,
+        return UnaryOperator(inputs[0], context,
                              {plan.mapping.get(var, var): var
-                              for var in child.variables})
+                              for var in inputs[0].variables})
     if isinstance(plan, ops.Distinct):
-        return LazyDistinct(rec(plan.child), context)
+        return LazyDistinct(inputs[0], context)
     if isinstance(plan, ops.Join):
-        return LazyJoin(rec(plan.left), rec(plan.right), plan.predicate,
-                        context)
+        return LazyJoin(inputs[0], inputs[1], plan.predicate, context)
     if isinstance(plan, ops.Union):
-        return LazyUnion(rec(plan.left), rec(plan.right), context)
+        return LazyUnion(inputs[0], inputs[1], context)
     if isinstance(plan, ops.Difference):
-        return LazyDifference(rec(plan.left), rec(plan.right), context)
+        return LazyDifference(inputs[0], inputs[1], context)
     if isinstance(plan, ops.Materialize):
-        return LazyMaterialize(rec(plan.child), context)
+        return LazyMaterialize(inputs[0], context)
     if isinstance(plan, ops.GroupBy):
-        return LazyGroupBy(rec(plan.child), plan.group_vars,
+        return LazyGroupBy(inputs[0], plan.group_vars,
                            plan.aggregations, context)
     if isinstance(plan, ops.OrderBy):
-        return LazyOrderBy(rec(plan.child), plan.variables,
+        return LazyOrderBy(inputs[0], plan.variables,
                            plan.descending, context)
     if isinstance(plan, ops.Concatenate):
-        return LazyConcatenate(rec(plan.child), plan.in_vars,
+        return LazyConcatenate(inputs[0], plan.in_vars,
                                plan.out_var, context)
     if isinstance(plan, ops.CreateElement):
         label = (("var", plan.label_var) if plan.label_var
                  else plan.label_const)
-        return LazyCreateElement(rec(plan.child), label,
+        return LazyCreateElement(inputs[0], label,
                                  plan.content_var, plan.out_var,
                                  context)
     raise LazyError("no lazy implementation for %r" % plan)

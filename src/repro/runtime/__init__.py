@@ -17,10 +17,10 @@ Everything cross-cutting in the evaluation tower lives here:
   :class:`ResilientLXPServer` -- fault tolerance at the I/O seams:
   bounded retries with deterministic backoff, per-source breakers,
   and ``<mix:error>`` partial-answer degradation;
-* :class:`MetricsRegistry` + the span/exporter toolkit
-  (:mod:`repro.runtime.observability`) -- counters/gauges/histograms,
-  causal span trees over the tracer's event stream, and JSONL /
-  Chrome-trace / Prometheus exporters.
+* the span/exporter toolkit (:mod:`repro.runtime.observability`) --
+  causal span trees over the tracer's event stream, JSONL /
+  Chrome-trace exporters, and the one metrics renderer that turns
+  counters read at scrape time into snapshots and Prometheus text.
 """
 
 # First: with REPRO_LOCK_SANITIZER=1, importing .locks arms the
@@ -34,11 +34,7 @@ from .context import ExecutionContext, Tracer
 from .counters import Counters
 from .observability import (
     EVENT_NAMES,
-    Counter,
     FlightRecorder,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     SpanForest,
     SpanNode,
     TraceEvent,
@@ -46,7 +42,6 @@ from .observability import (
     contract_violations,
     export_chrome_trace,
     export_jsonl,
-    export_prometheus,
     load_jsonl,
     merge_traces,
     sample_trace,
@@ -76,9 +71,8 @@ __all__ = [
     "ResilienceStats", "ResilientCaller",
     "ERROR_LABEL", "error_placeholder", "is_error_label",
     "ResilientLXPServer", "resilient_server",
-    "MetricsRegistry", "Counter", "Gauge", "Histogram",
     "SpanNode", "SpanForest", "build_span_tree",
-    "export_jsonl", "export_chrome_trace", "export_prometheus",
+    "export_jsonl", "export_chrome_trace",
     "EVENT_NAMES", "contract_violations",
     "FlightRecorder",
     "load_jsonl", "merge_traces", "sample_trace",

@@ -19,7 +19,7 @@ source navigations, per-cache hit/miss/eviction counts, and -- for
 remote sessions -- channel messages/bytes.  The metric series
 (:meth:`ExecutionContext.metrics_snapshot`,
 :meth:`ExecutionContext.metrics_prometheus`) are read from the same
-counters when scraped: nothing below the context holds a registry.
+counters when scraped: no metric store exists beside them.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ if TYPE_CHECKING:  # import cycle: resilience imports this module
 from .cache import CacheManager
 from .config import EngineConfig
 from .counters import Counters
-from .observability import MetricsRegistry, TraceEvent
+from .observability import (Family, TraceEvent, render_prometheus,
+                            render_snapshot)
 from .locks import make_lock
 
 __all__ = ["TraceEvent", "Tracer", "ExecutionContext"]
@@ -403,44 +404,47 @@ class ExecutionContext:
         return by_kind
 
     # -- metrics -----------------------------------------------------------
-    def _metrics(self) -> MetricsRegistry:
-        """A registry holding the context's series, read from its
-        counters now: the operator caches, the source navigations and
-        every registered seam (the series columns of ``_SECTIONS``).
-        Built per scrape and dropped after it, so there are as many
-        series as counters, however long the mediator lives."""
-        registry = MetricsRegistry()
+    def _families(self) -> List[Family]:
+        """The context's metric families, read from its counters now:
+        the operator caches, the source navigations and every
+        registered seam (the series columns of ``_SECTIONS``).  Read
+        per scrape and dropped after it, so there are as many series
+        as counters, however long the mediator lives."""
         caches = self.caches.as_dict()["caches"]
-        for field_name in ("hits", "misses", "evictions"):
-            gauge = registry.gauge("cache_" + field_name)
-            for name, counts in caches.items():
-                gauge.set(counts[field_name], cache=name)
-        navigations = registry.counter("source_navigations_total")
+        families: List[Family] = [
+            ("cache_" + field_name, "gauge", "",
+             [((("cache", name),), counts[field_name])
+              for name, counts in caches.items()])
+            for field_name in ("hits", "misses", "evictions")]
+        navigations: List[Tuple[Any, int]] = []
         for document, counters in list(self.navigations.items()):
             snap = counters.snapshot()
-            for command, field_name in _COMMANDS:
-                navigations.inc(snap[field_name], source=document.name,
-                                command=command)
+            navigations.extend(
+                ((("command", command), ("source", document.name)),
+                 snap[field_name])
+                for command, field_name in _COMMANDS)
+        families.append(("source_navigations_total", "counter", "",
+                         navigations))
         by_kind = self._snapshots()
         for kind, _, _, _, _, label, series in _SECTIONS:
-            for series_name, field_name in series:
-                write: Callable[..., None]
-                if series_name.endswith("_total"):
-                    write = registry.counter(series_name).inc
-                else:
-                    write = registry.gauge(series_name).set
-                for name, snap in by_kind.get(kind, {}).items():
-                    write(snap[field_name], **{label: name})
-        return registry
+            snaps = by_kind.get(kind, {})
+            families.extend(
+                (series_name,
+                 "counter" if series_name.endswith("_total") else "gauge",
+                 "", [(((label, name),), snap[field_name])
+                      for name, snap in snaps.items()])
+                for series_name, field_name in series)
+        return families
 
     def metrics_snapshot(self) -> dict:
         """Every series as plain dicts (see
-        :meth:`MetricsRegistry.snapshot`), read from the counters."""
-        return self._metrics().snapshot()
+        :func:`~repro.runtime.observability.render_snapshot`), read
+        from the counters."""
+        return render_snapshot(self._families())
 
     def metrics_prometheus(self) -> str:
         """The same series in Prometheus text exposition format."""
-        return self._metrics().to_prometheus()
+        return render_prometheus(self._families())
 
     # -- reporting ---------------------------------------------------------
     def stats_report(self) -> dict:

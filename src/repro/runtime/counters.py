@@ -18,9 +18,10 @@ Two guarding disciplines, chosen per class:
 *self-locked* (``class X(Counters, shared=True)``)
     Charged from several threads with no common owner lock
     (``LXPStats``, ``ChannelStats``, ``ResilienceStats``,
-    ``FragcacheStats``, ``ServerStats``): the instance carries the
-    named lock ``runtime.counters`` as ``.lock``, writers batch their
-    adds under ``with stats.lock:``, readers take ``snapshot()``.
+    ``FragcacheStats``, ``ServerStats``, the daemon's per-op request
+    counters): the instance carries the named lock
+    ``runtime.counters`` as ``.lock``, writers batch their adds under
+    ``with stats.lock:``, readers take ``snapshot()``.
     The lock is a leaf: nothing is acquired, called back or blocked
     on while it is held.
 """

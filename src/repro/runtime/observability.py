@@ -6,11 +6,13 @@ of source navigations (Definition 2), and the buffer/LXP layer trades
 round trips for fragment granularity.  This module turns every run
 into evidence for (or against) those claims:
 
-* :class:`MetricsRegistry` -- counters, gauges, and fixed-bucket
-  histograms with Prometheus-style labels: the daemon's request
-  telemetry, and the registry an
-  :class:`~repro.runtime.context.ExecutionContext` fills from its
-  registered counters each time it is scraped.
+* :func:`render_snapshot` / :func:`render_prometheus` -- the one
+  metrics renderer: metric families given as data (name, kind, help,
+  labelled rows) become a plain-dict snapshot or Prometheus text.
+  The rows are read from counters at scrape time -- an
+  :class:`~repro.runtime.context.ExecutionContext`'s registered
+  counters, the daemon's ``ServerStats`` and per-op request
+  counters; no metric store exists beside them.
 * :class:`SpanNode` / :func:`build_span_tree` -- reconstruct the
   causal tree of one (or many) client navigations from a
   :class:`~repro.runtime.context.Tracer` event stream: client span ->
@@ -19,8 +21,7 @@ into evidence for (or against) those claims:
   (:mod:`repro.navigation.profiler`) consumes.
 * Exporters -- newline-delimited JSON (:func:`export_jsonl`), the
   Chrome ``trace_event`` format loadable in ``chrome://tracing`` and
-  Perfetto (:func:`export_chrome_trace`), and a Prometheus text
-  exposition snapshot (:func:`export_prometheus`).
+  Perfetto (:func:`export_chrome_trace`).
 * :data:`EVENT_NAMES` -- the stable event-name contract.  The golden
   navigation traces and the documented span taxonomy in
   ``docs/PROTOCOLS.md`` both key off these names; a tier-1 test
@@ -46,15 +47,15 @@ import os
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, Iterable, List,
-                    Optional, Sequence, Tuple, cast)
+from typing import (Any, Deque, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
-from .locks import make_lock, make_rlock
+from .locks import make_lock
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "Family", "render_snapshot", "render_prometheus",
     "SpanNode", "SpanForest", "build_span_tree",
-    "export_jsonl", "export_chrome_trace", "export_prometheus",
+    "export_jsonl", "export_chrome_trace",
     "EVENT_NAMES", "contract_violations", "span_name_of",
     "FlightRecorder", "TraceEvent", "load_jsonl", "merge_traces",
     "sample_trace",
@@ -225,222 +226,59 @@ def sample_trace(trace_id: str, rate: float) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Metrics
+# Metrics: families rendered from counters
 # ----------------------------------------------------------------------
 
-LabelKey = Tuple[Tuple[str, str], ...]
+#: The labels of one series: ``(label, value)`` string pairs in
+#: label-name order.
+Labels = Tuple[Tuple[str, str], ...]
+
+#: One metric family as data, read from counters at scrape time:
+#: ``(name, kind, help, rows)``.  ``kind`` is ``counter``, ``gauge``
+#: or ``histogram``; an empty ``help`` renders no HELP line.  A row is
+#: ``(labels, value)``, its labels unique within the family.  A
+#: histogram row's value is ``(bounds, counts, sum)``: the finite
+#: upper bounds, the per-bucket counts (the ``+Inf`` bucket last; the
+#: observation count is their sum) and the sum of the observations.
+Family = Tuple[str, str, str, Sequence[Tuple[Labels, Any]]]
 
 
-def _label_key(labels: dict) -> LabelKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+def render_snapshot(families: Iterable[Family]) -> Dict[str, Any]:
+    """Every family's series as plain data, families by name:
+    ``{name: {"type": kind, "series": {"label=value,...": value}}}``
+    (a histogram's value is ``{"buckets", "sum", "count"}``)."""
+    snapshot: Dict[str, Any] = {}
+    for name, kind, _, rows in sorted(families):
+        series: Dict[str, Any] = {}
+        for labels, value in sorted(rows):
+            if kind == "histogram":
+                bounds, counts, total = value
+                value = {"buckets": dict(zip(
+                    [str(b) for b in bounds] + ["+Inf"], counts)),
+                    "sum": total, "count": sum(counts)}
+            series[",".join("%s=%s" % pair for pair in labels)] = value
+        snapshot[name] = {"type": kind, "series": series}
+    return snapshot
 
 
-class _Instrument:
-    """Shared series storage of the three instrument kinds."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str,
-                 registry: "MetricsRegistry") -> None:
-        self.name = name
-        self.help = ""
-        self._registry = registry
-        self._series: Dict[LabelKey, object] = {}
-
-    def _labels_of(self, key: LabelKey) -> str:
-        return ",".join("%s=%s" % kv for kv in key)
-
-    def series(self) -> Dict[str, object]:
-        """label-string -> value snapshot (plain data)."""
-        with self._registry._lock:
-            return {self._labels_of(key): self._value_of(raw)
-                    for key, raw in sorted(self._series.items())}
-
-    def _value_of(self, raw: Any) -> Any:
-        return raw
-
-    def _exposition(self) -> List[str]:
-        """The family's text-exposition lines; the caller holds the
-        registry lock."""
-        metric = _prometheus_name(self.name)
-        lines: List[str] = []
-        if self.help:
-            lines.append("# HELP %s %s" % (metric, _escape_help(self.help)))
-        lines.append("# TYPE %s %s" % (metric, self.kind))
-        for key, raw in sorted(self._series.items()):
-            lines.extend(self._samples(metric, key, raw))
-        return lines
-
-    def _samples(self, metric: str, key: LabelKey,
-                 raw: Any) -> List[str]:
-        return ["%s%s %s" % (metric, _prometheus_labels(key),
-                             _format_number(raw))]
-
-
-class Counter(_Instrument):
-    """A monotonically increasing sum, per label set."""
-
-    kind = "counter"
-
-    def inc(self, amount: float = 1, **labels: object) -> None:
-        key = _label_key(labels)
-        with self._registry._lock:
-            self._series[key] = self._series.get(key, 0) + amount
-
-    def value(self, **labels: object) -> float:
-        with self._registry._lock:
-            return cast(float, self._series.get(_label_key(labels), 0))
-
-
-class Gauge(_Instrument):
-    """A last-write-wins point-in-time value, per label set."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels: object) -> None:
-        with self._registry._lock:
-            self._series[_label_key(labels)] = value
-
-    def value(self, **labels: object) -> float:
-        with self._registry._lock:
-            return cast(float, self._series.get(_label_key(labels), 0))
-
-
-@dataclass
-class _HistogramSeries:
-    counts: List[int]
-    total: float = 0.0
-    observations: int = 0
-
-
-class Histogram(_Instrument):
-    """A fixed-bucket histogram (cumulative on export), per label set.
-
-    ``buckets`` are the inclusive upper bounds of the finite buckets;
-    an implicit ``+Inf`` bucket catches the rest.  Bounds are fixed at
-    creation -- there is no dynamic resizing, so concurrent observers
-    never contend on anything but the counter increments.
-    """
-
-    kind = "histogram"
-
-    def __init__(self, name: str, registry: "MetricsRegistry",
-                 buckets: Sequence[float]) -> None:
-        super().__init__(name, registry)
-        self.buckets: Tuple[float, ...] = tuple(sorted(buckets))
-
-    def observe(self, value: float, **labels: object) -> None:
-        key = _label_key(labels)
-        with self._registry._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = _HistogramSeries([0] * (len(self.buckets) + 1))
-                self._series[key] = series
-            index = len(self.buckets)
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    index = i
-                    break
-            series.counts[index] += 1
-            series.total += value
-            series.observations += 1
-
-    def _samples(self, metric: str, key: LabelKey,
-                 raw: _HistogramSeries) -> List[str]:
-        return _prometheus_histogram(metric, self.buckets, key, raw)
-
-    def _value_of(self, raw: _HistogramSeries) -> dict:
-        return {"buckets": dict(zip([str(b) for b in self.buckets]
-                                    + ["+Inf"], raw.counts)),
-                "sum": raw.total, "count": raw.observations}
-
-
-class MetricsRegistry:
-    """Named instruments under one lock.
-
-    Two kinds of owner: the daemon's long-lived request telemetry
-    (:attr:`~repro.server.daemon.MediatorServer.telemetry`), written
-    per request, and the registry an
-    :class:`~repro.runtime.context.ExecutionContext` builds from its
-    counters at each scrape and drops after it.
-    """
-
-    def __init__(self) -> None:
-        self._lock = make_rlock("metrics.registry")
-        self._instruments: Dict[str, _Instrument] = {}
-
-    def _get(self, name: str, factory: Callable,
-             help_text: Optional[str] = None) -> _Instrument:
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                # the factory is one of the registry's own
-                # constructors (_Counter/_Gauge/_Histogram), never
-                # user code; it touches no locks
-                # lint: allow=L012
-                instrument = factory()
-                self._instruments[name] = instrument
-            if help_text and not instrument.help:
-                instrument.help = help_text
-            return instrument
-
-    def counter(self, name: str,
-                help_text: Optional[str] = None) -> Counter:
-        """Get-or-create the counter called ``name``.
-
-        ``help_text``, when given on any call, becomes the metric's
-        ``# HELP`` line in the Prometheus exposition (first writer
-        wins; instruments without help render no HELP line, as
-        before).
-        """
-        instrument = self._get(name, lambda: Counter(name, self),
-                               help_text)
-        if not isinstance(instrument, Counter):
-            raise TypeError("%r is a %s, not a counter"
-                            % (name, instrument.kind))
-        return instrument
-
-    def gauge(self, name: str,
-              help_text: Optional[str] = None) -> Gauge:
-        """Get-or-create the gauge called ``name``."""
-        instrument = self._get(name, lambda: Gauge(name, self),
-                               help_text)
-        if not isinstance(instrument, Gauge):
-            raise TypeError("%r is a %s, not a gauge"
-                            % (name, instrument.kind))
-        return instrument
-
-    def histogram(self, name: str, buckets: Sequence[float],
-                  help_text: Optional[str] = None) -> Histogram:
-        """Get-or-create the histogram called ``name``."""
-        instrument = self._get(
-            name, lambda: Histogram(name, self, buckets), help_text)
-        if not isinstance(instrument, Histogram):
-            raise TypeError("%r is a %s, not a histogram"
-                            % (name, instrument.kind))
-        return instrument
-
-    # -- snapshots ---------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Every instrument's series as plain data, sorted by name."""
-        with self._lock:
-            instruments = sorted(self._instruments.items())
-        return {name: {"type": instrument.kind,
-                       "series": instrument.series()}
-                for name, instrument in instruments}
-
-    def to_prometheus(self, *others: "MetricsRegistry") -> str:
-        """A Prometheus text-exposition snapshot of the registry and of
-        ``others``, families sorted by name across all of them."""
-        families: List[Tuple[str, List[str]]] = []
-        for registry in (self,) + others:
-            with registry._lock:
-                families.extend(
-                    (name, instrument._exposition())
-                    for name, instrument in registry._instruments.items())
-        lines = [line for _, family in sorted(families)
-                 for line in family]
-        return "\n".join(lines) + ("\n" if lines else "")
+def render_prometheus(families: Iterable[Family]) -> str:
+    """The families in Prometheus text exposition format: sorted by
+    name, each its HELP line (when it has help), its TYPE line, then
+    its samples by label; a histogram's ``_bucket`` samples are
+    cumulative, ``le`` after the row's labels."""
+    lines: List[str] = []
+    for name, kind, help_text, rows in sorted(families):
+        metric = _prometheus_name(name)
+        if help_text:
+            lines.append("# HELP %s %s" % (metric, _escape_help(help_text)))
+        lines.append("# TYPE %s %s" % (metric, kind))
+        for labels, value in sorted(rows):
+            if kind == "histogram":
+                lines.extend(_prometheus_histogram(metric, labels, *value))
+            else:
+                lines.append("%s%s %s" % (metric, _prometheus_labels(labels),
+                                          _format_number(value)))
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _prometheus_name(name: str) -> str:
@@ -469,31 +307,29 @@ def _escape_label_value(value: str) -> str:
             .replace("\n", "\\n"))
 
 
-def _prometheus_labels(key: LabelKey, extra: Tuple[Tuple[str, str], ...] = ()
-                       ) -> str:
-    pairs = tuple(key) + tuple(extra)
-    if not pairs:
+def _prometheus_labels(labels: Labels) -> str:
+    if not labels:
         return ""
     return "{%s}" % ",".join(
         '%s="%s"' % (name, _escape_label_value(value))
-        for name, value in pairs)
+        for name, value in labels)
 
 
-def _prometheus_histogram(metric: str, buckets: Tuple[float, ...],
-                          key: LabelKey,
-                          raw: _HistogramSeries) -> List[str]:
+def _prometheus_histogram(metric: str, labels: Labels,
+                          bounds: Sequence[float], counts: Sequence[int],
+                          total: float) -> List[str]:
     lines = []
     cumulative = 0
-    bounds = [_format_number(b) for b in buckets] + ["+Inf"]
-    for bound, count in zip(bounds, raw.counts):
+    for bound, count in zip([_format_number(b) for b in bounds]
+                            + ["+Inf"], counts):
         cumulative += count
         lines.append("%s_bucket%s %d"
-                     % (metric, _prometheus_labels(key, (("le", bound),)),
+                     % (metric, _prometheus_labels(labels + (("le", bound),)),
                         cumulative))
-    lines.append("%s_sum%s %s" % (metric, _prometheus_labels(key),
-                                  _format_number(raw.total)))
-    lines.append("%s_count%s %d" % (metric, _prometheus_labels(key),
-                                    raw.observations))
+    lines.append("%s_sum%s %s" % (metric, _prometheus_labels(labels),
+                                  _format_number(total)))
+    lines.append("%s_count%s %d" % (metric, _prometheus_labels(labels),
+                                    cumulative))
     return lines
 
 
@@ -687,21 +523,6 @@ def export_chrome_trace(events: Sequence, sink: Any) -> int:
         if owned:
             handle.close()
     return len(records)
-
-
-def export_prometheus(registry: MetricsRegistry, sink: Any,
-                      *others: MetricsRegistry) -> str:
-    """Write the Prometheus text exposition of the registry (and of
-    ``others``, families merged by name) to ``sink`` (path or file
-    object) and return it."""
-    text = registry.to_prometheus(*others)
-    handle, owned = _open_sink(sink)
-    try:
-        handle.write(text)
-    finally:
-        if owned:
-            handle.close()
-    return text
 
 
 # ----------------------------------------------------------------------

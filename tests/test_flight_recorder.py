@@ -13,11 +13,15 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
+import threading
 
 import pytest
 
+from repro.mediator import MIXMediator
+from repro.runtime import EngineConfig
 from repro.runtime.observability import FlightRecorder
-from repro.server import connect, fetch_status
+from repro.server import MediatorServer, connect, fetch_status
 from repro.testing.faults import FakeClock
 from repro.testing.transport import (
     open_raw,
@@ -228,6 +232,55 @@ class TestIncidentDumps:
 # the slow-request log
 # ----------------------------------------------------------------------
 
+class TestRequestCounters:
+    def test_latency_buckets_are_inclusive_upper_bounds(self):
+        """A dispatch of exactly a bound's milliseconds counts in that
+        bound's bucket; the exposition cumulates the buckets, and an
+        op with no dispatch has no series."""
+        server = MediatorServer(MIXMediator(EngineConfig()))
+        for elapsed_ms in (1.0, 1.5, 25.0, 20000.0):
+            server.op_stats["fill"].observe(elapsed_ms, slow=False)
+        server.op_stats["fill"].observe(0.5, slow=True)
+        text = server.prometheus_text()
+        for bound, count in (("1", 2), ("5", 3), ("25", 4),
+                             ("10000", 4), ("+Inf", 5)):
+            assert ('repro_server_request_ms_bucket{op="fill",le="%s"} '
+                    '%d\n' % (bound, count)) in text
+        assert 'repro_server_request_ms_sum{op="fill"} 20028\n' in text
+        assert 'repro_server_request_ms_count{op="fill"} 5\n' in text
+        assert 'repro_server_slow_requests_total{op="fill"} 1\n' in text
+        assert 'op="open"' not in text
+        assert "repro_server_requests_total" not in text
+
+    def test_concurrent_requests_are_counted_exactly(self):
+        """Handler threads charge one op's counters at once: no update
+        is lost (each add is a read-modify-write under the lock)."""
+        stats = MediatorServer(MIXMediator(EngineConfig())).op_stats["fill"]
+        workers, per_worker = 8, 400
+
+        def charge():
+            for _ in range(per_worker):
+                stats.observe(0.5, slow=True)
+                stats.bump("answered")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=charge)
+                       for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        total = workers * per_worker
+        snap = stats.snapshot()
+        assert snap["le_1"] == snap["slow"] == snap["answered"] == total
+        assert snap["ms_sum"] == 0.5 * total
+
+
 class TestSlowRequestLog:
     def test_threshold_zero_logs_every_request(self):
         server, host, port = make_server(n_homes=3,
@@ -242,9 +295,14 @@ class TestSlowRequestLog:
             assert slow, "threshold 0.0 logged nothing"
             assert slow[0]["data"]["threshold_ms"] == 0.0
             assert "op" in slow[0]["data"]
-            counters = server.telemetry.counter(
-                "server_slow_requests_total")
-            assert sum(counters.series().values()) == len(slow)
+            assert sum(stats.snapshot()["slow"] for stats
+                       in server.op_stats.values()) == len(slow)
+            text = server.prometheus_text()
+            assert sum(int(line.rsplit(" ", 1)[1])
+                       for line in text.splitlines()
+                       if line.startswith(
+                           "repro_server_slow_requests_total{")
+                       ) == len(slow)
         finally:
             server.drain()
 
@@ -365,9 +423,9 @@ class TestStatusVerb:
             for _ in range(3):
                 fetch_status(host, port)
             assert server.stats.snapshot()["requests"] == before
-            total = server.telemetry.counter(
-                "server_status_requests_total")
-            assert sum(total.series().values()) == 3
+            assert server.op_stats["status"].snapshot()["probes"] == 3
+            assert "repro_server_status_requests_total 3\n" \
+                in server.prometheus_text()
         finally:
             server.drain()
 

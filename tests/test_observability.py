@@ -1,5 +1,5 @@
 """Tests for the observability layer: causal spans, the metrics
-registry and the series a context reads from its counters, the
+renderer and the series a context reads from its counters, the
 exporters, and cross-thread span propagation.
 
 The acceptance anchor: one client ``fetch`` on the Fig. 9 join view
@@ -22,14 +22,13 @@ from repro.navigation import MaterializedDocument, materialize
 from repro.runtime import (
     EngineConfig,
     ExecutionContext,
-    MetricsRegistry,
     TraceEvent,
     Tracer,
     build_span_tree,
     export_chrome_trace,
     export_jsonl,
-    export_prometheus,
 )
+from repro.runtime.observability import render_prometheus, render_snapshot
 from repro.testing import FakeClock
 from repro.wrappers import XMLFileWrapper, buffered
 from repro.xtree import Tree
@@ -129,35 +128,32 @@ class TestTraceEventStr:
         json.dumps(payload)  # must not raise
 
 
-class TestMetricsRegistry:
-    def test_counter_gauge_histogram(self):
-        registry = MetricsRegistry()
-        registry.counter("navs").inc(source="a")
-        registry.counter("navs").inc(3, source="a")
-        registry.gauge("depth").set(7)
-        hist = registry.histogram("bytes", buckets=(10, 100))
-        hist.observe(5)
-        hist.observe(50)
-        hist.observe(5000)
-        assert registry.counter("navs").value(source="a") == 4
-        assert registry.gauge("depth").value() == 7
-        snap = registry.snapshot()
-        assert snap["navs"]["type"] == "counter"
-        assert snap["bytes"]["type"] == "histogram"
+class TestRenderer:
+    """The one metrics renderer: families as data, one snapshot and
+    one exposition from the same rows."""
 
-    def test_kind_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
+    FAMILIES = [
+        ("navs", "counter", "", [((("source", "a"),), 4)]),
+        ("depth", "gauge", "", [((), 7)]),
+        ("bytes", "histogram", "", [((), ((10, 100), [1, 1, 1], 5055.0))]),
+    ]
+
+    def test_snapshot_of_counter_gauge_histogram(self):
+        snap = render_snapshot(self.FAMILIES)
+        assert list(snap) == ["bytes", "depth", "navs"]
+        assert snap["navs"] == {"type": "counter",
+                                "series": {"source=a": 4}}
+        assert snap["depth"] == {"type": "gauge", "series": {"": 7}}
+        assert snap["bytes"] == {"type": "histogram", "series": {"": {
+            "buckets": {"10": 1, "100": 1, "+Inf": 1},
+            "sum": 5055.0, "count": 3}}}
 
     def test_prometheus_exposition(self):
-        registry = MetricsRegistry()
-        registry.counter("source_navigations_total").inc(
-            2, source="homesSrc", command="d")
-        registry.histogram("channel_message_bytes",
-                           buckets=(64, 256)).observe(100)
-        text = registry.to_prometheus()
+        text = render_prometheus([
+            ("source_navigations_total", "counter", "",
+             [((("command", "d"), ("source", "homesSrc")), 2)]),
+            ("channel_message_bytes", "histogram", "",
+             [((), ((64, 256), [0, 1, 0], 100.0))])])
         assert '# TYPE repro_source_navigations_total counter' in text
         assert ('repro_source_navigations_total{command="d",'
                 'source="homesSrc"} 2' in text)
@@ -167,13 +163,6 @@ class TestMetricsRegistry:
         assert 'le="+Inf"} 1' in text
         assert 'repro_channel_message_bytes_sum 100' in text
         assert 'repro_channel_message_bytes_count 1' in text
-
-    def test_export_prometheus_to_sink(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        sink = io.StringIO()
-        export_prometheus(registry, sink)
-        assert "repro_c 1" in sink.getvalue()
 
 
 class TestExporters:

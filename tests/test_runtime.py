@@ -31,6 +31,7 @@ from repro.runtime import (
 )
 from repro.runtime.fragcache import FragcacheStats
 from repro.server import ServerStats
+from repro.server.daemon import _RequestStats
 from repro.webstore import FetchStats
 from repro.wrappers import XMLFileWrapper
 from repro.xtree import to_xml
@@ -188,10 +189,10 @@ class TestCacheManager:
 COUNTER_CLASSES = [
     BufferStats, PrefetchStats, BatchStats, LXPStats, ChannelStats,
     ResilienceStats, FragcacheStats, CacheStats, ServerStats,
-    FetchStats, NavCounters,
+    FetchStats, NavCounters, _RequestStats,
 ]
 SELF_LOCKED = {LXPStats, ChannelStats, ResilienceStats,
-               FragcacheStats, ServerStats}
+               FragcacheStats, ServerStats, _RequestStats}
 
 
 def _field_names(cls):

@@ -21,10 +21,15 @@ from pathlib import Path
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 SHELL_PACKAGES = ("runtime", "buffer", "server", "client")
 
-#: measured when metrics became reads of the counters at scrape time
-#: (the ``metrics`` parameter of eleven seams, the push halves, the
-#: byte histograms and ``metrics_enabled`` deleted): runtime 1818 ->
-#: 1811, buffer 574 -> 560, server 1141 -> 1138, client 361 -> 350.
+#: measured when the daemon's request telemetry became per-op counters
+#: and ``MetricsRegistry``, its instruments and ``export_prometheus``
+#: were deleted, every series printed by one renderer from families
+#: read at scrape time: runtime 1811 -> 1689, server 1138 -> 1167.
+#: Before: 3859, measured when metrics became reads of the counters at
+#: scrape time (the ``metrics`` parameter of eleven seams, the push
+#: halves, the byte histograms and ``metrics_enabled`` deleted):
+#: runtime 1818 -> 1811, buffer 574 -> 560, server 1141 -> 1138,
+#: client 361 -> 350.
 #: Before: 3894, measured when the fragment store became one lock
 #: domain (its shards and the shared store's own lock deleted: runtime
 #: 1856 -> 1818) and ``MediatorServer`` lost its ``config`` parameter
@@ -47,9 +52,14 @@ SHELL_PACKAGES = ("runtime", "buffer", "server", "client")
 #: Before: 4050, when the cache registry stopped holding the caches
 #: and a mediator's contexts began sharing serial names (before that:
 #: 4051, after the query caches lost their lock)
-SHELL_CODE_LINES = 3859
+SHELL_CODE_LINES = 3766
 
-#: all of ``src/repro``, measured when metrics became reads of the
+#: all of ``src/repro``, measured when the metrics registry was
+#: deleted (the shell -93 code lines) while ``lazy/build.py`` became an
+#: explicit-stack walk (``lazy/`` +14) and ``translate`` began refusing
+#: a head whose plan would pass ``MAX_PLAN_DEPTH`` (``xmas/`` +9,
+#: ``algebra/`` +1).
+#: Before: 13135, measured when metrics became reads of the
 #: counters at scrape time (the shell -35 code lines, ``lazy/`` -5)
 #: and the 20 unused imports ``tools.lint`` X104 found were deleted
 #: (most shared a line with a used name), while plans got an
@@ -89,7 +99,7 @@ SHELL_CODE_LINES = 3859
 #: query began counting its own source navigations, raised on purpose
 #: from 13635, the count after operator fan-out, the URI registries
 #: and the lock-creation census were deleted (before that: 13816)
-PACKAGE_CODE_LINES = 13135
+PACKAGE_CODE_LINES = 13066
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

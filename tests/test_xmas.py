@@ -250,6 +250,32 @@ class TestPlanDepthLimit:
         assert plan_depth(translate(parse_xmas(
             _deepest_admitted_text()))) == MAX_PLAN_DEPTH
 
+    def test_head_literals_are_held_to_the_bound(self):
+        """Each literal of a template, sibling template and ORDER BY
+        key adds a plan level: a thousand of any used to raise
+        RecursionError in translate."""
+        def text(literals):
+            return "CONSTRUCT <r> %s $V {$V} </r> {} WHERE s a $V" % " ".join(
+                '"t%d"' % index for index in range(literals))
+
+        # source, getDescendants, groupBy, the constants, concatenate,
+        # createElement and tupleDestroy
+        assert plan_depth(translate(parse_xmas(text(100)))) == 106
+        at_bound = MAX_PLAN_DEPTH - 6
+        assert plan_depth(translate(parse_xmas(text(at_bound)))) \
+            == MAX_PLAN_DEPTH
+        siblings = " ".join("<a%d> $V </a%d> {$V}" % (index, index)
+                            for index in range(1000))
+        keys = ", ".join(["$V"] * 1000)
+        for deep in (text(at_bound + 1), text(1000),
+                     "CONSTRUCT <r> %s </r> {} WHERE s a $V" % siblings,
+                     "CONSTRUCT <r> $V {$V} </r> {} WHERE s a $V "
+                     "ORDER BY %s" % keys):
+            with pytest.raises(XMASTranslationError,
+                               match="more than the MAX_PLAN_DEPTH of %d"
+                               % MAX_PLAN_DEPTH):
+                translate(parse_xmas(deep))
+
     def test_walk_plan_is_preorder_at_any_depth(self):
         plan = _project_chain(2000)
         nodes = list(walk_plan(plan))
@@ -281,9 +307,14 @@ class TestPlanDepthLimit:
             mediator.register_source(name, MaterializedDocument(tree))
         mediator.register_view("deep", _project_chain(MAX_PLAN_DEPTH - 3))
         mediator.register_view("view", _project_chain(100))
-        answer = mediator.prepare(
-            "CONSTRUCT <r> $H {$H} </r> {} WHERE view home $H").root
-        assert [home.tag for home in answer.children()] == ["home"] * 2
+        for view in ("view", "deep"):
+            # the lazy plan of a view at the bound builds and browses
+            # at the default recursion limit
+            answer = mediator.prepare(
+                "CONSTRUCT <r> $H {$H} </r> {} WHERE %s home $H"
+                % view).root
+            assert [home.tag for home in answer.children()] \
+                == ["home"] * 2
 
 
 class TestTranslation:

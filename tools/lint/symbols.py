@@ -7,7 +7,7 @@ anonymous raw ``threading`` locks, which get a derived
 ``<module>.<Class>.<attr>`` identity).  Precision is "good enough to
 resolve the repo's own idioms": constructor assignments, parameter and
 return annotations (including ``Optional``/containers), a short table
-of conventional receiver names (``tracer``, ``telemetry``, ``clock``).
+of conventional receiver names (``tracer``, ``recorder``, ``clock``).
 Anything unresolved stays unresolved -- the analyzer reports coverage
 rather than guessing.
 """
@@ -26,7 +26,6 @@ from .rules import is_lock_creation, lock_creation_name
 #: repo-wide naming discipline (a ``tracer`` is always the Tracer).
 NAME_HINTS: Dict[str, str] = {
     "tracer": "Tracer",
-    "telemetry": "MetricsRegistry",
     "recorder": "FlightRecorder",
     "clock": "Clock",
 }
